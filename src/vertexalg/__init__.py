@@ -1,9 +1,9 @@
 """vertexalg: exact-arithmetic vertex algebras on polynomial homology models.
 
 The package computes vertex-algebra and module products on explicit
-polynomial models of moduli-stack homology, verifies the defining identities
-at finite truncation, and exposes the whole calculus through a service and a
-command-line client.  All arithmetic is exact rational; floats never appear.
+polynomial models of moduli-stack homology and verifies the defining
+identities at finite truncation.  All arithmetic is exact rational; floats
+never appear.
 """
 
 __version__ = "0.1.0"

@@ -17,7 +17,9 @@ third generator of factor 2, and factor 0 is reserved for the module slot
 of an orthosymplectic product (unitary factors 1..n times one BO or BSp
 factor).  Cohomology acts by cap product: the character generator ch_k of
 a factor acts as d/ds_k for k > 0 and as the rank scalar for k = 0, while
-degree-2 classes on torus-like models act as d/dX_i.
+degree-2 classes on torus-like models act as d/dX_i.  A monomial acts in
+closed form, ch_k^e . s_k^n = n!/(n-e)! s_k^(n-e) (zero when e > n) and
+ch_0^e . p = rank^e p, so no derivative is ever taken term by term.
 
 The translation operator exp(sum z_i D_i) of the sum map is implemented
 directly from its one-parameter generators:
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import perm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .groups import ClassicalGroup, weyl_average
@@ -380,39 +383,82 @@ def _resuffix(poly: Poly, factor: FactorKey) -> Poly:
 # -- cap product ---------------------------------------------------------------
 
 
+class _Actions(dict):
+    """How each generator acts on one component, resolved once per name.
+
+    A value is None for a homology generator, (target, None) for a class
+    acting as d/d(target), and (None, rank) for ch_0, which acts as the
+    rank scalar.  With ``cohomology_only`` every name must act; otherwise
+    names outside the ch and x alphabets are homology generators.
+    """
+
+    __slots__ = ("component", "cohomology_only")
+
+    def __init__(self, component: ComponentLabel, cohomology_only: bool):
+        super().__init__()
+        self.component = component
+        self.cohomology_only = cohomology_only
+
+    def __missing__(self, gen: str):
+        comp = self.component
+        ch = parse_ch(gen)
+        x = None if ch else _LITTLE_X_RE.fullmatch(gen)
+        if ch is None and x is None and not self.cohomology_only:
+            act = None
+        elif comp.is_s_model():
+            if ch is None:
+                raise ValueError("bad character generator %r" % gen)
+            k, factor = ch
+            act = (None, comp.rank(factor)) if k == 0 else (s_name(k, factor), None)
+        else:
+            if x is None:
+                raise ValueError("bad character generator %r" % gen)
+            act = ("X" + gen[1:], None)
+        self[gen] = act
+        return act
+
+
+def _cap_into(out: Dict, acts: Sequence, exps: Dict[str, int], coef: Fraction) -> None:
+    """Add coef * (acts capped against the monomial exps) into out.
+
+    ``acts`` holds ((target, rank), e) pairs from `_Actions`; ``exps`` is
+    consumed.  (d/ds)^e s^n = n!/(n-e)! s^(n-e), zero when e > n.
+    """
+    for (target, rank), e in acts:
+        if target is None:
+            coef *= rank ** e
+            if not coef:
+                return
+            continue
+        have = exps.get(target, 0)
+        if have < e:
+            return
+        coef *= perm(have, e)
+        if have == e:
+            del exps[target]
+        else:
+            exps[target] = have - e
+    mono = tuple(sorted(exps.items()))
+    out[mono] = out.get(mono, 0) + coef
+
+
 def cap_poly(ch_poly: Poly, poly: Poly, component: ComponentLabel) -> Poly:
     """Apply a character polynomial to a homology polynomial.
 
     On s-models ch_k acts as d/ds_k for k > 0 and as the rank for k = 0,
     factor by factor; on torus-like models x_i acts as d/dX_i.  The action
-    of a product is the composite of the actions, which all commute.
+    of a product is the composite of the actions, which all commute, so a
+    monomial acts in closed form: ch_k^e sends s_k^n to n!/(n-e)! s_k^(n-e)
+    (zero when e > n), ch_0^e multiplies by rank^e, and x_i^e acts on X_i
+    the same way as ch_k^e on s_k.
     """
-    out = Poly()
-    for mono, coef in ch_poly.terms.items():
-        acted = poly * coef
-        for gen, e in mono:
-            if acted.is_zero():
-                break
-            if component.is_s_model():
-                got = parse_ch(gen)
-                if got is None:
-                    raise ValueError("bad character generator %r" % gen)
-                k, factor = got
-                if k == 0:
-                    acted = acted * (Fraction(component.rank(factor)) ** e)
-                    continue
-                target = s_name(k, factor)
-                for _ in range(e):
-                    acted = acted.diff(target)
-            else:
-                m = _LITTLE_X_RE.fullmatch(gen)
-                if not m:
-                    raise ValueError("bad character generator %r" % gen)
-                target = "X" + gen[1:]
-                for _ in range(e):
-                    acted = acted.diff(target)
-        out = out + acted
-    return out
+    actions = _Actions(component, True)
+    out: Dict = {}
+    for chmono, c in ch_poly.terms.items():
+        acts = [(actions[gen], e) for gen, e in chmono]
+        for mono, d in poly.terms.items():
+            _cap_into(out, acts, dict(mono), c * d)
+    return Poly(out)
 
 
 def cap(c, a: HomologyElement) -> HomologyElement:
@@ -423,29 +469,28 @@ def cap(c, a: HomologyElement) -> HomologyElement:
     return HomologyElement(a.component, cap_poly(ch_poly, a.poly, a.component))
 
 
-def _is_cohomology_gen(name: str) -> bool:
-    return bool(_CH_RE.fullmatch(name) or _LITTLE_X_RE.fullmatch(name))
-
-
 def contract_poly(p: Poly, component: ComponentLabel) -> Poly:
     """Pair the cohomology part of a mixed polynomial against its homology part.
 
     Monomials are split into character generators (ch or x alphabet) and
-    homology generators; the former then act on the latter by cap product.
-    Multiplying first and contracting afterwards is what makes capping a
-    whole series against a whole series a plain series product.
+    homology generators; the former then act on the latter by cap product,
+    in the closed form of `cap_poly`, one monomial at a time.  Multiplying
+    first and contracting afterwards is what makes capping a whole series
+    against a whole series a plain series product.
     """
-    out = Poly()
+    actions = _Actions(component, False)
+    out: Dict = {}
     for mono, coef in p.terms.items():
-        chpart = []
-        spart = []
+        exps = {}
+        acts = []
         for gen, e in mono:
-            (chpart if _is_cohomology_gen(gen) else spart).append((gen, e))
-        base = Poly({tuple(spart): coef})
-        if chpart:
-            base = cap_poly(Poly({tuple(chpart): Fraction(1)}), base, component)
-        out = out + base
-    return out
+            act = actions[gen]
+            if act is None:
+                exps[gen] = e
+            else:
+                acts.append((act, e))
+        _cap_into(out, acts, exps, coef)
+    return Poly(out)
 
 
 def translate_series(

@@ -89,36 +89,38 @@ def one_plus_pow(varset: VarSet, weight: Sequence[int], order) -> TruncSeries:
 # -- the polynomial K-homology model ----------------------------------------------
 
 
+def _l_target(u: str) -> str:
+    """The K-homology generator that an augmentation generator lowers."""
+    if not u.startswith("u"):
+        raise ValueError("expected augmentation generators, got %r" % u)
+    return l_name(None if u == "u" else int(u[1:]))
+
+
+def _k_cap_into(out: Dict, shifts: Mapping[str, int], exps: Dict[str, int], coef) -> None:
+    """Add coef * (u-monomial cap l-monomial) into out; ``exps`` is consumed."""
+    for lv, j in shifts.items():
+        have = exps.get(lv, 0)
+        if have < j:
+            return
+        if have == j:
+            del exps[lv]
+        else:
+            exps[lv] = have - j
+    mono = tuple(sorted(exps.items()))
+    out[mono] = out.get(mono, 0) + coef
+
+
 def k_cap(upoly: Poly, lpoly: Poly) -> Poly:
     """Cap product of an augmentation polynomial against K-homology.
 
     Factor pairing is by suffix: u_i lowers powers of l_i.
     """
-    out = Poly()
+    out: Dict = {}
     for umono, c in upoly.terms.items():
-        shifts: Dict[str, int] = {}
-        ok = True
-        for v, e in umono:
-            if not v.startswith("u"):
-                raise ValueError("expected augmentation generators, got %r" % v)
-            shifts[l_name(None if v == "u" else int(v[1:]))] = e
+        shifts = {_l_target(v): e for v, e in umono}
         for lmono, d in lpoly.terms.items():
-            exps = dict(lmono)
-            dead = False
-            for lv, j in shifts.items():
-                have = exps.get(lv, 0)
-                if have < j:
-                    dead = True
-                    break
-                if have == j:
-                    exps.pop(lv)
-                else:
-                    exps[lv] = have - j
-            if dead:
-                continue
-            mono = tuple(sorted(exps.items()))
-            out = out + Poly({mono: c * d})
-    return out
+            _k_cap_into(out, shifts, dict(lmono), c * d)
+    return Poly(out)
 
 
 def k_contract(p: Poly) -> Poly:
@@ -128,17 +130,17 @@ def k_contract(p: Poly) -> Poly:
     the latter by cap, so capping a series against a series reduces to the
     plain series product followed by this contraction coefficientwise.
     """
-    out = Poly()
+    out: Dict = {}
     for mono, coef in p.terms.items():
-        upart = []
-        lpart = []
+        shifts = {}
+        exps = {}
         for gen, e in mono:
-            (upart if gen.startswith("u") else lpart).append((gen, e))
-        base = Poly({tuple(lpart): coef})
-        if upart:
-            base = k_cap(Poly({tuple(upart): Fraction(1)}), base)
-        out = out + base
-    return out
+            if gen.startswith("u"):
+                shifts[_l_target(gen)] = e
+            else:
+                exps[gen] = e
+        _k_cap_into(out, shifts, exps, coef)
+    return Poly(out)
 
 
 def mult_translate(a: Poly, xvars: Sequence[str], trunc: int) -> TruncSeries:

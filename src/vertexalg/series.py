@@ -532,6 +532,20 @@ class TruncSeries:
             out = out + term
         return out
 
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for e in sorted(self.terms, key=lambda ee: (sum(ee), ee)):
+            c = self.terms[e]
+            mono = "*".join(
+                "%s^%d" % (n, x) if x > 1 else n
+                for n, x in zip(self.varset.names, e)
+                if x
+            )
+            bits.append("(%s)%s" % (c, "*" + mono if mono else ""))
+        return " + ".join(bits)
+
 
 def series_invert_unit(a: TruncSeries) -> TruncSeries:
     """Inverse of a series whose constant term is a nonzero rational."""
@@ -549,20 +563,6 @@ def series_invert_unit(a: TruncSeries) -> TruncSeries:
             break
         out = out + power
     return out.scale(Fraction(1, 1) / c0)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms, key=lambda ee: (sum(ee), ee)):
-            c = self.terms[e]
-            mono = "*".join(
-                "%s^%d" % (n, x) if x > 1 else n
-                for n, x in zip(self.varset.names, e)
-                if x
-            )
-            bits.append("(%s)%s" % (c, "*" + mono if mono else ""))
-        return " + ".join(bits)
 
 
 def series_exp(a: TruncSeries) -> TruncSeries:
@@ -1167,6 +1167,7 @@ def series_to_dict(x: LocalizedSeries) -> dict:
         terms.append({"exp": list(e), "coef": str(c)})
     out = {
         "vars": list(x.varset.names),
+        "degrees": list(x.varset.degrees),
         "order": x.num.order,
         "den": [{"form": list(f.coeffs), "mult": m} for f, m in x.den],
         "terms": terms,
@@ -1178,7 +1179,7 @@ def series_to_dict(x: LocalizedSeries) -> dict:
 
 
 def series_from_dict(d: dict) -> LocalizedSeries:
-    varset = VarSet(tuple(d["vars"]))
+    varset = VarSet(tuple(d["vars"]), d.get("degrees"))
     terms = {}
     for t in d["terms"]:
         terms[tuple(int(e) for e in t["exp"])] = Fraction(t["coef"])

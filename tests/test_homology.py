@@ -1,5 +1,6 @@
 """Homology models: components, cap products, translation, pushforwards."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from vertexalg.homology import (
     HomologyElement,
     cap,
     cap_poly,
+    contract_poly,
     involution_dual,
+    parse_ch,
     pushforward_substitute,
     s_name,
     tensor,
@@ -35,6 +38,85 @@ def sv(k, factor=None):
 def chv(k, factor=None):
     name = "ch%d" % k if factor is None else "ch%d_%d" % (k, factor)
     return Poly.variable(name)
+
+
+# -- reference cap: one derivative per exponent unit --------------------------
+
+_CH_RE = re.compile(r"ch(\d+)(?:_(\d+))?\Z")
+_LITTLE_X_RE = re.compile(r"x(\d+)(?:_v(\d+))?\Z")
+
+
+def cap_by_derivatives(ch_poly, poly, component):
+    """cap_poly as repeated Poly.diff, the definition the closed form follows."""
+    out = Poly()
+    for mono, coef in ch_poly.terms.items():
+        acted = poly * coef
+        for gen, e in mono:
+            if acted.is_zero():
+                break
+            if component.is_s_model():
+                got = parse_ch(gen)
+                if got is None:
+                    raise ValueError("bad character generator %r" % gen)
+                k, factor = got
+                if k == 0:
+                    acted = acted * (Fraction(component.rank(factor)) ** e)
+                    continue
+                target = s_name(k, factor)
+            else:
+                if not _LITTLE_X_RE.fullmatch(gen):
+                    raise ValueError("bad character generator %r" % gen)
+                target = "X" + gen[1:]
+            for _ in range(e):
+                acted = acted.diff(target)
+        out = out + acted
+    return out
+
+
+def contract_by_derivatives(p, component):
+    """contract_poly by splitting each monomial and capping with the reference."""
+    out = Poly()
+    for mono, coef in p.terms.items():
+        chpart = []
+        spart = []
+        for gen, e in mono:
+            cohomology = _CH_RE.fullmatch(gen) or _LITTLE_X_RE.fullmatch(gen)
+            (chpart if cohomology else spart).append((gen, e))
+        base = Poly({tuple(spart): coef})
+        if chpart:
+            base = cap_by_derivatives(Poly({tuple(chpart): 1}), base, component)
+        out = out + base
+    return out
+
+
+# (component, homology generators, cohomology generators)
+CAP_CASES = [
+    # three unitary factors, the second of rank 0
+    (
+        ComponentLabel("BU_Z", (2, 0, 1)),
+        ["s1_1", "s2_1", "s3_1", "s1_2", "s2_2", "s1_3"],
+        ["ch0_1", "ch1_1", "ch2_1", "ch0_2", "ch1_2", "ch2_2", "ch0_3", "ch1_3"],
+    ),
+    (ComponentLabel("BU_Z", (0,)), ["s1", "s2", "s3"], ["ch0", "ch1", "ch2", "ch3"]),
+    # ch0_0 is the module rank; odd characters act as zero on factor 0
+    (
+        ComponentLabel("BO_Z", (1, 3)),
+        ["s1_1", "s2_1", "s2_0", "s4_0"],
+        ["ch0_0", "ch1_0", "ch2_0", "ch4_0", "ch0_1", "ch1_1", "ch2_1"],
+    ),
+    (ComponentLabel("Torus", (2,)), ["X1", "X2"], ["x1", "x2"]),
+    (ComponentLabel("BG_classical", ("gl", 2)), ["X1", "X2"], ["x1", "x2"]),
+]
+
+
+def polys(gens, max_terms):
+    monos = st.dictionaries(st.sampled_from(gens), st.integers(1, 4), max_size=3).map(
+        lambda d: tuple(sorted(d.items()))
+    )
+    coefs = st.builds(
+        Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 3)
+    )
+    return st.dictionaries(monos, coefs, max_size=max_terms).map(Poly)
 
 
 class TestComponents:
@@ -128,6 +210,51 @@ class TestCap:
         a = HomologyElement(comp, Poly.variable("X1") * Poly.variable("X2"))
         c = CohomologyElement(comp, Poly.variable("x1"))
         assert c.cap(a).poly == Poly.variable("X2")
+
+
+class TestClosedFormCap:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_contract_matches_derivatives(self, data):
+        comp, hgens, cgens = data.draw(st.sampled_from(CAP_CASES))
+        p = data.draw(polys(hgens + cgens, 10))
+        assert contract_poly(p, comp) == contract_by_derivatives(p, comp)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cap_matches_derivatives(self, data):
+        comp, hgens, cgens = data.draw(st.sampled_from(CAP_CASES))
+        ch = data.draw(polys(cgens, 4))
+        a = data.draw(polys(hgens, 8))
+        assert cap_poly(ch, a, comp) == cap_by_derivatives(ch, a, comp)
+
+    def test_falling_factorial(self):
+        comp = ComponentLabel("BU_Z", (2,))
+        assert cap_poly(chv(2) ** 2, sv(2) ** 5 * sv(1), comp) == sv(2) ** 3 * sv(1) * 20
+        assert contract_poly(chv(2) ** 3 * sv(2) ** 2, comp) == Poly()
+
+    @pytest.mark.parametrize(
+        "gen, comp",
+        [
+            ("x1", BU1),  # x generator on an s-model
+            ("chx", BU1),  # unparsable character name
+            ("xq", ComponentLabel("Torus", (1,))),
+            ("ch1", ComponentLabel("Torus", (1,))),  # ch generator on a torus
+            ("ch0", ComponentLabel("BU_Z", (1, 2))),  # rank of an unnamed factor
+        ],
+    )
+    def test_cap_rejects(self, gen, comp):
+        a = Poly.variable("X1" if comp.model == "Torus" else "s1_1")
+        with pytest.raises(ValueError):
+            cap_poly(Poly.variable(gen), a, comp)
+
+    @pytest.mark.parametrize(
+        "gen, comp",
+        [("x1", BU1), ("ch1", ComponentLabel("Torus", (1,)))],
+    )
+    def test_contract_rejects(self, gen, comp):
+        with pytest.raises(ValueError):
+            contract_poly(Poly.variable(gen) * Poly.variable("X1"), comp)
 
 
 class TestTranslate:

@@ -308,7 +308,31 @@ class TestSubstitution:
             x.substitute_linear(u, {"z": {"u": 1}, "w": {"u": 1}})
 
 
+class TestRepr:
+    def test_truncated_series(self):
+        x = TruncSeries(ZW, 3, {(0, 0): Fraction(1, 2), (2, 1): Poly.variable("s1"), (0, 1): -3})
+        assert repr(x) == "(1/2) + (-3)*w + (s1)*z^2*w"
+        assert repr(TruncSeries.zero(ZW, 3)) == "0"
+
+    def test_localized_series(self):
+        x = LocalizedSeries(
+            TruncSeries(ZW, 4, {(1, 0): 2}), [(form(ZW, z=1, w=-1), 2)]
+        )
+        assert repr(x) == "((2)*z)/(z-w)^2"
+
+
 class TestJSON:
+    def test_round_trip_keeps_degrees(self):
+        vs = VarSet(("t", "z"), degrees=(1, -4))
+        x = LocalizedSeries(
+            TruncSeries(vs, 4, {(0, 0): 1, (1, 2): Fraction(5, 2)}),
+            [(LinearForm(vs, (1, 1)), 1)],
+        )
+        y = loads_series(dumps_series(x))
+        assert y.varset.degrees == (1, -4)
+        assert y.varset == x.varset and y.den == x.den
+        assert dumps_series(y) == dumps_series(x)
+
     def test_round_trip_bits(self):
         x = LocalizedSeries(
             TruncSeries(ZW, 5, {(1, 0): Fraction(-7, 3), (0, 2): 4}),
