@@ -17,10 +17,8 @@ from .series import (
     VarSet,
     iota_expand,
     residue,
-    series_add,
     series_equal,
     series_exp,
-    series_mul,
 )
 
 __all__ = [
@@ -32,9 +30,7 @@ __all__ = [
     "VarSet",
     "iota_expand",
     "residue",
-    "series_add",
     "series_equal",
     "series_exp",
-    "series_mul",
     "__version__",
 ]

@@ -197,9 +197,6 @@ class KClass:
         zero = (0,) * len(self.varset)
         return self.summands.get(zero, Summand(0))
 
-    def total_rank(self) -> int:
-        return sum(s.rank for s in self.summands.values())
-
     def negate(self) -> "KClass":
         return KClass(
             self.varset,
@@ -461,6 +458,8 @@ def normal_bundle_module(component: ComponentLabel, varset: VarSet, depth: int) 
     if len(varset) != n:
         raise ValueError("need one torus coordinate per unitary factor")
     summands: Dict[Weight, Summand] = {}
+    if n == 0:
+        return KClass(varset, summands, depth, zero_is_bundle=True)
 
     def unit_weight(i, c):
         return tuple(c if k == i else 0 for k in range(1, n + 1))

@@ -76,14 +76,6 @@ class ClassicalGroup:
             return "C"
         return "B" if self.n % 2 else "D"
 
-    def is_orientable(self) -> bool:
-        """Whether pi_0 acts trivially on the determinant of the adjoint,
-        which for the classical families fails only for so(even) = type D
-        full orthogonal-style models; here so(n) means the connected SO(n),
-        so every listed group is orientable and O(n) enters only through the
-        orthosymplectic homology models."""
-        return True
-
     # -- roots ------------------------------------------------------------
 
     def roots(self) -> List[Tuple[int, ...]]:

@@ -9,8 +9,7 @@ are written against explicit generator alphabets:
   (even for the symplectic model, since quaternionic ranks double);
 * classifying spaces of classical groups: H = Q[X_1..X_n]^W with
   deg X_i = 2, elements compared modulo Weyl averaging;
-* split tori: H = Q[X_1..X_n], the Weyl group is trivial;
-* quiver moduli stacks: one block of X-variables per vertex.
+* split tori: H = Q[X_1..X_n], the Weyl group is trivial.
 
 Products of spaces keep one alphabet per factor via suffixes: s3_2 is the
 third generator of factor 2, and factor 0 is reserved for the module slot
@@ -37,7 +36,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import perm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .groups import ClassicalGroup, weyl_average
 from .poly import Poly, mono_degree
@@ -48,8 +47,6 @@ MODELS = (
     "BO_Z",
     "BSp_2Z",
     "BG_classical",
-    "QuiverStack",
-    "SelfDualQuiverStack",
     "Torus",
 )
 
@@ -58,8 +55,8 @@ FactorKey = Optional[int]
 
 _S_RE = re.compile(r"s(\d+)(?:_(\d+))?\Z")
 _CH_RE = re.compile(r"ch(\d+)(?:_(\d+))?\Z")
-_X_RE = re.compile(r"X(\d+)(?:_v(\d+))?\Z")
-_LITTLE_X_RE = re.compile(r"x(\d+)(?:_v(\d+))?\Z")
+_X_RE = re.compile(r"X(\d+)\Z")
+_LITTLE_X_RE = re.compile(r"x(\d+)\Z")
 
 
 def s_name(k: int, factor: FactorKey = None) -> str:
@@ -74,8 +71,8 @@ def ch_name(k: int, factor: FactorKey = None) -> str:
     return "ch%d" % k if factor is None else "ch%d_%d" % (k, factor)
 
 
-def x_name(i: int, vertex: Optional[int] = None) -> str:
-    return "X%d" % i if vertex is None else "X%d_v%d" % (i, vertex)
+def x_name(i: int) -> str:
+    return "X%d" % i
 
 
 def parse_s(name: str) -> Optional[Tuple[int, FactorKey]]:
@@ -120,8 +117,7 @@ class ComponentLabel:
       orthogonal or symplectic factor and the first n are unitary factors
       of a product; n = 0 gives the plain single space;
     * BG_classical: ("gl"|"so"|"sp", n);
-    * Torus: (number of circle factors,);
-    * QuiverStack / SelfDualQuiverStack: the dimension vector.
+    * Torus: (number of circle factors,).
     """
 
     __slots__ = ("model", "index")
@@ -145,9 +141,6 @@ class ComponentLabel:
         elif model == "Torus":
             if len(index) != 1 or index[0] < 0:
                 raise ValueError("Torus index is (number of factors,)")
-        else:  # quiver models
-            if not all(isinstance(d, int) and d >= 0 for d in index):
-                raise ValueError("dimension vectors are nonnegative")
         self.model = model
         self.index = index
 
@@ -195,21 +188,15 @@ class ComponentLabel:
         raise ValueError("%s has no factor keys" % self.model)
 
     def rank(self, factor: FactorKey = None) -> int:
-        if self.model == "BU_Z":
+        if not self.is_s_model():
+            raise ValueError("%s components have no rank labels" % self.model)
+        if factor not in self.factor_keys():
             if factor is None:
-                if len(self.index) != 1:
-                    raise ValueError("ambiguous factor in a product component")
-                return self.index[0]
-            return self.index[factor - 1]
-        if self.model in ("BO_Z", "BSp_2Z"):
-            if factor is None:
-                if len(self.index) != 1:
-                    raise ValueError("ambiguous factor in a product component")
-                return self.index[0]
-            if factor == 0:
-                return self.index[-1]
-            return self.index[factor - 1]
-        raise ValueError("%s components have no rank labels" % self.model)
+                raise ValueError("ambiguous factor in a product component")
+            raise ValueError("%r has no factor %r" % (self, factor))
+        if factor is None:
+            return self.index[0]
+        return self.index[factor - 1]  # factor 0, the module slot, is last
 
     def even_only(self, factor: FactorKey) -> bool:
         """Whether the given factor only carries even s-generators."""
@@ -235,17 +222,11 @@ class ComponentLabel:
             if self.even_only(factor) and k % 2:
                 return False
             return True
-        if self.model == "BG_classical":
-            m = _X_RE.fullmatch(name)
-            return bool(m) and m.group(2) is None and 1 <= int(m.group(1)) <= self.group().rank
-        if self.model == "Torus":
-            m = _X_RE.fullmatch(name)
-            return bool(m) and m.group(2) is None and 1 <= int(m.group(1)) <= self.index[0]
         m = _X_RE.fullmatch(name)
-        if not m or m.group(2) is None:
+        if not m:
             return False
-        j, v = int(m.group(1)), int(m.group(2))
-        return 1 <= v <= len(self.index) and 1 <= j <= self.index[v - 1]
+        rank = self.group().rank if self.model == "BG_classical" else self.index[0]
+        return 1 <= int(m.group(1)) <= rank
 
 
 class HomologyElement:
@@ -409,6 +390,8 @@ class _Actions(dict):
             if ch is None:
                 raise ValueError("bad character generator %r" % gen)
             k, factor = ch
+            if factor not in comp.factor_keys():
+                raise ValueError("%r names no factor of %r" % (gen, comp))
             act = (None, comp.rank(factor)) if k == 0 else (s_name(k, factor), None)
         else:
             if x is None:
@@ -493,17 +476,18 @@ def contract_poly(p: Poly, component: ComponentLabel) -> Poly:
     return Poly(out)
 
 
-def translate_series(
+def translate_coefficients(
     num: TruncSeries,
-    component: ComponentLabel,
     wvars: Sequence[str],
-    coweights: Optional[Sequence[Sequence[int]]] = None,
+    translate_one: Callable[[Poly, int], TruncSeries],
 ) -> TruncSeries:
-    """Apply the translation operator in the named coordinates to every
-    coefficient of a series that may already involve those coordinates.
+    """Translate every coefficient of a series that may already involve
+    the named coordinates.
 
-    Each monomial of total degree d receives translation terms up to the
-    remaining order, so the output carries the same truncation order.
+    ``translate_one(p, room)`` translates the class p in the coordinates
+    ``wvars`` up to order ``room``.  Each monomial of total degree d
+    receives translation terms up to the remaining order, so the output
+    carries the same truncation order.
     """
     order = num.order
     if order is None:
@@ -514,8 +498,7 @@ def translate_series(
     for e, p in num.terms.items():
         if not isinstance(p, Poly):
             p = Poly.const(p)
-        room = order - sum(e)
-        t = translate(HomologyElement(component, p), list(wvars), room, coweights)
+        t = translate_one(p, order - sum(e))
         for ew, q in t.terms.items():
             e2 = list(e)
             for pos, k in zip(windex, ew):
@@ -525,6 +508,23 @@ def translate_series(
             out[key] = q if cur is None else cur + q
     out = {e: p for e, p in out.items() if not p.is_zero()}
     return TruncSeries(vs, order, out)
+
+
+def translate_series(
+    num: TruncSeries,
+    component: ComponentLabel,
+    wvars: Sequence[str],
+    coweights: Optional[Sequence[Sequence[int]]] = None,
+) -> TruncSeries:
+    """Apply the translation operator in the named coordinates to every
+    coefficient of a series of classes on one component."""
+    return translate_coefficients(
+        num,
+        wvars,
+        lambda p, room: translate(
+            HomologyElement(component, p), list(wvars), room, coweights
+        ),
+    )
 
 
 # -- translation ---------------------------------------------------------------
@@ -560,7 +560,7 @@ def translate(
 
         >>> one = HomologyElement(ComponentLabel("BU_Z", (1,)), 1)
         >>> translate(one, ["z"], 2).terms[(2,)]
-        Poly({(('s1', 2),): Fraction(1, 2), (('s2', 1),): Fraction(1, 2)})
+        1/2*s2+1/2*s1^2
     """
     if trunc < 0:
         raise ValueError("truncation must be nonnegative")

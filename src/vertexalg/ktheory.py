@@ -51,10 +51,6 @@ def l_name(i: Optional[int] = None) -> str:
     return "l" if i is None else "l%d" % i
 
 
-def u_name(i: Optional[int] = None) -> str:
-    return "u" if i is None else "u%d" % i
-
-
 def gbinom(a: int, k: int) -> Fraction:
     out = Fraction(1)
     for t in range(k):

@@ -19,7 +19,7 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterator, Mapping, Tuple, Union
 
 Mono = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
@@ -287,14 +287,6 @@ class Poly:
         return out
 
 
-def poly_from_pairs(pairs: Iterable[Tuple[Mapping[str, int], Scalar]]) -> Poly:
-    terms: Dict[Mono, Fraction] = {}
-    for exps, c in pairs:
-        m = tuple(sorted((v, e) for v, e in exps.items() if e))
-        terms[m] = terms.get(m, Fraction(0)) + _as_fraction(c)
-    return Poly(terms)
-
-
 def poly_to_obj(p: Poly) -> list:
     """JSON-ready form: sorted [[ [var, exp], ... ], "num/den"] pairs."""
     out = []
@@ -305,8 +297,17 @@ def poly_to_obj(p: Poly) -> list:
 
 
 def poly_from_obj(obj) -> Poly:
+    """Read the form of `poly_to_obj` back in canonical form: zero
+    exponents are dropped and a repeated variable's exponents add up."""
     terms: Dict[Mono, Fraction] = {}
     for m, c in obj:
-        mono = tuple(sorted((str(v), int(e)) for v, e in m))
+        exps: Dict[str, int] = {}
+        for v, e in m:
+            if type(e) is not int or e < 0:
+                raise ValueError(
+                    "exponent of %r must be a nonnegative integer, got %r" % (v, e)
+                )
+            exps[str(v)] = exps.get(str(v), 0) + e
+        mono = tuple(sorted((v, e) for v, e in exps.items() if e))
         terms[mono] = terms.get(mono, Fraction(0)) + Fraction(str(c))
     return Poly(terms)

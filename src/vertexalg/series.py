@@ -426,9 +426,6 @@ class TruncSeries:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def block_degree_of(self, e: Exponent, block: Sequence[str]) -> int:
-        return sum(e[self.varset.index(n)] for n in block)
-
     def coefficient_of(self, name: str, power: int) -> "TruncSeries":
         """Coefficient of name**power, as a series in the remaining variables."""
         i = self.varset.index(name)
@@ -649,10 +646,6 @@ class LocalizedSeries:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def from_series(num: TruncSeries) -> "LocalizedSeries":
-        return LocalizedSeries(num)
-
-    @staticmethod
     def one(varset: VarSet, order: Optional[int] = INF) -> "LocalizedSeries":
         return LocalizedSeries(TruncSeries.const(varset, 1, order))
 
@@ -686,15 +679,6 @@ class LocalizedSeries:
             if any(form.restrict_to_block(block)):
                 total += mult
         return total
-
-    def is_power_series(self) -> bool:
-        return not self.den
-
-    def den_series(self, order: Optional[int]) -> TruncSeries:
-        out = TruncSeries.const(self.varset, 1, order)
-        for form, mult in self.den:
-            out = out * (form.as_series(order) ** mult)
-        return out
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -862,14 +846,6 @@ class LocalizedSeries:
         return "(%r)%s" % (self.num, den)
 
 
-def series_add(a: LocalizedSeries, b: LocalizedSeries) -> LocalizedSeries:
-    return a + b
-
-
-def series_mul(a: LocalizedSeries, b: LocalizedSeries) -> LocalizedSeries:
-    return a * b
-
-
 def try_divide_by_form(num: TruncSeries, form: LinearForm) -> Optional[TruncSeries]:
     """Exact division of a series by a linear form, or None.
 
@@ -910,6 +886,30 @@ def try_divide_by_form(num: TruncSeries, form: LinearForm) -> Optional[TruncSeri
     out.varset, out.order = num.varset, order
     out.terms = {e: c for e, c in quotient.items() if order is INF or sum(e) <= order}
     return out
+
+
+def spanning_pole_numerator(
+    a_form: LinearForm, s: Fraction, b: TruncSeries, mult: int, depth: int
+) -> TruncSeries:
+    """Numerator of 1/(s*A + B)^mult cleared over A^(mult+depth).
+
+    With A the primitive form ``a_form`` and B the rest of the spanning
+    form, 1/(sA+B)^m = sum_k binom(-m, k) s^(-m-k) B^k A^(-m-k); the sum
+    runs over k <= depth and stops early once B^k vanishes.
+    """
+    a_series = a_form.as_series(INF)
+    acc = TruncSeries.zero(b.varset, INF)
+    coef = 1
+    b_pow = TruncSeries.const(b.varset, 1, INF)
+    for k in range(depth + 1):
+        if k:
+            coef = coef * (mult + k - 1) // k
+            b_pow = b_pow * b
+            if b_pow.is_zero():
+                break
+        factor = Fraction((-1) ** k * coef) * s ** (-mult - k)
+        acc = acc + (b_pow * (a_series ** (depth - k))).scale(factor)
+    return acc
 
 
 def iota_expand(
@@ -965,35 +965,14 @@ def iota_expand(
                 if c
             },
         )
-        # 1/(A+B)^mult = sum_k (-1)^k binom(mult+k-1, k) B^k A^(-mult-k),
-        # cleared over a_form^(mult+depth) with A = sign * content * a_form
-        a_series = a_form.as_series(INF)
-        acc = TruncSeries.zero(x.varset, INF)
-        coef = 1
-        b_pow = TruncSeries.const(x.varset, 1, INF)
-        sc = Fraction(1, a_sign * a_content)
-        for k in range(depth + 1):
-            if k:
-                coef = coef * (mult + k - 1) // k
-                b_pow = b_pow * b_series
-                if b_pow.is_zero():
-                    break
-            factor = Fraction((-1) ** k * coef) * sc ** (mult + k)
-            acc = acc + (b_pow * (a_series ** (depth - k))).scale(factor)
-        num = num * acc
+        s = Fraction(a_sign * a_content)
+        num = num * spanning_pole_numerator(a_form, s, b_series, mult, depth)
         kept.append((a_form, mult + depth))
 
-    den = _sort_denominator(kept)
+    cleared = LocalizedSeries(num, kept, blocks)
     # per non-leading block: net degree <= trunc
-    den_block = []
-    idx_of = x.varset.index
-    block_idx = [[idx_of(n) for n in block] for block in blocks]
-    for block in blocks:
-        total = 0
-        for form, mult in den:
-            if any(form.restrict_to_block(block)):
-                total += mult
-        den_block.append(total)
+    den_block = [cleared.den_block_degree(block) for block in blocks]
+    block_idx = [[x.varset.index(n) for n in block] for block in blocks]
     out_terms: Dict[Exponent, Scalar] = {}
     for e, c in num.terms.items():
         ok = True
@@ -1005,7 +984,7 @@ def iota_expand(
             out_terms[e] = c
     bounds = tuple(None if bi == 0 else trunc for bi in range(len(blocks)))
     result_num = TruncSeries(x.varset, num.order, out_terms)
-    return LocalizedSeries(result_num, den, blocks, bounds)
+    return LocalizedSeries(result_num, cleared.den, blocks, bounds)
 
 
 def series_sub_cleared(a: LocalizedSeries, b: LocalizedSeries) -> LocalizedSeries:

@@ -16,16 +16,17 @@ failure rather than a pass.
 
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from .homology import (
     ComponentLabel,
     HomologyElement,
     s_name,
+    translate_coefficients,
     weighted_degrees,
     x_name,
 )
-from .ktheory import gbinom, one_plus_pow
+from .ktheory import one_plus_pow
 from .poly import Poly
 from .series import (
     INF,
@@ -39,6 +40,7 @@ from .series import (
     series_equal,
     series_invert_unit,
     series_sub_cleared,
+    spanning_pole_numerator,
     try_divide_by_form,
 )
 
@@ -63,17 +65,6 @@ class ElementSeries:
     def constant(a: HomologyElement, varset: VarSet, order=INF) -> "ElementSeries":
         num = TruncSeries(varset, order, {varset.zero_exponent(): a.poly})
         return ElementSeries(a.component, LocalizedSeries(num, ()))
-
-    def as_element(self) -> HomologyElement:
-        """The underlying class, when the series is a bare constant."""
-        if self.series.den:
-            raise ValueError("series has poles, not a constant")
-        poly = Poly()
-        for e, c in self.series.num.terms.items():
-            if any(e):
-                raise ValueError("series has positive-degree terms")
-            poly = poly + (c if isinstance(c, Poly) else Poly.const(c))
-        return HomologyElement(self.component, poly)
 
 
 # -- pole policies ---------------------------------------------------------------
@@ -344,17 +335,7 @@ def shifted_flat(
                     "shifted denominator %r does not expand over block %d"
                     % (form, lead)
                 )
-        fs = fform.as_series(INF)
-        acc = TruncSeries.zero(combined, INF)
-        gpow = TruncSeries.const(combined, 1, INF)
-        for k in range(depth + 1):
-            if k:
-                gpow = gpow * g
-                if gpow.is_zero():
-                    break
-            coef = Fraction(gbinom(-mult, k)) * s ** (-mult - k)
-            acc = acc + (gpow * fs ** (depth - k)).scale(coef)
-        num = num * acc
+        num = num * spanning_pole_numerator(fform, s, g, mult, depth)
         den_out.append((fform, mult + depth))
         for bi in range(lead + 1, len(blocks)):
             b = bounds[bi]
@@ -367,65 +348,62 @@ def shifted_flat(
 # -- nesting one family inside another ----------------------------------------------
 
 
-def _embed_form(form: LinearForm, combined: VarSet) -> Tuple[LinearForm, int]:
-    vec = [0] * len(combined)
-    for name, c in zip(form.varset.names, form.coeffs):
-        if c:
-            vec[combined.index(name)] = c
-    new, sign, content = LinearForm.make_scaled(combined, vec)
-    if content != 1:
-        raise AssertionError("embedded form lost primitivity")
-    return new, sign
+def _embed_den(
+    den: Sequence[Tuple[LinearForm, int]], combined: VarSet
+) -> Tuple[List[Tuple[LinearForm, int]], Fraction]:
+    """Denominator forms re-read over the combined variables, and the sign
+    their renormalization moves into the numerator."""
+    out = []
+    scale = Fraction(1)
+    for form, mult in den:
+        vec = [0] * len(combined)
+        for name, c in zip(form.varset.names, form.coeffs):
+            if c:
+                vec[combined.index(name)] = c
+        new, sign, content = LinearForm.make_scaled(combined, vec)
+        if content != 1:
+            raise AssertionError("embedded form lost primitivity")
+        out.append((new, mult))
+        scale *= Fraction(sign) ** mult
+    return out, scale
 
 
 def nested_product(
-    outer: ProductFamily,
-    inner: ElementSeries,
-    rest: Sequence[HomologyElement],
+    outer: Callable[[Poly], ElementSeries],
+    inner: LocalizedSeries,
     znames: Sequence[str],
     wnames: Sequence[str],
-    trunc: int,
 ) -> ElementSeries:
-    """The outer product with a series argument in its first slot.
+    """An outer product with a series in one of its slots.
 
-    The inner series (over the w coordinates) is fed coefficient by
-    coefficient into the outer family's first slot, the outer products
-    are computed in the z coordinates, and everything is reassembled
-    over the combined variable set with the z block leading.
+    ``outer(p)`` is the outer product, over the z coordinates, with the
+    class p in the nested slot.  The inner series (over the w
+    coordinates) is fed into it coefficient by coefficient, and
+    everything is reassembled over the combined variable set with the z
+    block leading.
     """
     combined = VarSet(tuple(znames) + tuple(wnames))
     blocks = (tuple(znames), tuple(wnames))
     widx = [combined.index(w) for w in wnames]
-    items = sorted(inner.series.num.terms.items())
+    items = sorted(inner.num.terms.items())
     if not items:
-        items = [(inner.series.num.varset.zero_exponent(), Poly())]
+        items = [(inner.num.varset.zero_exponent(), Poly())]
     total = None
     component = None
     for e, p in items:
         if not isinstance(p, Poly):
             p = Poly.const(p)
-        head = HomologyElement(inner.component, p)
-        out = outer.product((head,) + tuple(rest), znames, trunc)
+        out = outer(p)
         component = out.component
         num = out.series.num.rename_variables(combined, {})
         mono = [0] * len(combined)
         for pos, k in zip(widx, e):
             mono[pos] = k
         num = num * TruncSeries(combined, INF, {tuple(mono): Fraction(1)})
-        scale = Fraction(1)
-        den = []
-        for f, m in out.series.den:
-            nf, sg = _embed_form(f, combined)
-            den.append((nf, m))
-            scale *= Fraction(sg) ** m
+        den, scale = _embed_den(out.series.den, combined)
         contrib = LocalizedSeries(num.scale(scale), den, blocks)
         total = contrib if total is None else total + contrib
-    den_w = []
-    scale = Fraction(1)
-    for f, m in inner.series.den:
-        nf, sg = _embed_form(f, combined)
-        den_w.append((nf, m))
-        scale *= Fraction(sg) ** m
+    den_w, scale = _embed_den(inner.den, combined)
     out = LocalizedSeries(
         total.num.scale(scale),
         list(total.den) + den_w,
@@ -567,7 +545,14 @@ def check_associativity(
         work = trunc + dw + dz
 
         inner = inner_family.product(bs, wnames, work)
-        lhs = nested_product(P, inner, rest, znames, wnames, work)
+        lhs = nested_product(
+            lambda p: P.product(
+                (HomologyElement(inner.component, p),) + tuple(rest), znames, work
+            ),
+            inner.series,
+            znames,
+            wnames,
+        )
 
         images = {}
         for k in range(m + n):
@@ -616,7 +601,6 @@ def check_module_nesting(P: ProductFamily, samples, trunc: int) -> CheckReport:
         n, k = len(as_), len(bs)
         znames = tuple("z%d" % (i + 1) for i in range(n))
         wnames = tuple("w%d" % (i + 1) for i in range(k))
-        combined = VarSet(znames + wnames)
         blocks = (znames, wnames)
 
         probe_inner = P.product(tuple(bs) + (mm,), wnames, 0)
@@ -630,45 +614,13 @@ def check_module_nesting(P: ProductFamily, samples, trunc: int) -> CheckReport:
         work = trunc + dw + dz
 
         inner = P.product(tuple(bs) + (mm,), wnames, work)
-        items = sorted(inner.series.num.terms.items())
-        if not items:
-            items = [(inner.series.num.varset.zero_exponent(), Poly())]
-        total = None
-        component = None
-        widx = [combined.index(w) for w in wnames]
-        for e, p in items:
-            if not isinstance(p, Poly):
-                p = Poly.const(p)
-            head = HomologyElement(inner.component, p)
-            out = P.product(tuple(as_) + (head,), znames, work)
-            component = out.component
-            num = out.series.num.rename_variables(combined, {})
-            mono = [0] * len(combined)
-            for pos, kk in zip(widx, e):
-                mono[pos] = kk
-            num = num * TruncSeries(combined, INF, {tuple(mono): Fraction(1)})
-            scale = Fraction(1)
-            den = []
-            for f, mdeg in out.series.den:
-                nf, sg = _embed_form(f, combined)
-                den.append((nf, mdeg))
-                scale *= Fraction(sg) ** mdeg
-            contrib = LocalizedSeries(num.scale(scale), den, blocks)
-            total = contrib if total is None else total + contrib
-        den_w = []
-        scale = Fraction(1)
-        for f, mdeg in inner.series.den:
-            nf, sg = _embed_form(f, combined)
-            den_w.append((nf, mdeg))
-            scale *= Fraction(sg) ** mdeg
-        lhs = ElementSeries(
-            component,
-            LocalizedSeries(
-                total.num.scale(scale),
-                list(total.den) + den_w,
-                blocks,
-                total.block_bounds,
+        lhs = nested_product(
+            lambda p: P.product(
+                tuple(as_) + (HomologyElement(inner.component, p),), znames, work
             ),
+            inner.series,
+            znames,
+            wnames,
         )
 
         probe_flat = P.product(tuple(as_) + tuple(bs) + (mm,),
@@ -683,7 +635,7 @@ def check_module_nesting(P: ProductFamily, samples, trunc: int) -> CheckReport:
             blocks,
             trunc,
         )
-        if component != flat.component:
+        if lhs.component != flat.component:
             report.fail(si, "components differ")
             continue
         equal, conclusive, witness = compare_series(lhs.series, rhs_series)
@@ -1050,37 +1002,6 @@ class VertexSpace:
         )
 
 
-def _translate_coefficients(
-    space: VertexSpace,
-    series: TruncSeries,
-    template,
-    names: Sequence[str],
-    combined: VarSet,
-) -> TruncSeries:
-    """Apply a space's translation in fresh coordinates to each
-    coefficient of a series, reassembled over the combined variables."""
-    order = series.order
-    idx = [combined.index(n) for n in names]
-    src_idx = [combined.index(n) for n in series.varset.names]
-    out: Dict[Tuple[int, ...], Poly] = {}
-    for e, p in series.terms.items():
-        if not isinstance(p, Poly):
-            p = Poly.const(p)
-        room = order - sum(e)
-        t = space.translate(space.rebuild(template, p), list(names), room)
-        for e2, q in t.terms.items():
-            key = [0] * len(combined)
-            for pos, k in zip(src_idx, e):
-                key[pos] += k
-            for pos, k in zip(idx, e2):
-                key[pos] += k
-            key = tuple(key)
-            cur = out.get(key)
-            out[key] = q if cur is None else cur + q
-    out = {e: p for e, p in out.items() if not p.is_zero()}
-    return TruncSeries(combined, order, out)
-
-
 def check_vertex_space(space: VertexSpace, samples, trunc: int) -> CheckReport:
     """The translation is a representation of the formal group: it is
     the identity at the origin and composes through the group law."""
@@ -1101,8 +1022,11 @@ def check_vertex_space(space: VertexSpace, samples, trunc: int) -> CheckReport:
                         repr(const - space.payload(a)))
             continue
         tw = space.translate(a, list(wnames), trunc)
-        tw_c = tw.rename_variables(combined, {})
-        lhs = _translate_coefficients(space, tw_c, a, znames, combined)
+        lhs = translate_coefficients(
+            tw.rename_variables(combined, {}),
+            znames,
+            lambda p, room: space.translate(space.rebuild(a, p), list(znames), room),
+        )
         tu = space.translate(a, list(unames), trunc)
         images = {}
         for k in range(r):
@@ -1176,30 +1100,12 @@ def check_vertex_space_map(f: VertexSpaceMap, samples, trunc: int) -> CheckRepor
         combined = VarSet(znames + wnames)
         blocks = (znames, wnames)
         tw = f.source.translate(a, list(wnames), work)
-        items = sorted(tw.terms.items())
-        total = None
-        component = None
-        widx = [combined.index(w) for w in wnames]
-        for e, p in items:
-            if not isinstance(p, Poly):
-                p = Poly.const(p)
-            out = f.action(f.source.rebuild(a, p), znames, work)
-            component = out.component
-            num = out.series.num.rename_variables(combined, {})
-            mono = [0] * len(combined)
-            for pos, k in zip(widx, e):
-                mono[pos] = k
-            num = num * TruncSeries(combined, INF, {tuple(mono): Fraction(1)})
-            scale = Fraction(1)
-            den = []
-            for form, mdeg in out.series.den:
-                nf, sg = _embed_form(form, combined)
-                den.append((nf, mdeg))
-                scale *= Fraction(sg) ** mdeg
-            contrib = LocalizedSeries(num.scale(scale), den, blocks)
-            total = contrib if total is None else total + contrib
-        lhs = LocalizedSeries(total.num, total.den, blocks,
-                              total.block_bounds)
+        lhs = nested_product(
+            lambda p: f.action(f.source.rebuild(a, p), znames, work),
+            LocalizedSeries(tw),
+            znames,
+            wnames,
+        )
         full = f.action(a, unames, work)
         images = {}
         for k in range(rs):
@@ -1208,7 +1114,7 @@ def check_vertex_space_map(f: VertexSpaceMap, samples, trunc: int) -> CheckRepor
             vec[combined.index(wnames[k])] = 1
             images[unames[k]] = shift_image(law, combined, vec, work)
         rhs = shifted_flat(full, images, combined, blocks, trunc)
-        equal, conclusive, witness = compare_series(lhs, rhs.series)
+        equal, conclusive, witness = compare_series(lhs.series, rhs.series)
         if not equal:
             report.fail(i, "translation before the map fails to shift",
                         witness)
@@ -1216,7 +1122,7 @@ def check_vertex_space_map(f: VertexSpaceMap, samples, trunc: int) -> CheckRepor
         if not conclusive:
             report.fail(i, "vacuous comparison window")
             continue
-        if component != rhs.component:
+        if lhs.component != rhs.component:
             report.fail(i, "components differ")
             continue
 
@@ -1234,15 +1140,14 @@ def check_vertex_space_map(f: VertexSpaceMap, samples, trunc: int) -> CheckRepor
         )
         # the ElementSeries carries the component, which is all the
         # target carrier's rebuild adapter needs from a template
-        lhs2_num = _translate_coefficients(
-            f.target, fz_c, fz, pnames, combined2
+        lhs2_num = translate_coefficients(
+            fz_c,
+            pnames,
+            lambda p, room: f.target.translate(
+                f.target.rebuild(fz, p), list(pnames), room
+            ),
         )
-        den2 = []
-        scale2 = Fraction(1)
-        for form, mdeg in fz.series.den:
-            nf, sg = _embed_form(form, combined2)
-            den2.append((nf, mdeg))
-            scale2 *= Fraction(sg) ** mdeg
+        den2, scale2 = _embed_den(fz.series.den, combined2)
         lhs2 = LocalizedSeries(lhs2_num.scale(scale2), den2, blocks2)
         images2 = {}
         for k in range(rs):

@@ -33,7 +33,7 @@ from vertexalg.homology import (
     translate_series,
     var_weight,
 )
-from vertexalg.poly import Poly
+from vertexalg.poly import Poly, poly_from_obj, poly_to_obj
 from vertexalg.series import (
     INF,
     LocalizedSeries,
@@ -149,6 +149,11 @@ class TestNormalClasses:
         nb = normal_bundle_module(comp, vs, 3)
         assert nb.summands[(2, 0)].rank == -3  # (r^2 + r)/2 at r = 2
         assert nb.summands[(1, 0)].rank == -8
+
+    def test_module_single_space_vanishes(self):
+        # no unitary factor, so nothing asks for the module factor's rank
+        nb = normal_bundle_module(ComponentLabel("BO_Z", (3,)), VarSet(()), 3)
+        assert nb.weights() == []
 
     def test_module_kills_odd_module_characters(self):
         comp = ComponentLabel("BO_Z", (2, 2, 3))
@@ -435,3 +440,23 @@ class TestSerialization:
         obj = json.loads(json.dumps(kclass_to_obj(E)))
         back = kclass_from_obj(obj)
         assert back.summands[(1,)].lines == E.summands[(1,)].lines
+
+    @given(
+        st.dictionaries(
+            st.dictionaries(
+                st.sampled_from(["s1", "s2", "ch1_1", "u"]), st.integers(1, 3), max_size=3
+            ).map(lambda d: tuple(sorted(d.items()))),
+            st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+            max_size=4,
+        ).map(Poly)
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_poly_round_trip(self, p):
+        assert poly_from_obj(json.loads(json.dumps(poly_to_obj(p)))) == p
+
+    def test_poly_from_obj_canonicalizes(self):
+        assert poly_from_obj([[[["s1", 0]], "1"]]) == Poly.const(1)
+        assert poly_from_obj([[[["s1", 1], ["s1", 1]], "1"]]) == sp(1) ** 2
+        for bad in (-1, 1.5, "2"):
+            with pytest.raises(ValueError):
+                poly_from_obj([[[["s1", bad]], "1"]])

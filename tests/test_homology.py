@@ -143,6 +143,18 @@ class TestComponents:
         with pytest.raises(ValueError):
             HomologyElement(bo, Poly.variable("s3"))
 
+    def test_rank_checks_factor_key(self):
+        prod = ComponentLabel("BU_Z", (1, 2))
+        assert (prod.rank(1), prod.rank(2)) == (1, 2)
+        for key in (None, 0, 3):
+            with pytest.raises(ValueError):
+                prod.rank(key)
+        assert ComponentLabel("BO_Z", (1, 3)).rank(0) == 3
+        bo = ComponentLabel("BO_Z", (3,))
+        assert bo.rank() == 3
+        with pytest.raises(ValueError):
+            bo.rank(0)
+
     def test_degrees(self):
         a = HomologyElement(BU1, sv(1) * sv(2))
         assert a.degree() == 6
@@ -241,6 +253,10 @@ class TestClosedFormCap:
             ("xq", ComponentLabel("Torus", (1,))),
             ("ch1", ComponentLabel("Torus", (1,))),  # ch generator on a torus
             ("ch0", ComponentLabel("BU_Z", (1, 2))),  # rank of an unnamed factor
+            # characters of factors the component lacks
+            ("ch0_0", ComponentLabel("BU_Z", (1, 2))),
+            ("ch0_3", ComponentLabel("BU_Z", (1, 2))),
+            ("ch1_3", ComponentLabel("BU_Z", (1, 2))),
         ],
     )
     def test_cap_rejects(self, gen, comp):

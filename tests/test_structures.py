@@ -59,6 +59,7 @@ from vertexalg.structures import (
     in_translation_image,
     koszul_sign,
     lie_bracket,
+    nested_product,
     residue_action,
     shift_image,
     shifted_flat,
@@ -478,16 +479,15 @@ class TestAssociativityCheck:
         assert not rep.passed
 
 
+MODULE_NESTING_SAMPLES = [
+    ((elem(1, S1),), (elem(1, Poly.const(1)),), elem(1, S1)),
+    ((elem(1, S2),), (elem(1, S1),), elem(0, Poly.const(1))),
+]
+
+
 class TestModuleNestingCheck:
     def test_passes(self):
-        rep = check_module_nesting(
-            MODULE,
-            [
-                ((elem(1, S1),), (elem(1, Poly.const(1)),), elem(1, S1)),
-                ((elem(1, S2),), (elem(1, S1),), elem(0, Poly.const(1))),
-            ],
-            3,
-        )
+        rep = check_module_nesting(MODULE, MODULE_NESTING_SAMPLES, 3)
         assert rep.passed and rep.samples == 2
 
     def test_moved_module_element_fails(self):
@@ -506,6 +506,85 @@ class TestModuleNestingCheck:
     def test_requires_module_family(self):
         with pytest.raises(ValueError):
             check_module_nesting(FAMILY, [], 3)
+
+
+def reference_nesting(outer, inner, znames, wnames):
+    """The reassembly loop ``check_module_nesting`` carried before it called
+    ``nested_product``, kept as the reference for it."""
+    combined = VarSet(znames + wnames)
+    blocks = (znames, wnames)
+
+    def embed_form(form):
+        vec = [0] * len(combined)
+        for name, c in zip(form.varset.names, form.coeffs):
+            if c:
+                vec[combined.index(name)] = c
+        new, sign, content = LinearForm.make_scaled(combined, vec)
+        assert content == 1
+        return new, sign
+
+    items = sorted(inner.series.num.terms.items())
+    if not items:
+        items = [(inner.series.num.varset.zero_exponent(), Poly())]
+    total = None
+    component = None
+    widx = [combined.index(w) for w in wnames]
+    for e, p in items:
+        if not isinstance(p, Poly):
+            p = Poly.const(p)
+        out = outer(p)
+        component = out.component
+        num = out.series.num.rename_variables(combined, {})
+        mono = [0] * len(combined)
+        for pos, kk in zip(widx, e):
+            mono[pos] = kk
+        num = num * TruncSeries(combined, INF, {tuple(mono): Fraction(1)})
+        scale = Fraction(1)
+        den = []
+        for f, mdeg in out.series.den:
+            nf, sg = embed_form(f)
+            den.append((nf, mdeg))
+            scale *= Fraction(sg) ** mdeg
+        contrib = LocalizedSeries(num.scale(scale), den, blocks)
+        total = contrib if total is None else total + contrib
+    den_w = []
+    scale = Fraction(1)
+    for f, mdeg in inner.series.den:
+        nf, sg = embed_form(f)
+        den_w.append((nf, mdeg))
+        scale *= Fraction(sg) ** mdeg
+    return ElementSeries(
+        component,
+        LocalizedSeries(
+            total.num.scale(scale),
+            list(total.den) + den_w,
+            blocks,
+            total.block_bounds,
+        ),
+    )
+
+
+class TestNestedProduct:
+    @pytest.mark.parametrize("sample", MODULE_NESTING_SAMPLES)
+    def test_matches_reference(self, sample):
+        as_, bs, mm = sample
+        znames = tuple("z%d" % (i + 1) for i in range(len(as_)))
+        wnames = tuple("w%d" % (i + 1) for i in range(len(bs)))
+        work = 5
+        inner = MODULE.product(tuple(bs) + (mm,), wnames, work)
+
+        def outer(p):
+            head = HomologyElement(inner.component, p)
+            return MODULE.product(tuple(as_) + (head,), znames, work)
+
+        got = nested_product(outer, inner.series, znames, wnames)
+        want = reference_nesting(outer, inner, znames, wnames)
+        assert got.component == want.component
+        assert got.series.num.terms == want.series.num.terms
+        assert got.series.num.order == want.series.num.order
+        assert got.series.den == want.series.den
+        assert got.series.blocks == want.series.blocks
+        assert got.series.block_bounds == want.series.block_bounds
 
 
 class TestTranslationOperator:
@@ -737,6 +816,25 @@ class TestVertexSpaceMaps:
         rep = check_vertex_space_map(f, [elem(1, S1)], 3)
         assert not rep.passed
         assert "after the map" in rep.counterexample["reason"]
+
+    def test_map_at_doubled_coordinate_fails_before_the_map(self):
+        # translating at 2z agrees with the lattice matrix [[2]] after the
+        # map, but a translation applied first is not doubled
+        def doubled(a, names, trunc):
+            out = self._translate_action(a, names, trunc)
+            vs = out.series.varset
+            return ElementSeries(
+                out.component,
+                out.series.substitute_linear(vs, {n: {n: 2} for n in vs.names}),
+            )
+
+        f = VertexSpaceMap("doubled", [[2]], doubled, self.SPACE, self.SPACE)
+        rep = check_vertex_space_map(f, [elem(1, S1)], 3)
+        assert not rep.passed
+        assert (
+            rep.counterexample["reason"]
+            == "translation before the map fails to shift"
+        )
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
