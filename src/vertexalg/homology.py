@@ -36,10 +36,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import perm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .groups import ClassicalGroup, weyl_average
-from .poly import Poly, mono_degree
+from .poly import FIELD_MASK, MAX_EXP, Poly, key_fields, shift_name, var_shift
 from .series import TruncSeries, VarSet, series_exp
 
 MODELS = (
@@ -103,8 +103,7 @@ def var_weight(name: str) -> int:
 
 
 def weighted_degrees(poly: Poly) -> List[int]:
-    weights = {v: var_weight(v) for v in poly.variables()}
-    return sorted({mono_degree(m, weights) for m in poly.terms})
+    return sorted({sum(var_weight(v) * e for v, e in m) for m, _ in poly.items()})
 
 
 class ComponentLabel:
@@ -401,28 +400,105 @@ class _Actions(dict):
         return act
 
 
-def _cap_into(out: Dict, acts: Sequence, exps: Dict[str, int], coef: Fraction) -> None:
-    """Add coef * (acts capped against the monomial exps) into out.
+def _field_actions(actions: _Actions, support: int) -> Tuple[int, Dict[int, Tuple]]:
+    """Classify every variable of a polynomial once, by its field.
 
-    ``acts`` holds ((target, rank), e) pairs from `_Actions`; ``exps`` is
-    consumed.  (d/ds)^e s^n = n!/(n-e)! s^(n-e), zero when e > n.
+    ``support`` is the or of the polynomial's keys.  Returns the mask of
+    the fields whose generators act, and for each such field offset the
+    action (target field offset, None) or (None, rank).
     """
-    for (target, rank), e in acts:
+    comask = 0
+    acts = {}
+    for shift, _ in key_fields(support):
+        act = actions[shift_name(shift)]
+        if act is not None:
+            target, rank = act
+            comask |= FIELD_MASK << shift
+            acts[shift] = (None if target is None else var_shift(target), rank)
+    return comask, acts
+
+
+def field_lowering(scalar: int, take: Mapping[int, int], falling: bool) -> Optional[Tuple]:
+    """The action of one cohomology monomial on packed homology keys:
+    (scalar, need, guards, falling pairs), or None when it acts as zero.
+
+    ``take`` maps the offset of each target field to the units the
+    monomial takes off it; ``need`` is their key and ``guards`` the guard
+    bits of those fields.  With ``falling`` a field holding n units also
+    contributes n!/(n-e)! (a derivative), otherwise 1 (the K-theoretic
+    lowering of `ktheory.k_cap`); the scalar multiplies every result.
+    """
+    if not scalar or any(e > MAX_EXP for e in take.values()):
+        return None
+    need = guards = 0
+    for target, e in take.items():
+        need += e << target
+        guards |= (MAX_EXP + 1) << target
+    return scalar, need, guards, tuple(take.items()) if falling else ()
+
+
+def _lowering(acts: Dict[int, Tuple], cokey: int) -> Optional[Tuple]:
+    """`field_lowering` of a monomial in the character generators; the
+    scalar is the product of rank^e over its ch_0 factors."""
+    scalar = 1
+    take: Dict[int, int] = {}
+    for shift, e in key_fields(cokey):
+        target, rank = acts[shift]
         if target is None:
-            coef *= rank ** e
-            if not coef:
-                return
-            continue
-        have = exps.get(target, 0)
-        if have < e:
-            return
-        coef *= perm(have, e)
-        if have == e:
-            del exps[target]
+            scalar *= rank ** e
         else:
-            exps[target] = have - e
-    mono = tuple(sorted(exps.items()))
-    out[mono] = out.get(mono, 0) + coef
+            take[target] = take.get(target, 0) + e
+    return field_lowering(scalar, take, True)
+
+
+def _cap_into(out: Dict[int, int], lowering: Tuple, key: int, coef: int) -> None:
+    """Add coef * (the lowering applied to the homology monomial key) into out.
+
+    (d/ds)^e s^n = n!/(n-e)! s^(n-e), zero when e > n.  Setting the guard
+    bit of every target field and subtracting ``need`` lowers them all at
+    once: a field that held fewer than e units borrows its guard bit, so
+    the monomial caps to zero exactly when a guard bit is gone.
+    """
+    scalar, need, guards, falling = lowering
+    low = (key | guards) - need
+    if low & guards != guards:
+        return
+    for shift, e in falling:
+        coef *= perm((key >> shift) & FIELD_MASK, e)
+    key = low ^ guards
+    out[key] = out.get(key, 0) + coef * scalar
+
+
+def cap_with(ch_poly: Poly, poly: Poly, lowering_of: Callable[[int], Optional[Tuple]]) -> Poly:
+    """Cap every monomial of ``ch_poly``, acting as ``lowering_of(key)``
+    says, against every monomial of ``poly``."""
+    out: Dict[int, int] = {}
+    for cokey, c in ch_poly.terms.items():
+        lowering = lowering_of(cokey)
+        if lowering is None:
+            continue
+        for key, d in poly.terms.items():
+            _cap_into(out, lowering, key, c * d)
+    return Poly.packed(out, ch_poly.den * poly.den)
+
+
+def contract_with(
+    p: Poly, comask: int, lowering_of: Callable[[int], Optional[Tuple]]
+) -> Poly:
+    """Split every key of p by the mask of its acting fields and let the
+    acting part, as ``lowering_of`` says, lower the rest.  The lowering is
+    worked out once per distinct acting part."""
+    lowerings: Dict[int, Optional[Tuple]] = {}
+    out: Dict[int, int] = {}
+    for key, coef in p.terms.items():
+        cokey = key & comask
+        if cokey in lowerings:
+            lowering = lowerings[cokey]
+        else:
+            lowering = lowerings[cokey] = lowering_of(cokey)
+        if lowering is not None:
+            _cap_into(out, lowering, key ^ cokey, coef)
+    return Poly.packed(out, p.den)
 
 
 def cap_poly(ch_poly: Poly, poly: Poly, component: ComponentLabel) -> Poly:
@@ -433,15 +509,12 @@ def cap_poly(ch_poly: Poly, poly: Poly, component: ComponentLabel) -> Poly:
     of a product is the composite of the actions, which all commute, so a
     monomial acts in closed form: ch_k^e sends s_k^n to n!/(n-e)! s_k^(n-e)
     (zero when e > n), ch_0^e multiplies by rank^e, and x_i^e acts on X_i
-    the same way as ch_k^e on s_k.
+    the same way as ch_k^e on s_k.  The generators of ``ch_poly`` are
+    classified once per call; each of its monomials then lowers the packed
+    target fields of every homology key by shift and mask.
     """
-    actions = _Actions(component, True)
-    out: Dict = {}
-    for chmono, c in ch_poly.terms.items():
-        acts = [(actions[gen], e) for gen, e in chmono]
-        for mono, d in poly.terms.items():
-            _cap_into(out, acts, dict(mono), c * d)
-    return Poly(out)
+    _, acts = _field_actions(_Actions(component, True), ch_poly.support())
+    return cap_with(ch_poly, poly, lambda cokey: _lowering(acts, cokey))
 
 
 def cap(c, a: HomologyElement) -> HomologyElement:
@@ -455,25 +528,17 @@ def cap(c, a: HomologyElement) -> HomologyElement:
 def contract_poly(p: Poly, component: ComponentLabel) -> Poly:
     """Pair the cohomology part of a mixed polynomial against its homology part.
 
-    Monomials are split into character generators (ch or x alphabet) and
-    homology generators; the former then act on the latter by cap product,
-    in the closed form of `cap_poly`, one monomial at a time.  Multiplying
-    first and contracting afterwards is what makes capping a whole series
-    against a whole series a plain series product.
+    Generators are classified once per call into character generators (ch
+    or x alphabet) and homology generators, which gives a mask of the
+    character fields.  Each key splits by that mask into its cohomology
+    part, whose action is worked out once per distinct part, and its
+    homology part, which that action lowers in the closed form of
+    `cap_poly`.  Multiplying first and contracting afterwards is what
+    makes capping a whole series against a whole series a plain series
+    product.
     """
-    actions = _Actions(component, False)
-    out: Dict = {}
-    for mono, coef in p.terms.items():
-        exps = {}
-        acts = []
-        for gen, e in mono:
-            act = actions[gen]
-            if act is None:
-                exps[gen] = e
-            else:
-                acts.append((act, e))
-        _cap_into(out, acts, exps, coef)
-    return Poly(out)
+    comask, acts = _field_actions(_Actions(component, False), p.support())
+    return contract_with(p, comask, lambda cokey: _lowering(acts, cokey))
 
 
 def translate_coefficients(
@@ -618,20 +683,18 @@ def translate(
 
 def involution_dual_poly(poly: Poly) -> Poly:
     """s_k -> (-1)^k s_k on every unitary factor present."""
-    out = Poly()
     weights = {}
     for v in poly.variables():
         got = parse_s(v)
         if got is None:
             raise ValueError("dual involution is only defined on s-alphabets")
         weights[v] = got[0]
-    for mono, coef in poly.terms.items():
-        sign = 1
-        for gen, e in mono:
-            if (weights[gen] * e) % 2:
-                sign = -sign
-        out = out + Poly({mono: coef * sign})
-    return out
+    return Poly(
+        {
+            mono: -coef if sum(weights[gen] * e for gen, e in mono) % 2 else coef
+            for mono, coef in poly.items()
+        }
+    )
 
 
 def involution_dual(a: HomologyElement) -> HomologyElement:

@@ -29,11 +29,12 @@ zw - 1 = x + y + xy.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from math import factorial, gcd, lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charclass import KClass, Summand
-from .poly import Poly
+from .homology import cap_with, contract_with, field_lowering
+from .poly import FIELD_MASK, MAX_EXP, Poly, key_fields, shift_name, var_shift
 from .series import (
     INF,
     LinearForm,
@@ -92,18 +93,14 @@ def _l_target(u: str) -> str:
     return l_name(None if u == "u" else int(u[1:]))
 
 
-def _k_cap_into(out: Dict, shifts: Mapping[str, int], exps: Dict[str, int], coef) -> None:
-    """Add coef * (u-monomial cap l-monomial) into out; ``exps`` is consumed."""
-    for lv, j in shifts.items():
-        have = exps.get(lv, 0)
-        if have < j:
-            return
-        if have == j:
-            del exps[lv]
-        else:
-            exps[lv] = have - j
-    mono = tuple(sorted(exps.items()))
-    out[mono] = out.get(mono, 0) + coef
+def _k_lowering(cokey: int) -> Optional[Tuple]:
+    """How an augmentation monomial acts: u_i^j takes j units off l_i,
+    with coefficient 1 (see `homology.field_lowering`)."""
+    take: Dict[int, int] = {}
+    for shift, e in key_fields(cokey):
+        target = var_shift(_l_target(shift_name(shift)))
+        take[target] = take.get(target, 0) + e
+    return field_lowering(1, take, False)
 
 
 def k_cap(upoly: Poly, lpoly: Poly) -> Poly:
@@ -111,32 +108,22 @@ def k_cap(upoly: Poly, lpoly: Poly) -> Poly:
 
     Factor pairing is by suffix: u_i lowers powers of l_i.
     """
-    out: Dict = {}
-    for umono, c in upoly.terms.items():
-        shifts = {_l_target(v): e for v, e in umono}
-        for lmono, d in lpoly.terms.items():
-            _k_cap_into(out, shifts, dict(lmono), c * d)
-    return Poly(out)
+    return cap_with(upoly, lpoly, _k_lowering)
 
 
 def k_contract(p: Poly) -> Poly:
     """Pair the augmentation part of a mixed polynomial against its K-homology part.
 
-    Monomials are split into u-generators and the rest; the former act on
-    the latter by cap, so capping a series against a series reduces to the
-    plain series product followed by this contraction coefficientwise.
+    Keys are split by the mask of the u-generator fields; each distinct
+    augmentation part acts on the rest by cap, so capping a series against
+    a series reduces to the plain series product followed by this
+    contraction coefficientwise.
     """
-    out: Dict = {}
-    for mono, coef in p.terms.items():
-        shifts = {}
-        exps = {}
-        for gen, e in mono:
-            if gen.startswith("u"):
-                shifts[_l_target(gen)] = e
-            else:
-                exps[gen] = e
-        _k_cap_into(out, shifts, exps, coef)
-    return Poly(out)
+    comask = 0
+    for shift, _ in key_fields(p.support()):
+        if shift_name(shift).startswith("u"):
+            comask |= FIELD_MASK << shift
+    return contract_with(p, comask, _k_lowering)
 
 
 def mult_translate(a: Poly, xvars: Sequence[str], trunc: int) -> TruncSeries:
@@ -169,27 +156,31 @@ def _translate_factor(
     ts: TruncSeries, pos: int, lvar: str, trunc: int
 ) -> TruncSeries:
     vs = ts.varset
-    out: Dict[Tuple[int, ...], Poly] = {}
-    for e, p in ts.terms.items():
-        if not isinstance(p, Poly):
-            p = Poly.const(p)
+    polys = [p if isinstance(p, Poly) else Poly.const(p) for p in ts.terms.values()]
+    # every coefficient goes over one denominator, so that contributions to
+    # one output coefficient add as integers
+    den = lcm(*(p.den for p in polys))
+    shift = var_shift(lvar)
+    out: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    for e, p in zip(ts.terms, polys):
         room = trunc - sum(e)
-        for mono, c in p.terms.items():
-            k = dict(mono).get(lvar, 0)
-            rest = tuple((v, x) for v, x in mono if v != lvar)
+        scale = den // p.den
+        for key, c in p.terms.items():
+            k = (key >> shift) & FIELD_MASK
+            rest = key - (k << shift)
+            c *= scale
             for a in range(room + 1):
                 e2 = e[:pos] + (e[pos] + a,) + e[pos + 1 :]
+                acc = out.setdefault(e2, {})
                 for K in range(max(k, a), k + a + 1):
-                    coef = Fraction(
-                        factorial(K),
-                        factorial(K - k) * factorial(K - a) * factorial(k + a - K),
+                    if K > MAX_EXP:
+                        raise OverflowError("an exponent would exceed %d" % MAX_EXP)
+                    coef = factorial(K) // (
+                        factorial(K - k) * factorial(K - a) * factorial(k + a - K)
                     )
-                    mono2 = tuple(sorted(rest + ((lvar, K),))) if K else rest
-                    add = Poly({mono2: c * coef})
-                    cur = out.get(e2)
-                    out[e2] = add if cur is None else cur + add
-    out = {e: p for e, p in out.items() if not p.is_zero()}
-    return TruncSeries(vs, trunc, out)
+                    key2 = rest + (K << shift)
+                    acc[key2] = acc.get(key2, 0) + c * coef
+    return TruncSeries(vs, trunc, {e: Poly.packed(acc, den) for e, acc in out.items()})
 
 
 # -- lambda operations -------------------------------------------------------------

@@ -1,9 +1,30 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over exact rationals, on packed monomials.
 
-Monomials are keyed by sorted tuples of (variable name, exponent) pairs, so
-a polynomial does not need to know its variable set in advance; variables
-come into existence when a term mentions them.  Coefficients are
-`fractions.Fraction` and are never allowed to pass through floating point.
+Variable names are interned: an append-only module-level table gives a
+name the next free index the first time a polynomial mentions it, and the
+index never changes afterwards.  A monomial is one Python int, its *key*,
+holding the exponent of variable i in the 16-bit field at bit 16*i:
+
+    key = sum(e_i << (16 * i)),        0 <= e_i <= MAX_EXP = 32767.
+
+An exponent never uses the top bit of its field; that bit is a guard.  Two
+valid keys add field by field without a carry into the next field, so the
+product of two monomials is the sum of their keys, and a field that passed
+MAX_EXP shows as a set guard bit: a product, power or rename whose result
+would hold such an exponent raises OverflowError instead of carrying, and
+the constructor rejects a negative, non-integer or too large exponent with
+ValueError.  Decoding a key walks its nonzero fields only, lowest bit
+first.  Keys depend on the order in which names were interned, so they
+mean nothing outside the process; `items` and the JSON form do.
+
+Coefficients are integer numerators over one shared denominator: `terms`
+maps each key to a nonzero int and `den` holds the denominator.  The form
+is canonical -- den > 0, gcd(den, every numerator) == 1, and den == 1 for
+the zero polynomial -- so equal polynomials have equal `terms` and `den`,
+and `len(p.terms)` is the number of nonzero terms.  `fractions.Fraction`
+only appears at the boundary: the constructor, which takes monomials as
+tuples of (name, exponent) pairs, scalar operands, `constant_term`,
+`items`, `__repr__` and the JSON form.  Nothing passes through floats.
 
 These polynomials serve as the coefficient ring for truncated series: the
 homology models of the library are polynomial rings, and a vertex-algebra
@@ -14,17 +35,93 @@ elements of such a ring.
 >>> y = Poly.variable("y")
 >>> ((x + y) ** 2 - x ** 2 - y ** 2) == 2 * x * y
 True
+>>> (x / 2 + y / 3).den
+6
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, Mapping, Tuple, Union
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 Mono = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
 
-ONE_MONO: Mono = ()
+FIELD_BITS = 16
+MAX_EXP = (1 << (FIELD_BITS - 1)) - 1
+FIELD_MASK = (1 << FIELD_BITS) - 1
+
+# The interner: index -> name, name -> index, and the guard bit of every
+# interned field.  All three only ever grow, so a key stays valid for the
+# life of the process.
+_NAMES: List[str] = []
+_INDEX: Dict[str, int] = {}
+_GUARDS = 0
+
+
+def var_shift(name: str) -> int:
+    """Bit offset of a variable's field, interning the name on first use."""
+    i = _INDEX.get(name)
+    if i is None:
+        global _GUARDS
+        i = len(_NAMES)
+        _NAMES.append(name)
+        _INDEX[name] = i
+        _GUARDS |= 1 << (FIELD_BITS * i + FIELD_BITS - 1)
+    return FIELD_BITS * i
+
+
+def shift_name(shift: int) -> str:
+    """The variable whose field starts at the given bit offset."""
+    return _NAMES[shift // FIELD_BITS]
+
+
+def key_fields(key: int) -> List[Tuple[int, int]]:
+    """(bit offset, exponent) of every nonzero field of a key, lowest first."""
+    out = []
+    while key:
+        shift = ((key & -key).bit_length() - 1) & -FIELD_BITS
+        e = (key >> shift) & FIELD_MASK
+        out.append((shift, e))
+        key ^= e << shift
+    return out
+
+
+def _key_degree(key: int, weights: Mapping[str, int] = None) -> int:
+    if weights is None:
+        return sum(e for _, e in key_fields(key))
+    return sum(weights.get(shift_name(s), 1) * e for s, e in key_fields(key))
+
+
+def _decode(key: int) -> Mono:
+    return tuple(sorted((shift_name(s), e) for s, e in key_fields(key)))
+
+
+def _check_guards(terms: Iterable[int]) -> None:
+    if reduce(or_, terms, 0) & _GUARDS:
+        raise OverflowError("an exponent would exceed %d" % MAX_EXP)
+
+
+def _pack(mono: Iterable[Tuple[str, int]], too_big: type = ValueError) -> int:
+    """The key of (name, exponent) pairs: repeated names add, zeros drop,
+    and an exponent past MAX_EXP raises ``too_big``."""
+    exps: Dict[str, int] = {}
+    for v, e in mono:
+        if type(e) is not int or e < 0:
+            raise ValueError(
+                "exponent of %r must be a nonnegative integer, got %r" % (v, e)
+            )
+        exps[v] = exps.get(v, 0) + e
+    key = 0
+    for v, e in exps.items():
+        if e > MAX_EXP:
+            raise too_big("exponent %d of %r exceeds %d" % (e, v, MAX_EXP))
+        if e:
+            key |= e << var_shift(v)
+    return key
 
 
 def _as_fraction(c) -> Fraction:
@@ -35,54 +132,67 @@ def _as_fraction(c) -> Fraction:
     raise TypeError("exact coefficient expected, got %r" % type(c).__name__)
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps: Dict[str, int] = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted((v, e) for v, e in exps.items() if e))
+def _make(terms: Dict[int, int], den: int) -> "Poly":
+    """Wrap nonzero numerators over den > 0, dividing out their common factor."""
+    if den != 1:
+        if not terms:
+            den = 1
+        else:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {m: c // g for m, c in terms.items()}
+                den //= g
+    p = Poly.__new__(Poly)
+    p.terms = terms
+    p.den = den
+    return p
 
 
-def mono_degree(m: Mono, weights: Mapping[str, int] = None) -> int:
-    if weights is None:
-        return sum(e for _, e in m)
-    return sum(weights.get(v, 1) * e for v, e in m)
+def _from_pairs(pairs: Iterable[Tuple[Iterable[Tuple[str, int]], Scalar]]) -> "Poly":
+    """(monomial, coefficient) pairs in canonical form; equal keys add up."""
+    fracs: Dict[int, Fraction] = {}
+    for mono, c in pairs:
+        key = _pack(mono)
+        fracs[key] = fracs.get(key, 0) + _as_fraction(c)
+    fracs = {m: c for m, c in fracs.items() if c}
+    den = lcm(*(c.denominator for c in fracs.values()))
+    return _make({m: c.numerator * (den // c.denominator) for m, c in fracs.items()}, den)
 
 
 class Poly:
     """A sparse polynomial; immutable by convention."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms: Mapping[Mono, Scalar] = None):
-        clean: Dict[Mono, Fraction] = {}
         if terms:
-            for m, c in terms.items():
-                c = _as_fraction(c)
-                if c:
-                    clean[m] = c
-        self.terms = clean
+            p = _from_pairs(terms.items())
+            self.terms, self.den = p.terms, p.den
+        else:
+            self.terms, self.den = {}, 1
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly()
+        return _make({}, 1)
 
     @staticmethod
     def const(c: Scalar) -> "Poly":
-        return Poly({ONE_MONO: c})
+        if type(c) is int:
+            return _make({0: c} if c else {}, 1)
+        c = _as_fraction(c)
+        return _make({0: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def variable(name: str, exp: int = 1) -> "Poly":
-        if exp < 0:
-            raise ValueError("negative exponent in a polynomial variable")
-        if exp == 0:
-            return Poly.const(1)
-        return Poly({((name, exp),): Fraction(1)})
+        return _make({_pack(((name, exp),)): 1}, 1)
+
+    @staticmethod
+    def packed(terms: Dict[int, int], den: int = 1) -> "Poly":
+        """Build from packed keys and integer numerators over den > 0; zero
+        numerators are dropped and the result is put in canonical form."""
+        return _make({m: c for m, c in terms.items() if c}, den)
 
     # -- ring structure -------------------------------------------------
 
@@ -93,36 +203,54 @@ class Poly:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        t = self.terms
+        if not t or (len(t) == 1 and 0 in t):
+            # equal to a scalar, so it hashes like one
+            return hash(self.constant_term())
+        return hash((frozenset(t.items()), self.den))
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
+        a, b = self.terms, other.terms
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self.den, other.den
+        if da == db:
+            den = da
+            out = dict(a)
+        else:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            den = da * sa
+            out = {m: c * sa for m, c in a.items()}
+            b = {m: c * sb for m, c in b.items()}
+        get = out.get
+        for m, c in b.items():
+            s = get(m, 0) + c
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+                del out[m]
+        return _make(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
         p = Poly.__new__(Poly)
         p.terms = {m: -c for m, c in self.terms.items()}
+        p.den = self.den
         return p
 
     def __sub__(self, other) -> "Poly":
@@ -132,27 +260,36 @@ class Poly:
         return Poly.const(other) + (-self)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return Poly()
-            p = Poly.__new__(Poly)
-            p.terms = {m: cc * c for m, cc in self.terms.items()}
-            return p
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out: Dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return _make({}, 1)
+            n, d = other.numerator, other.denominator
+            return _make({m: c * n for m, c in self.terms.items()}, self.den * d)
+        a, b = self.terms, other.terms
+        if len(a) == 1 or len(b) == 1:
+            # one side is a single term, so no two products share a key
+            if len(a) == 1:
+                ((m1, c1),) = a.items()
+                out = {m1 + m2: c1 * c2 for m2, c2 in b.items()}
+            else:
+                ((m2, c2),) = b.items()
+                out = {m1 + m2: c1 * c2 for m1, c1 in a.items()}
+            _check_guards(out)
+        else:
+            out = {}
+            get = out.get
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
+                    m = m1 + m2
+                    s = get(m, 0) + c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+            _check_guards(out)
+        return _make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -176,63 +313,75 @@ class Poly:
 
     # -- queries ---------------------------------------------------------
 
+    def items(self) -> Iterator[Tuple[Mono, Fraction]]:
+        """(monomial, coefficient) pairs, each monomial as sorted
+        (name, exponent) pairs; the decoded view of `terms` and `den`."""
+        den = self.den
+        for m, c in self.terms.items():
+            yield _decode(m), Fraction(c, den)
+
+    def support(self) -> int:
+        """The bitwise or of all keys: a field is nonzero exactly when its
+        variable occurs in some term."""
+        return reduce(or_, self.terms, 0)
+
     def constant_term(self) -> Fraction:
-        return self.terms.get(ONE_MONO, Fraction(0))
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def variables(self) -> Iterator[str]:
-        seen = set()
+        """The variables that occur, in order of first appearance (by name
+        within one term)."""
+        seen = 0  # the fields of the variables already yielded
         for m in self.terms:
-            for v, _ in m:
-                if v not in seen:
-                    seen.add(v)
-                    yield v
+            new = m & ~seen
+            if new:
+                fields = key_fields(new)
+                for s, _ in fields:
+                    seen |= FIELD_MASK << s
+                yield from sorted(shift_name(s) for s, _ in fields)
 
     def degree(self, weights: Mapping[str, int] = None) -> int:
         """Largest (weighted) total degree among terms; -1 for the zero poly."""
         if not self.terms:
             return -1
-        return max(mono_degree(m, weights) for m in self.terms)
+        return max(_key_degree(m, weights) for m in self.terms)
 
     def coefficient(self, var: str, exp: int) -> "Poly":
         """The polynomial coefficient of var**exp."""
-        out: Dict[Mono, Fraction] = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            if d.pop(var, 0) == exp:
-                out[tuple(sorted(d.items()))] = c
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        if var not in _INDEX:
+            return self if exp == 0 else Poly()
+        s = var_shift(var)
+        drop = exp << s
+        return _make(
+            {m - drop: c for m, c in self.terms.items() if (m >> s) & FIELD_MASK == exp},
+            self.den,
+        )
 
     # -- calculus and substitution ----------------------------------------
 
     def diff(self, var: str) -> "Poly":
-        out: Dict[Mono, Fraction] = {}
+        if var not in _INDEX:
+            return Poly()
+        s = var_shift(var)
+        one = 1 << s
+        out = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(var, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[var]
-            else:
-                d[var] = e - 1
-            mm = tuple(sorted(d.items()))
-            s = out.get(mm, Fraction(0)) + c * e
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+            e = (m >> s) & FIELD_MASK
+            if e:
+                out[m - one] = c * e
+        return _make(out, self.den)
 
     def substitute(self, mapping: Mapping[str, "Poly"]) -> "Poly":
         """Simultaneously replace variables by polynomials."""
         result = Poly()
+        den = self.den
+        fields = sorted((shift_name(s), s) for s, _ in key_fields(self.support()))
         for m, c in self.terms.items():
-            term = Poly.const(c)
-            for v, e in m:
+            term = _make({0: c}, den)
+            for v, s in fields:
+                e = (m >> s) & FIELD_MASK
+                if not e:
+                    continue
                 if v in mapping:
                     term = term * (mapping[v] ** e)
                 else:
@@ -241,25 +390,18 @@ class Poly:
         return result
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
-        out: Dict[Mono, Fraction] = {}
+        out: Dict[int, int] = {}
         for m, c in self.terms.items():
-            mm = tuple(sorted((mapping.get(v, v), e) for v, e in m))
-            s = out.get(mm, Fraction(0)) + c
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+            key = _pack(((mapping.get(v, v), e) for v, e in _decode(m)), OverflowError)
+            out[key] = out.get(key, 0) + c
+        return Poly.packed(out, self.den)
 
     def truncate_degree(self, bound: int, weights: Mapping[str, int] = None) -> "Poly":
         """Drop terms of (weighted) degree exceeding the bound."""
-        p = Poly.__new__(Poly)
-        p.terms = {
-            m: c for m, c in self.terms.items() if mono_degree(m, weights) <= bound
-        }
-        return p
+        return _make(
+            {m: c for m, c in self.terms.items() if _key_degree(m, weights) <= bound},
+            self.den,
+        )
 
     # -- display -----------------------------------------------------------
 
@@ -267,11 +409,8 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=lambda mm: (mono_degree(mm), mm)):
-            c = self.terms[m]
-            factors = [
-                v if e == 1 else "%s^%d" % (v, e) for v, e in m
-            ]
+        for m, c in _sorted_items(self):
+            factors = [v if e == 1 else "%s^%d" % (v, e) for v, e in m]
             body = "*".join(factors)
             if not body:
                 parts.append(str(c))
@@ -287,27 +426,22 @@ class Poly:
         return out
 
 
+def _sorted_items(p: Poly) -> List[Tuple[Mono, Fraction]]:
+    """`Poly.items` by total degree, then monomial: the display order."""
+    return sorted(p.items(), key=lambda mc: (sum(e for _, e in mc[0]), mc[0]))
+
+
 def poly_to_obj(p: Poly) -> list:
     """JSON-ready form: sorted [[ [var, exp], ... ], "num/den"] pairs."""
-    out = []
-    for m in sorted(p.terms, key=lambda mm: (mono_degree(mm), mm)):
-        c = p.terms[m]
-        out.append([[[v, e] for v, e in m], "%d/%d" % (c.numerator, c.denominator)])
-    return out
+    return [
+        [[[v, e] for v, e in m], "%d/%d" % (c.numerator, c.denominator)]
+        for m, c in _sorted_items(p)
+    ]
 
 
 def poly_from_obj(obj) -> Poly:
     """Read the form of `poly_to_obj` back in canonical form: zero
     exponents are dropped and a repeated variable's exponents add up."""
-    terms: Dict[Mono, Fraction] = {}
-    for m, c in obj:
-        exps: Dict[str, int] = {}
-        for v, e in m:
-            if type(e) is not int or e < 0:
-                raise ValueError(
-                    "exponent of %r must be a nonnegative integer, got %r" % (v, e)
-                )
-            exps[str(v)] = exps.get(str(v), 0) + e
-        mono = tuple(sorted((v, e) for v, e in exps.items() if e))
-        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(str(c))
-    return Poly(terms)
+    return _from_pairs(
+        ([(str(v), e) for v, e in m], Fraction(str(c))) for m, c in obj
+    )

@@ -1159,9 +1159,10 @@ def series_to_dict(x: LocalizedSeries) -> dict:
 
 def series_from_dict(d: dict) -> LocalizedSeries:
     varset = VarSet(tuple(d["vars"]), d.get("degrees"))
-    terms = {}
+    terms: Dict[Exponent, Fraction] = {}
     for t in d["terms"]:
-        terms[tuple(int(e) for e in t["exp"])] = Fraction(t["coef"])
+        e = tuple(int(x) for x in t["exp"])
+        terms[e] = terms.get(e, 0) + Fraction(t["coef"])
     num = TruncSeries(varset, int(d["order"]), terms)
     den = [
         (LinearForm(varset, tuple(int(c) for c in f["form"])), int(f["mult"]))

@@ -783,16 +783,13 @@ def _monomials(gens: Sequence[Tuple[str, int]], total: int) -> List[Poly]:
 
 
 def _in_span(vectors: Sequence[Poly], target: Poly) -> bool:
-    monos = sorted(
-        {m for v in vectors for m in v.terms} | set(target.terms)
-    )
+    columns = [dict(v.items()) for v in vectors] + [dict(target.items())]
+    monos = sorted({m for col in columns for m in col})
     index = {m: i for i, m in enumerate(monos)}
-    rows = [[Fraction(0)] * (len(vectors) + 1) for _ in monos]
-    for j, v in enumerate(vectors):
-        for m, c in v.terms.items():
+    rows = [[Fraction(0)] * len(columns) for _ in monos]
+    for j, col in enumerate(columns):
+        for m, c in col.items():
             rows[index[m]][j] = c
-    for m, c in target.terms.items():
-        rows[index[m]][len(vectors)] = c
     pivot_row = 0
     for col in range(len(vectors)):
         sel = None

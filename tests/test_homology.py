@@ -49,7 +49,7 @@ _LITTLE_X_RE = re.compile(r"x(\d+)(?:_v(\d+))?\Z")
 def cap_by_derivatives(ch_poly, poly, component):
     """cap_poly as repeated Poly.diff, the definition the closed form follows."""
     out = Poly()
-    for mono, coef in ch_poly.terms.items():
+    for mono, coef in ch_poly.items():
         acted = poly * coef
         for gen, e in mono:
             if acted.is_zero():
@@ -76,7 +76,7 @@ def cap_by_derivatives(ch_poly, poly, component):
 def contract_by_derivatives(p, component):
     """contract_poly by splitting each monomial and capping with the reference."""
     out = Poly()
-    for mono, coef in p.terms.items():
+    for mono, coef in p.items():
         chpart = []
         spart = []
         for gen, e in mono:

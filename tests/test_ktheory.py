@@ -169,7 +169,7 @@ class TestLambdaClasses:
         mixed = Summand(1, None, [(1, u1), (1, u2), (-1, u1 * u2 + u1 + u2)])
         for k in (1, 2, 3):
             v = vee_k(mixed, k, 6)
-            assert all(sum(e for _, e in mono) >= k for mono in v.terms)
+            assert all(sum(e for _, e in mono) >= k for mono, _ in v.items())
 
     def test_needs_lines(self):
         with pytest.raises(ValueError):

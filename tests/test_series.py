@@ -21,6 +21,7 @@ from vertexalg.series import (
     residue,
     series_equal,
     series_exp,
+    series_from_dict,
     series_sub_cleared,
     try_divide_by_form,
 )
@@ -358,6 +359,21 @@ class TestJSON:
         assert dumps_series(z) == blob
         assert z.blocks == y.blocks
         assert z.block_bounds == y.block_bounds
+
+    def test_repeated_exponents_add(self):
+        blob = {
+            "vars": ["z", "w"],
+            "order": 3,
+            "terms": [
+                {"exp": [1, 0], "coef": "1"},
+                {"exp": [1, 0], "coef": "2"},
+                {"exp": [0, 1], "coef": "1/2"},
+                {"exp": [0, 1], "coef": "-1/2"},
+            ],
+        }
+        x = series_from_dict(blob)
+        assert x.num.terms == {(1, 0): Fraction(3)}
+        assert repr(x) == "((3)*z)"
 
 
 @settings(max_examples=60, deadline=None)
