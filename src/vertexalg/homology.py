@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import perm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -58,6 +59,11 @@ _CH_RE = re.compile(r"ch(\d+)(?:_(\d+))?\Z")
 _X_RE = re.compile(r"X(\d+)\Z")
 _LITTLE_X_RE = re.compile(r"x(\d+)\Z")
 
+# (model, index) -> the fields of the generators already found to live on
+# that component, so a class is only checked name by name when it brings a
+# field that component has not seen
+_CHECKED: Dict[Tuple[str, tuple], int] = {}
+
 
 def s_name(k: int, factor: FactorKey = None) -> str:
     if k < 1:
@@ -75,7 +81,11 @@ def x_name(i: int) -> str:
     return "X%d" % i
 
 
+@lru_cache(maxsize=None)
 def parse_s(name: str) -> Optional[Tuple[int, FactorKey]]:
+    """(k, factor) of an s-generator name, None for any other name.  One
+    regex match per distinct name: the library passes interned variable
+    names, so the cache grows no further than the variable table."""
     m = _S_RE.fullmatch(name)
     if not m:
         return None
@@ -243,11 +253,18 @@ class HomologyElement:
     def __init__(self, component: ComponentLabel, poly: Union[Poly, int, Fraction]):
         if not isinstance(poly, Poly):
             poly = Poly.const(poly)
-        for v in poly.variables():
-            if not component.allows_variable(v):
-                raise ValueError(
-                    "generator %r does not live on %r" % (v, component)
-                )
+        support = poly.support()
+        where = (component.model, component.index)
+        checked = _CHECKED.get(where, 0)
+        if support & ~checked:
+            for v in poly.variables():
+                if not component.allows_variable(v):
+                    raise ValueError(
+                        "generator %r does not live on %r" % (v, component)
+                    )
+            for shift, _ in key_fields(support):
+                checked |= FIELD_MASK << shift
+            _CHECKED[where] = checked
         self.component = component
         self.poly = poly
 

@@ -10,12 +10,26 @@ holding the exponent of variable i in the 16-bit field at bit 16*i:
 An exponent never uses the top bit of its field; that bit is a guard.  Two
 valid keys add field by field without a carry into the next field, so the
 product of two monomials is the sum of their keys, and a field that passed
-MAX_EXP shows as a set guard bit: a product, power or rename whose result
-would hold such an exponent raises OverflowError instead of carrying, and
-the constructor rejects a negative, non-integer or too large exponent with
-ValueError.  Decoding a key walks its nonzero fields only, lowest bit
-first.  Keys depend on the order in which names were interned, so they
-mean nothing outside the process; `items` and the JSON form do.
+MAX_EXP shows as a set guard bit: a product, power, substitution or rename
+whose result would hold such an exponent raises OverflowError instead of
+carrying, and the constructor rejects a negative, non-integer or too large
+exponent with ValueError.  Decoding a key walks its nonzero fields only,
+lowest bit first.  Keys depend on the order in which names were interned,
+so they mean nothing outside the process; `items` and the JSON form do.
+
+`substitute` and `rename` share one kernel that works on keys.  Both are
+simultaneous: every image is read in the original variables, so a mapping
+may swap names or send a variable to an expression in replaced ones.  The
+kernel sorts each occurring variable once per call into kept, sent to
+zero, sent to one term k*n/d (a monomial image, a nonzero int or
+`Fraction`, or a renamed variable) or sent to a polynomial of several
+terms.  For a one-term image a term's exponent e becomes e*k added to its
+key and n**e multiplied into its numerator, so monomial images multiply no
+polynomials at all; the powers of a general image are computed once per
+exponent and multiplied in.  An exponent e is checked against MAX_EXP
+divided by the largest exponent of its one-term image, and every partial
+key sum against the guard bits, so scaled or merged exponents raise
+OverflowError rather than carry into a neighbour.
 
 Coefficients are integer numerators over one shared denominator: `terms`
 maps each key to a nonzero int and `den` holds the denominator.  The form
@@ -105,9 +119,9 @@ def _check_guards(terms: Iterable[int]) -> None:
         raise OverflowError("an exponent would exceed %d" % MAX_EXP)
 
 
-def _pack(mono: Iterable[Tuple[str, int]], too_big: type = ValueError) -> int:
+def _pack(mono: Iterable[Tuple[str, int]]) -> int:
     """The key of (name, exponent) pairs: repeated names add, zeros drop,
-    and an exponent past MAX_EXP raises ``too_big``."""
+    and an exponent past MAX_EXP raises ValueError."""
     exps: Dict[str, int] = {}
     for v, e in mono:
         if type(e) is not int or e < 0:
@@ -118,7 +132,7 @@ def _pack(mono: Iterable[Tuple[str, int]], too_big: type = ValueError) -> int:
     key = 0
     for v, e in exps.items():
         if e > MAX_EXP:
-            raise too_big("exponent %d of %r exceeds %d" % (e, v, MAX_EXP))
+            raise ValueError("exponent %d of %r exceeds %d" % (e, v, MAX_EXP))
         if e:
             key |= e << var_shift(v)
     return key
@@ -146,6 +160,26 @@ def _make(terms: Dict[int, int], den: int) -> "Poly":
     p.terms = terms
     p.den = den
     return p
+
+
+def _image(p) -> object:
+    """How `Poly._map_fields` treats an image: None for zero, (key,
+    numerator, denominator) for one term (a nonzero scalar is one term with
+    key 0), and the polynomial itself when it has more terms."""
+    if type(p) is Poly:
+        if len(p.terms) > 1:
+            return p
+        if not p.terms:
+            return None
+        ((k, n),) = p.terms.items()
+        return k, n, p.den
+    c = _as_fraction(p)
+    return (0, c.numerator, c.denominator) if c else None
+
+
+def _renamed(name: str) -> Tuple[int, int, int]:
+    """A rename target as `_image` classifies its variable."""
+    return 1 << var_shift(name), 1, 1
 
 
 def _from_pairs(pairs: Iterable[Tuple[Iterable[Tuple[str, int]], Scalar]]) -> "Poly":
@@ -371,30 +405,102 @@ class Poly:
                 out[m - one] = c * e
         return _make(out, self.den)
 
-    def substitute(self, mapping: Mapping[str, "Poly"]) -> "Poly":
-        """Simultaneously replace variables by polynomials."""
-        result = Poly()
-        den = self.den
-        fields = sorted((shift_name(s), s) for s, _ in key_fields(self.support()))
-        for m, c in self.terms.items():
-            term = _make({0: c}, den)
-            for v, s in fields:
-                e = (m >> s) & FIELD_MASK
-                if not e:
-                    continue
-                if v in mapping:
-                    term = term * (mapping[v] ** e)
-                else:
-                    term = term * Poly.variable(v, e)
-            result = result + term
-        return result
+    def substitute(self, mapping: Mapping[str, Union["Poly", Scalar]]) -> "Poly":
+        """Simultaneously replace variables by polynomials or exact scalars.
+
+        Every image is read in terms of the original variables, so
+        ``{"a": b, "b": a}`` swaps and an image may name a variable that is
+        itself replaced.  Variables not in the mapping stay.  An image may
+        be a `Poly`, an int or a `Fraction`; anything else raises
+        TypeError.  A result exponent past MAX_EXP raises OverflowError.
+
+        >>> a, b = Poly.variable("a"), Poly.variable("b")
+        >>> (a ** 2 * b).substitute({"a": b, "b": -a / 2})
+        -1/2*a*b^2
+        """
+        return self._map_fields(mapping, _image)
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
+        """Simultaneously rename variables; two names sent to one merge, and
+        an exponent past MAX_EXP after merging raises OverflowError."""
+        return self._map_fields(mapping, _renamed)
+
+    def _map_fields(self, mapping: Mapping[str, object], classify) -> "Poly":
+        """The kernel of `substitute` and `rename`.  ``classify`` turns the
+        image of each variable that occurs into None (zero), (key, num, den)
+        (one term) or a `Poly` of several terms; variables outside the
+        mapping stay.  A one-term image k*n/d adds e*k to a term's key and
+        multiplies its numerator by n**e; a general image multiplies in its
+        e-th power, computed once per (field, e)."""
+        keep = self.support()
+        zero = 0
+        one_term = []  # (offset, key, num, den, largest e that fits)
+        general = []  # (name, offset, poly)
+        for v, image in mapping.items():
+            s = _INDEX.get(v)
+            if s is None or not (keep >> FIELD_BITS * s) & FIELD_MASK:
+                continue  # the variable does not occur
+            s *= FIELD_BITS
+            keep &= ~(FIELD_MASK << s)
+            image = classify(image)
+            if image is None:
+                zero |= FIELD_MASK << s
+            elif type(image) is Poly:
+                general.append((shift_name(s), s, image))
+            else:
+                k, n, d = image
+                top = max((e for _, e in key_fields(k)), default=1)
+                one_term.append((s, k, n, d, MAX_EXP // top))
+        # general factors multiply in name order, so a term's products come
+        # out in the order of the factor-by-factor expansion
+        general.sort()
+        powers: Dict[Tuple[int, int], Poly] = {}
+        den0 = den = self.den
         out: Dict[int, int] = {}
+        get = out.get
+        seen = 0  # the bitwise or of every partial key sum
         for m, c in self.terms.items():
-            key = _pack(((mapping.get(v, v), e) for v, e in _decode(m)), OverflowError)
-            out[key] = out.get(key, 0) + c
-        return Poly.packed(out, self.den)
+            if m & zero:
+                continue
+            key = m & keep
+            tden = den0
+            for s, k, n, d, most in one_term:
+                e = (m >> s) & FIELD_MASK
+                if e:
+                    if e > most:
+                        raise OverflowError("an exponent would exceed %d" % MAX_EXP)
+                    key += k * e
+                    seen |= key
+                    c *= n ** e
+                    tden *= d ** e
+            prod = None
+            for _, s, p in general:
+                e = (m >> s) & FIELD_MASK
+                if e:
+                    q = powers.get((s, e))
+                    if q is None:
+                        q = powers[s, e] = p ** e
+                    prod = q if prod is None else prod * q
+            if prod is not None:
+                tden *= prod.den
+            if tden != den:
+                # one common denominator: widen it, or scale this term up to it
+                wide = lcm(den, tden)
+                if wide != den:
+                    out = {m2: c2 * (wide // den) for m2, c2 in out.items()}
+                    get = out.get
+                    den = wide
+                c *= den // tden
+            for k, n in (((0, 1),) if prod is None else prod.terms.items()):
+                k += key
+                seen |= k
+                total = get(k, 0) + c * n
+                if total:
+                    out[k] = total
+                else:
+                    del out[k]
+        _check_guards((seen,))
+        return _make(out, den)
 
     def truncate_degree(self, bound: int, weights: Mapping[str, int] = None) -> "Poly":
         """Drop terms of (weighted) degree exceeding the bound."""

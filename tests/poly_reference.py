@@ -4,13 +4,21 @@ monomials keyed by sorted tuples of (variable name, exponent) pairs and
 
 `vertexalg.poly` stores packed integer keys and integer numerators over a
 shared denominator instead; the property tests compare it against this
-straightforward form, which is kept as it was before that change.
+straightforward form, which is kept as it was before that change, except
+that `rename` now combines two names sent to one (it used to leave b*b as
+an uncombined monomial).
+
+`multiply_out` is the other reference: substitution in the packed ring
+done the slow way, factor by factor, against which the library's callers
+of `Poly.substitute` are checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Tuple, Union
+
+from vertexalg import poly as packed
 
 Mono = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
@@ -234,7 +242,11 @@ class Poly:
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
         out: Dict[Mono, Fraction] = {}
         for m, c in self.terms.items():
-            mm = tuple(sorted((mapping.get(v, v), e) for v, e in m))
+            exps: Dict[str, int] = {}
+            for v, e in m:
+                v = mapping.get(v, v)
+                exps[v] = exps.get(v, 0) + e
+            mm = tuple(sorted(exps.items()))
             s = out.get(mm, Fraction(0)) + c
             if s:
                 out[mm] = s
@@ -285,3 +297,16 @@ def poly_to_obj(p: Poly) -> list:
         c = p.terms[m]
         out.append([[[v, e] for v, e in m], "%d/%d" % (c.numerator, c.denominator)])
     return out
+
+
+def multiply_out(p: packed.Poly, mapping: Mapping[str, object]) -> packed.Poly:
+    """`p.substitute(mapping)` in the packed ring, expanded term by term:
+    each term starts from its coefficient and is multiplied by the image
+    power (or the kept variable power) of each variable in name order."""
+    result = packed.Poly()
+    for mono, c in p.items():
+        term = packed.Poly.const(c)
+        for v, e in mono:
+            term = term * (mapping[v] ** e if v in mapping else packed.Poly.variable(v, e))
+        result = result + term
+    return result

@@ -1,5 +1,6 @@
 """Homology models: components, cap products, translation, pushforwards."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poly_reference as ref
 from vertexalg.groups import ClassicalGroup, weyl_average
 from vertexalg.homology import (
     CohomologyElement,
@@ -17,6 +19,7 @@ from vertexalg.homology import (
     contract_poly,
     involution_dual,
     parse_ch,
+    parse_s,
     pushforward_substitute,
     s_name,
     tensor,
@@ -142,6 +145,28 @@ class TestComponents:
         HomologyElement(bo, Poly.variable("s4"))
         with pytest.raises(ValueError):
             HomologyElement(bo, Poly.variable("s3"))
+
+    def test_generator_verdict_is_per_component(self):
+        # the same names, accepted first on components that have them, are
+        # still rejected on components that lack their factor or parity
+        prod = ComponentLabel("BU_Z", (2, 2))
+        HomologyElement(prod, Poly.variable("s3_2") * Poly.variable("s1_1"))
+        HomologyElement(prod, Poly.variable("s3_2"))
+        for comp in (ComponentLabel("BU_Z", (2,)), ComponentLabel("BO_Z", (1, 3))):
+            with pytest.raises(ValueError, match="s3_2"):
+                HomologyElement(comp, Poly.variable("s3_2"))
+        HomologyElement(ComponentLabel("BO_Z", (1, 3)), Poly.variable("s3_1"))
+        with pytest.raises(ValueError, match="s3_2"):
+            HomologyElement(ComponentLabel("BO_Z", (1, 3)), Poly.variable("s3_2"))
+        HomologyElement(BU1, Poly.variable("s3"))
+        bo = ComponentLabel("BO_Z", (2,))
+        HomologyElement(bo, Poly.variable("s2"))
+        with pytest.raises(ValueError, match="s3"):
+            HomologyElement(bo, Poly.variable("s2") * Poly.variable("s3"))
+        with pytest.raises(ValueError, match="s3"):
+            HomologyElement(bo, Poly.variable("s3"))
+        assert parse_s("s3_2") == (3, 2) and parse_s("s3_2") == (3, 2)
+        assert parse_s("s3") == (3, None) and parse_s("X3") is None
 
     def test_rank_checks_factor_key(self):
         prod = ComponentLabel("BU_Z", (1, 2))
@@ -435,7 +460,78 @@ class TestPushforward:
         assert prod.poly == sv(1, 1) * sv(2, 0)
 
 
+def _random_s_poly(rng, ks, factor=None):
+    """A few terms in the given s-generators with small coefficients."""
+    p = Poly()
+    for _ in range(rng.randint(1, 4)):
+        term = Poly.const(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        for k in ks:
+            term = term * sv(k, factor) ** rng.randint(0, 2)
+        p = p + term
+    return p
+
+
+class TestPushforwardAgainstMultiplyOut:
+    """`pushforward_substitute` of external products against the factor by
+    factor expansion of the same substitution (`poly_reference.multiply_out`)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ranks", [(0, 1), (1, 2), (2, 2), (0, 1, 2)])
+    def test_unitary(self, seed, ranks):
+        rng = random.Random("unitary/%d/%s" % (seed, ranks))
+        factors = [
+            HomologyElement(ComponentLabel("BU_Z", (r,)), _random_s_poly(rng, (1, 2, 3)))
+            for r in ranks
+        ]
+        prod = tensor(*factors)
+        mapping = {
+            s_name(k, i + 1): sv(k) for i in range(len(ranks)) for k in (1, 2, 3)
+        }
+        out = pushforward_substitute(prod)
+        assert out.component == ComponentLabel("BU_Z", (sum(ranks),))
+        assert out.poly == ref.multiply_out(prod.poly, mapping)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("model, r0", [("BO_Z", 1), ("BO_Z", 3), ("BSp_2Z", 2)])
+    @pytest.mark.parametrize("ranks", [(), (1,), (0, 2)])
+    def test_orthosymplectic(self, seed, model, r0, ranks):
+        rng = random.Random("%s/%d/%d/%s" % (model, seed, r0, ranks))
+        module = HomologyElement(ComponentLabel(model, (r0,)), _random_s_poly(rng, (2, 4)))
+        factors = [
+            HomologyElement(ComponentLabel("BU_Z", (r,)), _random_s_poly(rng, (1, 2, 3)))
+            for r in ranks
+        ]
+        prod = tensor(*factors, module=module)
+        # odd unitary generators die, even ones double, the module passes
+        mapping = {s_name(k, 0 if ranks else None): sv(k) for k in (2, 4)}
+        for i in range(len(ranks)):
+            for k in (1, 2, 3):
+                mapping[s_name(k, i + 1)] = Poly() if k % 2 else 2 * sv(k)
+        out = pushforward_substitute(prod)
+        assert out.component == ComponentLabel(model, (r0 + 2 * sum(ranks),))
+        assert out.poly == ref.multiply_out(prod.poly, mapping)
+
+
 class TestWeyl:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind, n", [("gl", 2), ("gl", 3), ("so", 4), ("so", 5), ("sp", 4)])
+    def test_average_matches_multiply_out(self, seed, kind, n):
+        g = ClassicalGroup(kind, n)
+        rng = random.Random("weyl/%s%d/%d" % (kind, n, seed))
+        xs = [Poly.variable("X%d" % (i + 1)) for i in range(g.rank)]
+        p = Poly()
+        for _ in range(4):
+            term = Poly.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for xi in xs:
+                term = term * xi ** rng.randint(0, 2)
+            p = p + term
+        total, count = Poly(), 0
+        for perm, signs in g.weyl_elements():
+            mapping = {"X%d" % (i + 1): xs[perm[i]] * signs[i] for i in range(g.rank)}
+            total = total + ref.multiply_out(p, mapping)
+            count += 1
+        assert weyl_average(p, g) == total * Fraction(1, count)
+
     def test_gl2_average(self):
         comp = ComponentLabel("BG_classical", ("gl", 2))
         X1, X2 = Poly.variable("X1"), Poly.variable("X2")

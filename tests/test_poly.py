@@ -90,6 +90,48 @@ class TestOverflow:
         q = Poly.variable("x", 16000) * Poly.variable("y", 16000)
         assert q.rename({"y": "x"}) == Poly.variable("x", 32000)
 
+    def test_substitute_scaled_image(self):
+        # 30000 * 3 would carry out of y's field instead of raising
+        with pytest.raises(OverflowError):
+            Poly.variable("x", 30000).substitute({"x": Poly.variable("y", 3)})
+        with pytest.raises(OverflowError):
+            Poly.variable("x", 30000).substitute({"x": 2 * x * Poly.variable("y", 2)})
+        assert Poly.variable("x", 10000).substitute({"x": Poly.variable("y", 3)}) == (
+            Poly.variable("y", 30000)
+        )
+
+    @pytest.mark.parametrize("c", [1, 2, -1, Fraction(1, 3)])
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_substitute_single_variable_power(self, c, k):
+        # y^k has a power-of-two key like a plain variable; 20000 * k would
+        # carry out of y's field into the next one instead of raising
+        image = c * Poly.variable("y", k)
+        with pytest.raises(OverflowError):
+            Poly.variable("x", 20000).substitute({"x": image})
+        e = MAX_EXP // k
+        assert Poly.variable("x", e).substitute({"x": image}) == (
+            Poly.const(c) ** e * Poly.variable("y", e * k)
+        )
+
+    def test_substitute_merged_fields(self):
+        # three fields of 30000 meet in one: the sum passes the guard bit
+        p = Poly.variable("x", 30000) * Poly.variable("z", 30000) * Poly.variable("w", 30000)
+        with pytest.raises(OverflowError):
+            p.substitute({"x": y, "z": y, "w": y})
+        with pytest.raises(OverflowError):
+            p.rename({"x": "y", "z": "y", "w": "y"})
+        with pytest.raises(OverflowError):
+            p.substitute({"x": -y, "z": 2 * y, "w": y / 3})
+        with pytest.raises(OverflowError):
+            (p * Poly.variable("y", 30000)).substitute({"x": -y})
+        with pytest.raises(OverflowError):
+            (Poly.variable("x", 2) * Poly.variable("y", MAX_EXP)).substitute({"x": y + 1})
+
+    def test_substitute_at_the_bound(self):
+        p = Poly.variable("x", MAX_EXP - 1) * Poly.variable("z")
+        assert p.substitute({"z": x / 3}) == Poly.variable("x", MAX_EXP) / 3
+        assert p.rename({"z": "x"}) == Poly.variable("x", MAX_EXP)
+
 
 # -- hashing agrees with equality ---------------------------------------------------
 
@@ -130,6 +172,75 @@ def test_benchmark_contract():
     assert callable(ktheory.k_contract)
 
 
+# -- substitution works on packed keys --------------------------------------------
+
+
+class TestSubstituteKernel:
+    def test_monomial_images_multiply_nothing(self, monkeypatch):
+        """With monomial, scalar or zero images a substitution or a rename is
+        key arithmetic: it neither multiplies, raises to a power nor adds
+        polynomials."""
+        a, b, c = (Poly.variable(v) for v in "abc")
+        p = (a ** 3 * b - 2 * a * c ** 2 + Fraction(1, 3)) * (b + c) ** 2
+        images = {"a": -2 * b / 3, "b": Poly(), "c": a * c}
+        scalars = {"a": 3, "c": Fraction(-1, 2)}
+        expected = [ref.multiply_out(p, images), ref.multiply_out(p, scalars)]
+        renamed = p.substitute({"a": b, "b": a, "c": a})
+
+        def forbidden(*args):
+            raise AssertionError("a substitution used polynomial arithmetic")
+
+        monkeypatch.setattr(Poly, "__mul__", forbidden)
+        monkeypatch.setattr(Poly, "__rmul__", forbidden)
+        monkeypatch.setattr(Poly, "__pow__", forbidden)
+        monkeypatch.setattr(Poly, "__add__", forbidden)
+        monkeypatch.setattr(Poly, "__radd__", forbidden)
+        got = [p.substitute(images), p.substitute(scalars)]
+        merged = p.rename({"a": "b", "b": "a", "c": "a"})
+        monkeypatch.undo()
+        assert got == expected
+        assert merged == renamed
+
+    def test_general_image_power_computed_once(self, monkeypatch):
+        a, b = Poly.variable("a"), Poly.variable("b")
+        p = a ** 2 * b + a ** 2 - 3 * a * b
+        image = b + 1
+        expected = ref.multiply_out(p, {"a": image})
+        calls = []
+        original = Poly.__pow__
+
+        def counting(self, n):
+            calls.append(n)
+            return original(self, n)
+
+        monkeypatch.setattr(Poly, "__pow__", counting)
+        got = p.substitute({"a": image})
+        monkeypatch.undo()
+        assert got == expected
+        assert sorted(calls) == [1, 2]
+
+    def test_general_images_multiply_in_name_order(self):
+        # interned in the opposite order of their names, so field order and
+        # name order differ; the terms come out in the order of the factor
+        # by factor expansion, which multiplies in name order
+        late, early = Poly.variable("order_q2"), Poly.variable("order_q1")
+        p = late * early + 2 * late ** 2 * early
+        images = {"order_q1": x + 2 * y + 1, "order_q2": x + y}
+        got, slow = p.substitute(images), ref.multiply_out(p, images)
+        assert got == slow
+        assert list(got.terms) == list(slow.terms)
+
+    def test_swap_and_names_that_are_replaced(self):
+        a, b = Poly.variable("a"), Poly.variable("b")
+        assert (a ** 2 * b).substitute({"a": b, "b": a}) == a * b ** 2
+        assert (a * b).substitute({"a": a * b, "b": 2 * a}) == 2 * a ** 2 * b
+        assert (a ** 2 * b).rename({"a": "b", "b": "a"}) == a * b ** 2
+
+    def test_bad_image_rejected(self):
+        with pytest.raises(TypeError):
+            (x + y).substitute({"x": 0.5})
+
+
 # -- agreement with the reference ring ---------------------------------------------
 
 NAMES = ("a", "b", "c", "d")
@@ -164,6 +275,33 @@ def same(p, r):
     assert poly_to_obj(p) == ref.poly_to_obj(r)
 
 
+# an image drawn for the property test: a polynomial of up to two terms
+# (zero and one-term ones included), an exact scalar or an int
+raw_images = st.one_of(
+    st.lists(st.tuples(raw_monos, coefs), max_size=2).map(lambda raw: ("poly", raw)),
+    coefs.map(lambda c: ("scalar", c)),
+    st.integers(-3, 3).map(lambda c: ("scalar", c)),
+)
+
+
+def both_images(drawn):
+    """The same mapping in both rings."""
+    packed_map, ref_map = {}, {}
+    for v, (kind, raw) in drawn.items():
+        if kind == "poly":
+            packed_map[v], ref_map[v] = both(raw)
+        else:
+            packed_map[v] = ref_map[v] = raw
+    return packed_map, ref_map
+
+
+def same_substitution(p, r, packed_map, ref_map):
+    got = p.substitute(packed_map)
+    same(got, r.substitute(ref_map))
+    slow = ref.multiply_out(p, packed_map)
+    assert got == slow and list(got.terms) == list(slow.terms)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     raw_polys,
@@ -173,8 +311,9 @@ def same(p, r):
     st.sampled_from(NAMES),
     st.sampled_from(FRESH),
     st.integers(0, 4),
+    st.dictionaries(st.sampled_from(NAMES), raw_images, max_size=4),
 )
-def prop_ring_matches_reference(ra, rb, c, n, var, fresh, bound):
+def prop_ring_matches_reference(ra, rb, c, n, var, fresh, bound, drawn):
     a, ra_ = both(ra)
     b, rb_ = both(rb)
     # a variable interned after the operands were built
@@ -192,11 +331,23 @@ def prop_ring_matches_reference(ra, rb, c, n, var, fresh, bound):
     same((a + f) ** n, (ra_ + rf) ** n)
     same(a.diff(var), ra_.diff(var))
     same((a * f * f).diff(fresh), (ra_ * rf * rf).diff(fresh))
-    same(a.substitute({var: b + f}), ra_.substitute({var: rb_ + rf}))
+    same_substitution(a, ra_, {var: b + f}, {var: rb_ + rf})
+    # one-term images with a coefficient and a denominator, zero images,
+    # scalar images, a swap, and images naming replaced variables
+    pa, pb = Poly.variable("a"), Poly.variable("b")
+    qa, qb = ref.Poly.variable("a"), ref.Poly.variable("b")
+    same_substitution(a, ra_, {var: -2 * pb / 3}, {var: -2 * qb / 3})
+    same_substitution(a, ra_, {var: Poly(), "d": f}, {var: ref.Poly(), "d": rf})
+    same_substitution(a, ra_, {var: c, "c": 3}, {var: c, "c": 3})
+    same_substitution(a, ra_, {"a": pb, "b": pa}, {"a": qb, "b": qa})
+    same_substitution(a, ra_, {"a": pa * pb * c, "b": pa}, {"a": qa * qb * c, "b": qa})
+    same_substitution(a * f, ra_ * rf, *both_images(drawn))
     same(a.rename({var: fresh}), ra_.rename({var: fresh}))
-    # merging two variables: the reference keeps b*b uncombined, so compare
-    # with the substitution that means the same
-    same(a.rename({"a": "b"}), ra_.substitute({"a": ref.Poly.variable("b")}))
+    # merging two variables, against the reference's rename and against
+    # the substitution that means the same
+    same(a.rename({"a": "b"}), ra_.rename({"a": "b"}))
+    same(a.rename({"a": "b"}), ra_.substitute({"a": qb}))
+    same(a.rename({"a": "b", "b": "a", "c": "a"}), ra_.rename({"a": "b", "b": "a", "c": "a"}))
     same(a.coefficient(var, n), ra_.coefficient(var, n))
     same((a * f).coefficient(fresh, 1), (ra_ * rf).coefficient(fresh, 1))
     same(a.truncate_degree(bound), ra_.truncate_degree(bound))
