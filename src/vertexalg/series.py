@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import Poly
+from .poly import Poly, poly_from_obj, poly_to_obj
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction, Poly]
@@ -1135,15 +1135,31 @@ def coefficient_of_power(x: LocalizedSeries, var: str, power: int) -> LocalizedS
 # -- JSON serialization ------------------------------------------------------
 
 
+def _coef_to_obj(c):
+    if isinstance(c, Poly):
+        if c.terms.keys() - {0}:
+            return poly_to_obj(c)
+        c = c.constant_term()
+    return str(c)
+
+
+def _coef_from_obj(obj):
+    if isinstance(obj, str):
+        return Fraction(obj)
+    if isinstance(obj, list):
+        return poly_from_obj(obj)
+    raise ValueError("a coefficient is a \"num/den\" string or a polynomial list")
+
+
 def series_to_dict(x: LocalizedSeries) -> dict:
+    """JSON-ready form.  A constant coefficient is written as a "num/den"
+    string, any other as the list of `poly_to_obj`."""
     if x.num.order is INF:
         raise ValueError("serialization needs a finite truncation order")
-    terms = []
-    for e in sorted(x.num.terms):
-        c = x.num.terms[e]
-        if not isinstance(c, Fraction):
-            raise ValueError("only rational-coefficient series serialize to JSON")
-        terms.append({"exp": list(e), "coef": str(c)})
+    terms = [
+        {"exp": list(e), "coef": _coef_to_obj(x.num.terms[e])}
+        for e in sorted(x.num.terms)
+    ]
     out = {
         "vars": list(x.varset.names),
         "degrees": list(x.varset.degrees),
@@ -1158,11 +1174,13 @@ def series_to_dict(x: LocalizedSeries) -> dict:
 
 
 def series_from_dict(d: dict) -> LocalizedSeries:
+    """Read the form of `series_to_dict`; a coefficient that is neither a
+    string nor a list raises ValueError, and repeated exponents add up."""
     varset = VarSet(tuple(d["vars"]), d.get("degrees"))
-    terms: Dict[Exponent, Fraction] = {}
+    terms: Dict[Exponent, Scalar] = {}
     for t in d["terms"]:
         e = tuple(int(x) for x in t["exp"])
-        terms[e] = terms.get(e, 0) + Fraction(t["coef"])
+        terms[e] = terms.get(e, 0) + _coef_from_obj(t["coef"])
     num = TruncSeries(varset, int(d["order"]), terms)
     den = [
         (LinearForm(varset, tuple(int(c) for c in f["form"])), int(f["mult"]))

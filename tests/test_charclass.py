@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden_outputs import assert_golden
 from vertexalg.charclass import (
     KClass,
     OrientationData,
@@ -355,6 +356,7 @@ class TestSwapIdentity:
         )
         lhs, rhs = swap_sides(equivariant_euler, E, comp, a, trunc)
         assert series_equal(lhs, rhs)
+        assert_golden("swap_homological", E, lhs, rhs)
         assert not series_equal(lhs, rhs + one_on(ZW, SWAP_BLOCKS))
 
     def test_homological_deeper_input(self):
@@ -370,6 +372,7 @@ class TestSwapIdentity:
         )
         lhs, rhs = swap_sides(equivariant_euler, E, comp, a, trunc)
         assert series_equal(lhs, rhs)
+        assert_golden("swap_homological_deeper_input", E, lhs, rhs)
         assert not series_equal(lhs, rhs + one_on(ZW, SWAP_BLOCKS))
 
     def test_real(self):
@@ -392,6 +395,7 @@ class TestSwapIdentity:
         )
         lhs, rhs = swap_sides(sqrt_equivariant_euler, E, comp, a, trunc)
         assert series_equal(lhs, rhs)
+        assert_golden("swap_real", E, lhs, rhs)
         assert not series_equal(lhs, rhs + one_on(ZW, SWAP_BLOCKS))
 
     def test_weight_inconsistent_data_breaks_it(self):

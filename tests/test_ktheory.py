@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden_outputs import assert_golden
 from vertexalg.charclass import KClass, Summand
 from vertexalg.ktheory import (
     exterior_powers,
@@ -376,6 +377,7 @@ class TestMultiplicativeSwap:
         a = L ** 2
         lhs, rhs = k_swap_sides(E, a, 3, 5)
         assert series_equal(lhs, rhs)
+        assert_golden("swap_multiplicative_honest", E, lhs, rhs)
         assert not series_equal(lhs, rhs + one_on(XY, KBLOCKS))
 
     def test_virtual_weights(self):
@@ -390,6 +392,7 @@ class TestMultiplicativeSwap:
         a = L ** 2
         lhs, rhs = k_swap_sides(E, a, 3, 5)
         assert series_equal(lhs, rhs)
+        assert_golden("swap_multiplicative_virtual", E, lhs, rhs)
         assert not series_equal(lhs, rhs + one_on(XY, KBLOCKS))
 
     def test_weight_inconsistent_data_breaks_it(self):

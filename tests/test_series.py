@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexalg.poly import Poly
+from vertexalg.poly import Poly, poly_to_obj
 from vertexalg.series import (
     INF,
     LinearForm,
@@ -23,6 +23,7 @@ from vertexalg.series import (
     series_exp,
     series_from_dict,
     series_sub_cleared,
+    series_to_dict,
     try_divide_by_form,
 )
 
@@ -374,6 +375,44 @@ class TestJSON:
         x = series_from_dict(blob)
         assert x.num.terms == {(1, 0): Fraction(3)}
         assert repr(x) == "((3)*z)"
+
+    def test_rational_blob_is_unchanged(self):
+        # constant coefficients, however they are held, write the same
+        # "num/den" strings as a rational-coefficient series always did
+        blob = (
+            '{"vars":["z","w"],"degrees":[-2,-2],"order":5,'
+            '"den":[{"form":[1,1],"mult":2}],'
+            '"terms":[{"exp":[0,2],"coef":"4"},{"exp":[1,0],"coef":"-7/3"}]}'
+        )
+        assert dumps_series(loads_series(blob)) == blob
+        held = LocalizedSeries(
+            TruncSeries(
+                ZW, 5, {(1, 0): Poly.const(Fraction(-7, 3)), (0, 2): Poly.const(4)}
+            ),
+            [(form(ZW, z=1, w=1), 2)],
+        )
+        assert dumps_series(held) == blob
+
+    def test_polynomial_coefficients_round_trip(self):
+        s = Poly.variable("s_1")
+        p = 2 * s / 3 + s * s - 1
+        x = LocalizedSeries(
+            TruncSeries(ZW, 4, {(0, 0): p, (1, 0): Fraction(5, 2), (0, 1): -s}),
+            [(form(ZW, z=1), 1)],
+        )
+        d = series_to_dict(x)
+        assert [t["coef"] for t in d["terms"]] == [
+            poly_to_obj(p), poly_to_obj(-s), "5/2"
+        ]
+        y = loads_series(dumps_series(x))
+        assert y.num == x.num and y.den == x.den
+        assert dumps_series(y) == dumps_series(x)
+
+    @pytest.mark.parametrize("coef", [3, 1.5, None, {"1": 2}])
+    def test_malformed_coefficient_raises(self, coef):
+        blob = {"vars": ["z"], "order": 2, "terms": [{"exp": [1], "coef": coef}]}
+        with pytest.raises(ValueError):
+            series_from_dict(blob)
 
 
 @settings(max_examples=60, deadline=None)
