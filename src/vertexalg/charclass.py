@@ -291,8 +291,7 @@ def chern_from_characters(ch: Mapping[int, Poly], depth: int) -> List[Poly]:
     total = series_exp(TruncSeries(_T, depth, arg))
     out = []
     for i in range(depth + 1):
-        c = total.terms.get((i,), Fraction(0))
-        out.append(c if isinstance(c, Poly) else Poly.const(c))
+        out.append(total.terms.get((i,), Poly()))
     return out
 
 
@@ -323,8 +322,6 @@ def characters_from_chern(c: Sequence[Poly], depth: int) -> Dict[int, Poly]:
     for i in range(1, depth + 1):
         p = log.terms.get((i,))
         if p is not None:
-            if not isinstance(p, Poly):
-                p = Poly.const(p)
             q = p * Fraction(1, sign * fact)
             if not q.is_zero():
                 out[i] = q
@@ -627,18 +624,12 @@ def truncate_coefficients(
     x: LocalizedSeries, bound: int, weights: Mapping[str, int]
 ) -> LocalizedSeries:
     """Drop coefficient terms of weighted degree above the bound."""
-    return x.map_coefficients(
-        lambda p: p.truncate_degree(bound, weights) if isinstance(p, Poly) else p
-    )
+    return x.map_coefficients(lambda p: p.truncate_degree(bound, weights))
 
 
 def cap_localized(x: LocalizedSeries, component: ComponentLabel) -> LocalizedSeries:
     """Contract mixed cohomology-and-homology coefficients by cap product."""
-
-    def f(p):
-        return contract_poly(p, component) if isinstance(p, Poly) else p
-
-    return x.map_coefficients(f)
+    return x.map_coefficients(lambda p: contract_poly(p, component))
 
 
 # -- serialization -----------------------------------------------------------------

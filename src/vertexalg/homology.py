@@ -578,8 +578,6 @@ def translate_coefficients(
     out: Dict[Tuple[int, ...], Poly] = {}
     windex = [vs.index(w) for w in wvars]
     for e, p in num.terms.items():
-        if not isinstance(p, Poly):
-            p = Poly.const(p)
         t = translate_one(p, order - sum(e))
         for ew, q in t.terms.items():
             e2 = list(e)

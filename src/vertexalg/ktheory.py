@@ -156,13 +156,12 @@ def _translate_factor(
     ts: TruncSeries, pos: int, lvar: str, trunc: int
 ) -> TruncSeries:
     vs = ts.varset
-    polys = [p if isinstance(p, Poly) else Poly.const(p) for p in ts.terms.values()]
     # every coefficient goes over one denominator, so that contributions to
     # one output coefficient add as integers
-    den = lcm(*(p.den for p in polys))
+    den = lcm(*(p.den for p in ts.terms.values()))
     shift = var_shift(lvar)
     out: Dict[Tuple[int, ...], Dict[int, int]] = {}
-    for e, p in zip(ts.terms, polys):
+    for e, p in ts.terms.items():
         room = trunc - sum(e)
         scale = den // p.den
         for key, c in p.terms.items():
@@ -202,14 +201,8 @@ def exterior_powers(
             total = total * series_invert_unit(line)
         else:
             raise ValueError("line signs are +1 or -1")
-        total = total.map_coefficients(
-            lambda p: p.truncate_degree(cutoff) if isinstance(p, Poly) else p
-        )
-    out = []
-    for i in range(upto + 1):
-        p = total.terms.get((i,), Poly())
-        out.append(p if isinstance(p, Poly) else Poly.const(p))
-    return out
+        total = total.map_coefficients(lambda p: p.truncate_degree(cutoff))
+    return [total.terms.get((i,), Poly()) for i in range(upto + 1)]
 
 
 def vee_k(summand: Summand, k: int, cutoff: int) -> Poly:
@@ -480,6 +473,4 @@ def wedge_minus_z(
             num, [(data.form, M)], blocks, data.bounds_for(blocks, depth)
         )
         out = out * factor
-    return out.map_coefficients(
-        lambda p: p.truncate_degree(cutoff) if isinstance(p, Poly) else p
-    )
+    return out.map_coefficients(lambda p: p.truncate_degree(cutoff))

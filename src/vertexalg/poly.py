@@ -40,10 +40,14 @@ only appears at the boundary: the constructor, which takes monomials as
 tuples of (name, exponent) pairs, scalar operands, `constant_term`,
 `items`, `__repr__` and the JSON form.  Nothing passes through floats.
 
-These polynomials serve as the coefficient ring for truncated series: the
+These polynomials are the one coefficient ring of truncated series: the
 homology models of the library are polynomial rings, and a vertex-algebra
 product is a Laurent-type series in formal variables whose coefficients are
-elements of such a ring.
+elements of such a ring, so every `TruncSeries` coefficient is a `Poly`
+and a rational coefficient is a constant one.  `sum_of_products` is the one
+general term-product loop: `Poly.__mul__` runs it on a single pair and a
+series product on all the coefficient pairs that meet at one exponent, so
+a series coefficient is summed in one integer accumulator.
 
 >>> x = Poly.variable("x")
 >>> y = Poly.variable("y")
@@ -302,34 +306,31 @@ class Poly:
             n, d = other.numerator, other.denominator
             return _make({m: c * n for m, c in self.terms.items()}, self.den * d)
         a, b = self.terms, other.terms
-        if len(a) == 1 or len(b) == 1:
-            # one side is a single term, so no two products share a key
-            if len(a) == 1:
-                ((m1, c1),) = a.items()
-                out = {m1 + m2: c1 * c2 for m2, c2 in b.items()}
-            else:
-                ((m2, c2),) = b.items()
-                out = {m1 + m2: c1 * c2 for m1, c1 in a.items()}
-            _check_guards(out)
+        if len(a) != 1 and len(b) != 1:
+            return sum_of_products(((self, other),))
+        # one side is a single term, so no two products share a key
+        if len(a) == 1:
+            ((m1, c1),) = a.items()
+            out = {m1 + m2: c1 * c2 for m2, c2 in b.items()}
         else:
-            out = {}
-            get = out.get
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    m = m1 + m2
-                    s = get(m, 0) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-            _check_guards(out)
+            ((m2, c2),) = b.items()
+            out = {m1 + m2: c1 * c2 for m1, c1 in a.items()}
+        _check_guards(out)
         return _make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
+        """The n-th power.  OverflowError is raised before any product when
+        n times the largest exponent of a variable in a term exceeds MAX_EXP:
+        the leading term in a lex order that ranks that variable first
+        reaches that exponent with a nonzero coefficient, so the bound is
+        exact."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        top = max((e for m in self.terms for _, e in key_fields(m)), default=0)
+        if n * top > MAX_EXP:
+            raise OverflowError("an exponent would exceed %d" % MAX_EXP)
         result = Poly.const(1)
         base = self
         while n:
@@ -532,6 +533,41 @@ class Poly:
         return out
 
 
+def sum_of_products(pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
+    """The sum of a * b over the pairs, the one general term-product loop.
+
+    Every term product adds into one dict of integer numerators over one
+    common denominator, widened by lcm only when a pair's denominator does
+    not divide it, and the result is made once; no intermediate `Poly` is
+    built.  `Poly.__mul__` runs it on one pair, and `TruncSeries.__mul__`
+    on the coefficient pairs that meet at one exponent.  A result exponent
+    past MAX_EXP raises OverflowError.
+    """
+    out: Dict[int, int] = {}
+    get = out.get
+    den = 1
+    for a, b in pairs:
+        d = a.den * b.den
+        if den % d:
+            wide = lcm(den, d)
+            out = {m: c * (wide // den) for m, c in out.items()}
+            get = out.get
+            den = wide
+        scale = den // d
+        bt = b.terms.items()
+        for m1, c1 in a.terms.items():
+            c1 *= scale
+            for m2, c2 in bt:
+                m = m1 + m2
+                t = get(m, 0) + c1 * c2
+                if t:
+                    out[m] = t
+                else:
+                    del out[m]
+    _check_guards(out)
+    return _make(out, den)
+
+
 def _sorted_items(p: Poly) -> List[Tuple[Mono, Fraction]]:
     """`Poly.items` by total degree, then monomial: the display order."""
     return sorted(p.items(), key=lambda mc: (sum(e for _, e in mc[0]), mc[0]))
@@ -545,9 +581,17 @@ def poly_to_obj(p: Poly) -> list:
     ]
 
 
+def _parse_coefficient(c) -> Fraction:
+    if not isinstance(c, str):
+        raise ValueError("a coefficient is a \"num/den\" string, got %r" % (c,))
+    return Fraction(c)
+
+
 def poly_from_obj(obj) -> Poly:
     """Read the form of `poly_to_obj` back in canonical form: zero
-    exponents are dropped and a repeated variable's exponents add up."""
+    exponents are dropped and a repeated variable's exponents add up.  A
+    coefficient that is not a string, such as a JSON number, raises
+    ValueError."""
     return _from_pairs(
-        ([(str(v), e) for v, e in m], Fraction(str(c))) for m, c in obj
+        ([(str(v), e) for v, e in m], _parse_coefficient(c)) for m, c in obj
     )

@@ -1,8 +1,9 @@
 """Exact truncated multivariate series, localization at linear forms, and
 iterated Laurent expansion.
 
-The objects here model three nested rings over an exact coefficient ring R
-(rationals, or a polynomial ring):
+The objects here model three nested rings over the coefficient ring R of
+exact-rational polynomials, `Poly`; a rational coefficient is a constant
+`Poly`:
 
 * ``TruncSeries`` -- R[[z_1,...,z_n]] truncated at a total-degree bound.
   Exponents are always nonnegative; negative powers only ever enter through
@@ -25,7 +26,7 @@ ever touches floating point.
 >>> x = LocalizedSeries.one(zw, order=3).with_denominator(LinearForm.make(zw, {"z": 1, "w": 1})[0])
 >>> y = iota_expand(x, (("z",), ("w",)), trunc=2)
 >>> sorted(y.laurent_terms())
-[((-3, 2), Fraction(1, 1)), ((-2, 1), Fraction(-1, 1)), ((-1, 0), Fraction(1, 1))]
+[((-3, 2), 1), ((-2, 1), -1), ((-1, 0), 1)]
 """
 
 from __future__ import annotations
@@ -33,23 +34,20 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from operator import add
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import Poly, poly_from_obj, poly_to_obj
+from .poly import Poly, poly_from_obj, poly_to_obj, sum_of_products
 
 Exponent = Tuple[int, ...]
-Scalar = Union[int, Fraction, Poly]
 
 INF = None  # an order of None means "exact to all degrees"
 
 
-def _coerce(c):
-    """Accept int, Fraction or Poly coefficients; reject floats."""
-    if isinstance(c, (Fraction, Poly)):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError("exact coefficient expected, got %r" % type(c).__name__)
+def _coerce(c) -> Poly:
+    """A coefficient as a `Poly`: an int or Fraction becomes a constant and
+    anything else, such as a float, raises TypeError."""
+    return c if type(c) is Poly else Poly.const(c)
 
 
 def _min_order(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -228,12 +226,12 @@ class LinearForm:
         ]
 
     def as_series(self, order: Optional[int] = INF) -> "TruncSeries":
-        terms: Dict[Exponent, Fraction] = {}
+        terms: Dict[Exponent, int] = {}
         for i, c in enumerate(self.coeffs):
             if c:
                 e = [0] * len(self.varset)
                 e[i] = 1
-                terms[tuple(e)] = Fraction(c)
+                terms[tuple(e)] = c
         return TruncSeries(self.varset, order, terms)
 
 
@@ -242,7 +240,9 @@ class TruncSeries:
 
     ``order`` is the total-degree bound up to which the series is exact;
     ``None`` means the series is an exact polynomial.  Stored terms always
-    satisfy the bound and zero coefficients are never stored.
+    satisfy the bound and zero coefficients are never stored.  Every stored
+    coefficient is a `Poly`: the constructor, `const` and `scale` take an
+    int or a Fraction as a constant `Poly` and reject floats.
     """
 
     __slots__ = ("varset", "order", "terms")
@@ -251,11 +251,11 @@ class TruncSeries:
         self,
         varset: VarSet,
         order: Optional[int],
-        terms: Mapping[Exponent, Scalar] = None,
+        terms: Mapping[Exponent, object] = None,
     ):
         if order is not INF and order < 0:
             raise ValueError("truncation order must be nonnegative")
-        clean: Dict[Exponent, Scalar] = {}
+        clean: Dict[Exponent, Poly] = {}
         if terms:
             for e, c in terms.items():
                 e = tuple(int(x) for x in e)
@@ -279,7 +279,7 @@ class TruncSeries:
         return TruncSeries(varset, order)
 
     @staticmethod
-    def const(varset: VarSet, c: Scalar, order: Optional[int] = INF) -> "TruncSeries":
+    def const(varset: VarSet, c, order: Optional[int] = INF) -> "TruncSeries":
         return TruncSeries(varset, order, {varset.zero_exponent(): c})
 
     @staticmethod
@@ -309,7 +309,7 @@ class TruncSeries:
         if self.varset != other.varset:
             raise ValueError("variable set mismatch in series addition")
         order = _min_order(self.order, other.order)
-        out: Dict[Exponent, Scalar] = {}
+        out: Dict[Exponent, Poly] = {}
         for src in (self.terms, other.terms):
             for e, c in src.items():
                 if order is not INF and sum(e) > order:
@@ -333,7 +333,7 @@ class TruncSeries:
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self + (-other)
 
-    def scale(self, c: Scalar) -> "TruncSeries":
+    def scale(self, c) -> "TruncSeries":
         c = _coerce(c)
         r = TruncSeries.__new__(TruncSeries)
         r.varset, r.order = self.varset, self.order
@@ -363,20 +363,26 @@ class TruncSeries:
             order = INF if not other.terms else self.order + min(
                 sum(e) for e in other.terms
             )
-        out: Dict[Exponent, Scalar] = {}
+        # the coefficient pairs that meet at each output exponent; each sum
+        # of products is then one pass of the term-product loop
+        pairs: Dict[Exponent, list] = {}
+        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if order is not INF and d1 + sum(e2) > order:
+            room = INF if order is INF else order - sum(e1)
+            for e2, d2, c2 in right:
+                if room is not INF and d2 > room:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = c1 * c2
-                s = out.get(e)
-                s = p if s is None else s + p
-                if s:
-                    out[e] = s
+                e = tuple(map(add, e1, e2))
+                at = pairs.get(e)
+                if at is None:
+                    pairs[e] = [(c1, c2)]
                 else:
-                    out.pop(e, None)
+                    at.append((c1, c2))
+        out: Dict[Exponent, Poly] = {}
+        for e, at in pairs.items():
+            p = at[0][0] * at[0][1] if len(at) == 1 else sum_of_products(at)
+            if p:
+                out[e] = p
         r = TruncSeries.__new__(TruncSeries)
         r.varset, r.order, r.terms = self.varset, order, out
         return r
@@ -418,8 +424,8 @@ class TruncSeries:
 
     # -- queries ------------------------------------------------------------
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get(self.varset.zero_exponent(), Fraction(0))
+    def constant_term(self) -> Poly:
+        return self.terms.get(self.varset.zero_exponent()) or Poly()
 
     def degree(self) -> int:
         if not self.terms:
@@ -430,7 +436,7 @@ class TruncSeries:
         """Coefficient of name**power, as a series in the remaining variables."""
         i = self.varset.index(name)
         sub = self.varset.without(name)
-        out: Dict[Exponent, Scalar] = {}
+        out: Dict[Exponent, Poly] = {}
         for e, c in self.terms.items():
             if e[i] == power:
                 out[e[:i] + e[i + 1 :]] = c
@@ -451,7 +457,7 @@ class TruncSeries:
     def diff(self, name: str) -> "TruncSeries":
         """Formal derivative in one series variable; trust drops by one."""
         i = self.varset.index(name)
-        out: Dict[Exponent, Scalar] = {}
+        out: Dict[Exponent, Poly] = {}
         for e, c in self.terms.items():
             if not e[i]:
                 continue
@@ -487,7 +493,7 @@ class TruncSeries:
         return out
 
     def rename_variables(self, target: VarSet, mapping: Mapping[str, str]) -> "TruncSeries":
-        out: Dict[Exponent, Scalar] = {}
+        out: Dict[Exponent, Poly] = {}
         for e, c in self.terms.items():
             ee = [0] * len(target)
             for name, exp in zip(self.varset.names, e):
@@ -549,9 +555,10 @@ def series_invert_unit(a: TruncSeries) -> TruncSeries:
     if a.order is INF:
         raise ValueError("inversion needs a finite truncation order")
     c0 = a.constant_term()
-    if isinstance(c0, Poly) or not c0:
+    if not c0 or c0.terms.keys() != {0}:
         raise ValueError("inversion needs a nonzero rational constant term")
-    tail = (a.scale(Fraction(1, 1) / c0) - TruncSeries.const(a.varset, 1, a.order)).scale(-1)
+    c0 = c0.constant_term()
+    tail = (a.scale(1 / c0) - TruncSeries.const(a.varset, 1, a.order)).scale(-1)
     out = TruncSeries.const(a.varset, 1, a.order)
     power = TruncSeries.const(a.varset, 1, a.order)
     for _ in range(a.order):
@@ -559,7 +566,7 @@ def series_invert_unit(a: TruncSeries) -> TruncSeries:
         if power.is_zero():
             break
         out = out + power
-    return out.scale(Fraction(1, 1) / c0)
+    return out.scale(1 / c0)
 
 
 def series_exp(a: TruncSeries) -> TruncSeries:
@@ -744,7 +751,7 @@ class LocalizedSeries:
 
     __rmul__ = __mul__
 
-    def scale(self, c: Scalar) -> "LocalizedSeries":
+    def scale(self, c) -> "LocalizedSeries":
         return LocalizedSeries(
             self.num.scale(c), self.den, self.blocks, self.block_bounds
         )
@@ -856,7 +863,7 @@ def try_divide_by_form(num: TruncSeries, form: LinearForm) -> Optional[TruncSeri
     lead_c = form.coeffs[lead]
     rest = [(i, c) for i, c in enumerate(form.coeffs) if c and i != lead]
     remainder = dict(num.terms)
-    quotient: Dict[Exponent, Scalar] = {}
+    quotient: Dict[Exponent, Poly] = {}
     while remainder:
         e = max(remainder, key=lambda ee: (ee[lead], ee))
         c = remainder.pop(e)
@@ -876,7 +883,7 @@ def try_divide_by_form(num: TruncSeries, form: LinearForm) -> Optional[TruncSeri
             ee = list(qe)
             ee[i] += 1
             ee = tuple(ee)
-            s = remainder.get(ee, Fraction(0)) - q * ci
+            s = remainder.get(ee, Poly()) - q * ci
             if s:
                 remainder[ee] = s
             else:
@@ -973,7 +980,7 @@ def iota_expand(
     # per non-leading block: net degree <= trunc
     den_block = [cleared.den_block_degree(block) for block in blocks]
     block_idx = [[x.varset.index(n) for n in block] for block in blocks]
-    out_terms: Dict[Exponent, Scalar] = {}
+    out_terms: Dict[Exponent, Poly] = {}
     for e, c in num.terms.items():
         ok = True
         for bi in range(1, len(blocks)):
@@ -1135,17 +1142,13 @@ def coefficient_of_power(x: LocalizedSeries, var: str, power: int) -> LocalizedS
 # -- JSON serialization ------------------------------------------------------
 
 
-def _coef_to_obj(c):
-    if isinstance(c, Poly):
-        if c.terms.keys() - {0}:
-            return poly_to_obj(c)
-        c = c.constant_term()
-    return str(c)
+def _coef_to_obj(c: Poly):
+    return poly_to_obj(c) if c.terms.keys() - {0} else str(c.constant_term())
 
 
 def _coef_from_obj(obj):
     if isinstance(obj, str):
-        return Fraction(obj)
+        return Poly.const(Fraction(obj))
     if isinstance(obj, list):
         return poly_from_obj(obj)
     raise ValueError("a coefficient is a \"num/den\" string or a polynomial list")
@@ -1177,10 +1180,10 @@ def series_from_dict(d: dict) -> LocalizedSeries:
     """Read the form of `series_to_dict`; a coefficient that is neither a
     string nor a list raises ValueError, and repeated exponents add up."""
     varset = VarSet(tuple(d["vars"]), d.get("degrees"))
-    terms: Dict[Exponent, Scalar] = {}
+    terms: Dict[Exponent, Poly] = {}
     for t in d["terms"]:
         e = tuple(int(x) for x in t["exp"])
-        terms[e] = terms.get(e, 0) + _coef_from_obj(t["coef"])
+        terms[e] = terms.get(e, Poly()) + _coef_from_obj(t["coef"])
     num = TruncSeries(varset, int(d["order"]), terms)
     den = [
         (LinearForm(varset, tuple(int(c) for c in f["form"])), int(f["mult"]))

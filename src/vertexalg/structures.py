@@ -264,7 +264,7 @@ def shift_image(
             if c:
                 e = [0] * len(varset)
                 e[i] = 1
-                terms[tuple(e)] = Fraction(c)
+                terms[tuple(e)] = c
         return TruncSeries(varset, INF, terms)
     w = one_plus_pow(varset, coeffs, order)
     return w - TruncSeries.const(varset, 1, INF)
@@ -301,7 +301,7 @@ def shifted_flat(
         lin = [Fraction(0)] * len(combined)
         for e, c in f.terms.items():
             if sum(e) == 1:
-                lin[e.index(1)] += c if not isinstance(c, Poly) else 0
+                lin[e.index(1)] += c.constant_term()
         if not any(lin):
             raise NotImplementedError(
                 "shifted denominator %r has no linear part" % (form,)
@@ -391,8 +391,6 @@ def nested_product(
     total = None
     component = None
     for e, p in items:
-        if not isinstance(p, Poly):
-            p = Poly.const(p)
         out = outer(p)
         component = out.component
         num = out.series.num.rename_variables(combined, {})
@@ -436,9 +434,7 @@ def check_unit(P: ProductFamily, samples, trunc: int) -> CheckReport:
             if got.den or any(any(e) for e in got.num.terms):
                 report.fail(i, "zero-arity action is not the identity")
                 continue
-            const = got.num.terms.get(got.num.varset.zero_exponent(), Poly())
-            if not isinstance(const, Poly):
-                const = Poly.const(const)
+            const = got.num.constant_term()
             if const != a.poly:
                 report.fail(i, "zero-arity action changed the element",
                             repr(const))
@@ -451,9 +447,7 @@ def check_unit(P: ProductFamily, samples, trunc: int) -> CheckReport:
             report.fail(i, "one-point product has a pole",
                         repr(out.series.den))
             continue
-        const = out.series.num.terms.get((0,), Poly())
-        if not isinstance(const, Poly):
-            const = Poly.const(const)
+        const = out.series.num.constant_term()
         if const != a.poly:
             report.fail(
                 i,
@@ -656,10 +650,7 @@ def translation_operator(P: ProductFamily, a: HomologyElement) -> HomologyElemen
     out = P.product((a,), ("z",), 1)
     if out.series.den:
         raise ValueError("one-point product has a pole")
-    c = out.series.num.terms.get((1,), Poly())
-    if not isinstance(c, Poly):
-        c = Poly.const(c)
-    return HomologyElement(out.component, c)
+    return HomologyElement(out.component, out.series.num.terms.get((1,), Poly()))
 
 
 def two_point_operator(
@@ -717,10 +708,7 @@ def lie_bracket(
     res = residue(full.series, "z", "w", trunc=trunc + d + 1)
     if res.den:
         raise ValueError("diagonal residue kept a pole; not a bracket")
-    c = res.num.terms.get((0,), Poly())
-    if not isinstance(c, Poly):
-        c = Poly.const(c)
-    return HomologyElement(full.component, c)
+    return HomologyElement(full.component, res.num.terms.get((0,), Poly()))
 
 
 def residue_action(
@@ -734,10 +722,7 @@ def residue_action(
     res = residue(full.series, "z", 0, trunc=trunc + d + 1)
     if res.den:
         raise ValueError("residue kept a pole")
-    c = res.num.terms.get((), Poly())
-    if not isinstance(c, Poly):
-        c = Poly.const(c)
-    return HomologyElement(full.component, c)
+    return HomologyElement(full.component, res.num.constant_term())
 
 
 def _component_generators(
@@ -850,8 +835,6 @@ def _apply_involution(
     inv: Callable[[HomologyElement], HomologyElement], x: ElementSeries
 ) -> ElementSeries:
     def on_poly(p):
-        if not isinstance(p, Poly):
-            p = Poly.const(p)
         out = inv(HomologyElement(x.component, p))
         if out.component != x.component:
             raise ValueError("involution moved the component")
@@ -1011,9 +994,7 @@ def check_vertex_space(space: VertexSpace, samples, trunc: int) -> CheckReport:
     for i, a in enumerate(samples):
         report.count()
         t = space.translate(a, list(znames), trunc)
-        const = t.terms.get(t.varset.zero_exponent(), Poly())
-        if not isinstance(const, Poly):
-            const = Poly.const(const)
+        const = t.constant_term()
         if const != space.payload(a):
             report.fail(i, "translation at the origin moved the class",
                         repr(const - space.payload(a)))

@@ -464,3 +464,7 @@ class TestSerialization:
         for bad in (-1, 1.5, "2"):
             with pytest.raises(ValueError):
                 poly_from_obj([[[["s1", bad]], "1"]])
+        for bad in (1.5, 0.1, 2):
+            # a JSON number would pass for the decimal it prints as
+            with pytest.raises(ValueError):
+                poly_from_obj([[[["s1", 1]], bad]])

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import poly_reference as ref
 from vertexalg import homology, ktheory
 from vertexalg.poly import MAX_EXP, Poly, poly_from_obj, poly_to_obj
+from vertexalg.series import TruncSeries
+from vertexalg.structures import ProductFamily
 
 x, y = Poly.variable("x"), Poly.variable("y")
 
@@ -113,6 +115,28 @@ class TestOverflow:
             Poly.const(c) ** e * Poly.variable("y", e * k)
         )
 
+    def test_power_checks_its_bound_first(self, monkeypatch):
+        # (y*y + x) ** 30000 holds y^60000: the bound is checked before any
+        # product, where squaring up to it used to run for minutes
+        image = y * y + x
+
+        def forbidden(*args):
+            raise AssertionError("a power multiplied before checking its bound")
+
+        monkeypatch.setattr(Poly, "__mul__", forbidden)
+        monkeypatch.setattr(Poly, "__rmul__", forbidden)
+        with pytest.raises(OverflowError):
+            Poly.variable("x", 30000).substitute({"x": image})
+        with pytest.raises(OverflowError):
+            image ** 16384
+
+    def test_power_at_the_bound(self):
+        n = MAX_EXP // 3
+        base = 2 * y ** 3
+        assert base ** n == Poly({(("y", 3 * n),): 2 ** n})
+        with pytest.raises(OverflowError):
+            base ** (n + 1)
+
     def test_substitute_merged_fields(self):
         # three fields of 30000 meet in one: the sum passes the guard bit
         p = Poly.variable("x", 30000) * Poly.variable("z", 30000) * Poly.variable("w", 30000)
@@ -164,6 +188,9 @@ def test_benchmark_contract():
     ``len(p.terms)``."""
     for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "diff", "substitute", "__pow__"):
         assert callable(Poly.__dict__[attr]), attr
+    for attr in ("__mul__", "__rmul__"):
+        assert callable(TruncSeries.__dict__[attr]), attr
+    assert callable(ProductFamily.__dict__["product"])
     p = (x + 2 * y) * (x - 2 * y) + 4 * y ** 2
     assert len(p.terms) == 1 and p == x ** 2
     assert len((x / 3 + y).terms) == 2

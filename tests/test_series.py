@@ -22,6 +22,7 @@ from vertexalg.series import (
     series_equal,
     series_exp,
     series_from_dict,
+    series_invert_unit,
     series_sub_cleared,
     series_to_dict,
     try_divide_by_form,
@@ -323,6 +324,46 @@ class TestRepr:
         assert repr(x) == "((2)*z)/(z-w)^2"
 
 
+class TestCoefficientRing:
+    """A coefficient is a `Poly` however it was given, so a constant `Poly`
+    and the scalar it equals give the same answers."""
+
+    T = VarSet(("t",))
+
+    def test_every_coefficient_is_a_poly(self):
+        x = TruncSeries(
+            ZW, 3, {(0, 0): 2, (1, 0): Fraction(1, 3), (0, 1): Poly.variable("s")}
+        )
+        products = [x * x, x.scale(3), x * 2, x + x, -x]
+        for y in [x] + products:
+            assert all(type(c) is Poly for c in y.terms.values())
+        assert type(x.constant_term()) is Poly
+        assert type(TruncSeries.zero(ZW, 3).constant_term()) is Poly
+
+    def test_float_coefficient_raises(self):
+        with pytest.raises(TypeError):
+            TruncSeries(ZW, 3, {(1, 0): 0.5})
+        with pytest.raises(TypeError):
+            TruncSeries.const(ZW, 1, 3).scale(0.5)
+
+    def test_invert_unit_with_constant_poly(self):
+        plain = TruncSeries(self.T, 3, {(0,): 2, (1,): 1})
+        held = TruncSeries(self.T, 3, {(0,): Poly.const(2), (1,): 1})
+        inverse = series_invert_unit(plain)
+        assert inverse.terms == {
+            (k,): Fraction((-1) ** k, 2 ** (k + 1)) for k in range(4)
+        }
+        assert series_invert_unit(held) == inverse
+        with pytest.raises(ValueError):
+            series_invert_unit(TruncSeries(self.T, 3, {(0,): Poly.variable("s") + 2}))
+
+    def test_dumps_constant_poly(self):
+        plain = LocalizedSeries(TruncSeries(self.T, 3, {(0,): 2, (1,): 1}))
+        held = LocalizedSeries(TruncSeries(self.T, 3, {(0,): Poly.const(2), (1,): 1}))
+        assert dumps_series(held) == dumps_series(plain)
+        assert json.loads(dumps_series(held))["terms"][0]["coef"] == "2"
+
+
 class TestJSON:
     def test_round_trip_keeps_degrees(self):
         vs = VarSet(("t", "z"), degrees=(1, -4))
@@ -408,7 +449,7 @@ class TestJSON:
         assert y.num == x.num and y.den == x.den
         assert dumps_series(y) == dumps_series(x)
 
-    @pytest.mark.parametrize("coef", [3, 1.5, None, {"1": 2}])
+    @pytest.mark.parametrize("coef", [3, 1.5, None, {"1": 2}, [[[], 0.1]]])
     def test_malformed_coefficient_raises(self, coef):
         blob = {"vars": ["z"], "order": 2, "terms": [{"exp": [1], "coef": coef}]}
         with pytest.raises(ValueError):
@@ -432,6 +473,75 @@ def prop_mul_commutes(ta, tb):
     a = TruncSeries(ZW, 6, ta)
     b = TruncSeries(ZW, 6, tb)
     assert a * b == b * a
+
+
+def mul_per_pair(a, b):
+    """The per-pair series product: each coefficient product is one `Poly`
+    multiplication, added into its output coefficient one at a time.  The
+    reference for `TruncSeries.__mul__`."""
+    if a.order is INF and b.order is INF:
+        order = INF
+    elif a.order is INF:
+        order = INF if not a.terms else b.order + min(sum(e) for e in a.terms)
+    elif b.order is INF:
+        order = INF if not b.terms else a.order + min(sum(e) for e in b.terms)
+    else:
+        order = min(a.order, b.order)
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            if order is not INF and sum(e1) + sum(e2) > order:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, Poly()) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out, order
+
+
+S, T = Poly.variable("s"), Poly.variable("t")
+
+# multi-term coefficients in s and t with denominators up to 12; small
+# integer numerators make coefficient sums cancel often
+coefficients = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.lists(
+        st.tuples(
+            st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2), st.integers(1, 12)
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(lambda ts: sum((S ** i * T ** j * Fraction(n, d) for i, j, n, d in ts), Poly())),
+)
+series_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients, max_size=6
+)
+orders = st.one_of(st.none(), st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_terms, orders, series_terms, orders)
+def prop_mul_matches_per_pair_loop(ta, oa, tb, ob):
+    a, b = TruncSeries(ZW, oa, ta), TruncSeries(ZW, ob, tb)
+    for x, y in ((a, b), (a, -a), (a, a - b), (b, a + b)):
+        got = x * y
+        terms, order = mul_per_pair(x, y)
+        assert got.terms == terms
+        assert got.order == order
+        assert all(type(c) is Poly for c in got.terms.values())
+
+
+def test_mul_cancels_to_zero():
+    # (s*z + w) * (s*z - w): the two z*w pairs, s*(-1) and 1*s, cancel
+    a = TruncSeries(ZW, INF, {(1, 0): S, (0, 1): 1})
+    b = TruncSeries(ZW, INF, {(1, 0): S, (0, 1): -1})
+    got = a * b
+    assert got.terms == {(2, 0): S * S, (0, 2): Poly.const(-1)}
+    assert got.terms == mul_per_pair(a, b)[0]
+    assert (a * (b - b)).is_zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -460,3 +570,7 @@ def test_prop_mul_commutes():
 
 def test_prop_iota_additive():
     prop_iota_additive()
+
+
+def test_prop_mul_matches_per_pair_loop():
+    prop_mul_matches_per_pair_loop()

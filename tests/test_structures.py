@@ -335,6 +335,32 @@ class TestShiftedFlat:
         expect = LocalizedSeries(expect_num, [(pole, 1)], blocks)
         assert series_equal(got.series, expect)
 
+    def test_constant_poly_image(self):
+        # u1 -> z + w with coefficients held as constant polynomials reads
+        # the same linear part as with plain integers
+        combined = VarSet(("z", "w"))
+        blocks = (("z",), ("w",))
+        uset = VarSet(("u1",))
+        form, _ = LinearForm.make(uset, {"u1": 1})
+        flat = ElementSeries(
+            BU(0), LocalizedSeries(TruncSeries.const(uset, 1, 6), [(form, 1)])
+        )
+        plain = TruncSeries(combined, INF, {(1, 0): 1, (0, 1): 1})
+        held = TruncSeries(
+            combined, INF, {(1, 0): Poly.const(1), (0, 1): Poly.const(1)}
+        )
+        want = shifted_flat(flat, {"u1": plain}, combined, blocks, 3).series
+        got = shifted_flat(flat, {"u1": held}, combined, blocks, 3).series
+        assert got.num == want.num and got.den == want.den
+        assert got.block_bounds == want.block_bounds
+        direct_form, _ = LinearForm.make(combined, {"z": 1, "w": 1})
+        direct = iota_expand(
+            LocalizedSeries(TruncSeries.const(combined, 1, 6), [(direct_form, 1)]),
+            blocks,
+            3,
+        )
+        assert series_equal(got, direct)
+
     def test_rejects_nonexpandable_shift(self):
         # u1 -> x + y^0-free quadratic on the leading block cannot expand
         combined = VarSet(("x", "y"))
