@@ -1,22 +1,45 @@
-"""Golden outputs: identity sides pinned byte for byte in tests/golden/.
+"""Golden outputs: identity sides and map outputs pinned byte for byte in
+tests/golden/.
 
-A golden file holds one positive case of an identity: the weight
+A swap golden file holds one positive case of an identity: the weight
 decomposition of its class (`kclass_to_obj`) and the JSON form
-(`series_to_dict`) of both sides, as `golden_text` writes them.  A test
-that computes the case compares its text with the file, so any change of
-output -- a term, a coefficient, an order, a block bound -- shows.
+(`series_to_dict`) of both sides, as `golden_text` writes them.  A
+sum-map file holds the component and `poly_to_obj` of
+`pushforward_substitute(tensor(...))` of one fixed case of
+`SUM_MAP_CASES`, and a translation file the `series_to_dict` of one fixed
+`translate` of `TRANSLATE_CASES`.  A test that computes the case compares
+its text with the file, so any change of output -- a term, a
+coefficient, an order, a block bound -- shows.
 
-A file is only rewritten on purpose, by writing `golden_text` of the case
-to it, and the change that does so says why.
+A file is only rewritten on purpose, by writing the text of the case to
+it, and the change that does so says why.  The sum-map and translation
+files are written by naming them:
+
+    PYTHONPATH=src python tests/golden_outputs.py sum_map_unitary_2 ...
 """
 
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 from vertexalg.charclass import kclass_to_obj
-from vertexalg.series import series_to_dict
+from vertexalg.homology import (
+    ComponentLabel,
+    HomologyElement,
+    pushforward_substitute,
+    s_name,
+    tensor,
+    translate,
+)
+from vertexalg.poly import Poly, poly_to_obj
+from vertexalg.series import LocalizedSeries, series_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def dump(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
 def golden_text(E, lhs, rhs) -> str:
@@ -25,9 +48,87 @@ def golden_text(E, lhs, rhs) -> str:
         "lhs": series_to_dict(lhs),
         "rhs": series_to_dict(rhs),
     }
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    return dump(obj)
+
+
+def assert_golden_text(name, text):
+    expected = (GOLDEN / (name + ".json")).read_text()
+    assert text == expected, "%s differs from its golden file" % name
 
 
 def assert_golden(name, E, lhs, rhs):
-    expected = (GOLDEN / (name + ".json")).read_text()
-    assert golden_text(E, lhs, rhs) == expected, "%s differs from its golden file" % name
+    assert_golden_text(name, golden_text(E, lhs, rhs))
+
+
+# -- fixed inputs of the sum map and of translation ---------------------------------
+
+
+def _s(k):
+    return Poly.variable(s_name(k))
+
+
+def _class(model, rank, poly):
+    return HomologyElement(ComponentLabel(model, (rank,)), poly)
+
+
+def _unitary(rank, poly):
+    return _class("BU_Z", rank, poly)
+
+
+def _p1():
+    return _s(1) ** 2 / 2 - 3 * _s(2) + 1
+
+
+def _p2():
+    return _s(1) * _s(3) + Fraction(2, 3) * _s(2) ** 2 - _s(1)
+
+
+def _p3():
+    return Fraction(-1, 4) * _s(3) + _s(1) * _s(2) ** 2 + 2 * _s(2)
+
+
+def _module_poly():
+    return _s(2) ** 2 - _s(4) / 3 + 2
+
+
+SUM_MAP_CASES = {
+    "sum_map_unitary_2": lambda: tensor(_unitary(1, _p1()), _unitary(2, _p2())),
+    "sum_map_unitary_3": lambda: tensor(
+        _unitary(0, _p3()), _unitary(1, _p1()), _unitary(2, _p2())
+    ),
+    "sum_map_orthogonal": lambda: tensor(
+        _unitary(1, _p1()), _unitary(1, _p2()), module=_class("BO_Z", 3, _module_poly())
+    ),
+    "sum_map_orthogonal_single": lambda: tensor(module=_class("BO_Z", 3, _module_poly())),
+    "sum_map_symplectic": lambda: tensor(
+        _unitary(0, _p1()), _unitary(2, _p3()), module=_class("BSp_2Z", 2, _module_poly())
+    ),
+}
+
+TRANSLATE_CASES = {
+    "translate_unitary": lambda: translate(
+        _unitary(2, _s(1) * _s(2) - _s(3) / 2 + 1), ["z"], 4
+    ),
+    "translate_unitary_product": lambda: translate(
+        tensor(_unitary(1, _p1()), _unitary(2, _s(2) - Fraction(1, 3))), ["z", "w"], 4
+    ),
+}
+
+
+def sum_map_text(name) -> str:
+    out = pushforward_substitute(SUM_MAP_CASES[name]())
+    comp = out.component
+    return dump({"component": [comp.model, list(comp.index)], "poly": poly_to_obj(out.poly)})
+
+
+def translate_text(name) -> str:
+    return dump(series_to_dict(LocalizedSeries(TRANSLATE_CASES[name]())))
+
+
+def case_text(name) -> str:
+    return sum_map_text(name) if name in SUM_MAP_CASES else translate_text(name)
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:]:
+        (GOLDEN / (name + ".json")).write_text(case_text(name))

@@ -9,6 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poly_reference as ref
+from golden_outputs import (
+    SUM_MAP_CASES,
+    TRANSLATE_CASES,
+    assert_golden_text,
+    sum_map_text,
+    translate_text,
+)
 from vertexalg.groups import ClassicalGroup, weyl_average
 from vertexalg.homology import (
     CohomologyElement,
@@ -510,6 +517,18 @@ class TestPushforwardAgainstMultiplyOut:
         out = pushforward_substitute(prod)
         assert out.component == ComponentLabel(model, (r0 + 2 * sum(ranks),))
         assert out.poly == ref.multiply_out(prod.poly, mapping)
+
+
+class TestGolden:
+    """The sum map and translation on fixed inputs, pinned in tests/golden/."""
+
+    @pytest.mark.parametrize("name", sorted(SUM_MAP_CASES))
+    def test_sum_map(self, name):
+        assert_golden_text(name, sum_map_text(name))
+
+    @pytest.mark.parametrize("name", sorted(TRANSLATE_CASES))
+    def test_translate(self, name):
+        assert_golden_text(name, translate_text(name))
 
 
 class TestWeyl:
