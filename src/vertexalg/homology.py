@@ -29,6 +29,13 @@ directly from its one-parameter generators:
 The first formula is the pushforward along addition of a rank-one class,
 written in the s-alphabet; the second is multiplication by the divisor
 class of the acting coordinate.
+
+The sum map of a product component is pushed forward by
+`pushforward_substitute`, and `sum_map_product` is that pushforward of an
+external product computed as a plain product of the factors.  Renaming
+into and out of factor alphabets, the unitary pushforward and the
+generator D are monomial-to-monomial maps, so they run as field moves on
+packed keys through plans cached per support.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from math import perm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .groups import ClassicalGroup, weyl_average
-from .poly import FIELD_MASK, MAX_EXP, Poly, key_fields, shift_name, var_shift
+from .poly import FIELD_MASK, MAX_EXP, Poly, check_guards, key_fields, shift_name, var_shift
 from .series import TruncSeries, VarSet, series_exp
 
 MODELS = (
@@ -63,6 +70,15 @@ _LITTLE_X_RE = re.compile(r"x(\d+)\Z")
 # that component, so a class is only checked name by name when it brings a
 # field that component has not seen
 _CHECKED: Dict[Tuple[str, tuple], int] = {}
+
+# Plans of the field maps of the sum map and of translation -- the renames
+# of `_resuffix`, the images of the orthosymplectic sum map and the moves
+# of `raise_once` -- keyed by what the map does and by the support of the
+# polynomial it acts on (the bitwise or of its keys).  The variable
+# interner is append-only, so a support always names the same variables
+# and a plan built for it once stays right for every later polynomial with
+# that support.  Only plans are kept here, never the result of applying one.
+_PLANS: Dict[tuple, object] = {}
 
 
 def s_name(k: int, factor: FactorKey = None) -> str:
@@ -338,6 +354,20 @@ class CohomologyElement:
         return cap(self, a)
 
 
+def _single_ranks(factors: Sequence[HomologyElement]) -> List[int]:
+    for f in factors:
+        if f.component.model != "BU_Z" or len(f.component.index) != 1:
+            raise ValueError("tensor factors must be single unitary classes")
+    return [f.component.index[0] for f in factors]
+
+
+def _module_model(module: HomologyElement) -> str:
+    model = module.component.model
+    if model not in ("BO_Z", "BSp_2Z") or len(module.component.index) != 1:
+        raise ValueError("module factor must be a single BO or BSp class")
+    return model
+
+
 def tensor(*factors: HomologyElement, module: HomologyElement = None) -> HomologyElement:
     """External product of single-space classes, with factor suffixes.
 
@@ -345,10 +375,7 @@ def tensor(*factors: HomologyElement, module: HomologyElement = None) -> Homolog
     result lives on the n-fold unitary product.  With one, the module
     factor becomes factor 0 of an orthosymplectic product.
     """
-    for f in factors:
-        if f.component.model != "BU_Z" or len(f.component.index) != 1:
-            raise ValueError("tensor factors must be single unitary classes")
-    ranks = [f.component.index[0] for f in factors]
+    ranks = _single_ranks(factors)
     n = len(factors)
     if module is None:
         if n == 0:
@@ -359,10 +386,7 @@ def tensor(*factors: HomologyElement, module: HomologyElement = None) -> Homolog
         for key, f in zip(keys, factors):
             poly = poly * _resuffix(f.poly, key)
         return HomologyElement(comp, poly)
-    mmodel = module.component.model
-    if mmodel not in ("BO_Z", "BSp_2Z") or len(module.component.index) != 1:
-        raise ValueError("module factor must be a single BO or BSp class")
-    comp = ComponentLabel(mmodel, tuple(ranks) + (module.component.index[0],))
+    comp = ComponentLabel(_module_model(module), tuple(ranks) + (module.component.index[0],))
     poly = _resuffix(module.poly, 0 if n else None)
     for i, f in enumerate(factors):
         poly = poly * _resuffix(f.poly, i + 1)
@@ -370,11 +394,18 @@ def tensor(*factors: HomologyElement, module: HomologyElement = None) -> Homolog
 
 
 def _resuffix(poly: Poly, factor: FactorKey) -> Poly:
-    mapping = {}
-    for v in poly.variables():
-        k, _ = parse_s(v)
-        mapping[v] = s_name(k, factor)
-    return poly.rename(mapping)
+    """Move every s-generator of ``poly`` onto ``factor``: a field move of
+    `Poly.rename`, through a plan cached per (support, factor), which is
+    sound because a support always names the same variables."""
+    support = poly.support()
+    plan = _PLANS.get(("suffix", support, factor))
+    if plan is None:
+        plan = {}
+        for shift, _ in key_fields(support):
+            name = shift_name(shift)
+            plan[name] = s_name(parse_s(name)[0], factor)
+        _PLANS["suffix", support, factor] = plan
+    return poly.rename(plan)
 
 
 # -- cap product ---------------------------------------------------------------
@@ -610,16 +641,51 @@ def translate_series(
 # -- translation ---------------------------------------------------------------
 
 
+def _raise_plan(support: int, factor: FactorKey) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """The key of s_1 on ``factor``, and for each s_k of that factor in
+    ``support`` its offset and the key step [s_{k+1}] - [s_k]; built once
+    per (support, factor)."""
+    plan = _PLANS.get(("raise", support, factor))
+    if plan is None:
+        moves = []
+        for shift, _ in key_fields(support):
+            got = parse_s(shift_name(shift))
+            if got is not None and got[1] == factor:
+                up = var_shift(s_name(got[0] + 1, factor))
+                moves.append((shift, (1 << up) - (1 << shift)))
+        plan = (1 << var_shift(s_name(1, factor)), tuple(moves))
+        _PLANS["raise", support, factor] = plan
+    return plan
+
+
 def raise_once(poly: Poly, factor: FactorKey, rank: int) -> Poly:
-    """One application of the translation generator on a unitary factor."""
-    out = poly * Poly.variable(s_name(1, factor)) * rank
-    for v in poly.variables():
-        got = parse_s(v)
-        if got is None or got[1] != factor:
-            continue
-        k = got[0]
-        out = out + poly.diff(v) * Poly.variable(s_name(k + 1, factor))
-    return out
+    """One application of the translation generator on a unitary factor,
+    p |-> rank*s1*p + sum_k s_{k+1} dp/ds_k, on packed keys.
+
+    A term c*m contributes c*rank at key m + [s_1] and, for each s_k of
+    the factor with exponent e > 0, c*e at key m + [s_{k+1}] - [s_k]; no
+    polynomial is multiplied or differentiated.  The keys of s_1 and of
+    the steps come from a plan cached per (support, factor), which is
+    sound because a support always names the same variables.  An
+    exponent past MAX_EXP raises OverflowError.
+    """
+    one, moves = _raise_plan(poly.support(), factor)
+    out: Dict[int, int] = {}
+    get = out.get
+    seen = 0  # the bitwise or of every result key
+    for m, c in poly.terms.items():
+        if rank:
+            key = m + one
+            seen |= key
+            out[key] = get(key, 0) + c * rank
+        for shift, step in moves:
+            e = (m >> shift) & FIELD_MASK
+            if e:
+                key = m + step
+                seen |= key
+                out[key] = get(key, 0) + c * e
+    check_guards((seen,))
+    return Poly.packed(out, poly.den)
 
 
 def translate(
@@ -720,6 +786,25 @@ def involution_dual(a: HomologyElement) -> HomologyElement:
     return HomologyElement(a.component, involution_dual_poly(a.poly))
 
 
+def _sum_map_plan(support: int, module: FactorKey) -> Dict[str, object]:
+    """The images of the s-generators of ``support`` under the
+    orthosymplectic sum map: those on the ``module`` factor pass to s_k,
+    the unitary ones go to 2*s_k for even k and to 0 for odd k.  Built
+    once per (support, module factor)."""
+    plan = _PLANS.get(("sum", support, module))
+    if plan is None:
+        plan = {}
+        for shift, _ in key_fields(support):
+            name = shift_name(shift)
+            k, factor = parse_s(name)
+            if factor == module:
+                plan[name] = Poly.variable(s_name(k))
+            else:
+                plan[name] = 0 if k % 2 else 2 * Poly.variable(s_name(k))
+        _PLANS["sum", support, module] = plan
+    return plan
+
+
 def pushforward_substitute(a: HomologyElement) -> HomologyElement:
     """Pushforward along the total-sum map of a product component.
 
@@ -727,30 +812,57 @@ def pushforward_substitute(a: HomologyElement) -> HomologyElement:
     orthosymplectic product the map is (x_1..x_n, y) -> y + sum (x_i + x_i*),
     so even unitary generators double, odd ones die, the module alphabet
     passes through, and the target rank is r_0 + 2 * sum r_i.
+
+    The unitary map is a merging `Poly.rename` onto the unsuffixed names
+    and the orthosymplectic one a `Poly.substitute` by one-term images;
+    both read a plan cached per support (and module factor), which is
+    sound because a support always names the same variables.
     """
     comp = a.component
     if comp.model == "BU_Z":
-        mapping = {}
-        for v in a.poly.variables():
-            k, _ = parse_s(v)
-            mapping[v] = Poly.variable(s_name(k))
         target = ComponentLabel("BU_Z", (sum(comp.index),))
-        return HomologyElement(target, a.poly.substitute(mapping))
+        return HomologyElement(target, _resuffix(a.poly, None))
     if comp.model in ("BO_Z", "BSp_2Z"):
-        n = len(comp.index) - 1
-        mapping = {}
-        for v in a.poly.variables():
-            k, factor = parse_s(v)
-            if factor == 0 or (factor is None and n == 0):
-                mapping[v] = Poly.variable(s_name(k))
-            elif k % 2:
-                mapping[v] = Poly()
-            else:
-                mapping[v] = Poly.variable(s_name(k)) * 2
+        # the module factor is factor 0 of a product, unsuffixed on its own
+        module = 0 if len(comp.index) > 1 else None
         r0 = comp.index[-1]
         target = ComponentLabel(comp.model, (r0 + 2 * sum(comp.index[:-1]),))
-        return HomologyElement(target, a.poly.substitute(mapping))
+        plan = _sum_map_plan(a.poly.support(), module)
+        return HomologyElement(target, a.poly.substitute(plan))
     raise ValueError("no sum-map pushforward for model %r" % comp.model)
+
+
+def sum_map_product(*elements: HomologyElement, module: HomologyElement = None) -> HomologyElement:
+    """``pushforward_substitute(tensor(*elements, module=module))`` without
+    the round trip through suffixed alphabets.
+
+    On BU_Z the sum map sends every s_k^{(i)} to s_k, so this is the plain
+    product of the factor polynomials on the rank-sum component.  With a
+    BO or BSp module class it is the module polynomial times the unitary
+    factors, each with s_k sent to 2*s_k for even k and to 0 for odd k, on
+    the component of rank r_0 + 2 * sum r_i.
+
+        >>> s1, s2 = Poly.variable("s1"), Poly.variable("s2")
+        >>> a = HomologyElement(ComponentLabel("BU_Z", (1,)), s1 + s2)
+        >>> m = HomologyElement(ComponentLabel("BO_Z", (3,)), s2)
+        >>> sum_map_product(a, module=m)
+        HomologyElement(ComponentLabel('BO_Z', (5,)), 2*s2^2)
+    """
+    ranks = _single_ranks(elements)
+    if module is None:
+        if not elements:
+            raise ValueError("empty product")
+        poly = Poly.const(1)
+        for f in elements:
+            poly = poly * f.poly
+        return HomologyElement(ComponentLabel("BU_Z", (sum(ranks),)), poly)
+    model = _module_model(module)
+    poly = module.poly
+    for f in elements:
+        # unsuffixed unitary names are not on the module factor 0
+        poly = poly * f.poly.substitute(_sum_map_plan(f.poly.support(), 0))
+    target = ComponentLabel(model, (module.component.index[0] + 2 * sum(ranks),))
+    return HomologyElement(target, poly)
 
 
 def weyl_normal_form(a: HomologyElement) -> HomologyElement:

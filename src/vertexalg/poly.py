@@ -17,19 +17,23 @@ exponent with ValueError.  Decoding a key walks its nonzero fields only,
 lowest bit first.  Keys depend on the order in which names were interned,
 so they mean nothing outside the process; `items` and the JSON form do.
 
-`substitute` and `rename` share one kernel that works on keys.  Both are
-simultaneous: every image is read in the original variables, so a mapping
-may swap names or send a variable to an expression in replaced ones.  The
-kernel sorts each occurring variable once per call into kept, sent to
-zero, sent to one term k*n/d (a monomial image, a nonzero int or
-`Fraction`, or a renamed variable) or sent to a polynomial of several
-terms.  For a one-term image a term's exponent e becomes e*k added to its
-key and n**e multiplied into its numerator, so monomial images multiply no
+`rename` and `substitute` work on keys, and both are simultaneous: every
+image is read in the original variables, so a mapping may swap names or
+send a variable to an expression in replaced ones.  A rename is a field
+move: a renamed variable's exponent e leaves its field and is added to
+its target's field as e << target offset, so numerators and `den` are
+untouched and names sent to one field merge by adding their coefficients.
+`substitute` sorts each occurring variable once per call into kept, sent
+to zero, sent to one term k*n/d (a monomial image or a nonzero int or
+`Fraction`) or sent to a polynomial of several terms.  For a one-term
+image a term's exponent e becomes e*k added to its key and n**e
+multiplied into its numerator, so monomial images multiply no
 polynomials at all; the powers of a general image are computed once per
-exponent and multiplied in.  An exponent e is checked against MAX_EXP
-divided by the largest exponent of its one-term image, and every partial
-key sum against the guard bits, so scaled or merged exponents raise
-OverflowError rather than carry into a neighbour.
+exponent and multiplied in.  In both, every partial key sum is or-ed
+into the guard check, not only the finished key, so merged or scaled
+exponents raise OverflowError rather than carry into a neighbour; a
+substitution also checks an exponent e against MAX_EXP divided by the
+largest exponent of its one-term image.
 
 Coefficients are integer numerators over one shared denominator: `terms`
 maps each key to a nonzero int and `den` holds the denominator.  The form
@@ -118,7 +122,8 @@ def _decode(key: int) -> Mono:
     return tuple(sorted((shift_name(s), e) for s, e in key_fields(key)))
 
 
-def _check_guards(terms: Iterable[int]) -> None:
+def check_guards(terms: Iterable[int]) -> None:
+    """Raise OverflowError when any of the keys has a guard bit set."""
     if reduce(or_, terms, 0) & _GUARDS:
         raise OverflowError("an exponent would exceed %d" % MAX_EXP)
 
@@ -167,7 +172,7 @@ def _make(terms: Dict[int, int], den: int) -> "Poly":
 
 
 def _image(p) -> object:
-    """How `Poly._map_fields` treats an image: None for zero, (key,
+    """How `Poly.substitute` treats an image: None for zero, (key,
     numerator, denominator) for one term (a nonzero scalar is one term with
     key 0), and the polynomial itself when it has more terms."""
     if type(p) is Poly:
@@ -179,11 +184,6 @@ def _image(p) -> object:
         return k, n, p.den
     c = _as_fraction(p)
     return (0, c.numerator, c.denominator) if c else None
-
-
-def _renamed(name: str) -> Tuple[int, int, int]:
-    """A rename target as `_image` classifies its variable."""
-    return 1 << var_shift(name), 1, 1
 
 
 def _from_pairs(pairs: Iterable[Tuple[Iterable[Tuple[str, int]], Scalar]]) -> "Poly":
@@ -315,7 +315,7 @@ class Poly:
         else:
             ((m2, c2),) = b.items()
             out = {m1 + m2: c1 * c2 for m1, c1 in a.items()}
-        _check_guards(out)
+        check_guards(out)
         return _make(out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -419,20 +419,57 @@ class Poly:
         >>> (a ** 2 * b).substitute({"a": b, "b": -a / 2})
         -1/2*a*b^2
         """
-        return self._map_fields(mapping, _image)
+        return self._map_fields(mapping)
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
-        """Simultaneously rename variables; two names sent to one merge, and
-        an exponent past MAX_EXP after merging raises OverflowError."""
-        return self._map_fields(mapping, _renamed)
+        """Simultaneously rename variables by moving exponent fields.
 
-    def _map_fields(self, mapping: Mapping[str, object], classify) -> "Poly":
-        """The kernel of `substitute` and `rename`.  ``classify`` turns the
-        image of each variable that occurs into None (zero), (key, num, den)
-        (one term) or a `Poly` of several terms; variables outside the
-        mapping stay.  A one-term image k*n/d adds e*k to a term's key and
-        multiplies its numerator by n**e; a general image multiplies in its
-        e-th power, computed once per (field, e)."""
+        Each renamed variable's exponent moves to its target's field by key
+        arithmetic, so no numerator and no denominator changes per term;
+        names sent to one target merge, adding their exponents and then the
+        coefficients of terms that meet.  An exponent past MAX_EXP after
+        merging raises OverflowError.
+
+        >>> a, b = Poly.variable("a"), Poly.variable("b")
+        >>> (a ** 2 * b + 3 * a * b ** 2).rename({"a": "b", "b": "a"})
+        a*b^2+3*a^2*b
+        >>> (a * b + 3 * b ** 2).rename({"a": "b"})
+        4*b^2
+        """
+        keep = self.support()
+        moves = []  # (offset of the renamed field, offset of its target)
+        for v, w in mapping.items():
+            i = _INDEX.get(v)
+            if i is None or not (keep >> FIELD_BITS * i) & FIELD_MASK:
+                continue  # the variable does not occur
+            s = FIELD_BITS * i
+            keep &= ~(FIELD_MASK << s)
+            moves.append((s, var_shift(w)))
+        out: Dict[int, int] = {}
+        get = out.get
+        seen = 0  # the bitwise or of every partial key sum
+        for m, c in self.terms.items():
+            key = m & keep
+            for s, t in moves:
+                e = (m >> s) & FIELD_MASK
+                if e:
+                    key += e << t
+                    seen |= key
+            total = get(key, 0) + c
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+        check_guards((seen,))
+        return _make(out, self.den)
+
+    def _map_fields(self, mapping: Mapping[str, object]) -> "Poly":
+        """The kernel of `substitute`.  `_image` turns the image of each
+        variable that occurs into None (zero), (key, num, den) (one term)
+        or a `Poly` of several terms; variables outside the mapping stay.
+        A one-term image k*n/d adds e*k to a term's key and multiplies its
+        numerator by n**e; a general image multiplies in its e-th power,
+        computed once per (field, e)."""
         keep = self.support()
         zero = 0
         one_term = []  # (offset, key, num, den, largest e that fits)
@@ -443,7 +480,7 @@ class Poly:
                 continue  # the variable does not occur
             s *= FIELD_BITS
             keep &= ~(FIELD_MASK << s)
-            image = classify(image)
+            image = _image(image)
             if image is None:
                 zero |= FIELD_MASK << s
             elif type(image) is Poly:
@@ -500,7 +537,7 @@ class Poly:
                     out[k] = total
                 else:
                     del out[k]
-        _check_guards((seen,))
+        check_guards((seen,))
         return _make(out, den)
 
     def truncate_degree(self, bound: int, weights: Mapping[str, int] = None) -> "Poly":
@@ -564,7 +601,7 @@ def sum_of_products(pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
                     out[m] = t
                 else:
                     del out[m]
-    _check_guards(out)
+    check_guards(out)
     return _make(out, den)
 
 

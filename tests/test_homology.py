@@ -28,13 +28,15 @@ from vertexalg.homology import (
     parse_ch,
     parse_s,
     pushforward_substitute,
+    raise_once,
     s_name,
+    sum_map_product,
     tensor,
     translate,
     var_weight,
     weyl_normal_form,
 )
-from vertexalg.poly import Poly
+from vertexalg.poly import MAX_EXP, Poly
 from vertexalg.series import VarSet
 
 BU1 = ComponentLabel("BU_Z", (1,))
@@ -517,6 +519,149 @@ class TestPushforwardAgainstMultiplyOut:
         out = pushforward_substitute(prod)
         assert out.component == ComponentLabel(model, (r0 + 2 * sum(ranks),))
         assert out.poly == ref.multiply_out(prod.poly, mapping)
+
+
+class TestSumMapProduct:
+    """`sum_map_product` against the `pushforward_substitute(tensor(...))`
+    round trip it replaces."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got.component == want.component
+        assert got.poly.terms == want.poly.terms and got.poly.den == want.poly.den
+
+    def test_unitary_against_round_trip(self):
+        for seed in range(200):
+            rng = random.Random("sum-map/unitary/%d" % seed)
+            factors = [
+                HomologyElement(
+                    ComponentLabel("BU_Z", (rng.randint(0, 2),)),
+                    _random_s_poly(rng, rng.sample((1, 2, 3, 4), rng.randint(1, 3))),
+                )
+                for _ in range(rng.randint(2, 3))
+            ]
+            self._same(sum_map_product(*factors), pushforward_substitute(tensor(*factors)))
+
+    def test_module_against_round_trip(self):
+        for seed in range(200):
+            rng = random.Random("sum-map/module/%d" % seed)
+            model, r0 = rng.choice([("BO_Z", 1), ("BO_Z", 3), ("BSp_2Z", 2), ("BSp_2Z", 4)])
+            module = HomologyElement(ComponentLabel(model, (r0,)), _random_s_poly(rng, (2, 4)))
+            factors = [
+                HomologyElement(
+                    ComponentLabel("BU_Z", (rng.randint(0, 2),)),
+                    _random_s_poly(rng, rng.sample((1, 2, 3, 4), rng.randint(1, 3))),
+                )
+                for _ in range(rng.randint(0, 2))
+            ]
+            self._same(
+                sum_map_product(*factors, module=module),
+                pushforward_substitute(tensor(*factors, module=module)),
+            )
+
+    def test_rejects_what_tensor_rejects(self):
+        a = HomologyElement(BU1, sv(1))
+        with pytest.raises(ValueError):
+            sum_map_product()
+        with pytest.raises(ValueError):
+            sum_map_product(HomologyElement(ComponentLabel("BU_Z", (1, 2)), 1))
+        with pytest.raises(ValueError):
+            sum_map_product(a, module=a)
+
+
+# -- the field maps of translation and of the sum map ---------------------------------
+
+
+def raise_once_by_derivatives(poly, factor, rank):
+    """`raise_once` by multiplying and differentiating polynomials,
+    rank*s1*p + sum_k s_{k+1} dp/ds_k: the definition the packed kernel
+    follows."""
+    out = poly * Poly.variable(s_name(1, factor)) * rank
+    for v in poly.variables():
+        got = parse_s(v)
+        if got is None or got[1] != factor:
+            continue
+        k = got[0]
+        out = out + poly.diff(v) * Poly.variable(s_name(k + 1, factor))
+    return out
+
+
+FACTOR_KEYS = (None, 1, 2)
+
+
+@st.composite
+def factor_classes(draw):
+    """A class in the generators of one factor key and of another one,
+    with coefficients of denominator up to 12, and that factor key."""
+    factor = draw(st.sampled_from(FACTOR_KEYS))
+    other = draw(st.sampled_from([f for f in FACTOR_KEYS if f != factor]))
+    gens = [s_name(k, factor) for k in (1, 2, 3, 4)] + [s_name(k, other) for k in (1, 2, 3)]
+    monos = st.lists(st.tuples(st.sampled_from(gens), st.integers(0, 3)), max_size=4)
+    coefs = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    raw = draw(st.lists(st.tuples(monos, coefs), max_size=6))
+    return Poly({tuple(m): c for m, c in raw}), factor
+
+
+class TestFieldMaps:
+    @settings(max_examples=200, deadline=None)
+    @given(factor_classes(), st.integers(0, 3))
+    def test_raise_once_matches_derivatives(self, drawn, rank):
+        poly, factor = drawn
+        got = raise_once(poly, factor, rank)
+        want = raise_once_by_derivatives(poly, factor, rank)
+        assert got.terms == want.terms and got.den == want.den
+
+    def test_raise_once_overflow(self):
+        with pytest.raises(OverflowError):
+            raise_once(Poly.variable("s1", MAX_EXP), None, 1)
+        # s_1 moves up into a full s_2 field
+        with pytest.raises(OverflowError):
+            raise_once(sv(1) * Poly.variable("s2", MAX_EXP), None, 0)
+        top = Poly.variable("s1", MAX_EXP - 1)
+        assert raise_once(top, None, 1) == raise_once_by_derivatives(top, None, 1)
+
+    def test_no_multiply_out_route(self, monkeypatch):
+        """With the substitution kernel, powers, derivatives and variable
+        construction all made to fail, renames (merges and swaps
+        included), the unitary sum-map round trip and the translation
+        generator still give the reference results."""
+        a, b, c = (Poly.variable(v) for v in "abc")
+        p = (a ** 3 * b - 2 * a * c ** 2 + Fraction(1, 3)) * (b + c) ** 2
+        renames = [
+            {"a": "b"},
+            {"a": "b", "b": "a"},
+            {"a": "b", "b": "a", "c": "a"},
+            {"a": "c", "b": "c", "c": "c"},
+            {"c": "field_move_fresh"},
+        ]
+        rename_want = [
+            ref.multiply_out(p, {v: Poly.variable(w) for v, w in r.items()}) for r in renames
+        ]
+        rng = random.Random("no-multiply-out")
+        ranks = (0, 1, 2)
+        factors = [
+            HomologyElement(ComponentLabel("BU_Z", (r,)), _random_s_poly(rng, (1, 2, 3)))
+            for r in ranks
+        ]
+        mapping = {s_name(k, i + 1): sv(k) for i in range(len(ranks)) for k in (1, 2, 3)}
+        push_want = ref.multiply_out(tensor(*factors).poly, mapping)
+        classes = [(f.poly * sv(4, 2), None, r) for f, r in zip(factors, ranks)]
+        classes.append((tensor(*factors[:2]).poly, 2, 2))
+        raise_want = [raise_once_by_derivatives(q, f, r) for q, f, r in classes]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a field map multiplied out polynomials")
+
+        for attr in ("_map_fields", "__pow__", "diff", "variable"):
+            monkeypatch.setattr(Poly, attr, forbidden)
+        rename_got = [p.rename(r) for r in renames]
+        pushed = pushforward_substitute(tensor(*factors))
+        raise_got = [raise_once(q, f, r) for q, f, r in classes]
+        monkeypatch.undo()
+        assert rename_got == rename_want
+        assert pushed.component == ComponentLabel("BU_Z", (sum(ranks),))
+        assert pushed.poly == push_want
+        assert raise_got == raise_want
 
 
 class TestGolden:

@@ -3,6 +3,7 @@ with the tuple-keyed reference ring in `poly_reference`."""
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import FunctionType
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +198,10 @@ def test_benchmark_contract():
     assert callable(homology.cap_poly)
     assert callable(homology.contract_poly)
     assert callable(ktheory.k_contract)
+    # wrapped, or reached by the workloads, through the homology namespace
+    for name in ("tensor", "pushforward_substitute", "translate", "translate_series"):
+        f = homology.__dict__[name]
+        assert isinstance(f, FunctionType) and f.__module__ == homology.__name__, name
 
 
 # -- substitution works on packed keys --------------------------------------------
