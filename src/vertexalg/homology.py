@@ -382,8 +382,8 @@ def tensor(*factors: HomologyElement, module: HomologyElement = None) -> Homolog
             raise ValueError("empty tensor product")
         comp = ComponentLabel("BU_Z", tuple(ranks))
         keys = comp.unitary_factors()
-        poly = Poly.const(1)
-        for key, f in zip(keys, factors):
+        poly = _resuffix(factors[0].poly, keys[0])
+        for key, f in zip(keys[1:], factors[1:]):
             poly = poly * _resuffix(f.poly, key)
         return HomologyElement(comp, poly)
     comp = ComponentLabel(_module_model(module), tuple(ranks) + (module.component.index[0],))
@@ -852,8 +852,8 @@ def sum_map_product(*elements: HomologyElement, module: HomologyElement = None) 
     if module is None:
         if not elements:
             raise ValueError("empty product")
-        poly = Poly.const(1)
-        for f in elements:
+        poly = elements[0].poly
+        for f in elements[1:]:
             poly = poly * f.poly
         return HomologyElement(ComponentLabel("BU_Z", (sum(ranks),)), poly)
     model = _module_model(module)

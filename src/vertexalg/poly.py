@@ -419,57 +419,6 @@ class Poly:
         >>> (a ** 2 * b).substitute({"a": b, "b": -a / 2})
         -1/2*a*b^2
         """
-        return self._map_fields(mapping)
-
-    def rename(self, mapping: Mapping[str, str]) -> "Poly":
-        """Simultaneously rename variables by moving exponent fields.
-
-        Each renamed variable's exponent moves to its target's field by key
-        arithmetic, so no numerator and no denominator changes per term;
-        names sent to one target merge, adding their exponents and then the
-        coefficients of terms that meet.  An exponent past MAX_EXP after
-        merging raises OverflowError.
-
-        >>> a, b = Poly.variable("a"), Poly.variable("b")
-        >>> (a ** 2 * b + 3 * a * b ** 2).rename({"a": "b", "b": "a"})
-        a*b^2+3*a^2*b
-        >>> (a * b + 3 * b ** 2).rename({"a": "b"})
-        4*b^2
-        """
-        keep = self.support()
-        moves = []  # (offset of the renamed field, offset of its target)
-        for v, w in mapping.items():
-            i = _INDEX.get(v)
-            if i is None or not (keep >> FIELD_BITS * i) & FIELD_MASK:
-                continue  # the variable does not occur
-            s = FIELD_BITS * i
-            keep &= ~(FIELD_MASK << s)
-            moves.append((s, var_shift(w)))
-        out: Dict[int, int] = {}
-        get = out.get
-        seen = 0  # the bitwise or of every partial key sum
-        for m, c in self.terms.items():
-            key = m & keep
-            for s, t in moves:
-                e = (m >> s) & FIELD_MASK
-                if e:
-                    key += e << t
-                    seen |= key
-            total = get(key, 0) + c
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-        check_guards((seen,))
-        return _make(out, self.den)
-
-    def _map_fields(self, mapping: Mapping[str, object]) -> "Poly":
-        """The kernel of `substitute`.  `_image` turns the image of each
-        variable that occurs into None (zero), (key, num, den) (one term)
-        or a `Poly` of several terms; variables outside the mapping stay.
-        A one-term image k*n/d adds e*k to a term's key and multiplies its
-        numerator by n**e; a general image multiplies in its e-th power,
-        computed once per (field, e)."""
         keep = self.support()
         zero = 0
         one_term = []  # (offset, key, num, den, largest e that fits)
@@ -539,6 +488,48 @@ class Poly:
                     del out[k]
         check_guards((seen,))
         return _make(out, den)
+
+    def rename(self, mapping: Mapping[str, str]) -> "Poly":
+        """Simultaneously rename variables by moving exponent fields.
+
+        Each renamed variable's exponent moves to its target's field by key
+        arithmetic, so no numerator and no denominator changes per term;
+        names sent to one target merge, adding their exponents and then the
+        coefficients of terms that meet.  An exponent past MAX_EXP after
+        merging raises OverflowError.
+
+        >>> a, b = Poly.variable("a"), Poly.variable("b")
+        >>> (a ** 2 * b + 3 * a * b ** 2).rename({"a": "b", "b": "a"})
+        a*b^2+3*a^2*b
+        >>> (a * b + 3 * b ** 2).rename({"a": "b"})
+        4*b^2
+        """
+        keep = self.support()
+        moves = []  # (offset of the renamed field, offset of its target)
+        for v, w in mapping.items():
+            i = _INDEX.get(v)
+            if i is None or not (keep >> FIELD_BITS * i) & FIELD_MASK:
+                continue  # the variable does not occur
+            s = FIELD_BITS * i
+            keep &= ~(FIELD_MASK << s)
+            moves.append((s, var_shift(w)))
+        out: Dict[int, int] = {}
+        get = out.get
+        seen = 0  # the bitwise or of every partial key sum
+        for m, c in self.terms.items():
+            key = m & keep
+            for s, t in moves:
+                e = (m >> s) & FIELD_MASK
+                if e:
+                    key += e << t
+                    seen |= key
+            total = get(key, 0) + c
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+        check_guards((seen,))
+        return _make(out, self.den)
 
     def truncate_degree(self, bound: int, weights: Mapping[str, int] = None) -> "Poly":
         """Drop terms of (weighted) degree exceeding the bound."""

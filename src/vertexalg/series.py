@@ -13,10 +13,12 @@ exact-rational polynomials, `Poly`; a rational coefficient is a constant
   the localizations actually needed: all denominators in sight are products
   of forms like z, z - w, z + w, 2z.
 * iterated Laurent rings R((B_1))((B_2))... for an ordered partition of the
-  variables into blocks, entered through :func:`iota_expand`.  A form
-  supported on a single block stays in the denominator (it is invertible in
-  that block's local ring); a form spanning several blocks is expanded as a
-  geometric series over its earliest block, which is treated as dominant.
+  variables into blocks.  :func:`expand_poles` is the one expansion into
+  them: a denominator that is a form on a single block times a unit stays
+  in the denominator (it is invertible in that block's local ring), and any
+  other is expanded as a geometric series over its earliest block, which is
+  treated as dominant.  :func:`iota_expand` is that expansion of a
+  localized series followed by the filter to each block's net-degree bound.
 
 Equality of localized series is decided by clearing denominators and
 comparing numerators on the region where both sides are exact.  Nothing here
@@ -895,28 +897,106 @@ def try_divide_by_form(num: TruncSeries, form: LinearForm) -> Optional[TruncSeri
     return out
 
 
-def spanning_pole_numerator(
-    a_form: LinearForm, s: Fraction, b: TruncSeries, mult: int, depth: int
-) -> TruncSeries:
-    """Numerator of 1/(s*A + B)^mult cleared over A^(mult+depth).
+def expand_poles(
+    num: TruncSeries,
+    dens: Sequence[Tuple[TruncSeries, int]],
+    blocks: Sequence[Sequence[str]],
+    trunc: int,
+) -> LocalizedSeries:
+    """The iterated Laurent expansion of num / prod(f ** mult) over dens.
 
-    With A the primitive form ``a_form`` and B the rest of the spanning
-    form, 1/(sA+B)^m = sum_k binom(-m, k) s^(-m-k) B^k A^(-m-k); the sum
-    runs over k <= depth and stops early once B^k vanishes.
+    Each denominator f is a series over ``num.varset``.  When f's linear
+    part lies in its leading block and f is that primitive form times a
+    unit, the form stays in the denominator and the unit's inverse, to
+    the numerator's order (trunc for an exact numerator), goes into the
+    numerator; a unit of exactly 1 multiplies nothing.  Otherwise
+    f = s*A + B with A the primitive leading-block part of its linear
+    part, and
+
+        1/(sA + B)^m = sum_k binom(-m, k) s^(-m-k) B^k A^(-m-k)
+
+    is cleared over A^(m+depth), summing k <= depth.  The depth is trunc
+    plus the multiplicity of the kept forms on non-leading blocks, so that
+    a term divided by such a form is still exact up to net degree trunc;
+    the blocks after the leading one get that net bound.
     """
-    a_series = a_form.as_series(INF)
-    acc = TruncSeries.zero(b.varset, INF)
-    coef = 1
-    b_pow = TruncSeries.const(b.varset, 1, INF)
-    for k in range(depth + 1):
-        if k:
-            coef = coef * (mult + k - 1) // k
-            b_pow = b_pow * b
-            if b_pow.is_zero():
-                break
-        factor = Fraction((-1) ** k * coef) * s ** (-mult - k)
-        acc = acc + (b_pow * (a_series ** (depth - k))).scale(factor)
-    return acc
+    varset = num.varset
+    blocks = normalize_blocks(varset, blocks)
+    work = num.order if num.order is not INF else trunc
+    bidx = [[varset.index(n) for n in b] for b in blocks]
+    one = {varset.zero_exponent(): Poly.const(1)}
+    den: List[Tuple[LinearForm, int]] = []
+    kept_later = 0
+    spanning = []  # (A, mult, s, B, lead block)
+    for f, mult in dens:
+        lin = [Fraction(0)] * len(varset)
+        for e, c in f.terms.items():
+            if sum(e) == 1:
+                lin[e.index(1)] += c.constant_term()
+        if not any(lin):
+            raise NotImplementedError("denominator %r has no linear part" % (f,))
+        if any(c.denominator != 1 for c in lin):
+            raise NotImplementedError("non-integer linear part in %r" % (f,))
+        lin = [int(c) for c in lin]
+        lead = next(bi for bi, idxs in enumerate(bidx) if any(lin[i] for i in idxs))
+        lead_vec = [lin[i] if i in bidx[lead] else 0 for i in range(len(varset))]
+        if lead_vec == lin:
+            form, _, _ = LinearForm.make_scaled(varset, lin)
+            q = try_divide_by_form(f, form)
+            if q is not None and q.constant_term():
+                if q.terms != one:
+                    num = num * series_invert_unit((q ** mult).truncate(work))
+                den.append((form, mult))
+                kept_later += mult if lead else 0
+                continue
+        form, sign, content = LinearForm.make_scaled(varset, lead_vec)
+        s = Fraction(sign * content)
+        b = f - form.as_series(INF).scale(s)
+        for e in b.terms:
+            if sum(e[i] for idxs in bidx[lead + 1 :] for i in idxs) < 1:
+                raise NotImplementedError(
+                    "denominator %r does not expand over block %d" % (f, lead)
+                )
+        spanning.append((form, mult, s, b, lead))
+    depth = trunc + kept_later
+    bounds: List[Optional[int]] = [None] * len(blocks)
+    for form, mult, s, b, lead in spanning:
+        a_series = form.as_series(INF)
+        acc = TruncSeries.zero(varset, INF)
+        coef = 1
+        b_pow = TruncSeries.const(varset, 1, INF)
+        for k in range(depth + 1):
+            if k:
+                coef = coef * (mult + k - 1) // k
+                b_pow = b_pow * b
+                if b_pow.is_zero():
+                    break
+            factor = Fraction((-1) ** k * coef) * s ** (-mult - k)
+            acc = acc + (b_pow * (a_series ** (depth - k))).scale(factor)
+        num = num * acc
+        den.append((form, mult + depth))
+        for bi in range(lead + 1, len(blocks)):
+            bounds[bi] = trunc
+    return LocalizedSeries(num, den, blocks, bounds)
+
+
+def _within_bounds(x: LocalizedSeries) -> LocalizedSeries:
+    """x with the numerator terms past some block's net-degree bound
+    dropped."""
+    caps = [
+        ([x.varset.index(n) for n in block], bound + x.den_block_degree(block))
+        for block, bound in zip(x.blocks, x.block_bounds)
+        if bound is not None
+    ]
+    if not caps:
+        return x
+    kept = {
+        e: c
+        for e, c in x.num.terms.items()
+        if all(sum(e[i] for i in idxs) <= cap for idxs, cap in caps)
+    }
+    num = TruncSeries(x.varset, x.num.order, kept)
+    return LocalizedSeries(num, x.den, x.blocks, x.block_bounds)
 
 
 def iota_expand(
@@ -924,12 +1004,12 @@ def iota_expand(
 ) -> LocalizedSeries:
     """Iterated Laurent expansion of a localized series.
 
-    Variables in earlier blocks dominate later ones.  Denominator forms
-    supported on a single block are kept (they are invertible in that block's
-    local ring); forms spanning several blocks are expanded geometrically
-    over their earliest block.  The result is exact for numerator terms whose
-    NET degree in each non-leading block (numerator minus denominator block
-    degree) is at most trunc; terms beyond that are dropped.
+    Variables in earlier blocks dominate later ones.  This is
+    :func:`expand_poles` on the denominator forms, then the drop of the
+    numerator terms whose NET degree (numerator minus denominator block
+    degree) in a non-leading block exceeds trunc.  The block bounds of a
+    series already expanded in the same regime carry over where tighter;
+    a bounded series from another regime raises ValueError.
 
     Spanning forms must lead on the first block: that is the only regime the
     depth/filter bookkeeping certifies, and the only one the identities here
@@ -938,60 +1018,25 @@ def iota_expand(
     blocks = normalize_blocks(x.varset, blocks)
     if trunc < 0:
         raise ValueError("expansion depth must be nonnegative")
-    kept: List[Tuple[LinearForm, int]] = []
-    spanning: List[Tuple[LinearForm, int]] = []
-    for form, mult in x.den:
+    if x.blocks == blocks:
+        bounds = x.block_bounds
+    elif any(b is not None for b in x.block_bounds):
+        raise ValueError("block bounds do not carry over to another regime")
+    else:
+        bounds = (None,) * len(blocks)
+    for form, _ in x.den:
         touched = form.support_blocks(blocks)
-        if not touched:
-            raise ValueError("denominator form with empty support")
-        if len(touched) == 1:
-            kept.append((form, mult))
-        else:
-            if touched[0] != 0:
-                raise NotImplementedError(
-                    "expansion of a form leading on a non-initial block"
-                )
-            spanning.append((form, mult))
-
-    kept_later_degree = sum(
-        mult for form, mult in kept if form.support_blocks(blocks)[0] > 0
+        if len(touched) > 1 and touched[0] != 0:
+            raise NotImplementedError(
+                "expansion of a form leading on a non-initial block"
+            )
+    y = expand_poles(
+        x.num, [(form.as_series(), mult) for form, mult in x.den], blocks, trunc
     )
-    depth = trunc + kept_later_degree
-
-    num = x.num
-    for form, mult in spanning:
-        a_vec = form.restrict_to_block(blocks[0])
-        b_vec = [c - a for c, a in zip(form.coeffs, a_vec)]
-        a_form, a_sign, a_content = LinearForm.make_scaled(x.varset, a_vec)
-        b_series = TruncSeries(
-            x.varset,
-            INF,
-            {
-                tuple(1 if j == i else 0 for j in range(len(x.varset))): c
-                for i, c in enumerate(b_vec)
-                if c
-            },
-        )
-        s = Fraction(a_sign * a_content)
-        num = num * spanning_pole_numerator(a_form, s, b_series, mult, depth)
-        kept.append((a_form, mult + depth))
-
-    cleared = LocalizedSeries(num, kept, blocks)
-    # per non-leading block: net degree <= trunc
-    den_block = [cleared.den_block_degree(block) for block in blocks]
-    block_idx = [[x.varset.index(n) for n in block] for block in blocks]
-    out_terms: Dict[Exponent, Poly] = {}
-    for e, c in num.terms.items():
-        ok = True
-        for bi in range(1, len(blocks)):
-            if sum(e[i] for i in block_idx[bi]) - den_block[bi] > trunc:
-                ok = False
-                break
-        if ok:
-            out_terms[e] = c
-    bounds = tuple(None if bi == 0 else trunc for bi in range(len(blocks)))
-    result_num = TruncSeries(x.varset, num.order, out_terms)
-    return LocalizedSeries(result_num, cleared.den, blocks, bounds)
+    bounds = tuple(
+        _min_order(b, None if bi == 0 else trunc) for bi, b in enumerate(bounds)
+    )
+    return _within_bounds(LocalizedSeries(y.num, y.den, blocks, bounds))
 
 
 def series_sub_cleared(a: LocalizedSeries, b: LocalizedSeries) -> LocalizedSeries:
@@ -1007,23 +1052,7 @@ def series_sub_cleared(a: LocalizedSeries, b: LocalizedSeries) -> LocalizedSerie
     bounds = tuple(
         _min_order(x, y) for x, y in zip(a.block_bounds, b.block_bounds)
     )
-    if any(bound is not None for bound in bounds):
-        idx = s.varset.index
-        block_idx = [[idx(n) for n in block] for block in s.blocks]
-        den_block = [s.den_block_degree(block) for block in s.blocks]
-        kept = {}
-        for e, c in num.terms.items():
-            ok = True
-            for bi, bound in enumerate(bounds):
-                if bound is not None and (
-                    sum(e[i] for i in block_idx[bi]) - den_block[bi] > bound
-                ):
-                    ok = False
-                    break
-            if ok:
-                kept[e] = c
-        num = TruncSeries(num.varset, num.order, kept)
-    return LocalizedSeries(num, s.den, s.blocks, bounds)
+    return _within_bounds(LocalizedSeries(num, s.den, s.blocks, bounds))
 
 
 def series_equal(a: LocalizedSeries, b: LocalizedSeries) -> bool:

@@ -35,13 +35,11 @@ from .series import (
     TruncSeries,
     VarSet,
     coefficient_of_power,
+    expand_poles,
     iota_expand,
     residue,
     series_equal,
-    series_invert_unit,
     series_sub_cleared,
-    spanning_pole_numerator,
-    try_divide_by_form,
 )
 
 ADDITIVE = "additive"
@@ -245,6 +243,21 @@ def compare_series(lhs: LocalizedSeries, rhs: LocalizedSeries):
     return True, True, None
 
 
+def _compared(
+    report: CheckReport, sample, lhs: LocalizedSeries, rhs: LocalizedSeries, reason: str
+) -> bool:
+    """Compare two sides, record a difference (with ``reason``) or an empty
+    window on the report, and say whether the sides are conclusively equal.
+    ``compare_series`` is looked up when called, so a wrapper installed
+    on this module sees every comparison."""
+    equal, conclusive, witness = compare_series(lhs, rhs)
+    if not equal:
+        report.fail(sample, reason, witness)
+    elif not conclusive:
+        report.fail(sample, "vacuous comparison window")
+    return equal and conclusive
+
+
 # -- coordinate shifts -------------------------------------------------------------
 
 
@@ -275,74 +288,26 @@ def shifted_flat(
     images: Mapping[str, TruncSeries],
     combined: VarSet,
     blocks: Sequence[Sequence[str]],
-    depth: int,
+    trunc: int,
 ) -> ElementSeries:
     """Evaluate a product at shifted coordinates inside an expansion regime.
 
     ``images`` sends each original coordinate to its series in the
-    combined variables, without constant term.  Numerator coefficients
-    pass through composition; each denominator form becomes a series and
-    is either factored as (primitive linear form) * (invertible series),
-    or expanded binomially over the leading block of its linear part,
-    with ``depth`` bounding the net order on later blocks.  The output
-    has single-block denominator forms only, mirroring an iterated
-    Laurent expansion.
+    combined variables, without constant term.  The numerator passes
+    through composition and each denominator form, composed into a
+    series, goes through :func:`expand_poles` at ``trunc``, so the output
+    has single-block denominator forms only, as an iterated Laurent
+    expansion does.
     """
     num = flat.series.num.compose(combined, images)
-    work = num.order if num.order is not INF else depth
-    bidx = [[combined.index(n) for n in b] for b in blocks]
-    bounds: List[Optional[int]] = [None] * len(blocks)
-    den_out: List[Tuple[LinearForm, int]] = []
+    dens = []
     for form, mult in flat.series.den:
         f = TruncSeries.zero(combined, INF)
         for name, c in zip(form.varset.names, form.coeffs):
             if c:
                 f = f + images[name].scale(c)
-        lin = [Fraction(0)] * len(combined)
-        for e, c in f.terms.items():
-            if sum(e) == 1:
-                lin[e.index(1)] += c.constant_term()
-        if not any(lin):
-            raise NotImplementedError(
-                "shifted denominator %r has no linear part" % (form,)
-            )
-        if any(c.denominator != 1 for c in lin):
-            raise NotImplementedError("non-integer shifted denominator")
-        lin = [int(c) for c in lin]
-        lead = next(
-            bi for bi, idxs in enumerate(bidx) if any(lin[i] for i in idxs)
-        )
-        lead_vec = [
-            lin[i] if i in bidx[lead] else 0 for i in range(len(combined))
-        ]
-        if lead_vec == lin:
-            fform, sgn, content = LinearForm.make_scaled(combined, lin)
-            q = try_divide_by_form(f, fform)
-            if q is not None and q.constant_term():
-                qm = (q ** mult).truncate(work)
-                num = num * series_invert_unit(qm)
-                den_out.append((fform, mult))
-                continue
-        fform, sgn, content = LinearForm.make_scaled(combined, lead_vec)
-        s = Fraction(sgn * content)
-        g = f - fform.as_series(INF).scale(s)
-        for e in g.terms:
-            later = sum(
-                e[i] for bi in range(lead + 1, len(blocks)) for i in bidx[bi]
-            )
-            if later < 1:
-                raise NotImplementedError(
-                    "shifted denominator %r does not expand over block %d"
-                    % (form, lead)
-                )
-        num = num * spanning_pole_numerator(fform, s, g, mult, depth)
-        den_out.append((fform, mult + depth))
-        for bi in range(lead + 1, len(blocks)):
-            b = bounds[bi]
-            bounds[bi] = depth if b is None else min(b, depth)
-    return ElementSeries(
-        flat.component, LocalizedSeries(num, den_out, blocks, tuple(bounds))
-    )
+        dens.append((f, mult))
+    return ElementSeries(flat.component, expand_poles(num, dens, blocks, trunc))
 
 
 # -- nesting one family inside another ----------------------------------------------
@@ -409,6 +374,36 @@ def nested_product(
         total.block_bounds,
     )
     return ElementSeries(component, out)
+
+
+def _nested_and_flat(
+    inner: Callable[[int], ElementSeries],
+    outer: Callable[[HomologyElement, int], ElementSeries],
+    flat: Callable[[int], ElementSeries],
+    znames: Sequence[str],
+    wnames: Sequence[str],
+    trunc: int,
+) -> Tuple[ElementSeries, ElementSeries, int]:
+    """The two sides of a nesting identity: (nested, flat, working order).
+
+    ``inner(order)`` is the inner product over the w coordinates,
+    ``outer(c, order)`` the outer product over the z coordinates with the
+    class c in the nested slot, and ``flat(order)`` the joint product.
+    Order-0 probes read the pole degrees: the nested side is worked at
+    trunc plus the inner and outer pole degrees, and the flat product at
+    trunc plus its pole degree plus trunc per denominator form.
+    """
+    probe_inner = inner(0)
+    probe_outer = outer(HomologyElement(probe_inner.component, 1), 0)
+    work = trunc + probe_inner.series.den_degree() + probe_outer.series.den_degree()
+    inner_out = inner(work)
+    nested = nested_product(
+        lambda p: outer(HomologyElement(inner_out.component, p), work),
+        inner_out.series, znames, wnames,
+    )
+    probe_flat = flat(0).series
+    flat_work = trunc + probe_flat.den_degree() + len(probe_flat.den) * trunc
+    return nested, flat(flat_work), work
 
 
 # -- axiom checks ------------------------------------------------------------------
@@ -488,15 +483,8 @@ def check_commutativity(P: ProductFamily, samples, trunc: int) -> CheckReport:
             mapping = {names[k]: {names[sigma[k]]: 1} for k in range(n)}
             lhs = permuted.series.substitute_linear(varset, mapping)
             sign = koszul_sign(parities, sigma)
-            equal, conclusive, witness = compare_series(
-                lhs, base.series.scale(sign)
-            )
-            if not equal:
-                report.fail(
-                    (i, sigma), _describe_sample(elements), witness
-                )
-            elif not conclusive:
-                report.fail((i, sigma), "vacuous comparison window")
+            _compared(report, (i, sigma), lhs, base.series.scale(sign),
+                      _describe_sample(elements))
             if permuted.component != base.component:
                 report.fail((i, sigma), "component depends on the order")
     return report
@@ -527,27 +515,13 @@ def check_associativity(
         combined = VarSet(znames + wnames)
         blocks = (znames, wnames)
         unames = tuple("u%d" % (k + 1) for k in range(m + n))
-
-        probe_inner = inner_family.product(bs, wnames, 0)
-        dw = probe_inner.series.den_degree()
-        probe_outer = P.product(
-            (HomologyElement(probe_inner.component, 1),) + tuple(rest),
-            znames,
-            0,
+        joint = tuple(bs) + tuple(rest)
+        lhs, flat, work = _nested_and_flat(
+            lambda order: inner_family.product(bs, wnames, order),
+            lambda c, order: P.product((c,) + tuple(rest), znames, order),
+            lambda order: P.product(joint, unames, order),
+            znames, wnames, trunc,
         )
-        dz = probe_outer.series.den_degree()
-        work = trunc + dw + dz
-
-        inner = inner_family.product(bs, wnames, work)
-        lhs = nested_product(
-            lambda p: P.product(
-                (HomologyElement(inner.component, p),) + tuple(rest), znames, work
-            ),
-            inner.series,
-            znames,
-            wnames,
-        )
-
         images = {}
         for k in range(m + n):
             vec = [0] * len(combined)
@@ -557,23 +531,13 @@ def check_associativity(
             else:
                 vec[combined.index(znames[k - m + 1])] = 1
             images[unames[k]] = shift_image(P.law, combined, vec, work)
-
-        probe_flat = P.product(tuple(bs) + tuple(rest), unames, 0)
-        d_flat = probe_flat.series.den_degree()
-        n_span = len(probe_flat.series.den)
-        flat_work = trunc + d_flat + n_span * trunc
-        flat = P.product(tuple(bs) + tuple(rest), unames, flat_work)
         rhs = shifted_flat(flat, images, combined, blocks, trunc)
 
         if lhs.component != rhs.component:
             report.fail(si, "components differ", repr((lhs.component,
                                                        rhs.component)))
             continue
-        equal, conclusive, witness = compare_series(lhs.series, rhs.series)
-        if not equal:
-            report.fail(si, _describe_sample(tuple(bs) + tuple(rest)), witness)
-        elif not conclusive:
-            report.fail(si, "vacuous comparison window")
+        _compared(report, si, lhs.series, rhs.series, _describe_sample(joint))
         pole = P.pole_policy.violation(rhs.series)
         if pole:
             report.fail(si, pole)
@@ -596,48 +560,18 @@ def check_module_nesting(P: ProductFamily, samples, trunc: int) -> CheckReport:
         znames = tuple("z%d" % (i + 1) for i in range(n))
         wnames = tuple("w%d" % (i + 1) for i in range(k))
         blocks = (znames, wnames)
-
-        probe_inner = P.product(tuple(bs) + (mm,), wnames, 0)
-        dw = probe_inner.series.den_degree()
-        probe_outer = P.product(
-            tuple(as_) + (HomologyElement(probe_inner.component, 1),),
-            znames,
-            0,
+        joint = tuple(as_) + tuple(bs) + (mm,)
+        lhs, flat, _ = _nested_and_flat(
+            lambda order: P.product(tuple(bs) + (mm,), wnames, order),
+            lambda c, order: P.product(tuple(as_) + (c,), znames, order),
+            lambda order: P.product(joint, znames + wnames, order),
+            znames, wnames, trunc,
         )
-        dz = probe_outer.series.den_degree()
-        work = trunc + dw + dz
-
-        inner = P.product(tuple(bs) + (mm,), wnames, work)
-        lhs = nested_product(
-            lambda p: P.product(
-                tuple(as_) + (HomologyElement(inner.component, p),), znames, work
-            ),
-            inner.series,
-            znames,
-            wnames,
-        )
-
-        probe_flat = P.product(tuple(as_) + tuple(bs) + (mm,),
-                               znames + wnames, 0)
-        d_flat = probe_flat.series.den_degree()
-        n_span = len(probe_flat.series.den)
-        flat_work = trunc + d_flat + n_span * trunc
-        flat = P.product(tuple(as_) + tuple(bs) + (mm,),
-                         znames + wnames, flat_work)
-        rhs_series = iota_expand(
-            LocalizedSeries(flat.series.num, flat.series.den, blocks),
-            blocks,
-            trunc,
-        )
+        rhs_series = iota_expand(flat.series, blocks, trunc)
         if lhs.component != flat.component:
             report.fail(si, "components differ")
             continue
-        equal, conclusive, witness = compare_series(lhs.series, rhs_series)
-        if not equal:
-            report.fail(si, _describe_sample(tuple(as_) + tuple(bs) + (mm,)),
-                        witness)
-        elif not conclusive:
-            report.fail(si, "vacuous comparison window")
+        _compared(report, si, lhs.series, rhs_series, _describe_sample(joint))
     return report
 
 
@@ -653,15 +587,21 @@ def translation_operator(P: ProductFamily, a: HomologyElement) -> HomologyElemen
     return HomologyElement(out.component, out.series.num.terms.get((1,), Poly()))
 
 
+def _two_point(
+    P: ProductFamily, a: HomologyElement, b: HomologyElement, trunc: int
+) -> Tuple[ElementSeries, int]:
+    """The two-point product over (z, w) at the working order read from its
+    order-0 probe, and the probe's pole degree d."""
+    d = P.product((a, b), ("z", "w"), 0).series.den_degree()
+    return P.product((a, b), ("z", "w"), 2 * trunc + 2 * d + 2), d
+
+
 def two_point_operator(
     P: ProductFamily, a: HomologyElement, b: HomologyElement, trunc: int
 ) -> ElementSeries:
     """The two-point product with the second coordinate set to zero,
     read inside the expansion where the first coordinate dominates."""
-    probe = P.product((a, b), ("z", "w"), 0)
-    d = probe.series.den_degree()
-    work = 2 * trunc + 2 * d + 2
-    full = P.product((a, b), ("z", "w"), work)
+    full, d = _two_point(P, a, b, trunc)
     expanded = iota_expand(full.series, (("z",), ("w",)), trunc + d + 1)
     return ElementSeries(full.component, coefficient_of_power(expanded, "w", 0))
 
@@ -682,11 +622,7 @@ def check_translation_axiom(P: ProductFamily, samples, trunc: int) -> CheckRepor
         )
         lhs = lifted + (-y_adb.series)
         rhs = y_ab.series.diff("z")
-        equal, conclusive, witness = compare_series(lhs, rhs)
-        if not equal:
-            report.fail(i, _describe_sample((a, b)), witness)
-        elif not conclusive:
-            report.fail(i, "vacuous comparison window")
+        _compared(report, i, lhs, rhs, _describe_sample((a, b)))
     return report
 
 
@@ -701,10 +637,7 @@ def lie_bracket(
     The result represents the bracket in the quotient of the carrier by
     the translation image; the constant coefficient is returned.
     """
-    probe = P.product((a, b), ("z", "w"), 0)
-    d = probe.series.den_degree()
-    work = 2 * trunc + 2 * d + 2
-    full = P.product((a, b), ("z", "w"), work)
+    full, d = _two_point(P, a, b, trunc)
     res = residue(full.series, "z", "w", trunc=trunc + d + 1)
     if res.den:
         raise ValueError("diagonal residue kept a pole; not a bracket")
@@ -881,12 +814,8 @@ def check_twisted_module(
         if lhs.component != rhs.component:
             report.fail(i, "involution moved the product's component")
             continue
-        equal, conclusive, witness = compare_series(lhs.series, rhs.series)
-        if not equal:
-            report.fail(i, "involution is not a twisted involution", witness)
-            continue
-        if not conclusive:
-            report.fail(i, "vacuous comparison window")
+        if not _compared(report, i, lhs.series, rhs.series,
+                         "involution is not a twisted involution"):
             continue
         act = PM.product((a, mm), ("z",), trunc)
         pole = TWISTED_POLES.violation(act.series)
@@ -895,13 +824,8 @@ def check_twisted_module(
             continue
         act_dual = PM.product((involution(a), mm), ("z",), trunc)
         act_rev = _negate_coordinates(act.series)
-        equal, conclusive, witness = compare_series(act_dual.series, act_rev)
-        if not equal:
-            report.fail(
-                i, "dual action differs from the reversed action", witness
-            )
-        elif not conclusive:
-            report.fail(i, "vacuous comparison window")
+        _compared(report, i, act_dual.series, act_rev,
+                  "dual action differs from the reversed action")
     return report
 
 
@@ -1092,13 +1016,8 @@ def check_vertex_space_map(f: VertexSpaceMap, samples, trunc: int) -> CheckRepor
             vec[combined.index(wnames[k])] = 1
             images[unames[k]] = shift_image(law, combined, vec, work)
         rhs = shifted_flat(full, images, combined, blocks, trunc)
-        equal, conclusive, witness = compare_series(lhs.series, rhs.series)
-        if not equal:
-            report.fail(i, "translation before the map fails to shift",
-                        witness)
-            continue
-        if not conclusive:
-            report.fail(i, "vacuous comparison window")
+        if not _compared(report, i, lhs.series, rhs.series,
+                         "translation before the map fails to shift"):
             continue
         if lhs.component != rhs.component:
             report.fail(i, "components differ")
@@ -1135,10 +1054,6 @@ def check_vertex_space_map(f: VertexSpaceMap, samples, trunc: int) -> CheckRepor
             vec[combined2.index(znames[k])] = 1
             images2[unames[k]] = shift_image(law, combined2, vec, work)
         rhs2 = shifted_flat(full, images2, combined2, blocks2, trunc)
-        equal, conclusive, witness = compare_series(lhs2, rhs2.series)
-        if not equal:
-            report.fail(i, "translation after the map fails to shift",
-                        witness)
-        elif not conclusive:
-            report.fail(i, "vacuous comparison window")
+        _compared(report, i, lhs2, rhs2.series,
+                  "translation after the map fails to shift")
     return report

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poly_reference as ref
-from vertexalg import homology, ktheory
+from vertexalg import homology, ktheory, series, structures
 from vertexalg.poly import MAX_EXP, Poly, poly_from_obj, poly_to_obj
 from vertexalg.series import TruncSeries
 from vertexalg.structures import ProductFamily
@@ -202,6 +202,17 @@ def test_benchmark_contract():
     for name in ("tensor", "pushforward_substitute", "translate", "translate_series"):
         f = homology.__dict__[name]
         assert isinstance(f, FunctionType) and f.__module__ == homology.__name__, name
+    checks = (
+        "unit", "commutativity", "associativity", "module_nesting",
+        "translation_axiom", "twisted_module", "twisted_lie_identity",
+    )
+    for module, names in (
+        (series, ("iota_expand", "residue", "series_exp", "series_invert_unit")),
+        (structures, ("nested_product", "compare_series") + tuple("check_" + c for c in checks)),
+    ):
+        for name in names:
+            f = module.__dict__[name]
+            assert isinstance(f, FunctionType) and f.__module__ == module.__name__, name
 
 
 # -- substitution works on packed keys --------------------------------------------

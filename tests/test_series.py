@@ -183,6 +183,18 @@ class TestIota:
         assert y.num.terms == x.num.terms
         assert y.den == ()
 
+    def test_reexpansion_keeps_block_bounds(self):
+        # the trunc-1 expansion of 1/(z + w) is exact only to w-degree 1;
+        # re-expanding it at trunc 3 must not claim more
+        x = LocalizedSeries.one(ZW, 12).with_denominator(form(ZW, z=1, w=1))
+        blocks = (("z",), ("w",))
+        y = iota_expand(iota_expand(x, blocks, trunc=1), blocks, trunc=3)
+        assert y.block_bounds == (None, 1)
+        assert series_equal(y, iota_expand(x, blocks, trunc=12))
+        bounded = iota_expand(x, blocks, trunc=1)
+        with pytest.raises(ValueError):
+            iota_expand(bounded, (("w",), ("z",)), trunc=3)
+
 
 class TestResidue:
     def test_simple_pole(self):

@@ -34,6 +34,7 @@ from vertexalg.series import (
     series_equal,
     series_sub_cleared,
 )
+from vertexalg import structures
 from vertexalg.structures import (
     ADDITIVE,
     MODULE_POLES,
@@ -257,6 +258,19 @@ class TestCompareSeries:
         assert equal and not conclusive
 
 
+    def test_checkers_compare_through_the_module(self, monkeypatch):
+        # the benchmark counts comparison windows by replacing this name
+        calls = []
+
+        def counting(lhs, rhs):
+            calls.append(1)
+            return compare_series(lhs, rhs)
+
+        monkeypatch.setattr(structures, "compare_series", counting)
+        rep = check_commutativity(FAMILY, [(elem(1, S1), elem(1, S2))], 2)
+        assert rep.passed and calls
+
+
 class TestShiftImages:
     def test_additive_image_is_linear(self):
         vs = VarSet(("z", "w"))
@@ -360,6 +374,36 @@ class TestShiftedFlat:
             3,
         )
         assert series_equal(got, direct)
+
+    def test_kept_later_pole(self):
+        # in 1/((u1 - u2) u2) at u1 -> z, u2 -> w the kept pole w divides
+        # the expansion of 1/(z - w), which must reach one w-degree deeper
+        combined = VarSet(("z", "w"))
+        blocks = (("z",), ("w",))
+        uset = VarSet(("u1", "u2"))
+        diff, _ = LinearForm.make(uset, {"u1": 1, "u2": -1})
+        second, _ = LinearForm.make(uset, {"u2": 1})
+        flat = ElementSeries(
+            BU(0),
+            LocalizedSeries(TruncSeries.const(uset, 1, 12), [(diff, 1), (second, 1)]),
+        )
+        images = {
+            "u1": shift_image(ADDITIVE, combined, [1, 0], 12),
+            "u2": shift_image(ADDITIVE, combined, [0, 1], 12),
+        }
+        exact = iota_expand(
+            LocalizedSeries(
+                TruncSeries.const(combined, 1, 12),
+                [(LinearForm.make(combined, {"z": 1, "w": -1})[0], 1),
+                 (LinearForm.make(combined, {"w": 1})[0], 1)],
+            ),
+            blocks,
+            12,
+        )
+        for trunc in (1, 2, 3):
+            got = shifted_flat(flat, images, combined, blocks, trunc)
+            equal, conclusive, witness = compare_series(got.series, exact)
+            assert equal and conclusive, (trunc, witness)
 
     def test_rejects_nonexpandable_shift(self):
         # u1 -> x + y^0-free quadratic on the leading block cannot expand
