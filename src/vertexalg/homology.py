@@ -535,17 +535,28 @@ def contract_with(
 ) -> Poly:
     """Split every key of p by the mask of its acting fields and let the
     acting part, as ``lowering_of`` says, lower the rest.  The lowering is
-    worked out once per distinct acting part."""
+    worked out once per distinct acting part; each key is then lowered as
+    in `_cap_into`, inline, since most keys cap to zero."""
     lowerings: Dict[int, Optional[Tuple]] = {}
+    unseen = object()
     out: Dict[int, int] = {}
+    get = out.get
     for key, coef in p.terms.items():
         cokey = key & comask
-        if cokey in lowerings:
-            lowering = lowerings[cokey]
-        else:
+        lowering = lowerings.get(cokey, unseen)
+        if lowering is unseen:
             lowering = lowerings[cokey] = lowering_of(cokey)
-        if lowering is not None:
-            _cap_into(out, lowering, key ^ cokey, coef)
+        if lowering is None:
+            continue
+        scalar, need, guards, falling = lowering
+        key ^= cokey
+        low = (key | guards) - need
+        if low & guards != guards:
+            continue
+        for shift, e in falling:
+            coef *= perm((key >> shift) & FIELD_MASK, e)
+        low ^= guards
+        out[low] = get(low, 0) + coef * scalar
     return Poly.packed(out, p.den)
 
 

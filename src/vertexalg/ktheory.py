@@ -18,6 +18,17 @@ coordinates x = z - 1, where a line of weight lambda contributes
 inverted factors being expanded with poles along the hyperplane that the
 leading part of (1+x)^lambda - 1 exactly divides by.
 
+No power on these paths goes through `TruncSeries.__pow__`.  A `_Powers`
+table holds base^0, base^1, ... and grows by one product per new power;
+`_PoleData` keeps one each for the inverse unit qinv of the pole, the pole
+form, W_lead and R = (1+x)^w_rest - 1, and makes the products
+W_lead^j R^j and qinv^n form^(M-n) once per j and per n, so every inverse
+power of one weight shares them.  `wedge_minus_z` keeps tables of -W and
+A = 1 - W per weight.  The interpolation class v_k, a polynomial in u,
+multiplies a term only after its series products, so those products stay
+on rational coefficients, which `TruncSeries.__mul__` multiplies as one
+integer convolution.
+
 The translation operator D(z) is the multiplicative convolution
 
     D(z)(l^k) = sum_a x^a sum_K  K! / ((K-k)! (K-a)! (k+a-K)!)  l^K,
@@ -66,21 +77,36 @@ def one_plus_pow(varset: VarSet, weight: Sequence[int], order) -> TruncSeries:
     exact order claim; any negative exponent needs a finite order.
     """
     out = TruncSeries.const(varset, 1, INF)
-    for name, w in zip(varset.names, weight):
+    for i, w in zip(range(len(varset)), weight):
         if not w:
             continue
         top = w if w >= 0 else order
         if top is INF or top < 0:
             raise ValueError("negative exponents need a finite order")
-        this = INF if w >= 0 else order
-        x = TruncSeries.variable(varset, name, this)
-        pw = TruncSeries.zero(varset, this)
+        e = [0] * len(varset)
+        terms = {}
         for j in range(top + 1):
-            c = gbinom(w, j)
-            if c:
-                pw = pw + (x ** j).scale(c)
-        out = out * pw
+            e[i] = j
+            terms[tuple(e)] = gbinom(w, j)
+        out = out * TruncSeries(varset, INF if w >= 0 else order, terms)
     return out
+
+
+class _Powers:
+    """base ** n for n = 0, 1, 2, ..., each new power one product with the
+    last; entry 0 is 1 at the base's order, as `TruncSeries.__pow__` has it."""
+
+    __slots__ = ("base", "table")
+
+    def __init__(self, base: TruncSeries):
+        self.base = base
+        self.table = [TruncSeries.const(base.varset, 1, base.order)]
+
+    def __getitem__(self, n: int) -> TruncSeries:
+        table = self.table
+        while len(table) <= n:
+            table.append(table[-1] * self.base)
+        return table[n]
 
 
 # -- the polynomial K-homology model ----------------------------------------------
@@ -255,7 +281,10 @@ class _PoleData:
     part must sit in a single block (rest_block, None when absent).
     """
 
-    __slots__ = ("w_lead", "w_rest", "rest_block", "form", "qinv", "wlead", "R")
+    __slots__ = (
+        "w_lead", "w_rest", "rest_block", "M", "form", "forms", "qinv", "cleared",
+        "wlead", "R", "lead_rest",
+    )
 
     def __init__(self, varset: VarSet, weight: Sequence[int], blocks):
         support = [i for i, c in enumerate(weight) if c]
@@ -281,15 +310,23 @@ class _PoleData:
             )
         self.rest_block = rest.pop() if rest else None
 
-    def compute(self, varset: VarSet, work: int):
+    def compute(self, varset: VarSet, order: int, M: int):
+        """Split the pole for numerators over form^M that are exact to
+        ``order``; the split itself is worked to order + M."""
+        work = order + M
+        self.M = M
         self.form, q = _pole_factor(varset, self.w_lead, work)
-        self.qinv = series_invert_unit(q)
+        self.forms = _Powers(self.form.as_series(INF))
+        self.qinv = _Powers(series_invert_unit(q))
+        self.cleared: Dict[int, TruncSeries] = {}
+        self.lead_rest: List[TruncSeries] = [TruncSeries.const(varset, 1, INF)]
         if self.rest_block is None:
             self.wlead = self.R = None
         else:
-            self.wlead = one_plus_pow(varset, self.w_lead, work)
-            self.R = one_plus_pow(varset, self.w_rest, work) - TruncSeries.const(
-                varset, 1, INF
+            self.wlead = _Powers(one_plus_pow(varset, self.w_lead, work))
+            self.R = _Powers(
+                one_plus_pow(varset, self.w_rest, work)
+                - TruncSeries.const(varset, 1, INF)
             )
 
     def bounds_for(self, blocks, depth: int):
@@ -298,27 +335,37 @@ class _PoleData:
             out[self.rest_block] = depth
         return tuple(out)
 
-    def inverse_power_numerator(
-        self, varset: VarSet, p: int, M: int, work: int, depth: int
-    ) -> TruncSeries:
-        """Numerator of ((1+x)^w - 1)^(-p) over the shared denominator form^M."""
-        form_s = self.form.as_series(INF)
+    def _cleared(self, n: int) -> TruncSeries:
+        """qinv^n form^(M-n), made once per n."""
+        out = self.cleared.get(n)
+        if out is None:
+            out = self.cleared[n] = self.qinv[n] * self.forms[self.M - n]
+        return out
+
+    def inverse_power_numerator(self, p: int, depth: int) -> TruncSeries:
+        """Numerator of ((1+x)^w - 1)^(-p) over the shared denominator form^M,
+        for p >= 1: the sum over j <= depth of
+        binom(-p, j) W_lead^j R^j qinv^(p+j) form^(M-p-j)."""
+        total = self._cleared(p)
         if self.R is None:
-            return (self.qinv ** p) * (form_s ** (M - p))
-        total = TruncSeries.zero(varset, INF)
-        lead_r = TruncSeries.const(varset, 1, INF)
-        r_pow = TruncSeries.const(varset, 1, INF)
-        for j in range(depth + 1):
-            c = gbinom(-p, j)
-            if c:
-                part = lead_r * r_pow * (self.qinv ** (p + j)) * (
-                    form_s ** (M - p - j)
-                )
-                total = total + part.scale(c)
-            r_pow = r_pow * self.R
-            if r_pow.is_zero():
-                break
-            lead_r = lead_r * self.wlead
+            return total
+        lead_rest = self.lead_rest
+        for j in range(1, depth + 1):
+            if len(lead_rest) == j:
+                r_pow = self.R[j]
+                if r_pow.is_zero():
+                    break
+                lead_rest.append(self.wlead[j] * r_pow)
+            lead = lead_rest[j]
+            if lead.order is INF:
+                part = lead * self._cleared(p + j)
+            else:
+                # a truncated W_lead^j R^j (from a negative weight) takes
+                # its factors one at a time: between truncated factors the
+                # order a product claims depends on the grouping, and the
+                # cached grouping would claim a lower one
+                part = lead * self.qinv[p + j] * self.forms[self.M - p - j]
+            total = total + part.scale(gbinom(-p, j))
         return total
 
 
@@ -346,12 +393,10 @@ def geom_inverse(
     if m == 0:
         return LocalizedSeries(TruncSeries.const(varset, 1, INF), (), blocks)
     data = _PoleData(varset, weight, blocks)
-    M = m if data.rest_block is None else m + depth
-    work = order + M
-    data.compute(varset, work)
-    num = data.inverse_power_numerator(varset, m, M, work, depth)
+    data.compute(varset, order, m if data.rest_block is None else m + depth)
+    num = data.inverse_power_numerator(m, depth)
     return LocalizedSeries(
-        num, [(data.form, M)], blocks, data.bounds_for(blocks, depth)
+        num, [(data.form, data.M)], blocks, data.bounds_for(blocks, depth)
     )
 
 
@@ -375,22 +420,20 @@ def _line_factor(
     if sg == 1:
         return LocalizedSeries(base, (), blocks)
     data = _PoleData(varset, weight, blocks)
-    M = cutoff + 1 + (0 if data.rest_block is None else depth)
-    work = order + M
-    data.compute(varset, work)
-    Wk = one_plus_pow(varset, weight, work)
+    data.compute(varset, order, cutoff + 1 + (0 if data.rest_block is None else depth))
+    Wk = one_plus_pow(varset, weight, order + data.M)
     total = TruncSeries.zero(varset, INF)
     spow = Poly.const(1)
     wpow = TruncSeries.const(varset, 1, INF)
     for k in range(cutoff + 1):
-        inv = data.inverse_power_numerator(varset, k + 1, M, work, depth)
+        inv = data.inverse_power_numerator(k + 1, depth)
         total = total + (wpow * inv).scale(spow * ((-1) ** (k + 1)))
         spow = (spow * s).truncate_degree(cutoff)
         if spow.is_zero():
             break
         wpow = wpow * Wk
     return LocalizedSeries(
-        total, [(data.form, M)], blocks, data.bounds_for(blocks, depth)
+        total, [(data.form, data.M)], blocks, data.bounds_for(blocks, depth)
     )
 
 
@@ -439,38 +482,31 @@ def wedge_minus_z(
         honest = all(sg == 1 for sg, _ in s.lines)
         kmax = min(cutoff, s.rank) if honest else cutoff
         pmax = max(0, kmax - s.rank)
-        if pmax == 0:
-            W = one_plus_pow(vs, w, order)
-            A = TruncSeries.const(vs, 1, INF) - W
-            num = TruncSeries.zero(vs, INF)
-            for k in range(kmax + 1):
-                vk = vee_k(s, k, cutoff)
-                if vk.is_zero() and k > 0:
-                    continue
-                num = num + (((W * (-1)) ** k) * (A ** (s.rank - k))).scale(vk)
-            out = out * LocalizedSeries(num, (), blocks)
-            continue
-        data = _PoleData(vs, w, blocks)
-        M = pmax + (0 if data.rest_block is None else depth)
+        data = _PoleData(vs, w, blocks) if pmax else None
+        M = 0 if data is None else pmax + (0 if data.rest_block is None else depth)
         work = order + M
-        data.compute(vs, work)
+        if data is not None:
+            data.compute(vs, order, M)
         W = one_plus_pow(vs, w, work)
-        A = TruncSeries.const(vs, 1, INF) - W
-        form_s = data.form.as_series(INF)
+        neg_w = _Powers(-W)
+        A = _Powers(TruncSeries.const(vs, 1, INF) - W)
         num = TruncSeries.zero(vs, INF)
         for k in range(kmax + 1):
             vk = vee_k(s, k, cutoff)
             if vk.is_zero() and k > 0:
                 continue
-            head = ((W * (-1)) ** k).scale(vk)
             m = s.rank - k
-            if m >= 0:
-                num = num + head * (A ** m) * (form_s ** M)
+            if m < 0:
+                inv = data.inverse_power_numerator(-m, depth)
+                num = num + (neg_w[k] * inv).scale(vk * (-1) ** -m)
+            elif data is None:
+                num = num + (neg_w[k] * A[m]).scale(vk)
             else:
-                inv = data.inverse_power_numerator(vs, -m, M, work, depth)
-                num = num + (head * inv).scale(Fraction((-1) ** (-m)))
-        factor = LocalizedSeries(
-            num, [(data.form, M)], blocks, data.bounds_for(blocks, depth)
-        )
-        out = out * factor
+                num = num + (neg_w[k] * A[m] * data.forms[M]).scale(vk)
+        if data is None:
+            out = out * LocalizedSeries(num, (), blocks)
+        else:
+            out = out * LocalizedSeries(
+                num, [(data.form, M)], blocks, data.bounds_for(blocks, depth)
+            )
     return out.map_coefficients(lambda p: p.truncate_degree(cutoff))

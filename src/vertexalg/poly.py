@@ -51,7 +51,10 @@ elements of such a ring, so every `TruncSeries` coefficient is a `Poly`
 and a rational coefficient is a constant one.  `sum_of_products` is the one
 general term-product loop: `Poly.__mul__` runs it on a single pair and a
 series product on all the coefficient pairs that meet at one exponent, so
-a series coefficient is summed in one integer accumulator.
+a series coefficient is summed in one integer accumulator.  (A series
+product whose coefficients are all constants needs no `Poly` product at
+all; see `TruncSeries`.)  A product by the constant 1 returns the other
+operand itself, which immutability makes safe.
 
 >>> x = Poly.variable("x")
 >>> y = Poly.variable("y")
@@ -303,17 +306,24 @@ class Poly:
                 return NotImplemented
             if not other:
                 return _make({}, 1)
+            if other == 1:
+                return self
             n, d = other.numerator, other.denominator
             return _make({m: c * n for m, c in self.terms.items()}, self.den * d)
         a, b = self.terms, other.terms
         if len(a) != 1 and len(b) != 1:
             return sum_of_products(((self, other),))
-        # one side is a single term, so no two products share a key
+        # one side is a single term, so no two products share a key; a
+        # side equal to 1 (key 0, numerator and den 1) returns the other
         if len(a) == 1:
             ((m1, c1),) = a.items()
+            if not m1 and c1 == 1 == self.den:
+                return other
             out = {m1 + m2: c1 * c2 for m2, c2 in b.items()}
         else:
             ((m2, c2),) = b.items()
+            if not m2 and c2 == 1 == other.den:
+                return self
             out = {m1 + m2: c1 * c2 for m1, c1 in a.items()}
         check_guards(out)
         return _make(out, self.den * other.den)

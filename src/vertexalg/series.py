@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -245,6 +245,13 @@ class TruncSeries:
     satisfy the bound and zero coefficients are never stored.  Every stored
     coefficient is a `Poly`: the constructor, `const` and `scale` take an
     int or a Fraction as a constant `Poly` and reject floats.
+
+    A product sums each output coefficient with `sum_of_products`, except
+    when every coefficient of both factors is a constant: then it is one
+    integer convolution (`_constant_product`) on packed exponents and
+    numerators over one denominator per side, with the same order and the
+    same canonical coefficients.  Forms, weight series and the exp or
+    inverse of such series all have constant coefficients.
     """
 
     __slots__ = ("varset", "order", "terms")
@@ -365,6 +372,11 @@ class TruncSeries:
             order = INF if not other.terms else self.order + min(
                 sum(e) for e in other.terms
             )
+        if _all_constant(self.terms) and _all_constant(other.terms):
+            r = TruncSeries.__new__(TruncSeries)
+            r.varset, r.order = self.varset, order
+            r.terms = _constant_product(self.terms, other.terms, order)
+            return r
         # the coefficient pairs that meet at each output exponent; each sum
         # of products is then one pass of the term-product loop
         pairs: Dict[Exponent, list] = {}
@@ -550,6 +562,58 @@ class TruncSeries:
             )
             bits.append("(%s)%s" % (c, "*" + mono if mono else ""))
         return " + ".join(bits)
+
+
+def _all_constant(terms: Mapping[Exponent, Poly]) -> bool:
+    return all(0 in c.terms and len(c.terms) == 1 for c in terms.values())
+
+
+def _constant_product(
+    a: Mapping[Exponent, Poly], b: Mapping[Exponent, Poly], order: Optional[int]
+) -> Dict[Exponent, Poly]:
+    """The terms of a product whose coefficients are all rational constants,
+    kept up to ``order``, as one integer convolution.
+
+    Each exponent is packed into one int with fields wide enough for the
+    largest output degree, so that exponents add as ints; each side goes
+    over one common denominator, so that coefficients multiply and add as
+    integer numerators; the right side is sorted by degree, so that the
+    first pair past the order ends a row.  Each output constant is made
+    once.
+    """
+    if not a or not b:
+        return {}
+    top = max(map(sum, a)) + max(map(sum, b))
+    width = max(top.bit_length(), 1)
+    shifts = [width * i for i in range(len(next(iter(a))))]
+
+    def packed(terms):
+        den = lcm(*(c.den for c in terms.values()))
+        return den, [
+            (sum(e), sum(x << s for x, s in zip(e, shifts)), c.terms[0] * (den // c.den))
+            for e, c in terms.items()
+        ]
+
+    den_a, left = packed(a)
+    den_b, right = packed(b)
+    right.sort()
+    limit = top if order is INF else order
+    acc: Dict[int, int] = {}
+    get = acc.get
+    for d1, k1, n1 in left:
+        room = limit - d1
+        for d2, k2, n2 in right:
+            if d2 > room:
+                break
+            k = k1 + k2
+            acc[k] = get(k, 0) + n1 * n2
+    den = den_a * den_b
+    mask = (1 << width) - 1
+    return {
+        tuple((k >> s) & mask for s in shifts): Poly.packed({0: n}, den)
+        for k, n in acc.items()
+        if n
+    }
 
 
 def series_invert_unit(a: TruncSeries) -> TruncSeries:
@@ -809,8 +873,13 @@ class LocalizedSeries:
         """Linear change of variables; denominator forms must stay nonzero.
 
         The expansion regime does not carry over (a substitution changes
-        which reading makes sense); re-expand afterwards if needed.
+        which reading makes sense); re-expand afterwards if needed.  A
+        series with a finite block bound raises ValueError, as in
+        :func:`iota_expand`: the bound is a net degree in the old
+        variables, which the new ones do not measure.
         """
+        if any(b is not None for b in self.block_bounds):
+            raise ValueError("block bounds do not carry over to another regime")
         num = self.num.substitute_linear(target, mapping)
         den: List[Tuple[LinearForm, int]] = []
         scale = Fraction(1)

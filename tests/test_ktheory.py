@@ -307,6 +307,19 @@ class TestWedgeSeries:
         assert series_equal(a, b)
         assert not series_equal(a, b + one_on(XY, KBLOCKS))
 
+    def test_routes_agree_negative_spanning(self):
+        # the weight (1, -1) makes W_lead^j R^j a truncated series, which
+        # takes the inverse powers' factors in formula order: grouping
+        # qinv^n form^(M-n) first would lower the line route's order to 7
+        E = KClass(
+            X, {(1,): Summand(-1, None, [(-1, Poly())])}, 4
+        ).pullback_weights([[1], [-1]], XY)
+        a = wedge_minus_z(E, 2, 2, blocks=KBLOCKS, depth=2)
+        b = wedge_minus_z(E, 2, 2, blocks=KBLOCKS, by_lines=True, depth=2)
+        assert b.num.order == 9
+        assert series_equal(a, b)
+        assert not series_equal(a, b + one_on(XY, KBLOCKS))
+
     def test_inverse_law(self):
         # the negated class has two virtual summands, so its pole degree is
         # twice the per-factor numerator slack; the order must cover that
@@ -394,6 +407,38 @@ class TestMultiplicativeSwap:
         assert series_equal(lhs, rhs)
         assert_golden("swap_multiplicative_virtual", E, lhs, rhs)
         assert not series_equal(lhs, rhs + one_on(XY, KBLOCKS))
+
+    def test_pole_paths_build_powers_by_tables(self, monkeypatch):
+        """Every power on the pole paths comes from a table that grows by
+        one product per power: `TruncSeries.__pow__` is never called."""
+        E = KClass(
+            X,
+            {
+                (1,): Summand(1, None, [(1, U)]),
+                (2,): Summand(-1, None, [(-1, U * 2 + U * U)]),
+            },
+            5,
+        )
+        classes = [E.pullback_weights(lift, XY) for lift in ([[1], [0]], [[1], [1]])]
+
+        def run():
+            out = [
+                wedge_minus_z(F, 3, 5, KBLOCKS, by_lines=by_lines, depth=3)
+                for F in classes
+                for by_lines in (False, True)
+            ]
+            out.append(geom_inverse(XY, (1, 1), 2, 4, blocks=KBLOCKS))
+            return [(x.num, x.den, x.block_bounds) for x in out]
+
+        expected = run()
+
+        def forbidden(*args):
+            raise AssertionError("a power went through TruncSeries.__pow__")
+
+        monkeypatch.setattr(TruncSeries, "__pow__", forbidden)
+        got = run()
+        monkeypatch.undo()
+        assert got == expected
 
     def test_weight_inconsistent_data_breaks_it(self):
         # the canonical line's parameter carries weight one; declaring it

@@ -207,12 +207,46 @@ def test_benchmark_contract():
         "translation_axiom", "twisted_module", "twisted_lie_identity",
     )
     for module, names in (
+        (ktheory, ("wedge_minus_z", "mult_translate_series", "k_contract")),
         (series, ("iota_expand", "residue", "series_exp", "series_invert_unit")),
         (structures, ("nested_product", "compare_series") + tuple("check_" + c for c in checks)),
     ):
         for name in names:
             f = module.__dict__[name]
             assert isinstance(f, FunctionType) and f.__module__ == module.__name__, name
+
+
+def test_constant_series_products_count_as_series_mul(monkeypatch):
+    """The benchmark counts ``series.mul`` by wrapping
+    ``TruncSeries.__mul__``; a product of constant-coefficient series takes
+    its integer convolution inside that method, so each one is counted."""
+    calls = []
+    original = TruncSeries.__dict__["__mul__"]
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    zw = series.VarSet(("z", "w"))
+    a = TruncSeries(zw, 4, {(0, 0): 1, (1, 0): Fraction(1, 3), (0, 1): -2})
+    b = TruncSeries(zw, None, {(0, 0): Fraction(1, 2), (1, 1): 5})
+    assert (a * b).terms == {
+        (0, 0): Fraction(1, 2), (1, 0): Fraction(1, 6), (0, 1): -1,
+        (1, 1): 5, (2, 1): Fraction(5, 3), (1, 2): -10,
+    }
+    assert len(calls) == 1
+    a ** 3  # 1 * a, a * a, then a * a^2
+    assert len(calls) == 4
+
+
+def test_product_by_one_returns_the_other_operand():
+    p = (x / 3 + y) ** 2
+    one = Poly.const(1)
+    assert one * p is p
+    assert p * one is p
+    assert p * 1 is p
+    assert Poly.const(Fraction(1, 2)) * p == p / 2
 
 
 # -- substitution works on packed keys --------------------------------------------

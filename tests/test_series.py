@@ -2,12 +2,14 @@
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexalg.poly import Poly, poly_to_obj
+from vertexalg import series
+from vertexalg.poly import Poly, poly_to_obj, sum_of_products
 from vertexalg.series import (
     INF,
     LinearForm,
@@ -322,6 +324,23 @@ class TestSubstitution:
         with pytest.raises(ValueError):
             x.substitute_linear(u, {"z": {"u": 1}, "w": {"u": 1}})
 
+    def test_block_bounds_rejected(self):
+        # y, the trunc-1 expansion of 1/(z + w), is exact only to w-degree
+        # 1; the residue of y/(z - w) at z = w would read 0, where the
+        # exact 1/((z - w)(z + w)) has residue 1/(2w)
+        x = LocalizedSeries.one(ZW, 12).with_denominator(form(ZW, z=1, w=1))
+        y = iota_expand(x, (("z",), ("w",)), trunc=1)
+        assert y.block_bounds == (None, 1)
+        with pytest.raises(ValueError):
+            y.substitute_linear(ZW, {"z": {"z": 1}, "w": {"w": 1}})
+        with pytest.raises(ValueError):
+            residue(y.with_denominator(form(ZW, z=1, w=-1)), "z", "w", trunc=8)
+        exact = residue(x.with_denominator(form(ZW, z=1, w=-1)), "z", "w", trunc=8)
+        w = VarSet(("w",))
+        half = LocalizedSeries(TruncSeries(w, 8, {(0,): Fraction(1, 2)}))
+        assert series_equal(exact, half.with_denominator(form(w, w=1)))
+        assert not series_equal(exact, LocalizedSeries.zero(w, 8))
+
 
 class TestRepr:
     def test_truncated_series(self):
@@ -544,6 +563,57 @@ def prop_mul_matches_per_pair_loop(ta, oa, tb, ob):
         assert got.terms == terms
         assert got.order == order
         assert all(type(c) is Poly for c in got.terms.values())
+
+
+@st.composite
+def constant_series_pairs(draw):
+    """Two series of rational constants over 1-3 variables, exact or
+    truncated, with denominators up to 12 and small numerators, so that
+    products often cancel."""
+    n = draw(st.integers(1, 3))
+    varset = VarSet(("z", "w", "v")[:n])
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coefs = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+    a, b = (
+        TruncSeries(varset, draw(orders), draw(st.dictionaries(exps, coefs, max_size=6)))
+        for _ in range(2)
+    )
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(constant_series_pairs())
+def prop_constant_path_matches_general(ab):
+    a, b = ab
+    for x, y in ((a, b), (a, -a), (a, a - b), (b, a + b)):
+        got = x * y
+        with mock.patch.object(series, "_all_constant", lambda terms: False):
+            general = x * y
+        assert got == general
+        assert all(type(c) is Poly and set(c.terms) == {0} for c in got.terms.values())
+
+
+def test_prop_constant_path_matches_general():
+    prop_constant_path_matches_general()
+
+
+def test_non_constant_coefficient_takes_the_general_loop(monkeypatch):
+    """Constant operands are one integer convolution; one non-constant
+    coefficient sends the whole product through `sum_of_products`."""
+    a = TruncSeries(ZW, INF, {(0, 0): 1, (1, 0): Fraction(1, 2)})
+    calls = []
+
+    def counting(pairs):
+        calls.append(1)
+        return sum_of_products(pairs)
+
+    monkeypatch.setattr(series, "sum_of_products", counting)
+    constant = a * TruncSeries(ZW, INF, {(0, 0): 3, (1, 0): 1})
+    assert not calls
+    assert constant.terms == {(0, 0): 3, (1, 0): Fraction(5, 2), (2, 0): Fraction(1, 2)}
+    mixed = a * TruncSeries(ZW, INF, {(0, 0): S, (1, 0): 1})
+    assert calls
+    assert mixed.terms == {(0, 0): S, (1, 0): 1 + S / 2, (2, 0): Poly.const(Fraction(1, 2))}
 
 
 def test_mul_cancels_to_zero():
