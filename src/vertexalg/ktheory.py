@@ -18,16 +18,16 @@ coordinates x = z - 1, where a line of weight lambda contributes
 inverted factors being expanded with poles along the hyperplane that the
 leading part of (1+x)^lambda - 1 exactly divides by.
 
-No power on these paths goes through `TruncSeries.__pow__`.  A `_Powers`
-table holds base^0, base^1, ... and grows by one product per new power;
-`_PoleData` keeps one each for the inverse unit qinv of the pole, the pole
-form, W_lead and R = (1+x)^w_rest - 1, and makes the products
-W_lead^j R^j and qinv^n form^(M-n) once per j and per n, so every inverse
-power of one weight shares them.  `wedge_minus_z` keeps tables of -W and
-A = 1 - W per weight.  The interpolation class v_k, a polynomial in u,
-multiplies a term only after its series products, so those products stay
-on rational coefficients, which `TruncSeries.__mul__` multiplies as one
-integer convolution.
+Poles go through `series.expand_poles` once per weight, on
+A = 1 - (1+x)^w at its top power P: there F + B splits A into its terms on
+the leading block and the rest, and F into the pole form and a unit.  The
+lower inverse powers A^(-p) are that numerator times A^(P-p), one product
+with A per step, over the same denominator; numerator terms past the
+block bounds are dropped at each step.  Every other power comes from a
+table that grows by one product per power.  The interpolation class v_k,
+a polynomial in u, multiplies a term only after its series products, so
+those products stay on rational coefficients, which
+`TruncSeries.__mul__` multiplies as one integer convolution.
 
 The translation operator D(z) is the multiplicative convolution
 
@@ -40,7 +40,7 @@ zw - 1 = x + y + xy.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charclass import KClass, Summand
@@ -48,14 +48,15 @@ from .homology import cap_with, contract_with, field_lowering
 from .poly import FIELD_MASK, MAX_EXP, Poly, key_fields, shift_name, var_shift
 from .series import (
     INF,
-    LinearForm,
     LocalizedSeries,
     TruncSeries,
     VarSet,
+    _Powers,
+    _within_bounds,
+    expand_poles,
     normalize_blocks,
     series_invert_unit,
     trivial_blocks,
-    try_divide_by_form,
 )
 
 
@@ -90,23 +91,6 @@ def one_plus_pow(varset: VarSet, weight: Sequence[int], order) -> TruncSeries:
             terms[tuple(e)] = gbinom(w, j)
         out = out * TruncSeries(varset, INF if w >= 0 else order, terms)
     return out
-
-
-class _Powers:
-    """base ** n for n = 0, 1, 2, ..., each new power one product with the
-    last; entry 0 is 1 at the base's order, as `TruncSeries.__pow__` has it."""
-
-    __slots__ = ("base", "table")
-
-    def __init__(self, base: TruncSeries):
-        self.base = base
-        self.table = [TruncSeries.const(base.varset, 1, base.order)]
-
-    def __getitem__(self, n: int) -> TruncSeries:
-        table = self.table
-        while len(table) <= n:
-            table.append(table[-1] * self.base)
-        return table[n]
 
 
 # -- the polynomial K-homology model ----------------------------------------------
@@ -248,156 +232,31 @@ def vee_k(summand: Summand, k: int, cutoff: int) -> Poly:
     return out.truncate_degree(cutoff)
 
 
-def _pole_factor(
-    varset: VarSet, weight: Sequence[int], order: int
-) -> Tuple[LinearForm, TruncSeries]:
-    """Split (1+x)^w - 1 as form * unit, or fail for unsupported loci.
+def _weight_poles(
+    varset: VarSet, weight: Sequence[int], P: int, order: int, blocks, depth: int
+) -> Tuple[TruncSeries, TruncSeries, List[LocalizedSeries]]:
+    """W = (1+x)^w, A = 1 - W and the list of A^(-P), A^(-P+1), ..., A^(-1).
 
-    The form is primitive; any content of the weight vector goes into the
-    unit (the constant of (1+x)^(2w) - 1 divided by x is 2w).
+    A^(-P) is `expand_poles` of A, and each next entry the last times A,
+    all over A^(-P)'s denominator form^D: D = P, plus ``depth`` when the
+    weight spans blocks.  Numerator terms past the block bounds are
+    dropped from each entry.  On an exact A the numerator of A^(-p) is
+    exact to at least order + 2D - p: A^(-P) is worked to order + 2D - P
+    and each product with A adds one.  A truncated A adds nothing per
+    product, so A^(-P) is worked to order + D + P - 1 at once.
     """
-    w = one_plus_pow(varset, weight, order + 1)
-    shifted = w - TruncSeries.const(varset, 1, INF)
-    g = 0
-    for c in weight:
-        g = gcd(g, abs(c))
-    form, _ = LinearForm.make(
-        varset, {varset.names[i]: c // g for i, c in enumerate(weight) if c}
-    )
-    q = try_divide_by_form(shifted.truncate(order + 1), form)
-    if q is None or not q.constant_term():
-        raise NotImplementedError(
-            "pole of weight %r is not along a linear hyperplane" % (weight,)
-        )
-    return form, q
-
-
-class _PoleData:
-    """Split of a weight for expanding poles along (1+x)^w = 1 blockwise.
-
-    The earliest block meeting the support is dominant; (1+x)^w - 1 is
-    F + W_lead (W_rest - 1) with F = form * unit over the lead block, and
-    inverse powers expand binomially in (W_rest - 1)/F.  The subordinate
-    part must sit in a single block (rest_block, None when absent).
-    """
-
-    __slots__ = (
-        "w_lead", "w_rest", "rest_block", "M", "form", "forms", "qinv", "cleared",
-        "wlead", "R", "lead_rest",
-    )
-
-    def __init__(self, varset: VarSet, weight: Sequence[int], blocks):
-        support = [i for i, c in enumerate(weight) if c]
-        if not support:
-            raise ValueError("zero weight has no pole to expand")
-        lead = next(
-            bi for bi, block in enumerate(blocks)
-            if any(varset.names[i] in block for i in support)
-        )
-        self.w_lead = tuple(
-            c if varset.names[i] in blocks[lead] else 0
-            for i, c in enumerate(weight)
-        )
-        self.w_rest = tuple(a - b for a, b in zip(weight, self.w_lead))
-        rest = {
-            bi
-            for i, c in enumerate(self.w_rest) if c
-            for bi, block in enumerate(blocks) if varset.names[i] in block
-        }
-        if len(rest) > 1:
-            raise NotImplementedError(
-                "subordinate part of weight %r spans several blocks" % (weight,)
-            )
-        self.rest_block = rest.pop() if rest else None
-
-    def compute(self, varset: VarSet, order: int, M: int):
-        """Split the pole for numerators over form^M that are exact to
-        ``order``; the split itself is worked to order + M."""
-        work = order + M
-        self.M = M
-        self.form, q = _pole_factor(varset, self.w_lead, work)
-        self.forms = _Powers(self.form.as_series(INF))
-        self.qinv = _Powers(series_invert_unit(q))
-        self.cleared: Dict[int, TruncSeries] = {}
-        self.lead_rest: List[TruncSeries] = [TruncSeries.const(varset, 1, INF)]
-        if self.rest_block is None:
-            self.wlead = self.R = None
-        else:
-            self.wlead = _Powers(one_plus_pow(varset, self.w_lead, work))
-            self.R = _Powers(
-                one_plus_pow(varset, self.w_rest, work)
-                - TruncSeries.const(varset, 1, INF)
-            )
-
-    def bounds_for(self, blocks, depth: int):
-        out = [None] * len(blocks)
-        if self.rest_block is not None:
-            out[self.rest_block] = depth
-        return tuple(out)
-
-    def _cleared(self, n: int) -> TruncSeries:
-        """qinv^n form^(M-n), made once per n."""
-        out = self.cleared.get(n)
-        if out is None:
-            out = self.cleared[n] = self.qinv[n] * self.forms[self.M - n]
-        return out
-
-    def inverse_power_numerator(self, p: int, depth: int) -> TruncSeries:
-        """Numerator of ((1+x)^w - 1)^(-p) over the shared denominator form^M,
-        for p >= 1: the sum over j <= depth of
-        binom(-p, j) W_lead^j R^j qinv^(p+j) form^(M-p-j)."""
-        total = self._cleared(p)
-        if self.R is None:
-            return total
-        lead_rest = self.lead_rest
-        for j in range(1, depth + 1):
-            if len(lead_rest) == j:
-                r_pow = self.R[j]
-                if r_pow.is_zero():
-                    break
-                lead_rest.append(self.wlead[j] * r_pow)
-            lead = lead_rest[j]
-            if lead.order is INF:
-                part = lead * self._cleared(p + j)
-            else:
-                # a truncated W_lead^j R^j (from a negative weight) takes
-                # its factors one at a time: between truncated factors the
-                # order a product claims depends on the grouping, and the
-                # cached grouping would claim a lower one
-                part = lead * self.qinv[p + j] * self.forms[self.M - p - j]
-            total = total + part.scale(gbinom(-p, j))
-        return total
-
-
-def geom_inverse(
-    varset: VarSet,
-    weight: Sequence[int],
-    m: int,
-    order: int,
-    blocks=None,
-    depth: Optional[int] = None,
-) -> LocalizedSeries:
-    """((1+x)^w - 1)^(-m) as a localized series, exact to net degree ``order``.
-
-    A weight spanning several blocks is read with its earliest block
-    dominant; the result then carries a net bound of ``depth`` (default
-    ``order``) on the subordinate block.
-    """
-    if m < 0:
-        raise ValueError("geom_inverse expects a nonnegative multiplicity")
-    blocks = (
-        trivial_blocks(varset) if blocks is None else normalize_blocks(varset, blocks)
-    )
-    if depth is None:
-        depth = order
-    if m == 0:
-        return LocalizedSeries(TruncSeries.const(varset, 1, INF), (), blocks)
-    data = _PoleData(varset, weight, blocks)
-    data.compute(varset, order, m if data.rest_block is None else m + depth)
-    num = data.inverse_power_numerator(m, depth)
-    return LocalizedSeries(
-        num, [(data.form, data.M)], blocks, data.bounds_for(blocks, depth)
-    )
+    spans = sum(any(weight[varset.index(n)] for n in block) for block in blocks) > 1
+    D = P + (depth if spans else 0)
+    exact = min(weight) >= 0
+    top = order + 2 * D - P if exact else order + D + P - 1
+    W = one_plus_pow(varset, weight, top + 1)
+    A = TruncSeries.const(varset, 1, INF) - W
+    one = TruncSeries.const(varset, 1, top)
+    chain = [_within_bounds(expand_poles(one, [(A, P)], blocks, depth))]
+    a = LocalizedSeries(A, (), blocks)
+    for _ in range(P - 1):
+        chain.append(_within_bounds(chain[-1] * a))
+    return W, A, chain
 
 
 def _line_factor(
@@ -412,29 +271,27 @@ def _line_factor(
 ) -> LocalizedSeries:
     """One signed line's wedge factor 1 - (1+x)^w (1+s), or its inverse.
 
-    The inverse expands as sum_k (1+x)^(wk) s^k ((1+x)^w - 1)^(-(k+1))
-    with a sign, a finite sum since s is nilpotent modulo the cutoff.
+    With A = 1 - (1+x)^w the inverse expands as
+    sum_k (1+x)^(wk) s^k A^(-(k+1)), a finite sum since s is nilpotent
+    modulo the cutoff.
     """
-    W = one_plus_pow(varset, weight, order)
-    base = TruncSeries.const(varset, 1, INF) - W - W.scale(s)
     if sg == 1:
-        return LocalizedSeries(base, (), blocks)
-    data = _PoleData(varset, weight, blocks)
-    data.compute(varset, order, cutoff + 1 + (0 if data.rest_block is None else depth))
-    Wk = one_plus_pow(varset, weight, order + data.M)
+        W = one_plus_pow(varset, weight, order)
+        return LocalizedSeries(
+            TruncSeries.const(varset, 1, INF) - W - W.scale(s), (), blocks
+        )
+    W, _, chain = _weight_poles(varset, weight, cutoff + 1, order, blocks, depth)
     total = TruncSeries.zero(varset, INF)
     spow = Poly.const(1)
     wpow = TruncSeries.const(varset, 1, INF)
-    for k in range(cutoff + 1):
-        inv = data.inverse_power_numerator(k + 1, depth)
-        total = total + (wpow * inv).scale(spow * ((-1) ** (k + 1)))
+    for inv in reversed(chain):
+        total = total + (wpow * inv.num).scale(spow)
         spow = (spow * s).truncate_degree(cutoff)
         if spow.is_zero():
             break
-        wpow = wpow * Wk
-    return LocalizedSeries(
-        total, [(data.form, data.M)], blocks, data.bounds_for(blocks, depth)
-    )
+        wpow = wpow * W
+    top = chain[0]
+    return _within_bounds(LocalizedSeries(total, top.den, blocks, top.block_bounds))
 
 
 def wedge_minus_z(
@@ -481,15 +338,18 @@ def wedge_minus_z(
             continue
         honest = all(sg == 1 for sg, _ in s.lines)
         kmax = min(cutoff, s.rank) if honest else cutoff
-        pmax = max(0, kmax - s.rank)
-        data = _PoleData(vs, w, blocks) if pmax else None
-        M = 0 if data is None else pmax + (0 if data.rest_block is None else depth)
-        work = order + M
-        if data is not None:
-            data.compute(vs, order, M)
-        W = one_plus_pow(vs, w, work)
+        P = max(0, kmax - s.rank)
+        if P:
+            W, A, chain = _weight_poles(vs, w, P, order, blocks, depth)
+            den, bounds = chain[0].den, chain[0].block_bounds
+            form, D = den[0]
+            cleared = _Powers(form.as_series(INF))[D]
+        else:
+            W = one_plus_pow(vs, w, order)
+            A = TruncSeries.const(vs, 1, INF) - W
+            den, bounds = (), None
         neg_w = _Powers(-W)
-        A = _Powers(TruncSeries.const(vs, 1, INF) - W)
+        A = _Powers(A)
         num = TruncSeries.zero(vs, INF)
         for k in range(kmax + 1):
             vk = vee_k(s, k, cutoff)
@@ -497,16 +357,11 @@ def wedge_minus_z(
                 continue
             m = s.rank - k
             if m < 0:
-                inv = data.inverse_power_numerator(-m, depth)
-                num = num + (neg_w[k] * inv).scale(vk * (-1) ** -m)
-            elif data is None:
-                num = num + (neg_w[k] * A[m]).scale(vk)
+                term = neg_w[k] * chain[P + m].num
+            elif P:
+                term = neg_w[k] * A[m] * cleared
             else:
-                num = num + (neg_w[k] * A[m] * data.forms[M]).scale(vk)
-        if data is None:
-            out = out * LocalizedSeries(num, (), blocks)
-        else:
-            out = out * LocalizedSeries(
-                num, [(data.form, M)], blocks, data.bounds_for(blocks, depth)
-            )
+                term = neg_w[k] * A[m]
+            num = num + term.scale(vk)
+        out = out * _within_bounds(LocalizedSeries(num, den, blocks, bounds))
     return out.map_coefficients(lambda p: p.truncate_degree(cutoff))

@@ -14,10 +14,12 @@ exact-rational polynomials, `Poly`; a rational coefficient is a constant
   of forms like z, z - w, z + w, 2z.
 * iterated Laurent rings R((B_1))((B_2))... for an ordered partition of the
   variables into blocks.  :func:`expand_poles` is the one expansion into
-  them: a denominator that is a form on a single block times a unit stays
-  in the denominator (it is invertible in that block's local ring), and any
-  other is expanded as a geometric series over its earliest block, which is
-  treated as dominant.  :func:`iota_expand` is that expansion of a
+  them, for the additive and the multiplicative coordinate law alike: a
+  denominator that is a form on a single block times a unit stays in the
+  denominator (it is invertible in that block's local ring), and any other
+  is split as F + B, its terms on its earliest block, which is treated as
+  dominant, and the rest; F is a form times a unit q, and the inverse is
+  a geometric series in B / F.  :func:`iota_expand` is that expansion of a
   localized series followed by the filter to each block's net-degree bound.
 
 Equality of localized series is decided by clearing denominators and
@@ -616,6 +618,23 @@ def _constant_product(
     }
 
 
+class _Powers:
+    """base ** n for n = 0, 1, 2, ..., each new power one product with the
+    last; entry 0 is 1 at the base's order, as `TruncSeries.__pow__` has it."""
+
+    __slots__ = ("base", "table")
+
+    def __init__(self, base: TruncSeries):
+        self.base = base
+        self.table = [TruncSeries.const(base.varset, 1, base.order)]
+
+    def __getitem__(self, n: int) -> TruncSeries:
+        table = self.table
+        while len(table) <= n:
+            table.append(table[-1] * self.base)
+        return table[n]
+
+
 def series_invert_unit(a: TruncSeries) -> TruncSeries:
     """Inverse of a series whose constant term is a nonzero rational."""
     if a.order is INF:
@@ -974,30 +993,48 @@ def expand_poles(
 ) -> LocalizedSeries:
     """The iterated Laurent expansion of num / prod(f ** mult) over dens.
 
-    Each denominator f is a series over ``num.varset``.  When f's linear
-    part lies in its leading block and f is that primitive form times a
-    unit, the form stays in the denominator and the unit's inverse, to
-    the numerator's order (trunc for an exact numerator), goes into the
-    numerator; a unit of exactly 1 multiplies nothing.  Otherwise
-    f = s*A + B with A the primitive leading-block part of its linear
-    part, and
+    Each denominator f is a series over ``num.varset`` whose linear part
+    names its leading block, the earliest block it touches.  When that
+    linear part lies in the leading block and f is its primitive form
+    times a unit, the form stays in the denominator and the unit's
+    inverse goes into the numerator: exact for a constant unit, else to
+    the numerator's order (trunc for an exact numerator); a unit of
+    exactly 1 multiplies nothing.
+    Otherwise f = F + B, with F the terms of f on the leading block alone
+    and B the rest, every term of which must reach a later block.  With
+    F = A * q for A primitive and q a unit,
 
-        1/(sA + B)^m = sum_k binom(-m, k) s^(-m-k) B^k A^(-m-k)
+        1/f^m = sum_k binom(-m, k) B^k q^(-m-k) A^(-m-k)
 
-    is cleared over A^(m+depth), summing k <= depth.  The depth is trunc
-    plus the multiplicity of the kept forms on non-leading blocks, so that
-    a term divided by such a form is still exact up to net degree trunc;
+    is cleared over A^(m+depth), summing k <= depth; a constant q is the
+    scalar s of the additive law, f = s*A + B.  The depth is trunc plus
+    the multiplicity of the kept forms on non-leading blocks, so that a
+    term divided by such a form is still exact up to net degree trunc;
     the blocks after the leading one get that net bound.
+
+    A multiplicative pole, (1+z)^2 (1+w) - 1 = (2z + z^2) + (1+z)^2 w:
+
+    >>> zw = VarSet(("z", "w"))
+    >>> f = TruncSeries(
+    ...     zw, INF, {(1, 0): 2, (2, 0): 1, (0, 1): 1, (1, 1): 2, (2, 1): 1}
+    ... )
+    >>> y = expand_poles(TruncSeries.const(zw, 1, 6), [(f, 1)], (("z",), ("w",)), 2)
+    >>> y.den, y.block_bounds
+    (((z, 3),), (None, 2))
+    >>> one = LocalizedSeries(TruncSeries.const(zw, 1), (), y.blocks)
+    >>> series_equal(y * LocalizedSeries(f, (), y.blocks), one)
+    True
     """
     varset = num.varset
     blocks = normalize_blocks(varset, blocks)
     work = num.order if num.order is not INF else trunc
     bidx = [[varset.index(n) for n in b] for b in blocks]
     one = {varset.zero_exponent(): Poly.const(1)}
-    den: List[Tuple[LinearForm, int]] = []
     kept_later = 0
-    spanning = []  # (A, mult, s, B, lead block)
+    poles = []  # (form, mult, q, B, lead block); B is None for a kept form
     for f, mult in dens:
+        if mult < 0:
+            raise ValueError("negative pole multiplicity")
         lin = [Fraction(0)] * len(varset)
         for e, c in f.terms.items():
             if sum(e) == 1:
@@ -1009,43 +1046,58 @@ def expand_poles(
         lin = [int(c) for c in lin]
         lead = next(bi for bi, idxs in enumerate(bidx) if any(lin[i] for i in idxs))
         lead_vec = [lin[i] if i in bidx[lead] else 0 for i in range(len(varset))]
+        form, _, _ = LinearForm.make_scaled(varset, lead_vec)
         if lead_vec == lin:
-            form, _, _ = LinearForm.make_scaled(varset, lin)
             q = try_divide_by_form(f, form)
             if q is not None and q.constant_term():
-                if q.terms != one:
-                    num = num * series_invert_unit((q ** mult).truncate(work))
-                den.append((form, mult))
+                poles.append((form, mult, q, None, lead))
                 kept_later += mult if lead else 0
                 continue
-        form, sign, content = LinearForm.make_scaled(varset, lead_vec)
-        s = Fraction(sign * content)
-        b = f - form.as_series(INF).scale(s)
-        for e in b.terms:
-            if sum(e[i] for idxs in bidx[lead + 1 :] for i in idxs) < 1:
+        outside = [i for i in range(len(varset)) if i not in bidx[lead]]
+        later = [i for idxs in bidx[lead + 1 :] for i in idxs]
+        lead_part, b = {}, {}
+        for e, c in f.terms.items():
+            if not any(e[i] for i in outside):
+                lead_part[e] = c
+            elif any(e[i] for i in later):
+                b[e] = c
+            else:
                 raise NotImplementedError(
                     "denominator %r does not expand over block %d" % (f, lead)
                 )
-        spanning.append((form, mult, s, b, lead))
+        q = try_divide_by_form(TruncSeries(varset, f.order, lead_part), form)
+        if q is None or not q.constant_term():
+            raise NotImplementedError(
+                "denominator %r is not a form times a unit on block %d" % (f, lead)
+            )
+        poles.append((form, mult, q, TruncSeries(varset, f.order, b), lead))
     depth = trunc + kept_later
+    den: List[Tuple[LinearForm, int]] = []
     bounds: List[Optional[int]] = [None] * len(blocks)
-    for form, mult, s, b, lead in spanning:
-        a_series = form.as_series(INF)
+    for form, mult, q, b, lead in poles:
+        reach = 0 if b is None else depth
+        den.append((form, mult + reach))
+        if b is not None:
+            bounds[lead + 1 :] = [trunc] * (len(blocks) - lead - 1)
+        elif q.terms == one:
+            continue
+        if q.terms.keys() == one.keys() and _all_constant(q.terms):
+            qinv = TruncSeries.const(varset, 1 / q.constant_term().constant_term())
+        else:
+            qinv = series_invert_unit(q.truncate(work))
+        qinv, forms = _Powers(qinv), _Powers(form.as_series(INF))
         acc = TruncSeries.zero(varset, INF)
         coef = 1
         b_pow = TruncSeries.const(varset, 1, INF)
-        for k in range(depth + 1):
+        for k in range(reach + 1):
             if k:
                 coef = coef * (mult + k - 1) // k
                 b_pow = b_pow * b
                 if b_pow.is_zero():
                     break
-            factor = Fraction((-1) ** k * coef) * s ** (-mult - k)
-            acc = acc + (b_pow * (a_series ** (depth - k))).scale(factor)
+            term = b_pow * forms[reach - k] * qinv[mult + k]
+            acc = acc + term.scale((-1) ** k * coef)
         num = num * acc
-        den.append((form, mult + depth))
-        for bi in range(lead + 1, len(blocks)):
-            bounds[bi] = trunc
     return LocalizedSeries(num, den, blocks, bounds)
 
 

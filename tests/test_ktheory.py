@@ -11,7 +11,6 @@ from vertexalg.charclass import KClass, Summand
 from vertexalg.ktheory import (
     exterior_powers,
     gbinom,
-    geom_inverse,
     k_cap,
     k_contract,
     mult_translate,
@@ -23,9 +22,11 @@ from vertexalg.ktheory import (
 from vertexalg.poly import Poly
 from vertexalg.series import (
     INF,
+    LinearForm,
     LocalizedSeries,
     TruncSeries,
     VarSet,
+    expand_poles,
     iota_expand,
     series_equal,
 )
@@ -185,30 +186,40 @@ class TestLambdaClasses:
         assert w[3] == Poly()
 
 
+def pole_inverse(varset, weight, m, order, blocks=None):
+    """((1+x)^w - 1)^(-m) by `expand_poles`, for a nonnegative weight; a
+    weight spanning blocks is expanded ``order`` deep."""
+    f = one_plus_pow(varset, weight, INF) - TruncSeries.const(varset, 1, INF)
+    num = TruncSeries.const(varset, 1, 2 * order + m)
+    return expand_poles(num, [(f, m)], blocks or (varset.names,), order)
+
+
 class TestGeomInverse:
+    """Inverse powers of the multiplicative pole (1+x)^w - 1."""
+
     def test_inverts_single_weight(self):
-        gi = geom_inverse(X, (1,), 2, 5)
+        gi = pole_inverse(X, (1,), 2, 5)
         w = one_plus_pow(X, (1,), 6) - TruncSeries.const(X, 1, INF)
         prod = gi * LocalizedSeries(w * w, (), gi.blocks)
         assert series_equal(prod, one_on(X))
         assert not series_equal(prod, one_on(X) + one_on(X))
 
     def test_inverts_content_weight(self):
-        gi = geom_inverse(X, (2,), 1, 4)
+        gi = pole_inverse(X, (2,), 1, 4)
         w = one_plus_pow(X, (2,), 6) - TruncSeries.const(X, 1, INF)
         assert series_equal(gi * LocalizedSeries(w, (), gi.blocks), one_on(X))
 
     def test_inverts_spanning_weight(self):
-        gi = geom_inverse(XY, (1, 1), 1, 4, blocks=KBLOCKS)
+        gi = pole_inverse(XY, (1, 1), 1, 4, blocks=KBLOCKS)
         w = one_plus_pow(XY, (1, 1), INF) - TruncSeries.const(XY, 1, INF)
         prod = gi * LocalizedSeries(w, (), KBLOCKS)
         assert series_equal(prod, one_on(XY, KBLOCKS))
         assert not series_equal(prod, one_on(XY, KBLOCKS).scale(2))
 
     def test_trivial_and_invalid_multiplicity(self):
-        assert series_equal(geom_inverse(X, (1,), 0, 3), one_on(X))
+        assert series_equal(pole_inverse(X, (1,), 0, 3), one_on(X))
         with pytest.raises(ValueError):
-            geom_inverse(X, (1,), -1, 3)
+            pole_inverse(X, (1,), -1, 3)
 
 
 def line_class(weight, s, sign=1, depth=5):
@@ -308,15 +319,73 @@ class TestWedgeSeries:
         assert not series_equal(a, b + one_on(XY, KBLOCKS))
 
     def test_routes_agree_negative_spanning(self):
-        # the weight (1, -1) makes W_lead^j R^j a truncated series, which
-        # takes the inverse powers' factors in formula order: grouping
-        # qinv^n form^(M-n) first would lower the line route's order to 7
+        # a negative weight makes A = 1 - (1+x)^w a truncated series, so a
+        # product with A claims no more than the other factor's order; the
+        # line route must still claim the orders pinned here
+        cases = [
+            (
+                KClass(X, {(1,): Summand(-1, None, [(-1, Poly())])}, 4),
+                [[1], [-1]], 2, 2, 2, 9,
+            ),
+            (
+                KClass(
+                    X,
+                    {
+                        (1,): Summand(1, None, [(1, U + U * U)]),
+                        (-1,): Summand(-1, None, [(-1, Poly())]),
+                    },
+                    4,
+                ),
+                [[2], [1]], 1, 2, 1, 7,
+            ),
+        ]
+        for base, lift, order, cutoff, depth, claim in cases:
+            E = base.pullback_weights(lift, XY)
+            a = wedge_minus_z(E, order, cutoff, blocks=KBLOCKS, depth=depth)
+            b = wedge_minus_z(
+                E, order, cutoff, blocks=KBLOCKS, by_lines=True, depth=depth
+            )
+            assert b.num.order == claim
+            assert series_equal(a, b)
+            assert not series_equal(a, b + one_on(XY, KBLOCKS))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-2, -1, 1, 2]),
+                st.lists(
+                    st.tuples(st.sampled_from([1, -1]), st.integers(-2, 2)),
+                    min_size=1,
+                    max_size=2,
+                ),
+            ),
+            min_size=1,
+            max_size=2,
+            unique_by=lambda t: t[0],
+        ),
+        st.sampled_from([[[1], [0]], [[0], [1]], [[1], [1]], [[2], [1]], [[1], [-1]]]),
+        st.integers(0, 3),
+        st.integers(1, 2),
+    )
+    def test_routes_agree_random(self, summands, lift, cutoff, depth):
         E = KClass(
-            X, {(1,): Summand(-1, None, [(-1, Poly())])}, 4
-        ).pullback_weights([[1], [-1]], XY)
-        a = wedge_minus_z(E, 2, 2, blocks=KBLOCKS, depth=2)
-        b = wedge_minus_z(E, 2, 2, blocks=KBLOCKS, by_lines=True, depth=2)
-        assert b.num.order == 9
+            X,
+            {
+                (w,): Summand(
+                    sum(sg for sg, _ in lines), None, [(sg, U * c) for sg, c in lines]
+                )
+                for w, lines in summands
+            },
+            4,
+        ).pullback_weights(lift, XY)
+        # the line route's honest factors of a negative weight are exact only
+        # to ``order``, so the order must pass its pole degree for the
+        # window to be nonempty; pole degrees do not depend on the order
+        poles = wedge_minus_z(E, 0, cutoff, KBLOCKS, by_lines=True, depth=depth)
+        order = poles.den_degree() + 1
+        a = wedge_minus_z(E, order, cutoff, blocks=KBLOCKS, depth=depth)
+        b = wedge_minus_z(E, order, cutoff, blocks=KBLOCKS, by_lines=True, depth=depth)
         assert series_equal(a, b)
         assert not series_equal(a, b + one_on(XY, KBLOCKS))
 
@@ -409,8 +478,9 @@ class TestMultiplicativeSwap:
         assert not series_equal(lhs, rhs + one_on(XY, KBLOCKS))
 
     def test_pole_paths_build_powers_by_tables(self, monkeypatch):
-        """Every power on the pole paths comes from a table that grows by
-        one product per power: `TruncSeries.__pow__` is never called."""
+        """Every power on the pole paths of either coordinate law comes
+        from a table that grows by one product per power:
+        `TruncSeries.__pow__` is never called."""
         E = KClass(
             X,
             {
@@ -427,7 +497,13 @@ class TestMultiplicativeSwap:
                 for F in classes
                 for by_lines in (False, True)
             ]
-            out.append(geom_inverse(XY, (1, 1), 2, 4, blocks=KBLOCKS))
+            out.append(pole_inverse(XY, (1, 1), 2, 4, blocks=KBLOCKS))
+            # a leading part 2x + x^2 with a unit 2 + x, and the additive
+            # law's 1/(x+y)^2
+            out.append(pole_inverse(XY, (2, 2), 2, 3, blocks=KBLOCKS))
+            form, _ = LinearForm.make(XY, {"x": 1, "y": 1})
+            additive = one_on(XY).with_denominator(form, mult=2)
+            out.append(iota_expand(additive, KBLOCKS, 3))
             return [(x.num, x.den, x.block_bounds) for x in out]
 
         expected = run()

@@ -405,6 +405,24 @@ class TestShiftedFlat:
             equal, conclusive, witness = compare_series(got.series, exact)
             assert equal and conclusive, (trunc, witness)
 
+    def test_nonlinear_leading_part(self):
+        # u1 -> (1+z)^2 (1+w)^2 - 1: its terms on z alone, 2z + z^2, are the
+        # form z times the unit 2 + z, and every other term reaches w
+        combined = VarSet(("z", "w"))
+        blocks = (("z",), ("w",))
+        uset = VarSet(("u1",))
+        form, _ = LinearForm.make(uset, {"u1": 1})
+        flat = ElementSeries(
+            BU(0), LocalizedSeries(TruncSeries.const(uset, 1, 6), [(form, 1)])
+        )
+        image = shift_image(MULTIPLICATIVE, combined, [2, 2], 6)
+        got = shifted_flat(flat, {"u1": image}, combined, blocks, 3).series
+        assert [list(f.coeffs) for f, _ in got.den] == [[1, 0]]
+        back = got * LocalizedSeries(image, (), blocks)
+        one = LocalizedSeries(TruncSeries.const(combined, 1, INF), (), blocks)
+        assert series_equal(back, one)
+        assert not series_equal(back, one + one)
+
     def test_rejects_nonexpandable_shift(self):
         # u1 -> x + y^0-free quadratic on the leading block cannot expand
         combined = VarSet(("x", "y"))
