@@ -498,22 +498,12 @@ def normal_bundle_module(component: ComponentLabel, varset: VarSet, depth: int) 
 # -- equivariant Euler classes ----------------------------------------------------
 
 
-def _weight_series(varset: VarSet, w: Weight) -> TruncSeries:
-    terms = {}
-    for i, c in enumerate(w):
-        if c:
-            e = [0] * len(varset)
-            e[i] = 1
-            terms[tuple(e)] = Fraction(c)
-    return TruncSeries(varset, INF, terms)
-
-
 def _euler_factor(
     varset: VarSet, w: Weight, s: Summand, depth: int, blocks
 ) -> LocalizedSeries:
     """sum_i lambda(z)^(rank - i) c_i as a localized series."""
     c = chern_from_characters(s.ch, depth)
-    lam = _weight_series(varset, w)
+    lam = TruncSeries.linear(varset, w)
     num = TruncSeries.zero(varset, INF)
     power = TruncSeries.const(varset, 1, INF)
     powers = [power]

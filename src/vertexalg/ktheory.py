@@ -320,6 +320,7 @@ def wedge_minus_z(
     vs = E.varset
     blocks = trivial_blocks(vs) if blocks is None else normalize_blocks(vs, blocks)
     out = LocalizedSeries(TruncSeries.const(vs, 1, INF), (), blocks)
+    honest_lines = []
     for w in E.weights():
         s = E.summands[w]
         if s.lines is None:
@@ -334,7 +335,10 @@ def wedge_minus_z(
             continue
         if by_lines:
             for sg, sval in s.lines:
-                out = out * _line_factor(vs, w, sg, sval, order, cutoff, blocks, depth)
+                if sg == 1:
+                    honest_lines.append((w, sval))
+                else:
+                    out = out * _line_factor(vs, w, sg, sval, order, cutoff, blocks, depth)
             continue
         honest = all(sg == 1 for sg, _ in s.lines)
         kmax = min(cutoff, s.rank) if honest else cutoff
@@ -343,7 +347,7 @@ def wedge_minus_z(
             W, A, chain = _weight_poles(vs, w, P, order, blocks, depth)
             den, bounds = chain[0].den, chain[0].block_bounds
             form, D = den[0]
-            cleared = _Powers(form.as_series(INF))[D]
+            cleared = _Powers(form.as_series())[D]
         else:
             W = one_plus_pow(vs, w, order)
             A = TruncSeries.const(vs, 1, INF) - W
@@ -364,4 +368,9 @@ def wedge_minus_z(
                 term = neg_w[k] * A[m]
             num = num + term.scale(vk)
         out = out * _within_bounds(LocalizedSeries(num, den, blocks, bounds))
+    # an honest line of negative weight is exact only to the order it is
+    # built to, so it is built past the pole degree of the virtual lines
+    honest_order = order + out.den_degree()
+    for w, sval in honest_lines:
+        out = out * _line_factor(vs, w, 1, sval, honest_order, cutoff, blocks, depth)
     return out.map_coefficients(lambda p: p.truncate_degree(cutoff))

@@ -22,6 +22,11 @@ exact-rational polynomials, `Poly`; a rational coefficient is a constant
   a geometric series in B / F.  :func:`iota_expand` is that expansion of a
   localized series followed by the filter to each block's net-degree bound.
 
+A change of coordinates has two steps: `TruncSeries.compose` maps every
+numerator and :func:`expand_poles` maps every pole.  The linear
+substitutions, ``structures.shifted_flat`` and :func:`residue` (a shift,
+an expansion, then `coefficient_of_power`) are built from those two.
+
 Equality of localized series is decided by clearing denominators and
 comparing numerators on the region where both sides are exact.  Nothing here
 ever touches floating point.
@@ -229,14 +234,8 @@ class LinearForm:
             c if n in keep else 0 for n, c in zip(self.varset.names, self.coeffs)
         ]
 
-    def as_series(self, order: Optional[int] = INF) -> "TruncSeries":
-        terms: Dict[Exponent, int] = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = [0] * len(self.varset)
-                e[i] = 1
-                terms[tuple(e)] = c
-        return TruncSeries(self.varset, order, terms)
+    def as_series(self) -> "TruncSeries":
+        return TruncSeries.linear(self.varset, self.coeffs)
 
 
 class TruncSeries:
@@ -298,6 +297,17 @@ class TruncSeries:
         e = [0] * len(varset)
         e[varset.index(name)] = 1
         return TruncSeries(varset, order, {tuple(e): 1})
+
+    @staticmethod
+    def linear(varset: VarSet, coeffs: Sequence[int]) -> "TruncSeries":
+        """The exact series sum_i coeffs[i] * x_i of an integer vector.
+
+        >>> TruncSeries.linear(VarSet(("z", "w")), (2, -1))
+        (-1)*w + (2)*z
+        """
+        n = len(varset)
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        return TruncSeries(varset, INF, dict(zip(units, coeffs, strict=True)))
 
     # -- ring structure ----------------------------------------------------
 
@@ -419,14 +429,7 @@ class TruncSeries:
         return result
 
     def truncate(self, order: Optional[int]) -> "TruncSeries":
-        order = _min_order(self.order, order)
-        r = TruncSeries.__new__(TruncSeries)
-        r.varset, r.order = self.varset, order
-        if order is INF:
-            r.terms = dict(self.terms)
-        else:
-            r.terms = {e: c for e, c in self.terms.items() if sum(e) <= order}
-        return r
+        return self.with_order(_min_order(self.order, order))
 
     def with_order(self, order: Optional[int]) -> "TruncSeries":
         """Assert a new exactness bound (caller's responsibility)."""
@@ -488,25 +491,10 @@ class TruncSeries:
     ) -> "TruncSeries":
         """Substitute each variable by an integer linear form in new variables.
 
-        Every variable of the current set must be mapped.
+        Every variable of the current set must be mapped, and only to
+        variables of ``target``.
         """
-        images = {}
-        for name in self.varset.names:
-            if name not in mapping:
-                raise ValueError("no image for variable %r" % name)
-            img = TruncSeries.zero(target, INF)
-            for tname, c in mapping[name].items():
-                if c:
-                    img = img + TruncSeries.variable(target, tname).scale(c)
-            images[name] = img
-        out = TruncSeries.zero(target, self.order)
-        for e, c in self.terms.items():
-            term = TruncSeries.const(target, c, self.order)
-            for name, exp in zip(self.varset.names, e):
-                if exp:
-                    term = term * (images[name].truncate(self.order) ** exp)
-            out = out + term
-        return out
+        return self.compose(target, _linear_images(self.varset, target, mapping))
 
     def rename_variables(self, target: VarSet, mapping: Mapping[str, str]) -> "TruncSeries":
         out: Dict[Exponent, Poly] = {}
@@ -525,7 +513,8 @@ class TruncSeries:
 
         Truncation is the minimum of this series' order and the orders of
         the images; positive valuation of the images is what keeps each
-        output degree a finite computation.
+        output degree a finite computation.  An exact series at exact
+        images composes to an exact polynomial.
         """
         order = self.order
         for name in self.varset.names:
@@ -537,9 +526,6 @@ class TruncSeries:
             if img.constant_term():
                 raise ValueError("composition needs images without constant term")
             order = _min_order(order, img.order)
-        if order is INF:
-            if any(sum(e) for e in self.terms):
-                raise ValueError("composition of exact series needs a finite order")
         out = TruncSeries.zero(target, order)
         for e, c in self.terms.items():
             if order is not INF and sum(e) > order:
@@ -564,6 +550,22 @@ class TruncSeries:
             )
             bits.append("(%s)%s" % (c, "*" + mono if mono else ""))
         return " + ".join(bits)
+
+
+def _linear_images(
+    source: VarSet, target: VarSet, mapping: Mapping[str, Mapping[str, int]]
+) -> Dict[str, TruncSeries]:
+    """The linear series over ``target`` that ``mapping`` sends each variable
+    of ``source`` to."""
+    images = {}
+    for name in source.names:
+        if name not in mapping:
+            raise ValueError("no image for variable %r" % name)
+        if not mapping[name].keys() <= set(target.names):
+            raise ValueError("image of %r leaves the target variables" % name)
+        vec = [mapping[name].get(t, 0) for t in target.names]
+        images[name] = TruncSeries.linear(target, vec)
+    return images
 
 
 def _all_constant(terms: Mapping[Exponent, Poly]) -> bool:
@@ -797,7 +799,7 @@ class LocalizedSeries:
             ma, mb = mult_a.get(key, 0), mult_b.get(key, 0)
             m = max(ma, mb)
             den.append((form, m))
-            fs = form.as_series(INF)
+            fs = form.as_series()
             if m > ma:
                 num_a = num_a * fs ** (m - ma)
             if m > mb:
@@ -891,32 +893,28 @@ class LocalizedSeries:
     ) -> "LocalizedSeries":
         """Linear change of variables; denominator forms must stay nonzero.
 
-        The expansion regime does not carry over (a substitution changes
-        which reading makes sense); re-expand afterwards if needed.  A
-        series with a finite block bound raises ValueError, as in
-        :func:`iota_expand`: the bound is a net degree in the old
-        variables, which the new ones do not measure.
+        Each form, composed into a series, goes through :func:`expand_poles`
+        over one block, which keeps it as a primitive form and moves its
+        sign and content into the numerator.  The expansion regime does
+        not carry over (a substitution changes which reading makes sense);
+        re-expand afterwards if needed.  A series with a finite block bound
+        raises ValueError, as in :func:`iota_expand`: the bound is a net
+        degree in the old variables, which the new ones do not measure.
         """
         if any(b is not None for b in self.block_bounds):
             raise ValueError("block bounds do not carry over to another regime")
         num = self.num.substitute_linear(target, mapping)
-        den: List[Tuple[LinearForm, int]] = []
-        scale = Fraction(1)
+        images = _linear_images(self.varset, target, mapping)
+        dens = []
         for form, mult in self.den:
-            vec = [0] * len(target)
-            for name, c in zip(form.varset.names, form.coeffs):
-                if not c:
-                    continue
-                for tname, tc in mapping[name].items():
-                    vec[target.index(tname)] += c * tc
-            if not any(vec):
+            f = form.as_series().compose(target, images)
+            if f.is_zero():
                 raise ValueError(
                     "denominator form %r collapses to zero under substitution" % form
                 )
-            new_form, sign, content = LinearForm.make_scaled(target, vec)
-            den.append((new_form, mult))
-            scale *= Fraction(1, sign * content) ** mult
-        return LocalizedSeries(num.scale(scale), den, blocks)
+            dens.append((f, mult))
+        y = expand_poles(num, dens, trivial_blocks(target), 0)
+        return LocalizedSeries(y.num, y.den, blocks)
 
     # -- terms access ------------------------------------------------------------
 
@@ -1085,7 +1083,7 @@ def expand_poles(
             qinv = TruncSeries.const(varset, 1 / q.constant_term().constant_term())
         else:
             qinv = series_invert_unit(q.truncate(work))
-        qinv, forms = _Powers(qinv), _Powers(form.as_series(INF))
+        qinv, forms = _Powers(qinv), _Powers(form.as_series())
         acc = TruncSeries.zero(varset, INF)
         coef = 1
         b_pow = TruncSeries.const(varset, 1, INF)
@@ -1208,7 +1206,6 @@ def residue(
     if center == 0 or center == "0":
         shifted = x
         eps = var
-        target = x.varset
     else:
         center = str(center)
         negative = center.startswith("-")
@@ -1226,33 +1223,12 @@ def residue(
         }
         shifted = x.substitute_linear(target, mapping)
 
-    rest = tuple(n for n in target.names if n != eps)
+    rest = tuple(n for n in shifted.varset.names if n != eps)
     blocks = (rest, (eps,)) if rest else ((eps,),)
     expanded = iota_expand(shifted, blocks, trunc)
 
-    eps_i = expanded.varset.index(eps)
-    eps_mult = 0
-    den_rest: List[Tuple[LinearForm, int]] = []
-    for form, mult in expanded.den:
-        nz = [i for i, c in enumerate(form.coeffs) if c]
-        if nz == [eps_i]:
-            eps_mult += mult
-        elif eps_i in nz:
-            raise AssertionError("unexpanded mixed pole in residue")
-        else:
-            den_rest.append((form, mult))
-
-    picked = expanded.num.coefficient_of(eps, eps_mult - 1) if eps_mult else None
-    sub_vs = expanded.varset.without(eps)
-    if picked is None:
-        picked = TruncSeries.zero(sub_vs, expanded.num.order)
-    new_den = [
-        (LinearForm(sub_vs, [c for i, c in enumerate(f.coeffs) if i != eps_i]), m)
-        for f, m in den_rest
-    ]
-    if rest:
-        return LocalizedSeries(picked, new_den, (rest,), (None,))
-    return LocalizedSeries(picked, new_den)
+    out = coefficient_of_power(expanded, eps, -1)
+    return LocalizedSeries(out.num, out.den, out.blocks)
 
 
 def coefficient_of_power(x: LocalizedSeries, var: str, power: int) -> LocalizedSeries:

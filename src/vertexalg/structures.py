@@ -272,13 +272,7 @@ def shift_image(
     coefficients, and negative coefficients force a finite order.
     """
     if law == ADDITIVE:
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                e = [0] * len(varset)
-                e[i] = 1
-                terms[tuple(e)] = c
-        return TruncSeries(varset, INF, terms)
+        return TruncSeries.linear(varset, coeffs)
     w = one_plus_pow(varset, coeffs, order)
     return w - TruncSeries.const(varset, 1, INF)
 
@@ -300,13 +294,10 @@ def shifted_flat(
     expansion does.
     """
     num = flat.series.num.compose(combined, images)
-    dens = []
-    for form, mult in flat.series.den:
-        f = TruncSeries.zero(combined, INF)
-        for name, c in zip(form.varset.names, form.coeffs):
-            if c:
-                f = f + images[name].scale(c)
-        dens.append((f, mult))
+    dens = [
+        (form.as_series().compose(combined, images), mult)
+        for form, mult in flat.series.den
+    ]
     return ElementSeries(flat.component, expand_poles(num, dens, blocks, trunc))
 
 
@@ -1027,14 +1018,7 @@ def check_vertex_space_map(f: VertexSpaceMap, samples, trunc: int) -> CheckRepor
         combined2 = VarSet(pnames + znames)
         blocks2 = (pnames, znames)
         fz = f.action(a, znames, work)
-        fz_c = TruncSeries(
-            combined2,
-            fz.series.num.order,
-            {
-                tuple([0] * rt) + e: c
-                for e, c in fz.series.num.terms.items()
-            },
-        )
+        fz_c = fz.series.num.rename_variables(combined2, {})
         # the ElementSeries carries the component, which is all the
         # target carrier's rebuild adapter needs from a template
         lhs2_num = translate_coefficients(

@@ -338,6 +338,12 @@ class TestWedgeSeries:
                 ),
                 [[2], [1]], 1, 2, 1, 7,
             ),
+            (
+                # the honest line's factor is built past the virtual line's
+                # pole degree 3, so the line route stays exact to net order 2
+                KClass(X, {(-2,): Summand(0, None, [(1, Poly()), (-1, Poly())])}, 4),
+                [[1], [0]], 2, 2, 1, 5,
+            ),
         ]
         for base, lift, order, cutoff, depth, claim in cases:
             E = base.pullback_weights(lift, XY)
@@ -379,8 +385,8 @@ class TestWedgeSeries:
             },
             4,
         ).pullback_weights(lift, XY)
-        # the line route's honest factors of a negative weight are exact only
-        # to ``order``, so the order must pass its pole degree for the
+        # the default route's honest factors of a negative weight are exact
+        # only to ``order``, so the order must pass the pole degree for the
         # window to be nonempty; pole degrees do not depend on the order
         poles = wedge_minus_z(E, 0, cutoff, KBLOCKS, by_lines=True, depth=depth)
         order = poles.den_degree() + 1

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from functools import reduce
 from unittest import mock
 
 import pytest
@@ -341,6 +342,35 @@ class TestSubstitution:
         assert series_equal(exact, half.with_denominator(form(w, w=1)))
         assert not series_equal(exact, LocalizedSeries.zero(w, 8))
 
+    def test_content_moves_into_numerator(self):
+        # 1/(z + w) with z -> u + v, w -> u - v gives 1/(2u) = (1/2)/u
+        uv = VarSet(("u", "v"))
+        x = LocalizedSeries.one(ZW, 6).with_denominator(form(ZW, z=1, w=1))
+        y = x.substitute_linear(uv, {"z": {"u": 1, "v": 1}, "w": {"u": 1, "v": -1}})
+        assert y.den == ((form(uv, u=1), 1),)
+        assert y.num == TruncSeries.const(uv, Fraction(1, 2), 6)
+
+    def test_image_outside_target_rejected(self):
+        u = VarSet(("u",))
+        x = LocalizedSeries.one(Z, 6).with_denominator(form(Z, z=1))
+        for y in (x, x.num):
+            with pytest.raises(ValueError):
+                y.substitute_linear(u, {"z": {"q": 1}})
+
+    def test_exact_compose_is_exact(self):
+        # (z + w)^2 at z -> u + v, w -> u - v is 4u^2, with no order bound
+        uv = VarSet(("u", "v"))
+        mapping = {"z": {"u": 1, "v": 1}, "w": {"u": 1, "v": -1}}
+        x = TruncSeries(ZW, INF, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+        images = {
+            "z": TruncSeries(uv, INF, {(1, 0): 1, (0, 1): 1}),
+            "w": TruncSeries(uv, INF, {(1, 0): 1, (0, 1): -1}),
+        }
+        got = x.compose(uv, images)
+        assert got.order is INF
+        assert got == x.substitute_linear(uv, mapping)
+        assert got == TruncSeries(uv, INF, {(2, 0): 4})
+
 
 class TestRepr:
     def test_truncated_series(self):
@@ -656,3 +686,50 @@ def test_prop_iota_additive():
 
 def test_prop_mul_matches_per_pair_loop():
     prop_mul_matches_per_pair_loop()
+
+
+def matmul2(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+
+
+# products of elementary integer matrices, so each has determinant +-1
+ELEMENTARY = (
+    [((1, k), (0, 1)) for k in (-2, -1, 1, 2)]
+    + [((1, 0), (k, 1)) for k in (-2, -1, 1, 2)]
+    + [((0, 1), (1, 0)), ((-1, 0), (0, 1))]
+)
+unimodular = st.lists(st.sampled_from(ELEMENTARY), min_size=1, max_size=3).map(
+    lambda ms: reduce(matmul2, ms)
+)
+nonzero_forms = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    unimodular,
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.integers(-3, 3),
+        max_size=5,
+    ),
+    st.lists(nonzero_forms, min_size=1, max_size=2),
+)
+def prop_substitute_round_trip(m, terms, vecs):
+    uv = VarSet(("u", "v"))
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    inv = ((det * m[1][1], -det * m[0][1]), (-det * m[1][0], det * m[0][0]))
+    there = {n: dict(zip(uv.names, row)) for n, row in zip(ZW.names, m)}
+    back = {n: dict(zip(ZW.names, row)) for n, row in zip(uv.names, inv)}
+    x = LocalizedSeries(TruncSeries(ZW, 6, terms))
+    for vec in vecs:
+        x = x.with_denominator(LinearForm.make_scaled(ZW, vec)[0])
+    y = x.substitute_linear(uv, there).substitute_linear(ZW, back)
+    assert series_equal(y, x)
+    assert not series_equal(y, x + LocalizedSeries.one(ZW, 6))
+
+
+def test_prop_substitute_round_trip():
+    prop_substitute_round_trip()
