@@ -505,8 +505,9 @@ class Poly:
         Each renamed variable's exponent moves to its target's field by key
         arithmetic, so no numerator and no denominator changes per term;
         names sent to one target merge, adding their exponents and then the
-        coefficients of terms that meet.  An exponent past MAX_EXP after
-        merging raises OverflowError.
+        coefficients of terms that meet.  A name sent to itself does not
+        move, and when nothing moves the polynomial itself is returned.  An
+        exponent past MAX_EXP after merging raises OverflowError.
 
         >>> a, b = Poly.variable("a"), Poly.variable("b")
         >>> (a ** 2 * b + 3 * a * b ** 2).rename({"a": "b", "b": "a"})
@@ -518,11 +519,13 @@ class Poly:
         moves = []  # (offset of the renamed field, offset of its target)
         for v, w in mapping.items():
             i = _INDEX.get(v)
-            if i is None or not (keep >> FIELD_BITS * i) & FIELD_MASK:
-                continue  # the variable does not occur
+            if v == w or i is None or not (keep >> FIELD_BITS * i) & FIELD_MASK:
+                continue  # the variable stays or does not occur
             s = FIELD_BITS * i
             keep &= ~(FIELD_MASK << s)
             moves.append((s, var_shift(w)))
+        if not moves:
+            return self
         out: Dict[int, int] = {}
         get = out.get
         seen = 0  # the bitwise or of every partial key sum

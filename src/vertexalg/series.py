@@ -26,6 +26,8 @@ A change of coordinates has two steps: `TruncSeries.compose` maps every
 numerator and :func:`expand_poles` maps every pole.  The linear
 substitutions, ``structures.shifted_flat`` and :func:`residue` (a shift,
 an expansion, then `coefficient_of_power`) are built from those two.
+Compose takes the powers of each image from one table, built one product
+per power, and sums each output coefficient once, as a product does.
 
 Equality of localized series is decided by clearing denominators and
 comparing numerators on the region where both sides are exact.  Nothing here
@@ -404,13 +406,8 @@ class TruncSeries:
                     pairs[e] = [(c1, c2)]
                 else:
                     at.append((c1, c2))
-        out: Dict[Exponent, Poly] = {}
-        for e, at in pairs.items():
-            p = at[0][0] * at[0][1] if len(at) == 1 else sum_of_products(at)
-            if p:
-                out[e] = p
         r = TruncSeries.__new__(TruncSeries)
-        r.varset, r.order, r.terms = self.varset, order, out
+        r.varset, r.order, r.terms = self.varset, order, _summed(pairs)
         return r
 
     __rmul__ = __mul__
@@ -515,6 +512,12 @@ class TruncSeries:
         the images; positive valuation of the images is what keeps each
         output degree a finite computation.  An exact series at exact
         images composes to an exact polynomial.
+
+        Each image's powers come from one `_Powers` table, so every power
+        is one product with the last.  A term c * x^e multiplies its
+        cached powers into m = prod img_i^(e_i) and leaves the pair
+        (m_f, c) under each exponent f of m; each output coefficient is
+        then one `sum_of_products` over its pairs, as in a product.
         """
         order = self.order
         for name in self.varset.names:
@@ -526,16 +529,25 @@ class TruncSeries:
             if img.constant_term():
                 raise ValueError("composition needs images without constant term")
             order = _min_order(order, img.order)
-        out = TruncSeries.zero(target, order)
+        tables = [_Powers(mapping[name].truncate(order)) for name in self.varset.names]
+        one = {target.zero_exponent(): Poly.const(1)}
+        pairs: Dict[Exponent, list] = {}
         for e, c in self.terms.items():
             if order is not INF and sum(e) > order:
                 continue
-            term = TruncSeries.const(target, c, order)
-            for name, exp in zip(self.varset.names, e):
+            m = None
+            for table, exp in zip(tables, e):
                 if exp:
-                    term = term * (mapping[name].truncate(order) ** exp)
-            out = out + term
-        return out
+                    m = table[exp] if m is None else m * table[exp]
+            for f, cf in (one if m is None else m.terms).items():
+                at = pairs.get(f)
+                if at is None:
+                    pairs[f] = [(cf, c)]
+                else:
+                    at.append((cf, c))
+        r = TruncSeries.__new__(TruncSeries)
+        r.varset, r.order, r.terms = target, order, _summed(pairs)
+        return r
 
     def __repr__(self):
         if not self.terms:
@@ -568,6 +580,17 @@ def _linear_images(
     return images
 
 
+def _summed(pairs: Mapping[Exponent, list]) -> Dict[Exponent, Poly]:
+    """Each exponent's sum of products over its coefficient pairs, the
+    zero sums dropped."""
+    out: Dict[Exponent, Poly] = {}
+    for e, at in pairs.items():
+        p = at[0][0] * at[0][1] if len(at) == 1 else sum_of_products(at)
+        if p:
+            out[e] = p
+    return out
+
+
 def _all_constant(terms: Mapping[Exponent, Poly]) -> bool:
     return all(0 in c.terms and len(c.terms) == 1 for c in terms.values())
 
@@ -583,7 +606,7 @@ def _constant_product(
     over one common denominator, so that coefficients multiply and add as
     integer numerators; the right side is sorted by degree, so that the
     first pair past the order ends a row.  Each output constant is made
-    once.
+    once, in canonical form by one gcd with the positive denominator.
     """
     if not a or not b:
         return {}
@@ -613,11 +636,14 @@ def _constant_product(
             acc[k] = get(k, 0) + n1 * n2
     den = den_a * den_b
     mask = (1 << width) - 1
-    return {
-        tuple((k >> s) & mask for s in shifts): Poly.packed({0: n}, den)
-        for k, n in acc.items()
-        if n
-    }
+    out: Dict[Exponent, Poly] = {}
+    for k, n in acc.items():
+        if n:
+            g = gcd(n, den)
+            c = Poly.__new__(Poly)
+            c.terms, c.den = {0: n // g}, den // g
+            out[tuple((k >> s) & mask for s in shifts)] = c
+    return out
 
 
 class _Powers:

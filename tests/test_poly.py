@@ -187,9 +187,11 @@ def test_benchmark_contract():
     """The benchmark wraps these from outside the library: methods through
     ``Poly.__dict__``, module functions by name, and it counts terms as
     ``len(p.terms)``."""
-    for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "diff", "substitute", "__pow__"):
+    for attr in (
+        "__mul__", "__rmul__", "__add__", "__radd__", "diff", "substitute", "rename", "__pow__"
+    ):
         assert callable(Poly.__dict__[attr]), attr
-    for attr in ("__mul__", "__rmul__"):
+    for attr in ("__mul__", "__rmul__", "substitute_linear"):
         assert callable(TruncSeries.__dict__[attr]), attr
     assert callable(ProductFamily.__dict__["product"])
     p = (x + 2 * y) * (x - 2 * y) + 4 * y ** 2
@@ -425,6 +427,12 @@ def prop_ring_matches_reference(ra, rb, c, n, var, fresh, bound, drawn):
     same(a.rename({"a": "b"}), ra_.rename({"a": "b"}))
     same(a.rename({"a": "b"}), ra_.substitute({"a": qb}))
     same(a.rename({"a": "b", "b": "a", "c": "a"}), ra_.rename({"a": "b", "b": "a", "c": "a"}))
+    # a name sent to itself does not move: a mapping that moves nothing
+    # returns the operand, and one that is partly identity is the rename
+    assert a.rename({n: n for n in NAMES + (fresh,)}) is a
+    partly = {"a": "a", "b": "c", "c": "b", var: var}
+    same(a.rename(partly), ra_.rename(partly))
+    same(a.rename({"a": "a", "b": "a"}), ra_.rename({"a": "a", "b": "a"}))
     same(a.coefficient(var, n), ra_.coefficient(var, n))
     same((a * f).coefficient(fresh, 1), (ra_ * rf).coefficient(fresh, 1))
     same(a.truncate_degree(bound), ra_.truncate_degree(bound))

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertexalg import series
+from vertexalg.ktheory import one_plus_pow
 from vertexalg.poly import Poly, poly_to_obj, sum_of_products
 from vertexalg.series import (
     INF,
@@ -621,6 +623,7 @@ def prop_constant_path_matches_general(ab):
             general = x * y
         assert got == general
         assert all(type(c) is Poly and set(c.terms) == {0} for c in got.terms.values())
+        assert all(c.den > 0 and gcd(c.den, c.terms[0]) == 1 for c in got.terms.values())
 
 
 def test_prop_constant_path_matches_general():
@@ -733,3 +736,94 @@ def prop_substitute_round_trip(m, terms, vecs):
 
 def test_prop_substitute_round_trip():
     prop_substitute_round_trip()
+
+
+def compose_per_term(x, target, mapping):
+    """The per-term composition: each term's powers by `TruncSeries.__pow__`,
+    added into the result one series at a time.  The reference for
+    `TruncSeries.compose`."""
+    order = x.order
+    for name in x.varset.names:
+        order = series._min_order(order, mapping[name].order)
+    out = TruncSeries.zero(target, order)
+    for e, c in x.terms.items():
+        if order is not INF and sum(e) > order:
+            continue
+        term = TruncSeries.const(target, c, order)
+        for name, exp in zip(x.varset.names, e):
+            if exp:
+                term = term * (mapping[name].truncate(order) ** exp)
+        out = out + term
+    return out
+
+
+@st.composite
+def compositions(draw):
+    """A series over 1-3 variables, empty or not, exact or truncated, with
+    multi-term coefficients, and for each variable an image over 1-3
+    target variables: a linear form or (1 + y)^w - 1 for a weight w of
+    either sign, exact or truncated."""
+    source = VarSet(("z", "w", "v")[: draw(st.integers(1, 3))])
+    target = VarSet(("a", "b", "c")[: draw(st.integers(1, 3))])
+    n, k = len(source), len(target)
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    x = TruncSeries(source, draw(orders), draw(st.dictionaries(exps, coefficients, max_size=6)))
+    small = st.tuples(*[st.integers(-2, 2)] * k)
+    images = {}
+    for name in source.names:
+        vec = draw(small)
+        if draw(st.booleans()):
+            img = TruncSeries.linear(target, vec)
+        else:
+            order = draw(st.integers(0, 5))
+            img = one_plus_pow(target, vec, order) - TruncSeries.const(target, 1)
+        images[name] = img.truncate(draw(orders))
+    return x, target, images
+
+
+@settings(max_examples=150, deadline=None)
+@given(compositions())
+def prop_compose_matches_per_term(case):
+    x, target, images = case
+    got = x.compose(target, images)
+    assert got == compose_per_term(x, target, images)
+    assert all(type(c) is Poly for c in got.terms.values())
+    shifted = x + TruncSeries.const(x.varset, 1)
+    assert got != compose_per_term(shifted, target, images)
+
+
+def test_prop_compose_matches_per_term():
+    prop_compose_matches_per_term()
+
+
+def test_coordinate_changes_build_no_power_by_pow(monkeypatch):
+    """`compose`, both `substitute_linear` methods and a residue at a
+    variable centre take every power from a table: `TruncSeries.__pow__`
+    is never called."""
+    uv = VarSet(("u", "v"))
+    mapping = {"z": {"u": 1, "v": 1}, "w": {"u": 1, "v": -1}}
+    num = TruncSeries(ZW, 6, {(0, 0): 1, (3, 0): 2, (2, 2): S, (1, 4): -1})
+    x = LocalizedSeries(num).with_denominator(form(ZW, z=1, w=1), mult=2)
+    x = x.with_denominator(form(ZW, z=1, w=-1), mult=2)
+    images = {
+        "z": one_plus_pow(uv, (1, -2), 5) - TruncSeries.const(uv, 1),
+        "w": TruncSeries.linear(uv, (0, 3)),
+    }
+
+    def run():
+        out = [
+            num.compose(uv, images),
+            num.substitute_linear(uv, mapping),
+            x.substitute_linear(uv, mapping),
+            residue(x, "z", "w"),
+            residue(x, "z", "-w"),
+        ]
+        return [(y.num, y.den) if isinstance(y, LocalizedSeries) else y for y in out]
+
+    expected = run()
+
+    def forbidden(*args):
+        raise AssertionError("a power went through TruncSeries.__pow__")
+
+    monkeypatch.setattr(TruncSeries, "__pow__", forbidden)
+    assert run() == expected
