@@ -35,7 +35,8 @@ The sum map of a product component is pushed forward by
 external product computed as a plain product of the factors.  Renaming
 into and out of factor alphabets, the unitary pushforward and the
 generator D are monomial-to-monomial maps, so they run as field moves on
-packed keys through plans cached per support.
+packed keys through plans cached per support; a cap lowers homology keys
+through lowerings planned once per component.
 """
 
 from __future__ import annotations
@@ -77,7 +78,11 @@ _CHECKED: Dict[Tuple[str, tuple], int] = {}
 # polynomial it acts on (the bitwise or of its keys).  The variable
 # interner is append-only, so a support always names the same variables
 # and a plan built for it once stays right for every later polynomial with
-# that support.  Only plans are kept here, never the result of applying one.
+# that support.  The cap plans of `_cap_plan` are keyed by component: a
+# generator's action and a cohomology monomial's lowering depend on the
+# component alone, so each is planned once per component and shared by
+# `cap_poly` and `contract_poly`.  Only plans are kept here, never the
+# result of applying one.
 _PLANS: Dict[tuple, object] = {}
 
 
@@ -412,26 +417,27 @@ def _resuffix(poly: Poly, factor: FactorKey) -> Poly:
 
 
 class _Actions(dict):
-    """How each generator acts on one component, resolved once per name.
+    """How each generator acts on one component, resolved once per field.
 
-    A value is None for a homology generator, (target, None) for a class
-    acting as d/d(target), and (None, rank) for ch_0, which acts as the
-    rank scalar.  With ``cohomology_only`` every name must act; otherwise
-    names outside the ch and x alphabets are homology generators.
+    Keys are field offsets.  A value is None for a homology generator (a
+    name outside the ch and x alphabets), (target field offset, None) for
+    a class acting as d/d(target), and (None, rank) for ch_0, which acts
+    as the rank scalar.  A character generator that names no factor of
+    the component raises ValueError and is not kept.
     """
 
-    __slots__ = ("component", "cohomology_only")
+    __slots__ = ("component",)
 
-    def __init__(self, component: ComponentLabel, cohomology_only: bool):
+    def __init__(self, component: ComponentLabel):
         super().__init__()
         self.component = component
-        self.cohomology_only = cohomology_only
 
-    def __missing__(self, gen: str):
+    def __missing__(self, shift: int):
         comp = self.component
+        gen = shift_name(shift)
         ch = parse_ch(gen)
         x = None if ch else _LITTLE_X_RE.fullmatch(gen)
-        if ch is None and x is None and not self.cohomology_only:
+        if ch is None and x is None:
             act = None
         elif comp.is_s_model():
             if ch is None:
@@ -439,31 +445,43 @@ class _Actions(dict):
             k, factor = ch
             if factor not in comp.factor_keys():
                 raise ValueError("%r names no factor of %r" % (gen, comp))
-            act = (None, comp.rank(factor)) if k == 0 else (s_name(k, factor), None)
+            if k == 0:
+                act = (None, comp.rank(factor))
+            else:
+                act = (var_shift(s_name(k, factor)), None)
         else:
             if x is None:
                 raise ValueError("bad character generator %r" % gen)
-            act = ("X" + gen[1:], None)
-        self[gen] = act
+            act = (var_shift("X" + gen[1:]), None)
+        self[shift] = act
         return act
 
+    def comask(self, support: int) -> int:
+        """The mask of the acting fields among those of ``support``."""
+        comask = 0
+        for shift, _ in key_fields(support):
+            if self[shift] is not None:
+                comask |= FIELD_MASK << shift
+        return comask
 
-def _field_actions(actions: _Actions, support: int) -> Tuple[int, Dict[int, Tuple]]:
-    """Classify every variable of a polynomial once, by its field.
 
-    ``support`` is the or of the polynomial's keys.  Returns the mask of
-    the fields whose generators act, and for each such field offset the
-    action (target field offset, None) or (None, rank).
-    """
-    comask = 0
-    acts = {}
-    for shift, _ in key_fields(support):
-        act = actions[shift_name(shift)]
-        if act is not None:
-            target, rank = act
-            comask |= FIELD_MASK << shift
-            acts[shift] = (None if target is None else var_shift(target), rank)
-    return comask, acts
+class Lowerings(dict):
+    """The lowering of each cohomology monomial, by its key: the
+    `field_lowering` that ``lower(cokey)`` works out on first lookup, or
+    None when the monomial acts as zero.  A table lives as long as the
+    action it plans (one component, or the K-theoretic pairing), so each
+    monomial is planned once, not once per call; a lookup that raises
+    keeps nothing, so a bad generator raises every time."""
+
+    __slots__ = ("lower",)
+
+    def __init__(self, lower: Callable[[int], Optional[Tuple]]):
+        super().__init__()
+        self.lower = lower
+
+    def __missing__(self, cokey: int) -> Optional[Tuple]:
+        lowering = self[cokey] = self.lower(cokey)
+        return lowering
 
 
 def field_lowering(scalar: int, take: Mapping[int, int], falling: bool) -> Optional[Tuple]:
@@ -485,18 +503,35 @@ def field_lowering(scalar: int, take: Mapping[int, int], falling: bool) -> Optio
     return scalar, need, guards, tuple(take.items()) if falling else ()
 
 
-def _lowering(acts: Dict[int, Tuple], cokey: int) -> Optional[Tuple]:
+def _lowering(acts: _Actions, cokey: int) -> Optional[Tuple]:
     """`field_lowering` of a monomial in the character generators; the
-    scalar is the product of rank^e over its ch_0 factors."""
+    scalar is the product of rank^e over its ch_0 factors.  A homology
+    generator in the monomial raises ValueError."""
     scalar = 1
     take: Dict[int, int] = {}
     for shift, e in key_fields(cokey):
-        target, rank = acts[shift]
+        act = acts[shift]
+        if act is None:
+            raise ValueError("bad character generator %r" % shift_name(shift))
+        target, rank = act
         if target is None:
             scalar *= rank ** e
         else:
             take[target] = take.get(target, 0) + e
     return field_lowering(scalar, take, True)
+
+
+def _cap_plan(component: ComponentLabel) -> Tuple[_Actions, Lowerings]:
+    """The field actions and the lowering table of one component, made on
+    first use and kept in `_PLANS`: a lowering depends only on the
+    component and the cohomology monomial, so `cap_poly` and
+    `contract_poly` plan each monomial once per component."""
+    plan = _PLANS.get(("cap", component))
+    if plan is None:
+        acts = _Actions(component)
+        lowerings = Lowerings(lambda cokey: _lowering(acts, cokey))
+        plan = _PLANS["cap", component] = (acts, lowerings)
+    return plan
 
 
 def _cap_into(out: Dict[int, int], lowering: Tuple, key: int, coef: int) -> None:
@@ -517,12 +552,14 @@ def _cap_into(out: Dict[int, int], lowering: Tuple, key: int, coef: int) -> None
     out[key] = out.get(key, 0) + coef * scalar
 
 
-def cap_with(ch_poly: Poly, poly: Poly, lowering_of: Callable[[int], Optional[Tuple]]) -> Poly:
-    """Cap every monomial of ``ch_poly``, acting as ``lowering_of(key)``
-    says, against every monomial of ``poly``."""
+def cap_with(
+    ch_poly: Poly, poly: Poly, lowerings: Mapping[int, Optional[Tuple]]
+) -> Poly:
+    """Cap every monomial of ``ch_poly``, acting as its entry in
+    ``lowerings`` says, against every monomial of ``poly``."""
     out: Dict[int, int] = {}
     for cokey, c in ch_poly.terms.items():
-        lowering = lowering_of(cokey)
+        lowering = lowerings[cokey]
         if lowering is None:
             continue
         for key, d in poly.terms.items():
@@ -531,31 +568,33 @@ def cap_with(ch_poly: Poly, poly: Poly, lowering_of: Callable[[int], Optional[Tu
 
 
 def contract_with(
-    p: Poly, comask: int, lowering_of: Callable[[int], Optional[Tuple]]
+    p: Poly, comask: int, lowerings: Mapping[int, Optional[Tuple]]
 ) -> Poly:
     """Split every key of p by the mask of its acting fields and let the
-    acting part, as ``lowering_of`` says, lower the rest.  The lowering is
-    worked out once per distinct acting part; each key is then lowered as
-    in `_cap_into`, inline, since most keys cap to zero."""
-    lowerings: Dict[int, Optional[Tuple]] = {}
-    unseen = object()
+    acting part, as its entry in ``lowerings`` says, lower the rest.
+
+    ``lowerings`` is a table kept across calls (a `Lowerings`), so each
+    distinct acting part is planned once per component, not once per
+    call.  Each key is lowered as in `_cap_into`, inline, and tested for
+    survival before anything is stripped: a field short of units borrows
+    only its own guard bit, so the acting fields are untouched by the
+    subtraction, and only the few keys that survive have their guard bits
+    and acting part cleared.
+    """
     out: Dict[int, int] = {}
     get = out.get
     for key, coef in p.terms.items():
         cokey = key & comask
-        lowering = lowerings.get(cokey, unseen)
-        if lowering is unseen:
-            lowering = lowerings[cokey] = lowering_of(cokey)
+        lowering = lowerings[cokey]
         if lowering is None:
             continue
         scalar, need, guards, falling = lowering
-        key ^= cokey
         low = (key | guards) - need
         if low & guards != guards:
             continue
         for shift, e in falling:
             coef *= perm((key >> shift) & FIELD_MASK, e)
-        low ^= guards
+        low ^= guards | cokey
         out[low] = get(low, 0) + coef * scalar
     return Poly.packed(out, p.den)
 
@@ -568,12 +607,13 @@ def cap_poly(ch_poly: Poly, poly: Poly, component: ComponentLabel) -> Poly:
     of a product is the composite of the actions, which all commute, so a
     monomial acts in closed form: ch_k^e sends s_k^n to n!/(n-e)! s_k^(n-e)
     (zero when e > n), ch_0^e multiplies by rank^e, and x_i^e acts on X_i
-    the same way as ch_k^e on s_k.  The generators of ``ch_poly`` are
-    classified once per call; each of its monomials then lowers the packed
-    target fields of every homology key by shift and mask.
+    the same way as ch_k^e on s_k.  Each monomial of ``ch_poly`` is
+    planned once per component, in the table `contract_poly` shares, and
+    then lowers the packed target fields of every homology key by shift
+    and mask.  A homology generator in ``ch_poly`` raises ValueError.
     """
-    _, acts = _field_actions(_Actions(component, True), ch_poly.support())
-    return cap_with(ch_poly, poly, lambda cokey: _lowering(acts, cokey))
+    _, lowerings = _cap_plan(component)
+    return cap_with(ch_poly, poly, lowerings)
 
 
 def cap(c, a: HomologyElement) -> HomologyElement:
@@ -587,17 +627,17 @@ def cap(c, a: HomologyElement) -> HomologyElement:
 def contract_poly(p: Poly, component: ComponentLabel) -> Poly:
     """Pair the cohomology part of a mixed polynomial against its homology part.
 
-    Generators are classified once per call into character generators (ch
-    or x alphabet) and homology generators, which gives a mask of the
-    character fields.  Each key splits by that mask into its cohomology
-    part, whose action is worked out once per distinct part, and its
-    homology part, which that action lowers in the closed form of
-    `cap_poly`.  Multiplying first and contracting afterwards is what
-    makes capping a whole series against a whole series a plain series
-    product.
+    Generators are classified into character generators (ch or x
+    alphabet) and homology generators, once per field and component,
+    which gives a mask of the character fields.  Each key splits by that
+    mask into its cohomology part, whose lowering is planned once per
+    component (the table `cap_poly` shares), and its homology part, which
+    that lowering lowers in the closed form of `cap_poly`.  Multiplying
+    first and contracting afterwards is what makes capping a whole series
+    against a whole series a plain series product.
     """
-    comask, acts = _field_actions(_Actions(component, False), p.support())
-    return contract_with(p, comask, lambda cokey: _lowering(acts, cokey))
+    acts, lowerings = _cap_plan(component)
+    return contract_with(p, acts.comask(p.support()), lowerings)
 
 
 def translate_coefficients(

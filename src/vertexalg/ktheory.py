@@ -44,7 +44,7 @@ from math import factorial, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charclass import KClass, Summand
-from .homology import cap_with, contract_with, field_lowering
+from .homology import Lowerings, cap_with, contract_with, field_lowering
 from .poly import FIELD_MASK, MAX_EXP, Poly, key_fields, shift_name, var_shift
 from .series import (
     INF,
@@ -113,27 +113,32 @@ def _k_lowering(cokey: int) -> Optional[Tuple]:
     return field_lowering(1, take, False)
 
 
+# every augmentation monomial's lowering, planned once for the process:
+# u_i always lowers l_i, so it depends on nothing else
+_K_LOWERINGS = Lowerings(_k_lowering)
+
+
 def k_cap(upoly: Poly, lpoly: Poly) -> Poly:
     """Cap product of an augmentation polynomial against K-homology.
 
     Factor pairing is by suffix: u_i lowers powers of l_i.
     """
-    return cap_with(upoly, lpoly, _k_lowering)
+    return cap_with(upoly, lpoly, _K_LOWERINGS)
 
 
 def k_contract(p: Poly) -> Poly:
     """Pair the augmentation part of a mixed polynomial against its K-homology part.
 
     Keys are split by the mask of the u-generator fields; each distinct
-    augmentation part acts on the rest by cap, so capping a series against
-    a series reduces to the plain series product followed by this
-    contraction coefficientwise.
+    augmentation part acts on the rest by cap, through its lowering planned
+    once for the process, so capping a series against a series reduces to
+    the plain series product followed by this contraction coefficientwise.
     """
     comask = 0
     for shift, _ in key_fields(p.support()):
         if shift_name(shift).startswith("u"):
             comask |= FIELD_MASK << shift
-    return contract_with(p, comask, _k_lowering)
+    return contract_with(p, comask, _K_LOWERINGS)
 
 
 def mult_translate(a: Poly, xvars: Sequence[str], trunc: int) -> TruncSeries:
@@ -294,6 +299,57 @@ def _line_factor(
     return _within_bounds(LocalizedSeries(total, top.den, blocks, top.block_bounds))
 
 
+def _wedge_range(s: Summand, cutoff: int) -> Tuple[int, int]:
+    """(kmax, P) of one weight's summand on the default route: its wedge
+    sum runs over k = 0..kmax, and A = 1 - (1+x)^w enters to the power
+    rank - k, so P = max(0, kmax - rank) is the pole order of the factor."""
+    honest = all(sg == 1 for sg, _ in s.lines)
+    kmax = min(cutoff, s.rank) if honest else cutoff
+    return kmax, max(0, kmax - s.rank)
+
+
+def _weight_factor(
+    varset: VarSet,
+    weight: Sequence[int],
+    s: Summand,
+    order: int,
+    cutoff: int,
+    blocks,
+    depth: int,
+) -> LocalizedSeries:
+    """One weight's factor of the wedge series on the default route, the
+    interpolation-class sum sum_k v_k(E) (-W)^k A^(rank-k) with
+    W = (1+x)^w and A = 1 - W; a negative power of A comes from the pole
+    chain of `_weight_poles`, and with poles every term is over A^(-P)'s
+    denominator."""
+    kmax, P = _wedge_range(s, cutoff)
+    if P:
+        W, A, chain = _weight_poles(varset, weight, P, order, blocks, depth)
+        den, bounds = chain[0].den, chain[0].block_bounds
+        form, D = den[0]
+        cleared = _Powers(form.as_series())[D]
+    else:
+        W = one_plus_pow(varset, weight, order)
+        A = TruncSeries.const(varset, 1, INF) - W
+        den, bounds = (), None
+    neg_w = _Powers(-W)
+    A = _Powers(A)
+    num = TruncSeries.zero(varset, INF)
+    for k in range(kmax + 1):
+        vk = vee_k(s, k, cutoff)
+        if vk.is_zero() and k > 0:
+            continue
+        m = s.rank - k
+        if m < 0:
+            term = neg_w[k] * chain[P + m].num
+        elif P:
+            term = neg_w[k] * A[m] * cleared
+        else:
+            term = neg_w[k] * A[m]
+        num = num + term.scale(vk)
+    return _within_bounds(LocalizedSeries(num, den, blocks, bounds))
+
+
 def wedge_minus_z(
     E: KClass,
     order: int,
@@ -321,6 +377,7 @@ def wedge_minus_z(
     blocks = trivial_blocks(vs) if blocks is None else normalize_blocks(vs, blocks)
     out = LocalizedSeries(TruncSeries.const(vs, 1, INF), (), blocks)
     honest_lines = []
+    pole_free = []  # (weight, summand) of the default route, built last
     for w in E.weights():
         s = E.summands[w]
         if s.lines is None:
@@ -340,37 +397,16 @@ def wedge_minus_z(
                 else:
                     out = out * _line_factor(vs, w, sg, sval, order, cutoff, blocks, depth)
             continue
-        honest = all(sg == 1 for sg, _ in s.lines)
-        kmax = min(cutoff, s.rank) if honest else cutoff
-        P = max(0, kmax - s.rank)
-        if P:
-            W, A, chain = _weight_poles(vs, w, P, order, blocks, depth)
-            den, bounds = chain[0].den, chain[0].block_bounds
-            form, D = den[0]
-            cleared = _Powers(form.as_series())[D]
-        else:
-            W = one_plus_pow(vs, w, order)
-            A = TruncSeries.const(vs, 1, INF) - W
-            den, bounds = (), None
-        neg_w = _Powers(-W)
-        A = _Powers(A)
-        num = TruncSeries.zero(vs, INF)
-        for k in range(kmax + 1):
-            vk = vee_k(s, k, cutoff)
-            if vk.is_zero() and k > 0:
-                continue
-            m = s.rank - k
-            if m < 0:
-                term = neg_w[k] * chain[P + m].num
-            elif P:
-                term = neg_w[k] * A[m] * cleared
-            else:
-                term = neg_w[k] * A[m]
-            num = num + term.scale(vk)
-        out = out * _within_bounds(LocalizedSeries(num, den, blocks, bounds))
-    # an honest line of negative weight is exact only to the order it is
-    # built to, so it is built past the pole degree of the virtual lines
+        if min(w) < 0 and not _wedge_range(s, cutoff)[1]:
+            pole_free.append((w, s))
+            continue
+        out = out * _weight_factor(vs, w, s, order, cutoff, blocks, depth)
+    # a pole-free factor of negative weight (an honest weight, or an
+    # honest line on the line route) is exact only to the order it is
+    # built to, so it is built past the pole degree of the other factors
     honest_order = order + out.den_degree()
+    for w, s in pole_free:
+        out = out * _weight_factor(vs, w, s, honest_order, cutoff, blocks, depth)
     for w, sval in honest_lines:
         out = out * _line_factor(vs, w, 1, sval, honest_order, cutoff, blocks, depth)
     return out.map_coefficients(lambda p: p.truncate_degree(cutoff))

@@ -49,12 +49,22 @@ homology models of the library are polynomial rings, and a vertex-algebra
 product is a Laurent-type series in formal variables whose coefficients are
 elements of such a ring, so every `TruncSeries` coefficient is a `Poly`
 and a rational coefficient is a constant one.  `sum_of_products` is the one
-general term-product loop: `Poly.__mul__` runs it on a single pair and a
-series product on all the coefficient pairs that meet at one exponent, so
-a series coefficient is summed in one integer accumulator.  (A series
-product whose coefficients are all constants needs no `Poly` product at
-all; see `TruncSeries`.)  A product by the constant 1 returns the other
-operand itself, which immutability makes safe.
+general term-product loop: `Poly.__mul__` runs it on a single pair whose
+supports overlap and a series product on all the coefficient pairs that
+meet at one exponent, so a series coefficient is summed in one integer
+accumulator.  (A series product whose coefficients are all constants
+needs no `Poly` product at all; see `TruncSeries`.)  A product by the
+constant 1 returns the other operand itself, which immutability makes
+safe.
+
+Two factors whose supports (the bitwise or of their keys) share no bit
+need no accumulator either -- the ch x s products of a cap are of this
+kind.  Then m1 + m2 == m1 | m2, and each factor's key reads back from the
+product as the bits of its own support, so no two term products meet at
+one key, and their coefficients are nonzero.  No bit is set in both
+keys, so nothing carries, and since neither key has a guard bit set, the
+product has none: such a product is one dict comprehension with no
+zero test and no guard check.
 
 >>> x = Poly.variable("x")
 >>> y = Poly.variable("y")
@@ -312,7 +322,17 @@ class Poly:
             return _make({m: c * n for m, c in self.terms.items()}, self.den * d)
         a, b = self.terms, other.terms
         if len(a) != 1 and len(b) != 1:
-            return sum_of_products(((self, other),))
+            if self.support() & other.support():
+                return sum_of_products(((self, other),))
+            # disjoint supports: m1 + m2 == m1 | m2, from which each factor
+            # reads back as the bits of its own support, so no two products
+            # share a key, nothing carries, and no guard bit can be set
+            # (neither key has one); nothing to accumulate or check, and
+            # the terms come out a-outer, b-inner, as in the general loop
+            return _make(
+                {m1 + m2: c1 * c2 for m1, c1 in a.items() for m2, c2 in b.items()},
+                self.den * other.den,
+            )
         # one side is a single term, so no two products share a key; a
         # side equal to 1 (key 0, numerator and den 1) returns the other
         if len(a) == 1:
@@ -580,9 +600,10 @@ def sum_of_products(pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     Every term product adds into one dict of integer numerators over one
     common denominator, widened by lcm only when a pair's denominator does
     not divide it, and the result is made once; no intermediate `Poly` is
-    built.  `Poly.__mul__` runs it on one pair, and `TruncSeries.__mul__`
-    on the coefficient pairs that meet at one exponent.  A result exponent
-    past MAX_EXP raises OverflowError.
+    built.  `Poly.__mul__` runs it on one pair of multi-term factors whose
+    supports overlap, and `TruncSeries.__mul__` on the coefficient pairs
+    that meet at one exponent.  A result exponent past MAX_EXP raises
+    OverflowError.
     """
     out: Dict[int, int] = {}
     get = out.get

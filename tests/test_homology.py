@@ -307,6 +307,53 @@ class TestClosedFormCap:
             contract_poly(Poly.variable(gen) * Poly.variable("X1"), comp)
 
 
+    @pytest.mark.parametrize(
+        "comps",
+        [
+            (BU1, ComponentLabel("BU_Z", (2,))),
+            (ComponentLabel("BU_Z", (2,)), BU1),
+            # components no other test plans, so the first call fills the table
+            (ComponentLabel("BU_Z", (1, 7)), ComponentLabel("BU_Z", (2, 7))),
+            (ComponentLabel("BU_Z", (2, 9)), ComponentLabel("BU_Z", (1, 9))),
+        ],
+    )
+    def test_lowerings_are_planned_per_component(self, comps):
+        """A ch_0 factor lowers by the rank of the component it is
+        contracted on, whichever component planned the monomial first."""
+        for comp in comps:
+            f = None if len(comp.index) == 1 else 1
+            r = comp.rank(f)
+            p = chv(0, f) * sv(1, f) * 3 + chv(0, f) ** 2 * chv(1, f) * sv(1, f)
+            for _ in range(2):
+                got = contract_poly(p, comp)
+                assert got == sv(1, f) * 3 * r + Poly.const(r ** 2)
+                assert got == contract_by_derivatives(p, comp)
+
+    def test_cap_rejects_homology_after_contract(self):
+        """The table a contraction fills holds only character monomials:
+        a homology generator in the character argument of a cap still
+        raises on that component."""
+        comp = ComponentLabel("BU_Z", (3, 5))
+        p = chv(1, 1) * sv(1, 1) * sv(2, 1) + chv(0, 2) * sv(1, 2)
+        assert contract_poly(p, comp) == sv(2, 1) + sv(1, 2) * 5
+        for ch in (sv(1, 1), chv(1, 1) * sv(1, 1), chv(0, 2) + sv(2, 1)):
+            with pytest.raises(ValueError):
+                cap_poly(ch, sv(2, 1), comp)
+        assert cap_poly(chv(1, 1), sv(1, 1) * sv(2, 1), comp) == sv(2, 1)
+
+    def test_bad_generator_raises_every_time(self):
+        """A lowering that raises is not kept, so the next call raises too."""
+        comp = ComponentLabel("BU_Z", (1, 2))
+        torus = ComponentLabel("Torus", (1,))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                cap_poly(Poly.variable("ch1_3"), sv(1, 1), comp)
+            with pytest.raises(ValueError):
+                contract_poly(Poly.variable("ch0_3") * sv(1, 1), comp)
+            with pytest.raises(ValueError):
+                contract_poly(Poly.variable("ch1") * Poly.variable("X1"), torus)
+
+
 class TestTranslate:
     def test_zero_is_identity(self):
         a = HomologyElement(BU3, sv(2) + sv(1) ** 2)

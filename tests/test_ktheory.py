@@ -75,8 +75,38 @@ class TestCapModel:
         assert k_contract(U ** 2 * L) == Poly()
 
     def test_rejects_foreign_generators(self):
-        with pytest.raises(ValueError):
-            k_cap(Poly.variable("s1"), L)
+        # a lowering that raises is not kept, so every call raises
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                k_cap(Poly.variable("s1"), L)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(0, 3)] * 4),
+                st.fractions(min_value=-4, max_value=4, max_denominator=6),
+            ),
+            max_size=8,
+        )
+    )
+    def test_contract_matches_per_term(self, raw):
+        # u^j l^k -> l^(k-j) per factor, zero when j > k; twice, so the
+        # second call reads lowerings the first one planned
+        u1, l1 = Poly.variable("u1"), Poly.variable("l1")
+        p = sum(
+            (U ** a * L ** b * u1 ** c * l1 ** d * q for (a, b, c, d), q in raw), Poly()
+        )
+        expected = sum(
+            (
+                L ** (b - a) * l1 ** (d - c) * q
+                for (a, b, c, d), q in raw
+                if a <= b and c <= d
+            ),
+            Poly(),
+        )
+        assert k_contract(p) == expected
+        assert k_contract(p) == expected
 
     @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 6))
     @settings(max_examples=30, deadline=None)
@@ -385,13 +415,73 @@ class TestWedgeSeries:
             },
             4,
         ).pullback_weights(lift, XY)
-        # the default route's honest factors of a negative weight are exact
-        # only to ``order``, so the order must pass the pole degree for the
-        # window to be nonempty; pole degrees do not depend on the order
+        # a product of several pole factors claims less past ``order`` than
+        # their total pole degree, so the order must pass the pole degree
+        # for the window to be nonempty; pole degrees do not depend on it
         poles = wedge_minus_z(E, 0, cutoff, KBLOCKS, by_lines=True, depth=depth)
         order = poles.den_degree() + 1
         a = wedge_minus_z(E, order, cutoff, blocks=KBLOCKS, depth=depth)
         b = wedge_minus_z(E, order, cutoff, blocks=KBLOCKS, by_lines=True, depth=depth)
+        assert series_equal(a, b)
+        assert not series_equal(a, b + one_on(XY, KBLOCKS))
+
+    def test_negative_honest_weight_past_the_poles(self):
+        # the honest weight (-2,) is pole-free, the virtual line (-1,) has
+        # pole degree 2; built only to the order, the honest factor used to
+        # leave the default route an empty window (valid order -1)
+        E = KClass(
+            X,
+            {
+                (-2,): Summand(1, None, [(1, Poly())]),
+                (-1,): Summand(-1, None, [(-1, Poly())]),
+            },
+            4,
+        ).pullback_weights([[1], [0]], XY)
+        a = wedge_minus_z(E, 1, 1, blocks=KBLOCKS, depth=1)
+        b = wedge_minus_z(E, 1, 1, blocks=KBLOCKS, by_lines=True, depth=1)
+        assert a.den_degree() == 2
+        assert a.valid_order() >= 0
+        assert series_equal(a, b)
+        assert not series_equal(a, b + one_on(XY, KBLOCKS))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-2, -1, 1, 2]),
+                st.lists(st.integers(-2, 2), min_size=1, max_size=2),
+            ),
+            min_size=1,
+            max_size=2,
+            unique_by=lambda t: t[0],
+        ),
+        st.sampled_from([1, -1]),
+        st.sampled_from([[[1], [0]], [[0], [1]], [[1], [1]], [[2], [1]], [[1], [-1]]]),
+        st.integers(0, 3),
+        st.integers(1, 2),
+    )
+    def test_routes_agree_at_order_one(self, summands, sign, lift, cutoff, depth):
+        # at most one virtual line, the first one drawn, so there is at
+        # most one pole factor; every pole-free factor of negative weight
+        # is built past its pole degree, so order 1 leaves both routes a
+        # nonempty window
+        E = KClass(
+            X,
+            {
+                (w,): Summand(
+                    sum(sg for sg, _ in lines), None, [(sg, U * c) for sg, c in lines]
+                )
+                for w, lines in (
+                    (w, [(sign if i == j == 0 else 1, c) for j, c in enumerate(cs)])
+                    for i, (w, cs) in enumerate(summands)
+                )
+            },
+            4,
+        ).pullback_weights(lift, XY)
+        a = wedge_minus_z(E, 1, cutoff, blocks=KBLOCKS, depth=depth)
+        b = wedge_minus_z(E, 1, cutoff, blocks=KBLOCKS, by_lines=True, depth=depth)
+        for side in (a, b):
+            assert side.valid_order() is INF or side.valid_order() >= 0
         assert series_equal(a, b)
         assert not series_equal(a, b + one_on(XY, KBLOCKS))
 

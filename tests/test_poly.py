@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poly_reference as ref
-from vertexalg import homology, ktheory, series, structures
-from vertexalg.poly import MAX_EXP, Poly, poly_from_obj, poly_to_obj
+from vertexalg import charclass, homology, ktheory, series, structures
+from vertexalg.poly import MAX_EXP, Poly, poly_from_obj, poly_to_obj, sum_of_products
 from vertexalg.series import TruncSeries
 from vertexalg.structures import ProductFamily
 
@@ -197,11 +197,15 @@ def test_benchmark_contract():
     p = (x + 2 * y) * (x - 2 * y) + 4 * y ** 2
     assert len(p.terms) == 1 and p == x ** 2
     assert len((x / 3 + y).terms) == 2
-    assert callable(homology.cap_poly)
-    assert callable(homology.contract_poly)
     assert callable(ktheory.k_contract)
+    # the tracer replaces these by name in both namespaces; a partial or a
+    # closure here would leave ``homology.contract_poly.*`` reading nothing
+    assert charclass.contract_poly is homology.contract_poly
     # wrapped, or reached by the workloads, through the homology namespace
-    for name in ("tensor", "pushforward_substitute", "translate", "translate_series"):
+    for name in (
+        "tensor", "pushforward_substitute", "translate", "translate_series",
+        "contract_poly", "cap_poly",
+    ):
         f = homology.__dict__[name]
         assert isinstance(f, FunctionType) and f.__module__ == homology.__name__, name
     checks = (
@@ -446,3 +450,66 @@ def prop_ring_matches_reference(ra, rb, c, n, var, fresh, bound, drawn):
 
 def test_prop_ring_matches_reference():
     prop_ring_matches_reference()
+
+
+# -- products of operands with disjoint supports ------------------------------------
+
+# the left factor holds exponents 0..3 of c, the right one multiples of 4,
+# so the two share c's field but no bit of it
+left_monos = st.lists(
+    st.tuples(st.sampled_from(("a", "b", "c")), st.integers(0, 3)),
+    max_size=3,
+    unique_by=lambda t: t[0],
+)
+right_monos = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+    lambda e: [("c", 4 * e[0]), ("d", e[1])]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(left_monos, coefs), max_size=5),
+    st.lists(st.tuples(right_monos, coefs), max_size=5),
+)
+def test_prop_disjoint_products_match_reference(ra, rb):
+    """Operands whose supports share no bit multiply without accumulating;
+    the product is the reference ring's, denominators included, and its
+    terms come out in the order of the general loop."""
+    a, ra_ = both(ra)
+    b, rb_ = both(rb)
+    assert not a.support() & b.support()
+    for p, q, rp, rq in ((a, b, ra_, rb_), (b, a, rb_, ra_)):
+        got = p * q
+        same(got, rp * rq)
+        general = sum_of_products(((p, q),))
+        assert got == general and list(got.terms) == list(general.terms)
+
+
+def test_disjoint_product_term_order():
+    a = x / 2 + Poly.variable("x", 2) - 3
+    b = y * Poly.variable("z") / 3 + Poly.variable("z", 4) + 5
+    assert not a.support() & b.support()
+    got, general = a * b, sum_of_products(((a, b),))
+    assert got.den == general.den == 6
+    assert list(got.terms.items()) == list(general.terms.items())
+
+
+def test_disjoint_product_at_the_bound():
+    """A disjoint product cannot carry, so factors that fill a field
+    multiply without a guard check; an overlapping product past MAX_EXP
+    still raises."""
+    z, w = Poly.variable("z"), Poly.variable("w")
+    top = Poly.variable("x", MAX_EXP)
+    got = (top + y) * (z + Poly.variable("w", MAX_EXP) / 2)
+    assert got == Poly(
+        {
+            (("x", MAX_EXP), ("z", 1)): 1,
+            (("w", MAX_EXP), ("x", MAX_EXP)): Fraction(1, 2),
+            (("y", 1), ("z", 1)): 1,
+            (("w", MAX_EXP), ("y", 1)): Fraction(1, 2),
+        }
+    )
+    with pytest.raises(OverflowError):
+        (top + y) * (x + z)
+    with pytest.raises(OverflowError):
+        (top + y) * (w + Poly.variable("x", 2) * z)
