@@ -35,15 +35,16 @@ The sum map of a product component is pushed forward by
 external product computed as a plain product of the factors.  Renaming
 into and out of factor alphabets, the unitary pushforward and the
 generator D are monomial-to-monomial maps, so they run as field moves on
-packed keys through plans cached per support; a cap lowers homology keys
-through lowerings planned once per component.
+packed keys: renames through per-factor monomial tables, D through plans
+cached per support; a cap lowers homology keys through lowerings planned
+once per component.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import perm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -72,18 +73,41 @@ _LITTLE_X_RE = re.compile(r"x(\d+)\Z")
 # field that component has not seen
 _CHECKED: Dict[Tuple[str, tuple], int] = {}
 
-# Plans of the field maps of the sum map and of translation -- the renames
-# of `_resuffix`, the images of the orthosymplectic sum map and the moves
-# of `raise_once` -- keyed by what the map does and by the support of the
-# polynomial it acts on (the bitwise or of its keys).  The variable
-# interner is append-only, so a support always names the same variables
-# and a plan built for it once stays right for every later polynomial with
-# that support.  The cap plans of `_cap_plan` are keyed by component: a
-# generator's action and a cohomology monomial's lowering depend on the
-# component alone, so each is planned once per component and shared by
-# `cap_poly` and `contract_poly`.  Only plans are kept here, never the
-# result of applying one.
+# Plans of the field maps of the sum map, of translation and of the cap,
+# each planned once and kept for the life of the process.  The images of
+# the orthosymplectic sum map and the moves of `raise_once` are keyed by
+# what the map does and by the support of the polynomial it acts on (the
+# bitwise or of its keys); so are the source-factor masks of `_resuffix`.
+# The variable interner is append-only, so a support always names the same
+# variables and a plan built for it once stays right for every later
+# polynomial with that support.  The other plans are monomial-level: a
+# `MonomialTable` plans one monomial's entry on first lookup.  `_resuffix`
+# keeps one table per target factor, the image key of each one-factor
+# monomial, and `_cap_plan` one per component, the lowering of each
+# cohomology monomial, shared by `cap_poly` and `contract_poly`.  A table
+# entry is a plan for one monomial, never a polynomial result: a product
+# of several factors is split into one-factor parts before any lookup, so
+# the tables grow with the distinct monomials of single factors, not with
+# those of their products.
 _PLANS: Dict[tuple, object] = {}
+
+
+class MonomialTable(dict):
+    """A plan per monomial, by its key: the entry ``plan(key)`` works out
+    on first lookup.  A table lives as long as the map it plans (a move
+    onto one factor, a component's cap, the K-theoretic pairing), so each
+    monomial is planned once, not once per call; a lookup that raises
+    keeps nothing, so a bad generator raises every time."""
+
+    __slots__ = ("plan",)
+
+    def __init__(self, plan: Callable[[int], object]):
+        super().__init__()
+        self.plan = plan
+
+    def __missing__(self, key: int) -> object:
+        entry = self[key] = self.plan(key)
+        return entry
 
 
 def s_name(k: int, factor: FactorKey = None) -> str:
@@ -378,7 +402,18 @@ def tensor(*factors: HomologyElement, module: HomologyElement = None) -> Homolog
 
     Without a module argument all factors must be unitary classes; the
     result lives on the n-fold unitary product.  With one, the module
-    factor becomes factor 0 of an orthosymplectic product.
+    factor becomes factor 0 of an orthosymplectic product.  Each factor's
+    generators move onto its suffix through `_resuffix`, one table lookup
+    per term.  Pushed forward along the sum map, the tensor product is
+    `sum_map_product` of the factors:
+
+        >>> s1, s2 = Poly.variable("s1"), Poly.variable("s2")
+        >>> a = HomologyElement(ComponentLabel("BU_Z", (1,)), s1 + s2 / 2)
+        >>> b = HomologyElement(ComponentLabel("BU_Z", (2,)), s1 - s2)
+        >>> tensor(a, b).poly
+        s1_1*s1_2-s1_1*s2_2+1/2*s1_2*s2_1-1/2*s2_1*s2_2
+        >>> pushforward_substitute(tensor(a, b)) == sum_map_product(a, b)
+        True
     """
     ranks = _single_ranks(factors)
     n = len(factors)
@@ -398,19 +433,64 @@ def tensor(*factors: HomologyElement, module: HomologyElement = None) -> Homolog
     return HomologyElement(comp, poly)
 
 
-def _resuffix(poly: Poly, factor: FactorKey) -> Poly:
-    """Move every s-generator of ``poly`` onto ``factor``: a field move of
-    `Poly.rename`, through a plan cached per (support, factor), which is
-    sound because a support always names the same variables."""
-    support = poly.support()
-    plan = _PLANS.get(("suffix", support, factor))
-    if plan is None:
-        plan = {}
+def _suffix_image(factor: FactorKey, key: int) -> int:
+    """The key of a one-factor monomial with its s-generators moved onto
+    ``factor`` (None: unsuffixed).  A one-factor monomial holds each s_k of
+    its factor at most once, so every field moves to a distinct target
+    field: an image neither merges nor overflows."""
+    image = 0
+    for shift, e in key_fields(key):
+        image += e << var_shift(s_name(parse_s(shift_name(shift))[0], factor))
+    return image
+
+
+def _factor_masks(support: int) -> Dict[FactorKey, int]:
+    """The field mask of each source factor among the s-generators of
+    ``support``, made once per support and kept in `_PLANS`, which is sound
+    because a support always names the same variables."""
+    masks = _PLANS.get(("masks", support))
+    if masks is None:
+        masks = {}
         for shift, _ in key_fields(support):
-            name = shift_name(shift)
-            plan[name] = s_name(parse_s(name)[0], factor)
-        _PLANS["suffix", support, factor] = plan
-    return poly.rename(plan)
+            factor = parse_s(shift_name(shift))[1]
+            masks[factor] = masks.get(factor, 0) | FIELD_MASK << shift
+        _PLANS["masks", support] = masks
+    return masks
+
+
+def _resuffix(poly: Poly, factor: FactorKey) -> Poly:
+    """Move every s-generator of ``poly`` onto ``factor``.
+
+    Each key splits by the field masks of its source factors into
+    one-factor parts, and its image is the sum of the parts' images in the
+    monomial table of ``factor``.  With one source factor (a `tensor`
+    argument) the map is one lookup per term and injective, so nothing
+    merges; with several (a unitary product pushed forward) parts that
+    land on one field merge, terms that meet add their coefficients, and
+    every partial key sum is or-ed into the guard check, so an exponent
+    past MAX_EXP raises OverflowError.  When nothing moves the operand is
+    returned.
+    """
+    masks = _factor_masks(poly.support())
+    if not masks or list(masks) == [factor]:
+        return poly
+    table = _PLANS.get(("suffix", factor))
+    if table is None:
+        table = _PLANS["suffix", factor] = MonomialTable(partial(_suffix_image, factor))
+    if len(masks) == 1:
+        return Poly.packed({table[m]: c for m, c in poly.terms.items()}, poly.den)
+    parts = tuple(masks.values())
+    out: Dict[int, int] = {}
+    get = out.get
+    seen = 0  # the bitwise or of every partial key sum
+    for m, c in poly.terms.items():
+        key = 0
+        for mask in parts:
+            key += table[m & mask]
+            seen |= key
+        out[key] = get(key, 0) + c
+    check_guards((seen,))
+    return Poly.packed(out, poly.den)
 
 
 # -- cap product ---------------------------------------------------------------
@@ -465,25 +545,6 @@ class _Actions(dict):
         return comask
 
 
-class Lowerings(dict):
-    """The lowering of each cohomology monomial, by its key: the
-    `field_lowering` that ``lower(cokey)`` works out on first lookup, or
-    None when the monomial acts as zero.  A table lives as long as the
-    action it plans (one component, or the K-theoretic pairing), so each
-    monomial is planned once, not once per call; a lookup that raises
-    keeps nothing, so a bad generator raises every time."""
-
-    __slots__ = ("lower",)
-
-    def __init__(self, lower: Callable[[int], Optional[Tuple]]):
-        super().__init__()
-        self.lower = lower
-
-    def __missing__(self, cokey: int) -> Optional[Tuple]:
-        lowering = self[cokey] = self.lower(cokey)
-        return lowering
-
-
 def field_lowering(scalar: int, take: Mapping[int, int], falling: bool) -> Optional[Tuple]:
     """The action of one cohomology monomial on packed homology keys:
     (scalar, need, guards, falling pairs), or None when it acts as zero.
@@ -521,7 +582,7 @@ def _lowering(acts: _Actions, cokey: int) -> Optional[Tuple]:
     return field_lowering(scalar, take, True)
 
 
-def _cap_plan(component: ComponentLabel) -> Tuple[_Actions, Lowerings]:
+def _cap_plan(component: ComponentLabel) -> Tuple[_Actions, MonomialTable]:
     """The field actions and the lowering table of one component, made on
     first use and kept in `_PLANS`: a lowering depends only on the
     component and the cohomology monomial, so `cap_poly` and
@@ -529,7 +590,7 @@ def _cap_plan(component: ComponentLabel) -> Tuple[_Actions, Lowerings]:
     plan = _PLANS.get(("cap", component))
     if plan is None:
         acts = _Actions(component)
-        lowerings = Lowerings(lambda cokey: _lowering(acts, cokey))
+        lowerings = MonomialTable(lambda cokey: _lowering(acts, cokey))
         plan = _PLANS["cap", component] = (acts, lowerings)
     return plan
 
@@ -573,7 +634,7 @@ def contract_with(
     """Split every key of p by the mask of its acting fields and let the
     acting part, as its entry in ``lowerings`` says, lower the rest.
 
-    ``lowerings`` is a table kept across calls (a `Lowerings`), so each
+    ``lowerings`` is a table kept across calls (a `MonomialTable`), so each
     distinct acting part is planned once per component, not once per
     call.  Each key is lowered as in `_cap_into`, inline, and tested for
     survival before anything is stripped: a field short of units borrows
@@ -864,10 +925,12 @@ def pushforward_substitute(a: HomologyElement) -> HomologyElement:
     so even unitary generators double, odd ones die, the module alphabet
     passes through, and the target rank is r_0 + 2 * sum r_i.
 
-    The unitary map is a merging `Poly.rename` onto the unsuffixed names
-    and the orthosymplectic one a `Poly.substitute` by one-term images;
-    both read a plan cached per support (and module factor), which is
-    sound because a support always names the same variables.
+    The unitary map is `_resuffix` onto the unsuffixed names: each key is
+    split into its factors' parts, whose images come from a monomial table
+    kept across calls, and terms that meet merge.  The orthosymplectic map
+    is a `Poly.substitute` by one-term images from a plan cached per
+    support and module factor, which is sound because a support always
+    names the same variables.
     """
     comp = a.component
     if comp.model == "BU_Z":

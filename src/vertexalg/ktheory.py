@@ -44,7 +44,7 @@ from math import factorial, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charclass import KClass, Summand
-from .homology import Lowerings, cap_with, contract_with, field_lowering
+from .homology import MonomialTable, cap_with, contract_with, field_lowering
 from .poly import FIELD_MASK, MAX_EXP, Poly, key_fields, shift_name, var_shift
 from .series import (
     INF,
@@ -115,7 +115,7 @@ def _k_lowering(cokey: int) -> Optional[Tuple]:
 
 # every augmentation monomial's lowering, planned once for the process:
 # u_i always lowers l_i, so it depends on nothing else
-_K_LOWERINGS = Lowerings(_k_lowering)
+_K_LOWERINGS = MonomialTable(_k_lowering)
 
 
 def k_cap(upoly: Poly, lpoly: Poly) -> Poly:

@@ -16,6 +16,7 @@ from golden_outputs import (
     sum_map_text,
     translate_text,
 )
+from vertexalg import homology
 from vertexalg.groups import ClassicalGroup, weyl_average
 from vertexalg.homology import (
     CohomologyElement,
@@ -36,7 +37,7 @@ from vertexalg.homology import (
     var_weight,
     weyl_normal_form,
 )
-from vertexalg.poly import MAX_EXP, Poly
+from vertexalg.poly import MAX_EXP, Poly, check_guards, key_fields, shift_name
 from vertexalg.series import VarSet
 
 BU1 = ComponentLabel("BU_Z", (1,))
@@ -616,6 +617,140 @@ class TestSumMapProduct:
             sum_map_product(a, module=a)
 
 
+def _same_poly(got, want):
+    assert got.terms == want.terms and got.den == want.den
+
+
+def _suffixed(p, factor):
+    """``p`` with every s_k sent to s_k on ``factor``, multiplied out."""
+    return ref.multiply_out(p, {v: sv(parse_s(v)[0], factor) for v in p.variables()})
+
+
+def _unsuffixed(p, even_only=False):
+    """The sum map of every s-generator of ``p``, multiplied out: s_k of any
+    factor to s_k, or with ``even_only`` odd k to 0 and even k to 2*s_k."""
+    mapping = {}
+    for v in p.variables():
+        k = parse_s(v)[0]
+        mapping[v] = (Poly() if k % 2 else 2 * sv(k)) if even_only else sv(k)
+    return ref.multiply_out(p, mapping)
+
+
+@st.composite
+def s_polys(draw, ks=(1, 2, 3)):
+    """A class in the unsuffixed s_k with fractional coefficients."""
+    gens = [s_name(k) for k in ks]
+    monos = st.lists(st.tuples(st.sampled_from(gens), st.integers(0, 2)), max_size=3)
+    coefs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    return Poly({tuple(m): c for m, c in draw(st.lists(st.tuples(monos, coefs), max_size=4))})
+
+
+@st.composite
+def unitary_classes(draw):
+    """One to four single unitary classes of ranks 0-2.  Half the time the
+    first two are p + q and p - q, whose cross terms p_1*q_2 and -q_1*p_2
+    cancel when the sum map merges the two alphabets."""
+    polys = [draw(s_polys()) for _ in range(draw(st.integers(1, 4)))]
+    if len(polys) > 1 and draw(st.booleans()):
+        polys[:2] = [polys[0] + polys[1], polys[0] - polys[1]]
+    return [
+        HomologyElement(ComponentLabel("BU_Z", (draw(st.integers(0, 2)),)), p) for p in polys
+    ]
+
+
+class TestSuffixTables:
+    """The per-factor monomial tables behind `tensor` and the unitary
+    `pushforward_substitute`, against the same maps multiplied out."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(unitary_classes())
+    def test_prop_round_trip_matches_reference(self, fs):
+        prod = tensor(*fs)
+        want = Poly.const(1)
+        for key, f in zip(prod.component.unitary_factors(), fs):
+            want = want * _suffixed(f.poly, key)
+        _same_poly(prod.poly, want)
+        pushed = pushforward_substitute(prod)
+        rank = sum(f.component.index[0] for f in fs)
+        assert pushed.component == ComponentLabel("BU_Z", (rank,))
+        _same_poly(pushed.poly, _unsuffixed(prod.poly))
+        direct = sum_map_product(*fs)
+        assert pushed.component == direct.component
+        _same_poly(pushed.poly, direct.poly)
+
+    @settings(max_examples=100, deadline=None)
+    @given(unitary_classes(), s_polys(ks=(2, 4)), st.sampled_from([1, 3]))
+    def test_prop_module_round_trip_matches_reference(self, fs, mpoly, r0):
+        fs = fs[1:]  # zero to three unitary factors
+        m = HomologyElement(ComponentLabel("BO_Z", (r0,)), mpoly)
+        prod = tensor(*fs, module=m)
+        want = _suffixed(mpoly, 0 if fs else None)
+        for i, f in enumerate(fs):
+            want = want * _suffixed(f.poly, i + 1)
+        _same_poly(prod.poly, want)
+        pushed = pushforward_substitute(prod)
+        want = _unsuffixed(mpoly)
+        for f in fs:
+            want = want * _unsuffixed(f.poly, even_only=True)
+        _same_poly(pushed.poly, want)
+        direct = sum_map_product(*fs, module=m)
+        assert pushed.component == direct.component
+        _same_poly(pushed.poly, direct.poly)
+
+    def test_merged_terms_cancel(self):
+        """Terms that meet on one key add, a sum that cancels leaves no
+        term, and the result is canonical again."""
+        p, q = sv(1), sv(2)
+        a, b = HomologyElement(BU1, p + q), HomologyElement(BU1, p - q)
+        assert len(tensor(a, b).poly.terms) == 4
+        _same_poly(pushforward_substitute(tensor(a, b)).poly, p ** 2 - q ** 2)
+        comp = ComponentLabel("BU_Z", (1, 1))
+        swapped = HomologyElement(comp, (sv(1, 1) * sv(2, 2) - sv(2, 1) * sv(1, 2)) / 2)
+        _same_poly(pushforward_substitute(swapped).poly, Poly())
+        kept = swapped + HomologyElement(comp, sv(1, 1) * sv(1, 2) / 3)
+        _same_poly(pushforward_substitute(kept).poly, p ** 2 / 3)
+
+    def test_nothing_moves(self):
+        a = HomologyElement(BU1, sv(1) * sv(3) / 2)
+        assert tensor(a).poly is a.poly
+        assert pushforward_substitute(a).poly is a.poly
+        constant = HomologyElement(ComponentLabel("BU_Z", (1, 2)), 5)
+        assert pushforward_substitute(constant).poly is constant.poly
+
+    def test_overflow_stores_nothing(self):
+        big = HomologyElement(BU1, Poly.variable("s1", 20000))
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                pushforward_substitute(tensor(big, big))
+        # three parts: the third addition would carry past the s1 field
+        full = HomologyElement(BU1, Poly.variable("s1", 30000))
+        with pytest.raises(OverflowError):
+            pushforward_substitute(tensor(full, full, full))
+        check_guards(homology._PLANS["suffix", None].values())
+        small = HomologyElement(BU1, Poly.variable("s1", 12000) * sv(2))
+        pushed = pushforward_substitute(tensor(small, big))
+        _same_poly(pushed.poly, Poly.variable("s1", 32000) * sv(2))
+
+    def test_tables_hold_one_factor_monomials(self):
+        """A table entry is the image of a single factor's monomial, never
+        of a product key: the tables grow with the factors' monomials."""
+        rng = random.Random("suffix-tables")
+        for _ in range(5):
+            factors = [
+                HomologyElement(
+                    ComponentLabel("BU_Z", (rng.randint(0, 2),)), _random_s_poly(rng, (1, 2, 3))
+                )
+                for _ in range(rng.randint(2, 4))
+            ]
+            pushforward_substitute(tensor(*factors))
+        owners = [
+            {parse_s(shift_name(shift))[1] for shift, _ in key_fields(key)}
+            for key in homology._PLANS["suffix", None]
+        ]
+        assert {1} in owners and {2} in owners
+        assert all(len(o) <= 1 for o in owners)
+
+
 # -- the field maps of translation and of the sum map ---------------------------------
 
 
@@ -671,7 +806,9 @@ class TestFieldMaps:
         """With the substitution kernel, powers, derivatives and variable
         construction all made to fail, renames (merges and swaps
         included), the unitary sum-map round trip and the translation
-        generator still give the reference results."""
+        generator still give the reference results.  The round trip and
+        the generator run with `Poly.rename` failing too, and with empty
+        plans, so the suffix tables are planned under the same ban."""
         a, b, c = (Poly.variable(v) for v in "abc")
         p = (a ** 3 * b - 2 * a * c ** 2 + Fraction(1, 3)) * (b + c) ** 2
         renames = [
@@ -702,6 +839,8 @@ class TestFieldMaps:
         for attr in ("substitute", "__pow__", "diff", "variable"):
             monkeypatch.setattr(Poly, attr, forbidden)
         rename_got = [p.rename(r) for r in renames]
+        monkeypatch.setattr(Poly, "rename", forbidden)
+        monkeypatch.setattr(homology, "_PLANS", {})
         pushed = pushforward_substitute(tensor(*factors))
         raise_got = [raise_once(q, f, r) for q, f, r in classes]
         monkeypatch.undo()
