@@ -578,21 +578,17 @@ def translation_operator(P: ProductFamily, a: HomologyElement) -> HomologyElemen
     return HomologyElement(out.component, out.series.num.terms.get((1,), Poly()))
 
 
-def _two_point(
-    P: ProductFamily, a: HomologyElement, b: HomologyElement, trunc: int
-) -> Tuple[ElementSeries, int]:
-    """The two-point product over (z, w) at the working order read from its
-    order-0 probe, and the probe's pole degree d."""
-    d = P.product((a, b), ("z", "w"), 0).series.den_degree()
-    return P.product((a, b), ("z", "w"), 2 * trunc + 2 * d + 2), d
-
-
 def two_point_operator(
     P: ProductFamily, a: HomologyElement, b: HomologyElement, trunc: int
 ) -> ElementSeries:
     """The two-point product with the second coordinate set to zero,
-    read inside the expansion where the first coordinate dominates."""
-    full, d = _two_point(P, a, b, trunc)
+    read inside the expansion where the first coordinate dominates.
+
+    The working order, 2 * trunc + 2 * d + 2 for the pole degree d read
+    from an order-0 probe, also sets how far the compared series reach.
+    """
+    d = P.product((a, b), ("z", "w"), 0).series.den_degree()
+    full = P.product((a, b), ("z", "w"), 2 * trunc + 2 * d + 2)
     expanded = iota_expand(full.series, (("z",), ("w",)), trunc + d + 1)
     return ElementSeries(full.component, coefficient_of_power(expanded, "w", 0))
 
@@ -620,33 +616,70 @@ def check_translation_axiom(P: ProductFamily, samples, trunc: int) -> CheckRepor
 # -- residue Lie structure -----------------------------------------------------------
 
 
+# the coordinates of each residue read, and the center of its residue in
+# the first coordinate
+_RESIDUE_READS = {
+    "lie_bracket": (("z", "w"), "w"),
+    "residue_action": (("z",), 0),
+}
+
+
+def _residue_read(
+    kind: str, P: ProductFamily, x: HomologyElement, y: HomologyElement, trunc: int
+) -> Tuple[HomologyElement, int, int]:
+    """The constant coefficient of a residue read of the product of x and
+    y, with the pole degree d and the working order of the product.
+
+    The pole forms are linear and homogeneous, so a numerator term of
+    total degree t only reaches total degree t - d, and the constant
+    coefficient of the residue, of total degree -1, only reads numerator
+    terms of degree d - 1.  The product is therefore worked at order
+    max(d - 1, 0); the order-0 probe that reads d is that product when
+    d <= 1.  A second call must keep the probe's poles, since the order
+    is read from them.  ``trunc`` sets only the residue's expansion depth.
+    """
+    names, center = _RESIDUE_READS[kind]
+    full = P.product((x, y), names, 0)
+    den = full.series.den
+    d = full.series.den_degree()
+    order = max(d - 1, 0)
+    if order:
+        full = P.product((x, y), names, order)
+        if full.series.den != den:
+            raise ValueError(
+                "%s: poles change with the truncation order, %r at order 0 "
+                "and %r at order %d" % (kind, den, full.series.den, order)
+            )
+    res = residue(full.series, names[0], center, trunc=trunc + d + 1)
+    if res.den:
+        raise ValueError("%s: residue kept a pole" % kind)
+    return HomologyElement(full.component, res.num.constant_term()), d, order
+
+
 def lie_bracket(
     P: ProductFamily, a: HomologyElement, b: HomologyElement, trunc: int
 ) -> HomologyElement:
     """Residue of the two-point product along the diagonal.
 
     The result represents the bracket in the quotient of the carrier by
-    the translation image; the constant coefficient is returned.
+    the translation image; the constant coefficient is returned, and a
+    residue that keeps a pole raises ValueError.  The product is worked
+    at the order its pole degree needs (see :func:`_residue_read`);
+    ``trunc`` sets only the expansion depth passed to :func:`residue`.
     """
-    full, d = _two_point(P, a, b, trunc)
-    res = residue(full.series, "z", "w", trunc=trunc + d + 1)
-    if res.den:
-        raise ValueError("diagonal residue kept a pole; not a bracket")
-    return HomologyElement(full.component, res.num.terms.get((0,), Poly()))
+    return _residue_read("lie_bracket", P, a, b, trunc)[0]
 
 
 def residue_action(
     PM: ProductFamily, a: HomologyElement, m: HomologyElement, trunc: int
 ) -> HomologyElement:
-    """Residue at the origin of the one-point module action."""
-    probe = PM.product((a, m), ("z",), 0)
-    d = probe.series.den_degree()
-    work = trunc + 2 * d + 2
-    full = PM.product((a, m), ("z",), work)
-    res = residue(full.series, "z", 0, trunc=trunc + d + 1)
-    if res.den:
-        raise ValueError("residue kept a pole")
-    return HomologyElement(full.component, res.num.constant_term())
+    """Residue at the origin of the one-point module action.
+
+    The action is worked at the order its pole degree needs (see
+    :func:`_residue_read`); ``trunc`` sets only the expansion depth
+    passed to :func:`residue`.
+    """
+    return _residue_read("residue_action", PM, a, m, trunc)[0]
 
 
 def _component_generators(
@@ -838,16 +871,22 @@ def check_twisted_lie_identity(
         raise ValueError("the module family needs an involution")
     report = CheckReport("twisted-lie-identity")
     report.count()
+
+    def read(kind, family, x, y):
+        out, d, order = _residue_read(kind, family, x, y, trunc)
+        report.notes.append("%s: d=%d, order=%d" % (kind, d, order))
+        return out
+
     sign = -1 if (P.parity(a) and P.parity(b)) else 1
-    bm = residue_action(PM, b, m, trunc)
-    am = residue_action(PM, a, m, trunc)
-    lhs = residue_action(PM, a, bm, trunc) - residue_action(
-        PM, b, am, trunc
+    bm = read("residue_action", PM, b, m)
+    am = read("residue_action", PM, a, m)
+    lhs = read("residue_action", PM, a, bm) - read(
+        "residue_action", PM, b, am
     ).scale(sign)
-    br = lie_bracket(P, a, b, trunc)
-    br_dual = lie_bracket(P, PM.involution(a), b, trunc)
-    rhs = residue_action(PM, br, m, trunc) - residue_action(
-        PM, br_dual, m, trunc
+    br = read("lie_bracket", P, a, b)
+    br_dual = read("lie_bracket", P, PM.involution(a), b)
+    rhs = read("residue_action", PM, br, m) - read(
+        "residue_action", PM, br_dual, m
     )
     if lhs.component != rhs.component or lhs.poly != rhs.poly:
         report.fail(

@@ -31,6 +31,7 @@ from vertexalg.series import (
     TruncSeries,
     VarSet,
     iota_expand,
+    residue,
     series_equal,
     series_sub_cleared,
 )
@@ -751,6 +752,86 @@ class TestTwoPointOperator:
         assert const == pushed.poly
 
 
+def with_poles(out, poles):
+    """``out`` divided by the linear forms in ``poles``, given as
+    (coefficients by name, multiplicity) pairs."""
+    vs = out.series.varset
+    den = [(LinearForm.make(vs, coeffs)[0], mult) for coeffs, mult in poles]
+    return ElementSeries(
+        out.component, LocalizedSeries(out.series.num, den, out.series.blocks)
+    )
+
+
+def diagonal_pole_family(power, sum_pole=False):
+    """The translation product divided by (z - w)^power on two points,
+    and by (z + w) too when ``sum_pole`` is set."""
+
+    def product(elements, names, trunc):
+        out = translation_product(elements, names, trunc)
+        if len(names) != 2:
+            return out
+        z, w = names
+        poles = [({z: 1, w: -1}, power)] + ([({z: 1, w: 1}, 1)] if sum_pole else [])
+        return with_poles(out, poles)
+
+    return ProductFamily("diagonal-pole-%d" % power, product, VA_POLES)
+
+
+def origin_pole_family(power, base=module_translation_product):
+    """A one-point action divided by z^power."""
+
+    def product(elements, names, trunc):
+        out = base(elements, names, trunc)
+        return with_poles(out, [({names[0]: 1}, power)]) if names else out
+
+    return ProductFamily("origin-pole-%d" % power, product, MODULE_POLES, module=True)
+
+
+def bracket_at(P, a, b, trunc, order=None):
+    """The bracket read from the product at ``order``; by default the
+    working order 2 * trunc + 2 * d + 2 that the residue reads used before
+    they took their order from the pole degree."""
+    d = P.product((a, b), ("z", "w"), 0).series.den_degree()
+    if order is None:
+        order = 2 * trunc + 2 * d + 2
+    full = P.product((a, b), ("z", "w"), order)
+    res = residue(full.series, "z", "w", trunc=trunc + d + 1)
+    assert not res.den
+    return HomologyElement(full.component, res.num.terms.get((0,), Poly()))
+
+
+def action_at(PM, a, m, trunc, order=None):
+    """The residue action read from the action at ``order``; by default
+    the former working order trunc + 2 * d + 2."""
+    d = PM.product((a, m), ("z",), 0).series.den_degree()
+    if order is None:
+        order = trunc + 2 * d + 2
+    full = PM.product((a, m), ("z",), order)
+    res = residue(full.series, "z", 0, trunc=trunc + d + 1)
+    assert not res.den
+    return HomologyElement(full.component, res.num.constant_term())
+
+
+def counted(family):
+    """``family`` with its product callable wrapped in a counter, and the
+    list of the orders of the calls it receives."""
+    orders = []
+
+    def product(elements, names, trunc):
+        orders.append(trunc)
+        return family.product(elements, names, trunc)
+
+    return ProductFamily(family.name, product, family.pole_policy, module=family.module), orders
+
+
+PAIRS = [
+    (elem(1, S1), elem(1, Poly.const(1))),
+    (elem(1, S1), elem(1, S1)),
+    (elem(1, S2), elem(1, S1)),
+    (elem(0, Poly.const(1)), elem(1, S2)),
+]
+
+
 class TestBracketAndResidues:
     def test_abelian_bracket_vanishes(self):
         br = lie_bracket(FAMILY, elem(1, S1), elem(1, S1), 3)
@@ -758,20 +839,7 @@ class TestBracketAndResidues:
         assert br.component == BU(2)
 
     def test_simple_pole_bracket(self):
-        def pole_product(elements, names, trunc):
-            out = translation_product(elements, names, trunc)
-            if len(names) == 2:
-                vs = out.series.varset
-                form, _ = LinearForm.make(vs, {names[0]: 1, names[1]: -1})
-                return ElementSeries(
-                    out.component,
-                    LocalizedSeries(
-                        out.series.num, [(form, 1)], out.series.blocks
-                    ),
-                )
-            return out
-
-        fam = ProductFamily("pole", pole_product, VA_POLES)
+        fam = diagonal_pole_family(1)
         br = lie_bracket(fam, elem(1, S1), elem(1, Poly.const(1)), 3)
         pushed = pushforward_substitute(
             tensor(elem(1, S1), elem(1, Poly.const(1)))
@@ -779,20 +847,7 @@ class TestBracketAndResidues:
         assert br.poly == pushed.poly
 
     def test_residue_action_reads_pole_coefficient(self):
-        def pole_action(elements, names, trunc):
-            out = module_translation_product(elements, names, trunc)
-            if len(names) == 1:
-                vs = out.series.varset
-                form, _ = LinearForm.make(vs, {names[0]: 1})
-                return ElementSeries(
-                    out.component,
-                    LocalizedSeries(
-                        out.series.num, [(form, 1)], out.series.blocks
-                    ),
-                )
-            return out
-
-        fam = ProductFamily("pole-action", pole_action, MODULE_POLES, module=True)
+        fam = origin_pole_family(1)
         got = residue_action(fam, elem(1, S1), elem(1, S1), 3)
         pushed = pushforward_substitute(tensor(elem(1, S1), elem(1, S1)))
         assert got.poly == pushed.poly
@@ -800,6 +855,97 @@ class TestBracketAndResidues:
     def test_regular_action_has_zero_residue(self):
         got = residue_action(MODULE, elem(1, S1), elem(1, S1), 3)
         assert got.poly.is_zero()
+
+
+class TestResidueWorkingOrders:
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_bracket_matches_former_order(self, power):
+        fam = diagonal_pole_family(power)
+        got = [lie_bracket(fam, a, b, 3) for a, b in PAIRS]
+        want = [bracket_at(fam, a, b, 3) for a, b in PAIRS]
+        assert [(g.component, g.poly) for g in got] == [
+            (w.component, w.poly) for w in want
+        ]
+        assert any(not g.poly.is_zero() for g in got)
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_action_matches_former_order(self, power):
+        fam = origin_pole_family(power)
+        got = [residue_action(fam, a, m, 3) for a, m in PAIRS]
+        want = [action_at(fam, a, m, 3) for a, m in PAIRS]
+        assert [(g.component, g.poly) for g in got] == [
+            (w.component, w.poly) for w in want
+        ]
+        assert any(not g.poly.is_zero() for g in got)
+
+    @pytest.mark.parametrize("power", [2, 3])
+    def test_order_below_pole_degree_minus_one_changes_the_bracket(self, power):
+        fam = diagonal_pole_family(power)
+        a, b = PAIRS[0]
+        short = bracket_at(fam, a, b, 3, order=power - 2)
+        assert short.poly != lie_bracket(fam, a, b, 3).poly
+
+    def test_order_below_pole_degree_minus_one_changes_the_action(self):
+        fam = origin_pole_family(2)
+        a, m = PAIRS[0]
+        short = action_at(fam, a, m, 3, order=0)
+        assert short.poly != residue_action(fam, a, m, 3).poly
+
+    def test_mixed_pole_keeps_a_pole(self):
+        fam = diagonal_pole_family(2, sum_pole=True)
+        with pytest.raises(ValueError, match="kept a pole"):
+            lie_bracket(fam, *PAIRS[0], 3)
+
+    def test_simple_poles_take_one_product_call(self):
+        fam, orders = counted(diagonal_pole_family(1))
+        lie_bracket(fam, *PAIRS[0], 3)
+        assert orders == [0]
+        fam, orders = counted(origin_pole_family(1))
+        residue_action(fam, *PAIRS[0], 3)
+        assert orders == [0]
+
+    def test_double_pole_works_at_order_one(self):
+        fam, orders = counted(diagonal_pole_family(2))
+        lie_bracket(fam, *PAIRS[0], 3)
+        assert orders == [0, 1]
+
+    def test_poles_that_move_with_the_order_raise(self):
+        def drifting(elements, names, trunc):
+            out = translation_product(elements, names, trunc)
+            z, w = names
+            return with_poles(out, [({z: 1, w: -1}, 2 if trunc == 0 else 3)])
+
+        fam = ProductFamily("drifting", drifting, VA_POLES)
+        with pytest.raises(ValueError, match="truncation order"):
+            lie_bracket(fam, *PAIRS[0], 3)
+
+        def drifting_action(elements, names, trunc):
+            out = module_translation_product(elements, names, trunc)
+            return with_poles(out, [({names[0]: 1}, 2 if trunc == 0 else 3)])
+
+        fam = ProductFamily("drifting-action", drifting_action, MODULE_POLES, module=True)
+        with pytest.raises(ValueError, match="truncation order"):
+            residue_action(fam, *PAIRS[0], 3)
+
+    def test_lie_identity_notes_every_residue_read(self):
+        rep = check_twisted_lie_identity(
+            FAMILY, TWISTED, elem(1, S1), elem(1, Poly.const(1)), elem(1, S1), 3
+        )
+        assert rep.passed
+        assert sorted(rep.notes) == sorted(
+            ["lie_bracket: d=0, order=0"] * 2 + ["residue_action: d=0, order=0"] * 6
+        )
+        assert rep.to_obj()["notes"] == rep.notes
+
+    def test_lie_identity_notes_the_pole_degree(self):
+        fam = origin_pole_family(2, base=symmetrized_action)
+        fam.involution = involution_dual
+        rep = check_twisted_lie_identity(
+            diagonal_pole_family(1), fam, elem(1, S1), elem(1, Poly.const(1)),
+            elem(1, S1), 3,
+        )
+        assert rep.notes.count("lie_bracket: d=1, order=0") == 2
+        assert rep.notes.count("residue_action: d=2, order=1") == 6
 
 
 class TestTwistedModule:
