@@ -28,10 +28,10 @@ discrepancy between the two readings of a dual pair).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .homology import ComponentLabel, ch_name, contract_poly
-from .poly import Poly, poly_from_obj, poly_to_obj
+from .poly import Poly, json_field, json_int, poly_from_obj, poly_to_obj
 from .series import (
     INF,
     LinearForm,
@@ -330,18 +330,6 @@ def characters_from_chern(c: Sequence[Poly], depth: int) -> Dict[int, Poly]:
     return out
 
 
-def line_summand(c1: Poly, depth: int, rank_sign: int = 1) -> Summand:
-    """The summand of a single line with first character c1 (or minus one)."""
-    ch = {}
-    acc = Poly.const(1)
-    fact = 1
-    for k in range(1, depth + 1):
-        acc = acc * c1
-        fact *= k
-        ch[k] = acc * Fraction(rank_sign, fact)
-    return Summand(rank_sign, ch)
-
-
 # -- normal bundles of the sum maps ----------------------------------------------
 
 
@@ -610,13 +598,6 @@ def sqrt_equivariant_euler(
     return out * Fraction(sign)
 
 
-def truncate_coefficients(
-    x: LocalizedSeries, bound: int, weights: Mapping[str, int]
-) -> LocalizedSeries:
-    """Drop coefficient terms of weighted degree above the bound."""
-    return x.map_coefficients(lambda p: p.truncate_degree(bound, weights))
-
-
 def cap_localized(x: LocalizedSeries, component: ComponentLabel) -> LocalizedSeries:
     """Contract mixed cohomology-and-homology coefficients by cap product."""
     return x.map_coefficients(lambda p: contract_poly(p, component))
@@ -654,21 +635,28 @@ def kclass_to_obj(E: KClass) -> dict:
 
 
 def kclass_from_obj(obj: Mapping) -> KClass:
-    varset = VarSet(tuple(obj["vars"]), degrees=tuple(obj["degrees"]))
+    """Read the form of `kclass_to_obj`; an integer field that is not an
+    int and a missing key raise ValueError."""
+    degrees = tuple(json_int(c, "degree") for c in json_field(obj, "degrees"))
+    varset = VarSet(tuple(json_field(obj, "vars")), degrees)
     summands: Dict[Weight, Summand] = {}
-    for entry in obj["summands"]:
-        ch = {int(k): poly_from_obj(p) for k, p in entry.get("ch", [])}
+    for entry in json_field(obj, "summands"):
+        ch = {json_int(k, "character index"): poly_from_obj(p) for k, p in entry.get("ch", [])}
         lines = entry.get("lines")
         if lines is not None:
-            lines = [(int(sg), poly_from_obj(sv)) for sg, sv in lines]
-        summands[tuple(entry["weight"])] = Summand(entry["rank"], ch, lines)
+            lines = [(json_int(sg, "line sign"), poly_from_obj(sv)) for sg, sv in lines]
+        weight = tuple(json_int(c, "weight") for c in json_field(entry, "weight"))
+        summands[weight] = Summand(json_int(json_field(entry, "rank"), "rank"), ch, lines)
     ori = obj.get("orientation")
     if ori is not None:
-        ori = OrientationData(ori["sign"], ori.get("convention", "lex-first-positive"))
+        ori = OrientationData(
+            json_int(json_field(ori, "sign"), "orientation sign"),
+            ori.get("convention", "lex-first-positive"),
+        )
     return KClass(
         varset,
         summands,
-        obj["depth"],
+        json_int(json_field(obj, "depth"), "depth"),
         bool(obj.get("zero_is_bundle", False)),
         ori,
     )

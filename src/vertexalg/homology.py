@@ -978,9 +978,3 @@ def sum_map_product(*elements: HomologyElement, module: HomologyElement = None) 
     target = ComponentLabel(model, (module.component.index[0] + 2 * sum(ranks),))
     return HomologyElement(target, poly)
 
-
-def weyl_normal_form(a: HomologyElement) -> HomologyElement:
-    """Exact Weyl-group average; the identity on already-invariant classes."""
-    if a.component.model != "BG_classical":
-        raise ValueError("normal forms apply to BG components only")
-    return HomologyElement(a.component, weyl_average(a.poly, a.component.group()))

@@ -16,7 +16,10 @@ coordinates x = z - 1, where a line of weight lambda contributes
     1 - (1+x)^lambda (1+s),
 
 inverted factors being expanded with poles along the hyperplane that the
-leading part of (1+x)^lambda - 1 exactly divides by.
+leading part of (1+x)^lambda - 1 exactly divides by.  `wedge_minus_z`
+takes one route: one factor per weight, the interpolation-class sum below.
+The product of these line factors is kept in the tests as the oracle it is
+checked against.
 
 Poles go through `series.expand_poles` once per weight, on
 A = 1 - (1+x)^w at its top power P: there F + B splits A into its terms on
@@ -141,36 +144,12 @@ def k_contract(p: Poly) -> Poly:
     return contract_with(p, comask, _K_LOWERINGS)
 
 
-def mult_translate(a: Poly, xvars: Sequence[str], trunc: int) -> TruncSeries:
-    """Multiplicative translation series applied to a K-homology polynomial.
-
-    One series coordinate per tower factor, in suffix order; the i-th
-    coordinate convolves the l_i-powers.
-    """
-    vs = VarSet(xvars)
-    suffixes: List[Optional[int]] = (
-        [None] if len(xvars) == 1 and _only_plain_l(a) else list(range(1, len(xvars) + 1))
-    )
-    out = TruncSeries(vs, trunc, {vs.zero_exponent(): a})
-    for idx, suf in enumerate(suffixes):
-        out = _translate_factor(out, idx, l_name(suf), trunc)
-    return out
-
-
-def _only_plain_l(a: Poly) -> bool:
-    return all(v == "l" for v in a.variables())
-
-
 def mult_translate_series(ts: TruncSeries, var: str, lvar: str, trunc: int) -> TruncSeries:
     """Apply the translation convolution in one named coordinate to a series
-    whose coefficients already carry K-homology generators."""
-    return _translate_factor(ts, ts.varset.index(var), lvar, trunc)
-
-
-def _translate_factor(
-    ts: TruncSeries, pos: int, lvar: str, trunc: int
-) -> TruncSeries:
+    whose coefficients already carry K-homology generators: the powers of
+    ``lvar`` convolve along ``var``."""
     vs = ts.varset
+    pos = vs.index(var)
     # every coefficient goes over one denominator, so that contributions to
     # one output coefficient add as integers
     den = lcm(*(p.den for p in ts.terms.values()))
@@ -264,41 +243,6 @@ def _weight_poles(
     return W, A, chain
 
 
-def _line_factor(
-    varset: VarSet,
-    weight: Sequence[int],
-    sg: int,
-    s: Poly,
-    order: int,
-    cutoff: int,
-    blocks,
-    depth: int,
-) -> LocalizedSeries:
-    """One signed line's wedge factor 1 - (1+x)^w (1+s), or its inverse.
-
-    With A = 1 - (1+x)^w the inverse expands as
-    sum_k (1+x)^(wk) s^k A^(-(k+1)), a finite sum since s is nilpotent
-    modulo the cutoff.
-    """
-    if sg == 1:
-        W = one_plus_pow(varset, weight, order)
-        return LocalizedSeries(
-            TruncSeries.const(varset, 1, INF) - W - W.scale(s), (), blocks
-        )
-    W, _, chain = _weight_poles(varset, weight, cutoff + 1, order, blocks, depth)
-    total = TruncSeries.zero(varset, INF)
-    spow = Poly.const(1)
-    wpow = TruncSeries.const(varset, 1, INF)
-    for inv in reversed(chain):
-        total = total + (wpow * inv.num).scale(spow)
-        spow = (spow * s).truncate_degree(cutoff)
-        if spow.is_zero():
-            break
-        wpow = wpow * W
-    top = chain[0]
-    return _within_bounds(LocalizedSeries(total, top.den, blocks, top.block_bounds))
-
-
 def _wedge_range(s: Summand, cutoff: int) -> Tuple[int, int]:
     """(kmax, P) of one weight's summand on the default route: its wedge
     sum runs over k = 0..kmax, and A = 1 - (1+x)^w enters to the power
@@ -355,14 +299,13 @@ def wedge_minus_z(
     order: int,
     cutoff: Optional[int] = None,
     blocks=None,
-    by_lines: bool = False,
     depth: Optional[int] = None,
 ) -> LocalizedSeries:
     """The alternating-wedge series of a K-class in multiplicative coordinates.
 
-    Two routes compute it: the interpolation-class sum per weight (the
-    defining formula, default) and the product over individual lines; they
-    must agree and are cross-checked in the tests.
+    One factor per weight: the interpolation-class sum of `_weight_factor`,
+    the defining formula.  The tests check it against the product over
+    individual lines, which they keep as an independent route.
 
     The weight-0 part must be an honest sum of lines; its factor is the
     constant alternating sum of its wedge powers.  Factors of virtual
@@ -376,8 +319,7 @@ def wedge_minus_z(
     vs = E.varset
     blocks = trivial_blocks(vs) if blocks is None else normalize_blocks(vs, blocks)
     out = LocalizedSeries(TruncSeries.const(vs, 1, INF), (), blocks)
-    honest_lines = []
-    pole_free = []  # (weight, summand) of the default route, built last
+    pole_free = []  # (weight, summand), built last
     for w in E.weights():
         s = E.summands[w]
         if s.lines is None:
@@ -390,23 +332,13 @@ def wedge_minus_z(
                 const = (const * (-sval)).truncate_degree(cutoff)
             out = out * const
             continue
-        if by_lines:
-            for sg, sval in s.lines:
-                if sg == 1:
-                    honest_lines.append((w, sval))
-                else:
-                    out = out * _line_factor(vs, w, sg, sval, order, cutoff, blocks, depth)
-            continue
         if min(w) < 0 and not _wedge_range(s, cutoff)[1]:
             pole_free.append((w, s))
             continue
         out = out * _weight_factor(vs, w, s, order, cutoff, blocks, depth)
-    # a pole-free factor of negative weight (an honest weight, or an
-    # honest line on the line route) is exact only to the order it is
-    # built to, so it is built past the pole degree of the other factors
+    # a pole-free factor of negative weight is exact only to the order it
+    # is built to, so it is built past the pole degree of the other factors
     honest_order = order + out.den_degree()
     for w, s in pole_free:
         out = out * _weight_factor(vs, w, s, honest_order, cutoff, blocks, depth)
-    for w, sval in honest_lines:
-        out = out * _line_factor(vs, w, 1, sval, honest_order, cutoff, blocks, depth)
     return out.map_coefficients(lambda p: p.truncate_degree(cutoff))

@@ -10,30 +10,26 @@ holding the exponent of variable i in the 16-bit field at bit 16*i:
 An exponent never uses the top bit of its field; that bit is a guard.  Two
 valid keys add field by field without a carry into the next field, so the
 product of two monomials is the sum of their keys, and a field that passed
-MAX_EXP shows as a set guard bit: a product, power, substitution or rename
+MAX_EXP shows as a set guard bit: a product, power or substitution
 whose result would hold such an exponent raises OverflowError instead of
 carrying, and the constructor rejects a negative, non-integer or too large
 exponent with ValueError.  Decoding a key walks its nonzero fields only,
 lowest bit first.  Keys depend on the order in which names were interned,
 so they mean nothing outside the process; `items` and the JSON form do.
 
-`rename` and `substitute` work on keys, and both are simultaneous: every
-image is read in the original variables, so a mapping may swap names or
-send a variable to an expression in replaced ones.  A rename is a field
-move: a renamed variable's exponent e leaves its field and is added to
-its target's field as e << target offset, so numerators and `den` are
-untouched and names sent to one field merge by adding their coefficients.
-`substitute` sorts each occurring variable once per call into kept, sent
-to zero, sent to one term k*n/d (a monomial image or a nonzero int or
-`Fraction`) or sent to a polynomial of several terms.  For a one-term
-image a term's exponent e becomes e*k added to its key and n**e
-multiplied into its numerator, so monomial images multiply no
-polynomials at all; the powers of a general image are computed once per
-exponent and multiplied in.  In both, every partial key sum is or-ed
-into the guard check, not only the finished key, so merged or scaled
-exponents raise OverflowError rather than carry into a neighbour; a
-substitution also checks an exponent e against MAX_EXP divided by the
-largest exponent of its one-term image.
+`substitute` works on keys and is simultaneous: every image is read in
+the original variables, so a mapping may swap names or send a variable to
+an expression in replaced ones.  It sorts each occurring variable once
+per call into kept, sent to zero, sent to one term k*n/d (a monomial
+image or a nonzero int or `Fraction`) or sent to a polynomial of several
+terms.  For a one-term image a term's exponent e becomes e*k added to its
+key and n**e multiplied into its numerator, so monomial images multiply
+no polynomials at all; the powers of a general image are computed once
+per exponent and multiplied in.  Every partial key sum is or-ed into the
+guard check, not only the finished key, so merged or scaled exponents
+raise OverflowError rather than carry into a neighbour; an exponent e is
+also checked against MAX_EXP divided by the largest exponent of its
+one-term image.
 
 Coefficients are integer numerators over one shared denominator: `terms`
 maps each key to a nonzero int and `den` holds the denominator.  The form
@@ -411,17 +407,6 @@ class Poly:
             return -1
         return max(_key_degree(m, weights) for m in self.terms)
 
-    def coefficient(self, var: str, exp: int) -> "Poly":
-        """The polynomial coefficient of var**exp."""
-        if var not in _INDEX:
-            return self if exp == 0 else Poly()
-        s = var_shift(var)
-        drop = exp << s
-        return _make(
-            {m - drop: c for m, c in self.terms.items() if (m >> s) & FIELD_MASK == exp},
-            self.den,
-        )
-
     # -- calculus and substitution ----------------------------------------
 
     def diff(self, var: str) -> "Poly":
@@ -519,51 +504,6 @@ class Poly:
         check_guards((seen,))
         return _make(out, den)
 
-    def rename(self, mapping: Mapping[str, str]) -> "Poly":
-        """Simultaneously rename variables by moving exponent fields.
-
-        Each renamed variable's exponent moves to its target's field by key
-        arithmetic, so no numerator and no denominator changes per term;
-        names sent to one target merge, adding their exponents and then the
-        coefficients of terms that meet.  A name sent to itself does not
-        move, and when nothing moves the polynomial itself is returned.  An
-        exponent past MAX_EXP after merging raises OverflowError.
-
-        >>> a, b = Poly.variable("a"), Poly.variable("b")
-        >>> (a ** 2 * b + 3 * a * b ** 2).rename({"a": "b", "b": "a"})
-        a*b^2+3*a^2*b
-        >>> (a * b + 3 * b ** 2).rename({"a": "b"})
-        4*b^2
-        """
-        keep = self.support()
-        moves = []  # (offset of the renamed field, offset of its target)
-        for v, w in mapping.items():
-            i = _INDEX.get(v)
-            if v == w or i is None or not (keep >> FIELD_BITS * i) & FIELD_MASK:
-                continue  # the variable stays or does not occur
-            s = FIELD_BITS * i
-            keep &= ~(FIELD_MASK << s)
-            moves.append((s, var_shift(w)))
-        if not moves:
-            return self
-        out: Dict[int, int] = {}
-        get = out.get
-        seen = 0  # the bitwise or of every partial key sum
-        for m, c in self.terms.items():
-            key = m & keep
-            for s, t in moves:
-                e = (m >> s) & FIELD_MASK
-                if e:
-                    key += e << t
-                    seen |= key
-            total = get(key, 0) + c
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-        check_guards((seen,))
-        return _make(out, self.den)
-
     def truncate_degree(self, bound: int, weights: Mapping[str, int] = None) -> "Poly":
         """Drop terms of (weighted) degree exceeding the bound."""
         return _make(
@@ -657,3 +597,19 @@ def poly_from_obj(obj) -> Poly:
     return _from_pairs(
         ([(str(v), e) for v, e in m], _parse_coefficient(c)) for m, c in obj
     )
+
+
+def json_field(obj: Mapping, key: str):
+    """``obj[key]`` of a JSON object; a missing key raises ValueError."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError("missing key %r" % (key,)) from None
+
+
+def json_int(x, what: str) -> int:
+    """A JSON integer; anything else (a float, a bool, a string) raises
+    ValueError instead of being cut to an int."""
+    if type(x) is not int:
+        raise ValueError("%s must be an integer, got %r" % (what, x))
+    return x

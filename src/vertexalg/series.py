@@ -48,7 +48,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import Poly, poly_from_obj, poly_to_obj, sum_of_products
+from .poly import Poly, json_field, json_int, poly_from_obj, poly_to_obj, sum_of_products
 
 Exponent = Tuple[int, ...]
 
@@ -1329,16 +1329,23 @@ def series_to_dict(x: LocalizedSeries) -> dict:
 
 
 def series_from_dict(d: dict) -> LocalizedSeries:
-    """Read the form of `series_to_dict`; a coefficient that is neither a
-    string nor a list raises ValueError, and repeated exponents add up."""
-    varset = VarSet(tuple(d["vars"]), d.get("degrees"))
+    """Read the form of `series_to_dict`; repeated exponents add up.  A
+    coefficient that is neither a string nor a list, an integer field that
+    is not an int and a missing key raise ValueError."""
+    degrees = d.get("degrees")
+    if degrees is not None:
+        degrees = tuple(json_int(c, "degree") for c in degrees)
+    varset = VarSet(tuple(json_field(d, "vars")), degrees)
     terms: Dict[Exponent, Poly] = {}
-    for t in d["terms"]:
-        e = tuple(int(x) for x in t["exp"])
-        terms[e] = terms.get(e, Poly()) + _coef_from_obj(t["coef"])
-    num = TruncSeries(varset, int(d["order"]), terms)
+    for t in json_field(d, "terms"):
+        e = tuple(json_int(x, "exponent") for x in json_field(t, "exp"))
+        terms[e] = terms.get(e, Poly()) + _coef_from_obj(json_field(t, "coef"))
+    num = TruncSeries(varset, json_int(json_field(d, "order"), "order"), terms)
     den = [
-        (LinearForm(varset, tuple(int(c) for c in f["form"])), int(f["mult"]))
+        (
+            LinearForm(varset, tuple(json_int(c, "form") for c in json_field(f, "form"))),
+            json_int(json_field(f, "mult"), "mult"),
+        )
         for f in d.get("den", [])
     ]
     blocks = None
@@ -1346,7 +1353,9 @@ def series_from_dict(d: dict) -> LocalizedSeries:
     if "blocks" in d:
         blocks = tuple(tuple(b) for b in d["blocks"])
         if "block_bounds" in d:
-            bounds = tuple(None if b is None else int(b) for b in d["block_bounds"])
+            bounds = tuple(
+                None if b is None else json_int(b, "block bound") for b in d["block_bounds"]
+            )
     return LocalizedSeries(num, den, blocks, bounds)
 
 

@@ -59,11 +59,6 @@ class ElementSeries:
     def __repr__(self):
         return "ElementSeries(%r, %r)" % (self.component, self.series)
 
-    @staticmethod
-    def constant(a: HomologyElement, varset: VarSet, order=INF) -> "ElementSeries":
-        num = TruncSeries(varset, order, {varset.zero_exponent(): a.poly})
-        return ElementSeries(a.component, LocalizedSeries(num, ()))
-
 
 # -- pole policies ---------------------------------------------------------------
 

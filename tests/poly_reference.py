@@ -4,9 +4,7 @@ monomials keyed by sorted tuples of (variable name, exponent) pairs and
 
 `vertexalg.poly` stores packed integer keys and integer numerators over a
 shared denominator instead; the property tests compare it against this
-straightforward form, which is kept as it was before that change, except
-that `rename` now combines two names sent to one (it used to leave b*b as
-an uncombined monomial).
+straightforward form, which is kept as it was before that change.
 
 `multiply_out` is the other reference: substitution in the packed ring
 done the slow way, factor by factor, against which the library's callers
@@ -192,17 +190,6 @@ class Poly:
             return -1
         return max(mono_degree(m, weights) for m in self.terms)
 
-    def coefficient(self, var: str, exp: int) -> "Poly":
-        """The polynomial coefficient of var**exp."""
-        out: Dict[Mono, Fraction] = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            if d.pop(var, 0) == exp:
-                out[tuple(sorted(d.items()))] = c
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
-
     # -- calculus and substitution ----------------------------------------
 
     def diff(self, var: str) -> "Poly":
@@ -238,23 +225,6 @@ class Poly:
                     term = term * Poly.variable(v, e)
             result = result + term
         return result
-
-    def rename(self, mapping: Mapping[str, str]) -> "Poly":
-        out: Dict[Mono, Fraction] = {}
-        for m, c in self.terms.items():
-            exps: Dict[str, int] = {}
-            for v, e in m:
-                v = mapping.get(v, v)
-                exps[v] = exps.get(v, 0) + e
-            mm = tuple(sorted(exps.items()))
-            s = out.get(mm, Fraction(0)) + c
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
 
     def truncate_degree(self, bound: int, weights: Mapping[str, int] = None) -> "Poly":
         """Drop terms of (weighted) degree exceeding the bound."""

@@ -2,12 +2,13 @@
 
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden_outputs import assert_golden
+from golden_outputs import GOLDEN, assert_golden, dump
 from vertexalg.charclass import (
     KClass,
     OrientationData,
@@ -18,13 +19,11 @@ from vertexalg.charclass import (
     equivariant_euler,
     kclass_from_obj,
     kclass_to_obj,
-    line_summand,
     normal_bundle,
     normal_bundle_module,
     sqrt_equivariant_euler,
     tautological_summand,
     tensor_summand,
-    truncate_coefficients,
 )
 from vertexalg.homology import (
     ComponentLabel,
@@ -42,6 +41,8 @@ from vertexalg.series import (
     VarSet,
     iota_expand,
     series_equal,
+    series_from_dict,
+    series_to_dict,
 )
 
 Z = VarSet(("z",))
@@ -164,9 +165,16 @@ class TestNormalClasses:
         assert s.ch[2] == (chp(2, 1) * 3 + chp(2, 0) * 2) * (-1)
 
 
+def cropped(x, depth):
+    """x with coefficient terms of weighted degree above 2 * depth dropped."""
+    return x.map_coefficients(lambda p: p.truncate_degree(2 * depth, CH_W))
+
+
 class TestEulerClasses:
     def test_single_line(self):
-        E = KClass(Z, {(1,): line_summand(chp(1), 3)}, 3)
+        # a line with first character c: ch_k = c^k / k!
+        line = Summand(1, {k: chp(1) ** k / factorial(k) for k in (1, 2, 3)})
+        E = KClass(Z, {(1,): line}, 3)
         e = equivariant_euler(E)
         assert e.den == ()
         assert dict(e.num.terms) == {(1,): Fraction(1), (0,): chp(1)}
@@ -184,10 +192,8 @@ class TestEulerClasses:
             {(1,): Summand(-1, {1: chp(1) * 3, 2: chp(1) * chp(1), 3: chp(1) * chp(2)})},
             depth,
         )
-        lhs = truncate_coefficients(equivariant_euler(E.add(F)), 2 * depth, CH_W)
-        rhs = truncate_coefficients(
-            equivariant_euler(E) * equivariant_euler(F), 2 * depth, CH_W
-        )
+        lhs = cropped(equivariant_euler(E.add(F)), depth)
+        rhs = cropped(equivariant_euler(E) * equivariant_euler(F), depth)
         assert series_equal(lhs, rhs)
         assert not series_equal(lhs, rhs + one_on(Z))
 
@@ -203,10 +209,8 @@ class TestEulerClasses:
         chb = {k: chp(k) * c for k, c in enumerate(cb, start=1) if c}
         E = KClass(Z, {(1,): Summand(2, cha)}, depth)
         F = KClass(Z, {(1,): Summand(rank, chb), (2,): Summand(1, cha)}, depth)
-        lhs = truncate_coefficients(equivariant_euler(E.add(F)), 2 * depth, CH_W)
-        rhs = truncate_coefficients(
-            equivariant_euler(E) * equivariant_euler(F), 2 * depth, CH_W
-        )
+        lhs = cropped(equivariant_euler(E.add(F)), depth)
+        rhs = cropped(equivariant_euler(E) * equivariant_euler(F), depth)
         assert series_equal(lhs, rhs)
 
     def test_inverse_law(self):
@@ -217,7 +221,7 @@ class TestEulerClasses:
             depth,
         )
         prod = equivariant_euler(E) * equivariant_euler(E, invert=True)
-        assert series_equal(truncate_coefficients(prod, 2 * depth, CH_W), one_on(Z))
+        assert series_equal(cropped(prod, depth), one_on(Z))
 
     def test_inversion_needs_vanishing_weight_zero(self):
         E = KClass(Z, {(0,): Summand(1, {1: chp(1)})}, 2, zero_is_bundle=True)
@@ -444,6 +448,67 @@ class TestSerialization:
         obj = json.loads(json.dumps(kclass_to_obj(E)))
         back = kclass_from_obj(obj)
         assert back.summands[(1,)].lines == E.summands[(1,)].lines
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("summands", 0, "weight", 0), 1.5),
+            (("summands", 1, "rank"), 1.5),
+            (("summands", 1, "rank"), True),
+            (("summands", 0, "ch", 0, 0), 1.7),
+            (("summands", 0, "lines", 1, 0), -1.0),
+            (("depth",), 2.5),
+            (("degrees", 0), -2.5),
+            (("orientation", "sign"), 1.0),
+            (("vars",), None),
+            (("degrees",), None),
+            (("depth",), None),
+            (("summands",), None),
+            (("summands", 0, "weight"), None),
+            (("summands", 0, "rank"), None),
+            (("orientation", "sign"), None),
+        ],
+    )
+    def test_malformed_field_raises(self, path, value):
+        # an integer field that is not an int is rejected, not cut to one;
+        # a value of None stands for a missing key
+        u = Poly.variable("u")
+        E = KClass(
+            Z,
+            {
+                (1,): Summand(0, {1: chp(1)}, [(1, u), (-1, u * u)]),
+                (2,): Summand(1, {1: chp(1) * 2}),
+            },
+            3,
+            orientation=OrientationData(-1),
+        )
+        obj = json.loads(json.dumps(kclass_to_obj(E)))
+        assert kclass_to_obj(kclass_from_obj(obj)) == obj
+        parent = obj
+        for k in path[:-1]:
+            parent = parent[k]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        with pytest.raises(ValueError):
+            kclass_from_obj(obj)
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+    def test_golden_files_read_back(self, path):
+        # every golden file parses through the JSON readers and writes
+        # back byte for byte
+        text = path.read_text()
+        obj = json.loads(text)
+        if "kclass" in obj:  # a swap identity
+            back = {"kclass": kclass_to_obj(kclass_from_obj(obj["kclass"]))}
+            for side in ("lhs", "rhs"):
+                back[side] = series_to_dict(series_from_dict(obj[side]))
+        elif "component" in obj:  # a sum map
+            back = {"component": obj["component"], "poly": poly_to_obj(poly_from_obj(obj["poly"]))}
+        else:  # a translation
+            back = series_to_dict(series_from_dict(obj))
+        assert dump(back) == text
 
     @given(
         st.dictionaries(

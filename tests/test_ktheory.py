@@ -1,4 +1,9 @@
-"""Multiplicative calculus: translation convolution, lambda classes, wedge series."""
+"""Multiplicative calculus: translation convolution, lambda classes, wedge series.
+
+`wedge_by_lines` below is the oracle for `wedge_minus_z`: the wedge series
+as the product of one factor per signed line, a second route that shares
+only the pole chain of `_weight_poles` with the library's per-weight sum.
+"""
 
 from fractions import Fraction
 
@@ -9,11 +14,11 @@ from hypothesis import strategies as st
 from golden_outputs import assert_golden
 from vertexalg.charclass import KClass, Summand
 from vertexalg.ktheory import (
+    _weight_poles,
     exterior_powers,
     gbinom,
     k_cap,
     k_contract,
-    mult_translate,
     mult_translate_series,
     one_plus_pow,
     vee_k,
@@ -26,9 +31,12 @@ from vertexalg.series import (
     LocalizedSeries,
     TruncSeries,
     VarSet,
+    _within_bounds,
     expand_poles,
     iota_expand,
+    normalize_blocks,
     series_equal,
+    trivial_blocks,
 )
 
 X = VarSet(("x",))
@@ -116,23 +124,33 @@ class TestCapModel:
         assert one_step == two_step
 
 
+def translated(a, trunc, var="x"):
+    """The translation series of the class ``a`` in the one coordinate ``var``."""
+    vs = VarSet((var,))
+    return mult_translate_series(TruncSeries(vs, trunc, {(0,): a}), var, "l", trunc)
+
+
 class TestMultTranslate:
     def test_identity_at_one(self):
         # the series at z = 1 (x = 0) leaves the class alone
         for a in (L ** 2, L ** 3 + L * 2, Poly.const(1)):
-            out = mult_translate(a, ["x"], 4)
+            out = translated(a, 4)
             assert out.terms.get((0,), Poly()) == a
 
     def test_first_order_convolution(self):
-        out = mult_translate(L, ["x"], 2)
+        out = translated(L, 2)
         assert out.terms[(1,)] == L + L ** 2 * 2
 
     def test_two_factor_suffixes(self):
-        a = Poly.variable("l1") * Poly.variable("l2")
-        out = mult_translate(a, ["x", "y"], 1)
+        # each coordinate convolves the powers of its own factor's generator
         l1, l2 = Poly.variable("l1"), Poly.variable("l2")
+        a = l1 * l2
+        out = TruncSeries(XY, 1, {XY.zero_exponent(): a})
+        out = mult_translate_series(out, "x", "l1", 1)
+        out = mult_translate_series(out, "y", "l2", 1)
         assert out.terms[(0, 0)] == a
         assert out.terms[(1, 0)] == (l1 + l1 ** 2 * 2) * l2
+        assert out.terms[(0, 1)] == l1 * (l2 + l2 ** 2 * 2)
 
     def test_group_law(self):
         trunc = 5
@@ -143,7 +161,7 @@ class TestMultTranslate:
         xy = TruncSeries(
             XY, INF, {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(1)}
         )
-        rhs = mult_translate(a, ["t"], trunc).compose(XY, {"t": xy})
+        rhs = translated(a, trunc, "t").compose(XY, {"t": xy})
         assert lhs == rhs
 
     @given(small_lpoly)
@@ -156,7 +174,7 @@ class TestMultTranslate:
         xy = TruncSeries(
             XY, INF, {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(1)}
         )
-        rhs = mult_translate(a, ["t"], trunc).compose(XY, {"t": xy})
+        rhs = translated(a, trunc, "t").compose(XY, {"t": xy})
         assert lhs == rhs
 
     @pytest.mark.parametrize("lam", [1, 2, -1])
@@ -166,12 +184,10 @@ class TestMultTranslate:
         trunc = 4
         a = L ** 3 + L
         cls = upow(lam, 3 + trunc)
-        lhs = mult_translate(a, ["x"], trunc).map_coefficients(
+        lhs = translated(a, trunc).map_coefficients(
             lambda p: k_cap(cls, p) if isinstance(p, Poly) else k_cap(cls, Poly.const(p))
         )
-        rhs = one_plus_pow(X, (lam,), trunc) * mult_translate(
-            k_cap(cls, a), ["x"], trunc
-        )
+        rhs = one_plus_pow(X, (lam,), trunc) * translated(k_cap(cls, a), trunc)
         assert lhs.truncate(trunc) == rhs.truncate(trunc)
 
 
@@ -263,6 +279,63 @@ def merge_classes(E, F):
     return KClass(E.varset, summands, max(E.depth, F.depth))
 
 
+def _line_factor(varset, weight, sg, s, order, cutoff, blocks, depth):
+    """One signed line's wedge factor 1 - (1+x)^w (1+s), or its inverse.
+
+    With A = 1 - (1+x)^w the inverse expands as
+    sum_k (1+x)^(wk) s^k A^(-(k+1)), a finite sum since s is nilpotent
+    modulo the cutoff.
+    """
+    if sg == 1:
+        W = one_plus_pow(varset, weight, order)
+        return LocalizedSeries(
+            TruncSeries.const(varset, 1, INF) - W - W.scale(s), (), blocks
+        )
+    W, _, chain = _weight_poles(varset, weight, cutoff + 1, order, blocks, depth)
+    total = TruncSeries.zero(varset, INF)
+    spow = Poly.const(1)
+    wpow = TruncSeries.const(varset, 1, INF)
+    for inv in reversed(chain):
+        total = total + (wpow * inv.num).scale(spow)
+        spow = (spow * s).truncate_degree(cutoff)
+        if spow.is_zero():
+            break
+        wpow = wpow * W
+    top = chain[0]
+    return _within_bounds(LocalizedSeries(total, top.den, blocks, top.block_bounds))
+
+
+def wedge_by_lines(E, order, cutoff=None, blocks=None, depth=None):
+    """`wedge_minus_z` as the product over individual lines, with the same
+    arguments and the same weight-0 factor.  The virtual lines' factors come
+    first; an honest line's factor is exact only to the order it is built
+    to, so the honest lines follow, built past the virtual lines' pole
+    degree."""
+    cutoff = order if cutoff is None else cutoff
+    depth = order if depth is None else depth
+    vs = E.varset
+    blocks = trivial_blocks(vs) if blocks is None else normalize_blocks(vs, blocks)
+    out = LocalizedSeries(TruncSeries.const(vs, 1, INF), (), blocks)
+    honest = []
+    for w in E.weights():
+        lines = E.summands[w].lines
+        if not any(w):
+            const = Poly.const(1)
+            for _, sval in lines:
+                const = (const * (-sval)).truncate_degree(cutoff)
+            out = out * const
+            continue
+        for sg, sval in lines:
+            if sg == 1:
+                honest.append((w, sval))
+            else:
+                out = out * _line_factor(vs, w, sg, sval, order, cutoff, blocks, depth)
+    honest_order = order + out.den_degree()
+    for w, sval in honest:
+        out = out * _line_factor(vs, w, 1, sval, honest_order, cutoff, blocks, depth)
+    return out.map_coefficients(lambda p: p.truncate_degree(cutoff))
+
+
 class TestWedgeSeries:
     def test_honest_line(self):
         w = wedge_minus_z(line_class((1,), U), 3)
@@ -330,7 +403,7 @@ class TestWedgeSeries:
             4,
         )
         a = wedge_minus_z(E, 4, 4)
-        b = wedge_minus_z(E, 4, 4, by_lines=True)
+        b = wedge_by_lines(E, 4, 4)
         assert series_equal(a, b)
         assert not series_equal(a, b + one_on(X))
 
@@ -344,7 +417,7 @@ class TestWedgeSeries:
             4,
         ).pullback_weights([[1], [1]], XY)
         a = wedge_minus_z(E, 3, 3, blocks=KBLOCKS, depth=3)
-        b = wedge_minus_z(E, 3, 3, blocks=KBLOCKS, by_lines=True, depth=3)
+        b = wedge_by_lines(E, 3, 3, blocks=KBLOCKS, depth=3)
         assert series_equal(a, b)
         assert not series_equal(a, b + one_on(XY, KBLOCKS))
 
@@ -378,9 +451,7 @@ class TestWedgeSeries:
         for base, lift, order, cutoff, depth, claim in cases:
             E = base.pullback_weights(lift, XY)
             a = wedge_minus_z(E, order, cutoff, blocks=KBLOCKS, depth=depth)
-            b = wedge_minus_z(
-                E, order, cutoff, blocks=KBLOCKS, by_lines=True, depth=depth
-            )
+            b = wedge_by_lines(E, order, cutoff, blocks=KBLOCKS, depth=depth)
             assert b.num.order == claim
             assert series_equal(a, b)
             assert not series_equal(a, b + one_on(XY, KBLOCKS))
@@ -418,10 +489,10 @@ class TestWedgeSeries:
         # a product of several pole factors claims less past ``order`` than
         # their total pole degree, so the order must pass the pole degree
         # for the window to be nonempty; pole degrees do not depend on it
-        poles = wedge_minus_z(E, 0, cutoff, KBLOCKS, by_lines=True, depth=depth)
+        poles = wedge_by_lines(E, 0, cutoff, KBLOCKS, depth=depth)
         order = poles.den_degree() + 1
         a = wedge_minus_z(E, order, cutoff, blocks=KBLOCKS, depth=depth)
-        b = wedge_minus_z(E, order, cutoff, blocks=KBLOCKS, by_lines=True, depth=depth)
+        b = wedge_by_lines(E, order, cutoff, blocks=KBLOCKS, depth=depth)
         assert series_equal(a, b)
         assert not series_equal(a, b + one_on(XY, KBLOCKS))
 
@@ -438,7 +509,7 @@ class TestWedgeSeries:
             4,
         ).pullback_weights([[1], [0]], XY)
         a = wedge_minus_z(E, 1, 1, blocks=KBLOCKS, depth=1)
-        b = wedge_minus_z(E, 1, 1, blocks=KBLOCKS, by_lines=True, depth=1)
+        b = wedge_by_lines(E, 1, 1, blocks=KBLOCKS, depth=1)
         assert a.den_degree() == 2
         assert a.valid_order() >= 0
         assert series_equal(a, b)
@@ -479,7 +550,7 @@ class TestWedgeSeries:
             4,
         ).pullback_weights(lift, XY)
         a = wedge_minus_z(E, 1, cutoff, blocks=KBLOCKS, depth=depth)
-        b = wedge_minus_z(E, 1, cutoff, blocks=KBLOCKS, by_lines=True, depth=depth)
+        b = wedge_by_lines(E, 1, cutoff, blocks=KBLOCKS, depth=depth)
         for side in (a, b):
             assert side.valid_order() is INF or side.valid_order() >= 0
         assert series_equal(a, b)
@@ -511,11 +582,12 @@ class TestWedgeSeries:
         assert w.den_degree() == cutoff + 1
 
 
-def k_swap_sides(E, a, trunc, cutoff):
-    """Both sides of the multiplicative swap identity over x = z-1, y = w-1."""
+def k_swap_sides(E, a, trunc, cutoff, wedge=wedge_minus_z):
+    """Both sides of the multiplicative swap identity over x = z-1, y = w-1,
+    with the wedge series of ``wedge``."""
     Ex = E.pullback_weights([[1], [0]], XY)
     Exy = E.pullback_weights([[1], [1]], XY)
-    wz = wedge_minus_z(Ex, trunc, cutoff, KBLOCKS, depth=trunc)
+    wz = wedge(Ex, trunc, cutoff, KBLOCKS, depth=trunc)
     den_e = wz.den_degree()
     base = TruncSeries(XY, trunc + den_e, {XY.zero_exponent(): a})
     dya = mult_translate_series(base, "y", "l", trunc + den_e)
@@ -523,7 +595,7 @@ def k_swap_sides(E, a, trunc, cutoff):
     lhs = LocalizedSeries(
         raw.num.map_coefficients(k_contract), raw.den, KBLOCKS, raw.block_bounds
     )
-    wzw = wedge_minus_z(Exy, 2 * trunc + den_e, cutoff, KBLOCKS, depth=trunc)
+    wzw = wedge(Exy, 2 * trunc + den_e, cutoff, KBLOCKS, depth=trunc)
     rawi = wzw * a
     inum = rawi.num.map_coefficients(k_contract)
     tr = inum.order if inum.order is not INF else 2 * trunc + den_e
@@ -573,6 +645,26 @@ class TestMultiplicativeSwap:
         assert_golden("swap_multiplicative_virtual", E, lhs, rhs)
         assert not series_equal(lhs, rhs + one_on(XY, KBLOCKS))
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_routes_agree_exactly(self, sign):
+        # one line per summand, as in the swap golden files: the line
+        # product gives both swap sides term for term, with the same
+        # orders, denominators and block bounds
+        E = KClass(
+            X,
+            {
+                (1,): Summand(1, None, [(1, U)]),
+                (2,): Summand(sign, None, [(sign, U * 2 + U * U)]),
+            },
+            5,
+        )
+        sides = k_swap_sides(E, L ** 2, 3, 5)
+        oracle = k_swap_sides(E, L ** 2, 3, 5, wedge=wedge_by_lines)
+        for x, y in zip(sides, oracle):
+            assert (x.num, x.den, x.num.order, x.block_bounds) == (
+                y.num, y.den, y.num.order, y.block_bounds
+            )
+
     def test_pole_paths_build_powers_by_tables(self, monkeypatch):
         """Every power on the pole paths of either coordinate law comes
         from a table that grows by one product per power:
@@ -589,9 +681,9 @@ class TestMultiplicativeSwap:
 
         def run():
             out = [
-                wedge_minus_z(F, 3, 5, KBLOCKS, by_lines=by_lines, depth=3)
+                wedge(F, 3, 5, KBLOCKS, depth=3)
                 for F in classes
-                for by_lines in (False, True)
+                for wedge in (wedge_minus_z, wedge_by_lines)
             ]
             out.append(pole_inverse(XY, (1, 1), 2, 4, blocks=KBLOCKS))
             # a leading part 2x + x^2 with a unit 2 + x, and the additive

@@ -465,6 +465,49 @@ class TestJSON:
         assert z.blocks == y.blocks
         assert z.block_bounds == y.block_bounds
 
+    VALID = {
+        "vars": ["z", "w"],
+        "degrees": [-2, -2],
+        "order": 3,
+        "den": [{"form": [1, 1], "mult": 2}],
+        "terms": [{"exp": [1, 0], "coef": "1/2"}],
+        "blocks": [["z"], ["w"]],
+        "block_bounds": [None, 3],
+    }
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("terms", 0, "exp", 0), 1.9),
+            (("order",), 2.5),
+            (("order",), True),
+            (("order",), "3"),
+            (("den", 0, "mult"), 1.5),
+            (("den", 0, "form", 0), 1.5),
+            (("degrees", 0), -2.5),
+            (("block_bounds", 1), 2.5),
+            (("vars",), None),
+            (("order",), None),
+            (("terms",), None),
+            (("terms", 0, "exp"), None),
+            (("terms", 0, "coef"), None),
+            (("den", 0, "form"), None),
+            (("den", 0, "mult"), None),
+        ],
+    )
+    def test_malformed_field_raises(self, path, value):
+        # an integer field that is not an int is rejected, not cut to one;
+        # a value of None stands for a missing key
+        assert series_from_dict(self.VALID).num.terms == {(1, 0): Fraction(1, 2)}
+        blob = json.loads(json.dumps(self.VALID))
+        parent = reduce(lambda obj, k: obj[k], path[:-1], blob)
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        with pytest.raises(ValueError):
+            series_from_dict(blob)
+
     def test_repeated_exponents_add(self):
         blob = {
             "vars": ["z", "w"],

@@ -22,7 +22,7 @@ from vertexalg.homology import (
     tensor,
     translate,
 )
-from vertexalg.ktheory import mult_translate
+from vertexalg.ktheory import mult_translate_series
 from vertexalg.poly import Poly
 from vertexalg.series import (
     INF,
@@ -1004,7 +1004,9 @@ class TestVertexSpaces:
         space = VertexSpace(
             "k-translation",
             1,
-            lambda a, names, trunc: mult_translate(a, names, trunc),
+            lambda a, names, trunc: mult_translate_series(
+                TruncSeries(VarSet(names), trunc, {(0,): a}), names[0], "l", trunc
+            ),
             law=MULTIPLICATIVE,
             payload=lambda a: a,
             rebuild=lambda a, p: p,
