@@ -6,14 +6,16 @@ decomposition of its class (`kclass_to_obj`) and the JSON form
 (`series_to_dict`) of both sides, as `golden_text` writes them.  A
 sum-map file holds the component and `poly_to_obj` of
 `pushforward_substitute(tensor(...))` of one fixed case of
-`SUM_MAP_CASES`, and a translation file the `series_to_dict` of one fixed
-`translate` of `TRANSLATE_CASES`.  A test that computes the case compares
+`SUM_MAP_CASES`, a translation file the `series_to_dict` of one fixed
+`translate` or `translate_series` of `TRANSLATE_CASES`, and a nesting
+file the `series_to_dict` of the nested side that one checker run of
+`NESTING_CASES` builds with `structures.nested_product`.  A test that computes the case compares
 its text with the file, so any change of output -- a term, a
 coefficient, an order, a block bound -- shows.
 
 A file is only rewritten on purpose, by writing the text of the case to
 it, and the change that does so says why.  The sum-map and translation
-files are written by naming them:
+translation and nesting files are written by naming them:
 
     PYTHONPATH=src python tests/golden_outputs.py sum_map_unitary_2 ...
 """
@@ -24,6 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from vertexalg.charclass import kclass_to_obj
+from vertexalg import structures
 from vertexalg.homology import (
     ComponentLabel,
     HomologyElement,
@@ -31,9 +34,10 @@ from vertexalg.homology import (
     s_name,
     tensor,
     translate,
+    translate_series,
 )
 from vertexalg.poly import Poly, poly_to_obj
-from vertexalg.series import LocalizedSeries, series_to_dict
+from vertexalg.series import LocalizedSeries, TruncSeries, VarSet, series_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -112,6 +116,59 @@ TRANSLATE_CASES = {
     "translate_unitary_product": lambda: translate(
         tensor(_unitary(1, _p1()), _unitary(2, _s(2) - Fraction(1, 3))), ["z", "w"], 4
     ),
+    "translate_series_shared": lambda: translate_series(
+        TruncSeries(
+            VarSet(("z", "w")),
+            4,
+            {(0, 0): _p1(), (1, 0): _s(2), (0, 1): _p2(), (1, 2): _s(1) - 1},
+        ),
+        ComponentLabel("BU_Z", (2,)),
+        ["w"],
+    ),
+}
+
+
+def _nested_side(check, *args):
+    """The series of the first `nested_product` call that ``check(*args)``
+    makes; the families and samples are those of tests/test_structures.py."""
+    real = structures.nested_product
+    seen = []
+
+    def recording(*a):
+        out = real(*a)
+        seen.append(out.series)
+        return out
+
+    structures.nested_product = recording
+    try:
+        check(*args)
+    finally:
+        structures.nested_product = real
+    return seen[0]
+
+
+def _module_nesting(k, family="MODULE"):
+    import test_structures as ts
+
+    family = getattr(ts, family) if isinstance(family, str) else family(ts)
+    sample = ts.MODULE_NESTING_SAMPLES[k]
+    return _nested_side(structures.check_module_nesting, family, [sample], 3)
+
+
+def _associativity():
+    import test_structures as ts
+
+    sample = ((ts.elem(1, ts.S1), ts.elem(1, Poly.const(1))), (ts.elem(1, ts.S1),))
+    return _nested_side(structures.check_associativity, ts.FAMILY, [sample], 3)
+
+
+NESTING_CASES = {
+    "nested_module_0": lambda: _module_nesting(0),
+    "nested_module_1": lambda: _module_nesting(1),
+    "nested_module_poles": lambda: _module_nesting(
+        0, lambda ts: ts.origin_pole_family(1)
+    ),
+    "nested_associativity": _associativity,
 }
 
 
@@ -125,8 +182,16 @@ def translate_text(name) -> str:
     return dump(series_to_dict(LocalizedSeries(TRANSLATE_CASES[name]())))
 
 
+def nesting_text(name) -> str:
+    return dump(series_to_dict(NESTING_CASES[name]()))
+
+
 def case_text(name) -> str:
-    return sum_map_text(name) if name in SUM_MAP_CASES else translate_text(name)
+    if name in SUM_MAP_CASES:
+        return sum_map_text(name)
+    if name in NESTING_CASES:
+        return nesting_text(name)
+    return translate_text(name)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden_outputs import NESTING_CASES, assert_golden_text, nesting_text
 from vertexalg.homology import (
     ComponentLabel,
     HomologyElement,
@@ -674,6 +675,15 @@ class TestNestedProduct:
         assert got.series.den == want.series.den
         assert got.series.blocks == want.series.blocks
         assert got.series.block_bounds == want.series.block_bounds
+
+
+class TestNestingGolden:
+    """Nested sides of the module-nesting and associativity checks, pinned
+    in tests/golden/."""
+
+    @pytest.mark.parametrize("name", sorted(NESTING_CASES))
+    def test_nested_side(self, name):
+        assert_golden_text(name, nesting_text(name))
 
 
 class TestTranslationOperator:
