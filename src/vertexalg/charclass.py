@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .homology import ComponentLabel, ch_name, contract_poly
-from .poly import Poly, json_field, json_int, poly_from_obj, poly_to_obj
+from .poly import Poly, exact_int, json_field, poly_from_obj, poly_to_obj
 from .series import (
     INF,
     LinearForm,
@@ -42,10 +42,6 @@ from .series import (
 )
 
 Weight = Tuple[int, ...]
-
-
-def _weight_key(w: Sequence[int]) -> Weight:
-    return tuple(int(c) for c in w)
 
 
 def lex_positive(w: Weight) -> bool:
@@ -76,16 +72,17 @@ class Summand:
         clean: Dict[int, Poly] = {}
         if ch:
             for k, p in ch.items():
+                k = exact_int(k, "character index")
                 if k < 1:
                     raise ValueError("characters are indexed from 1")
                 if not isinstance(p, Poly):
                     p = Poly.const(p)
                 if not p.is_zero():
-                    clean[int(k)] = p
-        self.rank = int(rank)
+                    clean[k] = p
+        self.rank = exact_int(rank, "rank")
         self.ch = clean
         if lines is not None:
-            lines = tuple((int(sg), s) for sg, s in lines)
+            lines = tuple((exact_int(sg, "line sign"), s) for sg, s in lines)
             if sum(sg for sg, _ in lines) != self.rank:
                 raise ValueError("line presentation does not match the rank")
         self.lines = lines
@@ -171,11 +168,11 @@ class KClass:
         zero_is_bundle: bool = False,
         orientation: Optional[OrientationData] = None,
     ):
-        if depth < 0:
+        if exact_int(depth, "depth") < 0:
             raise ValueError("negative character depth")
         clean: Dict[Weight, Summand] = {}
         for w, s in summands.items():
-            w = _weight_key(w)
+            w = tuple(exact_int(c, "weight") for c in w)
             if len(w) != len(varset):
                 raise ValueError("weight length does not match the torus rank")
             if not s.is_zero():
@@ -637,26 +634,25 @@ def kclass_to_obj(E: KClass) -> dict:
 def kclass_from_obj(obj: Mapping) -> KClass:
     """Read the form of `kclass_to_obj`; an integer field that is not an
     int and a missing key raise ValueError."""
-    degrees = tuple(json_int(c, "degree") for c in json_field(obj, "degrees"))
-    varset = VarSet(tuple(json_field(obj, "vars")), degrees)
+    varset = VarSet(tuple(json_field(obj, "vars")), json_field(obj, "degrees"))
     summands: Dict[Weight, Summand] = {}
     for entry in json_field(obj, "summands"):
-        ch = {json_int(k, "character index"): poly_from_obj(p) for k, p in entry.get("ch", [])}
+        ch = {exact_int(k, "character index"): poly_from_obj(p) for k, p in entry.get("ch", [])}
         lines = entry.get("lines")
         if lines is not None:
-            lines = [(json_int(sg, "line sign"), poly_from_obj(sv)) for sg, sv in lines]
-        weight = tuple(json_int(c, "weight") for c in json_field(entry, "weight"))
-        summands[weight] = Summand(json_int(json_field(entry, "rank"), "rank"), ch, lines)
+            lines = [(sg, poly_from_obj(sv)) for sg, sv in lines]
+        weight = tuple(exact_int(c, "weight") for c in json_field(entry, "weight"))
+        summands[weight] = Summand(json_field(entry, "rank"), ch, lines)
     ori = obj.get("orientation")
     if ori is not None:
         ori = OrientationData(
-            json_int(json_field(ori, "sign"), "orientation sign"),
+            exact_int(json_field(ori, "sign"), "orientation sign"),
             ori.get("convention", "lex-first-positive"),
         )
     return KClass(
         varset,
         summands,
-        json_int(json_field(obj, "depth"), "depth"),
+        json_field(obj, "depth"),
         bool(obj.get("zero_is_bundle", False)),
         ori,
     )

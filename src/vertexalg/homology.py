@@ -28,7 +28,9 @@ directly from its one-parameter generators:
 
 The first formula is the pushforward along addition of a rank-one class,
 written in the s-alphabet; the second is multiplication by the divisor
-class of the acting coordinate.
+class of the acting coordinate.  `translate_series` translates every
+coefficient of a series through `series.nest`, each at the order its
+monomial leaves.
 
 The sum map of a product component is pushed forward by
 `pushforward_substitute`, and `sum_map_product` is that pushforward of an
@@ -50,7 +52,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from .groups import ClassicalGroup, weyl_average
 from .poly import FIELD_MASK, MAX_EXP, Poly, check_guards, key_fields, shift_name, var_shift
-from .series import TruncSeries, VarSet, series_exp
+from .series import LocalizedSeries, TruncSeries, VarSet, nest, series_exp
 
 MODELS = (
     "BU_Z",
@@ -701,38 +703,6 @@ def contract_poly(p: Poly, component: ComponentLabel) -> Poly:
     return contract_with(p, acts.comask(p.support()), lowerings)
 
 
-def translate_coefficients(
-    num: TruncSeries,
-    wvars: Sequence[str],
-    translate_one: Callable[[Poly, int], TruncSeries],
-) -> TruncSeries:
-    """Translate every coefficient of a series that may already involve
-    the named coordinates.
-
-    ``translate_one(p, room)`` translates the class p in the coordinates
-    ``wvars`` up to order ``room``.  Each monomial of total degree d
-    receives translation terms up to the remaining order, so the output
-    carries the same truncation order.
-    """
-    order = num.order
-    if order is None:
-        raise ValueError("translation of an exact series needs a finite order")
-    vs = num.varset
-    out: Dict[Tuple[int, ...], Poly] = {}
-    windex = [vs.index(w) for w in wvars]
-    for e, p in num.terms.items():
-        t = translate_one(p, order - sum(e))
-        for ew, q in t.terms.items():
-            e2 = list(e)
-            for pos, k in zip(windex, ew):
-                e2[pos] += k
-            key = tuple(e2)
-            cur = out.get(key)
-            out[key] = q if cur is None else cur + q
-    out = {e: p for e, p in out.items() if not p.is_zero()}
-    return TruncSeries(vs, order, out)
-
-
 def translate_series(
     num: TruncSeries,
     component: ComponentLabel,
@@ -740,14 +710,16 @@ def translate_series(
     coweights: Optional[Sequence[Sequence[int]]] = None,
 ) -> TruncSeries:
     """Apply the translation operator in the named coordinates to every
-    coefficient of a series of classes on one component."""
-    return translate_coefficients(
-        num,
-        wvars,
-        lambda p, room: translate(
-            HomologyElement(component, p), list(wvars), room, coweights
+    coefficient of a series of classes on one component: `series.nest` of
+    `translate`, so the output keeps ``num``'s order and a name of
+    ``wvars`` that ``num`` has adds exponents."""
+    return nest(
+        lambda p, room: LocalizedSeries(
+            translate(HomologyElement(component, p), list(wvars), room, coweights)
         ),
-    )
+        LocalizedSeries(num),
+        wvars,
+    ).num
 
 
 # -- translation ---------------------------------------------------------------

@@ -607,8 +607,9 @@ def json_field(obj: Mapping, key: str):
         raise ValueError("missing key %r" % (key,)) from None
 
 
-def json_int(x, what: str) -> int:
-    """A JSON integer; anything else (a float, a bool, a string) raises
+def exact_int(x, what: str) -> int:
+    """An integer, for the JSON readers and the constructors alike;
+    anything else (a float, a bool, a string, a Fraction) raises
     ValueError instead of being cut to an int."""
     if type(x) is not int:
         raise ValueError("%s must be an integer, got %r" % (what, x))

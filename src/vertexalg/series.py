@@ -29,6 +29,10 @@ an expansion, then `coefficient_of_power`) are built from those two.
 Compose takes the powers of each image from one table, built one product
 per power, and sums each output coefficient once, as a product does.
 
+:func:`nest` is the one nesting of a series in a series-valued map, each
+coefficient at the order its monomial leaves; ``structures.nested_product``,
+``homology.translate_series`` and the vertex-space checkers are built on it.
+
 Equality of localized series is decided by clearing denominators and
 comparing numerators on the region where both sides are exact.  Nothing here
 ever touches floating point.
@@ -44,11 +48,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from operator import add
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import Poly, json_field, json_int, poly_from_obj, poly_to_obj, sum_of_products
+from .poly import Poly, exact_int, json_field, poly_from_obj, poly_to_obj, sum_of_products
 
 Exponent = Tuple[int, ...]
 
@@ -85,7 +90,7 @@ class VarSet:
         if degrees is None:
             degrees = tuple(-2 for _ in names)
         else:
-            degrees = tuple(int(d) for d in degrees)
+            degrees = tuple(exact_int(d, "degree") for d in degrees)
             if len(degrees) != len(names):
                 raise ValueError("one degree per variable required")
         self.names = names
@@ -150,7 +155,7 @@ class LinearForm:
     __slots__ = ("varset", "coeffs")
 
     def __init__(self, varset: VarSet, coeffs: Sequence[int]):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(exact_int(c, "form coefficient") for c in coeffs)
         if len(coeffs) != len(varset):
             raise ValueError("coefficient vector length mismatch")
         if not any(coeffs):
@@ -184,9 +189,9 @@ class LinearForm:
         if isinstance(coeffs, Mapping):
             vec = [0] * len(varset)
             for name, c in coeffs.items():
-                vec[varset.index(name)] = int(c)
+                vec[varset.index(name)] = c
             coeffs = vec
-        coeffs = [int(c) for c in coeffs]
+        coeffs = [exact_int(c, "form coefficient") for c in coeffs]
         if not any(coeffs):
             raise ValueError("zero linear form")
         g = 0
@@ -270,7 +275,7 @@ class TruncSeries:
         clean: Dict[Exponent, Poly] = {}
         if terms:
             for e, c in terms.items():
-                e = tuple(int(x) for x in e)
+                e = tuple(exact_int(x, "exponent") for x in e)
                 if len(e) != len(varset):
                     raise ValueError("exponent length mismatch")
                 if any(x < 0 for x in e):
@@ -492,16 +497,6 @@ class TruncSeries:
         variables of ``target``.
         """
         return self.compose(target, _linear_images(self.varset, target, mapping))
-
-    def rename_variables(self, target: VarSet, mapping: Mapping[str, str]) -> "TruncSeries":
-        out: Dict[Exponent, Poly] = {}
-        for e, c in self.terms.items():
-            ee = [0] * len(target)
-            for name, exp in zip(self.varset.names, e):
-                if exp:
-                    ee[target.index(mapping.get(name, name))] += exp
-            out[tuple(ee)] = c
-        return TruncSeries(target, self.order, out)
 
     def compose(
         self, target: VarSet, mapping: Mapping[str, "TruncSeries"]
@@ -1125,6 +1120,72 @@ def expand_poles(
     return LocalizedSeries(num, den, blocks, bounds)
 
 
+def nest(
+    outer: Callable[[Poly, int], LocalizedSeries],
+    inner: LocalizedSeries,
+    names: Sequence[str],
+) -> LocalizedSeries:
+    """The sum of x^e * outer(p_e, room) over the terms p_e * x^e of
+    ``inner``'s numerator, over ``inner``'s denominator.
+
+    ``outer(p, room)`` is a series over ``names`` exact to order room =
+    order - |e|, for ``inner``'s order, which the result claims unless an
+    outer series claims less; an exact ``inner`` raises ValueError.  The
+    result lives on the names ``inner`` lacks (degree -2, the leading
+    block), then on ``inner``'s names; exponents on a shared name add.
+    Forms keep their variable order, so they stay primitive with sign 1.
+    Images over one denominator add into one numerator, and different
+    denominators add as fractions.
+
+    Nesting 3w, exact to order 2, into p |-> p * (1 + z):
+
+    >>> inner = LocalizedSeries(TruncSeries(VarSet(("w",)), 2, {(1,): 3}))
+    >>> def outer(p, room):
+    ...     return LocalizedSeries(TruncSeries(VarSet(("z",)), room, {(0,): p, (1,): p}))
+    >>> out = nest(outer, inner, ["z"])
+    >>> out.varset, out.blocks, out.num.order, out.num
+    (VarSet(('z', 'w')), (('z',), ('w',)), 2, (3)*w + (3)*z*w)
+    """
+    order = inner.num.order
+    if order is INF:
+        raise ValueError("nesting an exact series needs a finite order")
+    if any(b is not None for b in inner.block_bounds):
+        raise ValueError("block bounds do not carry over to another regime")
+    own = inner.varset
+    fresh = tuple(n for n in names if n not in own.names)
+    combined = VarSet(fresh + own.names, (-2,) * len(fresh) + own.degrees)
+    blocks = tuple(b for b in (fresh, own.names) if b)
+    at, own_at = [combined.index(n) for n in names], range(len(fresh), len(combined))
+
+    def placed(vec, positions, base=None) -> List[int]:
+        out = list(base or [0] * len(combined))
+        for i, k in zip(positions, vec):
+            out[i] += k
+        return out
+
+    def reread(den: Denominator, positions) -> list:
+        return [(LinearForm(combined, placed(f.coeffs, positions)), m) for f, m in den]
+
+    groups: Dict[Denominator, tuple] = {}  # denominator -> (terms, order)
+    for e, p in sorted(inner.num.terms.items()):
+        out = outer(p, order - sum(e))
+        if out.varset.names != tuple(names):
+            raise ValueError("outer series lives on %r" % (out.varset.names,))
+        terms, o = groups.get(out.den, ({}, order))
+        base = placed(e, own_at)
+        for f, c in out.num.terms.items():
+            key = tuple(placed(f, at, base))
+            terms[key] = terms[key] + c if key in terms else c
+        lowered = INF if out.num.order is INF else out.num.order + sum(e)
+        groups[out.den] = terms, _min_order(o, lowered)
+    parts = [
+        LocalizedSeries(TruncSeries(combined, o, terms), reread(den, at), blocks)
+        for den, (terms, o) in groups.items()
+    ]
+    total = reduce(add, parts) if parts else LocalizedSeries(TruncSeries.zero(combined, order))
+    return LocalizedSeries(total.num, list(total.den) + reread(inner.den, own_at), blocks)
+
+
 def _within_bounds(x: LocalizedSeries) -> LocalizedSeries:
     """x with the numerator terms past some block's net-degree bound
     dropped."""
@@ -1332,20 +1393,14 @@ def series_from_dict(d: dict) -> LocalizedSeries:
     """Read the form of `series_to_dict`; repeated exponents add up.  A
     coefficient that is neither a string nor a list, an integer field that
     is not an int and a missing key raise ValueError."""
-    degrees = d.get("degrees")
-    if degrees is not None:
-        degrees = tuple(json_int(c, "degree") for c in degrees)
-    varset = VarSet(tuple(json_field(d, "vars")), degrees)
+    varset = VarSet(tuple(json_field(d, "vars")), d.get("degrees"))
     terms: Dict[Exponent, Poly] = {}
     for t in json_field(d, "terms"):
-        e = tuple(json_int(x, "exponent") for x in json_field(t, "exp"))
+        e = tuple(exact_int(x, "exponent") for x in json_field(t, "exp"))
         terms[e] = terms.get(e, Poly()) + _coef_from_obj(json_field(t, "coef"))
-    num = TruncSeries(varset, json_int(json_field(d, "order"), "order"), terms)
+    num = TruncSeries(varset, exact_int(json_field(d, "order"), "order"), terms)
     den = [
-        (
-            LinearForm(varset, tuple(json_int(c, "form") for c in json_field(f, "form"))),
-            json_int(json_field(f, "mult"), "mult"),
-        )
+        (LinearForm(varset, json_field(f, "form")), exact_int(json_field(f, "mult"), "mult"))
         for f in d.get("den", [])
     ]
     blocks = None
@@ -1354,7 +1409,7 @@ def series_from_dict(d: dict) -> LocalizedSeries:
         blocks = tuple(tuple(b) for b in d["blocks"])
         if "block_bounds" in d:
             bounds = tuple(
-                None if b is None else json_int(b, "block bound") for b in d["block_bounds"]
+                None if b is None else exact_int(b, "block bound") for b in d["block_bounds"]
             )
     return LocalizedSeries(num, den, blocks, bounds)
 

@@ -12,17 +12,21 @@ Every equality test is guarded against vacuity: after a difference
 clears to zero the checker re-runs the comparison against a deliberately
 wrong right side, and an empty comparison window is reported as a
 failure rather than a pass.
+
+Every nested side is one `series.nest`, which `nested_product` wraps for
+products, and every product reworked at an order read from an order-0
+probe must keep the probe's poles.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .homology import (
     ComponentLabel,
     HomologyElement,
     s_name,
-    translate_coefficients,
     weighted_degrees,
     x_name,
 )
@@ -37,6 +41,7 @@ from .series import (
     coefficient_of_power,
     expand_poles,
     iota_expand,
+    nest,
     residue,
     series_equal,
     series_sub_cleared,
@@ -272,6 +277,15 @@ def shift_image(
     return w - TruncSeries.const(varset, 1, INF)
 
 
+def _shift_images(law: str, varset: VarSet, rows: Mapping, order) -> Dict[str, TruncSeries]:
+    """The :func:`shift_image` of each coordinate, whose shifted argument
+    is one {name: coefficient} row over ``varset``."""
+    return {
+        u: shift_image(law, varset, [row.get(n, 0) for n in varset.names], order)
+        for u, row in rows.items()
+    }
+
+
 def shifted_flat(
     flat: ElementSeries,
     images: Mapping[str, TruncSeries],
@@ -299,67 +313,39 @@ def shifted_flat(
 # -- nesting one family inside another ----------------------------------------------
 
 
-def _embed_den(
-    den: Sequence[Tuple[LinearForm, int]], combined: VarSet
-) -> Tuple[List[Tuple[LinearForm, int]], Fraction]:
-    """Denominator forms re-read over the combined variables, and the sign
-    their renormalization moves into the numerator."""
-    out = []
-    scale = Fraction(1)
-    for form, mult in den:
-        vec = [0] * len(combined)
-        for name, c in zip(form.varset.names, form.coeffs):
-            if c:
-                vec[combined.index(name)] = c
-        new, sign, content = LinearForm.make_scaled(combined, vec)
-        if content != 1:
-            raise AssertionError("embedded form lost primitivity")
-        out.append((new, mult))
-        scale *= Fraction(sign) ** mult
-    return out, scale
+def _reworked(probe: ElementSeries, call: Callable, order: int) -> ElementSeries:
+    """``call(order)`` for a working order read from ``probe = call(0)``:
+    the probe itself at order 0, else a second call, which must keep the
+    probe's poles, since the order was read from them."""
+    out = call(order) if order else probe
+    if out.series.den != probe.series.den:
+        raise ValueError("poles change with the truncation order, %r at order 0 and %r at "
+                         "order %d" % (probe.series.den, out.series.den, order))
+    return out
 
 
 def nested_product(
-    outer: Callable[[Poly], ElementSeries],
+    outer: Callable[[Poly, int], ElementSeries],
     inner: LocalizedSeries,
     znames: Sequence[str],
-    wnames: Sequence[str],
 ) -> ElementSeries:
-    """An outer product with a series in one of its slots.
-
-    ``outer(p)`` is the outer product, over the z coordinates, with the
-    class p in the nested slot.  The inner series (over the w
-    coordinates) is fed into it coefficient by coefficient, and
-    everything is reassembled over the combined variable set with the z
-    block leading.
+    """An outer product with a series in one of its slots: `series.nest`
+    of ``outer(p, order)``, the outer product over the z coordinates with
+    the class p in the nested slot.  The component is the outer
+    product's; a zero inner series asks ``outer(Poly(), 0)`` for it.
     """
-    combined = VarSet(tuple(znames) + tuple(wnames))
-    blocks = (tuple(znames), tuple(wnames))
-    widx = [combined.index(w) for w in wnames]
-    items = sorted(inner.num.terms.items())
-    if not items:
-        items = [(inner.num.varset.zero_exponent(), Poly())]
-    total = None
     component = None
-    for e, p in items:
-        out = outer(p)
+
+    def series_of(p, order):
+        nonlocal component
+        out = outer(p, order)
         component = out.component
-        num = out.series.num.rename_variables(combined, {})
-        mono = [0] * len(combined)
-        for pos, k in zip(widx, e):
-            mono[pos] = k
-        num = num * TruncSeries(combined, INF, {tuple(mono): Fraction(1)})
-        den, scale = _embed_den(out.series.den, combined)
-        contrib = LocalizedSeries(num.scale(scale), den, blocks)
-        total = contrib if total is None else total + contrib
-    den_w, scale = _embed_den(inner.den, combined)
-    out = LocalizedSeries(
-        total.num.scale(scale),
-        list(total.den) + den_w,
-        blocks,
-        total.block_bounds,
-    )
-    return ElementSeries(component, out)
+        return out.series
+
+    series = nest(series_of, inner, znames)
+    if component is None:
+        component = outer(Poly(), 0).component
+    return ElementSeries(component, series)
 
 
 def _nested_and_flat(
@@ -367,29 +353,33 @@ def _nested_and_flat(
     outer: Callable[[HomologyElement, int], ElementSeries],
     flat: Callable[[int], ElementSeries],
     znames: Sequence[str],
-    wnames: Sequence[str],
     trunc: int,
-) -> Tuple[ElementSeries, ElementSeries, int]:
-    """The two sides of a nesting identity: (nested, flat, working order).
-
-    ``inner(order)`` is the inner product over the w coordinates,
-    ``outer(c, order)`` the outer product over the z coordinates with the
-    class c in the nested slot, and ``flat(order)`` the joint product.
-    Order-0 probes read the pole degrees: the nested side is worked at
-    trunc plus the inner and outer pole degrees, and the flat product at
-    trunc plus its pole degree plus trunc per denominator form.
+) -> Tuple[ElementSeries, ElementSeries, int, int]:
+    """The two sides of a nesting identity and their working orders:
+    (nested, flat, nested order, flat order).  ``inner(order)``,
+    ``outer(c, order)`` (the class c in the nested slot) and ``flat(order)``
+    are the inner product over the w coordinates, the outer one over the z
+    coordinates and the joint product.  Order-0 probes read the pole
+    degrees: the nested side is worked at trunc plus the inner and outer
+    pole degrees, the flat product at trunc plus its pole degree plus trunc
+    per denominator form.
     """
     probe_inner = inner(0)
     probe_outer = outer(HomologyElement(probe_inner.component, 1), 0)
     work = trunc + probe_inner.series.den_degree() + probe_outer.series.den_degree()
-    inner_out = inner(work)
+    inner_out = _reworked(probe_inner, inner, work)
     nested = nested_product(
-        lambda p: outer(HomologyElement(inner_out.component, p), work),
-        inner_out.series, znames, wnames,
+        lambda p, order: outer(HomologyElement(inner_out.component, p), order),
+        inner_out.series, znames,
     )
-    probe_flat = flat(0).series
-    flat_work = trunc + probe_flat.den_degree() + len(probe_flat.den) * trunc
-    return nested, flat(flat_work), work
+    probe_flat = flat(0)
+    flat_work = trunc + probe_flat.series.den_degree() + len(probe_flat.series.den) * trunc
+    return nested, _reworked(probe_flat, flat, flat_work), work, flat_work
+
+
+def _note_sides(report: CheckReport, si: int, work: int, flat_work: int, lhs, rhs):
+    report.notes.append("sample %d: nested order=%d, flat order=%d, terms=%d/%d" % (
+        si, work, flat_work, len(lhs.num.terms), len(rhs.num.terms)))
 
 
 # -- axiom checks ------------------------------------------------------------------
@@ -502,22 +492,17 @@ def check_associativity(
         blocks = (znames, wnames)
         unames = tuple("u%d" % (k + 1) for k in range(m + n))
         joint = tuple(bs) + tuple(rest)
-        lhs, flat, work = _nested_and_flat(
+        lhs, flat, work, flat_work = _nested_and_flat(
             lambda order: inner_family.product(bs, wnames, order),
             lambda c, order: P.product((c,) + tuple(rest), znames, order),
             lambda order: P.product(joint, unames, order),
-            znames, wnames, trunc,
+            znames, trunc,
         )
-        images = {}
-        for k in range(m + n):
-            vec = [0] * len(combined)
-            if k < m:
-                vec[combined.index("z0")] = 1
-                vec[combined.index(wnames[k])] = 1
-            else:
-                vec[combined.index(znames[k - m + 1])] = 1
-            images[unames[k]] = shift_image(P.law, combined, vec, work)
+        rows = {u: {"z0": 1, w: 1} for u, w in zip(unames, wnames)}
+        rows.update({u: {z: 1} for u, z in zip(unames[m:], znames[1:])})
+        images = _shift_images(P.law, combined, rows, work)
         rhs = shifted_flat(flat, images, combined, blocks, trunc)
+        _note_sides(report, si, work, flat_work, lhs.series, rhs.series)
 
         if lhs.component != rhs.component:
             report.fail(si, "components differ", repr((lhs.component,
@@ -547,13 +532,14 @@ def check_module_nesting(P: ProductFamily, samples, trunc: int) -> CheckReport:
         wnames = tuple("w%d" % (i + 1) for i in range(k))
         blocks = (znames, wnames)
         joint = tuple(as_) + tuple(bs) + (mm,)
-        lhs, flat, _ = _nested_and_flat(
+        lhs, flat, work, flat_work = _nested_and_flat(
             lambda order: P.product(tuple(bs) + (mm,), wnames, order),
             lambda c, order: P.product(tuple(as_) + (c,), znames, order),
             lambda order: P.product(joint, znames + wnames, order),
-            znames, wnames, trunc,
+            znames, trunc,
         )
         rhs_series = iota_expand(flat.series, blocks, trunc)
+        _note_sides(report, si, work, flat_work, lhs.series, rhs_series)
         if lhs.component != flat.component:
             report.fail(si, "components differ")
             continue
@@ -582,8 +568,10 @@ def two_point_operator(
     The working order, 2 * trunc + 2 * d + 2 for the pole degree d read
     from an order-0 probe, also sets how far the compared series reach.
     """
-    d = P.product((a, b), ("z", "w"), 0).series.den_degree()
-    full = P.product((a, b), ("z", "w"), 2 * trunc + 2 * d + 2)
+    call = partial(P.product, (a, b), ("z", "w"))
+    probe = call(0)
+    d = probe.series.den_degree()
+    full = _reworked(probe, call, 2 * trunc + 2 * d + 2)
     expanded = iota_expand(full.series, (("z",), ("w",)), trunc + d + 1)
     return ElementSeries(full.component, coefficient_of_power(expanded, "w", 0))
 
@@ -630,21 +618,15 @@ def _residue_read(
     coefficient of the residue, of total degree -1, only reads numerator
     terms of degree d - 1.  The product is therefore worked at order
     max(d - 1, 0); the order-0 probe that reads d is that product when
-    d <= 1.  A second call must keep the probe's poles, since the order
-    is read from them.  ``trunc`` sets only the residue's expansion depth.
+    d <= 1 (see `_reworked`).  ``trunc`` sets only the residue's expansion
+    depth.
     """
     names, center = _RESIDUE_READS[kind]
-    full = P.product((x, y), names, 0)
-    den = full.series.den
-    d = full.series.den_degree()
+    call = partial(P.product, (x, y), names)
+    probe = call(0)
+    d = probe.series.den_degree()
     order = max(d - 1, 0)
-    if order:
-        full = P.product((x, y), names, order)
-        if full.series.den != den:
-            raise ValueError(
-                "%s: poles change with the truncation order, %r at order 0 "
-                "and %r at order %d" % (kind, den, full.series.den, order)
-            )
+    full = _reworked(probe, call, order)
     res = residue(full.series, names[0], center, trunc=trunc + d + 1)
     if res.den:
         raise ValueError("%s: residue kept a pole" % kind)
@@ -935,11 +917,9 @@ def check_vertex_space(space: VertexSpace, samples, trunc: int) -> CheckReport:
     """The translation is a representation of the formal group: it is
     the identity at the origin and composes through the group law."""
     report = CheckReport("vertex-space")
-    r = space.rank
-    znames = tuple("z%d" % (i + 1) for i in range(r))
-    wnames = tuple("w%d" % (i + 1) for i in range(r))
-    unames = tuple("u%d" % (i + 1) for i in range(r))
+    znames, wnames, unames = (tuple("%s%d" % (c, i + 1) for i in range(space.rank)) for c in "zwu")
     combined = VarSet(znames + wnames)
+    rows = {u: {z: 1, w: 1} for u, z, w in zip(unames, znames, wnames)}
     for i, a in enumerate(samples):
         report.count()
         t = space.translate(a, list(znames), trunc)
@@ -949,28 +929,17 @@ def check_vertex_space(space: VertexSpace, samples, trunc: int) -> CheckReport:
                         repr(const - space.payload(a)))
             continue
         tw = space.translate(a, list(wnames), trunc)
-        lhs = translate_coefficients(
-            tw.rename_variables(combined, {}),
+        lhs = nest(
+            lambda p, room: LocalizedSeries(
+                space.translate(space.rebuild(a, p), list(znames), room)
+            ),
+            LocalizedSeries(tw),
             znames,
-            lambda p, room: space.translate(space.rebuild(a, p), list(znames), room),
         )
         tu = space.translate(a, list(unames), trunc)
-        images = {}
-        for k in range(r):
-            vec = [0] * len(combined)
-            vec[combined.index(znames[k])] = 1
-            vec[combined.index(wnames[k])] = 1
-            images[unames[k]] = shift_image(space.law, combined, vec, trunc)
-        rhs = tu.compose(combined, images)
-        diff = lhs - rhs
-        if not diff.is_zero():
-            report.fail(
-                i,
-                "translations do not compose through the group law",
-                repr(sorted(diff.terms.items())[:1]),
-            )
-        elif diff.order is not INF and diff.order < 0:
-            report.fail(i, "vacuous comparison window")
+        rhs = tu.compose(combined, _shift_images(space.law, combined, rows, trunc))
+        _compared(report, i, lhs, LocalizedSeries(rhs, (), lhs.blocks),
+                  "translations do not compose through the group law")
     return report
 
 
@@ -1012,35 +981,30 @@ def check_vertex_space_map(f: VertexSpaceMap, samples, trunc: int) -> CheckRepor
     shifts them through the lattice matrix."""
     report = CheckReport("vertex-space-map")
     law = f.source.law
-    rs, rt = f.source.rank, f.target.rank
-    znames = tuple("z%d" % (i + 1) for i in range(rs))
-    wnames = tuple("w%d" % (i + 1) for i in range(rs))
-    pnames = tuple("p%d" % (i + 1) for i in range(rt))
-    unames = tuple("u%d" % (i + 1) for i in range(rs))
+    znames, wnames, unames = (
+        tuple("%s%d" % (c, i + 1) for i in range(f.source.rank)) for c in "zwu"
+    )
+    pnames = tuple("p%d" % (i + 1) for i in range(f.target.rank))
+    combined, combined2 = VarSet(znames + wnames), VarSet(pnames + znames)
+    rows = {u: {z: 1, w: 1} for u, z, w in zip(unames, znames, wnames)}
+    rows2 = {u: {**dict(zip(pnames, row)), z: 1} for u, z, row in zip(unames, znames, f.sharp)}
     for i, a in enumerate(samples):
         report.count()
-        probe = f.action(a, znames, 0)
+        action = partial(f.action, a, znames)
+        probe = action(0)
         d = probe.series.den_degree()
         work = 2 * trunc + 2 * d + len(probe.series.den) * trunc
 
         # translating first shifts the map's own coordinates
-        combined = VarSet(znames + wnames)
-        blocks = (znames, wnames)
         tw = f.source.translate(a, list(wnames), work)
         lhs = nested_product(
-            lambda p: f.action(f.source.rebuild(a, p), znames, work),
+            lambda p, order: f.action(f.source.rebuild(a, p), znames, order),
             LocalizedSeries(tw),
             znames,
-            wnames,
         )
         full = f.action(a, unames, work)
-        images = {}
-        for k in range(rs):
-            vec = [0] * len(combined)
-            vec[combined.index(znames[k])] = 1
-            vec[combined.index(wnames[k])] = 1
-            images[unames[k]] = shift_image(law, combined, vec, work)
-        rhs = shifted_flat(full, images, combined, blocks, trunc)
+        images = _shift_images(law, combined, rows, work)
+        rhs = shifted_flat(full, images, combined, (znames, wnames), trunc)
         if not _compared(report, i, lhs.series, rhs.series,
                          "translation before the map fails to shift"):
             continue
@@ -1048,30 +1012,19 @@ def check_vertex_space_map(f: VertexSpaceMap, samples, trunc: int) -> CheckRepor
             report.fail(i, "components differ")
             continue
 
-        # translating after the map shifts through the lattice matrix
-        combined2 = VarSet(pnames + znames)
-        blocks2 = (pnames, znames)
-        fz = f.action(a, znames, work)
-        fz_c = fz.series.num.rename_variables(combined2, {})
-        # the ElementSeries carries the component, which is all the
-        # target carrier's rebuild adapter needs from a template
-        lhs2_num = translate_coefficients(
-            fz_c,
-            pnames,
-            lambda p, room: f.target.translate(
-                f.target.rebuild(fz, p), list(pnames), room
+        # translating after the map shifts through the lattice matrix; the
+        # ElementSeries carries the component, which is all the target
+        # carrier's rebuild adapter needs from a template
+        fz = _reworked(probe, action, work)
+        lhs2 = nest(
+            lambda p, room: LocalizedSeries(
+                f.target.translate(f.target.rebuild(fz, p), list(pnames), room)
             ),
+            fz.series,
+            pnames,
         )
-        den2, scale2 = _embed_den(fz.series.den, combined2)
-        lhs2 = LocalizedSeries(lhs2_num.scale(scale2), den2, blocks2)
-        images2 = {}
-        for k in range(rs):
-            vec = [0] * len(combined2)
-            for j in range(rt):
-                vec[combined2.index(pnames[j])] = f.sharp[k][j]
-            vec[combined2.index(znames[k])] = 1
-            images2[unames[k]] = shift_image(law, combined2, vec, work)
-        rhs2 = shifted_flat(full, images2, combined2, blocks2, trunc)
+        images2 = _shift_images(law, combined2, rows2, work)
+        rhs2 = shifted_flat(full, images2, combined2, (pnames, znames), trunc)
         _compared(report, i, lhs2, rhs2.series,
                   "translation after the map fails to shift")
     return report

@@ -411,6 +411,39 @@ class TestSwapIdentity:
         assert not series_equal(lhs, rhs)
 
 
+NOT_INTEGERS = [2.5, 1.0, True, "2", Fraction(3, 2)]
+
+
+class TestIntegerData:
+    """Summand and KClass reject integer data that is not an int, as
+    `kclass_from_obj` does, instead of cutting it with int()."""
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_summand_rank(self, bad):
+        with pytest.raises(ValueError, match="rank"):
+            Summand(bad, {})
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_character_index(self, bad):
+        with pytest.raises(ValueError, match="character index"):
+            Summand(1, {bad: chp(1, 1)})
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_line_sign(self, bad):
+        with pytest.raises(ValueError, match="line sign"):
+            Summand(1, {}, [(bad, Poly())])
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_kclass_weight(self, bad):
+        with pytest.raises(ValueError, match="weight"):
+            KClass(Z2, {(1, bad): Summand(1, {})}, 2)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_kclass_depth(self, bad):
+        with pytest.raises(ValueError, match="depth"):
+            KClass(Z2, {(1, 0): Summand(1, {})}, bad)
+
+
 class TestSerialization:
     def test_round_trip(self):
         E = KClass(

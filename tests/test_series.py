@@ -23,6 +23,7 @@ from vertexalg.series import (
     dumps_series,
     iota_expand,
     loads_series,
+    nest,
     residue,
     series_equal,
     series_exp,
@@ -50,6 +51,41 @@ def poly_of(varset, order, pairs):
 
 def laurent_dict(x):
     return dict(x.laurent_terms())
+
+
+NOT_INTEGERS = [2.5, 1.0, True, "2", Fraction(3, 2)]
+
+
+class TestIntegerData:
+    """Constructors reject integer data that is not an int, as the JSON
+    readers do, instead of cutting it with int()."""
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_varset_degree(self, bad):
+        with pytest.raises(ValueError, match="degree"):
+            VarSet(("x",), degrees=(bad,))
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_series_exponent(self, bad):
+        with pytest.raises(ValueError, match="exponent"):
+            TruncSeries(Z, 3, {(bad,): 1})
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_linear_form_coefficient(self, bad):
+        with pytest.raises(ValueError, match="form coefficient"):
+            LinearForm(ZW, (1, bad))
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_make_scaled_coefficient(self, bad):
+        with pytest.raises(ValueError, match="form coefficient"):
+            LinearForm.make_scaled(ZW, (bad, 1))
+        with pytest.raises(ValueError, match="form coefficient"):
+            LinearForm.make_scaled(ZW, {"w": bad})
+
+    def test_integers_pass(self):
+        assert VarSet(("x",), degrees=(-3,)).degrees == (-3,)
+        assert TruncSeries(Z, 3, {(2,): 1}).terms == {(2,): Poly.const(1)}
+        assert LinearForm.make_scaled(ZW, {"z": -2, "w": 4})[1:] == (-1, 2)
 
 
 class TestAdd:
@@ -303,6 +339,100 @@ class TestEquality:
         b = LocalizedSeries.one(ZW, 6)
         with pytest.raises(ValueError):
             series_sub_cleared(a, b)
+
+
+class TestNest:
+    """`nest` feeds a series into a series-valued map coefficient by
+    coefficient, each at the room its monomial leaves."""
+
+    @staticmethod
+    def shift(names, scale=1):
+        """p |-> p * (1 + scale * n) for each of ``names``, at the room
+        asked for, with the calls recorded."""
+        calls = []
+        vs = VarSet(tuple(names))
+
+        def outer(p, room):
+            calls.append((p, room))
+            terms = {vs.zero_exponent(): p}
+            for i in range(len(vs)):
+                terms[tuple(int(j == i) for j in range(len(vs)))] = p * scale
+            return LocalizedSeries(TruncSeries(vs, room, terms))
+
+        return outer, calls
+
+    def test_disjoint_names_lead(self):
+        inner = poly_of(VarSet(("w",)), 2, [((0,), 2), ((1,), 3), ((2,), 5)])
+        outer, calls = self.shift(["z"])
+        out = nest(outer, inner, ["z"])
+        assert out.varset == ZW and out.blocks == (("z",), ("w",))
+        assert sorted(room for _, room in calls) == [0, 1, 2]
+        assert out.num.order == 2
+        assert out.num.terms == {
+            (0, 0): Poly.const(2), (1, 0): Poly.const(2), (0, 1): Poly.const(3),
+            (1, 1): Poly.const(3), (0, 2): Poly.const(5),
+        }
+
+    def test_shared_name_adds_exponents(self):
+        inner = poly_of(ZW, 3, [((0, 1), 1), ((1, 1), 2)])
+        outer, _ = self.shift(["w"])
+        out = nest(outer, inner, ["w"])
+        assert out.varset == ZW and out.blocks == (("z", "w"),)
+        assert out.num.order == 3
+        assert out.num.terms == {
+            (0, 1): Poly.const(1), (0, 2): Poly.const(1),
+            (1, 1): Poly.const(2), (1, 2): Poly.const(2),
+        }
+
+    def test_positive_valuation_keeps_the_inner_order(self):
+        inner = poly_of(VarSet(("w",)), 2, [((1,), 1)])
+        outer, calls = self.shift(["z"])
+        out = nest(outer, inner, ["z"])
+        assert calls == [(Poly.const(1), 1)]
+        assert out.num.order == 2
+
+    def test_outer_order_below_the_room_lowers_the_claim(self):
+        inner = poly_of(VarSet(("w",)), 4, [((0,), 1), ((1,), 1)])
+        outer, _ = self.shift(["z"])
+        out = nest(lambda p, room: outer(p, min(room, 1)), inner, ["z"])
+        assert out.num.order == 1
+
+    def test_exact_inner_raises(self):
+        outer, _ = self.shift(["z"])
+        with pytest.raises(ValueError, match="finite order"):
+            nest(outer, poly_of(VarSet(("w",)), INF, [((1,), 1)]), ["z"])
+
+    def test_zero_inner_calls_nothing(self):
+        outer, calls = self.shift(["z"])
+        out = nest(outer, LocalizedSeries(TruncSeries.zero(VarSet(("w",)), 3)), ["z"])
+        assert not calls and out.num.is_zero() and out.num.order == 3
+        assert out.varset == ZW
+
+    def test_denominators_combine(self):
+        # 1/w * (1 + w/z): the constant term's image carries 1/z and the
+        # w term's image none, so the two add as fractions
+        w = VarSet(("w",))
+        inner = LocalizedSeries(
+            TruncSeries(w, 3, {(0,): 1, (1,): 1}), [(form(w, w=1), 1)]
+        )
+
+        def outer(p, room):
+            num = TruncSeries(Z, room, {(0,): p})
+            return LocalizedSeries(num, [(form(Z, z=1), 1)] if room == 3 else ())
+
+        out = nest(outer, inner, ["z"])
+        want = LocalizedSeries(
+            TruncSeries(ZW, 3, {(0, 0): 1, (1, 1): 1}),
+            [(form(ZW, z=1), 1), (form(ZW, w=1), 1)],
+            (("z",), ("w",)),
+        )
+        assert out.den == want.den
+        assert series_equal(out, want)
+
+    def test_outer_on_other_names_raises(self):
+        outer, _ = self.shift(["y"])
+        with pytest.raises(ValueError, match="lives on"):
+            nest(outer, poly_of(VarSet(("w",)), 2, [((0,), 1)]), ["z"])
 
 
 class TestSubstitution:

@@ -8,6 +8,7 @@ a passing report is never vacuous.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -600,7 +601,8 @@ class TestModuleNestingCheck:
 
 def reference_nesting(outer, inner, znames, wnames):
     """The reassembly loop ``check_module_nesting`` carried before it called
-    ``nested_product``, kept as the reference for it."""
+    ``nested_product``, kept as the reference for it: ``outer(p)`` works
+    every coefficient at one fixed order."""
     combined = VarSet(znames + wnames)
     blocks = (znames, wnames)
 
@@ -624,7 +626,11 @@ def reference_nesting(outer, inner, znames, wnames):
             p = Poly.const(p)
         out = outer(p)
         component = out.component
-        num = out.series.num.rename_variables(combined, {})
+        num = TruncSeries(
+            combined,
+            out.series.num.order,
+            {f + (0,) * len(wnames): c for f, c in out.series.num.terms.items()},
+        )
         mono = [0] * len(combined)
         for pos, kk in zip(widx, e):
             mono[pos] = kk
@@ -654,27 +660,78 @@ def reference_nesting(outer, inner, znames, wnames):
     )
 
 
+def nesting_pair(family, sample, work):
+    """The inner product of a module-nesting sample at ``work`` and its
+    outer product as ``nested_product`` takes it."""
+    as_, bs, mm = sample
+    znames = tuple("z%d" % (i + 1) for i in range(len(as_)))
+    wnames = tuple("w%d" % (i + 1) for i in range(len(bs)))
+    inner = family.product(tuple(bs) + (mm,), wnames, work)
+
+    def outer(p, order):
+        head = HomologyElement(inner.component, p)
+        return family.product(tuple(as_) + (head,), znames, order)
+
+    return inner, outer, znames, wnames
+
+
 class TestNestedProduct:
     @pytest.mark.parametrize("sample", MODULE_NESTING_SAMPLES)
     def test_matches_reference(self, sample):
-        as_, bs, mm = sample
-        znames = tuple("z%d" % (i + 1) for i in range(len(as_)))
-        wnames = tuple("w%d" % (i + 1) for i in range(len(bs)))
-        work = 5
-        inner = MODULE.product(tuple(bs) + (mm,), wnames, work)
+        for family in (MODULE, origin_pole_family(1)):
+            inner, outer, znames, wnames = nesting_pair(family, sample, 5)
+            got = nested_product(outer, inner.series, znames)
+            want = reference_nesting(
+                lambda p: outer(p, 5), inner, znames, wnames
+            )
+            assert got.component == want.component
+            assert got.series.num.terms == want.series.num.terms
+            assert got.series.num.order == want.series.num.order
+            assert got.series.den == want.series.den
+            assert got.series.blocks == want.series.blocks
+            assert got.series.block_bounds == want.series.block_bounds
 
-        def outer(p):
-            head = HomologyElement(inner.component, p)
-            return MODULE.product(tuple(as_) + (head,), znames, work)
+    def test_outer_works_at_the_room_each_coefficient_leaves(self):
+        inner, outer, znames, _ = nesting_pair(MODULE, MODULE_NESTING_SAMPLES[0], 4)
+        orders = []
 
-        got = nested_product(outer, inner.series, znames, wnames)
-        want = reference_nesting(outer, inner, znames, wnames)
-        assert got.component == want.component
-        assert got.series.num.terms == want.series.num.terms
-        assert got.series.num.order == want.series.num.order
-        assert got.series.den == want.series.den
-        assert got.series.blocks == want.series.blocks
-        assert got.series.block_bounds == want.series.block_bounds
+        def counted_outer(p, order):
+            orders.append(order)
+            return outer(p, order)
+
+        nested_product(counted_outer, inner.series, znames)
+        assert sorted(orders) == sorted(4 - sum(e) for e in inner.series.num.terms)
+
+    def test_positive_valuation_claims_the_inner_order(self):
+        # s1 * w is exact to order 2: its w^3 coefficient is unknown, so
+        # nesting it into a translation cannot claim order 3
+        inner = LocalizedSeries(TruncSeries(VarSet(("w",)), 2, {(1,): S1}))
+
+        def outer(p, order):
+            return ElementSeries(
+                BU(1), LocalizedSeries(translate(elem(1, p), ["z"], order))
+            )
+
+        got = nested_product(outer, inner, ("z",))
+        assert got.series.num.order == 2
+        assert got.series.varset.names == ("z", "w")
+        assert got.series.num.terms == {
+            (0, 1): S1,
+            (1, 1): translate(elem(1, S1), ["z"], 1).terms[(1,)],
+        }
+
+    def test_zero_inner_series_takes_the_outer_component(self):
+        inner = LocalizedSeries(TruncSeries(VarSet(("w",)), 3))
+        calls = []
+
+        def outer(p, order):
+            calls.append((p, order))
+            return ElementSeries(BU(2), LocalizedSeries(translate(elem(2, p), ["z"], order)))
+
+        got = nested_product(outer, inner, ("z",))
+        assert calls == [(Poly(), 0)]
+        assert got.component == BU(2)
+        assert got.series.num.is_zero() and got.series.num.order == 3
 
 
 class TestNestingGolden:
@@ -684,6 +741,67 @@ class TestNestingGolden:
     @pytest.mark.parametrize("name", sorted(NESTING_CASES))
     def test_nested_side(self, name):
         assert_golden_text(name, nesting_text(name))
+
+
+class TestReworkedProducts:
+    """A working order read from an order-0 probe needs the product to keep
+    the probe's poles at that order; every probe-then-rework site checks."""
+
+    def test_translation_axiom(self):
+        def drifting(elements, names, trunc):
+            out = translation_product(elements, names, trunc)
+            if len(names) != 2:
+                return out
+            z, w = names
+            return with_poles(out, [({z: 1, w: -1}, 1 if trunc == 0 else 2)])
+
+        fam = ProductFamily("drifting", drifting, VA_POLES)
+        with pytest.raises(ValueError, match="truncation order"):
+            check_translation_axiom(fam, [(elem(1, S1), elem(1, S1))], 3)
+
+    def test_module_nesting(self):
+        def drifting_action(elements, names, trunc):
+            out = module_translation_product(elements, names, trunc)
+            if not names:
+                return out
+            return with_poles(out, [({names[-1]: 1}, 1 if trunc == 0 else 2)])
+
+        fam = ProductFamily("drifting-action", drifting_action, MODULE_POLES, module=True)
+        with pytest.raises(ValueError, match="truncation order"):
+            check_module_nesting(fam, MODULE_NESTING_SAMPLES[:1], 3)
+
+    def test_two_point_operator_keeps_its_two_calls(self):
+        fam, orders = counted(diagonal_pole_family(1))
+        two_point_operator(fam, *PAIRS[0], 3)
+        assert orders == [0, 2 * 3 + 2 * 1 + 2]
+
+
+class TestNestingNotes:
+    def test_associativity_notes_every_sample(self):
+        samples = [
+            ((elem(1, S1), elem(1, Poly.const(1))), (elem(1, S1),)),
+            ((elem(1, S1),), (elem(0, Poly.const(1)), elem(1, S2))),
+        ]
+        rep = check_associativity(FAMILY, samples, 3)
+        assert rep.passed and len(rep.notes) == 2
+        for k, note in enumerate(rep.notes):
+            assert re.fullmatch(
+                r"sample %d: nested order=3, flat order=3, terms=\d+/\d+" % k, note
+            )
+        assert rep.to_obj()["notes"] == rep.notes
+
+    def test_module_nesting_notes_the_pole_degrees(self):
+        inner, outer, znames, _ = nesting_pair(
+            origin_pole_family(1), MODULE_NESTING_SAMPLES[0], 5
+        )
+        lhs = nested_product(outer, inner.series, znames)
+        rep = check_module_nesting(
+            origin_pole_family(1), MODULE_NESTING_SAMPLES[:1], 3
+        )
+        # nested: 3 plus the inner and outer pole degrees; flat: 3 plus its
+        # pole degree plus 3 for its one form
+        assert rep.notes[0].startswith("sample 0: nested order=5, flat order=7, ")
+        assert rep.notes[0].split("terms=")[1].split("/")[0] == str(len(lhs.series.num.terms))
 
 
 class TestTranslationOperator:
