@@ -1130,7 +1130,8 @@ def nest(
 
     ``outer(p, room)`` is a series over ``names`` exact to order room =
     order - |e|, for ``inner``'s order, which the result claims unless an
-    outer series claims less; an exact ``inner`` raises ValueError.  The
+    outer series claims less; an exact ``inner``, or one with finite block
+    bounds, raises ValueError.  The
     result lives on the names ``inner`` lacks (degree -2, the leading
     block), then on ``inner``'s names; exponents on a shared name add.
     Forms keep their variable order, so they stay primitive with sign 1.

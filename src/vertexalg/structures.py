@@ -277,7 +277,9 @@ def shift_image(
     return w - TruncSeries.const(varset, 1, INF)
 
 
-def _shift_images(law: str, varset: VarSet, rows: Mapping, order) -> Dict[str, TruncSeries]:
+def _shift_images(
+    law: str, varset: VarSet, rows: Mapping[str, Mapping[str, int]], order
+) -> Dict[str, TruncSeries]:
     """The :func:`shift_image` of each coordinate, whose shifted argument
     is one {name: coefficient} row over ``varset``."""
     return {
@@ -313,14 +315,18 @@ def shifted_flat(
 # -- nesting one family inside another ----------------------------------------------
 
 
-def _reworked(probe: ElementSeries, call: Callable, order: int) -> ElementSeries:
+def _reworked(
+    probe: ElementSeries, call: Callable[[int], ElementSeries], order: int
+) -> ElementSeries:
     """``call(order)`` for a working order read from ``probe = call(0)``:
     the probe itself at order 0, else a second call, which must keep the
     probe's poles, since the order was read from them."""
     out = call(order) if order else probe
     if out.series.den != probe.series.den:
-        raise ValueError("poles change with the truncation order, %r at order 0 and %r at "
-                         "order %d" % (probe.series.den, out.series.den, order))
+        raise ValueError(
+            "poles change with the truncation order, %r at order 0 and %r at "
+            "order %d" % (probe.series.den, out.series.den, order)
+        )
     return out
 
 
@@ -985,9 +991,13 @@ def check_vertex_space_map(f: VertexSpaceMap, samples, trunc: int) -> CheckRepor
         tuple("%s%d" % (c, i + 1) for i in range(f.source.rank)) for c in "zwu"
     )
     pnames = tuple("p%d" % (i + 1) for i in range(f.target.rank))
-    combined, combined2 = VarSet(znames + wnames), VarSet(pnames + znames)
+    combined = VarSet(znames + wnames)
     rows = {u: {z: 1, w: 1} for u, z, w in zip(unames, znames, wnames)}
-    rows2 = {u: {**dict(zip(pnames, row)), z: 1} for u, z, row in zip(unames, znames, f.sharp)}
+    combined2 = VarSet(pnames + znames)
+    rows2 = {
+        u: {**dict(zip(pnames, row)), z: 1}
+        for u, z, row in zip(unames, znames, f.sharp)
+    }
     for i, a in enumerate(samples):
         report.count()
         action = partial(f.action, a, znames)

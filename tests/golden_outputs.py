@@ -9,13 +9,13 @@ sum-map file holds the component and `poly_to_obj` of
 `SUM_MAP_CASES`, a translation file the `series_to_dict` of one fixed
 `translate` or `translate_series` of `TRANSLATE_CASES`, and a nesting
 file the `series_to_dict` of the nested side that one checker run of
-`NESTING_CASES` builds with `structures.nested_product`.  A test that computes the case compares
-its text with the file, so any change of output -- a term, a
-coefficient, an order, a block bound -- shows.
+`NESTING_CASES` builds with `structures.nested_product`.  A test that
+computes the case compares its text with the file, so any change of
+output -- a term, a coefficient, an order, a block bound -- shows.
 
 A file is only rewritten on purpose, by writing the text of the case to
-it, and the change that does so says why.  The sum-map and translation
-translation and nesting files are written by naming them:
+it, and the change that does so says why.  The sum-map, translation and
+nesting files are written by naming them:
 
     PYTHONPATH=src python tests/golden_outputs.py sum_map_unitary_2 ...
 """
@@ -25,8 +25,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from vertexalg.charclass import kclass_to_obj
 from vertexalg import structures
+from vertexalg.charclass import kclass_to_obj
 from vertexalg.homology import (
     ComponentLabel,
     HomologyElement,
@@ -147,12 +147,11 @@ def _nested_side(check, *args):
     return seen[0]
 
 
-def _module_nesting(k, family="MODULE"):
+def _module_nesting(k, family=lambda ts: ts.MODULE):
     import test_structures as ts
 
-    family = getattr(ts, family) if isinstance(family, str) else family(ts)
     sample = ts.MODULE_NESTING_SAMPLES[k]
-    return _nested_side(structures.check_module_nesting, family, [sample], 3)
+    return _nested_side(structures.check_module_nesting, family(ts), [sample], 3)
 
 
 def _associativity():

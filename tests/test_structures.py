@@ -743,39 +743,6 @@ class TestNestingGolden:
         assert_golden_text(name, nesting_text(name))
 
 
-class TestReworkedProducts:
-    """A working order read from an order-0 probe needs the product to keep
-    the probe's poles at that order; every probe-then-rework site checks."""
-
-    def test_translation_axiom(self):
-        def drifting(elements, names, trunc):
-            out = translation_product(elements, names, trunc)
-            if len(names) != 2:
-                return out
-            z, w = names
-            return with_poles(out, [({z: 1, w: -1}, 1 if trunc == 0 else 2)])
-
-        fam = ProductFamily("drifting", drifting, VA_POLES)
-        with pytest.raises(ValueError, match="truncation order"):
-            check_translation_axiom(fam, [(elem(1, S1), elem(1, S1))], 3)
-
-    def test_module_nesting(self):
-        def drifting_action(elements, names, trunc):
-            out = module_translation_product(elements, names, trunc)
-            if not names:
-                return out
-            return with_poles(out, [({names[-1]: 1}, 1 if trunc == 0 else 2)])
-
-        fam = ProductFamily("drifting-action", drifting_action, MODULE_POLES, module=True)
-        with pytest.raises(ValueError, match="truncation order"):
-            check_module_nesting(fam, MODULE_NESTING_SAMPLES[:1], 3)
-
-    def test_two_point_operator_keeps_its_two_calls(self):
-        fam, orders = counted(diagonal_pole_family(1))
-        two_point_operator(fam, *PAIRS[0], 3)
-        assert orders == [0, 2 * 3 + 2 * 1 + 2]
-
-
 class TestNestingNotes:
     def test_associativity_notes_every_sample(self):
         samples = [
@@ -1037,6 +1004,11 @@ class TestResidueWorkingOrders:
         lie_bracket(fam, *PAIRS[0], 3)
         assert orders == [0, 1]
 
+    def test_two_point_operator_keeps_its_two_calls(self):
+        fam, orders = counted(diagonal_pole_family(1))
+        two_point_operator(fam, *PAIRS[0], 3)
+        assert orders == [0, 2 * 3 + 2 * 1 + 2]
+
     def test_poles_that_move_with_the_order_raise(self):
         def drifting(elements, names, trunc):
             out = translation_product(elements, names, trunc)
@@ -1046,6 +1018,8 @@ class TestResidueWorkingOrders:
         fam = ProductFamily("drifting", drifting, VA_POLES)
         with pytest.raises(ValueError, match="truncation order"):
             lie_bracket(fam, *PAIRS[0], 3)
+        with pytest.raises(ValueError, match="truncation order"):
+            check_translation_axiom(fam, [PAIRS[0]], 3)
 
         def drifting_action(elements, names, trunc):
             out = module_translation_product(elements, names, trunc)
@@ -1054,6 +1028,8 @@ class TestResidueWorkingOrders:
         fam = ProductFamily("drifting-action", drifting_action, MODULE_POLES, module=True)
         with pytest.raises(ValueError, match="truncation order"):
             residue_action(fam, *PAIRS[0], 3)
+        with pytest.raises(ValueError, match="truncation order"):
+            check_module_nesting(fam, MODULE_NESTING_SAMPLES[:1], 3)
 
     def test_lie_identity_notes_every_residue_read(self):
         rep = check_twisted_lie_identity(
