@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, List, Tuple
 
-from .poly import Poly
+from .poly import Poly, exact_int
 
 WEYL_RANK_BOUND = 5
 
@@ -24,6 +24,7 @@ class ClassicalGroup:
     __slots__ = ("kind", "n", "rank")
 
     def __init__(self, kind: str, n: int):
+        exact_int(n, "n")
         if kind == "gl":
             if n < 1:
                 raise ValueError("gl(n) needs n >= 1")

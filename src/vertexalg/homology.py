@@ -28,9 +28,12 @@ directly from its one-parameter generators:
 
 The first formula is the pushforward along addition of a rank-one class,
 written in the s-alphabet; the second is multiplication by the divisor
-class of the acting coordinate.  `translate_series` translates every
-coefficient of a series through `series.nest`, each at the order its
-monomial leaves.
+class of the acting coordinate.  On unitary factors `translate` runs one
+integer recurrence: the D_i commute, so the coefficient of z^e is
+D^e a / e!, and D^e a is built factor by factor as integer numerators
+over the denominator of a, each made a `Poly` once, over den * e!.
+`translate_series` translates every coefficient of a series through
+`series.nest`, each at the order its monomial leaves.
 
 The sum map of a product component is pushed forward by
 `pushforward_substitute`, and `sum_map_product` is that pushforward of an
@@ -39,19 +42,32 @@ into and out of factor alphabets, the unitary pushforward and the
 generator D are monomial-to-monomial maps, so they run as field moves on
 packed keys: renames through per-factor monomial tables, D through plans
 cached per support; a cap lowers homology keys through lowerings planned
-once per component.
+once per component.  `tensor` is one fused product: each factor's terms
+move onto its suffix by table lookups and multiply into the product's
+numerators by adding keys, and the result is made a `Poly` once.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from math import perm
+from operator import or_
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .groups import ClassicalGroup, weyl_average
-from .poly import FIELD_MASK, MAX_EXP, Poly, check_guards, key_fields, shift_name, var_shift
+from .poly import (
+    FIELD_MASK,
+    MAX_EXP,
+    Poly,
+    _make,
+    check_guards,
+    exact_int,
+    key_fields,
+    shift_name,
+    var_shift,
+)
 from .series import LocalizedSeries, TruncSeries, VarSet, nest, series_exp
 
 MODELS = (
@@ -77,29 +93,34 @@ _CHECKED: Dict[Tuple[str, tuple], int] = {}
 
 # Plans of the field maps of the sum map, of translation and of the cap,
 # each planned once and kept for the life of the process.  The images of
-# the orthosymplectic sum map and the moves of `raise_once` are keyed by
-# what the map does and by the support of the polynomial it acts on (the
-# bitwise or of its keys); so are the source-factor masks of `_resuffix`.
-# The variable interner is append-only, so a support always names the same
-# variables and a plan built for it once stays right for every later
-# polynomial with that support.  The other plans are monomial-level: a
-# `MonomialTable` plans one monomial's entry on first lookup.  `_resuffix`
-# keeps one table per target factor, the image key of each one-factor
-# monomial, and `_cap_plan` one per component, the lowering of each
-# cohomology monomial, shared by `cap_poly` and `contract_poly`.  A table
-# entry is a plan for one monomial, never a polynomial result: a product
-# of several factors is split into one-factor parts before any lookup, so
-# the tables grow with the distinct monomials of single factors, not with
-# those of their products.
+# the orthosymplectic sum map, the source-factor masks of the unitary sum
+# map and the key of s_1 and factor mask of the translation generator are
+# keyed by what the map does and by the support of the polynomial it acts
+# on (the bitwise or of its keys).  The variable interner is append-only,
+# so a support always names the same variables and a plan built for it
+# once stays right for every later polynomial with that support.  The
+# other plans are monomial-level: a `MonomialTable` plans one monomial's
+# entry on first lookup.  `_suffix_table` keeps one table per target
+# factor, the image key of each one-factor monomial, which `tensor` looks
+# up once per term of each factor and the unitary sum map once per factor
+# part of each key; `_raise_plan` keeps one per factor, the moves of the
+# translation generator on each of that factor's monomials; `_cap_plan`
+# keeps one per component, the lowering of each cohomology monomial,
+# shared by `cap_poly` and `contract_poly`.  A table entry is a plan for
+# one monomial, never a polynomial result: a product of several factors is
+# split into one-factor parts before any lookup, so the tables grow with
+# the distinct monomials of single factors, not with those of their
+# products.
 _PLANS: Dict[tuple, object] = {}
 
 
 class MonomialTable(dict):
     """A plan per monomial, by its key: the entry ``plan(key)`` works out
     on first lookup.  A table lives as long as the map it plans (a move
-    onto one factor, a component's cap, the K-theoretic pairing), so each
-    monomial is planned once, not once per call; a lookup that raises
-    keeps nothing, so a bad generator raises every time."""
+    onto one factor, the translation generator on one factor, a
+    component's cap, the K-theoretic pairing), so each monomial is
+    planned once, not once per call; a lookup that raises keeps nothing,
+    so a bad generator raises every time."""
 
     __slots__ = ("plan",)
 
@@ -182,12 +203,11 @@ class ComponentLabel:
         if model not in MODELS:
             raise ValueError("unknown model %r" % model)
         index = tuple(index)
-        if model == "BU_Z":
-            if len(index) < 1 or not all(isinstance(r, int) for r in index):
-                raise ValueError("BU_Z needs at least one integer rank")
-        elif model in ("BO_Z", "BSp_2Z"):
-            if len(index) < 1 or not all(isinstance(r, int) for r in index):
-                raise ValueError("%s needs integer ranks" % model)
+        if model in ("BU_Z", "BO_Z", "BSp_2Z"):
+            if not index:
+                raise ValueError("%s needs at least one rank" % model)
+            for r in index:
+                exact_int(r, "a rank")
             if model == "BSp_2Z" and index[-1] % 2:
                 raise ValueError("symplectic ranks are even")
         elif model == "BG_classical":
@@ -195,7 +215,7 @@ class ComponentLabel:
                 raise ValueError("BG_classical index is (kind, n)")
             ClassicalGroup(index[0], index[1])  # validates
         elif model == "Torus":
-            if len(index) != 1 or index[0] < 0:
+            if len(index) != 1 or exact_int(index[0], "the number of factors") < 0:
                 raise ValueError("Torus index is (number of factors,)")
         self.model = model
         self.index = index
@@ -404,10 +424,16 @@ def tensor(*factors: HomologyElement, module: HomologyElement = None) -> Homolog
 
     Without a module argument all factors must be unitary classes; the
     result lives on the n-fold unitary product.  With one, the module
-    factor becomes factor 0 of an orthosymplectic product.  Each factor's
-    generators move onto its suffix through `_resuffix`, one table lookup
-    per term.  Pushed forward along the sum map, the tensor product is
-    `sum_map_product` of the factors:
+    factor becomes factor 0 of an orthosymplectic product, and its terms
+    come first.  The product is fused: each factor's terms move onto its
+    suffix by one lookup each in that factor's `_suffix_table`, the moved
+    keys add to the keys of the product so far (the factors' supports are
+    disjoint, so nothing merges or carries), and the numerators multiply;
+    the result is made a `Poly` once, over the product of the
+    denominators.  A single space keeps its unsuffixed names, so there
+    nothing moves and the class's own polynomial is the result.  Pushed
+    forward along the sum map, the tensor product is `sum_map_product` of
+    the factors:
 
         >>> s1, s2 = Poly.variable("s1"), Poly.variable("s2")
         >>> a = HomologyElement(ComponentLabel("BU_Z", (1,)), s1 + s2 / 2)
@@ -418,21 +444,23 @@ def tensor(*factors: HomologyElement, module: HomologyElement = None) -> Homolog
         True
     """
     ranks = _single_ranks(factors)
-    n = len(factors)
     if module is None:
-        if n == 0:
+        if not factors:
             raise ValueError("empty tensor product")
         comp = ComponentLabel("BU_Z", tuple(ranks))
-        keys = comp.unitary_factors()
-        poly = _resuffix(factors[0].poly, keys[0])
-        for key, f in zip(keys[1:], factors[1:]):
-            poly = poly * _resuffix(f.poly, key)
-        return HomologyElement(comp, poly)
-    comp = ComponentLabel(_module_model(module), tuple(ranks) + (module.component.index[0],))
-    poly = _resuffix(module.poly, 0 if n else None)
-    for i, f in enumerate(factors):
-        poly = poly * _resuffix(f.poly, i + 1)
-    return HomologyElement(comp, poly)
+        parts = list(zip(comp.unitary_factors(), factors))
+    else:
+        comp = ComponentLabel(_module_model(module), tuple(ranks) + (module.component.index[0],))
+        keys = comp.factor_keys()  # the unitary factors, then the module slot
+        parts = [(keys[-1], module)] + list(zip(keys, factors))
+    (key, first), rest = parts[0], parts[1:]
+    terms = _moved_terms(first.poly, key)
+    den = first.poly.den
+    for key, f in rest:
+        image = _moved_terms(f.poly, key).items()
+        terms = {k + m: c * d for k, c in terms.items() for m, d in image}
+        den *= f.poly.den
+    return HomologyElement(comp, first.poly if terms is first.poly.terms else _make(terms, den))
 
 
 def _suffix_image(factor: FactorKey, key: int) -> int:
@@ -446,53 +474,73 @@ def _suffix_image(factor: FactorKey, key: int) -> int:
     return image
 
 
-def _factor_masks(support: int) -> Dict[FactorKey, int]:
-    """The field mask of each source factor among the s-generators of
-    ``support``, made once per support and kept in `_PLANS`, which is sound
-    because a support always names the same variables."""
-    masks = _PLANS.get(("masks", support))
-    if masks is None:
-        masks = {}
-        for shift, _ in key_fields(support):
-            factor = parse_s(shift_name(shift))[1]
-            masks[factor] = masks.get(factor, 0) | FIELD_MASK << shift
-        _PLANS["masks", support] = masks
-    return masks
-
-
-def _resuffix(poly: Poly, factor: FactorKey) -> Poly:
-    """Move every s-generator of ``poly`` onto ``factor``.
-
-    Each key splits by the field masks of its source factors into
-    one-factor parts, and its image is the sum of the parts' images in the
-    monomial table of ``factor``.  With one source factor (a `tensor`
-    argument) the map is one lookup per term and injective, so nothing
-    merges; with several (a unitary product pushed forward) parts that
-    land on one field merge, terms that meet add their coefficients, and
-    every partial key sum is or-ed into the guard check, so an exponent
-    past MAX_EXP raises OverflowError.  When nothing moves the operand is
-    returned.
-    """
-    masks = _factor_masks(poly.support())
-    if not masks or list(masks) == [factor]:
-        return poly
+def _suffix_table(factor: FactorKey) -> MonomialTable:
+    """The table of `_suffix_image` onto ``factor``, kept in `_PLANS`."""
     table = _PLANS.get(("suffix", factor))
     if table is None:
         table = _PLANS["suffix", factor] = MonomialTable(partial(_suffix_image, factor))
-    if len(masks) == 1:
-        return Poly.packed({table[m]: c for m, c in poly.terms.items()}, poly.den)
-    parts = tuple(masks.values())
+    return table
+
+
+def _moved_terms(poly: Poly, factor: FactorKey) -> Dict[int, int]:
+    """The numerators of a single-space class with its generators moved
+    onto ``factor``, one table lookup per term: the map is injective on
+    one factor's monomials, so no two terms meet.  Single-space generators
+    are unsuffixed, so onto None nothing moves and the class's own terms
+    are returned."""
+    if factor is None:
+        return poly.terms
+    table = _suffix_table(factor)
+    return {table[m]: c for m, c in poly.terms.items()}
+
+
+def _source_parts(support: int) -> Tuple[int, ...]:
+    """The field masks of the source factors among the s-generators of
+    ``support``, or () when nothing moves onto the unsuffixed names (no
+    generator, or unsuffixed ones only); made once per support and kept in
+    `_PLANS`, which is sound because a support always names the same
+    variables."""
+    parts = _PLANS.get(("parts", support))
+    if parts is None:
+        masks: Dict[FactorKey, int] = {}
+        for shift, _ in key_fields(support):
+            factor = parse_s(shift_name(shift))[1]
+            masks[factor] = masks.get(factor, 0) | FIELD_MASK << shift
+        parts = () if set(masks) <= {None} else tuple(masks.values())
+        _PLANS["parts", support] = parts
+    return parts
+
+
+def _unsuffixed(poly: Poly) -> Poly:
+    """The unitary sum map on packed keys: every s_k of every factor to s_k.
+
+    Each key splits by the field masks of its source factors into
+    one-factor parts, and its image is the sum of the parts' images in the
+    table of moves onto the unsuffixed names.  Parts that land on one
+    field merge and every partial key sum is or-ed into the guard check,
+    so an exponent past MAX_EXP raises OverflowError; terms that meet add
+    their coefficients.  Zeros can only come from terms that met, so the
+    result is filtered only when some did.  When nothing moves the operand
+    is returned.
+    """
+    parts = _source_parts(poly.support())
+    if not parts:
+        return poly
+    first, *rest = parts
+    table = _suffix_table(None)
     out: Dict[int, int] = {}
     get = out.get
     seen = 0  # the bitwise or of every partial key sum
     for m, c in poly.terms.items():
-        key = 0
-        for mask in parts:
+        key = table[m & first]  # an image alone has no guard bit set
+        for mask in rest:
             key += table[m & mask]
             seen |= key
         out[key] = get(key, 0) + c
     check_guards((seen,))
-    return Poly.packed(out, poly.den)
+    if len(out) < len(poly.terms):
+        out = {m: c for m, c in out.items() if c}
+    return _make(out, poly.den)
 
 
 # -- cap product ---------------------------------------------------------------
@@ -725,51 +773,68 @@ def translate_series(
 # -- translation ---------------------------------------------------------------
 
 
-def _raise_plan(support: int, factor: FactorKey) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-    """The key of s_1 on ``factor``, and for each s_k of that factor in
-    ``support`` its offset and the key step [s_{k+1}] - [s_k]; built once
-    per (support, factor)."""
+def _moves(factor: FactorKey, part: int) -> Tuple[Tuple[int, int], ...]:
+    """The moves of the translation generator on one monomial in the
+    s-generators of ``factor``: for each s_k in it with exponent e, the key
+    step [s_{k+1}] - [s_k] and e."""
+    return tuple(
+        ((1 << var_shift(s_name(parse_s(shift_name(shift))[0] + 1, factor))) - (1 << shift), e)
+        for shift, e in key_fields(part)
+    )
+
+
+def _raise_plan(support: int, factor: FactorKey) -> Tuple[int, int, MonomialTable]:
+    """The key of s_1 on ``factor``, the mask of that factor's s-fields in
+    ``support``, and the table of `_moves` of that factor's monomials;
+    built once per (support, factor), the table once per factor."""
     plan = _PLANS.get(("raise", support, factor))
     if plan is None:
-        moves = []
+        mask = 0
         for shift, _ in key_fields(support):
             got = parse_s(shift_name(shift))
             if got is not None and got[1] == factor:
-                up = var_shift(s_name(got[0] + 1, factor))
-                moves.append((shift, (1 << up) - (1 << shift)))
-        plan = (1 << var_shift(s_name(1, factor)), tuple(moves))
+                mask |= FIELD_MASK << shift
+        table = _PLANS.get(("moves", factor))
+        if table is None:
+            table = _PLANS["moves", factor] = MonomialTable(partial(_moves, factor))
+        plan = (1 << var_shift(s_name(1, factor)), mask, table)
         _PLANS["raise", support, factor] = plan
     return plan
 
 
-def raise_once(poly: Poly, factor: FactorKey, rank: int) -> Poly:
-    """One application of the translation generator on a unitary factor,
-    p |-> rank*s1*p + sum_k s_{k+1} dp/ds_k, on packed keys.
+def _raised(terms: Dict[int, int], factor: FactorKey, rank: int) -> Dict[int, int]:
+    """The translation generator on a unitary factor, p |-> rank*s1*p +
+    sum_k s_{k+1} dp/ds_k, on the integer numerators of p over any
+    denominator, which it keeps.
 
     A term c*m contributes c*rank at key m + [s_1] and, for each s_k of
     the factor with exponent e > 0, c*e at key m + [s_{k+1}] - [s_k]; no
-    polynomial is multiplied or differentiated.  The keys of s_1 and of
-    the steps come from a plan cached per (support, factor), which is
-    sound because a support always names the same variables.  An
-    exponent past MAX_EXP raises OverflowError.
+    polynomial is multiplied or differentiated.  The key of s_1 and the
+    factor's mask come from a plan cached per (support, factor), which is
+    sound because a support always names the same variables, and the
+    steps of the factor's part of each key from a table of one-factor
+    monomials.  Sums that cancel are dropped, and an exponent past
+    MAX_EXP raises OverflowError.
     """
-    one, moves = _raise_plan(poly.support(), factor)
-    out: Dict[int, int] = {}
+    one, mask, table = _raise_plan(reduce(or_, terms, 0), factor)
+    # the rank terms m + [s_1] are distinct keys, one per term
+    out = {m + one: c * rank for m, c in terms.items()} if rank else {}
+    seen = reduce(or_, out, 0)  # the bitwise or of every result key
     get = out.get
-    seen = 0  # the bitwise or of every result key
-    for m, c in poly.terms.items():
-        if rank:
-            key = m + one
+    for m, c in terms.items():
+        for step, e in table[m & mask]:
+            key = m + step
             seen |= key
-            out[key] = get(key, 0) + c * rank
-        for shift, step in moves:
-            e = (m >> shift) & FIELD_MASK
-            if e:
-                key = m + step
-                seen |= key
-                out[key] = get(key, 0) + c * e
+            out[key] = get(key, 0) + c * e
     check_guards((seen,))
-    return Poly.packed(out, poly.den)
+    return {m: c for m, c in out.items() if c}
+
+
+def raise_once(poly: Poly, factor: FactorKey, rank: int) -> Poly:
+    """One application of the translation generator on a unitary factor,
+    p |-> rank*s1*p + sum_k s_{k+1} dp/ds_k: `_raised` of the numerators
+    of ``poly`` over its denominator."""
+    return _make(_raised(poly.terms, factor, rank), poly.den)
 
 
 def translate(
@@ -786,13 +851,22 @@ def translate(
     (a row of `coweights`, default the identity), i.e. by multiplication
     with the corresponding linear combination of the X_i.
 
+    On unitary factors the coefficient of z^e is D^e a / e!, the D_i
+    commuting.  One integer recurrence builds it: factor by factor, each
+    numerator dict D^e a (over the denominator of ``a``) is raised by
+    `_raised` while the total degree stays within ``trunc`` and the
+    result is nonzero, so a series that ends early stops there, and each
+    coefficient is made a `Poly` once, over den * e!.  The series is built
+    from exponents the recurrence made, so they are not re-validated.  A
+    ``trunc`` that is not an int raises ValueError.
+
     EXAMPLES:
 
         >>> one = HomologyElement(ComponentLabel("BU_Z", (1,)), 1)
         >>> translate(one, ["z"], 2).terms[(2,)]
         1/2*s2+1/2*s1^2
     """
-    if trunc < 0:
+    if exact_int(trunc, "the truncation") < 0:
         raise ValueError("truncation must be nonnegative")
     vs = VarSet(zvars)
     comp = a.component
@@ -822,25 +896,25 @@ def translate(
             "expected %d coordinates for this component, got %d"
             % (len(factors), len(zvars))
         )
-    zero = vs.zero_exponent()
-    terms: Dict[Tuple[int, ...], Poly] = {zero: a.poly}
-    cur: Dict[Tuple[int, ...], Poly] = {zero: a.poly}
-    for m in range(1, trunc + 1):
-        nxt: Dict[Tuple[int, ...], Poly] = {}
-        for e, p in cur.items():
-            for idx, f in enumerate(factors):
-                q = raise_once(p, f, comp.rank(f))
-                if q.is_zero():
-                    continue
-                e2 = e[:idx] + (e[idx] + 1,) + e[idx + 1 :]
-                nxt[e2] = nxt.get(e2, Poly()) + q
-        cur = {e: p * Fraction(1, m) for e, p in nxt.items() if not p.is_zero()}
-        if not cur:
-            break
-        for e, p in cur.items():
-            terms[e] = terms.get(e, Poly()) + p
-    terms = {e: p for e, p in terms.items() if not p.is_zero()}
-    return TruncSeries(vs, trunc, terms)
+    # (e so far, its total degree, the numerators of D^e a, e!)
+    level = [((), 0, a.poly.terms, 1)] if a.poly.terms else []
+    for f in factors:
+        rank = comp.rank(f)
+        grown = []
+        for e, degree, terms, fact in level:
+            grown.append((e + (0,), degree, terms, fact))
+            for k in range(1, trunc - degree + 1):
+                terms = _raised(terms, f, rank)
+                if not terms:
+                    break
+                fact *= k
+                grown.append((e + (k,), degree + k, terms, fact))
+        level = grown
+    den = a.poly.den
+    out = TruncSeries.__new__(TruncSeries)
+    out.varset, out.order = vs, trunc
+    out.terms = {e: _make(terms, den * fact) for e, _, terms, fact in level}
+    return out
 
 
 # -- involution, pushforward, normal forms ----------------------------------------
@@ -897,9 +971,9 @@ def pushforward_substitute(a: HomologyElement) -> HomologyElement:
     so even unitary generators double, odd ones die, the module alphabet
     passes through, and the target rank is r_0 + 2 * sum r_i.
 
-    The unitary map is `_resuffix` onto the unsuffixed names: each key is
-    split into its factors' parts, whose images come from a monomial table
-    kept across calls, and terms that meet merge.  The orthosymplectic map
+    The unitary map is `_unsuffixed`: each key is split into its factors'
+    parts, whose images come from a monomial table kept across calls, and
+    terms that meet merge.  The orthosymplectic map
     is a `Poly.substitute` by one-term images from a plan cached per
     support and module factor, which is sound because a support always
     names the same variables.
@@ -907,7 +981,7 @@ def pushforward_substitute(a: HomologyElement) -> HomologyElement:
     comp = a.component
     if comp.model == "BU_Z":
         target = ComponentLabel("BU_Z", (sum(comp.index),))
-        return HomologyElement(target, _resuffix(a.poly, None))
+        return HomologyElement(target, _unsuffixed(a.poly))
     if comp.model in ("BO_Z", "BSp_2Z"):
         # the module factor is factor 0 of a product, unsuffixed on its own
         module = 0 if len(comp.index) > 1 else None

@@ -58,6 +58,7 @@ from .poly import Poly, exact_int, json_field, poly_from_obj, poly_to_obj, sum_o
 Exponent = Tuple[int, ...]
 
 INF = None  # an order of None means "exact to all degrees"
+_INT = {int}  # the type set of an exponent tuple that needs no conversion
 
 
 def _coerce(c) -> Poly:
@@ -252,7 +253,9 @@ class TruncSeries:
     ``None`` means the series is an exact polynomial.  Stored terms always
     satisfy the bound and zero coefficients are never stored.  Every stored
     coefficient is a `Poly`: the constructor, `const` and `scale` take an
-    int or a Fraction as a constant `Poly` and reject floats.
+    int or a Fraction as a constant `Poly` and reject floats.  An order or
+    an exponent entry that is not an int raises ValueError; a tuple of ints
+    is taken as it is, anything else is read entry by entry.
 
     A product sums each output coefficient with `sum_of_products`, except
     when every coefficient of both factors is a constant: then it is one
@@ -270,15 +273,17 @@ class TruncSeries:
         order: Optional[int],
         terms: Mapping[Exponent, object] = None,
     ):
-        if order is not INF and order < 0:
+        if order is not INF and exact_int(order, "truncation order") < 0:
             raise ValueError("truncation order must be nonnegative")
         clean: Dict[Exponent, Poly] = {}
         if terms:
+            n = len(varset)
             for e, c in terms.items():
-                e = tuple(exact_int(x, "exponent") for x in e)
-                if len(e) != len(varset):
+                if type(e) is not tuple or not {*map(type, e)} <= _INT:
+                    e = tuple(exact_int(x, "exponent") for x in e)
+                if len(e) != n:
                     raise ValueError("exponent length mismatch")
-                if any(x < 0 for x in e):
+                if min(e, default=0) < 0:
                     raise ValueError("negative exponent in a power series")
                 if order is not INF and sum(e) > order:
                     continue
@@ -702,7 +707,7 @@ Denominator = Tuple[Tuple[LinearForm, int], ...]
 def _sort_denominator(pairs: Iterable[Tuple[LinearForm, int]]) -> Denominator:
     merged: Dict[Tuple[int, ...], Tuple[LinearForm, int]] = {}
     for form, mult in pairs:
-        if mult < 0:
+        if exact_int(mult, "denominator multiplicity") < 0:
             raise ValueError("negative denominator multiplicity")
         if mult == 0:
             continue
@@ -727,7 +732,8 @@ class LocalizedSeries:
 
     ``block_bounds`` records, per block, the NET degree (numerator block
     degree minus denominator block degree) up to which terms are exact.
-    None means no bound beyond the total order.  Net bounds are invariant
+    None means no bound beyond the total order.  A bound or a denominator
+    multiplicity that is not an int raises ValueError.  Net bounds are invariant
     under clearing denominators, which keeps the bookkeeping honest across
     arithmetic.
     """
@@ -751,12 +757,16 @@ class LocalizedSeries:
             blocks = normalize_blocks(num.varset, blocks)
         if block_bounds is None:
             block_bounds = tuple(None for _ in blocks)
-        elif len(block_bounds) != len(blocks):
-            raise ValueError("one bound per block required")
+        else:
+            block_bounds = tuple(
+                INF if b is INF else exact_int(b, "block bound") for b in block_bounds
+            )
+            if len(block_bounds) != len(blocks):
+                raise ValueError("one bound per block required")
         self.num = num
         self.den = den
         self.blocks = blocks
-        self.block_bounds = tuple(block_bounds)
+        self.block_bounds = block_bounds
 
     # -- constructors --------------------------------------------------------
 
@@ -1399,19 +1409,16 @@ def series_from_dict(d: dict) -> LocalizedSeries:
     for t in json_field(d, "terms"):
         e = tuple(exact_int(x, "exponent") for x in json_field(t, "exp"))
         terms[e] = terms.get(e, Poly()) + _coef_from_obj(json_field(t, "coef"))
+    # the constructor reads an order of None as INF; the JSON form is finite
     num = TruncSeries(varset, exact_int(json_field(d, "order"), "order"), terms)
     den = [
-        (LinearForm(varset, json_field(f, "form")), exact_int(json_field(f, "mult"), "mult"))
+        (LinearForm(varset, json_field(f, "form")), json_field(f, "mult"))
         for f in d.get("den", [])
     ]
-    blocks = None
-    bounds = None
+    blocks = bounds = None
     if "blocks" in d:
         blocks = tuple(tuple(b) for b in d["blocks"])
-        if "block_bounds" in d:
-            bounds = tuple(
-                None if b is None else exact_int(b, "block bound") for b in d["block_bounds"]
-            )
+        bounds = d.get("block_bounds")
     return LocalizedSeries(num, den, blocks, bounds)
 
 

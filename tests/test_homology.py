@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poly_reference as ref
@@ -37,7 +37,7 @@ from vertexalg.homology import (
     var_weight,
 )
 from vertexalg.poly import MAX_EXP, Poly, check_guards, key_fields, shift_name
-from vertexalg.series import VarSet
+from vertexalg.series import TruncSeries, VarSet
 
 BU1 = ComponentLabel("BU_Z", (1,))
 BU3 = ComponentLabel("BU_Z", (3,))
@@ -142,6 +142,23 @@ class TestComponents:
         with pytest.raises(ValueError):
             ComponentLabel("BG_classical", ("e8", 8))
         ComponentLabel("BG_classical", ("so", 5))
+
+    @pytest.mark.parametrize(
+        "model, index",
+        [
+            ("BU_Z", (True,)),  # was accepted, and equal to ("BU_Z", (1,))
+            ("BU_Z", (1, 2.0)),
+            ("BO_Z", (False,)),
+            ("BSp_2Z", (True, 2)),
+            ("BG_classical", ("gl", 2.0)),
+            ("BG_classical", ("gl", True)),
+            ("Torus", (2.5,)),
+            ("Torus", (True,)),
+        ],
+    )
+    def test_index_entries_are_ints(self, model, index):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ComponentLabel(model, index)
 
     def test_variable_scope(self):
         with pytest.raises(ValueError):
@@ -354,6 +371,48 @@ class TestClosedFormCap:
                 contract_poly(Poly.variable("ch1") * Poly.variable("X1"), torus)
 
 
+def translate_by_steps(a, zvars, trunc):
+    """`translate` on unitary factors as it was first written, the oracle
+    of its integer recurrence: order by order, every coefficient of the
+    last order is raised by every factor's generator with `raise_once`,
+    the results are added as `Poly`s and scaled by 1/m, and the series goes
+    through the validating `TruncSeries` constructor."""
+    vs = VarSet(zvars)
+    comp = a.component
+    factors = comp.unitary_factors()
+    zero = vs.zero_exponent()
+    terms = {zero: a.poly}
+    cur = {zero: a.poly}
+    for m in range(1, trunc + 1):
+        nxt = {}
+        for e, p in cur.items():
+            for idx, f in enumerate(factors):
+                q = raise_once(p, f, comp.rank(f))
+                if q.is_zero():
+                    continue
+                e2 = e[:idx] + (e[idx] + 1,) + e[idx + 1 :]
+                nxt[e2] = nxt.get(e2, Poly()) + q
+        cur = {e: p * Fraction(1, m) for e, p in nxt.items() if not p.is_zero()}
+        if not cur:
+            break
+        for e, p in cur.items():
+            terms[e] = terms.get(e, Poly()) + p
+    terms = {e: p for e, p in terms.items() if not p.is_zero()}
+    return TruncSeries(vs, trunc, terms)
+
+
+@st.composite
+def unitary_products(draw):
+    """A class on a product of one to three unitary factors of ranks 0-3,
+    in s_1..s_3 of every factor, with fractional coefficients."""
+    comp = ComponentLabel("BU_Z", tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))))
+    gens = [s_name(k, f) for f in comp.unitary_factors() for k in (1, 2, 3)]
+    monos = st.lists(st.tuples(st.sampled_from(gens), st.integers(0, 2)), max_size=3)
+    coefs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    raw = draw(st.lists(st.tuples(monos, coefs), max_size=3))
+    return HomologyElement(comp, Poly({tuple(m): c for m, c in raw}))
+
+
 class TestTranslate:
     def test_zero_is_identity(self):
         a = HomologyElement(BU3, sv(2) + sv(1) ** 2)
@@ -421,6 +480,33 @@ class TestTranslate:
         a = HomologyElement(ComponentLabel("BU_Z", (1, 1)), 1)
         with pytest.raises(ValueError):
             translate(a, ["z"], 2)
+
+    @pytest.mark.parametrize("bad", [True, 2.5, 2.0, Fraction(2), "2"])
+    def test_truncation_is_an_int(self, bad):
+        # True used to translate at order 1, 2.5 to raise TypeError
+        a = HomologyElement(BU1, sv(1))
+        with pytest.raises(ValueError, match="truncation"):
+            translate(a, ["z"], bad)
+        with pytest.raises(ValueError, match="truncation"):
+            translate(HomologyElement(ComponentLabel("Torus", (1,)), 1), ["z"], bad)
+
+    @settings(max_examples=80, deadline=None)
+    @given(unitary_products(), st.integers(0, 6))
+    @example(HomologyElement(ComponentLabel("BU_Z", (0,)), Fraction(3, 2)), 4)
+    @example(HomologyElement(ComponentLabel("BU_Z", (0, 0, 0)), -2), 6)
+    @example(HomologyElement(ComponentLabel("BU_Z", (2, 0)), 0), 3)
+    @example(HomologyElement(ComponentLabel("BU_Z", (0, 3)), sv(2, 1) / 3), 5)
+    def test_prop_matches_steps(self, a, trunc):
+        """The integer recurrence against the order-by-order loop it
+        replaced, coefficient for coefficient; on rank-0 factors a constant
+        is killed by D, so those series end early."""
+        names = ["z%d" % i for i in range(len(a.component.index))]
+        got = translate(a, names, trunc)
+        want = translate_by_steps(a, names, trunc)
+        assert (got.varset, got.order) == (want.varset, want.order)
+        assert got.terms.keys() == want.terms.keys()
+        for e, p in want.terms.items():
+            _same_poly(got.terms[e], p)
 
     def test_bg_translation(self):
         comp = ComponentLabel("BG_classical", ("gl", 2))
@@ -657,6 +743,27 @@ def unitary_classes(draw):
     ]
 
 
+MODULE_RANKS = [("BO_Z", 1), ("BO_Z", 3), ("BSp_2Z", 2), ("BSp_2Z", 4)]
+
+
+def tensor_by_resuffix(*factors, module=None):
+    """`tensor` as it was first written, the oracle of the fused product:
+    each factor moved onto its suffix as a `Poly` of its own (here by
+    `Poly.substitute` with one-term images), the module factor first, and
+    the moved factors multiplied pairwise with `Poly.__mul__`."""
+    ranks = tuple(f.component.index[0] for f in factors)
+    if module is None:
+        comp = ComponentLabel("BU_Z", ranks)
+        pairs = list(zip(comp.unitary_factors(), factors))
+    else:
+        comp = ComponentLabel(module.component.model, ranks + module.component.index)
+        pairs = [(0 if factors else None, module)] + [(i + 1, f) for i, f in enumerate(factors)]
+    poly = Poly.const(1)
+    for key, f in pairs:
+        poly = poly * f.poly.substitute({v: sv(parse_s(v)[0], key) for v in f.poly.variables()})
+    return HomologyElement(comp, poly)
+
+
 class TestSuffixTables:
     """The per-factor monomial tables behind `tensor` and the unitary
     `pushforward_substitute`, against the same maps multiplied out."""
@@ -695,6 +802,25 @@ class TestSuffixTables:
         direct = sum_map_product(*fs, module=m)
         assert pushed.component == direct.component
         _same_poly(pushed.poly, direct.poly)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        unitary_classes(),
+        st.none() | st.tuples(st.sampled_from(MODULE_RANKS), s_polys(ks=(2, 4)), st.booleans()),
+    )
+    def test_prop_fused_matches_resuffix_then_multiply(self, fs, drawn):
+        """The fused product against the moved oracle, `Poly` for `Poly`:
+        one to four unitary factors, or zero to four beside a BO or BSp
+        module class."""
+        module = None
+        if drawn is not None:
+            (model, r0), mpoly, bare = drawn
+            module = HomologyElement(ComponentLabel(model, (r0,)), mpoly)
+            fs = fs[1:] if bare else fs
+        got = tensor(*fs, module=module)
+        want = tensor_by_resuffix(*fs, module=module)
+        assert got.component == want.component
+        _same_poly(got.poly, want.poly)
 
     def test_merged_terms_cancel(self):
         """Terms that meet on one key add, a sum that cancels leaves no
@@ -802,10 +928,12 @@ class TestFieldMaps:
         assert raise_once(top, None, 1) == raise_once_by_derivatives(top, None, 1)
 
     def test_no_multiply_out_route(self, monkeypatch):
-        """With the substitution kernel, powers, derivatives and variable
-        construction all made to fail, the unitary sum-map round trip and
-        the translation generator still give the reference results.  They
-        run with empty plans, so the suffix tables are planned under the
+        """With the substitution kernel, powers, derivatives, variable
+        construction, and `Poly` products and sums all made to fail, the
+        fused `tensor`, the unitary sum-map round trip, `translate` on a
+        three-factor product and the translation generator still give the
+        reference results: none of them builds an intermediate `Poly`.
+        They run with empty plans, so the tables are planned under the
         same ban."""
         rng = random.Random("no-multiply-out")
         ranks = (0, 1, 2)
@@ -813,23 +941,32 @@ class TestFieldMaps:
             HomologyElement(ComponentLabel("BU_Z", (r,)), _random_s_poly(rng, (1, 2, 3)))
             for r in ranks
         ]
+        tensor_want = tensor_by_resuffix(*factors)
         mapping = {s_name(k, i + 1): sv(k) for i in range(len(ranks)) for k in (1, 2, 3)}
-        push_want = ref.multiply_out(tensor(*factors).poly, mapping)
+        push_want = ref.multiply_out(tensor_want.poly, mapping)
+        names = ["z1", "z2", "z3"]
+        translate_want = translate_by_steps(tensor_want, names, 3)
         classes = [(f.poly * sv(4, 2), None, r) for f, r in zip(factors, ranks)]
-        classes.append((tensor(*factors[:2]).poly, 2, 2))
+        classes.append((tensor_by_resuffix(*factors[:2]).poly, 2, 2))
         raise_want = [raise_once_by_derivatives(q, f, r) for q, f, r in classes]
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("a field map multiplied out polynomials")
+            raise AssertionError("a field map built an intermediate polynomial")
 
-        for attr in ("substitute", "__pow__", "diff", "variable"):
+        banned = ("substitute", "__pow__", "diff", "variable", "__mul__", "__rmul__")
+        for attr in banned + ("__add__", "__radd__"):
             monkeypatch.setattr(Poly, attr, forbidden)
         monkeypatch.setattr(homology, "_PLANS", {})
-        pushed = pushforward_substitute(tensor(*factors))
+        tensor_got = tensor(*factors)
+        pushed = pushforward_substitute(tensor_got)
+        translate_got = translate(tensor_got, names, 3)
         raise_got = [raise_once(q, f, r) for q, f, r in classes]
         monkeypatch.undo()
+        assert tensor_got.component == tensor_want.component
+        _same_poly(tensor_got.poly, tensor_want.poly)
         assert pushed.component == ComponentLabel("BU_Z", (sum(ranks),))
         assert pushed.poly == push_want
+        assert translate_got == translate_want
         assert raise_got == raise_want
 
 

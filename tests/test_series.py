@@ -82,10 +82,29 @@ class TestIntegerData:
         with pytest.raises(ValueError, match="form coefficient"):
             LinearForm.make_scaled(ZW, {"w": bad})
 
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    @pytest.mark.parametrize("field", ["truncation order", "multiplicity", "block bound"])
+    def test_orders_multiplicities_and_bounds(self, field, bad):
+        # an order of 2.5 used to be kept, and drop z^3 against it; a
+        # multiplicity of 1.5 made den_degree() 1.5
+        num = TruncSeries(ZW, 3, {(2, 0): 1, (3, 0): 1})
+        with pytest.raises(ValueError, match=field):
+            if field == "truncation order":
+                TruncSeries(ZW, bad, {(2, 0): 1, (3, 0): 1})
+            elif field == "multiplicity":
+                LocalizedSeries(num, [(form(ZW, z=1), bad)])
+            else:
+                LocalizedSeries(num, (), (("z",), ("w",)), (None, bad))
+
     def test_integers_pass(self):
         assert VarSet(("x",), degrees=(-3,)).degrees == (-3,)
         assert TruncSeries(Z, 3, {(2,): 1}).terms == {(2,): Poly.const(1)}
         assert LinearForm.make_scaled(ZW, {"z": -2, "w": 4})[1:] == (-1, 2)
+        assert TruncSeries(Z, INF, {(2,): 1}).order is INF
+        x = LocalizedSeries(
+            TruncSeries(ZW, 3, {(1, 0): 1}), [(form(ZW, z=1), 2)], (("z",), ("w",)), (INF, -1)
+        )
+        assert (x.den_degree(), x.valid_order(), x.block_bounds) == (2, 1, (INF, -1))
 
 
 class TestAdd:
