@@ -25,8 +25,9 @@ Poles go through `series.expand_poles` once per weight, on
 A = 1 - (1+x)^w at its top power P: there F + B splits A into its terms on
 the leading block and the rest, and F into the pole form and a unit.  The
 lower inverse powers A^(-p) are that numerator times A^(P-p), one product
-with A per step, over the same denominator; numerator terms past the
-block bounds are dropped at each step.  Every other power comes from a
+with A per step, over the same denominator; every product there, and in
+the interpolation sum, skips the term pairs past the block bounds, so no
+numerator term past them is ever built.  Every other power comes from a
 table that grows by one product per power.  The interpolation class v_k,
 a polynomial in u, multiplies a term only after its series products, so
 those products stay on rational coefficients, which
@@ -54,8 +55,10 @@ from .series import (
     LocalizedSeries,
     TruncSeries,
     VarSet,
+    _block_caps,
+    _min_order,
     _Powers,
-    _within_bounds,
+    _summed,
     expand_poles,
     normalize_blocks,
     series_invert_unit,
@@ -199,21 +202,26 @@ def exterior_powers(
     return [total.terms.get((i,), Poly()) for i in range(upto + 1)]
 
 
+def _vee_classes(summand: Summand, kmax: int, cutoff: int) -> List[Poly]:
+    """The interpolation classes vee^0..vee^kmax of `vee_k`, all read from
+    one list of wedge powers."""
+    if summand.lines is None:
+        raise ValueError("this operation needs a line presentation")
+    rank, wedges = summand.rank, exterior_powers(summand.lines, kmax, cutoff)
+    out = []
+    for k in range(kmax + 1):
+        signed = (wedges[i] * (gbinom(rank - i, k - i) * (-1) ** (k - i)) for i in range(k + 1))
+        out.append(sum(signed, Poly()).truncate_degree(cutoff))
+    return out
+
+
 def vee_k(summand: Summand, k: int, cutoff: int) -> Poly:
     """The k-th interpolation class between wedge powers and the rank.
 
     vee^k(E) = sum_i (-1)^(k-i) C(rank-i, k-i) wedge^i(E); its augmentation
     valuation is at least k, so cutting off u-degrees bounds the k-range.
     """
-    if summand.lines is None:
-        raise ValueError("this operation needs a line presentation")
-    wedges = exterior_powers(summand.lines, k, cutoff)
-    out = Poly()
-    for i in range(k + 1):
-        c = gbinom(summand.rank - i, k - i) * ((-1) ** (k - i))
-        if c:
-            out = out + wedges[i] * c
-    return out.truncate_degree(cutoff)
+    return _vee_classes(summand, k, cutoff)[k]
 
 
 def _weight_poles(
@@ -223,11 +231,11 @@ def _weight_poles(
 
     A^(-P) is `expand_poles` of A, and each next entry the last times A,
     all over A^(-P)'s denominator form^D: D = P, plus ``depth`` when the
-    weight spans blocks.  Numerator terms past the block bounds are
-    dropped from each entry.  On an exact A the numerator of A^(-p) is
-    exact to at least order + 2D - p: A^(-P) is worked to order + 2D - P
-    and each product with A adds one.  A truncated A adds nothing per
-    product, so A^(-P) is worked to order + D + P - 1 at once.
+    weight spans blocks.  No entry holds a numerator term past the block
+    bounds.  On an exact A the numerator of A^(-p) is exact to at least
+    order + 2D - p: A^(-P) is worked to order + 2D - P and each product
+    with A adds one.  A truncated A adds nothing per product, so A^(-P)
+    is worked to order + D + P - 1 at once.
     """
     spans = sum(any(weight[varset.index(n)] for n in block) for block in blocks) > 1
     D = P + (depth if spans else 0)
@@ -236,10 +244,10 @@ def _weight_poles(
     W = one_plus_pow(varset, weight, top + 1)
     A = TruncSeries.const(varset, 1, INF) - W
     one = TruncSeries.const(varset, 1, top)
-    chain = [_within_bounds(expand_poles(one, [(A, P)], blocks, depth))]
+    chain = [expand_poles(one, [(A, P)], blocks, depth)]
     a = LocalizedSeries(A, (), blocks)
     for _ in range(P - 1):
-        chain.append(_within_bounds(chain[-1] * a))
+        chain.append(chain[-1] * a)
     return W, A, chain
 
 
@@ -265,33 +273,38 @@ def _weight_factor(
     interpolation-class sum sum_k v_k(E) (-W)^k A^(rank-k) with
     W = (1+x)^w and A = 1 - W; a negative power of A comes from the pole
     chain of `_weight_poles`, and with poles every term is over A^(-P)'s
-    denominator."""
+    denominator, built by products within its block caps.  The v_k come
+    from one list of wedge powers, and each output coefficient is one sum
+    of products over them."""
     kmax, P = _wedge_range(s, cutoff)
     if P:
         W, A, chain = _weight_poles(varset, weight, P, order, blocks, depth)
         den, bounds = chain[0].den, chain[0].block_bounds
         form, D = den[0]
         cleared = _Powers(form.as_series())[D]
+        caps = _block_caps(varset, blocks, bounds, den)
     else:
         W = one_plus_pow(varset, weight, order)
         A = TruncSeries.const(varset, 1, INF) - W
-        den, bounds = (), None
-    neg_w = _Powers(-W)
-    A = _Powers(A)
-    num = TruncSeries.zero(varset, INF)
-    for k in range(kmax + 1):
-        vk = vee_k(s, k, cutoff)
-        if vk.is_zero() and k > 0:
+        den, bounds, caps = (), None, ()
+        cleared = TruncSeries.const(varset, 1, INF)
+    neg_w = _Powers(-W, caps)
+    A = _Powers(A, caps)
+    pairs: Dict[Tuple[int, ...], list] = {}
+    num_order = INF
+    for k, vk in enumerate(_vee_classes(s, kmax, cutoff)):
+        if vk.is_zero():
             continue
         m = s.rank - k
         if m < 0:
-            term = neg_w[k] * chain[P + m].num
-        elif P:
-            term = neg_w[k] * A[m] * cleared
+            term = neg_w[k].__mul__(chain[P + m].num, caps)
         else:
-            term = neg_w[k] * A[m]
-        num = num + term.scale(vk)
-    return _within_bounds(LocalizedSeries(num, den, blocks, bounds))
+            term = neg_w[k].__mul__(A[m], caps).__mul__(cleared, caps)
+        num_order = _min_order(num_order, term.order)
+        for e, c in term.terms.items():
+            pairs.setdefault(e, []).append((c, vk))
+    num = TruncSeries(varset, num_order, _summed(pairs))
+    return LocalizedSeries(num, den, blocks, bounds)
 
 
 def wedge_minus_z(

@@ -56,6 +56,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from .poly import Poly, exact_int, json_field, poly_from_obj, poly_to_obj, sum_of_products
 
 Exponent = Tuple[int, ...]
+# per capped block, its variable indices and the highest block degree kept
+Caps = Tuple[Tuple[Tuple[int, ...], int], ...]
 
 INF = None  # an order of None means "exact to all degrees"
 _INT = {int}  # the type set of an exponent tuple that needs no conversion
@@ -227,21 +229,6 @@ class LinearForm:
         s = "".join(parts)
         return s[1:] if s.startswith("+") else s
 
-    def support_blocks(self, blocks: Blocks) -> List[int]:
-        """Indices of the partition blocks this form touches."""
-        touched = []
-        for bi, block in enumerate(blocks):
-            if any(self.coeffs[self.varset.index(n)] for n in block):
-                touched.append(bi)
-        return touched
-
-    def restrict_to_block(self, block: Sequence[str]) -> List[int]:
-        """Coefficient vector with entries outside the block zeroed."""
-        keep = set(block)
-        return [
-            c if n in keep else 0 for n, c in zip(self.varset.names, self.coeffs)
-        ]
-
     def as_series(self) -> "TruncSeries":
         return TruncSeries.linear(self.varset, self.coeffs)
 
@@ -381,7 +368,9 @@ class TruncSeries:
         r.terms = out
         return r
 
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
+    def __mul__(self, other: "TruncSeries", _caps: Caps = ()) -> "TruncSeries":
+        """The product; with ``_caps``, from `LocalizedSeries`, a term pair
+        past a cap is skipped, and the order claimed is the same."""
         if not isinstance(other, TruncSeries):
             return self.scale(other)
         if self.varset != other.varset:
@@ -399,23 +388,25 @@ class TruncSeries:
         if _all_constant(self.terms) and _all_constant(other.terms):
             r = TruncSeries.__new__(TruncSeries)
             r.varset, r.order = self.varset, order
-            r.terms = _constant_product(self.terms, other.terms, order)
+            r.terms = _constant_product(self.terms, other.terms, order, _caps)
             return r
         # the coefficient pairs that meet at each output exponent; each sum
         # of products is then one pass of the term-product loop
         pairs: Dict[Exponent, list] = {}
-        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
-        for e1, c1 in self.terms.items():
-            room = INF if order is INF else order - sum(e1)
-            for e2, d2, c2 in right:
-                if room is not INF and d2 > room:
-                    continue
-                e = tuple(map(add, e1, e2))
-                at = pairs.get(e)
-                if at is None:
-                    pairs[e] = [(c1, c2)]
-                else:
-                    at.append((c1, c2))
+        left = _grouped(self.terms, _caps, lambda e, c: (e, c))
+        right = _grouped(other.terms, _caps, lambda e, c: (e, sum(e), c))
+        for rows1, rows2 in _meeting(left, right, _caps):
+            for e1, c1 in rows1:
+                room = INF if order is INF else order - sum(e1)
+                for e2, d2, c2 in rows2:
+                    if room is not INF and d2 > room:
+                        continue
+                    e = tuple(map(add, e1, e2))
+                    at = pairs.get(e)
+                    if at is None:
+                        pairs[e] = [(c1, c2)]
+                    else:
+                        at.append((c1, c2))
         r = TruncSeries.__new__(TruncSeries)
         r.varset, r.order, r.terms = self.varset, order, _summed(pairs)
         return r
@@ -439,14 +430,9 @@ class TruncSeries:
         return self.with_order(_min_order(self.order, order))
 
     def with_order(self, order: Optional[int]) -> "TruncSeries":
-        """Assert a new exactness bound (caller's responsibility)."""
-        r = TruncSeries.__new__(TruncSeries)
-        r.varset, r.order = self.varset, order
-        if order is INF:
-            r.terms = dict(self.terms)
-        else:
-            r.terms = {e: c for e, c in self.terms.items() if sum(e) <= order}
-        return r
+        """The terms claimed exact to ``order``, those past it dropped; the
+        order is checked as by the constructor."""
+        return TruncSeries(self.varset, order, self.terms)
 
     # -- queries ------------------------------------------------------------
 
@@ -595,18 +581,42 @@ def _all_constant(terms: Mapping[Exponent, Poly]) -> bool:
     return all(0 in c.terms and len(c.terms) == 1 for c in terms.values())
 
 
+def _grouped(terms: Mapping[Exponent, Poly], caps: Caps, row: Callable) -> list:
+    """(degrees on the capped blocks, [row(e, c), ...]) for each group of
+    the terms c * x^e with the same degrees; without caps, one group."""
+    if not caps:
+        return [((), [row(e, c) for e, c in terms.items()])]
+    groups: Dict[Tuple[int, ...], list] = {}
+    for e, c in terms.items():
+        g = tuple(sum(e[i] for i in idxs) for idxs, _ in caps)
+        groups.setdefault(g, []).append(row(e, c))
+    return list(groups.items())
+
+
+def _meeting(left: list, right: list, caps: Caps) -> list:
+    """The pairs of row lists of two `_grouped` sides whose block degrees
+    add up to no more than any cap."""
+    return [
+        (rows1, rows2)
+        for g1, rows1 in left
+        for g2, rows2 in right
+        if all(a + b <= cap for a, b, (_, cap) in zip(g1, g2, caps))
+    ]
+
+
 def _constant_product(
-    a: Mapping[Exponent, Poly], b: Mapping[Exponent, Poly], order: Optional[int]
+    a: Mapping[Exponent, Poly], b: Mapping[Exponent, Poly], order: Optional[int], caps: Caps
 ) -> Dict[Exponent, Poly]:
     """The terms of a product whose coefficients are all rational constants,
-    kept up to ``order``, as one integer convolution.
+    kept up to ``order`` and within ``caps``, as one integer convolution.
 
     Each exponent is packed into one int with fields wide enough for the
     largest output degree, so that exponents add as ints; each side goes
     over one common denominator, so that coefficients multiply and add as
     integer numerators; the right side is sorted by degree, so that the
-    first pair past the order ends a row.  Each output constant is made
-    once, in canonical form by one gcd with the positive denominator.
+    first pair past the order ends a row; a pair of `_grouped` groups past
+    a cap is skipped whole.  Each output constant is made once, in
+    canonical form by one gcd with the positive denominator.
     """
     if not a or not b:
         return {}
@@ -616,24 +626,25 @@ def _constant_product(
 
     def packed(terms):
         den = lcm(*(c.den for c in terms.values()))
-        return den, [
-            (sum(e), sum(x << s for x, s in zip(e, shifts)), c.terms[0] * (den // c.den))
-            for e, c in terms.items()
-        ]
+        return den, _grouped(terms, caps, lambda e, c: (
+            sum(e), sum(x << s for x, s in zip(e, shifts)), c.terms[0] * (den // c.den)
+        ))
 
     den_a, left = packed(a)
     den_b, right = packed(b)
-    right.sort()
+    for _, rows in right:
+        rows.sort()
     limit = top if order is INF else order
     acc: Dict[int, int] = {}
     get = acc.get
-    for d1, k1, n1 in left:
-        room = limit - d1
-        for d2, k2, n2 in right:
-            if d2 > room:
-                break
-            k = k1 + k2
-            acc[k] = get(k, 0) + n1 * n2
+    for rows1, rows2 in _meeting(left, right, caps):
+        for d1, k1, n1 in rows1:
+            room = limit - d1
+            for d2, k2, n2 in rows2:
+                if d2 > room:
+                    break
+                k = k1 + k2
+                acc[k] = get(k, 0) + n1 * n2
     den = den_a * den_b
     mask = (1 << width) - 1
     out: Dict[Exponent, Poly] = {}
@@ -648,18 +659,19 @@ def _constant_product(
 
 class _Powers:
     """base ** n for n = 0, 1, 2, ..., each new power one product with the
-    last; entry 0 is 1 at the base's order, as `TruncSeries.__pow__` has it."""
+    last, within ``caps``; entry 0 is 1 at the base's order, as
+    `TruncSeries.__pow__` has it."""
 
-    __slots__ = ("base", "table")
+    __slots__ = ("base", "caps", "table")
 
-    def __init__(self, base: TruncSeries):
-        self.base = base
+    def __init__(self, base: TruncSeries, caps: Caps = ()):
+        self.base, self.caps = base, caps
         self.table = [TruncSeries.const(base.varset, 1, base.order)]
 
     def __getitem__(self, n: int) -> TruncSeries:
         table = self.table
         while len(table) <= n:
-            table.append(table[-1] * self.base)
+            table.append(table[-1].__mul__(self.base, self.caps))
         return table[n]
 
 
@@ -735,7 +747,9 @@ class LocalizedSeries:
     None means no bound beyond the total order.  A bound or a denominator
     multiplicity that is not an int raises ValueError.  Net bounds are invariant
     under clearing denominators, which keeps the bookkeeping honest across
-    arithmetic.
+    arithmetic.  A product, like :func:`expand_poles`, builds no numerator
+    term past a bound: it skips the term pairs past a block's cap, the net
+    bound plus the block's denominator degree.
     """
 
     __slots__ = ("num", "den", "blocks", "block_bounds")
@@ -798,13 +812,6 @@ class LocalizedSeries:
             return INF
         return self.num.order - self.den_degree()
 
-    def den_block_degree(self, block: Sequence[str]) -> int:
-        total = 0
-        for form, mult in self.den:
-            if any(form.restrict_to_block(block)):
-                total += mult
-        return total
-
     # -- arithmetic --------------------------------------------------------------
 
     def _check_compatible(self, other: "LocalizedSeries"):
@@ -848,6 +855,15 @@ class LocalizedSeries:
         return self + (-other)
 
     def __mul__(self, other) -> "LocalizedSeries":
+        """The product within the block caps: a bound of 1 on w keeps
+        1 + 2w of (1 + w)^2, and the pair w * w is never multiplied.
+
+        >>> zw, blocks = VarSet(("z", "w")), (("z",), ("w",))
+        >>> one_w = TruncSeries(zw, INF, {(0, 0): 1, (0, 1): 1})
+        >>> x = LocalizedSeries(one_w, (), blocks, (None, 1))
+        >>> (x * x).num
+        (1) + (2)*w
+        """
         if isinstance(other, (int, Fraction, Poly)):
             return LocalizedSeries(
                 self.num.scale(other), self.den, self.blocks, self.block_bounds
@@ -858,14 +874,14 @@ class LocalizedSeries:
         # d1 >= -den1_j and d2 >= -den2_j, so exactness holds up to
         # min(bound1 - den2_j, bound2 - den1_j)
         bounds = []
-        for bi, block in enumerate(self.blocks):
-            b1, b2 = self.block_bounds[bi], other.block_bounds[bi]
-            d1 = self.den_block_degree(block)
-            d2 = other.den_block_degree(block)
-            c1 = None if b1 is None else b1 - d2
-            c2 = None if b2 is None else b2 - d1
+        for block, b1, b2 in zip(self.blocks, self.block_bounds, other.block_bounds):
+            idxs = [self.varset.index(n) for n in block]
+            c1 = None if b1 is None else b1 - _held(other.den, idxs)
+            c2 = None if b2 is None else b2 - _held(self.den, idxs)
             bounds.append(_min_order(c1, c2))
-        return LocalizedSeries(self.num * other.num, den, self.blocks, tuple(bounds))
+        caps = _block_caps(self.varset, self.blocks, bounds, den)
+        num = self.num.__mul__(other.num, caps)
+        return LocalizedSeries(num, den, self.blocks, tuple(bounds))
 
     __rmul__ = __mul__
 
@@ -1039,7 +1055,9 @@ def expand_poles(
     scalar s of the additive law, f = s*A + B.  The depth is trunc plus
     the multiplicity of the kept forms on non-leading blocks, so that a
     term divided by such a form is still exact up to net degree trunc;
-    the blocks after the leading one get that net bound.
+    the blocks after the leading one get that net bound.  Every product of
+    the clearing sum skips the term pairs past the result's block caps, so
+    the expansion never holds a numerator term past its bounds.
 
     A multiplicative pole, (1+z)^2 (1+w) - 1 = (2z + z^2) + (1+z)^2 w:
 
@@ -1101,19 +1119,18 @@ def expand_poles(
             )
         poles.append((form, mult, q, TruncSeries(varset, f.order, b), lead))
     depth = trunc + kept_later
-    den: List[Tuple[LinearForm, int]] = []
-    bounds: List[Optional[int]] = [None] * len(blocks)
+    den = [(form, mult + (0 if b is None else depth)) for form, mult, _, b, _ in poles]
+    spans = [lead for _, _, _, b, lead in poles if b is not None]
+    bounds = [trunc if spans and bi > min(spans) else None for bi in range(len(blocks))]
+    caps = _block_caps(varset, blocks, bounds, den)
     for form, mult, q, b, lead in poles:
-        reach = 0 if b is None else depth
-        den.append((form, mult + reach))
-        if b is not None:
-            bounds[lead + 1 :] = [trunc] * (len(blocks) - lead - 1)
-        elif q.terms == one:
+        if b is None and q.terms == one:
             continue
         if q.terms.keys() == one.keys() and _all_constant(q.terms):
             qinv = TruncSeries.const(varset, 1 / q.constant_term().constant_term())
         else:
             qinv = series_invert_unit(q.truncate(work))
+        reach = 0 if b is None else depth
         qinv, forms = _Powers(qinv), _Powers(form.as_series())
         acc = TruncSeries.zero(varset, INF)
         coef = 1
@@ -1121,12 +1138,12 @@ def expand_poles(
         for k in range(reach + 1):
             if k:
                 coef = coef * (mult + k - 1) // k
-                b_pow = b_pow * b
+                b_pow = b_pow.__mul__(b, caps)
                 if b_pow.is_zero():
                     break
-            term = b_pow * forms[reach - k] * qinv[mult + k]
+            term = b_pow.__mul__(forms[reach - k], caps).__mul__(qinv[mult + k], caps)
             acc = acc + term.scale((-1) ** k * coef)
-        num = num * acc
+        num = num.__mul__(acc, caps)
     return LocalizedSeries(num, den, blocks, bounds)
 
 
@@ -1197,14 +1214,22 @@ def nest(
     return LocalizedSeries(total.num, list(total.den) + reread(inner.den, own_at), blocks)
 
 
+def _held(den, idxs) -> int:
+    """The multiplicity in ``den`` of the forms on these variables."""
+    return sum(m for form, m in den if any(form.coeffs[i] for i in idxs))
+
+
+def _block_caps(varset: VarSet, blocks: Blocks, bounds, den) -> Caps:
+    """The caps of a series over ``den`` with these net block bounds: a
+    bounded block's net bound plus its denominator degree."""
+    bounded = [(tuple(map(varset.index, b)), n) for b, n in zip(blocks, bounds) if n is not None]
+    return tuple((idxs, bound + _held(den, idxs)) for idxs, bound in bounded)
+
+
 def _within_bounds(x: LocalizedSeries) -> LocalizedSeries:
     """x with the numerator terms past some block's net-degree bound
     dropped."""
-    caps = [
-        ([x.varset.index(n) for n in block], bound + x.den_block_degree(block))
-        for block, bound in zip(x.blocks, x.block_bounds)
-        if bound is not None
-    ]
+    caps = _block_caps(x.varset, x.blocks, x.block_bounds, x.den)
     if not caps:
         return x
     kept = {
@@ -1222,11 +1247,12 @@ def iota_expand(
     """Iterated Laurent expansion of a localized series.
 
     Variables in earlier blocks dominate later ones.  This is
-    :func:`expand_poles` on the denominator forms, then the drop of the
-    numerator terms whose NET degree (numerator minus denominator block
-    degree) in a non-leading block exceeds trunc.  The block bounds of a
-    series already expanded in the same regime carry over where tighter;
-    a bounded series from another regime raises ValueError.
+    :func:`expand_poles` on the denominator forms, which builds no term
+    past its own bounds, then the drop of the numerator terms whose NET
+    degree (numerator minus denominator block degree) in a non-leading
+    block exceeds trunc or a bound carried over: the block bounds of a
+    series already expanded in the same regime carry over where tighter,
+    and a bounded series from another regime raises ValueError.
 
     Spanning forms must lead on the first block: that is the only regime the
     depth/filter bookkeeping certifies, and the only one the identities here
@@ -1242,8 +1268,8 @@ def iota_expand(
     else:
         bounds = (None,) * len(blocks)
     for form, _ in x.den:
-        touched = form.support_blocks(blocks)
-        if len(touched) > 1 and touched[0] != 0:
+        touched = [b for b in blocks if any(form.coeffs[x.varset.index(n)] for n in b)]
+        if len(touched) > 1 and touched[0] != blocks[0]:
             raise NotImplementedError(
                 "expansion of a form leading on a non-initial block"
             )

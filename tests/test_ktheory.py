@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_outputs import assert_golden
+from vertexalg import ktheory, series
 from vertexalg.charclass import KClass, Summand
 from vertexalg.ktheory import (
+    _vee_classes,
     _weight_poles,
     exterior_powers,
     gbinom,
@@ -223,6 +225,41 @@ class TestLambdaClasses:
         with pytest.raises(ValueError):
             vee_k(Summand(1, {1: U}), 1, 3)
 
+    def test_classes_from_one_list_of_wedge_powers(self):
+        # the classes read from one list of wedge powers are those of
+        # vee_k, and of the defining sum over each k's own wedge powers
+        u1, u2 = Poly.variable("u1"), Poly.variable("u2")
+        summands = [
+            Summand(1, None, [(1, U)]),
+            Summand(2, None, [(1, u1), (1, u2)]),
+            Summand(-1, None, [(-1, U * 2 + U * U)]),
+            Summand(1, None, [(1, u1), (1, u2), (-1, u1 * u2 + u1 + u2)]),
+        ]
+        for s in summands:
+            for cutoff in (3, 6):
+                classes = _vee_classes(s, 5, cutoff)
+                assert classes == [vee_k(s, k, cutoff) for k in range(6)]
+                assert classes == [vee_by_own_wedges(s, k, cutoff) for k in range(6)]
+
+    def test_wedge_series_reads_wedge_powers_once_per_weight(self, monkeypatch):
+        calls = []
+
+        def counting(lines, upto, cutoff):
+            calls.append(upto)
+            return exterior_powers(lines, upto, cutoff)
+
+        monkeypatch.setattr(ktheory, "exterior_powers", counting)
+        E = KClass(
+            X,
+            {
+                (1,): Summand(1, None, [(1, U)]),
+                (2,): Summand(-1, None, [(-1, U * 2 + U * U)]),
+            },
+            5,
+        )
+        wedge_minus_z(E, 3, 5)
+        assert calls == [1, 5]
+
     def test_exterior_powers_pair(self):
         u1, u2 = Poly.variable("u1"), Poly.variable("u2")
         w = exterior_powers([(1, u1), (1, u2)], 3, 5)
@@ -230,6 +267,15 @@ class TestLambdaClasses:
         assert w[1] == u1 + u2 + Poly.const(2)
         assert w[2] == (u1 + Poly.const(1)) * (u2 + Poly.const(1))
         assert w[3] == Poly()
+
+
+def vee_by_own_wedges(summand, k, cutoff):
+    """vee^k by its defining sum over the wedge powers up to k alone."""
+    wedges = exterior_powers(summand.lines, k, cutoff)
+    out = Poly()
+    for i in range(k + 1):
+        out = out + wedges[i] * (gbinom(summand.rank - i, k - i) * (-1) ** (k - i))
+    return out.truncate_degree(cutoff)
 
 
 def pole_inverse(varset, weight, m, order, blocks=None):
@@ -668,7 +714,8 @@ class TestMultiplicativeSwap:
     def test_pole_paths_build_powers_by_tables(self, monkeypatch):
         """Every power on the pole paths of either coordinate law comes
         from a table that grows by one product per power:
-        `TruncSeries.__pow__` is never called."""
+        `TruncSeries.__pow__` is never called.  No expansion or wedge
+        series on these paths holds a numerator term past its bounds."""
         E = KClass(
             X,
             {
@@ -692,6 +739,10 @@ class TestMultiplicativeSwap:
             form, _ = LinearForm.make(XY, {"x": 1, "y": 1})
             additive = one_on(XY).with_denominator(form, mult=2)
             out.append(iota_expand(additive, KBLOCKS, 3))
+            # 1/(x+y)^m over a numerator with terms up to y^3
+            num = TruncSeries(XY, 8, {(0, 0): 1, (1, 2): 2, (0, 3): -1})
+            for m in (1, 2, 4):
+                out.append(expand_poles(num, [(form.as_series(), m)], KBLOCKS, 2))
             return [(x.num, x.den, x.block_bounds) for x in out]
 
         expected = run()
@@ -703,6 +754,33 @@ class TestMultiplicativeSwap:
         got = run()
         monkeypatch.undo()
         assert got == expected
+        for num, den, bounds in expected:
+            x = LocalizedSeries(num, den, KBLOCKS, bounds)
+            assert _within_bounds(x).num == num
+
+    def test_wedge_path_drops_no_built_term(self, monkeypatch):
+        """The spanning virtual class's wedge series, at the order and depth
+        of the swap's right side, is built by products that skip the term
+        pairs past the block bounds: nothing on its path filters a term it
+        built."""
+        E = KClass(
+            X,
+            {
+                (1,): Summand(1, None, [(1, U)]),
+                (2,): Summand(-1, None, [(-1, U * 2 + U * U)]),
+            },
+            5,
+        ).pullback_weights([[1], [1]], XY)
+
+        def forbidden(x):
+            raise AssertionError("built terms were filtered to the block bounds")
+
+        monkeypatch.setattr(series, "_within_bounds", forbidden)
+        monkeypatch.setattr(ktheory, "_within_bounds", forbidden, raising=False)
+        w = wedge_minus_z(E, 12, 5, KBLOCKS, depth=3)
+        monkeypatch.undo()
+        assert (w.den_degree(), w.block_bounds) == (9, (None, 3))
+        assert _within_bounds(w).num == w.num
 
     def test_weight_inconsistent_data_breaks_it(self):
         # the canonical line's parameter carries weight one; declaring it

@@ -96,11 +96,18 @@ class TestIntegerData:
             else:
                 LocalizedSeries(num, (), (("z",), ("w",)), (None, bad))
 
+    @pytest.mark.parametrize("bad", NOT_INTEGERS + [-1])
+    def test_with_order(self, bad):
+        # with_order(2.5) used to claim order 2.5 and drop z^3 against it
+        with pytest.raises(ValueError, match="truncation order"):
+            TruncSeries(Z, 3, {(2,): 1, (3,): 1}).with_order(bad)
+
     def test_integers_pass(self):
         assert VarSet(("x",), degrees=(-3,)).degrees == (-3,)
         assert TruncSeries(Z, 3, {(2,): 1}).terms == {(2,): Poly.const(1)}
         assert LinearForm.make_scaled(ZW, {"z": -2, "w": 4})[1:] == (-1, 2)
         assert TruncSeries(Z, INF, {(2,): 1}).order is INF
+        assert TruncSeries(Z, 3, {(2,): 1, (3,): 1}).with_order(INF).order is INF
         x = LocalizedSeries(
             TruncSeries(ZW, 3, {(1, 0): 1}), [(form(ZW, z=1), 2)], (("z",), ("w",)), (INF, -1)
         )
@@ -820,6 +827,45 @@ def prop_constant_path_matches_general(ab):
 
 def test_prop_constant_path_matches_general():
     prop_constant_path_matches_general()
+
+
+@st.composite
+def bounded_pairs(draw):
+    """Two fractions over 2 or 3 variables in one regime of 2 or 3 blocks:
+    constant or multi-term coefficients, exact or truncated numerators,
+    forms on any blocks, and per block a net bound or None."""
+    n = draw(st.integers(2, 3))
+    varset = VarSet(("z", "w", "v")[:n])
+    split = draw(st.integers(1, n - 1))
+    blocks = (varset.names[:split],) + tuple((name,) for name in varset.names[split:])
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coefs = coefficients if draw(st.booleans()) else st.integers(-2, 2)
+    vecs = st.tuples(*[st.integers(-1, 2)] * n).filter(any)
+    bounds = st.tuples(*[st.one_of(st.none(), st.integers(-1, 3))] * len(blocks))
+    sides = []
+    for _ in range(2):
+        num = TruncSeries(varset, draw(orders), draw(st.dictionaries(exps, coefs, max_size=6)))
+        den = [(LinearForm.make_scaled(varset, v)[0], m) for v, m in draw(
+            st.lists(st.tuples(vecs, st.integers(1, 2)), max_size=2)
+        )]
+        sides.append(LocalizedSeries(num, den, blocks, draw(bounds)))
+    return sides
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_pairs())
+def prop_bounded_product_is_the_filtered_product(sides):
+    x, y = sides
+    got = x * y
+    full = LocalizedSeries(x.num * y.num, x.den + y.den, x.blocks, got.block_bounds)
+    want = series._within_bounds(full)
+    assert (got.num.terms, got.num.order, got.den) == (want.num.terms, full.num.order, want.den)
+
+
+def test_prop_bounded_product_is_the_filtered_product():
+    """A product with block bounds equals today's product cut to those
+    bounds, term for term and with the same order."""
+    prop_bounded_product_is_the_filtered_product()
 
 
 def test_non_constant_coefficient_takes_the_general_loop(monkeypatch):
