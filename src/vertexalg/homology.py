@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import cache, partial, reduce
 from math import perm
 from operator import or_
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -91,27 +91,26 @@ _LITTLE_X_RE = re.compile(r"x(\d+)\Z")
 # field that component has not seen
 _CHECKED: Dict[Tuple[str, tuple], int] = {}
 
-# Plans of the field maps of the sum map, of translation and of the cap,
-# each planned once and kept for the life of the process.  The images of
-# the orthosymplectic sum map, the source-factor masks of the unitary sum
-# map and the key of s_1 and factor mask of the translation generator are
-# keyed by what the map does and by the support of the polynomial it acts
-# on (the bitwise or of its keys).  The variable interner is append-only,
-# so a support always names the same variables and a plan built for it
-# once stays right for every later polynomial with that support.  The
-# other plans are monomial-level: a `MonomialTable` plans one monomial's
-# entry on first lookup.  `_suffix_table` keeps one table per target
-# factor, the image key of each one-factor monomial, which `tensor` looks
-# up once per term of each factor and the unitary sum map once per factor
-# part of each key; `_raise_plan` keeps one per factor, the moves of the
-# translation generator on each of that factor's monomials; `_cap_plan`
-# keeps one per component, the lowering of each cohomology monomial,
-# shared by `cap_poly` and `contract_poly`.  A table entry is a plan for
-# one monomial, never a polynomial result: a product of several factors is
-# split into one-factor parts before any lookup, so the tables grow with
-# the distinct monomials of single factors, not with those of their
-# products.
-_PLANS: Dict[tuple, object] = {}
+# Plans of the field maps of the sum map, of translation and of the cap
+# come from `functools.cache` functions, each planned once and kept for
+# the life of the process.  The images of the orthosymplectic sum map, the
+# source-factor masks of the unitary sum map and the key of s_1 and factor
+# mask of the translation generator are keyed by what the map does and by
+# the support of the polynomial it acts on (the bitwise or of its keys).
+# The variable interner is append-only, so a support always names the same
+# variables and a plan built for it once stays right for every later
+# polynomial with that support.  The other plans are monomial-level: a
+# `MonomialTable` plans one monomial's entry on first lookup.
+# `_suffix_table` keeps one table per target factor, the image key of each
+# one-factor monomial, which `tensor` looks up once per term of each factor
+# and the unitary sum map once per factor part of each key; `_moves_table`
+# keeps one per factor, the moves of the translation generator on each of
+# that factor's monomials; `_cap_plan` keeps one per component, the
+# lowering of each cohomology monomial, shared by `cap_poly` and
+# `contract_poly`.  A table entry is a plan for one monomial, never a
+# polynomial result: a product of several factors is split into one-factor
+# parts before any lookup, so the tables grow with the distinct monomials
+# of single factors, not with those of their products.
 
 
 class MonomialTable(dict):
@@ -149,7 +148,7 @@ def x_name(i: int) -> str:
     return "X%d" % i
 
 
-@lru_cache(maxsize=None)
+@cache
 def parse_s(name: str) -> Optional[Tuple[int, FactorKey]]:
     """(k, factor) of an s-generator name, None for any other name.  One
     regex match per distinct name: the library passes interned variable
@@ -379,32 +378,6 @@ class HomologyElement:
         raise TypeError("homology elements are unhashable")
 
 
-class CohomologyElement:
-    """A polynomial in the character generators of one component."""
-
-    __slots__ = ("component", "poly")
-
-    def __init__(self, component: ComponentLabel, poly: Union[Poly, int, Fraction]):
-        if not isinstance(poly, Poly):
-            poly = Poly.const(poly)
-        for v in poly.variables():
-            ok = False
-            if component.is_s_model():
-                got = parse_ch(v)
-                ok = got is not None and got[1] in component.factor_keys()
-            else:
-                m = _LITTLE_X_RE.fullmatch(v)
-                if m:
-                    ok = component.allows_variable("X" + v[1:])
-            if not ok:
-                raise ValueError("unsupported cohomology generator %r" % v)
-        self.component = component
-        self.poly = poly
-
-    def cap(self, a: HomologyElement) -> HomologyElement:
-        return cap(self, a)
-
-
 def _single_ranks(factors: Sequence[HomologyElement]) -> List[int]:
     for f in factors:
         if f.component.model != "BU_Z" or len(f.component.index) != 1:
@@ -474,12 +447,10 @@ def _suffix_image(factor: FactorKey, key: int) -> int:
     return image
 
 
+@cache
 def _suffix_table(factor: FactorKey) -> MonomialTable:
-    """The table of `_suffix_image` onto ``factor``, kept in `_PLANS`."""
-    table = _PLANS.get(("suffix", factor))
-    if table is None:
-        table = _PLANS["suffix", factor] = MonomialTable(partial(_suffix_image, factor))
-    return table
+    """The table of `_suffix_image` onto ``factor``."""
+    return MonomialTable(partial(_suffix_image, factor))
 
 
 def _moved_terms(poly: Poly, factor: FactorKey) -> Dict[int, int]:
@@ -494,21 +465,17 @@ def _moved_terms(poly: Poly, factor: FactorKey) -> Dict[int, int]:
     return {table[m]: c for m, c in poly.terms.items()}
 
 
+@cache
 def _source_parts(support: int) -> Tuple[int, ...]:
     """The field masks of the source factors among the s-generators of
     ``support``, or () when nothing moves onto the unsuffixed names (no
-    generator, or unsuffixed ones only); made once per support and kept in
-    `_PLANS`, which is sound because a support always names the same
-    variables."""
-    parts = _PLANS.get(("parts", support))
-    if parts is None:
-        masks: Dict[FactorKey, int] = {}
-        for shift, _ in key_fields(support):
-            factor = parse_s(shift_name(shift))[1]
-            masks[factor] = masks.get(factor, 0) | FIELD_MASK << shift
-        parts = () if set(masks) <= {None} else tuple(masks.values())
-        _PLANS["parts", support] = parts
-    return parts
+    generator, or unsuffixed ones only); made once per support, which is
+    sound because a support always names the same variables."""
+    masks: Dict[FactorKey, int] = {}
+    for shift, _ in key_fields(support):
+        factor = parse_s(shift_name(shift))[1]
+        masks[factor] = masks.get(factor, 0) | FIELD_MASK << shift
+    return () if set(masks) <= {None} else tuple(masks.values())
 
 
 def _unsuffixed(poly: Poly) -> Poly:
@@ -632,17 +599,14 @@ def _lowering(acts: _Actions, cokey: int) -> Optional[Tuple]:
     return field_lowering(scalar, take, True)
 
 
+@cache
 def _cap_plan(component: ComponentLabel) -> Tuple[_Actions, MonomialTable]:
     """The field actions and the lowering table of one component, made on
-    first use and kept in `_PLANS`: a lowering depends only on the
-    component and the cohomology monomial, so `cap_poly` and
-    `contract_poly` plan each monomial once per component."""
-    plan = _PLANS.get(("cap", component))
-    if plan is None:
-        acts = _Actions(component)
-        lowerings = MonomialTable(lambda cokey: _lowering(acts, cokey))
-        plan = _PLANS["cap", component] = (acts, lowerings)
-    return plan
+    first use: a lowering depends only on the component and the cohomology
+    monomial, so `cap_poly` and `contract_poly` plan each monomial once
+    per component."""
+    acts = _Actions(component)
+    return acts, MonomialTable(lambda cokey: _lowering(acts, cokey))
 
 
 def _cap_into(out: Dict[int, int], lowering: Tuple, key: int, coef: int) -> None:
@@ -727,14 +691,6 @@ def cap_poly(ch_poly: Poly, poly: Poly, component: ComponentLabel) -> Poly:
     return cap_with(ch_poly, poly, lowerings)
 
 
-def cap(c, a: HomologyElement) -> HomologyElement:
-    """Cap product; accepts a CohomologyElement or a bare character Poly."""
-    ch_poly = c.poly if isinstance(c, CohomologyElement) else c
-    if not isinstance(ch_poly, Poly):
-        ch_poly = Poly.const(ch_poly)
-    return HomologyElement(a.component, cap_poly(ch_poly, a.poly, a.component))
-
-
 def contract_poly(p: Poly, component: ComponentLabel) -> Poly:
     """Pair the cohomology part of a mixed polynomial against its homology part.
 
@@ -783,23 +739,23 @@ def _moves(factor: FactorKey, part: int) -> Tuple[Tuple[int, int], ...]:
     )
 
 
+@cache
+def _moves_table(factor: FactorKey) -> MonomialTable:
+    """The table of `_moves` of ``factor``'s monomials."""
+    return MonomialTable(partial(_moves, factor))
+
+
+@cache
 def _raise_plan(support: int, factor: FactorKey) -> Tuple[int, int, MonomialTable]:
     """The key of s_1 on ``factor``, the mask of that factor's s-fields in
     ``support``, and the table of `_moves` of that factor's monomials;
     built once per (support, factor), the table once per factor."""
-    plan = _PLANS.get(("raise", support, factor))
-    if plan is None:
-        mask = 0
-        for shift, _ in key_fields(support):
-            got = parse_s(shift_name(shift))
-            if got is not None and got[1] == factor:
-                mask |= FIELD_MASK << shift
-        table = _PLANS.get(("moves", factor))
-        if table is None:
-            table = _PLANS["moves", factor] = MonomialTable(partial(_moves, factor))
-        plan = (1 << var_shift(s_name(1, factor)), mask, table)
-        _PLANS["raise", support, factor] = plan
-    return plan
+    mask = 0
+    for shift, _ in key_fields(support):
+        got = parse_s(shift_name(shift))
+        if got is not None and got[1] == factor:
+            mask |= FIELD_MASK << shift
+    return 1 << var_shift(s_name(1, factor)), mask, _moves_table(factor)
 
 
 def _raised(terms: Dict[int, int], factor: FactorKey, rank: int) -> Dict[int, int]:
@@ -944,22 +900,20 @@ def involution_dual(a: HomologyElement) -> HomologyElement:
     return HomologyElement(a.component, involution_dual_poly(a.poly))
 
 
+@cache
 def _sum_map_plan(support: int, module: FactorKey) -> Dict[str, object]:
     """The images of the s-generators of ``support`` under the
     orthosymplectic sum map: those on the ``module`` factor pass to s_k,
     the unitary ones go to 2*s_k for even k and to 0 for odd k.  Built
     once per (support, module factor)."""
-    plan = _PLANS.get(("sum", support, module))
-    if plan is None:
-        plan = {}
-        for shift, _ in key_fields(support):
-            name = shift_name(shift)
-            k, factor = parse_s(name)
-            if factor == module:
-                plan[name] = Poly.variable(s_name(k))
-            else:
-                plan[name] = 0 if k % 2 else 2 * Poly.variable(s_name(k))
-        _PLANS["sum", support, module] = plan
+    plan = {}
+    for shift, _ in key_fields(support):
+        name = shift_name(shift)
+        k, factor = parse_s(name)
+        if factor == module:
+            plan[name] = Poly.variable(s_name(k))
+        else:
+            plan[name] = 0 if k % 2 else 2 * Poly.variable(s_name(k))
     return plan
 
 

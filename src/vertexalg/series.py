@@ -20,7 +20,7 @@ exact-rational polynomials, `Poly`; a rational coefficient is a constant
   is split as F + B, its terms on its earliest block, which is treated as
   dominant, and the rest; F is a form times a unit q, and the inverse is
   a geometric series in B / F.  :func:`iota_expand` is that expansion of a
-  localized series followed by the filter to each block's net-degree bound.
+  localized series, bounded on each later block by its net degree.
 
 A change of coordinates has two steps: `TruncSeries.compose` maps every
 numerator and :func:`expand_poles` maps every pole.  The linear
@@ -33,9 +33,12 @@ per power, and sums each output coefficient once, as a product does.
 coefficient at the order its monomial leaves; ``structures.nested_product``,
 ``homology.translate_series`` and the vertex-space checkers are built on it.
 
-Equality of localized series is decided by clearing denominators and
-comparing numerators on the region where both sides are exact.  Nothing here
-ever touches floating point.
+A localized series holds only its window: its constructor drops every
+numerator term past a block's cap, the net bound plus the block's
+denominator degree, as a truncated series drops the terms past its order.
+Equality is decided by the difference, whose numerator is zero exactly
+when both sides agree where both are exact.  Nothing here ever touches
+floating point.
 
 >>> zw = VarSet(("z", "w"))
 >>> x = LocalizedSeries.one(zw, order=3).with_denominator(LinearForm.make(zw, {"z": 1, "w": 1})[0])
@@ -731,10 +734,6 @@ def _sort_denominator(pairs: Iterable[Tuple[LinearForm, int]]) -> Denominator:
     return tuple(merged[k] for k in sorted(merged))
 
 
-def _den_degree(den: Denominator) -> int:
-    return sum(m for _, m in den)
-
-
 class LocalizedSeries:
     """numerator / product of linear forms, with an expansion regime.
 
@@ -747,9 +746,15 @@ class LocalizedSeries:
     None means no bound beyond the total order.  A bound or a denominator
     multiplicity that is not an int raises ValueError.  Net bounds are invariant
     under clearing denominators, which keeps the bookkeeping honest across
-    arithmetic.  A product, like :func:`expand_poles`, builds no numerator
-    term past a bound: it skips the term pairs past a block's cap, the net
-    bound plus the block's denominator degree.
+    arithmetic.  The window is part of the object: the constructor drops
+    every numerator term past a block's cap, the net bound plus the block's
+    denominator degree, and keeps the numerator object when it drops
+    nothing.  A product, a sum and :func:`expand_poles` build no such term:
+    they skip the term pairs past the caps of their result.
+
+    >>> zw, blocks = VarSet(("z", "w")), (("z",), ("w",))
+    >>> LocalizedSeries(TruncSeries(zw, 4, {(0, 1): 1, (0, 3): 1}), (), blocks, (None, 2)).num
+    (1)*w
     """
 
     __slots__ = ("num", "den", "blocks", "block_bounds")
@@ -777,6 +782,16 @@ class LocalizedSeries:
             )
             if len(block_bounds) != len(blocks):
                 raise ValueError("one bound per block required")
+            caps = _block_caps(num.varset, blocks, block_bounds, den)
+            kept = {
+                e: c
+                for e, c in num.terms.items()
+                if all(sum(e[i] for i in idxs) <= cap for idxs, cap in caps)
+            } if caps else num.terms
+            if len(kept) < len(num.terms):
+                varset, order = num.varset, num.order
+                num = TruncSeries.__new__(TruncSeries)
+                num.varset, num.order, num.terms = varset, order, kept
         self.num = num
         self.den = den
         self.blocks = blocks
@@ -805,7 +820,7 @@ class LocalizedSeries:
         return self.num.varset
 
     def den_degree(self) -> int:
-        return _den_degree(self.den)
+        return sum(m for _, m in self.den)
 
     def valid_order(self) -> Optional[int]:
         if self.num.order is INF:
@@ -821,35 +836,34 @@ class LocalizedSeries:
             raise ValueError("expansion regime mismatch")
 
     def __add__(self, other: "LocalizedSeries") -> "LocalizedSeries":
+        """The sum over the least common denominator; each numerator is
+        cleared by products within the sum's block caps."""
         self._check_compatible(other)
-        all_forms: Dict[Tuple[int, ...], LinearForm] = {}
-        mult_a: Dict[Tuple[int, ...], int] = {}
-        mult_b: Dict[Tuple[int, ...], int] = {}
-        for form, m in self.den:
-            all_forms[form.coeffs] = form
-            mult_a[form.coeffs] = m
-        for form, m in other.den:
-            all_forms[form.coeffs] = form
-            mult_b[form.coeffs] = m
-        num_a, num_b = self.num, other.num
-        den: List[Tuple[LinearForm, int]] = []
-        for key, form in all_forms.items():
-            ma, mb = mult_a.get(key, 0), mult_b.get(key, 0)
-            m = max(ma, mb)
-            den.append((form, m))
-            fs = form.as_series()
-            if m > ma:
-                num_a = num_a * fs ** (m - ma)
-            if m > mb:
-                num_b = num_b * fs ** (m - mb)
+        forms = {form.coeffs: form for form, _ in self.den + other.den}
+        mults = [{form.coeffs: m for form, m in x.den} for x in (self, other)]
+        den = [
+            (form, max(mult.get(key, 0) for mult in mults)) for key, form in forms.items()
+        ]
         # net block bounds survive clearing unchanged; combine by min
         bounds = tuple(
             _min_order(x, y) for x, y in zip(self.block_bounds, other.block_bounds)
         )
-        return LocalizedSeries(num_a + num_b, den, self.blocks, bounds)
+        caps = _block_caps(self.varset, self.blocks, bounds, den)
+        nums = []
+        for x, mult in zip((self, other), mults):
+            num = x.num
+            for form, m in den:
+                k = m - mult.get(form.coeffs, 0)
+                if k:
+                    num = num.__mul__(form.as_series() ** k, caps)
+            nums.append(num)
+        return LocalizedSeries(nums[0] + nums[1], den, self.blocks, bounds)
 
     def __neg__(self) -> "LocalizedSeries":
-        return LocalizedSeries(-self.num, self.den, self.blocks, self.block_bounds)
+        # the negation of a series in its window is in that window
+        r = LocalizedSeries.__new__(LocalizedSeries)
+        r.num, r.den, r.blocks, r.block_bounds = -self.num, self.den, self.blocks, self.block_bounds
+        return r
 
     def __sub__(self, other: "LocalizedSeries") -> "LocalizedSeries":
         return self + (-other)
@@ -1226,21 +1240,6 @@ def _block_caps(varset: VarSet, blocks: Blocks, bounds, den) -> Caps:
     return tuple((idxs, bound + _held(den, idxs)) for idxs, bound in bounded)
 
 
-def _within_bounds(x: LocalizedSeries) -> LocalizedSeries:
-    """x with the numerator terms past some block's net-degree bound
-    dropped."""
-    caps = _block_caps(x.varset, x.blocks, x.block_bounds, x.den)
-    if not caps:
-        return x
-    kept = {
-        e: c
-        for e, c in x.num.terms.items()
-        if all(sum(e[i] for i in idxs) <= cap for idxs, cap in caps)
-    }
-    num = TruncSeries(x.varset, x.num.order, kept)
-    return LocalizedSeries(num, x.den, x.blocks, x.block_bounds)
-
-
 def iota_expand(
     x: LocalizedSeries, blocks: Sequence[Sequence[str]], trunc: int
 ) -> LocalizedSeries:
@@ -1248,11 +1247,12 @@ def iota_expand(
 
     Variables in earlier blocks dominate later ones.  This is
     :func:`expand_poles` on the denominator forms, which builds no term
-    past its own bounds, then the drop of the numerator terms whose NET
-    degree (numerator minus denominator block degree) in a non-leading
-    block exceeds trunc or a bound carried over: the block bounds of a
-    series already expanded in the same regime carry over where tighter,
-    and a bounded series from another regime raises ValueError.
+    past its own bounds, read as a series whose NET degree (numerator
+    minus denominator block degree) on each non-leading block is bounded
+    by trunc or by a bound carried over; the constructor drops the terms
+    past them.  The block bounds of a series already expanded in the same
+    regime carry over where tighter, and a bounded series from another
+    regime raises ValueError.
 
     Spanning forms must lead on the first block: that is the only regime the
     depth/filter bookkeeping certifies, and the only one the identities here
@@ -1279,29 +1279,14 @@ def iota_expand(
     bounds = tuple(
         _min_order(b, None if bi == 0 else trunc) for bi, b in enumerate(bounds)
     )
-    return _within_bounds(LocalizedSeries(y.num, y.den, blocks, bounds))
-
-
-def series_sub_cleared(a: LocalizedSeries, b: LocalizedSeries) -> LocalizedSeries:
-    """a - b over the common denominator, restricted to the region where both
-    sides are exact.  A zero numerator therefore means provable equality."""
-    a._check_compatible(b)
-    s = a + (-b)
-    valid = _min_order(a.valid_order(), b.valid_order())
-    if valid is INF:
-        num = s.num
-    else:
-        num = s.num.truncate(valid + _den_degree(s.den))
-    bounds = tuple(
-        _min_order(x, y) for x, y in zip(a.block_bounds, b.block_bounds)
-    )
-    return _within_bounds(LocalizedSeries(num, s.den, s.blocks, bounds))
+    return LocalizedSeries(y.num, y.den, blocks, bounds)
 
 
 def series_equal(a: LocalizedSeries, b: LocalizedSeries) -> bool:
-    """Equality after clearing denominators, on the region where both sides
-    are exact (total order and per-block net bounds)."""
-    return series_sub_cleared(a, b).num.is_zero()
+    """Equality on the region where both sides are exact: ``a - b``, whose
+    numerator is cleared to the least common denominator and holds no term
+    past its order or its block caps, is zero."""
+    return (a - b).num.is_zero()
 
 
 def residue(

@@ -44,7 +44,6 @@ from .series import (
     nest,
     residue,
     series_equal,
-    series_sub_cleared,
 )
 
 ADDITIVE = "additive"
@@ -228,11 +227,12 @@ def _first_term(x: LocalizedSeries) -> str:
 def compare_series(lhs: LocalizedSeries, rhs: LocalizedSeries):
     """Guarded equality: (equal, conclusive, witness).
 
-    A zero cleared difference only counts when the comparison window is
-    nonempty, which is probed by re-comparing against a deliberately
-    wrong right side.
+    The sides are compared by ``lhs - rhs``, which holds only the window
+    where both are exact.  A zero difference only counts when that window
+    is nonempty, which is probed by re-comparing against a deliberately
+    wrong right side; a nonzero one names its first term as the witness.
     """
-    cleared = series_sub_cleared(lhs, rhs)
+    cleared = lhs - rhs
     if not cleared.num.is_zero():
         return False, True, _first_term(cleared)
     one = LocalizedSeries(

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_outputs import assert_golden
-from vertexalg import ktheory, series
+from test_series import within_bounds
+from vertexalg import ktheory, structures
 from vertexalg.charclass import KClass, Summand
 from vertexalg.ktheory import (
     _vee_classes,
@@ -33,7 +34,6 @@ from vertexalg.series import (
     LocalizedSeries,
     TruncSeries,
     VarSet,
-    _within_bounds,
     expand_poles,
     iota_expand,
     normalize_blocks,
@@ -348,7 +348,7 @@ def _line_factor(varset, weight, sg, s, order, cutoff, blocks, depth):
             break
         wpow = wpow * W
     top = chain[0]
-    return _within_bounds(LocalizedSeries(total, top.den, blocks, top.block_bounds))
+    return LocalizedSeries(total, top.den, blocks, top.block_bounds)
 
 
 def wedge_by_lines(E, order, cutoff=None, blocks=None, depth=None):
@@ -628,6 +628,21 @@ class TestWedgeSeries:
         assert w.den_degree() == cutoff + 1
 
 
+def ban_past_cap_terms(monkeypatch):
+    """Make every `LocalizedSeries` built from here on raise when it is
+    handed a numerator term past its block caps, so that a path run under
+    the ban provably builds no term its result drops."""
+    built = LocalizedSeries.__init__
+
+    def guarded(self, num, *args, **kwargs):
+        built(self, num, *args, **kwargs)
+        kept = within_bounds(num, self.den, self.blocks, self.block_bounds)
+        if len(kept) < len(num.terms):
+            raise AssertionError("a numerator term past the block caps was built")
+
+    monkeypatch.setattr(LocalizedSeries, "__init__", guarded)
+
+
 def k_swap_sides(E, a, trunc, cutoff, wedge=wedge_minus_z):
     """Both sides of the multiplicative swap identity over x = z-1, y = w-1,
     with the wedge series of ``wedge``."""
@@ -755,8 +770,7 @@ class TestMultiplicativeSwap:
         monkeypatch.undo()
         assert got == expected
         for num, den, bounds in expected:
-            x = LocalizedSeries(num, den, KBLOCKS, bounds)
-            assert _within_bounds(x).num == num
+            assert within_bounds(num, den, KBLOCKS, bounds) == num.terms
 
     def test_wedge_path_drops_no_built_term(self, monkeypatch):
         """The spanning virtual class's wedge series, at the order and depth
@@ -772,15 +786,26 @@ class TestMultiplicativeSwap:
             5,
         ).pullback_weights([[1], [1]], XY)
 
-        def forbidden(x):
-            raise AssertionError("built terms were filtered to the block bounds")
-
-        monkeypatch.setattr(series, "_within_bounds", forbidden)
-        monkeypatch.setattr(ktheory, "_within_bounds", forbidden, raising=False)
+        ban_past_cap_terms(monkeypatch)
         w = wedge_minus_z(E, 12, 5, KBLOCKS, depth=3)
         monkeypatch.undo()
         assert (w.den_degree(), w.block_bounds) == (9, (None, 3))
-        assert _within_bounds(w).num == w.num
+
+    def test_comparison_drops_no_built_term(self, monkeypatch):
+        """A comparison clears each side's denominators within the caps of
+        the difference: a looser-bounded side cleared by a form on the
+        bounded block builds no term past the tighter bound, in the
+        difference or in the +1 control."""
+        s, _ = LinearForm.make(XY, {"x": 1, "y": 1})
+        y, _ = LinearForm.make(XY, {"y": 1})
+        # 1/(x+y), and the same fraction as y/(y(x+y))
+        pole = LocalizedSeries(TruncSeries.const(XY, 1, 8)).with_denominator(s)
+        again = LocalizedSeries(TruncSeries(XY, 8, {(0, 1): 1})).with_denominator(s, y)
+        lhs = iota_expand(pole, KBLOCKS, 3)
+        rhs = iota_expand(again, KBLOCKS, 2)
+        assert (lhs.block_bounds, rhs.block_bounds) == ((None, 3), (None, 2))
+        ban_past_cap_terms(monkeypatch)
+        assert structures.compare_series(lhs, rhs) == (True, True, None)
 
     def test_weight_inconsistent_data_breaks_it(self):
         # the canonical line's parameter carries weight one; declaring it

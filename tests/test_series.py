@@ -29,7 +29,6 @@ from vertexalg.series import (
     series_exp,
     series_from_dict,
     series_invert_unit,
-    series_sub_cleared,
     series_to_dict,
     try_divide_by_form,
 )
@@ -51,6 +50,24 @@ def poly_of(varset, order, pairs):
 
 def laurent_dict(x):
     return dict(x.laurent_terms())
+
+
+def within_bounds(num, den, blocks, bounds):
+    """The terms of ``num`` inside the window of a series over ``den`` with
+    these net block bounds: on each bounded block, a degree of at most the
+    bound plus the multiplicity of the forms that touch the block.  The
+    filter the `LocalizedSeries` constructor applies, written out."""
+    caps = []
+    for block, bound in zip(blocks, bounds):
+        if bound is not None:
+            idxs = [num.varset.index(n) for n in block]
+            held = sum(m for f, m in den if any(f.coeffs[i] for i in idxs))
+            caps.append((idxs, bound + held))
+    return {
+        e: c
+        for e, c in num.terms.items()
+        if all(sum(e[i] for i in idxs) <= cap for idxs, cap in caps)
+    }
 
 
 NOT_INTEGERS = [2.5, 1.0, True, "2", Fraction(3, 2)]
@@ -364,7 +381,29 @@ class TestEquality:
         )
         b = LocalizedSeries.one(ZW, 6)
         with pytest.raises(ValueError):
-            series_sub_cleared(a, b)
+            a - b
+
+    def test_constructor_drops_terms_past_the_caps(self):
+        """A bounded series holds only its window: a numerator term past a
+        block's cap is dropped when the series is built or read from JSON,
+        and the numerator handed in is left as it was."""
+        blocks = (("z",), ("w",))
+        den = [(form(ZW, z=1, w=1), 1)]
+        num = TruncSeries(
+            ZW, 6, {(0, 0): 1, (0, 2): 2, (1, 3): 3, (0, 4): -1, (5, 0): 1}
+        )
+        x = LocalizedSeries(num, den, blocks, (None, 2))
+        assert x.num.terms == within_bounds(num, x.den, blocks, (None, 2))
+        assert set(x.num.terms) == {(0, 0), (0, 2), (1, 3), (5, 0)}
+        assert (x.num.order, len(num.terms)) == (6, 5)
+        # a series with nothing past its caps, or with no bound, keeps its
+        # numerator object
+        assert LocalizedSeries(num, den, blocks, (None, 3)).num is num
+        assert LocalizedSeries(num, den, blocks).num is num
+        blob = series_to_dict(LocalizedSeries(num, den, blocks))
+        blob["block_bounds"] = [None, 2]
+        y = series_from_dict(blob)
+        assert (y.num, y.den, y.block_bounds) == (x.num, x.den, x.block_bounds)
 
 
 class TestNest:
@@ -852,19 +891,40 @@ def bounded_pairs(draw):
     return sides
 
 
+def cleared_sum(x, y):
+    """The numerator and denominator of x + y, each numerator cleared by
+    uncapped products."""
+    den = {}
+    for f, m in x.den + y.den:
+        den[f] = max(den.get(f, 0), m)
+    nums = []
+    for side in (x, y):
+        own = dict(side.den)
+        num = side.num
+        for f, m in den.items():
+            num = num * f.as_series() ** (m - own.get(f, 0))
+        nums.append(num)
+    return nums[0] + nums[1], den
+
+
 @settings(max_examples=200, deadline=None)
 @given(bounded_pairs())
 def prop_bounded_product_is_the_filtered_product(sides):
     x, y = sides
-    got = x * y
-    full = LocalizedSeries(x.num * y.num, x.den + y.den, x.blocks, got.block_bounds)
-    want = series._within_bounds(full)
-    assert (got.num.terms, got.num.order, got.den) == (want.num.terms, full.num.order, want.den)
+    product = (x.num * y.num, dict(LocalizedSeries(x.num, x.den + y.den).den))
+    for got, (full, den) in (
+        (x * y, product),
+        (x + y, cleared_sum(x, y)),
+        (x - y, cleared_sum(x, -y)),
+    ):
+        want = within_bounds(full, got.den, got.blocks, got.block_bounds)
+        assert (got.num.terms, got.num.order, dict(got.den)) == (want, full.order, den)
 
 
 def test_prop_bounded_product_is_the_filtered_product():
-    """A product with block bounds equals today's product cut to those
-    bounds, term for term and with the same order."""
+    """A product, sum or difference with block bounds equals the one with
+    uncapped products cut to those bounds, term for term and with the same
+    order and denominator."""
     prop_bounded_product_is_the_filtered_product()
 
 

@@ -35,7 +35,6 @@ from vertexalg.series import (
     iota_expand,
     residue,
     series_equal,
-    series_sub_cleared,
 )
 from vertexalg import structures
 from vertexalg.structures import (
