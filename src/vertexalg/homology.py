@@ -6,32 +6,27 @@ are written against explicit generator alphabets:
 * unitary towers (all ranks at once): H = Q[s_1, s_2, ...], deg s_k = 2k,
   one rank label r per component;
 * orthogonal / symplectic towers: H = Q[s_2, s_4, ...], rank label r0
-  (even for the symplectic model, since quaternionic ranks double);
-* classifying spaces of classical groups: H = Q[X_1..X_n]^W with
-  deg X_i = 2, elements compared modulo Weyl averaging;
-* split tori: H = Q[X_1..X_n], the Weyl group is trivial.
+  (even for the symplectic model, since quaternionic ranks double).
 
 Products of spaces keep one alphabet per factor via suffixes: s3_2 is the
 third generator of factor 2, and factor 0 is reserved for the module slot
 of an orthosymplectic product (unitary factors 1..n times one BO or BSp
 factor).  Cohomology acts by cap product: the character generator ch_k of
-a factor acts as d/ds_k for k > 0 and as the rank scalar for k = 0, while
-degree-2 classes on torus-like models act as d/dX_i.  A monomial acts in
-closed form, ch_k^e . s_k^n = n!/(n-e)! s_k^(n-e) (zero when e > n) and
-ch_0^e . p = rank^e p, so no derivative is ever taken term by term.
+a factor acts as d/ds_k for k > 0 and as the rank scalar for k = 0.  A
+monomial acts in closed form, ch_k^e . s_k^n = n!/(n-e)! s_k^(n-e) (zero
+when e > n) and ch_0^e . p = rank^e p, so no derivative is ever taken
+term by term.
 
 The translation operator exp(sum z_i D_i) of the sum map is implemented
-directly from its one-parameter generators:
+directly from its one-parameter generators, one per unitary factor:
 
     D (unitary factor of rank r):  p |-> r*s1*p + sum_k s_{k+1} dp/ds_k
-    D (torus-like factor):         p |-> X_i * p
 
-The first formula is the pushforward along addition of a rank-one class,
-written in the s-alphabet; the second is multiplication by the divisor
-class of the acting coordinate.  On unitary factors `translate` runs one
-integer recurrence: the D_i commute, so the coefficient of z^e is
-D^e a / e!, and D^e a is built factor by factor as integer numerators
-over the denominator of a, each made a `Poly` once, over den * e!.
+the pushforward along addition of a rank-one class, written in the
+s-alphabet.  `translate` runs one integer recurrence: the D_i commute, so
+the coefficient of z^e is D^e a / e!, and D^e a is built factor by factor
+as integer numerators over the denominator of a, each made a `Poly` once,
+over den * e!.
 `translate_series` translates every coefficient of a series through
 `series.nest`, each at the order its monomial leaves.
 
@@ -56,7 +51,6 @@ from math import perm
 from operator import or_
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .groups import ClassicalGroup, weyl_average
 from .poly import (
     FIELD_MASK,
     MAX_EXP,
@@ -68,23 +62,15 @@ from .poly import (
     shift_name,
     var_shift,
 )
-from .series import LocalizedSeries, TruncSeries, VarSet, nest, series_exp
+from .series import LocalizedSeries, TruncSeries, VarSet, nest
 
-MODELS = (
-    "BU_Z",
-    "BO_Z",
-    "BSp_2Z",
-    "BG_classical",
-    "Torus",
-)
+MODELS = ("BU_Z", "BO_Z", "BSp_2Z")
 
 # factor keys: None for an unsuffixed single space, integers otherwise
 FactorKey = Optional[int]
 
 _S_RE = re.compile(r"s(\d+)(?:_(\d+))?\Z")
 _CH_RE = re.compile(r"ch(\d+)(?:_(\d+))?\Z")
-_X_RE = re.compile(r"X(\d+)\Z")
-_LITTLE_X_RE = re.compile(r"x(\d+)\Z")
 
 # (model, index) -> the fields of the generators already found to live on
 # that component, so a class is only checked name by name when it brings a
@@ -144,10 +130,6 @@ def ch_name(k: int, factor: FactorKey = None) -> str:
     return "ch%d" % k if factor is None else "ch%d_%d" % (k, factor)
 
 
-def x_name(i: int) -> str:
-    return "X%d" % i
-
-
 @cache
 def parse_s(name: str) -> Optional[Tuple[int, FactorKey]]:
     """(k, factor) of an s-generator name, None for any other name.  One
@@ -174,8 +156,6 @@ def var_weight(name: str) -> int:
     got = parse_ch(name)
     if got is not None:
         return 2 * got[0]
-    if _X_RE.fullmatch(name) or _LITTLE_X_RE.fullmatch(name):
-        return 2
     raise ValueError("unknown generator %r" % name)
 
 
@@ -191,9 +171,7 @@ class ComponentLabel:
     * BU_Z: one integer rank per unitary factor (n >= 1 of them);
     * BO_Z / BSp_2Z: ranks (r_1, .., r_n, r_0) where the last entry is the
       orthogonal or symplectic factor and the first n are unitary factors
-      of a product; n = 0 gives the plain single space;
-    * BG_classical: ("gl"|"so"|"sp", n);
-    * Torus: (number of circle factors,).
+      of a product; n = 0 gives the plain single space.
     """
 
     __slots__ = ("model", "index")
@@ -202,20 +180,12 @@ class ComponentLabel:
         if model not in MODELS:
             raise ValueError("unknown model %r" % model)
         index = tuple(index)
-        if model in ("BU_Z", "BO_Z", "BSp_2Z"):
-            if not index:
-                raise ValueError("%s needs at least one rank" % model)
-            for r in index:
-                exact_int(r, "a rank")
-            if model == "BSp_2Z" and index[-1] % 2:
-                raise ValueError("symplectic ranks are even")
-        elif model == "BG_classical":
-            if len(index) != 2:
-                raise ValueError("BG_classical index is (kind, n)")
-            ClassicalGroup(index[0], index[1])  # validates
-        elif model == "Torus":
-            if len(index) != 1 or exact_int(index[0], "the number of factors") < 0:
-                raise ValueError("Torus index is (number of factors,)")
+        if not index:
+            raise ValueError("%s needs at least one rank" % model)
+        for r in index:
+            exact_int(r, "a rank")
+        if model == "BSp_2Z" and index[-1] % 2:
+            raise ValueError("symplectic ranks are even")
         self.model = model
         self.index = index
 
@@ -234,37 +204,23 @@ class ComponentLabel:
 
     # -- structure ------------------------------------------------------------
 
-    def is_s_model(self) -> bool:
-        return self.model in ("BU_Z", "BO_Z", "BSp_2Z")
-
-    def group(self) -> ClassicalGroup:
-        if self.model != "BG_classical":
-            raise ValueError("only BG components carry a group")
-        return ClassicalGroup(self.index[0], self.index[1])
-
     def unitary_factors(self) -> Tuple[FactorKey, ...]:
         """Keys of the factors moved by translation, in order."""
         if self.model == "BU_Z":
             if len(self.index) == 1:
                 return (None,)
             return tuple(range(1, len(self.index) + 1))
-        if self.model in ("BO_Z", "BSp_2Z"):
-            return tuple(range(1, len(self.index)))
-        raise ValueError("%s has no unitary factor structure" % self.model)
+        return tuple(range(1, len(self.index)))
 
     def factor_keys(self) -> Tuple[FactorKey, ...]:
         if self.model == "BU_Z":
             return self.unitary_factors()
-        if self.model in ("BO_Z", "BSp_2Z"):
-            n = len(self.index) - 1
-            if n == 0:
-                return (None,)
-            return tuple(range(1, n + 1)) + (0,)
-        raise ValueError("%s has no factor keys" % self.model)
+        n = len(self.index) - 1
+        if n == 0:
+            return (None,)
+        return tuple(range(1, n + 1)) + (0,)
 
     def rank(self, factor: FactorKey = None) -> int:
-        if not self.is_s_model():
-            raise ValueError("%s components have no rank labels" % self.model)
         if factor not in self.factor_keys():
             if factor is None:
                 raise ValueError("ambiguous factor in a product component")
@@ -277,31 +233,14 @@ class ComponentLabel:
         """Whether the given factor only carries even s-generators."""
         if self.model == "BU_Z":
             return False
-        if self.model in ("BO_Z", "BSp_2Z"):
-            n = len(self.index) - 1
-            return factor == 0 or (factor is None and n == 0)
-        return False
+        return factor == 0 or (factor is None and len(self.index) == 1)
 
     def allows_variable(self, name: str) -> bool:
-        if self.is_s_model():
-            got = parse_s(name)
-            if got is None:
-                return False
-            k, factor = got
-            try:
-                keys = self.factor_keys()
-            except ValueError:
-                return False
-            if factor not in keys:
-                return False
-            if self.even_only(factor) and k % 2:
-                return False
-            return True
-        m = _X_RE.fullmatch(name)
-        if not m:
+        got = parse_s(name)
+        if got is None:
             return False
-        rank = self.group().rank if self.model == "BG_classical" else self.index[0]
-        return 1 <= int(m.group(1)) <= rank
+        k, factor = got
+        return factor in self.factor_keys() and not (self.even_only(factor) and k % 2)
 
 
 class HomologyElement:
@@ -367,12 +306,7 @@ class HomologyElement:
     def __eq__(self, other):
         if not isinstance(other, HomologyElement):
             return NotImplemented
-        if self.component != other.component:
-            return False
-        if self.component.model == "BG_classical":
-            diff = self.poly - other.poly
-            return weyl_average(diff, self.component.group()).is_zero()
-        return self.poly == other.poly
+        return self.component == other.component and self.poly == other.poly
 
     def __hash__(self):
         raise TypeError("homology elements are unhashable")
@@ -516,11 +450,11 @@ def _unsuffixed(poly: Poly) -> Poly:
 class _Actions(dict):
     """How each generator acts on one component, resolved once per field.
 
-    Keys are field offsets.  A value is None for a homology generator (a
-    name outside the ch and x alphabets), (target field offset, None) for
-    a class acting as d/d(target), and (None, rank) for ch_0, which acts
-    as the rank scalar.  A character generator that names no factor of
-    the component raises ValueError and is not kept.
+    Keys are field offsets.  A value is None for a homology generator (an
+    s-name), (target field offset, None) for a character generator ch_k
+    acting as d/ds_k, and (None, rank) for ch_0, which acts as the rank
+    scalar.  A character generator that names no factor of the component,
+    or a name in neither alphabet, raises ValueError and is not kept.
     """
 
     __slots__ = ("component",)
@@ -533,12 +467,11 @@ class _Actions(dict):
         comp = self.component
         gen = shift_name(shift)
         ch = parse_ch(gen)
-        x = None if ch else _LITTLE_X_RE.fullmatch(gen)
-        if ch is None and x is None:
+        if ch is None:
+            if parse_s(gen) is None:
+                raise ValueError("%r is neither an s- nor a ch-generator" % gen)
             act = None
-        elif comp.is_s_model():
-            if ch is None:
-                raise ValueError("bad character generator %r" % gen)
+        else:
             k, factor = ch
             if factor not in comp.factor_keys():
                 raise ValueError("%r names no factor of %r" % (gen, comp))
@@ -546,10 +479,6 @@ class _Actions(dict):
                 act = (None, comp.rank(factor))
             else:
                 act = (var_shift(s_name(k, factor)), None)
-        else:
-            if x is None:
-                raise ValueError("bad character generator %r" % gen)
-            act = (var_shift("X" + gen[1:]), None)
         self[shift] = act
         return act
 
@@ -677,12 +606,11 @@ def contract_with(
 def cap_poly(ch_poly: Poly, poly: Poly, component: ComponentLabel) -> Poly:
     """Apply a character polynomial to a homology polynomial.
 
-    On s-models ch_k acts as d/ds_k for k > 0 and as the rank for k = 0,
-    factor by factor; on torus-like models x_i acts as d/dX_i.  The action
-    of a product is the composite of the actions, which all commute, so a
-    monomial acts in closed form: ch_k^e sends s_k^n to n!/(n-e)! s_k^(n-e)
-    (zero when e > n), ch_0^e multiplies by rank^e, and x_i^e acts on X_i
-    the same way as ch_k^e on s_k.  Each monomial of ``ch_poly`` is
+    ch_k acts as d/ds_k for k > 0 and as the rank for k = 0, factor by
+    factor.  The action of a product is the composite of the actions,
+    which all commute, so a monomial acts in closed form: ch_k^e sends
+    s_k^n to n!/(n-e)! s_k^(n-e) (zero when e > n) and ch_0^e multiplies
+    by rank^e.  Each monomial of ``ch_poly`` is
     planned once per component, in the table `contract_poly` shares, and
     then lowers the packed target fields of every homology key by shift
     and mask.  A homology generator in ``ch_poly`` raises ValueError.
@@ -694,9 +622,10 @@ def cap_poly(ch_poly: Poly, poly: Poly, component: ComponentLabel) -> Poly:
 def contract_poly(p: Poly, component: ComponentLabel) -> Poly:
     """Pair the cohomology part of a mixed polynomial against its homology part.
 
-    Generators are classified into character generators (ch or x
-    alphabet) and homology generators, once per field and component,
-    which gives a mask of the character fields.  Each key splits by that
+    Generators are classified into character generators (ch alphabet)
+    and homology generators (s alphabet), once per field and component,
+    which gives a mask of the character fields; a name in neither
+    alphabet raises ValueError.  Each key splits by that
     mask into its cohomology part, whose lowering is planned once per
     component (the table `cap_poly` shares), and its homology part, which
     that lowering lowers in the closed form of `cap_poly`.  Multiplying
@@ -711,7 +640,6 @@ def translate_series(
     num: TruncSeries,
     component: ComponentLabel,
     wvars: Sequence[str],
-    coweights: Optional[Sequence[Sequence[int]]] = None,
 ) -> TruncSeries:
     """Apply the translation operator in the named coordinates to every
     coefficient of a series of classes on one component: `series.nest` of
@@ -719,7 +647,7 @@ def translate_series(
     ``wvars`` that ``num`` has adds exponents."""
     return nest(
         lambda p, room: LocalizedSeries(
-            translate(HomologyElement(component, p), list(wvars), room, coweights)
+            translate(HomologyElement(component, p), list(wvars), room)
         ),
         LocalizedSeries(num),
         wvars,
@@ -793,21 +721,13 @@ def raise_once(poly: Poly, factor: FactorKey, rank: int) -> Poly:
     return _make(_raised(poly.terms, factor, rank), poly.den)
 
 
-def translate(
-    a: HomologyElement,
-    zvars: Sequence[str],
-    trunc: int,
-    coweights: Optional[Sequence[Sequence[int]]] = None,
-) -> TruncSeries:
+def translate(a: HomologyElement, zvars: Sequence[str], trunc: int) -> TruncSeries:
     """exp(sum z_i D_i) applied to a class, as a series with Poly coefficients.
 
-    For unitary products there must be one z per unitary factor, in factor
-    order; the module factor of an orthosymplectic product is not moved.
-    For BG and Torus components each z acts through an integer coweight
-    (a row of `coweights`, default the identity), i.e. by multiplication
-    with the corresponding linear combination of the X_i.
+    There must be one z per unitary factor, in factor order; the module
+    factor of an orthosymplectic product is not moved.
 
-    On unitary factors the coefficient of z^e is D^e a / e!, the D_i
+    The coefficient of z^e is D^e a / e!, the D_i
     commuting.  One integer recurrence builds it: factor by factor, each
     numerator dict D^e a (over the denominator of ``a``) is raised by
     `_raised` while the total degree stays within ``trunc`` and the
@@ -826,26 +746,6 @@ def translate(
         raise ValueError("truncation must be nonnegative")
     vs = VarSet(zvars)
     comp = a.component
-    if comp.model in ("BG_classical", "Torus"):
-        rank = comp.group().rank if comp.model == "BG_classical" else comp.index[0]
-        if coweights is None:
-            if len(zvars) != rank:
-                raise ValueError("need one coordinate per circle factor")
-            coweights = [[1 if i == j else 0 for i in range(rank)] for j in range(rank)]
-        arg = TruncSeries.zero(vs, trunc)
-        for j, z in enumerate(zvars):
-            row = coweights[j]
-            if len(row) != rank:
-                raise ValueError("coweight rows must have length %d" % rank)
-            lin = Poly()
-            for i, cij in enumerate(row):
-                if cij:
-                    lin = lin + Poly.variable(x_name(i + 1)) * cij
-            if not lin.is_zero():
-                arg = arg + TruncSeries.variable(vs, z, trunc).scale(lin)
-        return series_exp(arg) * TruncSeries.const(vs, a.poly, trunc)
-    if coweights is not None:
-        raise ValueError("coweights only apply to torus-like components")
     factors = comp.unitary_factors()
     if len(zvars) != len(factors):
         raise ValueError(
@@ -936,14 +836,12 @@ def pushforward_substitute(a: HomologyElement) -> HomologyElement:
     if comp.model == "BU_Z":
         target = ComponentLabel("BU_Z", (sum(comp.index),))
         return HomologyElement(target, _unsuffixed(a.poly))
-    if comp.model in ("BO_Z", "BSp_2Z"):
-        # the module factor is factor 0 of a product, unsuffixed on its own
-        module = 0 if len(comp.index) > 1 else None
-        r0 = comp.index[-1]
-        target = ComponentLabel(comp.model, (r0 + 2 * sum(comp.index[:-1]),))
-        plan = _sum_map_plan(a.poly.support(), module)
-        return HomologyElement(target, a.poly.substitute(plan))
-    raise ValueError("no sum-map pushforward for model %r" % comp.model)
+    # the module factor is factor 0 of a product, unsuffixed on its own
+    module = 0 if len(comp.index) > 1 else None
+    r0 = comp.index[-1]
+    target = ComponentLabel(comp.model, (r0 + 2 * sum(comp.index[:-1]),))
+    plan = _sum_map_plan(a.poly.support(), module)
+    return HomologyElement(target, a.poly.substitute(plan))
 
 
 def sum_map_product(*elements: HomologyElement, module: HomologyElement = None) -> HomologyElement:

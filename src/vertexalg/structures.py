@@ -28,7 +28,6 @@ from .homology import (
     HomologyElement,
     s_name,
     weighted_degrees,
-    x_name,
 )
 from .ktheory import one_plus_pow
 from .poly import Poly
@@ -168,9 +167,13 @@ class ProductFamily:
 
 
 class CheckReport:
-    """Machine-readable outcome of one axiom check over a sample set."""
+    """Machine-readable outcome of one axiom check over a sample set.
 
-    __slots__ = ("check", "passed", "samples", "counterexample", "notes")
+    ``trivial`` counts the comparisons whose sides were both zero in the
+    window: they pass, but compare nothing.
+    """
+
+    __slots__ = ("check", "passed", "samples", "counterexample", "notes", "trivial")
 
     def __init__(self, check: str):
         self.check = check
@@ -178,6 +181,7 @@ class CheckReport:
         self.samples = 0
         self.counterexample = None
         self.notes: List[str] = []
+        self.trivial = 0
 
     def count(self):
         self.samples += 1
@@ -198,11 +202,15 @@ class CheckReport:
             "samples": self.samples,
             "counterexample": self.counterexample,
             "notes": list(self.notes),
+            "trivial": self.trivial,
         }
 
     def __repr__(self):
         state = "pass" if self.passed else "FAIL"
-        return "<CheckReport %s: %s on %d samples>" % (self.check, state, self.samples)
+        trivial = ", %d trivial" % self.trivial if self.trivial else ""
+        return "<CheckReport %s: %s on %d samples%s>" % (
+            self.check, state, self.samples, trivial
+        )
 
 
 def _describe_sample(elements) -> str:
@@ -246,15 +254,18 @@ def compare_series(lhs: LocalizedSeries, rhs: LocalizedSeries):
 def _compared(
     report: CheckReport, sample, lhs: LocalizedSeries, rhs: LocalizedSeries, reason: str
 ) -> bool:
-    """Compare two sides, record a difference (with ``reason``) or an empty
-    window on the report, and say whether the sides are conclusively equal.
-    ``compare_series`` is looked up when called, so a wrapper installed
-    on this module sees every comparison."""
+    """Compare two sides, record a difference (with ``reason``), an empty
+    window or two sides that are both zero on the report, and say whether
+    the sides are conclusively equal.  ``compare_series`` is looked up
+    when called, so a wrapper installed on this module sees every
+    comparison."""
     equal, conclusive, witness = compare_series(lhs, rhs)
     if not equal:
         report.fail(sample, reason, witness)
     elif not conclusive:
         report.fail(sample, "vacuous comparison window")
+    if equal and lhs.num.is_zero() and rhs.num.is_zero():
+        report.trivial += 1
     return equal and conclusive
 
 
@@ -668,23 +679,12 @@ def residue_action(
 def _component_generators(
     component: ComponentLabel, top: int
 ) -> List[Tuple[str, int]]:
-    gens: List[Tuple[str, int]] = []
-    if component.is_s_model():
-        for f in component.factor_keys():
-            for k in range(1, top // 2 + 1):
-                if component.even_only(f) and k % 2:
-                    continue
-                gens.append((s_name(k, f), 2 * k))
-        return gens
-    if component.model == "BG_classical":
-        rank = component.group().rank
-    elif component.model == "Torus":
-        rank = component.index[0]
-    else:
-        raise ValueError(
-            "no monomial basis enumeration for %s components" % component.model
-        )
-    return [(x_name(i + 1), 2) for i in range(rank)]
+    return [
+        (s_name(k, f), 2 * k)
+        for f in component.factor_keys()
+        for k in range(1, top // 2 + 1)
+        if not (component.even_only(f) and k % 2)
+    ]
 
 
 def _monomials(gens: Sequence[Tuple[str, int]], total: int) -> List[Poly]:

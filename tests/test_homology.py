@@ -17,7 +17,6 @@ from golden_outputs import (
     translate_text,
 )
 from vertexalg import homology
-from vertexalg.groups import ClassicalGroup, weyl_average
 from vertexalg.homology import (
     ComponentLabel,
     HomologyElement,
@@ -53,7 +52,6 @@ def chv(k, factor=None):
 # -- reference cap: one derivative per exponent unit --------------------------
 
 _CH_RE = re.compile(r"ch(\d+)(?:_(\d+))?\Z")
-_LITTLE_X_RE = re.compile(r"x(\d+)(?:_v(\d+))?\Z")
 
 
 def cap_by_derivatives(ch_poly, poly, component):
@@ -64,19 +62,14 @@ def cap_by_derivatives(ch_poly, poly, component):
         for gen, e in mono:
             if acted.is_zero():
                 break
-            if component.is_s_model():
-                got = parse_ch(gen)
-                if got is None:
-                    raise ValueError("bad character generator %r" % gen)
-                k, factor = got
-                if k == 0:
-                    acted = acted * (Fraction(component.rank(factor)) ** e)
-                    continue
-                target = s_name(k, factor)
-            else:
-                if not _LITTLE_X_RE.fullmatch(gen):
-                    raise ValueError("bad character generator %r" % gen)
-                target = "X" + gen[1:]
+            got = parse_ch(gen)
+            if got is None:
+                raise ValueError("bad character generator %r" % gen)
+            k, factor = got
+            if k == 0:
+                acted = acted * (Fraction(component.rank(factor)) ** e)
+                continue
+            target = s_name(k, factor)
             for _ in range(e):
                 acted = acted.diff(target)
         out = out + acted
@@ -90,8 +83,7 @@ def contract_by_derivatives(p, component):
         chpart = []
         spart = []
         for gen, e in mono:
-            cohomology = _CH_RE.fullmatch(gen) or _LITTLE_X_RE.fullmatch(gen)
-            (chpart if cohomology else spart).append((gen, e))
+            (chpart if _CH_RE.fullmatch(gen) else spart).append((gen, e))
         base = Poly({tuple(spart): coef})
         if chpart:
             base = cap_by_derivatives(Poly({tuple(chpart): 1}), base, component)
@@ -114,8 +106,6 @@ CAP_CASES = [
         ["s1_1", "s2_1", "s2_0", "s4_0"],
         ["ch0_0", "ch1_0", "ch2_0", "ch4_0", "ch0_1", "ch1_1", "ch2_1"],
     ),
-    (ComponentLabel("Torus", (2,)), ["X1", "X2"], ["x1", "x2"]),
-    (ComponentLabel("BG_classical", ("gl", 2)), ["X1", "X2"], ["x1", "x2"]),
 ]
 
 
@@ -137,9 +127,11 @@ class TestComponents:
             ComponentLabel("BSp_2Z", (3,))
         ComponentLabel("BSp_2Z", (4,))
         ComponentLabel("BO_Z", (1, 2, 3))  # two unitary factors, module rank 3
-        with pytest.raises(ValueError):
-            ComponentLabel("BG_classical", ("e8", 8))
-        ComponentLabel("BG_classical", ("so", 5))
+        # retired models
+        with pytest.raises(ValueError, match="unknown model"):
+            ComponentLabel("BG_classical", ("so", 5))
+        with pytest.raises(ValueError, match="unknown model"):
+            ComponentLabel("Torus", (1,))
 
     @pytest.mark.parametrize(
         "model, index",
@@ -148,10 +140,6 @@ class TestComponents:
             ("BU_Z", (1, 2.0)),
             ("BO_Z", (False,)),
             ("BSp_2Z", (True, 2)),
-            ("BG_classical", ("gl", 2.0)),
-            ("BG_classical", ("gl", True)),
-            ("Torus", (2.5,)),
-            ("Torus", (True,)),
         ],
     )
     def test_index_entries_are_ints(self, model, index):
@@ -208,7 +196,6 @@ class TestComponents:
         a = HomologyElement(BU1, sv(1) * sv(2))
         assert a.degree() == 6
         assert var_weight("s5") == 10
-        assert var_weight("X3") == 2
         mixed = HomologyElement(BU1, sv(1) + sv(2))
         assert not mixed.is_homogeneous()
         assert mixed.degree() is None
@@ -259,11 +246,6 @@ class TestCap:
             cap_poly(Poly.variable("ch1_2"), sv(1), BU1)
         assert cap_poly(chv(2), sv(2) * sv(1), BU1) == sv(1)
 
-    def test_bg_cap(self):
-        comp = ComponentLabel("BG_classical", ("gl", 2))
-        got = cap_poly(Poly.variable("x1"), Poly.variable("X1") * Poly.variable("X2"), comp)
-        assert got == Poly.variable("X2")
-
 
 class TestClosedFormCap:
     @given(st.data())
@@ -289,10 +271,10 @@ class TestClosedFormCap:
     @pytest.mark.parametrize(
         "gen, comp",
         [
-            ("x1", BU1),  # x generator on an s-model
+            ("x1", BU1),  # a name in neither alphabet
             ("chx", BU1),  # unparsable character name
-            ("xq", ComponentLabel("Torus", (1,))),
-            ("ch1", ComponentLabel("Torus", (1,))),  # ch generator on a torus
+            ("xq", BU1),
+            ("ch1", ComponentLabel("BO_Z", (1, 3))),  # unsuffixed on a product
             ("ch0", ComponentLabel("BU_Z", (1, 2))),  # rank of an unnamed factor
             # characters of factors the component lacks
             ("ch0_0", ComponentLabel("BU_Z", (1, 2))),
@@ -301,17 +283,16 @@ class TestClosedFormCap:
         ],
     )
     def test_cap_rejects(self, gen, comp):
-        a = Poly.variable("X1" if comp.model == "Torus" else "s1_1")
         with pytest.raises(ValueError):
-            cap_poly(Poly.variable(gen), a, comp)
+            cap_poly(Poly.variable(gen), sv(1, 1), comp)
 
     @pytest.mark.parametrize(
         "gen, comp",
-        [("x1", BU1), ("ch1", ComponentLabel("Torus", (1,)))],
+        [("x1", BU1), ("ch1", ComponentLabel("BO_Z", (1, 3)))],
     )
     def test_contract_rejects(self, gen, comp):
         with pytest.raises(ValueError):
-            contract_poly(Poly.variable(gen) * Poly.variable("X1"), comp)
+            contract_poly(Poly.variable(gen) * sv(1), comp)
 
 
     @pytest.mark.parametrize(
@@ -351,14 +332,13 @@ class TestClosedFormCap:
     def test_bad_generator_raises_every_time(self):
         """A lowering that raises is not kept, so the next call raises too."""
         comp = ComponentLabel("BU_Z", (1, 2))
-        torus = ComponentLabel("Torus", (1,))
         for _ in range(2):
             with pytest.raises(ValueError):
                 cap_poly(Poly.variable("ch1_3"), sv(1, 1), comp)
             with pytest.raises(ValueError):
                 contract_poly(Poly.variable("ch0_3") * sv(1, 1), comp)
             with pytest.raises(ValueError):
-                contract_poly(Poly.variable("ch1") * Poly.variable("X1"), torus)
+                contract_poly(Poly.variable("x1") * sv(1, 1), comp)
 
 
 def translate_by_steps(a, zvars, trunc):
@@ -478,7 +458,7 @@ class TestTranslate:
         with pytest.raises(ValueError, match="truncation"):
             translate(a, ["z"], bad)
         with pytest.raises(ValueError, match="truncation"):
-            translate(HomologyElement(ComponentLabel("Torus", (1,)), 1), ["z"], bad)
+            translate(HomologyElement(BU1, 1), ["z"], bad)
 
     @settings(max_examples=80, deadline=None)
     @given(unitary_products(), st.integers(0, 6))
@@ -497,21 +477,6 @@ class TestTranslate:
         assert got.terms.keys() == want.terms.keys()
         for e, p in want.terms.items():
             _same_poly(got.terms[e], p)
-
-    def test_bg_translation(self):
-        comp = ComponentLabel("BG_classical", ("gl", 2))
-        one = HomologyElement(comp, 1)
-        t = translate(one, ["z1", "z2"], 3)
-        X1, X2 = Poly.variable("X1"), Poly.variable("X2")
-        assert t.terms[(1, 1)] == X1 * X2
-        assert t.terms[(2, 0)] == X1 * X1 * Fraction(1, 2)
-
-    def test_bg_coweights(self):
-        comp = ComponentLabel("Torus", (2,))
-        one = HomologyElement(comp, 1)
-        t = translate(one, ["z"], 2, coweights=[[1, 1]])
-        X1, X2 = Poly.variable("X1"), Poly.variable("X2")
-        assert t.terms[(2,)] == (X1 + X2) ** 2 * Fraction(1, 2)
 
 
 class TestInvolution:
@@ -978,110 +943,3 @@ class TestGolden:
     @pytest.mark.parametrize("name", sorted(TRANSLATE_CASES))
     def test_translate(self, name):
         assert_golden_text(name, translate_text(name))
-
-
-class TestWeyl:
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("kind, n", [("gl", 2), ("gl", 3), ("so", 4), ("so", 5), ("sp", 4)])
-    def test_average_matches_multiply_out(self, seed, kind, n):
-        g = ClassicalGroup(kind, n)
-        rng = random.Random("weyl/%s%d/%d" % (kind, n, seed))
-        xs = [Poly.variable("X%d" % (i + 1)) for i in range(g.rank)]
-        p = Poly()
-        for _ in range(4):
-            term = Poly.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-            for xi in xs:
-                term = term * xi ** rng.randint(0, 2)
-            p = p + term
-        total, count = Poly(), 0
-        for perm, signs in g.weyl_elements():
-            mapping = {"X%d" % (i + 1): xs[perm[i]] * signs[i] for i in range(g.rank)}
-            total = total + ref.multiply_out(p, mapping)
-            count += 1
-        assert weyl_average(p, g) == total * Fraction(1, count)
-
-    def test_gl2_average(self):
-        comp = ComponentLabel("BG_classical", ("gl", 2))
-        X1, X2 = Poly.variable("X1"), Poly.variable("X2")
-        a = HomologyElement(comp, X1)
-        assert weyl_average(a.poly, comp.group()) == (X1 + X2) * Fraction(1, 2)
-        b = HomologyElement(comp, X1 - X2)
-        assert weyl_average(b.poly, comp.group()) == Poly()
-        assert b == HomologyElement(comp, Poly())
-
-    def test_sp4_average_kills_odd(self):
-        comp = ComponentLabel("BG_classical", ("sp", 4))
-        a = HomologyElement(comp, Poly.variable("X1"))
-        assert weyl_average(a.poly, comp.group()) == Poly()
-        sq = HomologyElement(comp, Poly.variable("X1") ** 2)
-        nf = weyl_average(sq.poly, comp.group())
-        expect = (Poly.variable("X1") ** 2 + Poly.variable("X2") ** 2) * Fraction(1, 2)
-        assert nf == expect
-
-    def test_idempotent_and_invariant(self):
-        comp = ComponentLabel("BG_classical", ("so", 5))
-        g = comp.group()
-        p = Poly.variable("X1") ** 2 * Poly.variable("X2") + Poly.variable("X1")
-        avg = weyl_average(p, g)
-        assert weyl_average(avg, g) == avg
-        for perm, signs in g.weyl_elements():
-            mapping = {
-                "X%d" % (i + 1): Poly.variable("X%d" % (perm[i] + 1)) * signs[i]
-                for i in range(g.rank)
-            }
-            assert avg.substitute(mapping) == avg
-
-    def test_rank_bound(self):
-        comp = ComponentLabel("BG_classical", ("gl", 6))
-        a = HomologyElement(comp, Poly.variable("X1"))
-        with pytest.raises(ValueError):
-            weyl_average(a.poly, comp.group())
-
-    def test_only_bg(self):
-        with pytest.raises(ValueError):
-            weyl_average(sv(1), BU1.group())
-
-
-class TestGroups:
-    def test_dimensions(self):
-        assert ClassicalGroup("gl", 3).dimension() == 9
-        assert ClassicalGroup("so", 3).dimension() == 3
-        assert ClassicalGroup("so", 4).dimension() == 6
-        assert ClassicalGroup("sp", 4).dimension() == 10
-
-    def test_root_counts(self):
-        # dim g = rank + number of roots
-        for g in [
-            ClassicalGroup("gl", 3),
-            ClassicalGroup("so", 5),
-            ClassicalGroup("so", 6),
-            ClassicalGroup("sp", 6),
-        ]:
-            extra = g.rank if g.kind != "gl" else g.n
-            assert len(g.roots()) + extra == g.dimension()
-
-    def test_weyl_orders(self):
-        for g in [
-            ClassicalGroup("gl", 3),
-            ClassicalGroup("so", 5),
-            ClassicalGroup("so", 6),
-            ClassicalGroup("sp", 4),
-        ]:
-            assert sum(1 for _ in g.weyl_elements()) == g.weyl_order()
-
-    def test_parse(self):
-        assert ClassicalGroup.parse("GL(3)") == ClassicalGroup("gl", 3)
-        assert ClassicalGroup.parse("sp(4)") == ClassicalGroup("sp", 4)
-        with pytest.raises(ValueError):
-            ClassicalGroup.parse("f4")
-
-    def test_positive_roots_split(self):
-        g = ClassicalGroup("gl", 3)
-        mu = (1, 1, 0)
-        pos = g.positive_roots_for(mu)
-        cent = g.centralizer_roots(mu)
-        assert len(pos) == 2
-        assert (1, 0, -1) in pos and (0, 1, -1) in pos
-        assert (1, -1, 0) in cent and (-1, 1, 0) in cent
-        neg = g.positive_roots_for(tuple(-m for m in mu))
-        assert sorted(neg) == sorted(tuple(-a for a in r) for r in pos)

@@ -505,6 +505,18 @@ class TestCommutativityCheck:
         # one permutation per pair, five nontrivial ones for the triple
         assert rep.samples == 1 + 1 + 5
 
+    def test_counts_trivial_comparisons(self):
+        """A sample whose product is zero passes, and is counted as a
+        comparison of two zero sides; a nonzero sample is not."""
+        samples = [(elem(1, Poly()), elem(1, S1)), (elem(1, S1), elem(2, S2))]
+        rep = check_commutativity(FAMILY, samples, 3)
+        assert rep.passed and rep.samples == 2
+        assert rep.trivial == 1 and rep.to_obj()["trivial"] == 1
+        assert rep.notes == []
+        assert repr(rep) == "<CheckReport commutativity: pass on 2 samples, 1 trivial>"
+        rep = check_commutativity(FAMILY, samples[1:], 3)
+        assert rep.trivial == 0 and repr(rep).endswith("on 1 samples>")
+
     @given(small_spoly, small_spoly)
     @settings(max_examples=10, deadline=None)
     def test_random_pairs(self, p, q):
