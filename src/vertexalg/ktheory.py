@@ -23,15 +23,14 @@ checked against.
 
 Poles go through `series.expand_poles` once per weight, on
 A = 1 - (1+x)^w at its top power P: there F + B splits A into its terms on
-the leading block and the rest, and F into the pole form and a unit.  The
-lower inverse powers A^(-p) are that numerator times A^(P-p), one product
-with A per step, over the same denominator; every product there, and in
-the interpolation sum, skips the term pairs past the block bounds, so no
-numerator term past them is ever built.  Every other power comes from a
-table that grows by one product per power.  The interpolation class v_k,
-a polynomial in u, multiplies a term only after its series products, so
-those products stay on rational coefficients, which
-`TruncSeries.__mul__` multiplies as one integer convolution.
+the leading block and the rest, and F into the pole form and a unit.  Every
+other power is in closed form: (-W)^k A^j = sum_i (-1)^(k+i) C(j,i) W^(k+i)
+for W = (1+x)^w, read off binomials at the exponents inside its order and
+the block caps, so a term of the interpolation sum takes at most one
+product, with A^(-P)'s numerator or with a power of the pole form, and no
+numerator term past the block bounds is ever built.  The interpolation
+class v_k, a polynomial in u, multiplies a term only after that product,
+which `TruncSeries.__mul__` takes as one integer convolution.
 
 The translation operator D(z) is the multiplicative convolution
 
@@ -43,8 +42,8 @@ zw - 1 = x + y + xy.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial, lcm
+from functools import cache, reduce
+from math import comb, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charclass import KClass, Summand
@@ -61,7 +60,6 @@ from .series import (
     _summed,
     expand_poles,
     normalize_blocks,
-    series_invert_unit,
     trivial_blocks,
 )
 
@@ -70,33 +68,42 @@ def l_name(i: Optional[int] = None) -> str:
     return "l" if i is None else "l%d" % i
 
 
-def gbinom(a: int, k: int) -> Fraction:
-    out = Fraction(1)
-    for t in range(k):
-        out *= Fraction(a - t, t + 1)
-    return out
+def gbinom(a: int, k: int) -> int:
+    """C(a, k) for an integer top of either sign: (-1)^k C(k - a - 1, k) for a < 0."""
+    return comb(a, k) if a >= 0 else (-1) ** k * comb(k - a - 1, k)
+
+
+def _weight_power(varset: VarSet, weight, k: int, j: int, order, limit, caps) -> TruncSeries:
+    """W^k A^j in closed form, W = prod_v (1+x_v)^(w_v) and A = 1 - W, claimed
+    exact to ``order``: sum_i (-1)^i C(j, i) W^(k+i), at x^e the sum over i of
+    (-1)^i C(j, i) prod_v C((k+i) w_v, e_v), built at the exponents of degree
+    at most ``limit`` within ``caps`` (a finite limit for a negative weight)."""
+    capped = {v: cap for idxs, cap in caps for v in idxs}
+    # per exponent prefix: its degree and, over i, (-1)^i C(j, i) times its binomials
+    rows = [((), 0, [(-1) ** i * comb(j, i) for i in range(j + 1)])]
+    for v, w in enumerate(weight):
+        top = _min_order(_min_order(INF if w < 0 else (k + j) * w, limit), capped.get(v))
+        cols = [[gbinom(n * w, x) for n in range(k, k + j + 1)] for x in range(top + 1)]
+        rows = [
+            (e + (x,), d + x, [a * b for a, b in zip(vec, col)])
+            for e, d, vec in rows
+            for x, col in enumerate(cols)
+            if limit is INF or d + x <= limit
+        ]
+    return TruncSeries(varset, order, {
+        e: sum(vec) for e, _, vec in rows
+        if all(sum(e[v] for v in idxs) <= cap for idxs, cap in caps)
+    })
 
 
 def one_plus_pow(varset: VarSet, weight: Sequence[int], order) -> TruncSeries:
-    """prod_i (1 + x_i)^(w_i) as a series, for integer exponents of either sign.
-
-    Nonnegative exponents give an exact polynomial, so the factor keeps an
-    exact order claim; any negative exponent needs a finite order.
-    """
-    out = TruncSeries.const(varset, 1, INF)
-    for i, w in zip(range(len(varset)), weight):
-        if not w:
-            continue
-        top = w if w >= 0 else order
-        if top is INF or top < 0:
-            raise ValueError("negative exponents need a finite order")
-        e = [0] * len(varset)
-        terms = {}
-        for j in range(top + 1):
-            e[i] = j
-            terms[tuple(e)] = gbinom(w, j)
-        out = out * TruncSeries(varset, INF if w >= 0 else order, terms)
-    return out
+    """prod_i (1 + x_i)^(w_i) as a series, for integer exponents of either
+    sign: exact for nonnegative ones, any negative one needs a finite order."""
+    if min(weight, default=0) >= 0:
+        order = INF
+    elif order is INF or order < 0:
+        raise ValueError("negative exponents need a finite order")
+    return _weight_power(varset, weight, 1, 0, order, order, ())
 
 
 # -- the polynomial K-homology model ----------------------------------------------
@@ -147,33 +154,35 @@ def k_contract(p: Poly) -> Poly:
     return contract_with(p, comask, _K_LOWERINGS)
 
 
+@cache
+def _translate_row(k: int, a: int) -> Tuple[Tuple[int, int], ...]:
+    """(K, C(K, k) C(k, K - a)) for K = max(k, a) .. k + a: the coefficients
+    K! / ((K-k)! (K-a)! (k+a-K)!) of l^K in D(z)(l^k) at x^a."""
+    if k + a > MAX_EXP:
+        raise OverflowError("an exponent would exceed %d" % MAX_EXP)
+    return tuple((K, comb(K, k) * comb(k, K - a)) for K in range(max(k, a), k + a + 1))
+
+
 def mult_translate_series(ts: TruncSeries, var: str, lvar: str, trunc: int) -> TruncSeries:
     """Apply the translation convolution in one named coordinate to a series
     whose coefficients already carry K-homology generators: the powers of
-    ``lvar`` convolve along ``var``."""
-    vs = ts.varset
-    pos = vs.index(var)
+    ``lvar`` convolve along ``var``, by the rows of `_translate_row`."""
+    vs, pos = ts.varset, ts.varset.index(var)
     # every coefficient goes over one denominator, so that contributions to
     # one output coefficient add as integers
     den = lcm(*(p.den for p in ts.terms.values()))
     shift = var_shift(lvar)
     out: Dict[Tuple[int, ...], Dict[int, int]] = {}
     for e, p in ts.terms.items():
-        room = trunc - sum(e)
         scale = den // p.den
+        row = range(trunc - sum(e) + 1)
+        accs = [out.setdefault(e[:pos] + (e[pos] + a,) + e[pos + 1 :], {}) for a in row]
         for key, c in p.terms.items():
             k = (key >> shift) & FIELD_MASK
             rest = key - (k << shift)
             c *= scale
-            for a in range(room + 1):
-                e2 = e[:pos] + (e[pos] + a,) + e[pos + 1 :]
-                acc = out.setdefault(e2, {})
-                for K in range(max(k, a), k + a + 1):
-                    if K > MAX_EXP:
-                        raise OverflowError("an exponent would exceed %d" % MAX_EXP)
-                    coef = factorial(K) // (
-                        factorial(K - k) * factorial(K - a) * factorial(k + a - K)
-                    )
+            for a, acc in enumerate(accs):
+                for K, coef in _translate_row(k, a):
                     key2 = rest + (K << shift)
                     acc[key2] = acc.get(key2, 0) + c * coef
     return TruncSeries(vs, trunc, {e: Poly.packed(acc, den) for e, acc in out.items()})
@@ -182,23 +191,18 @@ def mult_translate_series(ts: TruncSeries, var: str, lvar: str, trunc: int) -> T
 # -- lambda operations -------------------------------------------------------------
 
 
-def exterior_powers(
-    lines: Sequence[Tuple[int, Poly]], upto: int, cutoff: int
-) -> List[Poly]:
-    """Wedge powers 0..upto of a signed sum of lines, u-truncated."""
+def exterior_powers(lines: Sequence[Tuple[int, Poly]], upto: int, cutoff: int) -> List[Poly]:
+    """Wedge powers 0..upto of a signed sum of lines, u-truncated: the
+    coefficients of the product of 1 + (1+s) t over the lines, and of
+    1 / (1 + (1+s) t) = sum_i (-(1+s))^i t^i over the antilines."""
     t = VarSet(("t",), degrees=(1,))
     total = TruncSeries.const(t, 1, upto)
     for sg, s in lines:
-        line = TruncSeries(
-            t, upto, {(0,): Fraction(1), (1,): Poly.const(1) + s}
-        )
-        if sg == 1:
-            total = total * line
-        elif sg == -1:
-            total = total * series_invert_unit(line)
-        else:
+        if sg not in (1, -1):
             raise ValueError("line signs are +1 or -1")
-        total = total.map_coefficients(lambda p: p.truncate_degree(cutoff))
+        line = (Poly.const(1) + s) * sg
+        line = TruncSeries(t, upto, {(i,): line ** i for i in range(upto + 1 if sg < 0 else 2)})
+        total = (total * line).map_coefficients(lambda p: p.truncate_degree(cutoff))
     return [total.terms.get((i,), Poly()) for i in range(upto + 1)]
 
 
@@ -224,31 +228,20 @@ def vee_k(summand: Summand, k: int, cutoff: int) -> Poly:
     return _vee_classes(summand, k, cutoff)[k]
 
 
-def _weight_poles(
-    varset: VarSet, weight: Sequence[int], P: int, order: int, blocks, depth: int
-) -> Tuple[TruncSeries, TruncSeries, List[LocalizedSeries]]:
-    """W = (1+x)^w, A = 1 - W and the list of A^(-P), A^(-P+1), ..., A^(-1).
-
-    A^(-P) is `expand_poles` of A, and each next entry the last times A,
-    all over A^(-P)'s denominator form^D: D = P, plus ``depth`` when the
-    weight spans blocks.  No entry holds a numerator term past the block
-    bounds.  On an exact A the numerator of A^(-p) is exact to at least
-    order + 2D - p: A^(-P) is worked to order + 2D - P and each product
-    with A adds one.  A truncated A adds nothing per product, so A^(-P)
-    is worked to order + D + P - 1 at once.
-    """
+def _weight_poles(varset: VarSet, weight, P: int, order: int, blocks, depth: int) -> tuple:
+    """A^(-P) by `expand_poles` of A = 1 - (1+x)^w, the `_weight_power` at
+    k = 0, j = 1, over form^D (D = P, plus ``depth`` if the weight spans
+    blocks), and the order T that A is built to on a negative weight.  The
+    numerator is worked to order + 2D - P on an exact A and to
+    T - 1 = order + D + P - 1 on a truncated one: the orders that multiplying
+    it by A up to P - 1 times would leave, which `_weight_factor` claims."""
     spans = sum(any(weight[varset.index(n)] for n in block) for block in blocks) > 1
     D = P + (depth if spans else 0)
     exact = min(weight) >= 0
     top = order + 2 * D - P if exact else order + D + P - 1
-    W = one_plus_pow(varset, weight, top + 1)
-    A = TruncSeries.const(varset, 1, INF) - W
-    one = TruncSeries.const(varset, 1, top)
-    chain = [expand_poles(one, [(A, P)], blocks, depth)]
-    a = LocalizedSeries(A, (), blocks)
-    for _ in range(P - 1):
-        chain.append(chain[-1] * a)
-    return W, A, chain
+    T = INF if exact else top + 1
+    A = _weight_power(varset, weight, 0, 1, T, T, ())
+    return expand_poles(TruncSeries.const(varset, 1, top), [(A, P)], blocks, depth), T
 
 
 def _wedge_range(s: Summand, cutoff: int) -> Tuple[int, int]:
@@ -261,46 +254,45 @@ def _wedge_range(s: Summand, cutoff: int) -> Tuple[int, int]:
 
 
 def _weight_factor(
-    varset: VarSet,
-    weight: Sequence[int],
-    s: Summand,
-    order: int,
-    cutoff: int,
-    blocks,
-    depth: int,
+    varset: VarSet, weight, s: Summand, order: int, cutoff: int, blocks, depth: int
 ) -> LocalizedSeries:
-    """One weight's factor of the wedge series on the default route, the
-    interpolation-class sum sum_k v_k(E) (-W)^k A^(rank-k) with
-    W = (1+x)^w and A = 1 - W; a negative power of A comes from the pole
-    chain of `_weight_poles`, and with poles every term is over A^(-P)'s
-    denominator, built by products within its block caps.  The v_k come
-    from one list of wedge powers, and each output coefficient is one sum
-    of products over them."""
+    """One weight's factor of the wedge series, the interpolation-class sum
+    sum_k v_k(E) (-W)^k A^(rank-k) with W = (1+x)^w and A = 1 - W.  A term
+    is (-1)^k v_k times the closed form W^k A^j = sum_i (-1)^i C(j,i) W^(k+i)
+    of `_weight_power` and at most one product within the block caps: with
+    poles, a term with k <= rank is cleared by form^D, and one with k > rank
+    has j = P + rank - k and takes A^(-P)'s numerator.  The v_k come from
+    one list of wedge powers; each output coefficient is one sum of products.
+
+    The factor claims the least order of its nonzero terms, each the order
+    that multiplying A^(-P) by A term by term would give: INF on a
+    pole-free factor of nonnegative weight, else ``order``.  With poles, o0
+    the order of A^(-P)'s numerator and T that of A (`_weight_poles`), a
+    term with k <= rank claims INF for nonnegative weights, else T + D, and
+    one with k > rank claims o0 + P + rank - k, else min(o0, T).
+    """
     kmax, P = _wedge_range(s, cutoff)
+    exact = min(weight) >= 0
+    den, bounds, caps, T, D = (), None, (), INF if exact else order, 0
     if P:
-        W, A, chain = _weight_poles(varset, weight, P, order, blocks, depth)
-        den, bounds = chain[0].den, chain[0].block_bounds
-        form, D = den[0]
-        cleared = _Powers(form.as_series())[D]
-        caps = _block_caps(varset, blocks, bounds, den)
-    else:
-        W = one_plus_pow(varset, weight, order)
-        A = TruncSeries.const(varset, 1, INF) - W
-        den, bounds, caps = (), None, ()
-        cleared = TruncSeries.const(varset, 1, INF)
-    neg_w = _Powers(-W, caps)
-    A = _Powers(A, caps)
+        inv, T = _weight_poles(varset, weight, P, order, blocks, depth)
+        den, bounds, D, o0 = inv.den, inv.block_bounds, inv.den[0][1], inv.num.order
+        caps, forms = _block_caps(varset, blocks, bounds, den), _Powers(den[0][0].as_series())
+    vee = _vee_classes(s, kmax, cutoff)
+    terms = [(k, -vk if k % 2 else vk) for k, vk in enumerate(vee) if vk]
+    claims = [
+        (T if exact else T + D) if k <= s.rank else o0 + P + s.rank - k if exact else min(o0, T)
+        for k, _ in terms
+    ]
+    num_order = reduce(_min_order, claims, INF)
     pairs: Dict[Tuple[int, ...], list] = {}
-    num_order = INF
-    for k, vk in enumerate(_vee_classes(s, kmax, cutoff)):
-        if vk.is_zero():
-            continue
+    for k, vk in terms:
         m = s.rank - k
+        term = _weight_power(varset, weight, k, P + m if m < 0 else m, T, num_order, caps)
         if m < 0:
-            term = neg_w[k].__mul__(chain[P + m].num, caps)
-        else:
-            term = neg_w[k].__mul__(A[m], caps).__mul__(cleared, caps)
-        num_order = _min_order(num_order, term.order)
+            term = term.__mul__(inv.num, caps)
+        elif P:
+            term = term.__mul__(forms[D], caps)
         for e, c in term.terms.items():
             pairs.setdefault(e, []).append((c, vk))
     num = TruncSeries(varset, num_order, _summed(pairs))
@@ -308,11 +300,7 @@ def _weight_factor(
 
 
 def wedge_minus_z(
-    E: KClass,
-    order: int,
-    cutoff: Optional[int] = None,
-    blocks=None,
-    depth: Optional[int] = None,
+    E: KClass, order: int, cutoff: Optional[int] = None, blocks=None, depth: Optional[int] = None
 ) -> LocalizedSeries:
     """The alternating-wedge series of a K-class in multiplicative coordinates.
 
@@ -325,10 +313,7 @@ def wedge_minus_z(
     weights pick up denominator powers of the pole form; ``depth`` bounds
     the subordinate-block expansion when a weight spans blocks.
     """
-    if cutoff is None:
-        cutoff = order
-    if depth is None:
-        depth = order
+    cutoff, depth = order if cutoff is None else cutoff, order if depth is None else depth
     vs = E.varset
     blocks = trivial_blocks(vs) if blocks is None else normalize_blocks(vs, blocks)
     out = LocalizedSeries(TruncSeries.const(vs, 1, INF), (), blocks)

@@ -56,7 +56,8 @@ from math import gcd, lcm
 from operator import add
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import Poly, exact_int, json_field, poly_from_obj, poly_to_obj, sum_of_products
+from .poly import FIELD_BITS, FIELD_MASK, MAX_EXP, Poly, exact_int, json_field
+from .poly import poly_from_obj, poly_to_obj, sum_of_products
 
 Exponent = Tuple[int, ...]
 # per capped block, its variable indices and the highest block degree kept
@@ -249,10 +250,11 @@ class TruncSeries:
 
     A product sums each output coefficient with `sum_of_products`, except
     when every coefficient of both factors is a constant: then it is one
-    integer convolution (`_constant_product`) on packed exponents and
-    numerators over one denominator per side, with the same order and the
-    same canonical coefficients.  Forms, weight series and the exp or
-    inverse of such series all have constant coefficients.
+    integer convolution (`_constant_product`) on numerators over one
+    denominator per side and on exponents packed, through a module table,
+    into one 16-bit field per variable, with the same order and the same
+    canonical coefficients.  Forms, weight series and the exp or inverse of
+    such series all have constant coefficients.
     """
 
     __slots__ = ("varset", "order", "terms")
@@ -381,13 +383,9 @@ class TruncSeries:
         order = _min_order(self.order, other.order)
         # an exact factor shifts the trusted order up by its valuation
         if self.order is INF and other.order is not INF:
-            order = INF if not self.terms else other.order + min(
-                sum(e) for e in self.terms
-            )
+            order = INF if not self.terms else other.order + min(map(sum, self.terms))
         elif other.order is INF and self.order is not INF:
-            order = INF if not other.terms else self.order + min(
-                sum(e) for e in other.terms
-            )
+            order = INF if not other.terms else self.order + min(map(sum, other.terms))
         if _all_constant(self.terms) and _all_constant(other.terms):
             r = TruncSeries.__new__(TruncSeries)
             r.varset, r.order = self.varset, order
@@ -607,74 +605,91 @@ def _meeting(left: list, right: list, caps: Caps) -> list:
     ]
 
 
+# each exponent a constant product meets, packed once for the process:
+# exponent -> (degree, key with one 16-bit field per variable), and per
+# number of variables key -> exponent.  `_pack` enters an exponent in both;
+# a field past MAX_EXP raises OverflowError, so no sum of keys carries.
+_PACKED: Dict[Exponent, Tuple[int, int]] = {}
+_UNPACKED: Dict[int, Dict[int, Exponent]] = {}
+
+
+def _pack(e: Exponent) -> Tuple[int, int]:
+    if max(e, default=0) > MAX_EXP:
+        raise OverflowError("an exponent would exceed %d" % MAX_EXP)
+    key = sum(x << (FIELD_BITS * i) for i, x in enumerate(e))
+    _UNPACKED.setdefault(len(e), {})[key] = e
+    _PACKED[e] = sum(e), key
+    return _PACKED[e]
+
+
 def _constant_product(
     a: Mapping[Exponent, Poly], b: Mapping[Exponent, Poly], order: Optional[int], caps: Caps
 ) -> Dict[Exponent, Poly]:
     """The terms of a product whose coefficients are all rational constants,
     kept up to ``order`` and within ``caps``, as one integer convolution.
 
-    Each exponent is packed into one int with fields wide enough for the
-    largest output degree, so that exponents add as ints; each side goes
-    over one common denominator, so that coefficients multiply and add as
-    integer numerators; the right side is sorted by degree, so that the
-    first pair past the order ends a row; a pair of `_grouped` groups past
-    a cap is skipped whole.  Each output constant is made once, in
-    canonical form by one gcd with the positive denominator.
+    Exponents go through the module's packing tables, so that they add as
+    ints, and an output exponent past MAX_EXP raises OverflowError, as in a
+    `Poly` product; each side goes over one common denominator, so that
+    coefficients multiply and add as integer numerators; the right side is
+    sorted by degree, so that the first pair past the order ends a row; a
+    pair of `_grouped` groups past a cap is skipped whole.  Each output
+    constant is made once, canonical by one gcd with the denominator.
     """
     if not a or not b:
         return {}
-    top = max(map(sum, a)) + max(map(sum, b))
-    width = max(top.bit_length(), 1)
-    shifts = [width * i for i in range(len(next(iter(a))))]
+    n_vars, packed = len(next(iter(a))), _PACKED.get
 
-    def packed(terms):
+    def rows(terms):
         den = lcm(*(c.den for c in terms.values()))
         return den, _grouped(terms, caps, lambda e, c: (
-            sum(e), sum(x << s for x, s in zip(e, shifts)), c.terms[0] * (den // c.den)
+            packed(e) or _pack(e), c.terms[0] * (den // c.den)
         ))
 
-    den_a, left = packed(a)
-    den_b, right = packed(b)
-    for _, rows in right:
-        rows.sort()
-    limit = top if order is INF else order
+    (den_a, left), (den_b, right) = rows(a), rows(b)
+    for _, group in right:
+        group.sort()
+    # with no order, a limit past any sum of two packed degrees
+    limit = 2 * MAX_EXP * n_vars if order is INF else order
     acc: Dict[int, int] = {}
     get = acc.get
     for rows1, rows2 in _meeting(left, right, caps):
-        for d1, k1, n1 in rows1:
+        for (d1, k1), n1 in rows1:
             room = limit - d1
-            for d2, k2, n2 in rows2:
+            for (d2, k2), n2 in rows2:
                 if d2 > room:
                     break
                 k = k1 + k2
                 acc[k] = get(k, 0) + n1 * n2
-    den = den_a * den_b
-    mask = (1 << width) - 1
+    den, unpacked = den_a * den_b, _UNPACKED[n_vars]
     out: Dict[Exponent, Poly] = {}
     for k, n in acc.items():
         if n:
+            e = unpacked.get(k)
+            if e is None:
+                e = tuple((k >> (FIELD_BITS * i)) & FIELD_MASK for i in range(n_vars))
+                _pack(e)
             g = gcd(n, den)
             c = Poly.__new__(Poly)
             c.terms, c.den = {0: n // g}, den // g
-            out[tuple((k >> s) & mask for s in shifts)] = c
+            out[e] = c
     return out
 
 
 class _Powers:
     """base ** n for n = 0, 1, 2, ..., each new power one product with the
-    last, within ``caps``; entry 0 is 1 at the base's order, as
-    `TruncSeries.__pow__` has it."""
+    last; entry 0 is 1 at the base's order, as `TruncSeries.__pow__` has it."""
 
-    __slots__ = ("base", "caps", "table")
+    __slots__ = ("base", "table")
 
-    def __init__(self, base: TruncSeries, caps: Caps = ()):
-        self.base, self.caps = base, caps
+    def __init__(self, base: TruncSeries):
+        self.base = base
         self.table = [TruncSeries.const(base.varset, 1, base.order)]
 
     def __getitem__(self, n: int) -> TruncSeries:
         table = self.table
         while len(table) <= n:
-            table.append(table[-1].__mul__(self.base, self.caps))
+            table.append(table[-1] * self.base)
         return table[n]
 
 

@@ -1,11 +1,15 @@
 """Multiplicative calculus: translation convolution, lambda classes, wedge series.
 
 `wedge_by_lines` below is the oracle for `wedge_minus_z`: the wedge series
-as the product of one factor per signed line, a second route that shares
-only the pole chain of `_weight_poles` with the library's per-weight sum.
+as the product of one factor per signed line, a second route built on the
+pole chain of `weight_pole_chain`.  `reference_weight_factor` is the
+per-weight sum built on that chain and on tables of the powers of -W and
+A, the route the closed form of `_weight_factor` is pinned to.
 """
 
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,8 @@ from vertexalg import ktheory, structures
 from vertexalg.charclass import KClass, Summand
 from vertexalg.ktheory import (
     _vee_classes,
-    _weight_poles,
+    _weight_factor,
+    _wedge_range,
     exterior_powers,
     gbinom,
     k_cap,
@@ -27,13 +32,17 @@ from vertexalg.ktheory import (
     vee_k,
     wedge_minus_z,
 )
-from vertexalg.poly import Poly
+from vertexalg.poly import FIELD_MASK, MAX_EXP, Poly, var_shift
 from vertexalg.series import (
     INF,
     LinearForm,
     LocalizedSeries,
     TruncSeries,
     VarSet,
+    _block_caps,
+    _min_order,
+    _Powers,
+    _summed,
     expand_poles,
     iota_expand,
     normalize_blocks,
@@ -132,6 +141,25 @@ def translated(a, trunc, var="x"):
     return mult_translate_series(TruncSeries(vs, trunc, {(0,): a}), var, "l", trunc)
 
 
+def translate_by_factorials(ts, var, lvar, trunc):
+    """`mult_translate_series` by its defining coefficients: each term
+    l^k x^e contributes K! / ((K-k)! (K-a)! (k+a-K)!) l^K x^(e+a)."""
+    pos, shift = ts.varset.index(var), var_shift(lvar)
+    out = {}
+    for e, p in ts.terms.items():
+        for key, c in p.terms.items():
+            k = (key >> shift) & FIELD_MASK
+            rest = Poly.packed({key - (k << shift): c}, p.den)
+            for a in range(trunc - sum(e) + 1):
+                e2 = e[:pos] + (e[pos] + a,) + e[pos + 1 :]
+                for K in range(max(k, a), k + a + 1):
+                    coef = factorial(K) // (
+                        factorial(K - k) * factorial(K - a) * factorial(k + a - K)
+                    )
+                    out[e2] = out.get(e2, Poly()) + rest * Poly.variable(lvar, K) * coef
+    return TruncSeries(ts.varset, trunc, out)
+
+
 class TestMultTranslate:
     def test_identity_at_one(self):
         # the series at z = 1 (x = 0) leaves the class alone
@@ -178,6 +206,33 @@ class TestMultTranslate:
         )
         rhs = translated(a, trunc, "t").compose(XY, {"t": xy})
         assert lhs == rhs
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)),
+            st.tuples(small_lpoly, st.integers(0, 2), st.fractions(-2, 2, max_denominator=4)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from(["x", "y"]),
+        st.integers(2, 5),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_factorial_coefficients(self, raw, var, trunc):
+        # classes with a second generator, which the convolution carries along
+        l1 = Poly.variable("l1")
+        ts = TruncSeries(XY, trunc, {e: a * l1 ** j * q for e, (a, j, q) in raw.items()})
+        got = mult_translate_series(ts, var, "l", trunc)
+        assert got == translate_by_factorials(ts, var, "l", trunc)
+
+    def test_exponent_overflow(self):
+        ts = TruncSeries(X, 2, {(0,): L ** (MAX_EXP - 1)})
+        assert mult_translate_series(ts, "x", "l", 1).terms[(1,)] == (
+            L ** (MAX_EXP - 1) * (MAX_EXP - 1) + L ** MAX_EXP * MAX_EXP
+        )
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                mult_translate_series(ts, "x", "l", 2)
 
     @pytest.mark.parametrize("lam", [1, 2, -1])
     def test_weight_property(self, lam):
@@ -325,6 +380,76 @@ def merge_classes(E, F):
     return KClass(E.varset, summands, max(E.depth, F.depth))
 
 
+def weight_pole_chain(varset, weight, P, order, blocks, depth):
+    """W = (1+x)^w, A = 1 - W and the list of A^(-P), A^(-P+1), ..., A^(-1).
+
+    A^(-P) is `expand_poles` of A, and each next entry the last times A,
+    all over A^(-P)'s denominator form^D: D = P, plus ``depth`` when the
+    weight spans blocks.  No entry holds a numerator term past the block
+    bounds.  On an exact A the numerator of A^(-p) is exact to at least
+    order + 2D - p: A^(-P) is worked to order + 2D - P and each product
+    with A adds one.  A truncated A adds nothing per product, so A^(-P)
+    is worked to order + D + P - 1 at once.
+    """
+    spans = sum(any(weight[varset.index(n)] for n in block) for block in blocks) > 1
+    D = P + (depth if spans else 0)
+    exact = min(weight) >= 0
+    top = order + 2 * D - P if exact else order + D + P - 1
+    W = one_plus_pow(varset, weight, top + 1)
+    A = TruncSeries.const(varset, 1, INF) - W
+    one = TruncSeries.const(varset, 1, top)
+    chain = [expand_poles(one, [(A, P)], blocks, depth)]
+    a = LocalizedSeries(A, (), blocks)
+    for _ in range(P - 1):
+        chain.append(chain[-1] * a)
+    return W, A, chain
+
+
+def capped_powers(base, n, caps):
+    """base ** 0 .. base ** n, each one product with the last within the
+    caps; entry 0 is 1 at the base's order."""
+    out = [TruncSeries.const(base.varset, 1, base.order)]
+    for _ in range(n):
+        out.append(out[-1].__mul__(base, caps))
+    return out
+
+
+def reference_weight_factor(varset, weight, s, order, cutoff, blocks, depth):
+    """`_weight_factor` by its defining sum, sum_k v_k(E) (-W)^k A^(rank-k):
+    the powers of -W and A come from tables that grow by one product per
+    power, a negative power of A from `weight_pole_chain`, and with poles
+    every other term is cleared by form^D, all within the block caps."""
+    kmax, P = _wedge_range(s, cutoff)
+    if P:
+        W, A, chain = weight_pole_chain(varset, weight, P, order, blocks, depth)
+        den, bounds = chain[0].den, chain[0].block_bounds
+        form, D = den[0]
+        cleared = _Powers(form.as_series())[D]
+        caps = _block_caps(varset, blocks, bounds, den)
+    else:
+        W = one_plus_pow(varset, weight, order)
+        A = TruncSeries.const(varset, 1, INF) - W
+        den, bounds, caps = (), None, ()
+        cleared = TruncSeries.const(varset, 1, INF)
+    neg_w = capped_powers(-W, kmax, caps)
+    A = capped_powers(A, max(s.rank, 0), caps)
+    pairs = {}
+    num_order = INF
+    for k, vk in enumerate(_vee_classes(s, kmax, cutoff)):
+        if vk.is_zero():
+            continue
+        m = s.rank - k
+        if m < 0:
+            term = neg_w[k].__mul__(chain[P + m].num, caps)
+        else:
+            term = neg_w[k].__mul__(A[m], caps).__mul__(cleared, caps)
+        num_order = _min_order(num_order, term.order)
+        for e, c in term.terms.items():
+            pairs.setdefault(e, []).append((c, vk))
+    num = TruncSeries(varset, num_order, _summed(pairs))
+    return LocalizedSeries(num, den, blocks, bounds)
+
+
 def _line_factor(varset, weight, sg, s, order, cutoff, blocks, depth):
     """One signed line's wedge factor 1 - (1+x)^w (1+s), or its inverse.
 
@@ -337,7 +462,7 @@ def _line_factor(varset, weight, sg, s, order, cutoff, blocks, depth):
         return LocalizedSeries(
             TruncSeries.const(varset, 1, INF) - W - W.scale(s), (), blocks
         )
-    W, _, chain = _weight_poles(varset, weight, cutoff + 1, order, blocks, depth)
+    W, _, chain = weight_pole_chain(varset, weight, cutoff + 1, order, blocks, depth)
     total = TruncSeries.zero(varset, INF)
     spow = Poly.const(1)
     wpow = TruncSeries.const(varset, 1, INF)
@@ -628,6 +753,58 @@ class TestWedgeSeries:
         assert w.den_degree() == cutoff + 1
 
 
+def assert_factor_matches_reference(varset, weight, s, order, cutoff, blocks, depth):
+    got = _weight_factor(varset, weight, s, order, cutoff, blocks, depth)
+    want = reference_weight_factor(varset, weight, s, order, cutoff, blocks, depth)
+    assert (got.num.terms, got.num.order, got.den, got.block_bounds) == (
+        want.num.terms, want.num.order, want.den, want.block_bounds
+    )
+
+
+class TestWeightFactor:
+    """The closed form of `_weight_factor` is pinned to the route by power
+    tables and the pole chain: the same terms, order, denominator and
+    block bounds."""
+
+    def test_random_classes(self):
+        # weights in -2..2 on one or two variables, trivial and split
+        # blocks, honest and virtual lines, order 1-4, cutoff 2-4, depth 1-3
+        rng = random.Random(2506)
+        kinds = set()
+        for _ in range(200):
+            varset = rng.choice([X, XY])
+            weight = (0,) * len(varset)
+            while not any(weight):
+                weight = tuple(rng.randint(-2, 2) for _ in varset.names)
+            # one block holds a pole only when the weight lives on one variable
+            split = len(varset) == 2 and (all(weight) or rng.random() < 0.5)
+            lines = [
+                (rng.choice([1, -1]), U * rng.randint(-2, 2) + U * U * rng.randint(-1, 1))
+                for _ in range(rng.randint(1, 3))
+            ]
+            s = Summand(sum(sg for sg, _ in lines), None, lines)
+            order, cutoff, depth = rng.randint(1, 4), rng.randint(2, 4), rng.randint(1, 3)
+            blocks = KBLOCKS if split else trivial_blocks(varset)
+            assert_factor_matches_reference(varset, weight, s, order, cutoff, blocks, depth)
+            kinds.add((min(weight) < 0, _wedge_range(s, cutoff)[1] > 0, len(blocks)))
+        # every sign of weight, with and without poles, on one and two blocks
+        assert len(kinds) == 8
+
+    def test_bench_dominant_call(self):
+        # the virtual class pulled back along [[1], [1]], as the right side
+        # of the multiplicative swap at trunc 3 builds it
+        E = KClass(
+            X,
+            {
+                (1,): Summand(1, None, [(1, U)]),
+                (2,): Summand(-1, None, [(-1, U * 2 + U * U)]),
+            },
+            5,
+        ).pullback_weights([[1], [1]], XY)
+        for w in E.weights():
+            assert_factor_matches_reference(XY, w, E.summands[w], 12, 5, KBLOCKS, 3)
+
+
 def ban_past_cap_terms(monkeypatch):
     """Make every `LocalizedSeries` built from here on raise when it is
     handed a numerator term past its block caps, so that a path run under
@@ -727,9 +904,9 @@ class TestMultiplicativeSwap:
             )
 
     def test_pole_paths_build_powers_by_tables(self, monkeypatch):
-        """Every power on the pole paths of either coordinate law comes
-        from a table that grows by one product per power:
-        `TruncSeries.__pow__` is never called.  No expansion or wedge
+        """Every power on the pole paths of either coordinate law is a
+        closed form or comes from a table that grows by one product per
+        power: `TruncSeries.__pow__` is never called.  No expansion or wedge
         series on these paths holds a numerator term past its bounds."""
         E = KClass(
             X,

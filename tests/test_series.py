@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from vertexalg import series
 from vertexalg.ktheory import one_plus_pow
-from vertexalg.poly import Poly, poly_to_obj, sum_of_products
+from vertexalg.poly import MAX_EXP, Poly, poly_to_obj, sum_of_products
 from vertexalg.series import (
     INF,
     LinearForm,
@@ -945,6 +945,24 @@ def test_non_constant_coefficient_takes_the_general_loop(monkeypatch):
     mixed = a * TruncSeries(ZW, INF, {(0, 0): S, (1, 0): 1})
     assert calls
     assert mixed.terms == {(0, 0): S, (1, 0): 1 + S / 2, (2, 0): Poly.const(Fraction(1, 2))}
+
+
+def test_constant_product_guards_the_field_width():
+    """A constant product packs each exponent into a fixed 16-bit field per
+    variable: an output exponent past MAX_EXP raises OverflowError, as in a
+    `Poly` product, and never carries into the next variable's field."""
+    z = TruncSeries(Z, INF, {(20000,): 1})
+    with pytest.raises(OverflowError):
+        z * z
+    zw = TruncSeries(ZW, INF, {(20000, 0): 1, (0, 1): Fraction(1, 2)})
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            zw * zw
+    # up to MAX_EXP in each field, a product is exact
+    top = TruncSeries(ZW, INF, {(MAX_EXP - 20000, 3): 2})
+    assert (zw * top).terms == {(MAX_EXP, 3): 2, (MAX_EXP - 20000, 4): 1}
+    with pytest.raises(OverflowError):
+        TruncSeries(Z, INF, {(MAX_EXP + 1,): 1}) * TruncSeries(Z, INF, {(0,): 1})
 
 
 def test_mul_cancels_to_zero():
