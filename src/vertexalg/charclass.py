@@ -596,7 +596,9 @@ def sqrt_equivariant_euler(
 
 
 def cap_localized(x: LocalizedSeries, component: ComponentLabel) -> LocalizedSeries:
-    """Contract mixed cohomology-and-homology coefficients by cap product."""
+    """Contract mixed cohomology-and-homology coefficients by cap product;
+    a coefficient that is a deferred ch x s product is capped from its
+    factors (see `homology.contract_poly`)."""
     return x.map_coefficients(lambda p: contract_poly(p, component))
 
 

@@ -52,6 +52,7 @@ from operator import or_
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .poly import (
+    FIELD_BITS,
     FIELD_MASK,
     MAX_EXP,
     Poly,
@@ -538,36 +539,52 @@ def _cap_plan(component: ComponentLabel) -> Tuple[_Actions, MonomialTable]:
     return acts, MonomialTable(lambda cokey: _lowering(acts, cokey))
 
 
-def _cap_into(out: Dict[int, int], lowering: Tuple, key: int, coef: int) -> None:
-    """Add coef * (the lowering applied to the homology monomial key) into out.
-
-    (d/ds)^e s^n = n!/(n-e)! s^(n-e), zero when e > n.  Setting the guard
-    bit of every target field and subtracting ``need`` lowers them all at
-    once: a field that held fewer than e units borrows its guard bit, so
-    the monomial caps to zero exactly when a guard bit is gone.
-    """
-    scalar, need, guards, falling = lowering
-    low = (key | guards) - need
-    if low & guards != guards:
-        return
-    for shift, e in falling:
-        coef *= perm((key >> shift) & FIELD_MASK, e)
-    key = low ^ guards
-    out[key] = out.get(key, 0) + coef * scalar
-
-
 def cap_with(
     ch_poly: Poly, poly: Poly, lowerings: Mapping[int, Optional[Tuple]]
 ) -> Poly:
     """Cap every monomial of ``ch_poly``, acting as its entry in
-    ``lowerings`` says, against every monomial of ``poly``."""
+    ``lowerings`` says, against every monomial of ``poly``: the kernel of
+    `cap_poly`, `ktheory.k_cap` and a deferred ch x s product's contraction.
+
+    (d/ds)^e s^n = n!/(n-e)! s^(n-e), zero when e > n.  Setting the guard
+    bit of every target field and subtracting ``need`` lowers them all at
+    once: a field that held fewer than e units borrows its guard bit, so
+    the monomial caps to zero exactly when a guard bit is gone.  The terms
+    of ``poly`` are grouped by the guard bits of their nonzero fields (a
+    field plus MAX_EXP sets its guard bit exactly when it is nonzero), so
+    a lowering skips every group that lacks one of its target fields; the
+    groups that fit are collected once per set of target fields.
+    """
+    marks = 0
+    for shift, _ in key_fields(poly.support()):
+        marks |= (MAX_EXP + 1) << shift
+    fill = marks - (marks >> (FIELD_BITS - 1))
+    groups: Dict[int, list] = {}
+    for key, d in poly.terms.items():
+        groups.setdefault((key + fill) & marks, []).append((key, d))
+    fitting: Dict[int, list] = {}  # target guard bits -> terms of the groups holding them
     out: Dict[int, int] = {}
+    get = out.get
     for cokey, c in ch_poly.terms.items():
         lowering = lowerings[cokey]
         if lowering is None:
             continue
-        for key, d in poly.terms.items():
-            _cap_into(out, lowering, key, c * d)
+        scalar, need, guards, falling = lowering
+        rows = fitting.get(guards)
+        if rows is None:
+            rows = fitting[guards] = [
+                row for nonzero, g in groups.items() if not guards & ~nonzero for row in g
+            ]
+        c *= scalar
+        for key, d in rows:
+            low = (key | guards) - need
+            if low & guards != guards:
+                continue
+            coef = c * d
+            for shift, e in falling:
+                coef *= perm((key >> shift) & FIELD_MASK, e)
+            low ^= guards
+            out[low] = get(low, 0) + coef
     return Poly.packed(out, ch_poly.den * poly.den)
 
 
@@ -579,12 +596,21 @@ def contract_with(
 
     ``lowerings`` is a table kept across calls (a `MonomialTable`), so each
     distinct acting part is planned once per component, not once per
-    call.  Each key is lowered as in `_cap_into`, inline, and tested for
-    survival before anything is stripped: a field short of units borrows
-    only its own guard bit, so the acting fields are untouched by the
-    subtraction, and only the few keys that survive have their guard bits
-    and acting part cleared.
+    call.  Each key is lowered as in `cap_with`, and tested for survival
+    before anything is stripped: a field short of units borrows only its
+    own guard bit, so the acting fields are untouched by the subtraction,
+    and only the few keys that survive have their guard bits and acting
+    part cleared.  A deferred product (see the `poly` module docstring) of
+    a factor in acting generators only and one in none is capped from its
+    factors by `cap_with`, unbuilt.
     """
+    if p.factors is not None:
+        a, b = p.factors
+        sa, sb = a.support(), b.support()
+        if not sa & ~comask and not sb & comask:
+            return cap_with(a, b, lowerings)
+        if not sb & ~comask and not sa & comask:
+            return cap_with(b, a, lowerings)
     out: Dict[int, int] = {}
     get = out.get
     for key, coef in p.terms.items():
@@ -630,7 +656,14 @@ def contract_poly(p: Poly, component: ComponentLabel) -> Poly:
     component (the table `cap_poly` shares), and its homology part, which
     that lowering lowers in the closed form of `cap_poly`.  Multiplying
     first and contracting afterwards is what makes capping a whole series
-    against a whole series a plain series product.
+    against a whole series a plain series product.  A deferred ch x s
+    product is capped from its factors, and its terms are never built:
+
+    >>> p = (Poly.variable("ch1") + 3 * Poly.variable("ch0")) * (Poly.variable("s1") ** 2 + 1)
+    >>> p.factors
+    (3*ch0+ch1, 1+s1^2)
+    >>> contract_poly(p, ComponentLabel("BU_Z", (1,)))
+    3+2*s1+3*s1^2
     """
     acts, lowerings = _cap_plan(component)
     return contract_with(p, acts.comask(p.support()), lowerings)

@@ -53,14 +53,19 @@ needs no `Poly` product at all; see `TruncSeries`.)  A product by the
 constant 1 returns the other operand itself, which immutability makes
 safe.
 
-Two factors whose supports (the bitwise or of their keys) share no bit
-need no accumulator either -- the ch x s products of a cap are of this
-kind.  Then m1 + m2 == m1 | m2, and each factor's key reads back from the
-product as the bits of its own support, so no two term products meet at
-one key, and their coefficients are nonzero.  No bit is set in both
-keys, so nothing carries, and since neither key has a guard bit set, the
-product has none: such a product is one dict comprehension with no
-zero test and no guard check.
+Two multi-term factors whose supports (the bitwise or of their keys)
+share no bit -- the ch x s products of a cap -- give a deferred product:
+it holds the factors in `factors` and its den, da*db / gcd(da*db,
+cont(a)*cont(b)) since contents multiply (Gauss's lemma), and answers
+truth, `is_zero` and `support` from the factors; a cap contraction reads
+only the factors (`homology.contract_with`).  The first read of `terms`
+builds them, with no accumulator: m1 + m2 == m1 | m2, and each factor's
+key reads back from the product as the bits of its own support, so no
+two term products meet at one key, and their coefficients are nonzero.
+No bit is set in both keys, so nothing carries, and neither key has a
+guard bit set, so the product has none.  A deferred product is a
+`_Deferred`, whose own slot holds the factors, so every other `Poly`
+keeps its size and reads `factors` None from the class.
 
 >>> x = Poly.variable("x")
 >>> y = Poly.variable("y")
@@ -184,7 +189,7 @@ def _image(p) -> object:
     """How `Poly.substitute` treats an image: None for zero, (key,
     numerator, denominator) for one term (a nonzero scalar is one term with
     key 0), and the polynomial itself when it has more terms."""
-    if type(p) is Poly:
+    if isinstance(p, Poly):
         if len(p.terms) > 1:
             return p
         if not p.terms:
@@ -210,6 +215,7 @@ class Poly:
     """A sparse polynomial; immutable by convention."""
 
     __slots__ = ("terms", "den")
+    factors = None  # the two factors of a deferred product (`_Deferred`)
 
     def __init__(self, terms: Mapping[Mono, Scalar] = None):
         if terms:
@@ -250,7 +256,7 @@ class Poly:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        if type(other) is not Poly:
+        if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Poly.const(other)
@@ -264,7 +270,7 @@ class Poly:
         return hash((frozenset(t.items()), self.den))
 
     def __add__(self, other) -> "Poly":
-        if type(other) is not Poly:
+        if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Poly.const(other)
@@ -307,7 +313,7 @@ class Poly:
         return Poly.const(other) + (-self)
 
     def __mul__(self, other) -> "Poly":
-        if type(other) is not Poly:
+        if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             if not other:
@@ -318,17 +324,16 @@ class Poly:
             return _make({m: c * n for m, c in self.terms.items()}, self.den * d)
         a, b = self.terms, other.terms
         if len(a) != 1 and len(b) != 1:
+            if not a or not b:
+                return _make({}, 1)
             if self.support() & other.support():
                 return sum_of_products(((self, other),))
-            # disjoint supports: m1 + m2 == m1 | m2, from which each factor
-            # reads back as the bits of its own support, so no two products
-            # share a key, nothing carries, and no guard bit can be set
-            # (neither key has one); nothing to accumulate or check, and
-            # the terms come out a-outer, b-inner, as in the general loop
-            return _make(
-                {m1 + m2: c1 * c2 for m1, c1 in a.items() for m2, c2 in b.items()},
-                self.den * other.den,
-            )
+            # disjoint supports: deferred (see the module docstring)
+            p = _Deferred.__new__(_Deferred)
+            d = self.den * other.den
+            p.den = d // gcd(d, gcd(*a.values()) * gcd(*b.values()))
+            p.factors = (self, other)
+            return p
         # one side is a single term, so no two products share a key; a
         # side equal to 1 (key 0, numerator and den 1) returns the other
         if len(a) == 1:
@@ -447,7 +452,7 @@ class Poly:
             image = _image(image)
             if image is None:
                 zero |= FIELD_MASK << s
-            elif type(image) is Poly:
+            elif isinstance(image, Poly):
                 general.append((shift_name(s), s, image))
             else:
                 k, n, d = image
@@ -532,6 +537,35 @@ class Poly:
         for p in parts[1:]:
             out += p if p.startswith("-") else "+" + p
         return out
+
+
+class _Deferred(Poly):
+    """A deferred product (see the module docstring).  Only this class has
+    a `__getattr__`: a class with one loses the interpreter's fast path
+    for every attribute read of its instances."""
+
+    __slots__ = ("factors",)
+
+    def __bool__(self) -> bool:
+        return True
+
+    def is_zero(self) -> bool:
+        return False
+
+    def support(self) -> int:
+        a, b = self.factors
+        return a.support() | b.support()
+
+    def __getattr__(self, name: str):
+        # reached only while a slot is unset: the terms, built a-outer,
+        # b-inner as in `sum_of_products`
+        if name != "terms":
+            raise AttributeError(name)
+        a, b = self.factors
+        bt = b.terms.items()
+        p = _make({m1 + m2: c1 * c2 for m1, c1 in a.terms.items() for m2, c2 in bt}, a.den * b.den)
+        self.terms = p.terms
+        return p.terms
 
 
 def sum_of_products(pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:

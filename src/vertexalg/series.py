@@ -70,7 +70,7 @@ _INT = {int}  # the type set of an exponent tuple that needs no conversion
 def _coerce(c) -> Poly:
     """A coefficient as a `Poly`: an int or Fraction becomes a constant and
     anything else, such as a float, raises TypeError."""
-    return c if type(c) is Poly else Poly.const(c)
+    return c if isinstance(c, Poly) else Poly.const(c)
 
 
 def _min_order(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -765,7 +765,8 @@ class LocalizedSeries:
     every numerator term past a block's cap, the net bound plus the block's
     denominator degree, and keeps the numerator object when it drops
     nothing.  A product, a sum and :func:`expand_poles` build no such term:
-    they skip the term pairs past the caps of their result.
+    they skip the term pairs past the caps of their result, and a product
+    or a sum hands those caps to the constructor (``_caps``).
 
     >>> zw, blocks = VarSet(("z", "w")), (("z",), ("w",))
     >>> LocalizedSeries(TruncSeries(zw, 4, {(0, 1): 1, (0, 3): 1}), (), blocks, (None, 2)).num
@@ -780,6 +781,7 @@ class LocalizedSeries:
         den: Iterable[Tuple[LinearForm, int]] = (),
         blocks: Blocks = None,
         block_bounds: Tuple[Optional[int], ...] = None,
+        _caps: Caps = None,
     ):
         den = _sort_denominator(den)
         for form, _ in den:
@@ -797,12 +799,13 @@ class LocalizedSeries:
             )
             if len(block_bounds) != len(blocks):
                 raise ValueError("one bound per block required")
-            caps = _block_caps(num.varset, blocks, block_bounds, den)
+            if _caps is None:
+                _caps = _block_caps(num.varset, blocks, block_bounds, den)
             kept = {
                 e: c
                 for e, c in num.terms.items()
-                if all(sum(e[i] for i in idxs) <= cap for idxs, cap in caps)
-            } if caps else num.terms
+                if all(sum(e[i] for i in idxs) <= cap for idxs, cap in _caps)
+            } if _caps else num.terms
             if len(kept) < len(num.terms):
                 varset, order = num.varset, num.order
                 num = TruncSeries.__new__(TruncSeries)
@@ -852,7 +855,9 @@ class LocalizedSeries:
 
     def __add__(self, other: "LocalizedSeries") -> "LocalizedSeries":
         """The sum over the least common denominator; each numerator is
-        cleared by products within the sum's block caps."""
+        cleared by products within the sum's block caps, which the
+        constructor reuses to drop the past-cap terms of an operand that
+        needed no clearing."""
         self._check_compatible(other)
         forms = {form.coeffs: form for form, _ in self.den + other.den}
         mults = [{form.coeffs: m for form, m in x.den} for x in (self, other)]
@@ -872,7 +877,7 @@ class LocalizedSeries:
                 if k:
                     num = num.__mul__(form.as_series() ** k, caps)
             nums.append(num)
-        return LocalizedSeries(nums[0] + nums[1], den, self.blocks, bounds)
+        return LocalizedSeries(nums[0] + nums[1], den, self.blocks, bounds, caps)
 
     def __neg__(self) -> "LocalizedSeries":
         # the negation of a series in its window is in that window
@@ -910,7 +915,7 @@ class LocalizedSeries:
             bounds.append(_min_order(c1, c2))
         caps = _block_caps(self.varset, self.blocks, bounds, den)
         num = self.num.__mul__(other.num, caps)
-        return LocalizedSeries(num, den, self.blocks, tuple(bounds))
+        return LocalizedSeries(num, den, self.blocks, tuple(bounds), caps)
 
     __rmul__ = __mul__
 

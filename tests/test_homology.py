@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poly_reference as ref
+from test_poly import terms_built
 from golden_outputs import (
     SUM_MAP_CASES,
     TRANSLATE_CASES,
@@ -16,7 +17,8 @@ from golden_outputs import (
     sum_map_text,
     translate_text,
 )
-from vertexalg import homology
+from vertexalg import charclass, homology
+from vertexalg.charclass import KClass
 from vertexalg.homology import (
     ComponentLabel,
     HomologyElement,
@@ -33,8 +35,8 @@ from vertexalg.homology import (
     translate,
     var_weight,
 )
-from vertexalg.poly import MAX_EXP, Poly, check_guards, key_fields, shift_name
-from vertexalg.series import TruncSeries, VarSet
+from vertexalg.poly import MAX_EXP, Poly, check_guards, key_fields, shift_name, sum_of_products
+from vertexalg.series import LocalizedSeries, TruncSeries, VarSet
 
 BU1 = ComponentLabel("BU_Z", (1,))
 BU3 = ComponentLabel("BU_Z", (3,))
@@ -339,6 +341,72 @@ class TestClosedFormCap:
                 contract_poly(Poly.variable("ch0_3") * sv(1, 1), comp)
             with pytest.raises(ValueError):
                 contract_poly(Poly.variable("x1") * sv(1, 1), comp)
+            # deferred products, capped from their factors when valid
+            with pytest.raises(ValueError):
+                contract_poly((Poly.variable("ch1_3") + chv(1, 1)) * (sv(1, 1) + 1), comp)
+            with pytest.raises(ValueError):
+                contract_poly((chv(1, 1) + 1) * (Poly.variable("x1") + sv(1, 1)), comp)
+
+
+BU21 = ComponentLabel("BU_Z", (2, 1))
+
+
+class TestDeferredContract:
+    """A deferred ch x s product (see the `poly` module docstring) is
+    capped from its factors and never built; any other deferred product
+    is built and contracted as before.  Either way the result is the
+    contraction of the product built by the general loop."""
+
+    CH = chv(1, 1) ** 2 + chv(2, 1) * chv(1, 2) / 2 + 3
+    S = sv(1, 1) ** 3 * sv(2, 1) + sv(1, 1) * sv(1, 2) * 4 - sv(2, 1) / 3
+    RANKS = chv(0, 1) * 2 - chv(0, 2) ** 3
+
+    @pytest.mark.parametrize(
+        "left, right, capped",
+        [
+            (CH, S, True),
+            (S, CH, True),
+            (RANKS, S, True),  # rank scalars only
+            (S, RANKS * chv(2, 1) + chv(1, 2), True),
+            (CH * sv(1, 2) + 1, sv(1, 1) + sv(2, 1), False),  # a mixed factor
+            (CH, RANKS + chv(2, 2), False),  # no homology factor
+        ],
+        ids=["ch-s", "s-ch", "ranks-s", "s-mixed-ch", "mixed", "ch-ch"],
+    )
+    def test_matches_the_built_product(self, left, right, capped):
+        p = left * right
+        assert p.factors is not None
+        eager = sum_of_products(((left, right),))
+        for _ in range(2):
+            got = contract_poly(p, BU21)
+            assert terms_built(p) != capped
+            assert got == contract_poly(eager, BU21) == contract_by_derivatives(eager, BU21)
+
+    def test_swap_left_side_builds_no_product(self):
+        """The left side of the additive swap identity, the translation
+        series of a class times the Euler series in another variable,
+        contracted: every coefficient meets one pair, a deferred ch x s
+        product, and none is built."""
+        comp, depth = BU1, 5
+        taut = charclass.tautological_summand(comp, None, depth)
+        square = charclass.tensor_summand(taut, taut, depth).negate()
+        e = charclass.equivariant_euler(KClass(VarSet(("z",)), {(1,): taut, (2,): square}, depth))
+        zw, blocks = VarSet(("z", "w")), (("z",), ("w",))
+        ez = e.substitute_linear(zw, {"z": {"z": 1}}, blocks)
+        ta = translate(HomologyElement(comp, sv(1) ** 2 + sv(2)), ["w"], 2 + e.den_degree())
+        ta = ta.substitute_linear(zw, {"w": {"w": 1}})
+        product = LocalizedSeries(ta, (), blocks) * ez
+        got = charclass.cap_localized(product, comp)
+        deferred = [c for c in product.num.terms.values() if c.factors is not None]
+        assert len(deferred) > 10
+        for c in deferred:
+            with pytest.raises(AttributeError):
+                Poly.terms.__get__(c, Poly)
+            assert not terms_built(c)
+        built = product.map_coefficients(
+            lambda c: contract_poly(sum_of_products((c.factors,)) if c.factors else c, comp)
+        )
+        assert got.num.terms == built.num.terms and not got.num.is_zero()
 
 
 def translate_by_steps(a, zvars, trunc):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_outputs import assert_golden
+from test_poly import terms_built
 from test_series import within_bounds
 from vertexalg import ktheory, structures
 from vertexalg.charclass import KClass, Summand
@@ -32,7 +33,7 @@ from vertexalg.ktheory import (
     vee_k,
     wedge_minus_z,
 )
-from vertexalg.poly import FIELD_MASK, MAX_EXP, Poly, var_shift
+from vertexalg.poly import FIELD_MASK, MAX_EXP, Poly, sum_of_products, var_shift
 from vertexalg.series import (
     INF,
     LinearForm,
@@ -126,6 +127,25 @@ class TestCapModel:
         )
         assert k_contract(p) == expected
         assert k_contract(p) == expected
+
+    @pytest.mark.parametrize("capped", [True, False])
+    def test_contract_of_a_deferred_product(self, capped):
+        """A deferred u x l product is capped from its factors and never
+        built; a product with a mixed factor is built and contracted.
+        Both give the contraction of the product built by the general loop."""
+        u1, l1 = Poly.variable("u1"), Poly.variable("l1")
+        left = U ** 2 / 3 + u1 * U - 1
+        right = L ** 3 * l1 + l1 ** 2 / 2 + 2
+        if not capped:
+            left = left * l1 + U
+            right = L + 1
+        p = left * right
+        assert p.factors is not None
+        expected = k_contract(sum_of_products(((left, right),)))
+        for _ in range(2):
+            assert k_contract(p) == expected
+            assert terms_built(p) != capped
+            assert k_contract(right * left) == expected
 
     @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 6))
     @settings(max_examples=30, deadline=None)

@@ -8,7 +8,7 @@ from pathlib import Path
 from types import FunctionType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poly_reference as ref
@@ -461,6 +461,61 @@ def test_prop_disjoint_products_match_reference(ra, rb):
         same(got, rp * rq)
         general = sum_of_products(((p, q),))
         assert got == general and list(got.terms) == list(general.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(left_monos, coefs), max_size=5),
+    st.lists(st.tuples(right_monos, coefs), max_size=5),
+)
+# (a + b)/2 times 2*c^4 + 4*d: a's denominator divides b's content
+@example(
+    [([("a", 1)], Fraction(1, 2)), ([("b", 1)], Fraction(1, 2))],
+    [([("c", 4), ("d", 0)], 2), ([("c", 0), ("d", 1)], 4)],
+)
+def test_prop_deferred_product_matches_eager(ra, rb):
+    """A product of multi-term factors with disjoint supports holds its
+    factors and no terms; its den, truth, zero test and support, read
+    while it is unbuilt, and then its terms, equality and hash are those
+    of the product built by the general loop."""
+    a, _ = both(ra)
+    b, _ = both(rb)
+    for p, q in ((a, b), (b, a)):
+        got, eager = p * q, sum_of_products(((p, q),))
+        deferred = len(p.terms) > 1 and len(q.terms) > 1
+        assert got.factors == ((p, q) if deferred else None)
+        assert terms_built(got) != deferred
+        assert got.den == eager.den
+        assert bool(got) == bool(eager) and got.is_zero() == eager.is_zero()
+        assert got.support() == eager.support()
+        assert terms_built(got) != deferred
+        assert hash(got) == hash(eager) and got == eager
+        assert list(got.terms.items()) == list(eager.terms.items())
+        assert terms_built(got)
+
+
+def terms_built(p):
+    """Whether p holds its terms, read without the fallback that builds
+    the terms of a deferred product."""
+    try:
+        Poly.terms.__get__(p, Poly)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_deferred_product_unknown_attribute():
+    """The fallback that builds a deferred product's terms answers only
+    for `terms`: any other missing name raises AttributeError, on a
+    deferred product and on an ordinary one alike, without recursing."""
+    p = (x + 1) * (y + 1)
+    for q in (p, x + y):
+        with pytest.raises(AttributeError):
+            q.no_such_attribute
+    assert p.factors is not None and not terms_built(p)
+    bare = type(p).__new__(type(p))  # no factors either
+    with pytest.raises(AttributeError):
+        bare.terms
 
 
 def test_disjoint_product_term_order():
