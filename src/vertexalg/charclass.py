@@ -27,6 +27,7 @@ discrepancy between the two readings of a dual pair).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -598,8 +599,24 @@ def sqrt_equivariant_euler(
 def cap_localized(x: LocalizedSeries, component: ComponentLabel) -> LocalizedSeries:
     """Contract mixed cohomology-and-homology coefficients by cap product;
     a coefficient that is a deferred ch x s product is capped from its
-    factors (see `homology.contract_poly`)."""
-    return x.map_coefficients(lambda p: contract_poly(p, component))
+    factors (see `homology.contract_poly`).  One map of row plans lives for
+    this call: a homology factor met by several coefficients is grouped
+    once, and its fitting rows are collected once per set of target
+    fields, for the whole series (see `homology.cap_with`).  A plan is
+    dropped once the last coefficient holding its factor is capped, so
+    the plans alive at any time are those still to be read."""
+    uses = Counter(id(f) for p in x.num.terms.values() if p.factors for f in p.factors)
+    plans: dict = {}
+
+    def cap(p: Poly) -> Poly:
+        out = contract_poly(p, component, plans)
+        for f in p.factors or ():
+            uses[id(f)] -= 1
+            if not uses[id(f)]:
+                plans.pop(id(f), None)
+        return out
+
+    return x.map_coefficients(cap)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -97,7 +97,10 @@ _CHECKED: Dict[Tuple[str, tuple], int] = {}
 # `contract_poly`.  A table entry is a plan for one monomial, never a
 # polynomial result: a product of several factors is split into one-factor
 # parts before any lookup, so the tables grow with the distinct monomials
-# of single factors, not with those of their products.
+# of single factors, not with those of their products.  The row plans of
+# homology polynomials (`_row_plan`) are planned per polynomial, not per
+# monomial, so none is kept for the process: a cap makes its own, and one
+# `charclass.cap_localized` call shares them across its coefficients.
 
 
 class MonomialTable(dict):
@@ -456,13 +459,15 @@ class _Actions(dict):
     acting as d/ds_k, and (None, rank) for ch_0, which acts as the rank
     scalar.  A character generator that names no factor of the component,
     or a name in neither alphabet, raises ValueError and is not kept.
+    ``comasks`` keeps the mask of the acting fields of each support seen.
     """
 
-    __slots__ = ("component",)
+    __slots__ = ("component", "comasks")
 
     def __init__(self, component: ComponentLabel):
         super().__init__()
         self.component = component
+        self.comasks: Dict[int, int] = {}
 
     def __missing__(self, shift: int):
         comp = self.component
@@ -484,11 +489,17 @@ class _Actions(dict):
         return act
 
     def comask(self, support: int) -> int:
-        """The mask of the acting fields among those of ``support``."""
-        comask = 0
-        for shift, _ in key_fields(support):
-            if self[shift] is not None:
-                comask |= FIELD_MASK << shift
+        """The mask of the acting fields among those of ``support``, made
+        once per support, which is sound because a support always names
+        the same variables; a support with a bad generator raises every
+        time and is not kept."""
+        comask = self.comasks.get(support)
+        if comask is None:
+            comask = 0
+            for shift, _ in key_fields(support):
+                if self[shift] is not None:
+                    comask |= FIELD_MASK << shift
+            self.comasks[support] = comask
         return comask
 
 
@@ -539,8 +550,27 @@ def _cap_plan(component: ComponentLabel) -> Tuple[_Actions, MonomialTable]:
     return acts, MonomialTable(lambda cokey: _lowering(acts, cokey))
 
 
+def _row_plan(poly: Poly) -> Tuple[Poly, Dict[int, list], Dict[int, list]]:
+    """The row plan of a homology polynomial: ``poly`` itself, its terms
+    grouped by the guard bits of their nonzero fields (a field plus
+    MAX_EXP sets its guard bit exactly when it is nonzero), and an empty
+    map from the guard bits of a lowering's target fields to the terms of
+    the groups that hold them all, which `cap_with` fills on first use."""
+    marks = 0
+    for shift, _ in key_fields(poly.support()):
+        marks |= (MAX_EXP + 1) << shift
+    fill = marks - (marks >> (FIELD_BITS - 1))
+    groups: Dict[int, list] = {}
+    for key, d in poly.terms.items():
+        groups.setdefault((key + fill) & marks, []).append((key, d))
+    return poly, groups, {}
+
+
 def cap_with(
-    ch_poly: Poly, poly: Poly, lowerings: Mapping[int, Optional[Tuple]]
+    ch_poly: Poly,
+    poly: Poly,
+    lowerings: Mapping[int, Optional[Tuple]],
+    plans: Optional[Dict[int, Tuple]] = None,
 ) -> Poly:
     """Cap every monomial of ``ch_poly``, acting as its entry in
     ``lowerings`` says, against every monomial of ``poly``: the kernel of
@@ -549,20 +579,23 @@ def cap_with(
     (d/ds)^e s^n = n!/(n-e)! s^(n-e), zero when e > n.  Setting the guard
     bit of every target field and subtracting ``need`` lowers them all at
     once: a field that held fewer than e units borrows its guard bit, so
-    the monomial caps to zero exactly when a guard bit is gone.  The terms
-    of ``poly`` are grouped by the guard bits of their nonzero fields (a
-    field plus MAX_EXP sets its guard bit exactly when it is nonzero), so
-    a lowering skips every group that lacks one of its target fields; the
-    groups that fit are collected once per set of target fields.
+    the monomial caps to zero exactly when a guard bit is gone.  The rows
+    come from the `_row_plan` of ``poly``, so a lowering skips every group
+    that lacks one of its target fields, and the groups that fit are
+    collected once per set of target fields.  Without ``plans`` the plan
+    lives for this call only.  ``plans`` maps the id of a homology
+    polynomial to its plan for the length of one `charclass.cap_localized`
+    call, so every cap against that polynomial in the series shares it;
+    an entry is used only while it holds ``poly`` itself, so an id reused
+    by another object never reads a stale plan.
     """
-    marks = 0
-    for shift, _ in key_fields(poly.support()):
-        marks |= (MAX_EXP + 1) << shift
-    fill = marks - (marks >> (FIELD_BITS - 1))
-    groups: Dict[int, list] = {}
-    for key, d in poly.terms.items():
-        groups.setdefault((key + fill) & marks, []).append((key, d))
-    fitting: Dict[int, list] = {}  # target guard bits -> terms of the groups holding them
+    if plans is None:
+        plan = _row_plan(poly)
+    else:
+        plan = plans.get(id(poly))
+        if plan is None or plan[0] is not poly:
+            plan = plans[id(poly)] = _row_plan(poly)
+    _, groups, fitting = plan
     out: Dict[int, int] = {}
     get = out.get
     for cokey, c in ch_poly.terms.items():
@@ -589,7 +622,10 @@ def cap_with(
 
 
 def contract_with(
-    p: Poly, comask: int, lowerings: Mapping[int, Optional[Tuple]]
+    p: Poly,
+    comask: int,
+    lowerings: Mapping[int, Optional[Tuple]],
+    plans: Optional[Dict[int, Tuple]] = None,
 ) -> Poly:
     """Split every key of p by the mask of its acting fields and let the
     acting part, as its entry in ``lowerings`` says, lower the rest.
@@ -602,15 +638,16 @@ def contract_with(
     and only the few keys that survive have their guard bits and acting
     part cleared.  A deferred product (see the `poly` module docstring) of
     a factor in acting generators only and one in none is capped from its
-    factors by `cap_with`, unbuilt.
+    factors by `cap_with`, unbuilt, with the row plan of its homology
+    factor taken from ``plans`` when given (one `cap_localized` call).
     """
     if p.factors is not None:
         a, b = p.factors
         sa, sb = a.support(), b.support()
         if not sa & ~comask and not sb & comask:
-            return cap_with(a, b, lowerings)
+            return cap_with(a, b, lowerings, plans)
         if not sb & ~comask and not sa & comask:
-            return cap_with(b, a, lowerings)
+            return cap_with(b, a, lowerings, plans)
     out: Dict[int, int] = {}
     get = out.get
     for key, coef in p.terms.items():
@@ -645,7 +682,9 @@ def cap_poly(ch_poly: Poly, poly: Poly, component: ComponentLabel) -> Poly:
     return cap_with(ch_poly, poly, lowerings)
 
 
-def contract_poly(p: Poly, component: ComponentLabel) -> Poly:
+def contract_poly(
+    p: Poly, component: ComponentLabel, plans: Optional[Dict[int, Tuple]] = None
+) -> Poly:
     """Pair the cohomology part of a mixed polynomial against its homology part.
 
     Generators are classified into character generators (ch alphabet)
@@ -657,7 +696,10 @@ def contract_poly(p: Poly, component: ComponentLabel) -> Poly:
     that lowering lowers in the closed form of `cap_poly`.  Multiplying
     first and contracting afterwards is what makes capping a whole series
     against a whole series a plain series product.  A deferred ch x s
-    product is capped from its factors, and its terms are never built:
+    product is capped from its factors, and its terms are never built;
+    the row plan of its homology factor comes from ``plans`` when given,
+    a map that `charclass.cap_localized` keeps for one call and passes to
+    every coefficient, and is made for this call alone otherwise:
 
     >>> p = (Poly.variable("ch1") + 3 * Poly.variable("ch0")) * (Poly.variable("s1") ** 2 + 1)
     >>> p.factors
@@ -666,7 +708,7 @@ def contract_poly(p: Poly, component: ComponentLabel) -> Poly:
     3+2*s1+3*s1^2
     """
     acts, lowerings = _cap_plan(component)
-    return contract_with(p, acts.comask(p.support()), lowerings)
+    return contract_with(p, acts.comask(p.support()), lowerings, plans)
 
 
 def translate_series(

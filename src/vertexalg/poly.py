@@ -54,8 +54,11 @@ constant 1 returns the other operand itself, which immutability makes
 safe.
 
 Two multi-term factors whose supports (the bitwise or of their keys)
-share no bit -- the ch x s products of a cap -- give a deferred product:
-it holds the factors in `factors` and its den, da*db / gcd(da*db,
+share no bit give a deferred product.  The ch x s products of a cap are
+such products, their factors being in different variables, and so are
+factors in one variable whose exponents share no bit, such as
+(1+t)(1+t^2), whose supports are the keys of t and t^2.  A deferred
+product holds the factors in `factors` and its den, da*db / gcd(da*db,
 cont(a)*cont(b)) since contents multiply (Gauss's lemma), and answers
 truth, `is_zero` and `support` from the factors; a cap contraction reads
 only the factors (`homology.contract_with`).  The first read of `terms`
@@ -73,6 +76,12 @@ keeps its size and reads `factors` None from the class.
 True
 >>> (x / 2 + y / 3).den
 6
+>>> t = Poly.variable("t")
+>>> p = (1 + t) * (1 + t ** 2)
+>>> p.factors
+(1+t, 1+t^2)
+>>> p == 1 + t + t ** 2 + t ** 3
+True
 """
 
 from __future__ import annotations
@@ -328,7 +337,8 @@ class Poly:
                 return _make({}, 1)
             if self.support() & other.support():
                 return sum_of_products(((self, other),))
-            # disjoint supports: deferred (see the module docstring)
+            # disjoint supports, as in a ch x s product of a cap or in
+            # (1+t)(1+t^2): deferred (see the module docstring)
             p = _Deferred.__new__(_Deferred)
             d = self.den * other.den
             p.den = d // gcd(d, gcd(*a.values()) * gcd(*b.values()))

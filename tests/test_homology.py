@@ -382,11 +382,11 @@ class TestDeferredContract:
             assert terms_built(p) != capped
             assert got == contract_poly(eager, BU21) == contract_by_derivatives(eager, BU21)
 
-    def test_swap_left_side_builds_no_product(self):
-        """The left side of the additive swap identity, the translation
-        series of a class times the Euler series in another variable,
-        contracted: every coefficient meets one pair, a deferred ch x s
-        product, and none is built."""
+    @staticmethod
+    def swap_left_side():
+        """The left side of the additive swap identity on BU_Z(1) before
+        its cap: the translation series of a class in w times the Euler
+        series in z."""
         comp, depth = BU1, 5
         taut = charclass.tautological_summand(comp, None, depth)
         square = charclass.tensor_summand(taut, taut, depth).negate()
@@ -395,7 +395,13 @@ class TestDeferredContract:
         ez = e.substitute_linear(zw, {"z": {"z": 1}}, blocks)
         ta = translate(HomologyElement(comp, sv(1) ** 2 + sv(2)), ["w"], 2 + e.den_degree())
         ta = ta.substitute_linear(zw, {"w": {"w": 1}})
-        product = LocalizedSeries(ta, (), blocks) * ez
+        return comp, LocalizedSeries(ta, (), blocks) * ez
+
+    def test_swap_left_side_builds_no_product(self):
+        """The left side of the additive swap identity, contracted: every
+        coefficient meets one pair, a deferred ch x s product, and none is
+        built."""
+        comp, product = self.swap_left_side()
         got = charclass.cap_localized(product, comp)
         deferred = [c for c in product.num.terms.values() if c.factors is not None]
         assert len(deferred) > 10
@@ -407,6 +413,77 @@ class TestDeferredContract:
             lambda c: contract_poly(sum_of_products((c.factors,)) if c.factors else c, comp)
         )
         assert got.num.terms == built.num.terms and not got.num.is_zero()
+
+    def test_swap_left_side_plans_each_factor_once(self, monkeypatch):
+        """One `cap_localized` call groups each homology factor once,
+        however many coefficients it meets, and gives what contracting
+        every coefficient on its own gives."""
+        comp, product = self.swap_left_side()
+        deferred = [c for c in product.num.terms.values() if c.factors is not None]
+        homology_factors = {
+            id(f): f for c in deferred for f in c.factors if all(v[0] == "s" for v in f.variables())
+        }
+        assert len(homology_factors) < len(deferred)  # some factor meets several
+        planned, maps = [], []
+        row_plan = homology._row_plan
+        monkeypatch.setattr(homology, "_row_plan", lambda p: planned.append(p) or row_plan(p))
+
+        def spy(p, comp, plans):
+            maps.append(plans)
+            return contract_poly(p, comp, plans)
+
+        monkeypatch.setattr(charclass, "contract_poly", spy)
+        got = charclass.cap_localized(product, comp)
+        assert sorted(map(id, planned)) == sorted(homology_factors)
+        assert all(p is homology_factors[id(p)] for p in planned)
+        # one map for the call, every plan dropped after its last reader
+        assert len(maps) == len(product.num.terms) and all(m is maps[0] for m in maps)
+        assert maps[0] == {}
+        planned.clear()
+        alone = product.map_coefficients(lambda c: contract_poly(c, comp))
+        assert len(planned) == len(deferred)  # no map: one plan per coefficient
+        assert got.num.terms == alone.num.terms and not got.num.is_zero()
+
+    def test_mixed_series_matches_per_coefficient(self):
+        """Shared plans across a series whose coefficients are deferred
+        products with the ch factor on either side, a built product, and a
+        product that caps to zero; one homology factor meets ch factors
+        with different target fields, so it is read through several sets
+        of fitting rows."""
+        s = sv(1) ** 2 * sv(2) + sv(2) ** 3 - sv(1) / 2  # groups {s1 s2}, {s2}, {s1}
+        ch1 = chv(1) * 2 + chv(0)
+        ch2 = chv(2) - chv(1) ** 2 / 3
+        coefficients = [
+            ch1 * s,
+            s * ch2,
+            s * (chv(2) * chv(1) + 1),
+            (chv(3) + chv(2) * chv(1)) * (sv(1) + sv(2)),  # caps to zero
+            sum_of_products(((ch2, s),)),  # built
+            (sv(2) + sv(1) * 5) * ch1,
+        ]
+        assert [c.factors is not None for c in coefficients] == [True] * 4 + [False, True]
+        x = LocalizedSeries(
+            TruncSeries(VarSet(("z",)), None, {(i,): c for i, c in enumerate(coefficients)})
+        )
+        got = charclass.cap_localized(x, BU1).num.terms
+        want = {
+            (i,): contract_by_derivatives(sum_of_products((c.factors,)) if c.factors else c, BU1)
+            for i, c in enumerate(coefficients)
+        }
+        assert not want.pop((3,)) and all(want.values())
+        assert got == want
+        assert got == x.map_coefficients(lambda c: contract_poly(c, BU1)).num.terms
+
+    def test_stale_plan_is_not_read(self):
+        """A plan kept under a polynomial's id but made for another object
+        is replaced, not read."""
+        s, other = sv(1) ** 2 + sv(2), sv(1) * 7 + sv(2) ** 2 + 1
+        p = (chv(1) + chv(2)) * s
+        plans = {id(s): homology._row_plan(other)}
+        got = contract_poly(p, BU1, plans)
+        want = contract_by_derivatives(sum_of_products((p.factors,)), BU1)
+        assert got == contract_poly(p, BU1) == want
+        assert plans[id(s)][0] is s
 
 
 def translate_by_steps(a, zvars, trunc):
