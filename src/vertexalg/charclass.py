@@ -652,7 +652,8 @@ def kclass_to_obj(E: KClass) -> dict:
 
 def kclass_from_obj(obj: Mapping) -> KClass:
     """Read the form of `kclass_to_obj`; an integer field that is not an
-    int and a missing key raise ValueError."""
+    int, a flag that is not a bool, a convention that is not a string and
+    a missing key raise ValueError."""
     varset = VarSet(tuple(json_field(obj, "vars")), json_field(obj, "degrees"))
     summands: Dict[Weight, Summand] = {}
     for entry in json_field(obj, "summands"):
@@ -664,14 +665,11 @@ def kclass_from_obj(obj: Mapping) -> KClass:
         summands[weight] = Summand(json_field(entry, "rank"), ch, lines)
     ori = obj.get("orientation")
     if ori is not None:
-        ori = OrientationData(
-            exact_int(json_field(ori, "sign"), "orientation sign"),
-            ori.get("convention", "lex-first-positive"),
-        )
-    return KClass(
-        varset,
-        summands,
-        json_field(obj, "depth"),
-        bool(obj.get("zero_is_bundle", False)),
-        ori,
-    )
+        convention = ori.get("convention", "lex-first-positive")
+        if not isinstance(convention, str):
+            raise ValueError("an orientation convention is a string, got %r" % (convention,))
+        ori = OrientationData(exact_int(json_field(ori, "sign"), "orientation sign"), convention)
+    zero_is_bundle = obj.get("zero_is_bundle", False)
+    if type(zero_is_bundle) is not bool:
+        raise ValueError("zero_is_bundle must be a boolean, got %r" % (zero_is_bundle,))
+    return KClass(varset, summands, json_field(obj, "depth"), zero_is_bundle, ori)

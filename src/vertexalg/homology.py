@@ -55,6 +55,7 @@ from .poly import (
     FIELD_BITS,
     FIELD_MASK,
     MAX_EXP,
+    MonomialTable,
     Poly,
     _make,
     check_guards,
@@ -78,48 +79,23 @@ _CH_RE = re.compile(r"ch(\d+)(?:_(\d+))?\Z")
 # field that component has not seen
 _CHECKED: Dict[Tuple[str, tuple], int] = {}
 
-# Plans of the field maps of the sum map, of translation and of the cap
-# come from `functools.cache` functions, each planned once and kept for
-# the life of the process.  The images of the orthosymplectic sum map, the
-# source-factor masks of the unitary sum map and the key of s_1 and factor
-# mask of the translation generator are keyed by what the map does and by
-# the support of the polynomial it acts on (the bitwise or of its keys).
-# The variable interner is append-only, so a support always names the same
-# variables and a plan built for it once stays right for every later
-# polynomial with that support.  The other plans are monomial-level: a
-# `MonomialTable` plans one monomial's entry on first lookup.
-# `_suffix_table` keeps one table per target factor, the image key of each
-# one-factor monomial, which `tensor` looks up once per term of each factor
-# and the unitary sum map once per factor part of each key; `_moves_table`
-# keeps one per factor, the moves of the translation generator on each of
-# that factor's monomials; `_cap_plan` keeps one per component, the
-# lowering of each cohomology monomial, shared by `cap_poly` and
-# `contract_poly`.  A table entry is a plan for one monomial, never a
-# polynomial result: a product of several factors is split into one-factor
-# parts before any lookup, so the tables grow with the distinct monomials
-# of single factors, not with those of their products.  The row plans of
-# homology polynomials (`_row_plan`) are planned per polynomial, not per
-# monomial, so none is kept for the process: a cap makes its own, and one
+# Every per-key plan is a `poly.MonomialTable`, whose entry is worked out
+# on first lookup and kept as long as the table; per-support plans are
+# `functools.cache` functions.  Both stay right for the life of the
+# process because the variable interner is append-only, so a key or a
+# support (the bitwise or of a polynomial's keys) always names the same
+# variables.  Kept for the process: `_suffix_table`, one table per target
+# factor of the image key of each one-factor monomial; `_moves_table`, one
+# per factor of the moves of the translation generator; and `_cap_plan`,
+# one `pairing_plan` per component (the act of each generator, the mask
+# of the acting fields of each support, the lowering of each cohomology
+# monomial) shared by `cap_poly` and `contract_poly`, as `ktheory` keeps
+# the one plan of the K pairing.  A monomial entry plans one monomial of a
+# single factor, never a polynomial result, so the tables grow with the
+# distinct monomials of single factors, not with those of their products.
+# The fitting table of a row plan (`_row_plan`) is made per homology
+# polynomial and never kept for the process: a cap makes its own, and one
 # `charclass.cap_localized` call shares them across its coefficients.
-
-
-class MonomialTable(dict):
-    """A plan per monomial, by its key: the entry ``plan(key)`` works out
-    on first lookup.  A table lives as long as the map it plans (a move
-    onto one factor, the translation generator on one factor, a
-    component's cap, the K-theoretic pairing), so each monomial is
-    planned once, not once per call; a lookup that raises keeps nothing,
-    so a bad generator raises every time."""
-
-    __slots__ = ("plan",)
-
-    def __init__(self, plan: Callable[[int], object]):
-        super().__init__()
-        self.plan = plan
-
-    def __missing__(self, key: int) -> object:
-        entry = self[key] = self.plan(key)
-        return entry
 
 
 def s_name(k: int, factor: FactorKey = None) -> str:
@@ -451,68 +427,54 @@ def _unsuffixed(poly: Poly) -> Poly:
 # -- cap product ---------------------------------------------------------------
 
 
-class _Actions(dict):
-    """How each generator acts on one component, resolved once per field.
-
-    Keys are field offsets.  A value is None for a homology generator (an
-    s-name), (target field offset, None) for a character generator ch_k
-    acting as d/ds_k, and (None, rank) for ch_0, which acts as the rank
-    scalar.  A character generator that names no factor of the component,
-    or a name in neither alphabet, raises ValueError and is not kept.
-    ``comasks`` keeps the mask of the acting fields of each support seen.
-    """
-
-    __slots__ = ("component", "comasks")
-
-    def __init__(self, component: ComponentLabel):
-        super().__init__()
-        self.component = component
-        self.comasks: Dict[int, int] = {}
-
-    def __missing__(self, shift: int):
-        comp = self.component
-        gen = shift_name(shift)
-        ch = parse_ch(gen)
-        if ch is None:
-            if parse_s(gen) is None:
-                raise ValueError("%r is neither an s- nor a ch-generator" % gen)
-            act = None
-        else:
-            k, factor = ch
-            if factor not in comp.factor_keys():
-                raise ValueError("%r names no factor of %r" % (gen, comp))
-            if k == 0:
-                act = (None, comp.rank(factor))
-            else:
-                act = (var_shift(s_name(k, factor)), None)
-        self[shift] = act
-        return act
-
-    def comask(self, support: int) -> int:
-        """The mask of the acting fields among those of ``support``, made
-        once per support, which is sound because a support always names
-        the same variables; a support with a bad generator raises every
-        time and is not kept."""
-        comask = self.comasks.get(support)
-        if comask is None:
-            comask = 0
-            for shift, _ in key_fields(support):
-                if self[shift] is not None:
-                    comask |= FIELD_MASK << shift
-            self.comasks[support] = comask
-        return comask
+def _act(component: ComponentLabel, shift: int) -> Optional[Tuple]:
+    """How the generator at field offset ``shift`` acts on ``component``:
+    None for a homology generator (an s-name), (target field offset, None)
+    for a character generator ch_k acting as d/ds_k, and (None, rank) for
+    ch_0, which acts as the rank scalar.  A character generator that names
+    no factor of the component, or a name in neither alphabet, raises
+    ValueError."""
+    gen = shift_name(shift)
+    ch = parse_ch(gen)
+    if ch is None:
+        if parse_s(gen) is None:
+            raise ValueError("%r is neither an s- nor a ch-generator" % gen)
+        return None
+    k, factor = ch
+    if factor not in component.factor_keys():
+        raise ValueError("%r names no factor of %r" % (gen, component))
+    if k == 0:
+        return None, component.rank(factor)
+    return var_shift(s_name(k, factor)), None
 
 
-def field_lowering(scalar: int, take: Mapping[int, int], falling: bool) -> Optional[Tuple]:
-    """The action of one cohomology monomial on packed homology keys:
+def _comask(acts: MonomialTable, support: int) -> int:
+    """The mask of the acting fields among those of ``support``."""
+    comask = 0
+    for shift, _ in key_fields(support):
+        if acts[shift] is not None:
+            comask |= FIELD_MASK << shift
+    return comask
+
+
+def _lowering(acts: MonomialTable, falling: bool, cokey: int) -> Optional[Tuple]:
+    """The action of one monomial in acting generators on packed keys:
     (scalar, need, guards, falling pairs), or None when it acts as zero.
-
-    ``take`` maps the offset of each target field to the units the
-    monomial takes off it; ``need`` is their key and ``guards`` the guard
-    bits of those fields.  With ``falling`` a field holding n units also
-    contributes n!/(n-e)! (a derivative), otherwise 1 (the K-theoretic
-    lowering of `ktheory.k_cap`); the scalar multiplies every result.
-    """
+    ``need`` is the key of the units it takes off its target fields and
+    ``guards`` their guard bits; with ``falling`` a field holding n units
+    also contributes n!/(n-e)! (a derivative), otherwise 1.  A generator
+    that does not act raises ValueError."""
+    scalar = 1
+    take: Dict[int, int] = {}
+    for shift, e in key_fields(cokey):
+        act = acts[shift]
+        if act is None:
+            raise ValueError("%r does not act in this pairing" % shift_name(shift))
+        target, rank = act
+        if target is None:
+            scalar *= rank ** e
+        else:
+            take[target] = take.get(target, 0) + e
     if not scalar or any(e > MAX_EXP for e in take.values()):
         return None
     need = guards = 0
@@ -522,40 +484,56 @@ def field_lowering(scalar: int, take: Mapping[int, int], falling: bool) -> Optio
     return scalar, need, guards, tuple(take.items()) if falling else ()
 
 
-def _lowering(acts: _Actions, cokey: int) -> Optional[Tuple]:
-    """`field_lowering` of a monomial in the character generators; the
-    scalar is the product of rank^e over its ch_0 factors.  A homology
-    generator in the monomial raises ValueError."""
-    scalar = 1
-    take: Dict[int, int] = {}
-    for shift, e in key_fields(cokey):
-        act = acts[shift]
-        if act is None:
-            raise ValueError("bad character generator %r" % shift_name(shift))
-        target, rank = act
-        if target is None:
-            scalar *= rank ** e
-        else:
-            take[target] = take.get(target, 0) + e
-    return field_lowering(scalar, take, True)
+def pairing_plan(
+    act: Callable[[int], Optional[Tuple]], falling: bool
+) -> Tuple[MonomialTable, MonomialTable]:
+    """The plan of a cap pairing: (comasks, lowerings), two tables over
+    one table of per-generator acts; an entry that raises is not kept.
+
+    ``act`` sends a field offset to None for a generator acted on, to
+    (target field offset, None) for one that takes units off the target,
+    or to (None, rank) for a scalar (see `_act`), and raises ValueError
+    for a generator foreign to the pairing.  ``comasks`` maps a support
+    to the mask of its acting fields and ``lowerings`` an acting monomial
+    to its `_lowering`; `contract_with` reads both, `cap_with` the
+    second.  On BU_Z(1), ch1^2 takes two units off s1 with a falling
+    factorial, and ch0 is the rank 1:
+
+    >>> comasks, lowerings = pairing_plan(partial(_act, ComponentLabel("BU_Z", (1,))), True)
+    >>> ch0, ch1, s1 = (Poly.variable(v) for v in ("ch0", "ch1", "s1"))
+    >>> p = ch1 ** 2 * s1 ** 3 + 2 * ch0 * s1
+    >>> sorted(shift_name(s) for s, _ in key_fields(comasks[p.support()]))
+    ['ch0', 'ch1']
+    >>> scalar, need, guards, falling = lowerings[(ch1 ** 2).support()]
+    >>> need == (s1 ** 2).support(), falling == ((var_shift("s1"), 2),)
+    (True, True)
+    >>> contract_with(p, comasks[p.support()], lowerings)
+    8*s1
+    """
+    acts = MonomialTable(act)
+    return MonomialTable(partial(_comask, acts)), MonomialTable(partial(_lowering, acts, falling))
 
 
 @cache
-def _cap_plan(component: ComponentLabel) -> Tuple[_Actions, MonomialTable]:
-    """The field actions and the lowering table of one component, made on
-    first use: a lowering depends only on the component and the cohomology
-    monomial, so `cap_poly` and `contract_poly` plan each monomial once
-    per component."""
-    acts = _Actions(component)
-    return acts, MonomialTable(lambda cokey: _lowering(acts, cokey))
+def _cap_plan(component: ComponentLabel) -> Tuple[MonomialTable, MonomialTable]:
+    """The `pairing_plan` of one component, made on first use: an act, a
+    comask and a lowering depend only on the component and the key, so
+    `cap_poly` and `contract_poly` plan each once per component."""
+    return pairing_plan(partial(_act, component), True)
 
 
-def _row_plan(poly: Poly) -> Tuple[Poly, Dict[int, list], Dict[int, list]]:
-    """The row plan of a homology polynomial: ``poly`` itself, its terms
-    grouped by the guard bits of their nonzero fields (a field plus
-    MAX_EXP sets its guard bit exactly when it is nonzero), and an empty
-    map from the guard bits of a lowering's target fields to the terms of
-    the groups that hold them all, which `cap_with` fills on first use."""
+def _fitting(groups: Dict[int, list], guards: int) -> list:
+    """The terms of the groups whose nonzero fields include every field of
+    ``guards``."""
+    return [row for nonzero, g in groups.items() if not guards & ~nonzero for row in g]
+
+
+def _row_plan(poly: Poly) -> Tuple[Poly, MonomialTable]:
+    """The row plan of a homology polynomial: ``poly`` itself and a table
+    from the guard bits of a lowering's target fields to the terms that
+    may hold them all.  The terms are grouped once by the guard bits of
+    their nonzero fields (a field plus MAX_EXP sets its guard bit exactly
+    when it is nonzero), and an entry collects the groups that fit."""
     marks = 0
     for shift, _ in key_fields(poly.support()):
         marks |= (MAX_EXP + 1) << shift
@@ -563,7 +541,7 @@ def _row_plan(poly: Poly) -> Tuple[Poly, Dict[int, list], Dict[int, list]]:
     groups: Dict[int, list] = {}
     for key, d in poly.terms.items():
         groups.setdefault((key + fill) & marks, []).append((key, d))
-    return poly, groups, {}
+    return poly, MonomialTable(partial(_fitting, groups))
 
 
 def cap_with(
@@ -573,21 +551,23 @@ def cap_with(
     plans: Optional[Dict[int, Tuple]] = None,
 ) -> Poly:
     """Cap every monomial of ``ch_poly``, acting as its entry in
-    ``lowerings`` says, against every monomial of ``poly``: the kernel of
-    `cap_poly`, `ktheory.k_cap` and a deferred ch x s product's contraction.
+    ``lowerings`` (the table of a `pairing_plan`) says, against every
+    monomial of ``poly``: the kernel of `cap_poly`, `ktheory.k_cap` and a
+    deferred product's contraction in either pairing.
 
     (d/ds)^e s^n = n!/(n-e)! s^(n-e), zero when e > n.  Setting the guard
     bit of every target field and subtracting ``need`` lowers them all at
     once: a field that held fewer than e units borrows its guard bit, so
     the monomial caps to zero exactly when a guard bit is gone.  The rows
-    come from the `_row_plan` of ``poly``, so a lowering skips every group
-    that lacks one of its target fields, and the groups that fit are
-    collected once per set of target fields.  Without ``plans`` the plan
-    lives for this call only.  ``plans`` maps the id of a homology
-    polynomial to its plan for the length of one `charclass.cap_localized`
-    call, so every cap against that polynomial in the series shares it;
-    an entry is used only while it holds ``poly`` itself, so an id reused
-    by another object never reads a stale plan.
+    come from the fitting table of the `_row_plan` of ``poly``, so a
+    lowering skips every group that lacks one of its target fields, and
+    the groups that fit are collected once per set of target fields.
+    Without ``plans`` the plan lives for this call only.  ``plans`` maps
+    the id of a homology polynomial to its plan for the length of one
+    `charclass.cap_localized` call, so every cap against that polynomial
+    in the series shares it; an entry is used only while it holds
+    ``poly`` itself, so an id reused by another object never reads a
+    stale plan.
     """
     if plans is None:
         plan = _row_plan(poly)
@@ -595,7 +575,7 @@ def cap_with(
         plan = plans.get(id(poly))
         if plan is None or plan[0] is not poly:
             plan = plans[id(poly)] = _row_plan(poly)
-    _, groups, fitting = plan
+    fitting = plan[1]
     out: Dict[int, int] = {}
     get = out.get
     for cokey, c in ch_poly.terms.items():
@@ -603,13 +583,8 @@ def cap_with(
         if lowering is None:
             continue
         scalar, need, guards, falling = lowering
-        rows = fitting.get(guards)
-        if rows is None:
-            rows = fitting[guards] = [
-                row for nonzero, g in groups.items() if not guards & ~nonzero for row in g
-            ]
         c *= scalar
-        for key, d in rows:
+        for key, d in fitting[guards]:
             low = (key | guards) - need
             if low & guards != guards:
                 continue
@@ -630,16 +605,17 @@ def contract_with(
     """Split every key of p by the mask of its acting fields and let the
     acting part, as its entry in ``lowerings`` says, lower the rest.
 
-    ``lowerings`` is a table kept across calls (a `MonomialTable`), so each
-    distinct acting part is planned once per component, not once per
-    call.  Each key is lowered as in `cap_with`, and tested for survival
-    before anything is stripped: a field short of units borrows only its
-    own guard bit, so the acting fields are untouched by the subtraction,
-    and only the few keys that survive have their guard bits and acting
-    part cleared.  A deferred product (see the `poly` module docstring) of
-    a factor in acting generators only and one in none is capped from its
-    factors by `cap_with`, unbuilt, with the row plan of its homology
-    factor taken from ``plans`` when given (one `cap_localized` call).
+    ``comask`` and ``lowerings`` come from one `pairing_plan`, kept across
+    calls, so each distinct acting part is planned once per pairing, not
+    once per call.  Each key is lowered as in `cap_with`, and tested for
+    survival before anything is stripped: a field short of units borrows
+    only its own guard bit, so the acting fields are untouched by the
+    subtraction, and only the few keys that survive have their guard bits
+    and acting part cleared.  A deferred product (see the `poly` module
+    docstring) of a factor in acting generators only and one in none is
+    capped from its factors by `cap_with`, unbuilt, with the row plan of
+    its other factor taken from ``plans`` when given (one `cap_localized`
+    call).
     """
     if p.factors is not None:
         a, b = p.factors
@@ -673,13 +649,13 @@ def cap_poly(ch_poly: Poly, poly: Poly, component: ComponentLabel) -> Poly:
     factor.  The action of a product is the composite of the actions,
     which all commute, so a monomial acts in closed form: ch_k^e sends
     s_k^n to n!/(n-e)! s_k^(n-e) (zero when e > n) and ch_0^e multiplies
-    by rank^e.  Each monomial of ``ch_poly`` is
-    planned once per component, in the table `contract_poly` shares, and
-    then lowers the packed target fields of every homology key by shift
-    and mask.  A homology generator in ``ch_poly`` raises ValueError.
+    by rank^e.  Each monomial of ``ch_poly`` is planned once per
+    component, in the lowering table of the component's `pairing_plan`,
+    which `contract_poly` shares, and then lowers the packed target
+    fields of every homology key by shift and mask.  A homology generator
+    in ``ch_poly`` raises ValueError.
     """
-    _, lowerings = _cap_plan(component)
-    return cap_with(ch_poly, poly, lowerings)
+    return cap_with(ch_poly, poly, _cap_plan(component)[1])
 
 
 def contract_poly(
@@ -687,19 +663,20 @@ def contract_poly(
 ) -> Poly:
     """Pair the cohomology part of a mixed polynomial against its homology part.
 
-    Generators are classified into character generators (ch alphabet)
-    and homology generators (s alphabet), once per field and component,
-    which gives a mask of the character fields; a name in neither
-    alphabet raises ValueError.  Each key splits by that
-    mask into its cohomology part, whose lowering is planned once per
-    component (the table `cap_poly` shares), and its homology part, which
-    that lowering lowers in the closed form of `cap_poly`.  Multiplying
-    first and contracting afterwards is what makes capping a whole series
-    against a whole series a plain series product.  A deferred ch x s
-    product is capped from its factors, and its terms are never built;
-    the row plan of its homology factor comes from ``plans`` when given,
-    a map that `charclass.cap_localized` keeps for one call and passes to
-    every coefficient, and is made for this call alone otherwise:
+    The component's `pairing_plan` classifies generators into character
+    generators (ch alphabet) and homology generators (s alphabet), once
+    per field, and gives the mask of the character fields once per
+    support; a name in neither alphabet raises ValueError.  Each key
+    splits by that mask into its cohomology part, whose lowering is
+    planned once per component (the table `cap_poly` shares), and its
+    homology part, which that lowering lowers in the closed form of
+    `cap_poly`.  Multiplying first and contracting afterwards is what
+    makes capping a whole series against a whole series a plain series
+    product.  A deferred ch x s product is capped from its factors, and
+    its terms are never built; the row plan of its homology factor comes
+    from ``plans`` when given, a map that `charclass.cap_localized` keeps
+    for one call and passes to every coefficient, and is made for this
+    call alone otherwise:
 
     >>> p = (Poly.variable("ch1") + 3 * Poly.variable("ch0")) * (Poly.variable("s1") ** 2 + 1)
     >>> p.factors
@@ -707,8 +684,8 @@ def contract_poly(
     >>> contract_poly(p, ComponentLabel("BU_Z", (1,)))
     3+2*s1+3*s1^2
     """
-    acts, lowerings = _cap_plan(component)
-    return contract_with(p, acts.comask(p.support()), lowerings, plans)
+    comasks, lowerings = _cap_plan(component)
+    return contract_with(p, comasks[p.support()], lowerings, plans)
 
 
 def translate_series(

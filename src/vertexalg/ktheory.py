@@ -47,8 +47,8 @@ from math import comb, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charclass import KClass, Summand
-from .homology import MonomialTable, cap_with, contract_with, field_lowering
-from .poly import FIELD_MASK, MAX_EXP, Poly, key_fields, shift_name, var_shift
+from .homology import cap_with, contract_with, pairing_plan
+from .poly import FIELD_MASK, MAX_EXP, Poly, shift_name, var_shift
 from .series import (
     INF,
     LocalizedSeries,
@@ -109,49 +109,45 @@ def one_plus_pow(varset: VarSet, weight: Sequence[int], order) -> TruncSeries:
 # -- the polynomial K-homology model ----------------------------------------------
 
 
-def _l_target(u: str) -> str:
-    """The K-homology generator that an augmentation generator lowers."""
-    if not u.startswith("u"):
-        raise ValueError("expected augmentation generators, got %r" % u)
-    return l_name(None if u == "u" else int(u[1:]))
+def _k_act(shift: int) -> Optional[Tuple[int, None]]:
+    """How a generator acts in the K-theoretic pairing: u_i takes units
+    off the field of l_i (u off that of l), and every other generator is
+    acted on (see `homology.pairing_plan`).  A u-name with a suffix that
+    is not an integer raises ValueError."""
+    name = shift_name(shift)
+    if not name.startswith("u"):
+        return None
+    return var_shift(l_name(int(name[1:]) if name[1:] else None)), None
 
 
-def _k_lowering(cokey: int) -> Optional[Tuple]:
-    """How an augmentation monomial acts: u_i^j takes j units off l_i,
-    with coefficient 1 (see `homology.field_lowering`)."""
-    take: Dict[int, int] = {}
-    for shift, e in key_fields(cokey):
-        target = var_shift(_l_target(shift_name(shift)))
-        take[target] = take.get(target, 0) + e
-    return field_lowering(1, take, False)
-
-
-# every augmentation monomial's lowering, planned once for the process:
-# u_i always lowers l_i, so it depends on nothing else
-_K_LOWERINGS = MonomialTable(_k_lowering)
+# the K-theoretic pairing, planned once for the process: u_i always lowers
+# l_i, with no falling factorial, so it depends on nothing else
+_K_PLAN = pairing_plan(_k_act, False)
 
 
 def k_cap(upoly: Poly, lpoly: Poly) -> Poly:
     """Cap product of an augmentation polynomial against K-homology.
 
-    Factor pairing is by suffix: u_i lowers powers of l_i.
+    Factor pairing is by suffix: u_i lowers powers of l_i, u^j l^k =
+    l^(k-j).  Each augmentation monomial is planned once for the process,
+    in the lowering table of the K pairing's `homology.pairing_plan`; a
+    generator in ``upoly`` that is not a u-name raises ValueError.
     """
-    return cap_with(upoly, lpoly, _K_LOWERINGS)
+    return cap_with(upoly, lpoly, _K_PLAN[1])
 
 
 def k_contract(p: Poly) -> Poly:
     """Pair the augmentation part of a mixed polynomial against its K-homology part.
 
-    Keys are split by the mask of the u-generator fields; each distinct
-    augmentation part acts on the rest by cap, through its lowering planned
-    once for the process, so capping a series against a series reduces to
-    the plain series product followed by this contraction coefficientwise.
+    Keys are split by the mask of the u-generator fields, read from the
+    comask table of the K pairing's `homology.pairing_plan` once per
+    support; each distinct augmentation part acts on the rest by cap,
+    through its lowering planned once for the process, so capping a
+    series against a series reduces to the plain series product followed
+    by this contraction coefficientwise.
     """
-    comask = 0
-    for shift, _ in key_fields(p.support()):
-        if shift_name(shift).startswith("u"):
-            comask |= FIELD_MASK << shift
-    return contract_with(p, comask, _K_LOWERINGS)
+    comasks, lowerings = _K_PLAN
+    return contract_with(p, comasks[p.support()], lowerings)
 
 
 @cache

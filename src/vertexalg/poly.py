@@ -90,7 +90,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 Mono = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
@@ -135,10 +135,8 @@ def key_fields(key: int) -> List[Tuple[int, int]]:
     return out
 
 
-def _key_degree(key: int, weights: Mapping[str, int] = None) -> int:
-    if weights is None:
-        return sum(e for _, e in key_fields(key))
-    return sum(weights.get(shift_name(s), 1) * e for s, e in key_fields(key))
+def _key_degree(key: int) -> int:
+    return sum(e for _, e in key_fields(key))
 
 
 def _decode(key: int) -> Mono:
@@ -149,6 +147,25 @@ def check_guards(terms: Iterable[int]) -> None:
     """Raise OverflowError when any of the keys has a guard bit set."""
     if reduce(or_, terms, 0) & _GUARDS:
         raise OverflowError("an exponent would exceed %d" % MAX_EXP)
+
+
+class MonomialTable(dict):
+    """A plan per key: the entry ``plan(key)`` is worked out on first
+    lookup.  A table lives as long as the map it plans (a move onto one
+    factor, the translation generator on one factor, one side of a cap
+    pairing, the packing of series exponents), so each key is planned
+    once, not once per call; a lookup that raises keeps nothing, so a bad
+    key raises every time."""
+
+    __slots__ = ("plan",)
+
+    def __init__(self, plan: Callable[[object], object]):
+        super().__init__()
+        self.plan = plan
+
+    def __missing__(self, key: object) -> object:
+        entry = self[key] = self.plan(key)
+        return entry
 
 
 def _pack(mono: Iterable[Tuple[str, int]]) -> int:
@@ -416,11 +433,11 @@ class Poly:
                     seen |= FIELD_MASK << s
                 yield from sorted(shift_name(s) for s, _ in fields)
 
-    def degree(self, weights: Mapping[str, int] = None) -> int:
-        """Largest (weighted) total degree among terms; -1 for the zero poly."""
+    def degree(self) -> int:
+        """Largest total degree among terms; -1 for the zero poly."""
         if not self.terms:
             return -1
-        return max(_key_degree(m, weights) for m in self.terms)
+        return max(_key_degree(m) for m in self.terms)
 
     # -- calculus and substitution ----------------------------------------
 
@@ -519,12 +536,9 @@ class Poly:
         check_guards((seen,))
         return _make(out, den)
 
-    def truncate_degree(self, bound: int, weights: Mapping[str, int] = None) -> "Poly":
-        """Drop terms of (weighted) degree exceeding the bound."""
-        return _make(
-            {m: c for m, c in self.terms.items() if _key_degree(m, weights) <= bound},
-            self.den,
-        )
+    def truncate_degree(self, bound: int) -> "Poly":
+        """Drop terms of total degree exceeding the bound."""
+        return _make({m: c for m, c in self.terms.items() if _key_degree(m) <= bound}, self.den)
 
     # -- display -----------------------------------------------------------
 
@@ -633,13 +647,19 @@ def _parse_coefficient(c) -> Fraction:
     return Fraction(c)
 
 
+def _parse_name(v) -> str:
+    if not isinstance(v, str):
+        raise ValueError("a variable name is a string, got %r" % (v,))
+    return v
+
+
 def poly_from_obj(obj) -> Poly:
     """Read the form of `poly_to_obj` back in canonical form: zero
     exponents are dropped and a repeated variable's exponents add up.  A
-    coefficient that is not a string, such as a JSON number, raises
-    ValueError."""
+    variable name or a coefficient that is not a string, such as null or
+    a JSON number, raises ValueError."""
     return _from_pairs(
-        ([(str(v), e) for v, e in m], _parse_coefficient(c)) for m, c in obj
+        ([(_parse_name(v), e) for v, e in m], _parse_coefficient(c)) for m, c in obj
     )
 
 

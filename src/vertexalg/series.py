@@ -51,12 +51,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import gcd, lcm
 from operator import add
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import FIELD_BITS, FIELD_MASK, MAX_EXP, Poly, exact_int, json_field
+from .poly import FIELD_BITS, FIELD_MASK, MAX_EXP, MonomialTable, Poly, exact_int, json_field
 from .poly import poly_from_obj, poly_to_obj, sum_of_products
 
 Exponent = Tuple[int, ...]
@@ -607,19 +607,26 @@ def _meeting(left: list, right: list, caps: Caps) -> list:
 
 # each exponent a constant product meets, packed once for the process:
 # exponent -> (degree, key with one 16-bit field per variable), and per
-# number of variables key -> exponent.  `_pack` enters an exponent in both;
-# a field past MAX_EXP raises OverflowError, so no sum of keys carries.
-_PACKED: Dict[Exponent, Tuple[int, int]] = {}
-_UNPACKED: Dict[int, Dict[int, Exponent]] = {}
+# number of variables key -> exponent.  Either way a field past MAX_EXP
+# raises OverflowError, so no sum of two packed keys carries and no output
+# exponent exceeds it.
 
 
 def _pack(e: Exponent) -> Tuple[int, int]:
     if max(e, default=0) > MAX_EXP:
         raise OverflowError("an exponent would exceed %d" % MAX_EXP)
-    key = sum(x << (FIELD_BITS * i) for i, x in enumerate(e))
-    _UNPACKED.setdefault(len(e), {})[key] = e
-    _PACKED[e] = sum(e), key
-    return _PACKED[e]
+    return sum(e), sum(x << (FIELD_BITS * i) for i, x in enumerate(e))
+
+
+def _unpack(n_vars: int, key: int) -> Exponent:
+    e = tuple((key >> (FIELD_BITS * i)) & FIELD_MASK for i in range(n_vars))
+    if max(e, default=0) > MAX_EXP:
+        raise OverflowError("an exponent would exceed %d" % MAX_EXP)
+    return e
+
+
+_PACKED = MonomialTable(_pack)
+_UNPACKED = MonomialTable(lambda n_vars: MonomialTable(partial(_unpack, n_vars)))
 
 
 def _constant_product(
@@ -638,13 +645,11 @@ def _constant_product(
     """
     if not a or not b:
         return {}
-    n_vars, packed = len(next(iter(a))), _PACKED.get
+    n_vars = len(next(iter(a)))
 
     def rows(terms):
         den = lcm(*(c.den for c in terms.values()))
-        return den, _grouped(terms, caps, lambda e, c: (
-            packed(e) or _pack(e), c.terms[0] * (den // c.den)
-        ))
+        return den, _grouped(terms, caps, lambda e, c: (_PACKED[e], c.terms[0] * (den // c.den)))
 
     (den_a, left), (den_b, right) = rows(a), rows(b)
     for _, group in right:
@@ -665,14 +670,10 @@ def _constant_product(
     out: Dict[Exponent, Poly] = {}
     for k, n in acc.items():
         if n:
-            e = unpacked.get(k)
-            if e is None:
-                e = tuple((k >> (FIELD_BITS * i)) & FIELD_MASK for i in range(n_vars))
-                _pack(e)
             g = gcd(n, den)
             c = Poly.__new__(Poly)
             c.terms, c.den = {0: n // g}, den // g
-            out[e] = c
+            out[unpacked[k]] = c
     return out
 
 

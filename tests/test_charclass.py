@@ -57,16 +57,6 @@ def sp(k):
     return Poly.variable("s%d" % k)
 
 
-class _CohomologyWeights:
-    """Weighted-degree lookup for truncating coefficient polynomials."""
-
-    def get(self, name, default=1):
-        return var_weight(name)
-
-
-CH_W = _CohomologyWeights()
-
-
 def oriented(E, sign=1):
     return KClass(E.varset, E.summands, E.depth, E.zero_is_bundle, OrientationData(sign))
 
@@ -167,7 +157,11 @@ class TestNormalClasses:
 
 def cropped(x, depth):
     """x with coefficient terms of weighted degree above 2 * depth dropped."""
-    return x.map_coefficients(lambda p: p.truncate_degree(2 * depth, CH_W))
+    return x.map_coefficients(
+        lambda p: Poly(
+            {m: c for m, c in p.items() if sum(var_weight(v) * e for v, e in m) <= 2 * depth}
+        )
+    )
 
 
 class TestEulerClasses:
@@ -500,6 +494,9 @@ class TestSerialization:
             (("summands", 0, "weight"), None),
             (("summands", 0, "rank"), None),
             (("orientation", "sign"), None),
+            (("zero_is_bundle",), "false"),
+            (("zero_is_bundle",), 1),
+            (("orientation", "convention"), 7),
         ],
     )
     def test_malformed_field_raises(self, path, value):
@@ -566,3 +563,7 @@ class TestSerialization:
             # a JSON number would pass for the decimal it prints as
             with pytest.raises(ValueError):
                 poly_from_obj([[[["s1", 1]], bad]])
+        for bad in ([[[[None, 1]], "1/1"]], [[[[5, 2]], "3/1"]]):
+            # a name that is not a string is not made one
+            with pytest.raises(ValueError):
+                poly_from_obj(bad)

@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,9 @@ from vertexalg.homology import (
     HomologyElement,
     cap_poly,
     contract_poly,
+    contract_with,
     involution_dual,
+    pairing_plan,
     parse_ch,
     parse_s,
     pushforward_substitute,
@@ -247,6 +250,30 @@ class TestCap:
         with pytest.raises(ValueError):
             cap_poly(Poly.variable("ch1_2"), sv(1), BU1)
         assert cap_poly(chv(2), sv(2) * sv(1), BU1) == sv(1)
+
+    def test_pairing_plan_resolves_once(self, monkeypatch):
+        """One `pairing_plan` works out each generator's act and each
+        support's comask once, however many contractions read it."""
+        acted, masked = [], []
+        comask = homology._comask
+        monkeypatch.setattr(
+            homology, "_comask", lambda acts, sup: masked.append(sup) or comask(acts, sup)
+        )
+        act = partial(homology._act, BU3)
+        comasks, lowerings = pairing_plan(lambda shift: acted.append(shift) or act(shift), True)
+        a = sv(1) ** 2 * sv(2) + sv(4)
+        ps = [
+            (chv(1) + chv(0) * 2) * a,
+            chv(2) * chv(1) * a + sv(3),
+            (chv(1) - chv(2)) * sv(2) * sv(1),
+        ]
+        want = [contract_poly(p, BU3) for p in ps]
+        assert all(want)
+        for _ in range(3):
+            assert [contract_with(p, comasks[p.support()], lowerings) for p in ps] == want
+        fields = {shift for p in ps for shift, _ in key_fields(p.support())}
+        assert sorted(acted) == sorted(fields)
+        assert sorted(masked) == sorted({p.support() for p in ps}) and len(masked) == 3
 
 
 class TestClosedFormCap:

@@ -95,10 +95,12 @@ class TestCapModel:
         assert k_contract(U ** 2 * L) == Poly()
 
     def test_rejects_foreign_generators(self):
-        # a lowering that raises is not kept, so every call raises
+        # a lowering or a comask that raises is not kept, so every call raises
         for _ in range(2):
             with pytest.raises(ValueError):
                 k_cap(Poly.variable("s1"), L)
+            with pytest.raises(ValueError):
+                k_contract(Poly.variable("uq") * L)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import poly_reference as ref
 from vertexalg import charclass, homology, series
-from vertexalg.poly import MAX_EXP, Poly, poly_from_obj, poly_to_obj, sum_of_products
+from vertexalg.poly import MAX_EXP, MonomialTable, Poly, poly_from_obj, poly_to_obj, sum_of_products
 from vertexalg.series import TruncSeries
 
 x, y = Poly.variable("x"), Poly.variable("y")
@@ -246,6 +246,25 @@ def test_product_by_one_returns_the_other_operand():
     assert Poly.const(Fraction(1, 2)) * p == p / 2
 
 
+def test_monomial_table_plans_each_key_once():
+    calls = []
+
+    def plan(key):
+        calls.append(key)
+        if key < 0:
+            raise ValueError("no plan for %d" % key)
+        return key * 2
+
+    table = MonomialTable(plan)
+    assert [table[k] for k in (3, 5, 3, 3, 5)] == [6, 10, 6, 6, 10]
+    assert calls == [3, 5] and table == {3: 6, 5: 10}
+    # a plan that raises keeps nothing, so the key raises again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            table[-1]
+    assert calls == [3, 5, -1, -1] and -1 not in table
+
+
 # -- substitution works on packed keys --------------------------------------------
 
 
@@ -418,10 +437,7 @@ def prop_ring_matches_reference(ra, rb, c, n, var, fresh, bound, drawn):
     same_substitution(a, ra_, {"a": pb, "b": pa, "c": pa}, {"a": qb, "b": qa, "c": qa})
     same_substitution(a, ra_, {var: f}, {var: rf})
     same(a.truncate_degree(bound), ra_.truncate_degree(bound))
-    weights = {var: 2, fresh: 3}
-    same((a * f).truncate_degree(bound, weights), (ra_ * rf).truncate_degree(bound, weights))
     assert a.degree() == ra_.degree()
-    assert (a * f).degree(weights) == (ra_ * rf).degree(weights)
     assert a.constant_term() == ra_.constant_term()
     assert (a == b) == (ra_ == rb_)
 
