@@ -31,15 +31,16 @@ over den * e!.
 `series.nest`, each at the order its monomial leaves.
 
 The sum map of a product component is pushed forward by
-`pushforward_substitute`, and `sum_map_product` is that pushforward of an
-external product computed as a plain product of the factors.  Renaming
+`pushforward_substitute`.  `tensor` leaves an external product unbuilt,
+holding its factors, so its pushforward (`sum_map_product`) is a plain
+product of the factors and no suffixed term is ever built.  Renaming
 into and out of factor alphabets, the unitary pushforward and the
 generator D are monomial-to-monomial maps, so they run as field moves on
 packed keys: renames through per-factor monomial tables, D through plans
 cached per support; a cap lowers homology keys through lowerings planned
-once per component.  `tensor` is one fused product: each factor's terms
-move onto its suffix by table lookups and multiply into the product's
-numerators by adding keys, and the result is made a `Poly` once.
+once per component.  Read, a `tensor` is one fused product: each
+factor's terms move onto its suffix by table lookups and multiply into
+the product's numerators by adding keys, and the result is made once.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache, partial, reduce
-from math import perm
-from operator import or_
+from math import gcd, perm, prod
+from operator import mul, or_
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .poly import (
@@ -57,6 +58,7 @@ from .poly import (
     MAX_EXP,
     MonomialTable,
     Poly,
+    _Deferred,
     _make,
     check_guards,
     exact_int,
@@ -242,12 +244,12 @@ class HomologyElement:
         where = (component.model, component.index)
         checked = _CHECKED.get(where, 0)
         if support & ~checked:
-            for v in poly.variables():
-                if not component.allows_variable(v):
-                    raise ValueError(
-                        "generator %r does not live on %r" % (v, component)
-                    )
+            # read from the support, so an unbuilt product stays unbuilt
             for shift, _ in key_fields(support):
+                if not component.allows_variable(shift_name(shift)):
+                    raise ValueError(
+                        "generator %r does not live on %r" % (shift_name(shift), component)
+                    )
                 checked |= FIELD_MASK << shift
             _CHECKED[where] = checked
         self.component = component
@@ -306,48 +308,74 @@ def _module_model(module: HomologyElement) -> str:
     return model
 
 
+class _Tensor(_Deferred):
+    """An unbuilt `tensor` product: ``parts`` holds each factor's own
+    polynomial and the factor key its generators move onto.  Its den and
+    support come from the parts, and its terms are built on first read;
+    `pushforward_substitute` reads the parts alone."""
+
+    __slots__ = ("parts",)
+    factors = None  # no pair to cap from: a contraction builds the terms
+
+    def support(self) -> int:
+        # a support moves as a monomial does: field by field
+        return reduce(or_, (_suffix_table(key)[p.support()] for key, p in self.parts))
+
+    def _built(self) -> Poly:
+        terms, den = {0: 1}, 1
+        for key, p in self.parts:
+            image = _moved_terms(p, key).items()
+            terms = {k + m: c * d for k, c in terms.items() for m, d in image}
+            den *= p.den
+        return _make(terms, den)
+
+
 def tensor(*factors: HomologyElement, module: HomologyElement = None) -> HomologyElement:
     """External product of single-space classes, with factor suffixes.
 
     Without a module argument all factors must be unitary classes; the
     result lives on the n-fold unitary product.  With one, the module
     factor becomes factor 0 of an orthosymplectic product, and its terms
-    come first.  The product is fused: each factor's terms move onto its
-    suffix by one lookup each in that factor's `_suffix_table`, the moved
-    keys add to the keys of the product so far (the factors' supports are
-    disjoint, so nothing merges or carries), and the numerators multiply;
-    the result is made a `Poly` once, over the product of the
-    denominators.  A single space keeps its unsuffixed names, so there
-    nothing moves and the class's own polynomial is the result.  Pushed
-    forward along the sum map, the tensor product is `sum_map_product` of
-    the factors:
+    come first.  A single space keeps its unsuffixed names, so there
+    nothing moves and the class's own polynomial is the result; a zero
+    factor gives zero.  Otherwise the product holds the factors' own
+    polynomials, unbuilt, over the product of their dens divided by its
+    gcd with the product of their contents (Gauss's lemma).  The first
+    read of its terms runs the fused product: each factor's terms move
+    onto its suffix by one lookup each in that factor's `_suffix_table`,
+    the moved keys add to the keys of the product so far (the factors'
+    supports are disjoint, so nothing merges or carries), and the
+    numerators multiply.  `pushforward_substitute` never builds them:
 
         >>> s1, s2 = Poly.variable("s1"), Poly.variable("s2")
         >>> a = HomologyElement(ComponentLabel("BU_Z", (1,)), s1 + s2 / 2)
         >>> b = HomologyElement(ComponentLabel("BU_Z", (2,)), s1 - s2)
-        >>> tensor(a, b).poly
+        >>> ab = tensor(a, b)
+        >>> pushforward_substitute(ab).poly
+        -1/2*s1*s2+s1^2-1/2*s2^2
+        >>> Poly.terms.__get__(ab.poly)  # still unbuilt: its slot is empty
+        Traceback (most recent call last):
+        AttributeError: '_Tensor' object has no attribute 'terms'
+        >>> ab.poly
         s1_1*s1_2-s1_1*s2_2+1/2*s1_2*s2_1-1/2*s2_1*s2_2
-        >>> pushforward_substitute(tensor(a, b)) == sum_map_product(a, b)
-        True
     """
     ranks = _single_ranks(factors)
     if module is None:
         if not factors:
             raise ValueError("empty tensor product")
         comp = ComponentLabel("BU_Z", tuple(ranks))
-        parts = list(zip(comp.unitary_factors(), factors))
+        parts = [(key, f.poly) for key, f in zip(comp.unitary_factors(), factors)]
     else:
         comp = ComponentLabel(_module_model(module), tuple(ranks) + (module.component.index[0],))
         keys = comp.factor_keys()  # the unitary factors, then the module slot
-        parts = [(keys[-1], module)] + list(zip(keys, factors))
-    (key, first), rest = parts[0], parts[1:]
-    terms = _moved_terms(first.poly, key)
-    den = first.poly.den
-    for key, f in rest:
-        image = _moved_terms(f.poly, key).items()
-        terms = {k + m: c * d for k, c in terms.items() for m, d in image}
-        den *= f.poly.den
-    return HomologyElement(comp, first.poly if terms is first.poly.terms else _make(terms, den))
+        parts = [(keys[-1], module.poly)] + [(k, f.poly) for k, f in zip(keys, factors)]
+    if len(parts) == 1 or not all(p for _, p in parts):
+        return HomologyElement(comp, parts[0][1] if len(parts) == 1 else Poly.zero())
+    p = _Tensor.__new__(_Tensor)
+    d = prod(q.den for _, q in parts)
+    p.den = d // gcd(d, prod(gcd(*q.terms.values()) for _, q in parts))
+    p.parts = parts
+    return HomologyElement(comp, p)
 
 
 def _suffix_image(factor: FactorKey, key: int) -> int:
@@ -367,14 +395,10 @@ def _suffix_table(factor: FactorKey) -> MonomialTable:
     return MonomialTable(partial(_suffix_image, factor))
 
 
-def _moved_terms(poly: Poly, factor: FactorKey) -> Dict[int, int]:
+def _moved_terms(poly: Poly, factor: int) -> Dict[int, int]:
     """The numerators of a single-space class with its generators moved
     onto ``factor``, one table lookup per term: the map is injective on
-    one factor's monomials, so no two terms meet.  Single-space generators
-    are unsuffixed, so onto None nothing moves and the class's own terms
-    are returned."""
-    if factor is None:
-        return poly.terms
+    one factor's monomials, so no two terms meet."""
     table = _suffix_table(factor)
     return {table[m]: c for m, c in poly.terms.items()}
 
@@ -877,28 +901,39 @@ def pushforward_substitute(a: HomologyElement) -> HomologyElement:
     so even unitary generators double, odd ones die, the module alphabet
     passes through, and the target rank is r_0 + 2 * sum r_i.
 
-    The unitary map is `_unsuffixed`: each key is split into its factors'
-    parts, whose images come from a monomial table kept across calls, and
-    terms that meet merge.  The orthosymplectic map
-    is a `Poly.substitute` by one-term images from a plan cached per
-    support and module factor, which is sound because a support always
-    names the same variables.
+    An unbuilt `tensor` product is pushed forward from its factors, and
+    its suffixed terms are never built: on BU_Z the image is the plain
+    product of the factors' own polynomials, and on BO_Z / BSp_2Z the
+    module polynomial times each unitary factor's image in the plan
+    below.  Otherwise the unitary map is `_unsuffixed`: each key is split
+    into its factors' parts, whose images come from a monomial table kept
+    across calls, and terms that meet merge.  The orthosymplectic map is a
+    `Poly.substitute` by one-term images from a plan cached per support
+    and module factor, which is sound because a support always names the
+    same variables.
     """
-    comp = a.component
-    if comp.model == "BU_Z":
-        target = ComponentLabel("BU_Z", (sum(comp.index),))
-        return HomologyElement(target, _unsuffixed(a.poly))
+    comp, poly = a.component, a.poly
+    unitary = comp.model == "BU_Z"
+    rank = sum(comp.index) if unitary else comp.index[-1] + 2 * sum(comp.index[:-1])
+    target = ComponentLabel(comp.model, (rank,))
+    if type(poly) is _Tensor:
+        # the factors keep their own unsuffixed names, so on BO / BSp a
+        # unitary one maps as a factor other than the module slot 0
+        images = (
+            p if unitary or k == 0 else p.substitute(_sum_map_plan(p.support(), 0))
+            for k, p in poly.parts
+        )
+        return HomologyElement(target, reduce(mul, images))
+    if unitary:
+        return HomologyElement(target, _unsuffixed(poly))
     # the module factor is factor 0 of a product, unsuffixed on its own
-    module = 0 if len(comp.index) > 1 else None
-    r0 = comp.index[-1]
-    target = ComponentLabel(comp.model, (r0 + 2 * sum(comp.index[:-1]),))
-    plan = _sum_map_plan(a.poly.support(), module)
-    return HomologyElement(target, a.poly.substitute(plan))
+    plan = _sum_map_plan(poly.support(), 0 if len(comp.index) > 1 else None)
+    return HomologyElement(target, poly.substitute(plan))
 
 
 def sum_map_product(*elements: HomologyElement, module: HomologyElement = None) -> HomologyElement:
-    """``pushforward_substitute(tensor(*elements, module=module))`` without
-    the round trip through suffixed alphabets.
+    """``pushforward_substitute(tensor(*elements, module=module))``, which
+    never builds the suffixed product.
 
     On BU_Z the sum map sends every s_k^{(i)} to s_k, so this is the plain
     product of the factor polynomials on the rank-sum component.  With a
@@ -912,19 +947,5 @@ def sum_map_product(*elements: HomologyElement, module: HomologyElement = None) 
         >>> sum_map_product(a, module=m)
         HomologyElement(ComponentLabel('BO_Z', (5,)), 2*s2^2)
     """
-    ranks = _single_ranks(elements)
-    if module is None:
-        if not elements:
-            raise ValueError("empty product")
-        poly = elements[0].poly
-        for f in elements[1:]:
-            poly = poly * f.poly
-        return HomologyElement(ComponentLabel("BU_Z", (sum(ranks),)), poly)
-    model = _module_model(module)
-    poly = module.poly
-    for f in elements:
-        # unsuffixed unitary names are not on the module factor 0
-        poly = poly * f.poly.substitute(_sum_map_plan(f.poly.support(), 0))
-    target = ComponentLabel(model, (module.component.index[0] + 2 * sum(ranks),))
-    return HomologyElement(target, poly)
+    return pushforward_substitute(tensor(*elements, module=module))
 

@@ -42,6 +42,7 @@ zw - 1 = x + y + xy.
 
 from __future__ import annotations
 
+import re
 from functools import cache, reduce
 from math import comb, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -113,10 +114,13 @@ def _k_act(shift: int) -> Optional[Tuple[int, None]]:
     """How a generator acts in the K-theoretic pairing: u_i takes units
     off the field of l_i (u off that of l), and every other generator is
     acted on (see `homology.pairing_plan`).  A u-name with a suffix that
-    is not an integer raises ValueError."""
+    is not a canonical decimal (a leading zero, a sign, a space or an
+    underscore) raises ValueError."""
     name = shift_name(shift)
     if not name.startswith("u"):
         return None
+    if not re.fullmatch(r"u(?:0|[1-9][0-9]*)?", name):
+        raise ValueError("%r is not a u-generator" % name)
     return var_shift(l_name(int(name[1:]) if name[1:] else None)), None
 
 
@@ -203,8 +207,10 @@ def exterior_powers(lines: Sequence[Tuple[int, Poly]], upto: int, cutoff: int) -
 
 
 def _vee_classes(summand: Summand, kmax: int, cutoff: int) -> List[Poly]:
-    """The interpolation classes vee^0..vee^kmax of `vee_k`, all read from
-    one list of wedge powers."""
+    """The interpolation classes vee^0..vee^kmax, all read from one list of
+    wedge powers: vee^k(E) = sum_i (-1)^(k-i) C(rank-i, k-i) wedge^i(E),
+    whose augmentation valuation is at least k, so cutting off u-degrees
+    bounds the k-range."""
     if summand.lines is None:
         raise ValueError("this operation needs a line presentation")
     rank, wedges = summand.rank, exterior_powers(summand.lines, kmax, cutoff)
@@ -213,15 +219,6 @@ def _vee_classes(summand: Summand, kmax: int, cutoff: int) -> List[Poly]:
         signed = (wedges[i] * (gbinom(rank - i, k - i) * (-1) ** (k - i)) for i in range(k + 1))
         out.append(sum(signed, Poly()).truncate_degree(cutoff))
     return out
-
-
-def vee_k(summand: Summand, k: int, cutoff: int) -> Poly:
-    """The k-th interpolation class between wedge powers and the rank.
-
-    vee^k(E) = sum_i (-1)^(k-i) C(rank-i, k-i) wedge^i(E); its augmentation
-    valuation is at least k, so cutting off u-degrees bounds the k-range.
-    """
-    return _vee_classes(summand, k, cutoff)[k]
 
 
 def _weight_poles(varset: VarSet, weight, P: int, order: int, blocks, depth: int) -> tuple:

@@ -564,7 +564,8 @@ class Poly:
 
 
 class _Deferred(Poly):
-    """A deferred product (see the module docstring).  Only this class has
+    """A deferred product (see the module docstring), whose first read of
+    `terms` keeps those of `_built`.  Only it and `homology._Tensor` have
     a `__getattr__`: a class with one loses the interpreter's fast path
     for every attribute read of its instances."""
 
@@ -581,15 +582,17 @@ class _Deferred(Poly):
         return a.support() | b.support()
 
     def __getattr__(self, name: str):
-        # reached only while a slot is unset: the terms, built a-outer,
-        # b-inner as in `sum_of_products`
+        # reached only while a slot is unset
         if name != "terms":
             raise AttributeError(name)
+        self.terms = terms = self._built().terms
+        return terms
+
+    def _built(self) -> Poly:
+        """The product, built a-outer, b-inner as in `sum_of_products`."""
         a, b = self.factors
         bt = b.terms.items()
-        p = _make({m1 + m2: c1 * c2 for m1, c1 in a.terms.items() for m2, c2 in bt}, a.den * b.den)
-        self.terms = p.terms
-        return p.terms
+        return _make({m1 + m2: c1 * c2 for m1, c1 in a.terms.items() for m2, c2 in bt}, a.den * b.den)
 
 
 def sum_of_products(pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:

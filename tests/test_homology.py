@@ -742,7 +742,9 @@ def _random_s_poly(rng, ks, factor=None):
 
 class TestPushforwardAgainstMultiplyOut:
     """`pushforward_substitute` of external products against the factor by
-    factor expansion of the same substitution (`poly_reference.multiply_out`)."""
+    factor expansion of the same substitution (`poly_reference.multiply_out`):
+    of the unbuilt `tensor`, pushed forward from its factors, and of the
+    same product built (`tensor_by_resuffix`), pushed forward term by term."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("ranks", [(0, 1), (1, 2), (2, 2), (0, 1, 2)])
@@ -752,13 +754,14 @@ class TestPushforwardAgainstMultiplyOut:
             HomologyElement(ComponentLabel("BU_Z", (r,)), _random_s_poly(rng, (1, 2, 3)))
             for r in ranks
         ]
-        prod = tensor(*factors)
+        prod = tensor_by_resuffix(*factors)
         mapping = {
             s_name(k, i + 1): sv(k) for i in range(len(ranks)) for k in (1, 2, 3)
         }
-        out = pushforward_substitute(prod)
-        assert out.component == ComponentLabel("BU_Z", (sum(ranks),))
-        assert out.poly == ref.multiply_out(prod.poly, mapping)
+        want = ref.multiply_out(prod.poly, mapping)
+        for out in (pushforward_substitute(tensor(*factors)), pushforward_substitute(prod)):
+            assert out.component == ComponentLabel("BU_Z", (sum(ranks),))
+            assert out.poly == want
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("model, r0", [("BO_Z", 1), ("BO_Z", 3), ("BSp_2Z", 2)])
@@ -770,25 +773,23 @@ class TestPushforwardAgainstMultiplyOut:
             HomologyElement(ComponentLabel("BU_Z", (r,)), _random_s_poly(rng, (1, 2, 3)))
             for r in ranks
         ]
-        prod = tensor(*factors, module=module)
+        prod = tensor_by_resuffix(*factors, module=module)
         # odd unitary generators die, even ones double, the module passes
         mapping = {s_name(k, 0 if ranks else None): sv(k) for k in (2, 4)}
         for i in range(len(ranks)):
             for k in (1, 2, 3):
                 mapping[s_name(k, i + 1)] = Poly() if k % 2 else 2 * sv(k)
-        out = pushforward_substitute(prod)
-        assert out.component == ComponentLabel(model, (r0 + 2 * sum(ranks),))
-        assert out.poly == ref.multiply_out(prod.poly, mapping)
+        want = ref.multiply_out(prod.poly, mapping)
+        pushed = pushforward_substitute(tensor(*factors, module=module))
+        for out in (pushed, pushforward_substitute(prod)):
+            assert out.component == ComponentLabel(model, (r0 + 2 * sum(ranks),))
+            assert out.poly == want
 
 
 class TestSumMapProduct:
-    """`sum_map_product` against the `pushforward_substitute(tensor(...))`
-    round trip it replaces."""
-
-    @staticmethod
-    def _same(got, want):
-        assert got.component == want.component
-        assert got.poly.terms == want.poly.terms and got.poly.den == want.poly.den
+    """`sum_map_product` against the multiply-out reference: the suffixed
+    product built by `tensor_by_resuffix`, with the sum map substituted
+    into it term by term (`_unsuffixed`)."""
 
     def test_unitary_against_round_trip(self):
         for seed in range(200):
@@ -800,7 +801,10 @@ class TestSumMapProduct:
                 )
                 for _ in range(rng.randint(2, 3))
             ]
-            self._same(sum_map_product(*factors), pushforward_substitute(tensor(*factors)))
+            got = sum_map_product(*factors)
+            rank = sum(f.component.index[0] for f in factors)
+            assert got.component == ComponentLabel("BU_Z", (rank,))
+            _same_poly(got.poly, _unsuffixed(tensor_by_resuffix(*factors).poly))
 
     def test_module_against_round_trip(self):
         for seed in range(200):
@@ -814,10 +818,11 @@ class TestSumMapProduct:
                 )
                 for _ in range(rng.randint(0, 2))
             ]
-            self._same(
-                sum_map_product(*factors, module=module),
-                pushforward_substitute(tensor(*factors, module=module)),
-            )
+            got = sum_map_product(*factors, module=module)
+            rank = r0 + 2 * sum(f.component.index[0] for f in factors)
+            assert got.component == ComponentLabel(model, (rank,))
+            want = tensor_by_resuffix(*factors, module=module).poly
+            _same_poly(got.poly, _unsuffixed(want, even_only=bool(factors)))
 
     def test_rejects_what_tensor_rejects(self):
         a = HomologyElement(BU1, sv(1))
@@ -840,11 +845,12 @@ def _suffixed(p, factor):
 
 def _unsuffixed(p, even_only=False):
     """The sum map of every s-generator of ``p``, multiplied out: s_k of any
-    factor to s_k, or with ``even_only`` odd k to 0 and even k to 2*s_k."""
+    factor to s_k, or with ``even_only`` s_k of any factor but the module
+    slot 0 to 0 for odd k and to 2*s_k for even k."""
     mapping = {}
     for v in p.variables():
-        k = parse_s(v)[0]
-        mapping[v] = (Poly() if k % 2 else 2 * sv(k)) if even_only else sv(k)
+        k, factor = parse_s(v)
+        mapping[v] = (Poly() if k % 2 else 2 * sv(k)) if even_only and factor != 0 else sv(k)
     return ref.multiply_out(p, mapping)
 
 
@@ -893,7 +899,8 @@ def tensor_by_resuffix(*factors, module=None):
 
 class TestSuffixTables:
     """The per-factor monomial tables behind `tensor` and the unitary
-    `pushforward_substitute`, against the same maps multiplied out."""
+    `pushforward_substitute` of a built product, against the same maps
+    multiplied out."""
 
     @settings(max_examples=150, deadline=None)
     @given(unitary_classes())
@@ -903,13 +910,12 @@ class TestSuffixTables:
         for key, f in zip(prod.component.unitary_factors(), fs):
             want = want * _suffixed(f.poly, key)
         _same_poly(prod.poly, want)
-        pushed = pushforward_substitute(prod)
         rank = sum(f.component.index[0] for f in fs)
-        assert pushed.component == ComponentLabel("BU_Z", (rank,))
-        _same_poly(pushed.poly, _unsuffixed(prod.poly))
-        direct = sum_map_product(*fs)
-        assert pushed.component == direct.component
-        _same_poly(pushed.poly, direct.poly)
+        # the tensor from its factors, and the built product key by key
+        for a in (prod, HomologyElement(prod.component, want)):
+            pushed = pushforward_substitute(a)
+            assert pushed.component == ComponentLabel("BU_Z", (rank,))
+            _same_poly(pushed.poly, _unsuffixed(want))
 
     @settings(max_examples=100, deadline=None)
     @given(unitary_classes(), s_polys(ks=(2, 4)), st.sampled_from([1, 3]))
@@ -921,14 +927,14 @@ class TestSuffixTables:
         for i, f in enumerate(fs):
             want = want * _suffixed(f.poly, i + 1)
         _same_poly(prod.poly, want)
-        pushed = pushforward_substitute(prod)
-        want = _unsuffixed(mpoly)
+        image = _unsuffixed(mpoly)
         for f in fs:
-            want = want * _unsuffixed(f.poly, even_only=True)
-        _same_poly(pushed.poly, want)
-        direct = sum_map_product(*fs, module=m)
-        assert pushed.component == direct.component
-        _same_poly(pushed.poly, direct.poly)
+            image = image * _unsuffixed(f.poly, even_only=True)
+        rank = r0 + 2 * sum(f.component.index[0] for f in fs)
+        for a in (prod, HomologyElement(prod.component, want)):
+            pushed = pushforward_substitute(a)
+            assert pushed.component == ComponentLabel("BO_Z", (rank,))
+            _same_poly(pushed.poly, image)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -970,18 +976,20 @@ class TestSuffixTables:
         assert pushforward_substitute(constant).poly is constant.poly
 
     def test_overflow_stores_nothing(self):
+        """Of the tensor and of the built product alike."""
         big = HomologyElement(BU1, Poly.variable("s1", 20000))
-        for _ in range(2):
-            with pytest.raises(OverflowError):
-                pushforward_substitute(tensor(big, big))
-        # three parts: the third addition would carry past the s1 field
         full = HomologyElement(BU1, Poly.variable("s1", 30000))
-        with pytest.raises(OverflowError):
-            pushforward_substitute(tensor(full, full, full))
-        check_guards(homology._suffix_table(None).values())
         small = HomologyElement(BU1, Poly.variable("s1", 12000) * sv(2))
-        pushed = pushforward_substitute(tensor(small, big))
-        _same_poly(pushed.poly, Poly.variable("s1", 32000) * sv(2))
+        for product in (tensor, tensor_by_resuffix):
+            for _ in range(2):
+                with pytest.raises(OverflowError):
+                    pushforward_substitute(product(big, big))
+            # three parts: the third addition would carry past the s1 field
+            with pytest.raises(OverflowError):
+                pushforward_substitute(product(full, full, full))
+            check_guards(homology._suffix_table(None).values())
+            pushed = pushforward_substitute(product(small, big))
+            _same_poly(pushed.poly, Poly.variable("s1", 32000) * sv(2))
 
     def test_tables_hold_one_factor_monomials(self):
         """A table entry is the image of a single factor's monomial, never
@@ -994,13 +1002,75 @@ class TestSuffixTables:
                 )
                 for _ in range(rng.randint(2, 4))
             ]
-            pushforward_substitute(tensor(*factors))
+            pushforward_substitute(tensor_by_resuffix(*factors))
         owners = [
             {parse_s(shift_name(shift))[1] for shift, _ in key_fields(key)}
             for key in homology._suffix_table(None)
         ]
         assert {1} in owners and {2} in owners
         assert all(len(o) <= 1 for o in owners)
+
+
+@st.composite
+def tensor_inputs(draw):
+    """One to four single unitary classes of ranks -2..2, fractional
+    coefficients, one of them sometimes zero, and half the time beside a
+    BO or BSp module class (then with zero to three unitary factors)."""
+    fs = draw(unitary_classes())
+    fs = [HomologyElement(ComponentLabel("BU_Z", (draw(st.integers(-2, 2)),)), f.poly) for f in fs]
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, len(fs) - 1))
+        fs[zero] = HomologyElement(fs[zero].component, Poly())
+    module = None
+    if draw(st.booleans()):
+        model, r0 = draw(st.sampled_from(MODULE_RANKS + [("BO_Z", -1), ("BSp_2Z", -2)]))
+        module = HomologyElement(ComponentLabel(model, (r0,)), draw(s_polys(ks=(2, 4))))
+        fs = fs[1:]
+    return fs, module
+
+
+def suffixed_term_built(*args):
+    raise AssertionError("the pushforward built a suffixed term")
+
+
+class TestUnbuiltTensor:
+    """`tensor` leaves a product of two or more nonzero factors unbuilt,
+    and answers everything from its factors as the built product would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tensor_inputs())
+    def test_prop_unbuilt_tensor_matches_reference(self, drawn):
+        fs, module = drawn
+        want = tensor_by_resuffix(*fs, module=module)
+        got = tensor(*fs, module=module)
+        lazy = not terms_built(got.poly)
+        polys = [f.poly for f in fs] + ([module.poly] if module else [])
+        assert lazy == (len(polys) > 1 and all(polys))
+        den, support = got.poly.den, got.poly.support()
+        # the sum map of an unbuilt product, from its factors: no factor is
+        # moved onto a suffix or off it, and the product stays unbuilt
+        with pytest.MonkeyPatch.context() as banned:
+            for name in ("_moved_terms", "_unsuffixed") if lazy else ():
+                banned.setattr(homology, name, suffixed_term_built)
+            pushed = pushforward_substitute(got)
+        assert lazy == (not terms_built(got.poly))
+        ranks = [f.component.index[0] for f in fs]
+        if module is None:
+            assert pushed.component == ComponentLabel("BU_Z", (sum(ranks),))
+        else:
+            r0 = module.component.index[0]
+            assert pushed.component == ComponentLabel(module.component.model, (r0 + 2 * sum(ranks),))
+        _same_poly(pushed.poly, _unsuffixed(want.poly, even_only=module is not None and bool(fs)))
+        # built, the terms are those of the oracle, and den and support
+        # read before building agree with them
+        assert got.component == want.component
+        _same_poly(got.poly, want.poly)
+        assert (den, support) == (want.poly.den, want.poly.support())
+        # equality and translation of a fresh unbuilt product
+        assert tensor(*fs, module=module).poly == want.poly
+        assert want.poly == tensor(*fs, module=module).poly
+        names = ["z%d" % i for i in range(len(want.component.unitary_factors()))]
+        assert translate(tensor(*fs, module=module), names, 2) == translate(want, names, 2)
 
 
 # -- the field maps of translation and of the sum map ---------------------------------
@@ -1057,11 +1127,14 @@ class TestFieldMaps:
     def test_no_multiply_out_route(self, monkeypatch):
         """With the substitution kernel, powers, derivatives, variable
         construction, and `Poly` products and sums all made to fail, the
-        fused `tensor`, the unitary sum-map round trip, `translate` on a
-        three-factor product and the translation generator still give the
-        reference results: none of them builds an intermediate `Poly`.
-        They run with empty plans, so the tables are planned under the
-        same ban."""
+        fused `tensor` (built when `translate` first reads it), `translate`
+        on a three-factor product and the translation generator still
+        give the reference results: none of them builds an intermediate
+        `Poly`.  The unitary pushforward of the unbuilt tensor is the
+        product of its factors, so there products are allowed, but only
+        of unsuffixed polynomials, with nothing moved onto or off a
+        suffix, and the tensor stays unbuilt.  They run with empty plans,
+        so the tables are planned under the same ban."""
         rng = random.Random("no-multiply-out")
         ranks = (0, 1, 2)
         factors = [
@@ -1080,6 +1153,13 @@ class TestFieldMaps:
         def forbidden(*args, **kwargs):
             raise AssertionError("a field map built an intermediate polynomial")
 
+        def unsuffixed_product(p, q):
+            for x in (p, q):
+                if any(parse_s(shift_name(f))[1] is not None for f, _ in key_fields(x.support())):
+                    raise AssertionError("the pushforward multiplied suffixed polynomials")
+            return product(p, q)
+
+        product = Poly.__mul__
         banned = ("substitute", "__pow__", "diff", "variable", "__mul__", "__rmul__")
         for attr in banned + ("__add__", "__radd__"):
             monkeypatch.setattr(Poly, attr, forbidden)
@@ -1093,7 +1173,12 @@ class TestFieldMaps:
         ):
             plan.cache_clear()
         tensor_got = tensor(*factors)
-        pushed = pushforward_substitute(tensor_got)
+        with monkeypatch.context() as pushing:
+            pushing.setattr(Poly, "__mul__", unsuffixed_product)
+            pushing.setattr(homology, "_moved_terms", forbidden)
+            pushing.setattr(homology, "_unsuffixed", forbidden)
+            pushed = pushforward_substitute(tensor_got)
+        assert not terms_built(tensor_got.poly)
         translate_got = translate(tensor_got, names, 3)
         raise_got = [raise_once(q, f, r) for q, f, r in classes]
         monkeypatch.undo()

@@ -30,7 +30,6 @@ from vertexalg.ktheory import (
     k_contract,
     mult_translate_series,
     one_plus_pow,
-    vee_k,
     wedge_minus_z,
 )
 from vertexalg.poly import FIELD_MASK, MAX_EXP, Poly, sum_of_products, var_shift
@@ -89,6 +88,20 @@ class TestCapModel:
         l1, l2 = Poly.variable("l1"), Poly.variable("l2")
         assert k_cap(u1, l1 * l2 ** 2) == l2 ** 2
         assert k_cap(u1, l2 ** 2) == Poly()
+
+    def test_u_suffix_is_canonical_decimal(self):
+        # int() reads each of these suffixes as 1 or 10, but none of them
+        # names a u-generator, so capping with it raises
+        lpoly = Poly.variable("l1") * Poly.variable("l10")
+        for name in ("u01", "u 1", "u1_0", "u+1"):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="u-generator"):
+                    k_cap(Poly.variable(name), lpoly)
+                with pytest.raises(ValueError, match="u-generator"):
+                    k_contract(Poly.variable(name) * lpoly)
+        for u, l in (("u", "l"), ("u1", "l1"), ("u10", "l10")):
+            assert k_cap(Poly.variable(u), Poly.variable(l) ** 2) == Poly.variable(l)
+            assert k_contract(Poly.variable(u) * Poly.variable(l)) == Poly.const(1)
 
     def test_contract_mixed(self):
         assert k_contract(U * L ** 2 + L) == L + L
@@ -273,38 +286,39 @@ class TestMultTranslate:
 class TestLambdaClasses:
     def test_single_line_first_class(self):
         line = Summand(1, None, [(1, U)])
-        assert vee_k(line, 1, 4) == U
+        assert _vee_classes(line, 1, 4)[1] == U
 
     def test_single_line_telescopes(self):
         line = Summand(1, None, [(1, U)])
-        assert vee_k(line, 2, 4) == Poly()
-        assert vee_k(line, 3, 6) == Poly()
+        assert _vee_classes(line, 2, 4)[2] == Poly()
+        assert _vee_classes(line, 3, 6)[3] == Poly()
 
     def test_two_lines_top_class(self):
         u1, u2 = Poly.variable("u1"), Poly.variable("u2")
         pair = Summand(2, None, [(1, u1), (1, u2)])
-        assert vee_k(pair, 2, 4) == u1 * u2
-        assert vee_k(pair, 3, 6) == Poly()
+        assert _vee_classes(pair, 2, 4)[2] == u1 * u2
+        assert _vee_classes(pair, 3, 6)[3] == Poly()
 
     def test_virtual_line(self):
         antiline = Summand(-1, None, [(-1, U)])
-        assert vee_k(antiline, 1, 5) == -U
+        assert _vee_classes(antiline, 1, 5)[1] == -U
 
     def test_filtration_valuation(self):
         # vee^k lands in the k-th power of the augmentation ideal
         u1, u2 = Poly.variable("u1"), Poly.variable("u2")
         mixed = Summand(1, None, [(1, u1), (1, u2), (-1, u1 * u2 + u1 + u2)])
         for k in (1, 2, 3):
-            v = vee_k(mixed, k, 6)
+            v = _vee_classes(mixed, k, 6)[k]
             assert all(sum(e for _, e in mono) >= k for mono, _ in v.items())
 
     def test_needs_lines(self):
         with pytest.raises(ValueError):
-            vee_k(Summand(1, {1: U}), 1, 3)
+            _vee_classes(Summand(1, {1: U}), 1, 3)
 
     def test_classes_from_one_list_of_wedge_powers(self):
-        # the classes read from one list of wedge powers are those of
-        # vee_k, and of the defining sum over each k's own wedge powers
+        # the classes read from one list of wedge powers are those read
+        # with kmax = k, and those of the defining sum over each k's own
+        # wedge powers
         u1, u2 = Poly.variable("u1"), Poly.variable("u2")
         summands = [
             Summand(1, None, [(1, U)]),
@@ -315,7 +329,7 @@ class TestLambdaClasses:
         for s in summands:
             for cutoff in (3, 6):
                 classes = _vee_classes(s, 5, cutoff)
-                assert classes == [vee_k(s, k, cutoff) for k in range(6)]
+                assert classes == [_vee_classes(s, k, cutoff)[k] for k in range(6)]
                 assert classes == [vee_by_own_wedges(s, k, cutoff) for k in range(6)]
 
     def test_wedge_series_reads_wedge_powers_once_per_weight(self, monkeypatch):
