@@ -141,9 +141,6 @@ class OrientationData:
         self.sign = sign
         self.convention = convention
 
-    def opposite(self) -> "OrientationData":
-        return OrientationData(-self.sign, self.convention)
-
 
 class KClass:
     """A finite weight decomposition over a torus, with Chern-character data.
@@ -228,12 +225,6 @@ class KClass:
             min(self.depth, other.depth),
             self.zero_is_bundle and other.zero_is_bundle,
             self.orientation,
-        )
-
-    def opposite(self) -> "KClass":
-        ori = self.orientation or OrientationData()
-        return KClass(
-            self.varset, self.summands, self.depth, self.zero_is_bundle, ori.opposite()
         )
 
     def is_real(self) -> bool:

@@ -33,14 +33,18 @@ over den * e!.
 The sum map of a product component is pushed forward by
 `pushforward_substitute`.  `tensor` leaves an external product unbuilt,
 holding its factors, so its pushforward (`sum_map_product`) is a plain
-product of the factors and no suffixed term is ever built.  Renaming
-into and out of factor alphabets, the unitary pushforward and the
-generator D are monomial-to-monomial maps, so they run as field moves on
-packed keys: renames through per-factor monomial tables, D through plans
-cached per support; a cap lowers homology keys through lowerings planned
-once per component.  Read, a `tensor` is one fused product: each
-factor's terms move onto its suffix by table lookups and multiply into
-the product's numerators by adding keys, and the result is made once.
+product of the factors and no suffixed term is ever built.  Both check
+their outputs from supports they already hold (each factor on its own
+space, then the factors' images on the target), and there is one label
+per component, so the route costs O(factors) beside the products of the
+factors themselves.  Renaming into and out of factor alphabets, the
+unitary pushforward and the generator D are monomial-to-monomial maps,
+so they run as field moves on packed keys: renames through per-factor
+monomial tables, D through plans cached per support; a cap lowers
+homology keys through lowerings planned once per component.  Read, a
+`tensor` is one fused product: each factor's terms move onto its suffix
+by table lookups and multiply into the product's numerators by adding
+keys, and the result is made once.
 """
 
 from __future__ import annotations
@@ -76,10 +80,8 @@ FactorKey = Optional[int]
 _S_RE = re.compile(r"s(\d+)(?:_(\d+))?\Z")
 _CH_RE = re.compile(r"ch(\d+)(?:_(\d+))?\Z")
 
-# (model, index) -> the fields of the generators already found to live on
-# that component, so a class is only checked name by name when it brings a
-# field that component has not seen
-_CHECKED: Dict[Tuple[str, tuple], int] = {}
+# (model, index) -> the one label of that component (see `ComponentLabel`)
+_LABELS: Dict[Tuple[str, tuple], "ComponentLabel"] = {}
 
 # Every per-key plan is a `poly.MonomialTable`, whose entry is worked out
 # on first lookup and kept as long as the table; per-support plans are
@@ -154,11 +156,22 @@ class ComponentLabel:
     * BO_Z / BSp_2Z: ranks (r_1, .., r_n, r_0) where the last entry is the
       orthogonal or symplectic factor and the first n are unitary factors
       of a product; n = 0 gives the plain single space.
+
+    There is one label per component: the constructor validates its
+    arguments on every call, so a rank such as True or 1.0 raises even
+    after the label of rank 1 exists, and then returns the label already
+    made for them.  Two labels are equal exactly when they are the same
+    object, and a label is shared, so its attributes cannot be set.
+    ``checked`` is the mask of the fields of the generators already found
+    to live on the component (see `_check`).
+
+        >>> ComponentLabel("BU_Z", [1, 2]) is ComponentLabel("BU_Z", (1, 2))
+        True
     """
 
-    __slots__ = ("model", "index")
+    __slots__ = ("model", "index", "checked")
 
-    def __init__(self, model: str, index: Sequence):
+    def __new__(cls, model: str, index: Sequence):
         if model not in MODELS:
             raise ValueError("unknown model %r" % model)
         index = tuple(index)
@@ -168,21 +181,22 @@ class ComponentLabel:
             exact_int(r, "a rank")
         if model == "BSp_2Z" and index[-1] % 2:
             raise ValueError("symplectic ranks are even")
-        self.model = model
-        self.index = index
+        label = _LABELS.get((model, index))
+        if label is None:
+            label = _LABELS[model, index] = object.__new__(cls)
+            for name, value in (("model", model), ("index", index), ("checked", 0)):
+                object.__setattr__(label, name, value)
+        return label
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a component label is shared and cannot be changed")
+
+    def __reduce__(self):
+        # a copied or unpickled label is the one label of its component
+        return ComponentLabel, (self.model, self.index)
 
     def __repr__(self):
         return "ComponentLabel(%r, %r)" % (self.model, self.index)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ComponentLabel)
-            and self.model == other.model
-            and self.index == other.index
-        )
-
-    def __hash__(self):
-        return hash((self.model, self.index))
 
     # -- structure ------------------------------------------------------------
 
@@ -225,8 +239,46 @@ class ComponentLabel:
         return factor in self.factor_keys() and not (self.even_only(factor) and k % 2)
 
 
+def _label(model: str, index: tuple) -> ComponentLabel:
+    """The label of (model, index) whose ranks are made from those of
+    other labels, so exact ints: a label already made is returned without
+    validation.  The table's keys compare True and 1.0 equal to 1, so an
+    index from outside the library goes through the constructor."""
+    return _LABELS.get((model, index)) or ComponentLabel(model, index)
+
+
+def _check(component: ComponentLabel, support: int) -> None:
+    """Raise ValueError unless every generator of ``support`` (the bitwise
+    or of a polynomial's keys) lives on ``component``.  Only the fields
+    missing from the label's ``checked`` mask are read by name, and the
+    mask grows by them once all pass."""
+    new = support & ~component.checked
+    if new:
+        for shift, _ in key_fields(new):
+            if not component.allows_variable(shift_name(shift)):
+                raise ValueError(
+                    "generator %r does not live on %r" % (shift_name(shift), component)
+                )
+            new |= FIELD_MASK << shift
+        object.__setattr__(component, "checked", component.checked | new)
+
+
+def _element(component: ComponentLabel, poly: Poly) -> "HomologyElement":
+    """A class whose generators the caller has already checked with `_check`."""
+    a = HomologyElement.__new__(HomologyElement)
+    a.component, a.poly = component, poly
+    return a
+
+
 class HomologyElement:
     """A polynomial class on one component.
+
+    The constructor checks that every generator of the class lives on the
+    component, from the support of its polynomial (`_check`), so an
+    unbuilt product stays unbuilt.  `tensor` and `pushforward_substitute`
+    run the same check on supports they already have: each factor's on
+    its own single space, and the bitwise or of the images' supports on
+    the target.
 
     EXAMPLES:
 
@@ -240,18 +292,7 @@ class HomologyElement:
     def __init__(self, component: ComponentLabel, poly: Union[Poly, int, Fraction]):
         if not isinstance(poly, Poly):
             poly = Poly.const(poly)
-        support = poly.support()
-        where = (component.model, component.index)
-        checked = _CHECKED.get(where, 0)
-        if support & ~checked:
-            # read from the support, so an unbuilt product stays unbuilt
-            for shift, _ in key_fields(support):
-                if not component.allows_variable(shift_name(shift)):
-                    raise ValueError(
-                        "generator %r does not live on %r" % (shift_name(shift), component)
-                    )
-                checked |= FIELD_MASK << shift
-            _CHECKED[where] = checked
+        _check(component, poly.support())
         self.component = component
         self.poly = poly
 
@@ -294,11 +335,14 @@ class HomologyElement:
         raise TypeError("homology elements are unhashable")
 
 
-def _single_ranks(factors: Sequence[HomologyElement]) -> List[int]:
+def _single_ranks(factors: Sequence[HomologyElement]) -> Tuple[int, ...]:
+    ranks = []
     for f in factors:
-        if f.component.model != "BU_Z" or len(f.component.index) != 1:
+        comp = f.component
+        if comp.model != "BU_Z" or len(comp.index) != 1:
             raise ValueError("tensor factors must be single unitary classes")
-    return [f.component.index[0] for f in factors]
+        ranks.append(comp.index[0])
+    return tuple(ranks)
 
 
 def _module_model(module: HomologyElement) -> str:
@@ -309,21 +353,30 @@ def _module_model(module: HomologyElement) -> str:
 
 
 class _Tensor(_Deferred):
-    """An unbuilt `tensor` product: ``parts`` holds each factor's own
-    polynomial and the factor key its generators move onto.  Its den and
-    support come from the parts, and its terms are built on first read;
-    `pushforward_substitute` reads the parts alone."""
+    """An unbuilt `tensor` product: ``parts`` holds each factor's factor
+    key, its own polynomial and that polynomial's support.  Its support
+    comes from the parts, its den on first read, and its terms on first
+    read too; `pushforward_substitute` reads the parts alone."""
 
     __slots__ = ("parts",)
     factors = None  # no pair to cap from: a contraction builds the terms
 
+    def __getattr__(self, name: str):
+        # reached only while a slot is unset
+        if name != "den":
+            return _Deferred.__getattr__(self, name)
+        # the contents of the factors multiply (Gauss's lemma)
+        d = prod(p.den for _, p, _ in self.parts)
+        self.den = d = d // gcd(d, prod(gcd(*p.terms.values()) for _, p, _ in self.parts))
+        return d
+
     def support(self) -> int:
         # a support moves as a monomial does: field by field
-        return reduce(or_, (_suffix_table(key)[p.support()] for key, p in self.parts))
+        return reduce(or_, (_suffix_table(key)[s] for key, _, s in self.parts))
 
     def _built(self) -> Poly:
         terms, den = {0: 1}, 1
-        for key, p in self.parts:
+        for key, p, _ in self.parts:
             image = _moved_terms(p, key).items()
             terms = {k + m: c * d for k, c in terms.items() for m, d in image}
             den *= p.den
@@ -336,16 +389,23 @@ def tensor(*factors: HomologyElement, module: HomologyElement = None) -> Homolog
     Without a module argument all factors must be unitary classes; the
     result lives on the n-fold unitary product.  With one, the module
     factor becomes factor 0 of an orthosymplectic product, and its terms
-    come first.  A single space keeps its unsuffixed names, so there
-    nothing moves and the class's own polynomial is the result; a zero
-    factor gives zero.  Otherwise the product holds the factors' own
-    polynomials, unbuilt, over the product of their dens divided by its
-    gcd with the product of their contents (Gauss's lemma).  The first
-    read of its terms runs the fused product: each factor's terms move
-    onto its suffix by one lookup each in that factor's `_suffix_table`,
-    the moved keys add to the keys of the product so far (the factors'
-    supports are disjoint, so nothing merges or carries), and the
-    numerators multiply.  `pushforward_substitute` never builds them:
+    come first.  Each factor's generators are checked on that factor's
+    own single space (`_check`), which gives the verdict of the product's
+    own check, since moving onto a suffix is a bijection between the
+    generators allowed there and those allowed on the factor, and catches
+    a factor whose polynomial was replaced after it was made.
+
+    A single space keeps its unsuffixed names, so there nothing moves and
+    the class's own polynomial is the result; a zero factor gives zero.
+    Otherwise the product holds the factors' own polynomials, unbuilt and
+    unwalked.  Its den, the product of the factors' dens divided by its
+    gcd with the product of their contents (Gauss's lemma), is worked out
+    on first read.  The first read of its terms runs the fused product:
+    each factor's terms move onto its suffix by one lookup each in that
+    factor's `_suffix_table`, the moved keys add to the keys of the
+    product so far (the factors' supports are disjoint, so nothing merges
+    or carries), and the numerators multiply.  `pushforward_substitute`
+    never builds them:
 
         >>> s1, s2 = Poly.variable("s1"), Poly.variable("s2")
         >>> a = HomologyElement(ComponentLabel("BU_Z", (1,)), s1 + s2 / 2)
@@ -363,19 +423,23 @@ def tensor(*factors: HomologyElement, module: HomologyElement = None) -> Homolog
     if module is None:
         if not factors:
             raise ValueError("empty tensor product")
-        comp = ComponentLabel("BU_Z", tuple(ranks))
-        parts = [(key, f.poly) for key, f in zip(comp.unitary_factors(), factors)]
+        comp = _label("BU_Z", ranks)
+        keys = comp.unitary_factors()
     else:
-        comp = ComponentLabel(_module_model(module), tuple(ranks) + (module.component.index[0],))
-        keys = comp.factor_keys()  # the unitary factors, then the module slot
-        parts = [(keys[-1], module.poly)] + [(k, f.poly) for k, f in zip(keys, factors)]
-    if len(parts) == 1 or not all(p for _, p in parts):
-        return HomologyElement(comp, parts[0][1] if len(parts) == 1 else Poly.zero())
+        comp = _label(_module_model(module), ranks + (module.component.index[0],))
+        *keys, slot = comp.factor_keys()  # the unitary factors, then the module slot
+        keys = [slot] + keys
+        factors = (module,) + factors
+    parts = []
+    for key, f in zip(keys, factors):
+        support = f.poly.support()
+        _check(f.component, support)
+        parts.append((key, f.poly, support))
+    if len(parts) == 1 or not all(p for _, p, _ in parts):
+        return _element(comp, parts[0][1] if len(parts) == 1 else Poly.zero())
     p = _Tensor.__new__(_Tensor)
-    d = prod(q.den for _, q in parts)
-    p.den = d // gcd(d, prod(gcd(*q.terms.values()) for _, q in parts))
     p.parts = parts
-    return HomologyElement(comp, p)
+    return _element(comp, p)
 
 
 def _suffix_image(factor: FactorKey, key: int) -> int:
@@ -790,13 +854,6 @@ def _raised(terms: Dict[int, int], factor: FactorKey, rank: int) -> Dict[int, in
     return {m: c for m, c in out.items() if c}
 
 
-def raise_once(poly: Poly, factor: FactorKey, rank: int) -> Poly:
-    """One application of the translation generator on a unitary factor,
-    p |-> rank*s1*p + sum_k s_{k+1} dp/ds_k: `_raised` of the numerators
-    of ``poly`` over its denominator."""
-    return _make(_raised(poly.terms, factor, rank), poly.den)
-
-
 def translate(a: HomologyElement, zvars: Sequence[str], trunc: int) -> TruncSeries:
     """exp(sum z_i D_i) applied to a class, as a series with Poly coefficients.
 
@@ -905,25 +962,37 @@ def pushforward_substitute(a: HomologyElement) -> HomologyElement:
     its suffixed terms are never built: on BU_Z the image is the plain
     product of the factors' own polynomials, and on BO_Z / BSp_2Z the
     module polynomial times each unitary factor's image in the plan
-    below.  Otherwise the unitary map is `_unsuffixed`: each key is split
-    into its factors' parts, whose images come from a monomial table kept
-    across calls, and terms that meet merge.  The orthosymplectic map is a
-    `Poly.substitute` by one-term images from a plan cached per support
+    below.  Its output check reads the bitwise or of the images'
+    supports, which over Q has exactly the fields of their product (the
+    degrees in each generator add), or 0 when an image is zero, so the
+    product's terms are never walked; the target's label is looked up,
+    not validated again.
+
+    Otherwise the unitary map is `_unsuffixed`: each key is split into
+    its factors' parts, whose images come from a monomial table kept
+    across calls, and terms that meet merge.  The orthosymplectic map is
+    a `Poly.substitute` by one-term images from a plan cached per support
     and module factor, which is sound because a support always names the
     same variables.
     """
     comp, poly = a.component, a.poly
     unitary = comp.model == "BU_Z"
     rank = sum(comp.index) if unitary else comp.index[-1] + 2 * sum(comp.index[:-1])
-    target = ComponentLabel(comp.model, (rank,))
+    target = _label(comp.model, (rank,))
     if type(poly) is _Tensor:
         # the factors keep their own unsuffixed names, so on BO / BSp a
         # unitary one maps as a factor other than the module slot 0
-        images = (
-            p if unitary or k == 0 else p.substitute(_sum_map_plan(p.support(), 0))
-            for k, p in poly.parts
-        )
-        return HomologyElement(target, reduce(mul, images))
+        if unitary:
+            images = [p for _, p, _ in poly.parts]
+            support = reduce(or_, [s for _, _, s in poly.parts])
+        else:
+            images = [
+                p if k == 0 else p.substitute(_sum_map_plan(s, 0)) for k, p, s in poly.parts
+            ]
+            # over Q a product of nonzero factors has exactly their fields
+            support = reduce(or_, [q.support() for q in images]) if all(images) else 0
+        _check(target, support)
+        return _element(target, reduce(mul, images))
     if unitary:
         return HomologyElement(target, _unsuffixed(poly))
     # the module factor is factor 0 of a product, unsuffixed on its own

@@ -57,8 +57,17 @@ def sp(k):
     return Poly.variable("s%d" % k)
 
 
-def oriented(E, sign=1):
-    return KClass(E.varset, E.summands, E.depth, E.zero_is_bundle, OrientationData(sign))
+def oriented(E, sign=1, convention="lex-first-positive"):
+    return KClass(
+        E.varset, E.summands, E.depth, E.zero_is_bundle, OrientationData(sign, convention)
+    )
+
+
+def opposite(E):
+    """``E`` with the opposite orientation (the default one when it has
+    none), its convention kept."""
+    ori = E.orientation or OrientationData()
+    return oriented(E, -ori.sign, ori.convention)
 
 
 def one_on(varset, blocks=None):
@@ -266,7 +275,7 @@ class TestSqrtEuler:
     def test_opposite_orientation_negates(self):
         E = self_dual_sample(3)
         assert series_equal(
-            sqrt_equivariant_euler(E.opposite()),
+            sqrt_equivariant_euler(opposite(E)),
             sqrt_equivariant_euler(E) * Fraction(-1),
         )
 

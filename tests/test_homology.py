@@ -1,5 +1,7 @@
 """Homology models: components, cap products, translation, pushforwards."""
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -31,14 +33,21 @@ from vertexalg.homology import (
     parse_ch,
     parse_s,
     pushforward_substitute,
-    raise_once,
     s_name,
     sum_map_product,
     tensor,
     translate,
     var_weight,
 )
-from vertexalg.poly import MAX_EXP, Poly, check_guards, key_fields, shift_name, sum_of_products
+from vertexalg.poly import (
+    MAX_EXP,
+    Poly,
+    _make,
+    check_guards,
+    key_fields,
+    shift_name,
+    sum_of_products,
+)
 from vertexalg.series import LocalizedSeries, TruncSeries, VarSet
 
 BU1 = ComponentLabel("BU_Z", (1,))
@@ -150,6 +159,22 @@ class TestComponents:
     def test_index_entries_are_ints(self, model, index):
         with pytest.raises(ValueError, match="must be an integer"):
             ComponentLabel(model, index)
+
+    def test_one_label_per_component(self):
+        """Labels are shared, so they cannot change, and an index entry
+        that only compares equal to a rank never reads its label."""
+        one = ComponentLabel("BU_Z", (1,))
+        assert ComponentLabel("BU_Z", [1]) is one and BU1 is one
+        for bad in ((True,), (1.0,)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                ComponentLabel("BU_Z", bad)
+        for name in ("model", "index", "checked"):
+            with pytest.raises(AttributeError):
+                setattr(one, name, getattr(one, name))
+        assert (one.model, one.index) == ("BU_Z", (1,))
+        a = HomologyElement(ComponentLabel("BO_Z", (1, 3)), sv(2, 0))
+        for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert copied.component is a.component and copied == a
 
     def test_variable_scope(self):
         with pytest.raises(ValueError):
@@ -1033,6 +1058,27 @@ def suffixed_term_built(*args):
     raise AssertionError("the pushforward built a suffixed term")
 
 
+def route_reference(fs, module):
+    """The tensor and its sum map, multiplied out, as (component,
+    polynomial) pairs: each factor moved onto its suffix by `_suffixed`,
+    the moved factors multiplied, and the product sent through the sum
+    map by `_unsuffixed`; ranks add, and unitary ones count twice beside
+    a module."""
+    ranks = tuple(f.component.index[0] for f in fs)
+    keys = [i + 1 for i in range(len(fs))] if module or len(fs) > 1 else [None]
+    want = Poly.const(1)
+    if module is None:
+        comp, target = ("BU_Z", ranks), ("BU_Z", (sum(ranks),))
+    else:
+        model, (r0,) = module.component.model, module.component.index
+        comp, target = (model, ranks + (r0,)), (model, (r0 + 2 * sum(ranks),))
+        want = _suffixed(module.poly, 0 if fs else None)
+    for key, f in zip(keys, fs):
+        want = want * _suffixed(f.poly, key)
+    pushed = _unsuffixed(want, even_only=module is not None and bool(fs))
+    return (ComponentLabel(*comp), want), (ComponentLabel(*target), pushed)
+
+
 class TestUnbuiltTensor:
     """`tensor` leaves a product of two or more nonzero factors unbuilt,
     and answers everything from its factors as the built product would."""
@@ -1073,7 +1119,62 @@ class TestUnbuiltTensor:
         assert translate(tensor(*fs, module=module), names, 2) == translate(want, names, 2)
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(tensor_inputs())
+    def test_prop_route_results_pass_the_public_check(self, drawn):
+        """Every class that `tensor`, `pushforward_substitute` (of the
+        unbuilt and of the built product) and `sum_map_product` return is
+        checked on supports the route already had; each one equals the
+        class the public constructor makes of it, and the multiply-out
+        reference.  The tensor stays unbuilt, and the den it reads before
+        it is built is the den of its built terms."""
+        fs, module = drawn
+        want, pushed_want = route_reference(fs, module)
+        got = tensor(*fs, module=module)
+        lazy = type(got.poly) is homology._Tensor
+        den = got.poly.den
+        outs = [
+            (got, want),
+            (pushforward_substitute(got), pushed_want),
+            (sum_map_product(*fs, module=module), pushed_want),
+        ]
+        assert lazy == (not terms_built(got.poly))
+        built = HomologyElement(*want)
+        outs.append((pushforward_substitute(built), pushed_want))
+        for out, (comp, poly) in outs:
+            assert out == HomologyElement(out.component, out.poly)
+            assert out.component is comp
+            _same_poly(out.poly, poly)
+        assert terms_built(got.poly)  # by the comparison with the reference
+        assert got.poly.den == den == built.poly.den
+
+    @pytest.mark.parametrize("smuggled", ["s1_2", "ch1"])
+    def test_factor_replaced_after_construction(self, smuggled):
+        """A factor whose polynomial was replaced by one with a generator
+        foreign to its space is rejected by `tensor`, not moved onto a
+        suffix; a zero factor beside it does not hide it."""
+        a = HomologyElement(BU1, sv(1) + 1)
+        b = HomologyElement(BU1, sv(1) + 3)
+        b.poly = Poly.variable(smuggled) + 3
+        zero = HomologyElement(BU1, 0)
+        for args in ((a, b), (b, a), (b,), (zero, b)):
+            for route in (tensor, sum_map_product):
+                with pytest.raises(ValueError, match=smuggled):
+                    route(*args)
+        m = HomologyElement(ComponentLabel("BO_Z", (1,)), sv(2))
+        m.poly = Poly.variable("s2_1")
+        with pytest.raises(ValueError, match="s2_1"):
+            tensor(a, module=m)
+
+
 # -- the field maps of translation and of the sum map ---------------------------------
+
+
+def raise_once(poly, factor, rank):
+    """One application of the translation generator on a unitary factor,
+    p |-> rank*s1*p + sum_k s_{k+1} dp/ds_k: the packed kernel `_raised`
+    on the numerators of ``poly``, over its denominator."""
+    return _make(homology._raised(poly.terms, factor, rank), poly.den)
 
 
 def raise_once_by_derivatives(poly, factor, rank):
@@ -1188,6 +1289,63 @@ class TestFieldMaps:
         assert pushed.poly == push_want
         assert translate_got == translate_want
         assert raise_got == raise_want
+
+    @pytest.mark.parametrize("model", [None, "BSp_2Z"])
+    def test_route_checks_each_factor_once(self, monkeypatch, model):
+        """After one warm-up call, `pushforward_substitute(tensor(...))`
+        validates no label, never reads the suffixed support of the
+        tensor and walks the support of no product it makes: the check
+        runs once per factor, on that factor's support and its own space,
+        and once more on the target, on the union of the images'
+        supports, which has the fields of their product.  (`Poly.__mul__`
+        reads its operands' supports to choose its product; those reads
+        are the product's, not the route's.)"""
+        rng = random.Random("route-guard")
+        factors = [
+            HomologyElement(ComponentLabel("BU_Z", (r,)), _random_s_poly(rng, (1, 2, 3)))
+            for r in (0, 1, 2)
+        ]
+        module = None
+        if model is not None:
+            module = HomologyElement(ComponentLabel(model, (2,)), _random_s_poly(rng, (2, 4)))
+        want = sum_map_product(*factors, module=module)  # the warm-up call
+        checks, walked, made, multiplying = [], [], [], []
+        check, support, product = homology._check, Poly.support, Poly.__mul__
+
+        def counted_check(component, s):
+            checks.append((component, s))
+            return check(component, s)
+
+        def counted_support(p):
+            if not multiplying:
+                walked.append(p)
+            return support(p)
+
+        def counted_product(p, q):
+            multiplying.append(True)
+            made.append(product(p, q))
+            multiplying.pop()
+            return made[-1]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the route validated a label or read the tensor's support")
+
+        monkeypatch.setattr(homology, "_check", counted_check)
+        monkeypatch.setattr(Poly, "support", counted_support)
+        monkeypatch.setattr(Poly, "__mul__", counted_product)
+        monkeypatch.setattr(homology._Tensor, "support", forbidden)
+        monkeypatch.setattr(ComponentLabel, "__new__", forbidden)
+        prod = tensor(*factors, module=module)
+        pushed = pushforward_substitute(prod)
+        monkeypatch.undo()
+        assert pushed == want and not terms_built(prod.poly)
+        assert made and pushed.poly is made[-1]
+        assert not any(p is q for p in walked for q in made)
+        elements = factors if module is None else [module] + factors
+        assert checks[:-1] == [(f.component, f.poly.support()) for f in elements]
+        # the same fields as the product's support, whose exponents differ
+        fields = [[shift for shift, _ in key_fields(s)] for s in (checks[-1][1], pushed.poly.support())]
+        assert checks[-1][0] is pushed.component and fields[0] == fields[1]
 
 
 class TestGolden:

@@ -1094,6 +1094,22 @@ class TestTwistedModule:
         )
         assert rep.passed
 
+    def test_lie_identity_counts_zero_sides(self):
+        """On the pole-free family a*m and b*m are both 0, so both sides
+        are 0: the sample passes and is counted trivial.  With poles a*m
+        is not 0, and a sample whose sides differ is not counted."""
+        a, b, m = elem(1, S1), elem(1, Poly.const(1)), elem(1, S1)
+        assert residue_action(TWISTED, a, m, 3).poly.is_zero()
+        assert residue_action(TWISTED, b, m, 3).poly.is_zero()
+        rep = check_twisted_lie_identity(FAMILY, TWISTED, a, b, m, 3)
+        assert rep.passed and rep.trivial == 1 and rep.to_obj()["trivial"] == 1
+        assert repr(rep).endswith("pass on 1 samples, 1 trivial>")
+        fam = origin_pole_family(2, base=symmetrized_action)
+        fam.involution = involution_dual
+        assert not residue_action(fam, a, m, 3).poly.is_zero()
+        rep = check_twisted_lie_identity(diagonal_pole_family(1), fam, a, b, m, 3)
+        assert not rep.passed and rep.trivial == 0
+
     def test_lie_identity_needs_involution(self):
         with pytest.raises(ValueError):
             check_twisted_lie_identity(
