@@ -35,6 +35,7 @@ from .homology import ComponentLabel, ch_name, contract_poly
 from .poly import Poly, exact_int, json_field, poly_from_obj, poly_to_obj
 from .series import (
     INF,
+    LazySeries,
     LinearForm,
     LocalizedSeries,
     TruncSeries,
@@ -590,12 +591,14 @@ def sqrt_equivariant_euler(
 def cap_localized(x: LocalizedSeries, component: ComponentLabel) -> LocalizedSeries:
     """Contract mixed cohomology-and-homology coefficients by cap product;
     a coefficient that is a deferred ch x s product is capped from its
-    factors (see `homology.contract_poly`).  One map of row plans lives for
-    this call: a homology factor met by several coefficients is grouped
-    once, and its fitting rows are collected once per set of target
-    fields, for the whole series (see `homology.cap_with`).  A plan is
-    dropped once the last coefficient holding its factor is capped, so
-    the plans alive at any time are those still to be read."""
+    factors (see `homology.contract_poly`).  The call caps nothing: the
+    numerator is a `series.LazySeries`, which caps a coefficient when it
+    is first read, so a sum or a comparison caps only its window's.  One
+    map of row plans lives with that series: a homology factor met by
+    several coefficients is grouped once, and its fitting rows are
+    collected once per set of target fields (see `homology.cap_with`).
+    A plan is made at the first read of a coefficient holding its factor
+    and dropped at the last, so the plans alive serve unread ones."""
     uses = Counter(id(f) for p in x.num.terms.values() if p.factors for f in p.factors)
     plans: dict = {}
 
@@ -607,7 +610,11 @@ def cap_localized(x: LocalizedSeries, component: ComponentLabel) -> LocalizedSer
                 plans.pop(id(f), None)
         return out
 
-    return x.map_coefficients(cap)
+    # capping keeps every exponent, so the result is in x's window
+    r = LocalizedSeries.__new__(LocalizedSeries)
+    r.num, r.den = LazySeries(x.num, cap), x.den
+    r.blocks, r.block_bounds = x.blocks, x.block_bounds
+    return r
 
 
 # -- serialization -----------------------------------------------------------------

@@ -98,8 +98,9 @@ _LABELS: Dict[Tuple[str, tuple], "ComponentLabel"] = {}
 # single factor, never a polynomial result, so the tables grow with the
 # distinct monomials of single factors, not with those of their products.
 # The fitting table of a row plan (`_row_plan`) is made per homology
-# polynomial and never kept for the process: a cap makes its own, and one
-# `charclass.cap_localized` call shares them across its coefficients.
+# polynomial and never kept for the process: a cap makes its own, and the
+# series of one `charclass.cap_localized` call shares them across its
+# coefficients.
 
 
 def s_name(k: int, factor: FactorKey = None) -> str:
@@ -651,11 +652,11 @@ def cap_with(
     lowering skips every group that lacks one of its target fields, and
     the groups that fit are collected once per set of target fields.
     Without ``plans`` the plan lives for this call only.  ``plans`` maps
-    the id of a homology polynomial to its plan for the length of one
-    `charclass.cap_localized` call, so every cap against that polynomial
-    in the series shares it; an entry is used only while it holds
-    ``poly`` itself, so an id reused by another object never reads a
-    stale plan.
+    the id of a homology polynomial to its plan while the series of one
+    `charclass.cap_localized` call has coefficients left to cap, so every
+    cap against that polynomial in the series shares it; an entry is used
+    only while it holds ``poly`` itself, so an id reused by another object
+    never reads a stale plan.
     """
     if plans is None:
         plan = _row_plan(poly)
@@ -702,8 +703,8 @@ def contract_with(
     and acting part cleared.  A deferred product (see the `poly` module
     docstring) of a factor in acting generators only and one in none is
     capped from its factors by `cap_with`, unbuilt, with the row plan of
-    its other factor taken from ``plans`` when given (one `cap_localized`
-    call).
+    its other factor taken from ``plans`` when given (the series of one
+    `cap_localized` call).
     """
     if p.factors is not None:
         a, b = p.factors
@@ -762,9 +763,9 @@ def contract_poly(
     makes capping a whole series against a whole series a plain series
     product.  A deferred ch x s product is capped from its factors, and
     its terms are never built; the row plan of its homology factor comes
-    from ``plans`` when given, a map that `charclass.cap_localized` keeps
-    for one call and passes to every coefficient, and is made for this
-    call alone otherwise:
+    from ``plans`` when given, a map that the series of one
+    `charclass.cap_localized` call keeps and passes to every coefficient,
+    and is made for this call alone otherwise:
 
     >>> p = (Poly.variable("ch1") + 3 * Poly.variable("ch0")) * (Poly.variable("s1") ** 2 + 1)
     >>> p.factors

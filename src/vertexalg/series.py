@@ -254,7 +254,10 @@ class TruncSeries:
     denominator per side and on exponents packed, through a module table,
     into one 16-bit field per variable, with the same order and the same
     canonical coefficients.  Forms, weight series and the exp or inverse of
-    such series all have constant coefficients.
+    such series all have constant coefficients; when only one factor is,
+    its integer numerators scale the other's coefficients (`_scaled`).  A
+    `LazySeries` makes a coefficient when it is read, its `_window` only
+    those inside a window, and every reader of `terms` sees no zero stored.
     """
 
     __slots__ = ("varset", "order", "terms")
@@ -386,16 +389,24 @@ class TruncSeries:
             order = INF if not self.terms else other.order + min(map(sum, self.terms))
         elif other.order is INF and self.order is not INF:
             order = INF if not other.terms else self.order + min(map(sum, other.terms))
-        if _all_constant(self.terms) and _all_constant(other.terms):
+        a, b, den = self.terms, other.terms, 0
+        const_a, const_b = _all_constant(a), _all_constant(b)
+        if const_a and const_b:
             r = TruncSeries.__new__(TruncSeries)
             r.varset, r.order = self.varset, order
-            r.terms = _constant_product(self.terms, other.terms, order, _caps)
+            r.terms = _constant_product(a, b, order, _caps)
             return r
+        # one side of constants: its integer numerators over den scale the
+        # other side's coefficients (den stays 0 for the general loop)
+        if const_a:
+            den, a = _numerators(a)
+        elif const_b:
+            den, b = _numerators(b)
         # the coefficient pairs that meet at each output exponent; each sum
         # of products is then one pass of the term-product loop
         pairs: Dict[Exponent, list] = {}
-        left = _grouped(self.terms, _caps, lambda e, c: (e, c))
-        right = _grouped(other.terms, _caps, lambda e, c: (e, sum(e), c))
+        left = _grouped(a, _caps, lambda e, c: (e, c))
+        right = _grouped(b, _caps, lambda e, c: (e, sum(e), c))
         for rows1, rows2 in _meeting(left, right, _caps):
             for e1, c1 in rows1:
                 room = INF if order is INF else order - sum(e1)
@@ -409,7 +420,8 @@ class TruncSeries:
                     else:
                         at.append((c1, c2))
         r = TruncSeries.__new__(TruncSeries)
-        r.varset, r.order, r.terms = self.varset, order, _summed(pairs)
+        r.varset, r.order = self.varset, order
+        r.terms = _scaled(pairs, den, int(const_a)) if den else _summed(pairs)
         return r
 
     __rmul__ = __mul__
@@ -434,6 +446,16 @@ class TruncSeries:
         """The terms claimed exact to ``order``, those past it dropped; the
         order is checked as by the constructor."""
         return TruncSeries(self.varset, order, self.terms)
+
+    def _window(self, caps: Caps, order: Optional[int] = INF) -> "TruncSeries":
+        """The terms within ``caps`` and of total degree at most ``order``,
+        at this series' order; this series itself when all are."""
+        kept = {e: c for e, c in self.terms.items() if _within(e, caps, order)}
+        if len(kept) == len(self.terms):
+            return self
+        r = TruncSeries.__new__(TruncSeries)
+        r.varset, r.order, r.terms = self.varset, self.order, kept
+        return r
 
     # -- queries ------------------------------------------------------------
 
@@ -551,6 +573,41 @@ class TruncSeries:
         return " + ".join(bits)
 
 
+class LazySeries(TruncSeries):
+    """``fn`` of each coefficient of a series, each made once, when first
+    read: the first read of `terms` makes all and drops the zeros, and
+    `_window` makes only those it returns."""
+
+    __slots__ = ("_raw", "_fn", "_made")
+
+    def __init__(self, base: TruncSeries, fn: Callable[[Poly], object]):
+        self.varset, self.order = base.varset, base.order
+        self._raw, self._fn, self._made = base.terms, fn, {}
+
+    def __getattr__(self, name: str):
+        # reached only while the `terms` slot is unset
+        if name != "terms":
+            raise AttributeError(name)
+        self.terms = terms = self._window(()).terms
+        return terms
+
+    def _window(self, caps: Caps, order: Optional[int] = INF) -> TruncSeries:
+        """As `TruncSeries._window`, as a plain series."""
+        made, fn = self._made, self._fn
+        out: Dict[Exponent, Poly] = {}
+        for e, c in self._raw.items():
+            if not _within(e, caps, order):
+                continue
+            v = made.get(e)
+            if v is None:
+                v = made[e] = _coerce(fn(c))
+            if v:
+                out[e] = v
+        r = TruncSeries.__new__(TruncSeries)
+        r.varset, r.order, r.terms = self.varset, self.order, out
+        return r
+
+
 def _linear_images(
     source: VarSet, target: VarSet, mapping: Mapping[str, Mapping[str, int]]
 ) -> Dict[str, TruncSeries]:
@@ -578,8 +635,40 @@ def _summed(pairs: Mapping[Exponent, list]) -> Dict[Exponent, Poly]:
     return out
 
 
+def _scaled(pairs: Mapping[Exponent, list], den: int, poly_at: int) -> Dict[Exponent, Poly]:
+    """Each exponent's sum of n * p / den over its pairs of a `Poly` p (at
+    index ``poly_at``) and an integer n, the zero sums dropped."""
+    out: Dict[Exponent, Poly] = {}
+    for e, at in pairs.items():
+        if len(at) == 1 and at[0][1 - poly_at] == den:
+            out[e] = at[0][poly_at]
+            continue
+        acc: Dict[int, int] = {}
+        get, d = acc.get, lcm(*(pair[poly_at].den for pair in at))
+        for pair in at:
+            n = pair[1 - poly_at] * (d // pair[poly_at].den)
+            for m, c in pair[poly_at].terms.items():
+                acc[m] = get(m, 0) + c * n
+        q = Poly.packed(acc, d * den)
+        if q:
+            out[e] = q
+    return out
+
+
 def _all_constant(terms: Mapping[Exponent, Poly]) -> bool:
     return all(0 in c.terms and len(c.terms) == 1 for c in terms.values())
+
+
+def _numerators(terms: Mapping[Exponent, Poly]) -> Tuple[int, Dict[Exponent, int]]:
+    """Constant coefficients as integer numerators over one denominator."""
+    den = lcm(*(c.den for c in terms.values()))
+    return den, {e: c.terms[0] * (den // c.den) for e, c in terms.items()}
+
+
+def _within(e: Exponent, caps: Caps, order: Optional[int] = INF) -> bool:
+    if order is not INF and sum(e) > order:
+        return False
+    return all(sum(e[i] for i in idxs) <= cap for idxs, cap in caps)
 
 
 def _grouped(terms: Mapping[Exponent, Poly], caps: Caps, row: Callable) -> list:
@@ -648,8 +737,8 @@ def _constant_product(
     n_vars = len(next(iter(a)))
 
     def rows(terms):
-        den = lcm(*(c.den for c in terms.values()))
-        return den, _grouped(terms, caps, lambda e, c: (_PACKED[e], c.terms[0] * (den // c.den)))
+        den, numerators = _numerators(terms)
+        return den, _grouped(numerators, caps, lambda e, n: (_PACKED[e], n))
 
     (den_a, left), (den_b, right) = rows(a), rows(b)
     for _, group in right:
@@ -765,9 +854,11 @@ class LocalizedSeries:
     arithmetic.  The window is part of the object: the constructor drops
     every numerator term past a block's cap, the net bound plus the block's
     denominator degree, and keeps the numerator object when it drops
-    nothing.  A product, a sum and :func:`expand_poles` build no such term:
-    they skip the term pairs past the caps of their result, and a product
-    or a sum hands those caps to the constructor (``_caps``).
+    nothing; of a `LazySeries` numerator it makes the terms inside the
+    caps, and none when no block is bounded.  A product, a sum and
+    :func:`expand_poles` build no such term: they skip the term pairs past
+    the caps of their result, and a product or a sum hands those caps to
+    the constructor (``_caps``).
 
     >>> zw, blocks = VarSet(("z", "w")), (("z",), ("w",))
     >>> LocalizedSeries(TruncSeries(zw, 4, {(0, 1): 1, (0, 3): 1}), (), blocks, (None, 2)).num
@@ -802,15 +893,8 @@ class LocalizedSeries:
                 raise ValueError("one bound per block required")
             if _caps is None:
                 _caps = _block_caps(num.varset, blocks, block_bounds, den)
-            kept = {
-                e: c
-                for e, c in num.terms.items()
-                if all(sum(e[i] for i in idxs) <= cap for idxs, cap in _caps)
-            } if _caps else num.terms
-            if len(kept) < len(num.terms):
-                varset, order = num.varset, num.order
-                num = TruncSeries.__new__(TruncSeries)
-                num.varset, num.order, num.terms = varset, order, kept
+            if _caps:
+                num = num._window(_caps)
         self.num = num
         self.den = den
         self.blocks = blocks
@@ -858,7 +942,9 @@ class LocalizedSeries:
         """The sum over the least common denominator; each numerator is
         cleared by products within the sum's block caps, which the
         constructor reuses to drop the past-cap terms of an operand that
-        needed no clearing."""
+        needed no clearing.  A `LazySeries` numerator is read through its
+        `_window`, so a sum, a difference or `series_equal` makes only the
+        coefficients it keeps."""
         self._check_compatible(other)
         forms = {form.coeffs: form for form, _ in self.den + other.den}
         mults = [{form.coeffs: m for form, m in x.den} for x in (self, other)]
@@ -870,9 +956,16 @@ class LocalizedSeries:
             _min_order(x, y) for x, y in zip(self.block_bounds, other.block_bounds)
         )
         caps = _block_caps(self.varset, self.blocks, bounds, den)
+        # clearing by exact forms of total degree lift lifts the terms and
+        # the order of a numerator by lift; the sum claims the lower order
+        lifts = [sum(m - mult.get(form.coeffs, 0) for form, m in den) for mult in mults]
+        orders = [x.num.order for x in (self, other)]
+        order = _min_order(*[o if o is INF else o + n for o, n in zip(orders, lifts)])
         nums = []
-        for x, mult in zip((self, other), mults):
+        for x, mult, lift in zip((self, other), mults, lifts):
             num = x.num
+            if type(num) is LazySeries:
+                num = num._window(caps, INF if order is INF else order - lift)
             for form, m in den:
                 k = m - mult.get(form.coeffs, 0)
                 if k:

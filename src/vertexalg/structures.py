@@ -264,7 +264,8 @@ def _compared(
         report.fail(sample, reason, witness)
     elif not conclusive:
         report.fail(sample, "vacuous comparison window")
-    if equal and lhs.num.is_zero() and rhs.num.is_zero():
+    # equal sides agree in the window, so lhs zero there means both are
+    if equal and (lhs - rhs.scale(0)).num.is_zero():
         report.trivial += 1
     return equal and conclusive
 

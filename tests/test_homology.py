@@ -48,7 +48,15 @@ from vertexalg.poly import (
     shift_name,
     sum_of_products,
 )
-from vertexalg.series import LocalizedSeries, TruncSeries, VarSet
+from vertexalg.series import (
+    LazySeries,
+    LinearForm,
+    LocalizedSeries,
+    TruncSeries,
+    VarSet,
+    series_equal,
+)
+from vertexalg.structures import compare_series
 
 BU1 = ComponentLabel("BU_Z", (1,))
 BU3 = ComponentLabel("BU_Z", (3,))
@@ -455,6 +463,7 @@ class TestDeferredContract:
         built."""
         comp, product = self.swap_left_side()
         got = charclass.cap_localized(product, comp)
+        got.num.terms  # the cap is lazy: this read caps every coefficient
         deferred = [c for c in product.num.terms.values() if c.factors is not None]
         assert len(deferred) > 10
         for c in deferred:
@@ -486,6 +495,7 @@ class TestDeferredContract:
 
         monkeypatch.setattr(charclass, "contract_poly", spy)
         got = charclass.cap_localized(product, comp)
+        got.num.terms  # the cap is lazy: this read caps every coefficient
         assert sorted(map(id, planned)) == sorted(homology_factors)
         assert all(p is homology_factors[id(p)] for p in planned)
         # one map for the call, every plan dropped after its last reader
@@ -536,6 +546,136 @@ class TestDeferredContract:
         want = contract_by_derivatives(sum_of_products((p.factors,)), BU1)
         assert got == contract_poly(p, BU1) == want
         assert plans[id(s)][0] is s
+
+
+def counting_caps(monkeypatch):
+    """The list of coefficients `charclass.cap_localized` caps from now on."""
+    capped = []
+
+    def spy(p, comp, plans):
+        capped.append(p)
+        return contract_poly(p, comp, plans)
+
+    monkeypatch.setattr(charclass, "contract_poly", spy)
+    return capped
+
+
+# coefficients of a series to cap on BU_Z(1): deferred ch x s products,
+# built ones, plain s and plain constants, and some that cap to zero
+CAP_POOL = [
+    (chv(1) + 2) * (sv(1) ** 2 + sv(2)),
+    (chv(1) * chv(2) - 1) * (sv(1) * sv(2) + 3),
+    sum_of_products(((chv(2) + chv(1), sv(2) * sv(1) - 1),)),
+    (chv(3) + chv(2)) * (sv(1) + 1),  # caps to zero
+    chv(1),  # caps to zero
+    sv(1) / 2 + 1,
+    Poly.const(Fraction(-3, 2)),
+]
+ZW, ZW_BLOCKS = VarSet(("z", "w")), (("z",), ("w",))
+
+
+@st.composite
+def cap_sides(draw):
+    """A series of `CAP_POOL` coefficients and a series of s coefficients,
+    over (z, w) in the regime z then w: exact or truncated, over up to two
+    forms each, with a net bound or None per block."""
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    coefs = (st.sampled_from(CAP_POOL), st.sampled_from([sv(1), sv(2) - 1, Poly.const(2)]))
+    vecs = st.tuples(st.integers(-1, 2), st.integers(-1, 2)).filter(any)
+    bounds = st.tuples(*[st.one_of(st.none(), st.integers(-1, 3))] * 2)
+    sides = []
+    for c in coefs:
+        terms = draw(st.dictionaries(exps, c, max_size=8))
+        num = TruncSeries(ZW, draw(st.one_of(st.none(), st.integers(0, 6))), terms)
+        den = [(LinearForm.make_scaled(ZW, v)[0], m) for v, m in draw(
+            st.lists(st.tuples(vecs, st.integers(1, 2)), max_size=2)
+        )]
+        sides.append(LocalizedSeries(num, den, ZW_BLOCKS, draw(bounds)))
+    return tuple(sides)
+
+
+def _on_cap():
+    """A series with terms on and past a w-cap of 1, against a side whose
+    bound sets that cap."""
+    x = LocalizedSeries(
+        TruncSeries(ZW, 4, {(0, 1): CAP_POOL[0], (1, 1): CAP_POOL[3], (0, 2): CAP_POOL[1]}),
+        (), ZW_BLOCKS,
+    )
+    y = LocalizedSeries(TruncSeries(ZW, 3, {(1, 1): sv(1)}), (), ZW_BLOCKS, (None, 1))
+    return x, y
+
+
+def _shape(x):
+    return x.num.terms, x.num.order, x.den, x.blocks, x.block_bounds
+
+
+class TestCapOnDemand:
+    """`charclass.cap_localized` caps a coefficient when it is first read:
+    a sum or a comparison caps those inside its window, each once, and a
+    read of `terms` caps the rest, to the series that capping every
+    coefficient at once gives."""
+
+    def test_call_caps_nothing(self, monkeypatch):
+        """The call caps no coefficient; the first read of `terms` caps
+        each one once."""
+        comp, product = TestDeferredContract.swap_left_side()
+        capped = counting_caps(monkeypatch)
+        got = charclass.cap_localized(product, comp)
+        assert not capped
+        assert got.num.order == product.num.order and got.den == product.den
+        eager = product.map_coefficients(lambda c: contract_poly(c, comp))
+        assert got.num == eager.num and not got.num.is_zero()
+        assert sorted(map(id, capped)) == sorted(map(id, product.num.terms.values()))
+
+    def test_comparison_caps_its_window_once(self, monkeypatch):
+        """A comparison against a block-bounded right side caps exactly
+        the coefficients inside the window, and a second comparison in
+        the same window caps none."""
+        comp, product = TestDeferredContract.swap_left_side()
+        eager = product.map_coefficients(lambda c: contract_poly(c, comp))
+        order, bound = product.num.order - 2, 1
+        rhs = LocalizedSeries(
+            eager.num.with_order(order), product.den, ZW_BLOCKS, (None, bound)
+        )
+        # both sides have the left side's denominator, with no form in w,
+        # so the window is total degree <= order and w-degree <= bound
+        assert not any(form.coeffs[1] for form, _ in product.den)
+        window = [e for e in product.num.terms if sum(e) <= order and e[1] <= bound]
+        assert 0 < len(window) < len(product.num.terms) // 4
+        capped = counting_caps(monkeypatch)
+        lhs = charclass.cap_localized(product, comp)
+        assert series_equal(lhs, rhs)
+        assert sorted(map(id, capped)) == sorted(id(product.num.terms[e]) for e in window)
+        capped.clear()
+        # both reads of the guarded comparison, the second against rhs + 1
+        assert compare_series(lhs, rhs) == (True, True, None)
+        assert not capped
+
+    @settings(max_examples=120, deadline=None)
+    @given(cap_sides())
+    @example(_on_cap())
+    def test_lazy_side_matches_eager(self, sides):
+        """A lazily capped side and the side capped at once give the same
+        sum, difference (either way round) and `series_equal` against any
+        other side, the same narrowed series, and the same terms, order,
+        denominator and bounds."""
+        x, y = sides
+        lazy = lambda: charclass.cap_localized(x, BU1)
+        eager = x.map_coefficients(lambda c: contract_poly(c, BU1))
+        got = lazy()
+        assert type(got.num) is LazySeries and not got.num._made  # bounded or not
+        for (a, b), (c, d) in (((lazy(), y), (eager, y)), ((y, lazy()), (y, eager))):
+            assert _shape(a - b) == _shape(c - d)
+            assert _shape(a + b) == _shape(c + d)
+            assert series_equal(a, b) == series_equal(c, d)
+        # a lazy numerator read through the constructor's window
+        narrowed = [
+            LocalizedSeries(s.num, x.den, ZW_BLOCKS, y.block_bounds) for s in (lazy(), eager)
+        ]
+        assert _shape(narrowed[0]) == _shape(narrowed[1])
+        assert _shape(got - y) == _shape(eager - y)
+        assert _shape(got) == _shape(eager)
+        assert all(got.num.terms.values())
 
 
 def translate_by_steps(a, zvars, trunc):

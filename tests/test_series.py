@@ -872,6 +872,50 @@ def test_prop_constant_path_matches_general():
 
 
 @st.composite
+def one_constant_side(draw):
+    """A series of rational constants and one of multi-term coefficients
+    over (z, w), in either order, exact or truncated, with a degree cap
+    on z, on w, on both or on neither."""
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    coefs = st.fractions(min_value=-2, max_value=2, max_denominator=12).filter(bool)
+    constants = TruncSeries(ZW, draw(orders), draw(st.dictionaries(exps, coefs, max_size=6)))
+    terms = draw(series_terms)
+    terms[(0, 0)] = S - draw(st.integers(-2, 2))  # kept at any order, and not constant
+    polys = TruncSeries(ZW, draw(orders), terms)
+    caps = tuple(
+        ((i,), cap)
+        for i, cap in enumerate(draw(st.tuples(*[st.one_of(st.none(), st.integers(0, 4))] * 2)))
+        if cap is not None
+    )
+    return (constants, polys, caps) if draw(st.booleans()) else (polys, constants, caps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_constant_side())
+# z*w meets +(s+t) and -(s+t): the sum cancels and is dropped
+@example((
+    TruncSeries(ZW, INF, {(1, 0): 1, (0, 1): -1}),
+    TruncSeries(ZW, INF, {(1, 0): S + T, (0, 1): S + T, (0, 0): S / 3}),
+    (),
+))
+def prop_scaled_path_matches_general(args):
+    a, b, caps = args
+    got = a.__mul__(b, caps)
+    with mock.patch.object(series, "_all_constant", lambda terms: False):
+        general = a.__mul__(b, caps)
+    assert got == general and list(got.terms) == list(general.terms)
+    assert all(c and c.den > 0 and gcd(c.den, *c.terms.values()) == 1 for c in got.terms.values())
+
+
+def test_prop_scaled_path_matches_general():
+    """A product with one side of rational constants scales the other
+    side's coefficients by integer numerators and sums them per exponent:
+    the same terms, in the same order, at the same order and with the
+    zero sums dropped, as the general loop."""
+    prop_scaled_path_matches_general()
+
+
+@st.composite
 def bounded_pairs(draw):
     """Two fractions over 2 or 3 variables in one regime of 2 or 3 blocks:
     constant or multi-term coefficients, exact or truncated numerators,
@@ -932,8 +976,10 @@ def test_prop_bounded_product_is_the_filtered_product():
 
 
 def test_non_constant_coefficient_takes_the_general_loop(monkeypatch):
-    """Constant operands are one integer convolution; one non-constant
-    coefficient sends the whole product through `sum_of_products`."""
+    """Constant operands are one integer convolution, and a side of
+    constants scales the other side's coefficients; a non-constant
+    coefficient on each side sends the whole product through
+    `sum_of_products`."""
     a = TruncSeries(ZW, INF, {(0, 0): 1, (1, 0): Fraction(1, 2)})
     calls = []
 
@@ -946,8 +992,12 @@ def test_non_constant_coefficient_takes_the_general_loop(monkeypatch):
     assert not calls
     assert constant.terms == {(0, 0): 3, (1, 0): Fraction(5, 2), (2, 0): Fraction(1, 2)}
     mixed = a * TruncSeries(ZW, INF, {(0, 0): S, (1, 0): 1})
-    assert calls
+    assert not calls
     assert mixed.terms == {(0, 0): S, (1, 0): 1 + S / 2, (2, 0): Poly.const(Fraction(1, 2))}
+    b = TruncSeries(ZW, INF, {(0, 0): S, (1, 0): S - 1})
+    general = mixed * b
+    assert calls
+    assert general.terms == mul_per_pair(mixed, b)[0]
 
 
 def test_constant_product_guards_the_field_width():

@@ -517,6 +517,24 @@ class TestCommutativityCheck:
         rep = check_commutativity(FAMILY, samples[1:], 3)
         assert rep.trivial == 0 and repr(rep).endswith("on 1 samples>")
 
+    def test_trivial_means_zero_in_the_window(self):
+        """Two sides that are zero where both are exact count as trivial,
+        whatever either holds past that window; sides equal and nonzero
+        in it do not."""
+        z = VarSet(("z",))
+        high = LocalizedSeries(TruncSeries(z, 3, {(3,): 1, (2,): 5}))
+        low = LocalizedSeries(TruncSeries(z, 1, {}))
+        for lhs, rhs, trivial in (
+            (high, low, 1),
+            (low, high, 1),
+            (low.with_denominator(LinearForm.make(z, {"z": 1})[0]), high, 1),
+            (high, high, 0),
+            (low, low, 1),
+        ):
+            rep = CheckReport("window")
+            assert structures._compared(rep, 0, lhs, rhs, "differs")
+            assert rep.passed and rep.trivial == trivial
+
     @given(small_spoly, small_spoly)
     @settings(max_examples=10, deadline=None)
     def test_random_pairs(self, p, q):
