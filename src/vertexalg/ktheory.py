@@ -21,16 +21,20 @@ takes one route: one factor per weight, the interpolation-class sum below.
 The product of these line factors is kept in the tests as the oracle it is
 checked against.
 
-Poles go through `series.expand_poles` once per weight, on
-A = 1 - (1+x)^w at its top power P: there F + B splits A into its terms on
-the leading block and the rest, and F into the pole form and a unit.  Every
-other power is in closed form: (-W)^k A^j = sum_i (-1)^(k+i) C(j,i) W^(k+i)
-for W = (1+x)^w, read off binomials at the exponents inside its order and
-the block caps, so a term of the interpolation sum takes at most one
-product, with A^(-P)'s numerator or with a power of the pole form, and no
-numerator term past the block bounds is ever built.  The interpolation
-class v_k, a polynomial in u, multiplies a term only after that product,
-which `TruncSeries.__mul__` takes as one integer convolution.
+Everything in a weight's factor but the class's lines is planned once per
+process, by `_factor_plan`, for each weight signature (weight, rank, range
+of k, order, blocks and depth), so classes on the same weights share it.
+Poles go through `series.expand_poles` once per plan, on A = 1 - (1+x)^w
+at its top power P: there F + B splits A into its terms on the leading
+block and the rest, and F into the pole form and a unit.  Every other power
+is in closed form: W^k A^j = sum_i (-1)^i C(j,i) W^(k+i) for W = (1+x)^w,
+read off binomials at the exponents inside its order and the block caps,
+so a kernel of the interpolation sum takes at most one product, with
+A^(-P)'s numerator or with a power of the pole form, which
+`TruncSeries.__mul__` takes as one integer convolution, and no numerator
+term past the block bounds is ever built.  Per call, only the
+interpolation classes v_k, polynomials in u, are made from the lines, and
+each multiplies its cached constant kernel.
 
 The translation operator D(z) is the multiplicative convolution
 
@@ -49,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charclass import KClass, Summand
 from .homology import cap_with, contract_with, pairing_plan
-from .poly import FIELD_MASK, MAX_EXP, Poly, shift_name, var_shift
+from .poly import FIELD_MASK, MAX_EXP, MonomialTable, Poly, exact_int, shift_name, var_shift
 from .series import (
     INF,
     LocalizedSeries,
@@ -110,18 +114,31 @@ def one_plus_pow(varset: VarSet, weight: Sequence[int], order) -> TruncSeries:
 # -- the polynomial K-homology model ----------------------------------------------
 
 
+def _nonnegative(x, what: str) -> int:
+    """An integer at least 0, checked by `exact_int`; else ValueError."""
+    if exact_int(x, what) < 0:
+        raise ValueError("%s must be nonnegative" % what)
+    return x
+
+
+def _factor_index(name: str, letter: str) -> Optional[int]:
+    """The factor of the generator ``name``, ``letter`` (None) or ``letter``
+    followed by a canonical decimal; any other name, such as one with a
+    leading zero, a sign, a space or an underscore, raises ValueError."""
+    if not re.fullmatch(letter + r"(?:0|[1-9][0-9]*)?", name):
+        raise ValueError("%r names no %s-generator" % (name, letter))
+    return int(name[1:]) if name[1:] else None
+
+
 def _k_act(shift: int) -> Optional[Tuple[int, None]]:
     """How a generator acts in the K-theoretic pairing: u_i takes units
     off the field of l_i (u off that of l), and every other generator is
-    acted on (see `homology.pairing_plan`).  A u-name with a suffix that
-    is not a canonical decimal (a leading zero, a sign, a space or an
-    underscore) raises ValueError."""
+    acted on (see `homology.pairing_plan`).  A u-name that `_factor_index`
+    rejects raises ValueError."""
     name = shift_name(shift)
     if not name.startswith("u"):
         return None
-    if not re.fullmatch(r"u(?:0|[1-9][0-9]*)?", name):
-        raise ValueError("%r is not a u-generator" % name)
-    return var_shift(l_name(int(name[1:]) if name[1:] else None)), None
+    return var_shift(l_name(_factor_index(name, "u"))), None
 
 
 # the K-theoretic pairing, planned once for the process: u_i always lowers
@@ -166,8 +183,18 @@ def _translate_row(k: int, a: int) -> Tuple[Tuple[int, int], ...]:
 def mult_translate_series(ts: TruncSeries, var: str, lvar: str, trunc: int) -> TruncSeries:
     """Apply the translation convolution in one named coordinate to a series
     whose coefficients already carry K-homology generators: the powers of
-    ``lvar`` convolve along ``var``, by the rows of `_translate_row`."""
-    vs, pos = ts.varset, ts.varset.index(var)
+    ``lvar`` convolve along ``var``, by the rows of `_translate_row`.  The
+    result claims ``trunc`` or the input's order, whichever is lower.
+
+    ``var`` must name a variable of the series, ``lvar`` must be l or l
+    followed by a canonical decimal and ``trunc`` a nonnegative integer;
+    anything else raises ValueError.
+    """
+    vs, trunc = ts.varset, _min_order(_nonnegative(trunc, "truncation order"), ts.order)
+    if var not in vs.names:
+        raise ValueError("%r is not a variable of the series" % (var,))
+    _factor_index(lvar, "l")
+    pos = vs.index(var)
     # every coefficient goes over one denominator, so that contributions to
     # one output coefficient add as integers
     den = lcm(*(p.den for p in ts.terms.values()))
@@ -227,7 +254,7 @@ def _weight_poles(varset: VarSet, weight, P: int, order: int, blocks, depth: int
     blocks), and the order T that A is built to on a negative weight.  The
     numerator is worked to order + 2D - P on an exact A and to
     T - 1 = order + D + P - 1 on a truncated one: the orders that multiplying
-    it by A up to P - 1 times would leave, which `_weight_factor` claims."""
+    it by A up to P - 1 times would leave, which `_factor_plan` claims."""
     spans = sum(any(weight[varset.index(n)] for n in block) for block in blocks) > 1
     D = P + (depth if spans else 0)
     exact = min(weight) >= 0
@@ -246,50 +273,78 @@ def _wedge_range(s: Summand, cutoff: int) -> Tuple[int, int]:
     return kmax, max(0, kmax - s.rank)
 
 
-def _weight_factor(
-    varset: VarSet, weight, s: Summand, order: int, cutoff: int, blocks, depth: int
-) -> LocalizedSeries:
-    """One weight's factor of the wedge series, the interpolation-class sum
-    sum_k v_k(E) (-W)^k A^(rank-k) with W = (1+x)^w and A = 1 - W.  A term
-    is (-1)^k v_k times the closed form W^k A^j = sum_i (-1)^i C(j,i) W^(k+i)
-    of `_weight_power` and at most one product within the block caps: with
-    poles, a term with k <= rank is cleared by form^D, and one with k > rank
-    has j = P + rank - k and takes A^(-P)'s numerator.  The v_k come from
-    one list of wedge powers; each output coefficient is one sum of products.
+@cache
+def _factor_plan(varset: VarSet, weight, rank: int, kmax: int, order: int, blocks, depth: int):
+    """What one weight's factor of the wedge series takes from its weight
+    signature alone, not from the class's lines, made once for the process
+    so that classes on the same weights share it: the denominator, block
+    bounds and caps, each k's claimed order, and a table of the terms of
+    the constant kernels W^k A^(rank-k) keyed by (k, num_order), each made
+    on first use within the caps and only to num_order, with at most one
+    product: with poles, a kernel with k <= rank is cleared by form^D, and
+    one with k > rank is W^k A^(P+rank-k) times A^(-P)'s numerator.
 
-    The factor claims the least order of its nonzero terms, each the order
-    that multiplying A^(-P) by A term by term would give: INF on a
-    pole-free factor of nonnegative weight, else ``order``.  With poles, o0
-    the order of A^(-P)'s numerator and T that of A (`_weight_poles`), a
-    term with k <= rank claims INF for nonnegative weights, else T + D, and
-    one with k > rank claims o0 + P + rank - k, else min(o0, T).
+    Each k claims the order that multiplying A^(-P) by A term by term would
+    give its kernel: INF on a pole-free factor of nonnegative weight, else
+    ``order``.  With poles, o0 the order of A^(-P)'s numerator and T that
+    of A (`_weight_poles`), a k <= rank claims INF for nonnegative weights,
+    else T + D, and a k > rank claims o0 + P + rank - k, else min(o0, T).
     """
-    kmax, P = _wedge_range(s, cutoff)
-    exact = min(weight) >= 0
+    P, exact = max(0, kmax - rank), min(weight) >= 0
     den, bounds, caps, T, D = (), None, (), INF if exact else order, 0
     if P:
         inv, T = _weight_poles(varset, weight, P, order, blocks, depth)
         den, bounds, D, o0 = inv.den, inv.block_bounds, inv.den[0][1], inv.num.order
         caps, forms = _block_caps(varset, blocks, bounds, den), _Powers(den[0][0].as_series())
+    claims = [
+        (T if exact else T + D) if k <= rank else o0 + P + rank - k if exact else min(o0, T)
+        for k in range(kmax + 1)
+    ]
+
+    def kernel(key: Tuple[int, Optional[int]]) -> Dict[Tuple[int, ...], Poly]:
+        k, num_order = key
+        m = rank - k
+        if m >= 0:
+            term = _weight_power(varset, weight, k, m, T, num_order, caps)
+            if P:
+                term = term.__mul__(forms[D], caps)
+        else:
+            # built to num_order, W^k A^j may claim it where A^(-P)'s
+            # numerator is exact that far, and their product stops there
+            bound = num_order if num_order is not INF and num_order <= o0 else T
+            term = _weight_power(varset, weight, k, P + m, bound, num_order, caps)
+            term = term.__mul__(inv.num, caps)
+        if num_order is INF:
+            return term.terms
+        return {e: c for e, c in term.terms.items() if sum(e) <= num_order}
+
+    return den, bounds, caps, claims, MonomialTable(kernel)
+
+
+def _weight_factor(
+    varset: VarSet, weight, s: Summand, order: int, cutoff: int, blocks, depth: int
+) -> LocalizedSeries:
+    """One weight's factor of the wedge series, the interpolation-class sum
+    sum_k v_k(E) (-W)^k A^(rank-k) with W = (1+x)^w and A = 1 - W.  The
+    constant kernels W^k A^(rank-k), the denominator and the block bounds
+    come from the weight's `_factor_plan`; only the v_k, read from one list
+    of wedge powers, come from the class's lines.  The factor claims the
+    least order the plan claims for a k with v_k nonzero, and each output
+    coefficient is one sum of products of kernel terms and (-1)^k v_k.
+    """
+    kmax, _ = _wedge_range(s, cutoff)
+    den, bounds, caps, claims, kernels = _factor_plan(
+        varset, weight, s.rank, kmax, order, blocks, depth
+    )
     vee = _vee_classes(s, kmax, cutoff)
     terms = [(k, -vk if k % 2 else vk) for k, vk in enumerate(vee) if vk]
-    claims = [
-        (T if exact else T + D) if k <= s.rank else o0 + P + s.rank - k if exact else min(o0, T)
-        for k, _ in terms
-    ]
-    num_order = reduce(_min_order, claims, INF)
+    num_order = reduce(_min_order, (claims[k] for k, _ in terms), INF)
     pairs: Dict[Tuple[int, ...], list] = {}
     for k, vk in terms:
-        m = s.rank - k
-        term = _weight_power(varset, weight, k, P + m if m < 0 else m, T, num_order, caps)
-        if m < 0:
-            term = term.__mul__(inv.num, caps)
-        elif P:
-            term = term.__mul__(forms[D], caps)
-        for e, c in term.terms.items():
+        for e, c in kernels[k, num_order].items():
             pairs.setdefault(e, []).append((c, vk))
     num = TruncSeries(varset, num_order, _summed(pairs))
-    return LocalizedSeries(num, den, blocks, bounds)
+    return LocalizedSeries(num, den, blocks, bounds, caps)
 
 
 def wedge_minus_z(
@@ -304,9 +359,12 @@ def wedge_minus_z(
     The weight-0 part must be an honest sum of lines; its factor is the
     constant alternating sum of its wedge powers.  Factors of virtual
     weights pick up denominator powers of the pole form; ``depth`` bounds
-    the subordinate-block expansion when a weight spans blocks.
+    the subordinate-block expansion when a weight spans blocks.  ``order``,
+    ``cutoff`` and ``depth`` must be nonnegative integers, else ValueError.
     """
-    cutoff, depth = order if cutoff is None else cutoff, order if depth is None else depth
+    order = _nonnegative(order, "order")
+    cutoff = order if cutoff is None else _nonnegative(cutoff, "cutoff")
+    depth = order if depth is None else _nonnegative(depth, "depth")
     vs = E.varset
     blocks = trivial_blocks(vs) if blocks is None else normalize_blocks(vs, blocks)
     out = LocalizedSeries(TruncSeries.const(vs, 1, INF), (), blocks)

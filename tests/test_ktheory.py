@@ -260,6 +260,29 @@ class TestMultTranslate:
         got = mult_translate_series(ts, var, "l", trunc)
         assert got == translate_by_factorials(ts, var, "l", trunc)
 
+    def test_claims_no_more_than_its_input(self):
+        # an input exact only to order 1 translates to a series exact only
+        # to order 1, which agrees with the translation of the full input
+        full = TruncSeries(XY, 3, {(0, 0): L, (0, 2): L ** 2})
+        cut = full.with_order(1)
+        got = mult_translate_series(cut, "x", "l", 3)
+        assert got.order == 1
+        assert mult_translate_series(full, "x", "l", 3).order == 3
+        assert series_equal(
+            LocalizedSeries(got), LocalizedSeries(mult_translate_series(full, "x", "l", 3))
+        )
+        assert mult_translate_series(full, "x", "l", 2).order == 2
+
+    @pytest.mark.parametrize(
+        "var, lvar, trunc",
+        [("z", "l", 2), ("x", "u", 2), ("x", "l01", 2), ("x", "l 1", 2), ("x", "l-1", 2),
+         ("x", "l", 2.0), ("x", "l", True), ("x", "l", -1)],
+    )
+    def test_rejects_bad_arguments(self, var, lvar, trunc):
+        ts = TruncSeries(XY, 3, {(0, 0): L})
+        with pytest.raises(ValueError):
+            mult_translate_series(ts, var, lvar, trunc)
+
     def test_exponent_overflow(self):
         ts = TruncSeries(X, 2, {(0,): L ** (MAX_EXP - 1)})
         assert mult_translate_series(ts, "x", "l", 1).terms[(1,)] == (
@@ -543,6 +566,19 @@ def wedge_by_lines(E, order, cutoff=None, blocks=None, depth=None):
     return out.map_coefficients(lambda p: p.truncate_degree(cutoff))
 
 
+def dominant_class():
+    """The virtual class pulled back along [[1], [1]], whose wedge series is
+    the dominant call of the multiplicative swap's right side."""
+    return KClass(
+        X,
+        {
+            (1,): Summand(1, None, [(1, U)]),
+            (2,): Summand(-1, None, [(-1, U * 2 + U * U)]),
+        },
+        5,
+    ).pullback_weights([[1], [1]], XY)
+
+
 class TestWedgeSeries:
     def test_honest_line(self):
         w = wedge_minus_z(line_class((1,), U), 3)
@@ -782,6 +818,19 @@ class TestWedgeSeries:
         assert series_equal(prod, one_on(X))
         assert not series_equal(prod, one_on(X).scale(2))
 
+    @pytest.mark.parametrize(
+        "order, cutoff, depth",
+        [(True, 5, 1), (-1, 5, 1), (2.0, 5, 1), (1, -1, 1), (1, True, 1), (1, 5.0, 1),
+         (1, 5, -1), (1, 5, True), (1, 5, 1.0)],
+    )
+    def test_rejects_bad_orders(self, order, cutoff, depth):
+        # checked before any plan lookup: the plans cached at order 1 are
+        # not served to order=True, which hashes alike
+        E = dominant_class()
+        wedge_minus_z(E, 1, 5, KBLOCKS, 1)
+        with pytest.raises(ValueError):
+            wedge_minus_z(E, order, cutoff, KBLOCKS, depth)
+
     def test_virtual_pole_multiplicity(self):
         cutoff = 4
         w = wedge_minus_z(line_class((1,), U, sign=-1), 3, cutoff)
@@ -839,6 +888,31 @@ class TestWeightFactor:
         ).pullback_weights([[1], [1]], XY)
         for w in E.weights():
             assert_factor_matches_reference(XY, w, E.summands[w], 12, 5, KBLOCKS, 3)
+
+    def test_warm_call_equals_cold_call(self):
+        # the bench's dominant wedge, built from fresh plans and again from
+        # the cached ones
+        E = dominant_class()
+        ktheory._factor_plan.cache_clear()
+        cold = wedge_minus_z(E, 12, 5, KBLOCKS, depth=3)
+        hits = ktheory._factor_plan.cache_info().hits
+        warm = wedge_minus_z(E, 12, 5, KBLOCKS, depth=3)
+        assert ktheory._factor_plan.cache_info().hits == hits + len(E.weights())
+        assert (warm.num.terms, warm.num.order, warm.den, warm.block_bounds) == (
+            cold.num.terms, cold.num.order, cold.den, cold.block_bounds
+        )
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_classes_on_the_same_weights_share_a_plan(self, sign):
+        # the same weight, rank and orders, different lines: one plan, and
+        # each factor still the defining sum of its own v_k
+        lines = [[(sign, U * 2 + U * U)], [(sign, U * 3 - U * U)], [(sign, -U)]]
+        ktheory._factor_plan.cache_clear()
+        for ls in lines:
+            s = Summand(sign, None, ls)
+            assert_factor_matches_reference(XY, (1, 1), s, 6, 4, KBLOCKS, 2)
+        info = ktheory._factor_plan.cache_info()
+        assert (info.currsize, info.hits) == (1, len(lines) - 1)
 
 
 def ban_past_cap_terms(monkeypatch):
@@ -955,6 +1029,8 @@ class TestMultiplicativeSwap:
         classes = [E.pullback_weights(lift, XY) for lift in ([[1], [0]], [[1], [1]])]
 
         def run():
+            # a cached plan would hand over its kernels unbuilt
+            ktheory._factor_plan.cache_clear()
             out = [
                 wedge(F, 3, 5, KBLOCKS, depth=3)
                 for F in classes
@@ -999,6 +1075,7 @@ class TestMultiplicativeSwap:
             5,
         ).pullback_weights([[1], [1]], XY)
 
+        ktheory._factor_plan.cache_clear()
         ban_past_cap_terms(monkeypatch)
         w = wedge_minus_z(E, 12, 5, KBLOCKS, depth=3)
         monkeypatch.undo()
