@@ -21,9 +21,10 @@ takes one route: one factor per weight, the interpolation-class sum below.
 The product of these line factors is kept in the tests as the oracle it is
 checked against.
 
-Everything in a weight's factor but the class's lines is planned once per
-process, by `_factor_plan`, for each weight signature (weight, rank, range
-of k, order, blocks and depth), so classes on the same weights share it.
+Everything in a weight's factor but the class's lines is planned by
+`_factor_plan` for its weight signature (weight, rank, range of k, order,
+blocks and depth) and kept in a bounded cache, so a call whose signature
+came up before in the process, for this class or another, reuses it.
 Poles go through `series.expand_poles` once per plan, on A = 1 - (1+x)^w
 at its top power P: there F + B splits A into its terms on the leading
 block and the rest, and F into the pole form and a unit.  Every other power
@@ -47,7 +48,7 @@ zw - 1 = x + y + xy.
 from __future__ import annotations
 
 import re
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from math import comb, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -273,16 +274,18 @@ def _wedge_range(s: Summand, cutoff: int) -> Tuple[int, int]:
     return kmax, max(0, kmax - s.rank)
 
 
-@cache
+@lru_cache(maxsize=64)
 def _factor_plan(varset: VarSet, weight, rank: int, kmax: int, order: int, blocks, depth: int):
     """What one weight's factor of the wedge series takes from its weight
-    signature alone, not from the class's lines, made once for the process
-    so that classes on the same weights share it: the denominator, block
+    signature alone, not from the class's lines: the denominator, block
     bounds and caps, each k's claimed order, and a table of the terms of
     the constant kernels W^k A^(rank-k) keyed by (k, num_order), each made
     on first use within the caps and only to num_order, with at most one
     product: with poles, a kernel with k <= rank is cleared by form^D, and
-    one with k > rank is W^k A^(P+rank-k) times A^(-P)'s numerator.
+    one with k > rank is W^k A^(P+rank-k) times A^(-P)'s numerator.  A plan
+    is reused only when the same weight, rank, range of k, order, blocks
+    and depth come back in the process; the 64 plans last used are kept,
+    so a sweep over orders does not hold every plan it made.
 
     Each k claims the order that multiplying A^(-P) by A term by term would
     give its kernel: INF on a pole-free factor of nonnegative weight, else

@@ -913,6 +913,8 @@ class TestWeightFactor:
             assert_factor_matches_reference(XY, (1, 1), s, 6, 4, KBLOCKS, 2)
         info = ktheory._factor_plan.cache_info()
         assert (info.currsize, info.hits) == (1, len(lines) - 1)
+        # bounded, so a process sweeping orders drops its oldest plans
+        assert info.maxsize is not None
 
 
 def ban_past_cap_terms(monkeypatch):
