@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .homology import ComponentLabel, ch_name, contract_poly
-from .poly import Poly, exact_int, json_field, poly_from_obj, poly_to_obj
+from .poly import Poly, exact_int, json_field, json_list, poly_from_obj, poly_to_obj
 from .series import (
     INF,
     LazySeries,
@@ -60,7 +60,9 @@ class Summand:
     The optional `lines` field lists (sign, s) pairs presenting the summand
     as a signed sum of line classes 1+s, with s the line's augmentation
     value (its class minus one) cut off at the ambient filtration depth;
-    the multiplicative operations require it.
+    the multiplicative operations require it.  A sign is +1 or -1, the
+    signs sum to the rank, and an int or `Fraction` value becomes a
+    constant `Poly`; anything else raises.
     """
 
     __slots__ = ("rank", "ch", "lines")
@@ -84,7 +86,12 @@ class Summand:
         self.rank = exact_int(rank, "rank")
         self.ch = clean
         if lines is not None:
-            lines = tuple((exact_int(sg, "line sign"), s) for sg, s in lines)
+            lines = tuple(
+                (exact_int(sg, "line sign"), s if isinstance(s, Poly) else Poly.const(s))
+                for sg, s in lines
+            )
+            if any(sg not in (1, -1) for sg, _ in lines):
+                raise ValueError("line signs are +1 or -1")
             if sum(sg for sg, _ in lines) != self.rank:
                 raise ValueError("line presentation does not match the rank")
         self.lines = lines
@@ -134,11 +141,16 @@ def _dual_line(s: Poly, cutoff: int) -> Poly:
 
 
 class OrientationData:
+    """An orientation: a sign, the int +1 or -1, read in a named
+    convention, a string; anything else raises ValueError."""
+
     __slots__ = ("sign", "convention")
 
     def __init__(self, sign: int = 1, convention: str = "lex-first-positive"):
-        if sign not in (1, -1):
+        if exact_int(sign, "an orientation sign") not in (1, -1):
             raise ValueError("orientation sign must be +1 or -1")
+        if not isinstance(convention, str):
+            raise ValueError("an orientation convention is a string, got %r" % (convention,))
         self.sign = sign
         self.convention = convention
 
@@ -649,10 +661,12 @@ def kclass_to_obj(E: KClass) -> dict:
 
 
 def kclass_from_obj(obj: Mapping) -> KClass:
-    """Read the form of `kclass_to_obj`; an integer field that is not an
-    int, a flag that is not a bool, a convention that is not a string and
-    a missing key raise ValueError."""
-    varset = VarSet(tuple(json_field(obj, "vars")), json_field(obj, "degrees"))
+    """Read the form of `kclass_to_obj`; summands of one weight add, as
+    `Summand.add` adds them.  An integer field that is not an int, a flag
+    that is not a bool, a convention or a variable name that is not a
+    string, a `vars` that is not a list and a missing key raise
+    ValueError."""
+    varset = VarSet(json_list(obj, "vars"), json_field(obj, "degrees"))
     summands: Dict[Weight, Summand] = {}
     for entry in json_field(obj, "summands"):
         ch = {exact_int(k, "character index"): poly_from_obj(p) for k, p in entry.get("ch", [])}
@@ -660,13 +674,11 @@ def kclass_from_obj(obj: Mapping) -> KClass:
         if lines is not None:
             lines = [(sg, poly_from_obj(sv)) for sg, sv in lines]
         weight = tuple(exact_int(c, "weight") for c in json_field(entry, "weight"))
-        summands[weight] = Summand(json_field(entry, "rank"), ch, lines)
+        s = Summand(json_field(entry, "rank"), ch, lines)
+        summands[weight] = summands[weight].add(s) if weight in summands else s
     ori = obj.get("orientation")
     if ori is not None:
-        convention = ori.get("convention", "lex-first-positive")
-        if not isinstance(convention, str):
-            raise ValueError("an orientation convention is a string, got %r" % (convention,))
-        ori = OrientationData(exact_int(json_field(ori, "sign"), "orientation sign"), convention)
+        ori = OrientationData(json_field(ori, "sign"), ori.get("convention", "lex-first-positive"))
     zero_is_bundle = obj.get("zero_is_bundle", False)
     if type(zero_is_bundle) is not bool:
         raise ValueError("zero_is_bundle must be a boolean, got %r" % (zero_is_bundle,))

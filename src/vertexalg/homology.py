@@ -33,18 +33,22 @@ over den * e!.
 The sum map of a product component is pushed forward by
 `pushforward_substitute`.  `tensor` leaves an external product unbuilt,
 holding its factors, so its pushforward (`sum_map_product`) is a plain
-product of the factors and no suffixed term is ever built.  Both check
-their outputs from supports they already hold (each factor on its own
-space, then the factors' images on the target), and there is one label
-per component, so the route costs O(factors) beside the products of the
-factors themselves.  Renaming into and out of factor alphabets, the
-unitary pushforward and the generator D are monomial-to-monomial maps,
-so they run as field moves on packed keys: renames through per-factor
-monomial tables, D through plans cached per support; a cap lowers
-homology keys through lowerings planned once per component.  Read, a
-`tensor` is one fused product: each factor's terms move onto its suffix
-by table lookups and multiply into the product's numerators by adding
-keys, and the result is made once.
+product of the factors' images and no suffixed term is ever built.  Both
+check their outputs from supports they already hold (each factor on its
+own space, then the factors' images on the target), and there is one
+label per component, so the route costs O(factors) beside the products
+of the factors themselves.  Moving a factor onto its suffix and both sum
+maps send each monomial of one factor to one monomial times a scalar, or
+to zero: s_k^e to s_k^e on the target alphabet, or on a unitary factor
+of an orthosymplectic product to (2*s_k)^e for even k and to zero for
+odd k.  So all of them run as field moves on packed keys, through one
+kind of per-factor monomial table (`_field_table`); the dual involution
+signs each key from a mask of its odd-s_k fields, the generator D runs
+through plans cached per support, and a cap lowers homology keys through
+lowerings planned once per component.  Read, a `tensor` is one fused
+product: each factor's terms move onto its suffix by table lookups and
+multiply into the product's numerators by adding keys, and the result is
+made once.
 """
 
 from __future__ import annotations
@@ -88,8 +92,9 @@ _LABELS: Dict[Tuple[str, tuple], "ComponentLabel"] = {}
 # `functools.cache` functions.  Both stay right for the life of the
 # process because the variable interner is append-only, so a key or a
 # support (the bitwise or of a polynomial's keys) always names the same
-# variables.  Kept for the process: `_suffix_table`, one table per target
-# factor of the image key of each one-factor monomial; `_moves_table`, one
+# variables.  Kept for the process: `_field_table`, one table per target
+# factor and doubling of the image of each one-factor monomial, and
+# `_source_parts`, one per support and model kind; `_moves_table`, one
 # per factor of the moves of the translation generator; and `_cap_plan`,
 # one `pairing_plan` per component (the act of each generator, the mask
 # of the acting fields of each support, the lowering of each cohomology
@@ -373,12 +378,12 @@ class _Tensor(_Deferred):
 
     def support(self) -> int:
         # a support moves as a monomial does: field by field
-        return reduce(or_, (_suffix_table(key)[s] for key, _, s in self.parts))
+        return reduce(or_, (_field_table(key, False)[s][0] for key, _, s in self.parts))
 
     def _built(self) -> Poly:
         terms, den = {0: 1}, 1
         for key, p, _ in self.parts:
-            image = _moved_terms(p, key).items()
+            image = _moved_terms(p, _field_table(key, False)).items()
             terms = {k + m: c * d for k, c in terms.items() for m, d in image}
             den *= p.den
         return _make(terms, den)
@@ -403,7 +408,7 @@ def tensor(*factors: HomologyElement, module: HomologyElement = None) -> Homolog
     gcd with the product of their contents (Gauss's lemma), is worked out
     on first read.  The first read of its terms runs the fused product:
     each factor's terms move onto its suffix by one lookup each in that
-    factor's `_suffix_table`, the moved keys add to the keys of the
+    factor's `_field_table`, the moved keys add to the keys of the
     product so far (the factors' supports are disjoint, so nothing merges
     or carries), and the numerators multiply.  `pushforward_substitute`
     never builds them:
@@ -443,74 +448,88 @@ def tensor(*factors: HomologyElement, module: HomologyElement = None) -> Homolog
     return _element(comp, p)
 
 
-def _suffix_image(factor: FactorKey, key: int) -> int:
-    """The key of a one-factor monomial with its s-generators moved onto
-    ``factor`` (None: unsuffixed).  A one-factor monomial holds each s_k of
-    its factor at most once, so every field moves to a distinct target
-    field: an image neither merges nor overflows."""
-    image = 0
+def _field_image(target: FactorKey, doubles: bool, key: int) -> Optional[Tuple[int, int]]:
+    """The image of a one-factor monomial: (image key, scalar), or None
+    when it is zero.  Each s_k^e moves to s_k^e on ``target`` (None:
+    unsuffixed), and with ``doubles`` (a unitary factor under the
+    orthosymplectic sum map) to (2*s_k)^e for even k and to zero for odd
+    k.  A one-factor monomial holds each s_k of its factor at most once,
+    so every field moves to a distinct target field: an image neither
+    merges nor overflows."""
+    image, scalar = 0, 1
     for shift, e in key_fields(key):
-        image += e << var_shift(s_name(parse_s(shift_name(shift))[0], factor))
-    return image
+        k = parse_s(shift_name(shift))[0]
+        if doubles:
+            if k % 2:
+                return None
+            scalar <<= e
+        image += e << var_shift(s_name(k, target))
+    return image, scalar
 
 
 @cache
-def _suffix_table(factor: FactorKey) -> MonomialTable:
-    """The table of `_suffix_image` onto ``factor``."""
-    return MonomialTable(partial(_suffix_image, factor))
+def _field_table(target: FactorKey, doubles: bool) -> MonomialTable:
+    """The table of `_field_image` onto ``target``, the one table kind of
+    the moves onto suffixes and of both sum maps."""
+    return MonomialTable(partial(_field_image, target, doubles))
 
 
-def _moved_terms(poly: Poly, factor: int) -> Dict[int, int]:
-    """The numerators of a single-space class with its generators moved
-    onto ``factor``, one table lookup per term: the map is injective on
-    one factor's monomials, so no two terms meet."""
-    table = _suffix_table(factor)
-    return {table[m]: c for m, c in poly.terms.items()}
+def _moved_terms(poly: Poly, table: MonomialTable) -> Dict[int, int]:
+    """The numerators of a single-space class moved by ``table``, over its
+    den, one lookup per term: the map is injective on the monomials of one
+    factor that it does not send to zero, so no two terms meet."""
+    return {
+        image[0]: c * image[1] for m, c in poly.terms.items() if (image := table[m]) is not None
+    }
 
 
 @cache
-def _source_parts(support: int) -> Tuple[int, ...]:
-    """The field masks of the source factors among the s-generators of
-    ``support``, or () when nothing moves onto the unsuffixed names (no
-    generator, or unsuffixed ones only); made once per support, which is
-    sound because a support always names the same variables."""
+def _source_parts(support: int, twisted: bool) -> Tuple[Tuple[int, MonomialTable], ...]:
+    """The field mask of each source factor among the s-generators of
+    ``support`` with the table of its image under the sum map, or () when
+    nothing moves (no generator, or unsuffixed ones only).  On a
+    ``twisted`` (orthosymplectic) product every factor but the module slot
+    0 doubles.  Made once per support, which is sound because a support
+    always names the same variables."""
     masks: Dict[FactorKey, int] = {}
     for shift, _ in key_fields(support):
         factor = parse_s(shift_name(shift))[1]
         masks[factor] = masks.get(factor, 0) | FIELD_MASK << shift
-    return () if set(masks) <= {None} else tuple(masks.values())
+    if set(masks) <= {None}:
+        return ()
+    return tuple((mask, _field_table(None, twisted and f != 0)) for f, mask in masks.items())
 
 
-def _unsuffixed(poly: Poly) -> Poly:
-    """The unitary sum map on packed keys: every s_k of every factor to s_k.
+def _sum_map(poly: Poly, twisted: bool) -> Poly:
+    """The sum map of a built product on packed keys.
 
     Each key splits by the field masks of its source factors into
-    one-factor parts, and its image is the sum of the parts' images in the
-    table of moves onto the unsuffixed names.  Parts that land on one
-    field merge and every partial key sum is or-ed into the guard check,
-    so an exponent past MAX_EXP raises OverflowError; terms that meet add
-    their coefficients.  Zeros can only come from terms that met, so the
-    result is filtered only when some did.  When nothing moves the operand
-    is returned.
+    one-factor parts; its image key is the sum of the parts' image keys
+    and its coefficient is scaled by their scalars, and a part whose image
+    is zero drops the term.  Parts that land on one field merge and every
+    partial key sum is or-ed into the guard check, so an exponent past
+    MAX_EXP raises OverflowError; terms that meet add their coefficients.
+    When nothing moves the operand is returned.
     """
-    parts = _source_parts(poly.support())
+    parts = _source_parts(poly.support(), twisted)
     if not parts:
         return poly
-    first, *rest = parts
-    table = _suffix_table(None)
     out: Dict[int, int] = {}
     get = out.get
     seen = 0  # the bitwise or of every partial key sum
     for m, c in poly.terms.items():
-        key = table[m & first]  # an image alone has no guard bit set
-        for mask in rest:
-            key += table[m & mask]
+        key = 0
+        for mask, table in parts:
+            image = table[m & mask]
+            if image is None:
+                break
+            key += image[0]
             seen |= key
-        out[key] = get(key, 0) + c
+            c *= image[1]
+        else:
+            out[key] = get(key, 0) + c
     check_guards((seen,))
-    if len(out) < len(poly.terms):
-        out = {m: c for m, c in out.items() if c}
-    return _make(out, poly.den)
+    return Poly.packed(out, poly.den)
 
 
 # -- cap product ---------------------------------------------------------------
@@ -911,19 +930,19 @@ def translate(a: HomologyElement, zvars: Sequence[str], trunc: int) -> TruncSeri
 
 
 def involution_dual_poly(poly: Poly) -> Poly:
-    """s_k -> (-1)^k s_k on every unitary factor present."""
-    weights = {}
-    for v in poly.variables():
-        got = parse_s(v)
+    """s_k -> (-1)^k s_k on every unitary factor present.  A term changes
+    sign when its odd s_k have an odd total degree, that is when an odd
+    number of them have an odd exponent: the bit count of its key under
+    the mask of the lowest bit of each odd-s_k field of the support.  A
+    generator that is not an s-name raises ValueError."""
+    odd = 0
+    for shift, _ in key_fields(poly.support()):
+        got = parse_s(shift_name(shift))
         if got is None:
             raise ValueError("dual involution is only defined on s-alphabets")
-        weights[v] = got[0]
-    return Poly(
-        {
-            mono: -coef if sum(weights[gen] * e for gen, e in mono) % 2 else coef
-            for mono, coef in poly.items()
-        }
-    )
+        odd |= (got[0] & 1) << shift
+    terms = poly.terms.items()
+    return _make({m: -c if (m & odd).bit_count() & 1 else c for m, c in terms}, poly.den)
 
 
 def involution_dual(a: HomologyElement) -> HomologyElement:
@@ -934,23 +953,6 @@ def involution_dual(a: HomologyElement) -> HomologyElement:
     return HomologyElement(a.component, involution_dual_poly(a.poly))
 
 
-@cache
-def _sum_map_plan(support: int, module: FactorKey) -> Dict[str, object]:
-    """The images of the s-generators of ``support`` under the
-    orthosymplectic sum map: those on the ``module`` factor pass to s_k,
-    the unitary ones go to 2*s_k for even k and to 0 for odd k.  Built
-    once per (support, module factor)."""
-    plan = {}
-    for shift, _ in key_fields(support):
-        name = shift_name(shift)
-        k, factor = parse_s(name)
-        if factor == module:
-            plan[name] = Poly.variable(s_name(k))
-        else:
-            plan[name] = 0 if k % 2 else 2 * Poly.variable(s_name(k))
-    return plan
-
-
 def pushforward_substitute(a: HomologyElement) -> HomologyElement:
     """Pushforward along the total-sum map of a product component.
 
@@ -959,22 +961,16 @@ def pushforward_substitute(a: HomologyElement) -> HomologyElement:
     so even unitary generators double, odd ones die, the module alphabet
     passes through, and the target rank is r_0 + 2 * sum r_i.
 
-    An unbuilt `tensor` product is pushed forward from its factors, and
-    its suffixed terms are never built: on BU_Z the image is the plain
-    product of the factors' own polynomials, and on BO_Z / BSp_2Z the
-    module polynomial times each unitary factor's image in the plan
-    below.  Its output check reads the bitwise or of the images'
-    supports, which over Q has exactly the fields of their product (the
-    degrees in each generator add), or 0 when an image is zero, so the
-    product's terms are never walked; the target's label is looked up,
-    not validated again.
-
-    Otherwise the unitary map is `_unsuffixed`: each key is split into
-    its factors' parts, whose images come from a monomial table kept
-    across calls, and terms that meet merge.  The orthosymplectic map is
-    a `Poly.substitute` by one-term images from a plan cached per support
-    and module factor, which is sound because a support always names the
-    same variables.
+    Both run through the per-factor tables of `_field_table`.  An unbuilt
+    `tensor` product is pushed forward from its factors, and its suffixed
+    terms are never built: on BU_Z the image is the plain product of the
+    factors' own polynomials, and on BO_Z / BSp_2Z the module polynomial
+    times each unitary factor moved through the doubling table.  Its
+    output check reads the bitwise or of the images' supports, which over
+    Q has exactly the fields of their product (the degrees in each
+    generator add), or 0 when an image is zero, so the product's terms are
+    never walked; the target's label is looked up, not validated again.
+    A built product goes through `_sum_map`, term by term.
     """
     comp, poly = a.component, a.poly
     unitary = comp.model == "BU_Z"
@@ -982,23 +978,20 @@ def pushforward_substitute(a: HomologyElement) -> HomologyElement:
     target = _label(comp.model, (rank,))
     if type(poly) is _Tensor:
         # the factors keep their own unsuffixed names, so on BO / BSp a
-        # unitary one maps as a factor other than the module slot 0
+        # unitary one doubles as a factor other than the module slot 0
         if unitary:
             images = [p for _, p, _ in poly.parts]
             support = reduce(or_, [s for _, _, s in poly.parts])
         else:
+            double = _field_table(None, True)
             images = [
-                p if k == 0 else p.substitute(_sum_map_plan(s, 0)) for k, p, s in poly.parts
+                p if k == 0 else _make(_moved_terms(p, double), p.den) for k, p, _ in poly.parts
             ]
             # over Q a product of nonzero factors has exactly their fields
             support = reduce(or_, [q.support() for q in images]) if all(images) else 0
         _check(target, support)
         return _element(target, reduce(mul, images))
-    if unitary:
-        return HomologyElement(target, _unsuffixed(poly))
-    # the module factor is factor 0 of a product, unsuffixed on its own
-    plan = _sum_map_plan(poly.support(), 0 if len(comp.index) > 1 else None)
-    return HomologyElement(target, poly.substitute(plan))
+    return HomologyElement(target, _sum_map(poly, not unitary))
 
 
 def sum_map_product(*elements: HomologyElement, module: HomologyElement = None) -> HomologyElement:

@@ -17,19 +17,15 @@ exponent with ValueError.  Decoding a key walks its nonzero fields only,
 lowest bit first.  Keys depend on the order in which names were interned,
 so they mean nothing outside the process; `items` and the JSON form do.
 
-`substitute` works on keys and is simultaneous: every image is read in
+`substitute` is the plain, simultaneous substitution, kept as a
+reference and for callers outside the library: every image is read in
 the original variables, so a mapping may swap names or send a variable to
-an expression in replaced ones.  It sorts each occurring variable once
-per call into kept, sent to zero, sent to one term k*n/d (a monomial
-image or a nonzero int or `Fraction`) or sent to a polynomial of several
-terms.  For a one-term image a term's exponent e becomes e*k added to its
-key and n**e multiplied into its numerator, so monomial images multiply
-no polynomials at all; the powers of a general image are computed once
-per exponent and multiplied in.  Every partial key sum is or-ed into the
-guard check, not only the finished key, so merged or scaled exponents
-raise OverflowError rather than carry into a neighbour; an exponent e is
-also checked against MAX_EXP divided by the largest exponent of its
-one-term image.
+an expression in replaced ones.  It expands term by term, multiplying in
+each variable's image power (or kept power) in name order through the
+ring's own checked products, so a result exponent past MAX_EXP raises
+OverflowError.  The library's own maps of one monomial to one monomial
+(moves onto factor alphabets and the sum maps) run as field moves on
+keys in `homology`.
 
 Coefficients are integer numerators over one shared denominator: `terms`
 maps each key to a nonzero int and `den` holds the denominator.  The form
@@ -209,21 +205,6 @@ def _make(terms: Dict[int, int], den: int) -> "Poly":
     p.terms = terms
     p.den = den
     return p
-
-
-def _image(p) -> object:
-    """How `Poly.substitute` treats an image: None for zero, (key,
-    numerator, denominator) for one term (a nonzero scalar is one term with
-    key 0), and the polynomial itself when it has more terms."""
-    if isinstance(p, Poly):
-        if len(p.terms) > 1:
-            return p
-        if not p.terms:
-            return None
-        ((k, n),) = p.terms.items()
-        return k, n, p.den
-    c = _as_fraction(p)
-    return (0, c.numerator, c.denominator) if c else None
 
 
 def _from_pairs(pairs: Iterable[Tuple[Iterable[Tuple[str, int]], Scalar]]) -> "Poly":
@@ -466,75 +447,15 @@ class Poly:
         >>> (a ** 2 * b).substitute({"a": b, "b": -a / 2})
         -1/2*a*b^2
         """
-        keep = self.support()
-        zero = 0
-        one_term = []  # (offset, key, num, den, largest e that fits)
-        general = []  # (name, offset, poly)
-        for v, image in mapping.items():
-            s = _INDEX.get(v)
-            if s is None or not (keep >> FIELD_BITS * s) & FIELD_MASK:
-                continue  # the variable does not occur
-            s *= FIELD_BITS
-            keep &= ~(FIELD_MASK << s)
-            image = _image(image)
-            if image is None:
-                zero |= FIELD_MASK << s
-            elif isinstance(image, Poly):
-                general.append((shift_name(s), s, image))
-            else:
-                k, n, d = image
-                top = max((e for _, e in key_fields(k)), default=1)
-                one_term.append((s, k, n, d, MAX_EXP // top))
-        # general factors multiply in name order, so a term's products come
-        # out in the order of the factor-by-factor expansion
-        general.sort()
-        powers: Dict[Tuple[int, int], Poly] = {}
-        den0 = den = self.den
-        out: Dict[int, int] = {}
-        get = out.get
-        seen = 0  # the bitwise or of every partial key sum
-        for m, c in self.terms.items():
-            if m & zero:
-                continue
-            key = m & keep
-            tden = den0
-            for s, k, n, d, most in one_term:
-                e = (m >> s) & FIELD_MASK
-                if e:
-                    if e > most:
-                        raise OverflowError("an exponent would exceed %d" % MAX_EXP)
-                    key += k * e
-                    seen |= key
-                    c *= n ** e
-                    tden *= d ** e
-            prod = None
-            for _, s, p in general:
-                e = (m >> s) & FIELD_MASK
-                if e:
-                    q = powers.get((s, e))
-                    if q is None:
-                        q = powers[s, e] = p ** e
-                    prod = q if prod is None else prod * q
-            if prod is not None:
-                tden *= prod.den
-            if tden != den:
-                # one common denominator: widen it, or scale this term up to it
-                wide = lcm(den, tden)
-                if wide != den:
-                    out = {m2: c2 * (wide // den) for m2, c2 in out.items()}
-                    get = out.get
-                    den = wide
-                c *= den // tden
-            for k, n in (((0, 1),) if prod is None else prod.terms.items()):
-                k += key
-                seen |= k
-                total = get(k, 0) + c * n
-                if total:
-                    out[k] = total
-                else:
-                    del out[k]
-        check_guards((seen,))
-        return _make(out, den)
+        images = {v: p if isinstance(p, Poly) else Poly.const(p) for v, p in mapping.items()}
+        one = Poly.const(1)
+        pairs = []
+        for mono, c in self.items():
+            term = Poly.const(c)
+            for v, e in mono:
+                term = term * (images[v] ** e if v in images else Poly.variable(v, e))
+            pairs.append((term, one))
+        return sum_of_products(pairs)
 
     def truncate_degree(self, bound: int) -> "Poly":
         """Drop terms of total degree exceeding the bound."""
@@ -672,6 +593,15 @@ def json_field(obj: Mapping, key: str):
         return obj[key]
     except KeyError:
         raise ValueError("missing key %r" % (key,)) from None
+
+
+def json_list(obj: Mapping, key: str) -> list:
+    """``obj[key]`` of a JSON object, which must be a list: anything else,
+    such as a string, raises ValueError, as a missing key does."""
+    value = json_field(obj, key)
+    if not isinstance(value, list):
+        raise ValueError("%r must be a list, got %r" % (key, value))
+    return value
 
 
 def exact_int(x, what: str) -> int:

@@ -56,8 +56,8 @@ from math import gcd, lcm
 from operator import add
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import FIELD_BITS, FIELD_MASK, MAX_EXP, MonomialTable, Poly, exact_int, json_field
-from .poly import poly_from_obj, poly_to_obj, sum_of_products
+from .poly import FIELD_BITS, FIELD_MASK, MAX_EXP, MonomialTable, Poly, _parse_name, exact_int
+from .poly import json_field, json_list, poly_from_obj, poly_to_obj, sum_of_products
 
 Exponent = Tuple[int, ...]
 # per capped block, its variable indices and the highest block degree kept
@@ -85,13 +85,13 @@ class VarSet:
     """An ordered set of formal variables with integer cohomological degrees.
 
     The default degree is -2, the grading of the formal variables of a
-    vertex-algebra product.
+    vertex-algebra product.  A name that is not a string raises ValueError.
     """
 
     __slots__ = ("names", "degrees", "_index")
 
     def __init__(self, names: Sequence[str], degrees: Sequence[int] = None):
-        names = tuple(names)
+        names = tuple(map(_parse_name, names))
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
         if degrees is None:
@@ -1528,8 +1528,9 @@ def series_to_dict(x: LocalizedSeries) -> dict:
 def series_from_dict(d: dict) -> LocalizedSeries:
     """Read the form of `series_to_dict`; repeated exponents add up.  A
     coefficient that is neither a string nor a list, an integer field that
-    is not an int and a missing key raise ValueError."""
-    varset = VarSet(tuple(json_field(d, "vars")), d.get("degrees"))
+    is not an int, a `vars` that is not a list of strings and a missing
+    key raise ValueError."""
+    varset = VarSet(json_list(d, "vars"), d.get("degrees"))
     terms: Dict[Exponent, Poly] = {}
     for t in json_field(d, "terms"):
         e = tuple(exact_int(x, "exponent") for x in json_field(t, "exp"))

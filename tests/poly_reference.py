@@ -7,8 +7,9 @@ shared denominator instead; the property tests compare it against this
 straightforward form, which is kept as it was before that change.
 
 `multiply_out` is the other reference: substitution in the packed ring
-done the slow way, factor by factor, against which the library's callers
-of `Poly.substitute` are checked.
+done the slow way, factor by factor, against which `Poly.substitute` and
+the library's field moves (onto factor alphabets, and both sum maps of
+`homology.pushforward_substitute`) are checked.
 """
 
 from __future__ import annotations

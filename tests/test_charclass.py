@@ -446,6 +446,27 @@ class TestIntegerData:
         with pytest.raises(ValueError, match="depth"):
             KClass(Z2, {(1, 0): Summand(1, {})}, bad)
 
+    def test_constructors_reject_what_readers_reject(self):
+        """An orientation sign that is not the int +1 or -1, a convention
+        that is not a string, a line sign other than +1 or -1 (even when
+        the signs sum to the rank) and a line value that is neither a
+        `Poly` nor an exact scalar; an exact scalar becomes a constant."""
+        u = Poly.variable("u")
+        for sign in (True, 1.0, 2):
+            with pytest.raises(ValueError, match="orientation sign"):
+                OrientationData(sign)
+        with pytest.raises(ValueError, match="convention"):
+            OrientationData(1, 5)
+        with pytest.raises(ValueError, match="line signs"):
+            Summand(2, None, [(2, u)])
+        with pytest.raises(TypeError):
+            Summand(1, None, [(1, "u")])
+        with pytest.raises(TypeError):
+            Summand(1, None, [(1, 0.5)])
+        lines = Summand(0, None, [(1, 3), (-1, Fraction(1, 2))]).lines
+        assert lines == ((1, Poly.const(3)), (-1, Poly.const(Fraction(1, 2))))
+        assert all(type(s) is Poly for _, s in lines)
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -506,6 +527,10 @@ class TestSerialization:
             (("zero_is_bundle",), "false"),
             (("zero_is_bundle",), 1),
             (("orientation", "convention"), 7),
+            # signs that sum to the rank, one of them not +1 or -1
+            (("summands", 0), {"weight": [1], "rank": 2, "lines": [[2, [[[["u", 1]], "1/1"]]]]}),
+            (("vars",), "z"),
+            (("vars", 0), 1),
         ],
     )
     def test_malformed_field_raises(self, path, value):
@@ -532,6 +557,20 @@ class TestSerialization:
             parent[path[-1]] = value
         with pytest.raises(ValueError):
             kclass_from_obj(obj)
+
+    def test_repeated_weight_adds(self):
+        """Two summands of one weight add, as `Summand.add` adds them,
+        and the other weights read as they are."""
+        one = Summand(1, {1: chp(1)}, [(1, Poly.variable("u"))])
+        two = Summand(2, {1: chp(1) * 3, 2: chp(2)}, [(1, Poly()), (1, Poly.variable("u"))])
+        E = KClass(Z, {(1,): one, (2,): two}, 3)
+        obj = json.loads(json.dumps(kclass_to_obj(E)))
+        obj["summands"][1]["weight"] = [1]
+        back = kclass_from_obj(obj)
+        assert back.weights() == [(1,)]
+        got, want = back.summands[(1,)], one.add(two)
+        assert (got.rank, got.ch, got.lines) == (3, want.ch, want.lines)
+        assert got.ch == {1: chp(1) * 4, 2: chp(2)}
 
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
     def test_golden_files_read_back(self, path):

@@ -1063,9 +1063,8 @@ def tensor_by_resuffix(*factors, module=None):
 
 
 class TestSuffixTables:
-    """The per-factor monomial tables behind `tensor` and the unitary
-    `pushforward_substitute` of a built product, against the same maps
-    multiplied out."""
+    """The per-factor monomial tables behind `tensor` and both sum maps of
+    `pushforward_substitute`, against the same maps multiplied out."""
 
     @settings(max_examples=150, deadline=None)
     @given(unitary_classes())
@@ -1152,7 +1151,7 @@ class TestSuffixTables:
             # three parts: the third addition would carry past the s1 field
             with pytest.raises(OverflowError):
                 pushforward_substitute(product(full, full, full))
-            check_guards(homology._suffix_table(None).values())
+            check_guards(key for key, _ in homology._field_table(None, False).values())
             pushed = pushforward_substitute(product(small, big))
             _same_poly(pushed.poly, Poly.variable("s1", 32000) * sv(2))
 
@@ -1170,7 +1169,7 @@ class TestSuffixTables:
             pushforward_substitute(tensor_by_resuffix(*factors))
         owners = [
             {parse_s(shift_name(shift))[1] for shift, _ in key_fields(key)}
-            for key in homology._suffix_table(None)
+            for key in homology._field_table(None, False)
         ]
         assert {1} in owners and {2} in owners
         assert all(len(o) <= 1 for o in owners)
@@ -1196,6 +1195,21 @@ def tensor_inputs(draw):
 
 def suffixed_term_built(*args):
     raise AssertionError("the pushforward built a suffixed term")
+
+
+def ban_suffix_moves(patch):
+    """Make the sum map of a built product and every move onto a suffix
+    fail under ``patch``: the pushforward of an unbuilt product needs
+    neither, only the unsuffixed tables of its unitary factors."""
+    tables = homology._field_table
+
+    def unsuffixed_tables(target, doubles):
+        if target is not None:
+            suffixed_term_built()
+        return tables(target, doubles)
+
+    patch.setattr(homology, "_sum_map", suffixed_term_built)
+    patch.setattr(homology, "_field_table", unsuffixed_tables)
 
 
 def route_reference(fs, module):
@@ -1236,8 +1250,8 @@ class TestUnbuiltTensor:
         # the sum map of an unbuilt product, from its factors: no factor is
         # moved onto a suffix or off it, and the product stays unbuilt
         with pytest.MonkeyPatch.context() as banned:
-            for name in ("_moved_terms", "_unsuffixed") if lazy else ():
-                banned.setattr(homology, name, suffixed_term_built)
+            if lazy:
+                ban_suffix_moves(banned)
             pushed = pushforward_substitute(got)
         assert lazy == (not terms_built(got.poly))
         ranks = [f.component.index[0] for f in fs]
@@ -1366,25 +1380,38 @@ class TestFieldMaps:
         assert raise_once(top, None, 1) == raise_once_by_derivatives(top, None, 1)
 
     def test_no_multiply_out_route(self, monkeypatch):
-        """With the substitution kernel, powers, derivatives, variable
-        construction, and `Poly` products and sums all made to fail, the
-        fused `tensor` (built when `translate` first reads it), `translate`
-        on a three-factor product and the translation generator still
-        give the reference results: none of them builds an intermediate
-        `Poly`.  The unitary pushforward of the unbuilt tensor is the
-        product of its factors, so there products are allowed, but only
-        of unsuffixed polynomials, with nothing moved onto or off a
-        suffix, and the tensor stays unbuilt.  They run with empty plans,
-        so the tables are planned under the same ban."""
+        """With substitution, powers, derivatives, variable construction,
+        and `Poly` products and sums all made to fail, the fused `tensor`
+        (built when `translate` first reads it), `translate` on a
+        three-factor product, the translation generator and both sum maps
+        of built products (unitary, and beside a BO or BSp module class)
+        still give the reference results: none of them builds an
+        intermediate `Poly`.  The pushforward of an unbuilt tensor is the
+        product of its factors' images, so there products are allowed, but
+        only of unsuffixed polynomials, with nothing moved onto a suffix,
+        and the tensor stays unbuilt.  They run with empty plans, so the
+        tables are planned under the same ban."""
         rng = random.Random("no-multiply-out")
         ranks = (0, 1, 2)
         factors = [
             HomologyElement(ComponentLabel("BU_Z", (r,)), _random_s_poly(rng, (1, 2, 3)))
             for r in ranks
         ]
-        tensor_want = tensor_by_resuffix(*factors)
-        mapping = {s_name(k, i + 1): sv(k) for i in range(len(ranks)) for k in (1, 2, 3)}
-        push_want = ref.multiply_out(tensor_want.poly, mapping)
+        # beside a module, odd s_k die: the unitary factors get even terms
+        twisted = [HomologyElement(f.component, f.poly + sv(2) * sv(4) - 3) for f in factors]
+        modules = [None] + [
+            HomologyElement(ComponentLabel(model, (r0,)), sv(2) / 2 + sv(4) ** 2 - 1)
+            for model, r0 in (("BO_Z", 3), ("BSp_2Z", 2))
+        ]
+        inputs = [factors] + [twisted] * 2
+        built = [tensor_by_resuffix(*fs, module=m) for fs, m in zip(inputs, modules)]
+        push_want = []
+        for b, m in zip(built, modules):
+            # ranks add, and unitary ones count twice beside a module
+            rank = sum(ranks) if m is None else m.component.index[0] + 2 * sum(ranks)
+            target = ComponentLabel(b.component.model, (rank,))
+            push_want.append((target, _unsuffixed(b.poly, even_only=m is not None)))
+        tensor_want = built[0]
         names = ["z1", "z2", "z3"]
         translate_want = translate_by_steps(tensor_want, names, 3)
         classes = [(f.poly * sv(4, 2), None, r) for f, r in zip(factors, ranks)]
@@ -1405,28 +1432,29 @@ class TestFieldMaps:
         for attr in banned + ("__add__", "__radd__"):
             monkeypatch.setattr(Poly, attr, forbidden)
         for plan in (
-            homology._suffix_table,
+            homology._field_table,
             homology._source_parts,
             homology._cap_plan,
             homology._moves_table,
             homology._raise_plan,
-            homology._sum_map_plan,
         ):
             plan.cache_clear()
-        tensor_got = tensor(*factors)
+        unbuilt = [tensor(*fs, module=m) for fs, m in zip(inputs, modules)]
         with monkeypatch.context() as pushing:
             pushing.setattr(Poly, "__mul__", unsuffixed_product)
-            pushing.setattr(homology, "_moved_terms", forbidden)
-            pushing.setattr(homology, "_unsuffixed", forbidden)
-            pushed = pushforward_substitute(tensor_got)
-        assert not terms_built(tensor_got.poly)
+            ban_suffix_moves(pushing)
+            pushed = [pushforward_substitute(t) for t in unbuilt]
+        assert not any(terms_built(t.poly) for t in unbuilt)
+        pushed += [pushforward_substitute(b) for b in built]
+        tensor_got = unbuilt[0]
         translate_got = translate(tensor_got, names, 3)
         raise_got = [raise_once(q, f, r) for q, f, r in classes]
         monkeypatch.undo()
         assert tensor_got.component == tensor_want.component
         _same_poly(tensor_got.poly, tensor_want.poly)
-        assert pushed.component == ComponentLabel("BU_Z", (sum(ranks),))
-        assert pushed.poly == push_want
+        for got, (component, poly) in zip(pushed, push_want * 2):
+            assert got.component == component
+            _same_poly(got.poly, poly)
         assert translate_got == translate_want
         assert raise_got == raise_want
 

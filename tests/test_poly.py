@@ -265,51 +265,10 @@ def test_monomial_table_plans_each_key_once():
     assert calls == [3, 5, -1, -1] and -1 not in table
 
 
-# -- substitution works on packed keys --------------------------------------------
+# -- substitution, expanded term by term --------------------------------------------
 
 
 class TestSubstituteKernel:
-    def test_monomial_images_multiply_nothing(self, monkeypatch):
-        """With monomial, scalar or zero images a substitution is key
-        arithmetic: it neither multiplies, raises to a power nor adds
-        polynomials, also when it swaps or merges variables."""
-        a, b, c = (Poly.variable(v) for v in "abc")
-        p = (a ** 3 * b - 2 * a * c ** 2 + Fraction(1, 3)) * (b + c) ** 2
-        images = {"a": -2 * b / 3, "b": Poly(), "c": a * c}
-        scalars = {"a": 3, "c": Fraction(-1, 2)}
-        merges = {"a": b, "b": a, "c": a}
-        expected = [ref.multiply_out(p, m) for m in (images, scalars, merges)]
-
-        def forbidden(*args):
-            raise AssertionError("a substitution used polynomial arithmetic")
-
-        monkeypatch.setattr(Poly, "__mul__", forbidden)
-        monkeypatch.setattr(Poly, "__rmul__", forbidden)
-        monkeypatch.setattr(Poly, "__pow__", forbidden)
-        monkeypatch.setattr(Poly, "__add__", forbidden)
-        monkeypatch.setattr(Poly, "__radd__", forbidden)
-        got = [p.substitute(m) for m in (images, scalars, merges)]
-        monkeypatch.undo()
-        assert got == expected
-
-    def test_general_image_power_computed_once(self, monkeypatch):
-        a, b = Poly.variable("a"), Poly.variable("b")
-        p = a ** 2 * b + a ** 2 - 3 * a * b
-        image = b + 1
-        expected = ref.multiply_out(p, {"a": image})
-        calls = []
-        original = Poly.__pow__
-
-        def counting(self, n):
-            calls.append(n)
-            return original(self, n)
-
-        monkeypatch.setattr(Poly, "__pow__", counting)
-        got = p.substitute({"a": image})
-        monkeypatch.undo()
-        assert got == expected
-        assert sorted(calls) == [1, 2]
-
     def test_general_images_multiply_in_name_order(self):
         # interned in the opposite order of their names, so field order and
         # name order differ; the terms come out in the order of the factor

@@ -688,6 +688,8 @@ class TestJSON:
             (("terms", 0, "coef"), None),
             (("den", 0, "form"), None),
             (("den", 0, "mult"), None),
+            (("vars",), "zw"),
+            (("vars", 0), 1),
         ],
     )
     def test_malformed_field_raises(self, path, value):
