@@ -614,13 +614,13 @@ def cap_localized(x: LocalizedSeries, component: ComponentLabel) -> LocalizedSer
     uses = Counter(id(f) for p in x.num.terms.values() if p.factors for f in p.factors)
     plans: dict = {}
 
-    def cap(p: Poly) -> Poly:
+    def cap(p: Poly, room: int) -> dict:
         out = contract_poly(p, component, plans)
         for f in p.factors or ():
             uses[id(f)] -= 1
             if not uses[id(f)]:
                 plans.pop(id(f), None)
-        return out
+        return {(): out}
 
     # capping keeps every exponent, so the result is in x's window
     r = LocalizedSeries.__new__(LocalizedSeries)

@@ -27,8 +27,9 @@ s-alphabet.  `translate` runs one integer recurrence: the D_i commute, so
 the coefficient of z^e is D^e a / e!, and D^e a is built factor by factor
 as integer numerators over the denominator of a, each made a `Poly` once,
 over den * e!.
-`translate_series` translates every coefficient of a series through
-`series.nest`, each at the order its monomial leaves.
+`translate_series` is a `series.LazySeries`: a read through a window reads
+its input through the input's own, and translates only the coefficients
+inside it, each only to the degree the window leaves.
 
 The sum map of a product component is pushed forward by
 `pushforward_substitute`.  `tensor` leaves an external product unbuilt,
@@ -74,7 +75,7 @@ from .poly import (
     shift_name,
     var_shift,
 )
-from .series import LocalizedSeries, TruncSeries, VarSet, nest
+from .series import INF, LazySeries, TruncSeries, VarSet
 
 MODELS = ("BU_Z", "BO_Z", "BSp_2Z")
 
@@ -800,18 +801,27 @@ def translate_series(
     num: TruncSeries,
     component: ComponentLabel,
     wvars: Sequence[str],
-) -> TruncSeries:
-    """Apply the translation operator in the named coordinates to every
-    coefficient of a series of classes on one component: `series.nest` of
-    `translate`, so the output keeps ``num``'s order and a name of
-    ``wvars`` that ``num`` has adds exponents."""
-    return nest(
-        lambda p, room: LocalizedSeries(
-            translate(HomologyElement(component, p), list(wvars), room)
-        ),
-        LocalizedSeries(num),
-        wvars,
-    ).num
+) -> LazySeries:
+    """The translation operator in the named coordinates on every
+    coefficient of a series of classes on one component, each to the order
+    its monomial leaves, over the names of ``wvars`` that ``num`` lacks,
+    then ``num``'s (a shared name adds exponents), at ``num``'s finite
+    order.  The call translates nothing: a `series.LazySeries` read through
+    a window reads ``num`` through its own and translates each coefficient
+    only to the degree the window leaves; a read of `terms` gives every
+    coefficient translated at once."""
+    if num.order is INF:
+        raise ValueError("translating an exact series needs a finite order")
+    _coordinates(component, wvars)
+    own = num.varset
+    fresh = tuple(n for n in wvars if n not in own.names)
+    combined = VarSet(fresh + own.names, (-2,) * len(fresh) + own.degrees)
+    wvars = list(wvars)
+
+    def make(p: Poly, room: int) -> dict:
+        return translate(HomologyElement(component, p), wvars, room).terms
+
+    return LazySeries(num, make, combined, tuple(map(combined.index, wvars)))
 
 
 # -- translation ---------------------------------------------------------------
@@ -874,6 +884,14 @@ def _raised(terms: Dict[int, int], factor: FactorKey, rank: int) -> Dict[int, in
     return {m: c for m, c in out.items() if c}
 
 
+def _coordinates(component: ComponentLabel, zvars: Sequence[str]) -> Tuple[VarSet, tuple]:
+    """A translation's coordinates and the unitary factors, one each, or ValueError."""
+    factors = component.unitary_factors()
+    if len(zvars) != len(factors):
+        raise ValueError("expected %d coordinates, got %d" % (len(factors), len(zvars)))
+    return VarSet(zvars), factors
+
+
 def translate(a: HomologyElement, zvars: Sequence[str], trunc: int) -> TruncSeries:
     """exp(sum z_i D_i) applied to a class, as a series with Poly coefficients.
 
@@ -897,14 +915,8 @@ def translate(a: HomologyElement, zvars: Sequence[str], trunc: int) -> TruncSeri
     """
     if exact_int(trunc, "the truncation") < 0:
         raise ValueError("truncation must be nonnegative")
-    vs = VarSet(zvars)
     comp = a.component
-    factors = comp.unitary_factors()
-    if len(zvars) != len(factors):
-        raise ValueError(
-            "expected %d coordinates for this component, got %d"
-            % (len(factors), len(zvars))
-        )
+    vs, factors = _coordinates(comp, zvars)
     # (e so far, its total degree, the numerators of D^e a, e!)
     level = [((), 0, a.poly.terms, 1)] if a.poly.terms else []
     for f in factors:

@@ -30,8 +30,10 @@ Compose takes the powers of each image from one table, built one product
 per power, and sums each output coefficient once, as a product does.
 
 :func:`nest` is the one nesting of a series in a series-valued map, each
-coefficient at the order its monomial leaves; ``structures.nested_product``,
-``homology.translate_series`` and the vertex-space checkers are built on it.
+coefficient at the order its monomial leaves; ``structures.nested_product``
+and the vertex-space checkers are built on it.  A `LazySeries` (a lazy cap
+or translation) makes each raw term's terms, at or above its exponent, on
+demand; a capped product reads it through its window.
 
 A localized series holds only its window: its constructor drops every
 numerator term past a block's cap, the net bound plus the block's
@@ -256,7 +258,7 @@ class TruncSeries:
     canonical coefficients.  Forms, weight series and the exp or inverse of
     such series all have constant coefficients; when only one factor is,
     its integer numerators scale the other's coefficients (`_scaled`).  A
-    `LazySeries` makes a coefficient when it is read, its `_window` only
+    `LazySeries` makes its terms when they are read, its `_window` only
     those inside a window, and every reader of `terms` sees no zero stored.
     """
 
@@ -378,7 +380,8 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries", _caps: Caps = ()) -> "TruncSeries":
         """The product; with ``_caps``, from `LocalizedSeries`, a term pair
-        past a cap is skipped, and the order claimed is the same."""
+        past a cap is skipped, a `LazySeries` factor is read through its
+        `_window` of the caps, and the order claimed is the same."""
         if not isinstance(other, TruncSeries):
             return self.scale(other)
         if self.varset != other.varset:
@@ -389,7 +392,9 @@ class TruncSeries:
             order = INF if not self.terms else other.order + min(map(sum, self.terms))
         elif other.order is INF and self.order is not INF:
             order = INF if not other.terms else self.order + min(map(sum, other.terms))
-        a, b, den = self.terms, other.terms, 0
+        a, b = (x._window(_caps).terms if _caps and type(x) is LazySeries else x.terms
+                for x in (self, other))
+        den = 0
         const_a, const_b = _all_constant(a), _all_constant(b)
         if const_a and const_b:
             r = TruncSeries.__new__(TruncSeries)
@@ -574,15 +579,21 @@ class TruncSeries:
 
 
 class LazySeries(TruncSeries):
-    """``fn`` of each coefficient of a series, each made once, when first
-    read: the first read of `terms` makes all and drops the zeros, and
-    `_window` makes only those it returns."""
+    """A series at a raw series' order, each raw term c * x^e made when
+    first read: ``make(c, room)`` maps each step f up to total degree room
+    to the `Poly` term at e + f, f on the output positions ``at`` (the
+    output variables are the raw ones after any fresh ones).  A cap is the
+    one-term case, with no ``at``; a translation makes D^k c / k! at step
+    k, and needs a finite raw order, which bounds the room.  A read of
+    `terms` makes all and sums them in raw exponent order, zeros dropped;
+    `_window` reads the raw series through its own and gives each raw term
+    only the room left by the order and by each cap holding all of ``at``."""
 
-    __slots__ = ("_raw", "_fn", "_made")
+    __slots__ = ("_raw", "_make", "_at", "_made")
 
-    def __init__(self, base: TruncSeries, fn: Callable[[Poly], object]):
-        self.varset, self.order = base.varset, base.order
-        self._raw, self._fn, self._made = base.terms, fn, {}
+    def __init__(self, raw: TruncSeries, make: Callable, varset: VarSet = None, at=()):
+        self.varset, self.order = raw.varset if varset is None else varset, raw.order
+        self._raw, self._make, self._at, self._made = raw, make, at, {}
 
     def __getattr__(self, name: str):
         # reached only while the `terms` slot is unset
@@ -591,20 +602,55 @@ class LazySeries(TruncSeries):
         self.terms = terms = self._window(()).terms
         return terms
 
+    def __repr__(self):
+        """Raw terms made and pending (a lazy raw series' repr); makes nothing."""
+        raw, made = self._raw, self._made
+        pending = raw if type(raw) is LazySeries else sum(e not in made for e in raw.terms)
+        return "LazySeries(%r, order=%r, made=%d, pending=%r)" % (
+            self.varset, self.order, len(made), pending
+        )
+
+    def with_order(self, order: Optional[int]) -> "LazySeries":
+        """As `TruncSeries.with_order`, making nothing: the raw terms past
+        ``order`` are dropped, and the terms already made are shared."""
+        if order is not INF and exact_int(order, "truncation order") < 0:
+            raise ValueError("truncation order must be nonnegative")
+        r = LazySeries(self._raw.truncate(order), self._make, self.varset, self._at)
+        r.order = order
+        r._made = {e: v for e, v in self._made.items() if order is INF or sum(e) <= order}
+        return r
+
     def _window(self, caps: Caps, order: Optional[int] = INF) -> TruncSeries:
         """As `TruncSeries._window`, as a plain series."""
-        made, fn = self._made, self._fn
+        raw, at, made = self._raw, self._at, self._made
+        lead = len(self.varset) - len(raw.varset)
+        own = tuple((tuple(i - lead for i in idxs if i >= lead), cap) for idxs, cap in caps)
+        terms = raw._window(own, order).terms.items()
+        if at:
+            limit = _min_order(order, raw.order)
+            holds = [(idxs, cap) for idxs, cap in caps if set(at) <= set(idxs)]
+            terms = sorted(terms)
         out: Dict[Exponent, Poly] = {}
-        for e, c in self._raw.items():
-            if not _within(e, caps, order):
-                continue
-            v = made.get(e)
-            if v is None:
-                v = made[e] = _coerce(fn(c))
-            if v:
-                out[e] = v
+        for e, c in terms:
+            key = placed = (0,) * lead + e
+            room = 0
+            if at:
+                rooms = (cap - sum(placed[i] for i in idxs) for idxs, cap in holds)
+                room = min([limit - sum(e), *rooms])
+            got = made.get(e)
+            if got is None or got[0] < room:
+                got = made[e] = room, self._make(c, room)
+            for f, v in got[1].items():
+                if at:
+                    key = list(placed)
+                    for i, x in zip(at, f):
+                        key[i] += x
+                    if not _within(key, caps, limit):
+                        continue
+                    key = tuple(key)
+                out[key] = out[key] + v if key in out else v
         r = TruncSeries.__new__(TruncSeries)
-        r.varset, r.order, r.terms = self.varset, self.order, out
+        r.varset, r.order, r.terms = self.varset, self.order, {e: v for e, v in out.items() if v}
         return r
 
 
@@ -668,7 +714,13 @@ def _numerators(terms: Mapping[Exponent, Poly]) -> Tuple[int, Dict[Exponent, int
 def _within(e: Exponent, caps: Caps, order: Optional[int] = INF) -> bool:
     if order is not INF and sum(e) > order:
         return False
-    return all(sum(e[i] for i in idxs) <= cap for idxs, cap in caps)
+    for idxs, cap in caps:
+        degree = 0
+        for i in idxs:
+            degree += e[i]
+        if degree > cap:
+            return False
+    return True
 
 
 def _grouped(terms: Mapping[Exponent, Poly], caps: Caps, row: Callable) -> list:

@@ -1,6 +1,7 @@
 """Weight-decomposed classes: Euler series, square roots, swap identities."""
 
 import json
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_outputs import GOLDEN, assert_golden, dump
+from test_homology import translate_series_by_nest
+from vertexalg import charclass, homology
 from vertexalg.charclass import (
     KClass,
     OrientationData,
@@ -29,6 +32,7 @@ from vertexalg.homology import (
     ComponentLabel,
     HomologyElement,
     ch_name,
+    contract_poly,
     translate,
     translate_series,
     var_weight,
@@ -36,6 +40,7 @@ from vertexalg.homology import (
 from vertexalg.poly import Poly, poly_from_obj, poly_to_obj
 from vertexalg.series import (
     INF,
+    _block_caps,
     LocalizedSeries,
     TruncSeries,
     VarSet,
@@ -404,6 +409,58 @@ class TestSwapIdentity:
         assert series_equal(lhs, rhs)
         assert_golden("swap_real", E, lhs, rhs)
         assert not series_equal(lhs, rhs + one_on(ZW, SWAP_BLOCKS))
+
+    def test_right_side_translates_only_its_window(self, monkeypatch):
+        """The right side of the deeper-input swap caps only the raw
+        coefficients inside its w-cap, translates each only to the w-degree
+        the cap leaves, and equals capping and translating every
+        coefficient at once."""
+        comp, trunc, depth = ComponentLabel("BU_Z", (1,)), 3, 6
+        taut = tautological_summand(comp, None, depth)
+        E = KClass(Z, {(1,): taut, (2,): tensor_summand(taut, taut, depth).negate()}, depth)
+        inputs, capped, translated = [], {}, []
+
+        def cap_spy(x, component):
+            inputs.append(x)
+            return charclass.cap_localized(x, component)
+
+        def contract_spy(p, component, plans):
+            capped[id(p)] = out = contract_poly(p, component, plans)
+            return out
+
+        def translate_spy(el, zvars, t):
+            translated.append((el.poly, t))
+            return translate(el, zvars, t)
+
+        monkeypatch.setattr(sys.modules[__name__], "cap_localized", cap_spy)
+        monkeypatch.setattr(charclass, "contract_poly", contract_spy)
+        monkeypatch.setattr(homology, "translate", translate_spy)
+        lhs, rhs = swap_sides(equivariant_euler, E, comp, sp(1) * sp(2) + sp(3), trunc)
+        monkeypatch.undo()
+        assert series_equal(lhs, rhs)
+        # neither side's expanded denominator has a form in w
+        ((w_at, cap),) = _block_caps(rhs.varset, rhs.blocks, rhs.block_bounds, rhs.den)
+        assert w_at == (1,) and cap == trunc
+        inner = inputs[1]
+        raw = inner.num.terms
+        right = {e: capped[id(p)] for e, p in raw.items() if id(p) in capped}
+        assert right and len(right) < len(raw)
+        assert all(e[1] <= cap for e in right)
+        # every translated coefficient is, by identity, the cap of one raw term
+        at = {id(c): e for e, c in right.items()}
+        order = 2 * trunc + equivariant_euler(E).den_degree()
+        assert translated
+        for p, t in translated:
+            e = at[id(p)]
+            assert t <= min(cap - e[1], order - sum(e))
+        # the eager route: every coefficient capped, then translated by nest
+        eager = inner.map_coefficients(lambda c: contract_poly(c, comp)).num
+        num = translate_series_by_nest(eager.with_order(order), comp, ["w"])
+        want = iota_expand(
+            LocalizedSeries(num, inner.den, SWAP_BLOCKS, inner.block_bounds), SWAP_BLOCKS, trunc
+        )
+        assert (rhs.num, rhs.den, rhs.block_bounds) == (want.num, want.den, want.block_bounds)
+        assert list(rhs.num.terms) == list(want.num.terms)
 
     def test_weight_inconsistent_data_breaks_it(self):
         # generator characters carry weight one; declaring them at weight

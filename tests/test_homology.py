@@ -37,6 +37,7 @@ from vertexalg.homology import (
     sum_map_product,
     tensor,
     translate,
+    translate_series,
     var_weight,
 )
 from vertexalg.poly import (
@@ -54,6 +55,7 @@ from vertexalg.series import (
     LocalizedSeries,
     TruncSeries,
     VarSet,
+    nest,
     series_equal,
 )
 from vertexalg.structures import compare_series
@@ -814,6 +816,115 @@ class TestTranslate:
         assert got.terms.keys() == want.terms.keys()
         for e, p in want.terms.items():
             _same_poly(got.terms[e], p)
+
+
+def translate_series_by_nest(num, component, wvars):
+    """`translate_series` as it was first written, the reference of the
+    lazy one: `series.nest` of `translate`, every coefficient translated at
+    once, each at the order its monomial leaves."""
+    return nest(
+        lambda p, room: LocalizedSeries(
+            translate(HomologyElement(component, p), list(wvars), room)
+        ),
+        LocalizedSeries(num),
+        wvars,
+    ).num
+
+
+@st.composite
+def translate_series_inputs(draw):
+    """A maker of a series over (z, w) of classes on BU_Z with one or two
+    factors of ranks -2..2, with fractional coefficients, plain or capped
+    from ch x s products by `cap_localized` (a fresh `LazySeries` per
+    call); and the coordinates, shared with (z, w), fresh, or both."""
+    comp = ComponentLabel("BU_Z", tuple(draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2))))
+    factors = comp.unitary_factors()
+    pool = [["w"], ["u"], ["z"]]
+    if len(factors) == 2:
+        pool = [["w", "u"], ["u", "v"], ["z", "w"], ["v", "z"]]
+    wvars = draw(st.sampled_from(pool))
+    coefs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def polys(gens):
+        monos = st.lists(st.tuples(st.sampled_from(gens), st.integers(1, 2)), max_size=2)
+        return st.lists(st.tuples(monos, coefs), min_size=1, max_size=2).map(
+            lambda raw: Poly({tuple(m): c for m, c in raw})
+        )
+
+    s_polys = polys([s_name(k, f) for f in factors for k in (1, 2)])
+    capped = draw(st.booleans())
+    if capped:
+        ch_polys = polys([homology.ch_name(k, f) for f in factors for k in (1, 2)])
+        coef = st.builds(lambda a, b: a * b, ch_polys, s_polys) | s_polys
+    else:
+        coef = s_polys
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(exps, coef, max_size=5))
+    order = draw(st.integers(0, 5))
+
+    def make():
+        num = TruncSeries(ZW, order, terms)
+        return charclass.cap_localized(LocalizedSeries(num), comp).num if capped else num
+
+    return make, comp, wvars
+
+
+class TestTranslateSeries:
+    """`translate_series` translates nothing when called: a read of its
+    `terms` gives the series of translating every coefficient at once, and
+    a read through its window gives that series cut to the window."""
+
+    def test_call_translates_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(homology, "translate", lambda *a: calls.append(a))
+        num = TruncSeries(ZW, 4, {(0, 0): sv(1), (1, 2): sv(2) - 1})
+        got = translate_series(num, BU1, ["w"])
+        assert type(got) is LazySeries and not got._made and not calls
+        assert (got.varset, got.order) == (ZW, 4)
+        assert repr(got) == "LazySeries(VarSet(('z', 'w')), order=4, made=0, pending=2)"
+
+    def test_exact_input_and_wrong_coordinates_raise(self):
+        with pytest.raises(ValueError, match="finite order"):
+            translate_series(TruncSeries(ZW, None, {(0, 0): sv(1)}), BU1, ["w"])
+        with pytest.raises(ValueError, match="coordinates"):
+            translate_series(TruncSeries(ZW, 2), BU1, ["w", "u"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(translate_series_inputs(), st.data())
+    def test_prop_matches_nest(self, inputs, data):
+        """Terms in the same order, order and variables as the nest of
+        `translate`; a window read equals that series cut to the window,
+        and a read of everything after it equals the whole."""
+        make, comp, wvars = inputs
+        want = translate_series_by_nest(make(), comp, wvars)
+        got = translate_series(make(), comp, wvars)
+        assert (got.varset, got.order) == (want.varset, want.order)
+        assert list(got.terms.items()) == list(want.terms.items())
+        positions = st.sets(st.sampled_from(range(len(want.varset))), min_size=1)
+        cap = st.tuples(positions.map(sorted).map(tuple), st.integers(-1, 5))
+        caps = data.draw(st.lists(cap, max_size=2))
+        order = data.draw(st.one_of(st.none(), st.integers(0, 6)))
+        lazy = translate_series(make(), comp, wvars)
+        window = lazy._window(tuple(caps), order)
+        assert window.order == want.order
+        assert list(window.terms.items()) == list(want._window(tuple(caps), order).terms.items())
+        assert list(lazy.terms.items()) == list(want.terms.items())
+        # a window read again, over terms made for a wider room
+        again = lazy._window(tuple(caps), order)
+        assert list(again.terms.items()) == list(window.terms.items())
+
+    def test_cap_on_one_of_two_coordinates(self):
+        """A cap on w alone bounds the w-steps but not the u-steps of a
+        translation along (w, u): the room comes only from the order, and
+        the steps past the w-cap are left out."""
+        comp = ComponentLabel("BU_Z", (1, 2))
+        num = TruncSeries(ZW, 4, {(0, 0): sv(1, 1) + sv(1, 2), (1, 1): sv(2, 2) / 3})
+        want = translate_series_by_nest(num, comp, ["w", "u"])
+        assert want.varset.names == ("u", "z", "w")
+        caps = (((2,), 1),)
+        got = translate_series(num, comp, ["w", "u"])._window(caps, 3)
+        assert got.terms == want._window(caps, 3).terms
+        assert any(e[0] > 1 for e in got.terms) and all(e[2] <= 1 for e in got.terms)
 
 
 class TestInvolution:

@@ -15,6 +15,7 @@ from vertexalg.ktheory import one_plus_pow
 from vertexalg.poly import MAX_EXP, Poly, poly_to_obj, sum_of_products
 from vertexalg.series import (
     INF,
+    LazySeries,
     LinearForm,
     LocalizedSeries,
     TruncSeries,
@@ -118,6 +119,12 @@ class TestIntegerData:
         # with_order(2.5) used to claim order 2.5 and drop z^3 against it
         with pytest.raises(ValueError, match="truncation order"):
             TruncSeries(Z, 3, {(2,): 1, (3,): 1}).with_order(bad)
+        # a lazy series checks the order as well, and makes nothing
+        for stepping in (False, True):
+            lazy, _ = lazy_and_eager(stepping)
+            with pytest.raises(ValueError, match="truncation order"):
+                lazy.with_order(bad)
+            assert not lazy._made
 
     def test_integers_pass(self):
         assert VarSet(("x",), degrees=(-3,)).degrees == (-3,)
@@ -129,6 +136,71 @@ class TestIntegerData:
             TruncSeries(ZW, 3, {(1, 0): 1}), [(form(ZW, z=1), 2)], (("z",), ("w",)), (INF, -1)
         )
         assert (x.den_degree(), x.valid_order(), x.block_bounds) == (2, 1, (INF, -1))
+
+
+def lazy_and_eager(stepping):
+    """A `LazySeries` over (z, w) and the plain series a read of it gives.
+    Each raw term c * x^e makes 2c at e, or, stepping, (k + 1) * c at e
+    plus k steps along w, for k up to the room."""
+    raw = TruncSeries(ZW, 3, {(2, 1): 5, (0, 0): 1, (1, 0): Fraction(1, 2), (0, 2): -3})
+    if not stepping:
+        return LazySeries(raw, lambda c, room: {(): 2 * c}), raw.scale(2)
+    terms = {}
+    for (i, j), c in sorted(raw.terms.items()):
+        for k in range(raw.order - i - j + 1):
+            terms[i, j + k] = terms.get((i, j + k), 0) + (k + 1) * c
+    make = lambda c, room: {(k,): (k + 1) * c for k in range(room + 1)}
+    return LazySeries(raw, make, ZW, (1,)), TruncSeries(ZW, 3, terms)
+
+
+class TestLazySeries:
+    """A `LazySeries` makes its terms when read, as many as the read
+    needs, and reads as the plain series of making them all."""
+
+    @pytest.mark.parametrize("stepping", [False, True])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, INF])
+    def test_with_order_reads_as_eager(self, stepping, order):
+        lazy, eager = lazy_and_eager(stepping)
+        cut = lazy.with_order(order)
+        assert type(cut) is LazySeries and not cut._made and not lazy._made
+        want = eager.with_order(order)
+        assert cut.order == want.order and list(cut.terms.items()) == list(want.terms.items())
+        # a cut of a series read in part shares what is made
+        lazy._window((((1,), 0),))
+        made = dict(lazy._made)
+        again = lazy.with_order(order)
+        assert all(again._made[e] is made[e] for e in again._made)
+        assert again == want
+
+    @pytest.mark.parametrize("stepping", [False, True])
+    def test_window_reads_as_eager(self, stepping):
+        lazy, eager = lazy_and_eager(stepping)
+        for caps, order in [((), 1), ((((1,), 1),), INF), ((((0, 1), 2), ((0,), 0)), 2)]:
+            got = lazy._window(caps, order)
+            assert got.order == eager.order
+            assert list(got.terms.items()) == list(eager._window(caps, order).terms.items())
+        assert list(lazy.terms.items()) == list(eager.terms.items())
+
+    def test_window_gives_each_raw_term_its_room(self):
+        rooms = []
+        raw = TruncSeries(ZW, 4, {(0, 0): 1, (1, 1): 1, (0, 3): 1, (1, 0): 1})
+        lazy = LazySeries(raw, lambda c, room: rooms.append(room) or {(0,): c}, ZW, (1,))
+        lazy._window((((1,), 2),), 3)
+        # (0, 3) is past the w-cap and is not read; the rest get the least
+        # of the order less |e| and the cap less their w-degree
+        assert sorted(lazy._made) == [(0, 0), (1, 0), (1, 1)]
+        assert rooms == [2, 2, 1]
+
+    @pytest.mark.parametrize("stepping", [False, True])
+    def test_repr_makes_nothing(self, stepping):
+        lazy, _ = lazy_and_eager(stepping)
+        text = repr(lazy)
+        assert not lazy._made
+        assert text == "LazySeries(VarSet(('z', 'w')), order=3, made=0, pending=4)"
+        lazy._window((((1,), 0),))
+        assert repr(lazy).endswith("made=2, pending=2)")
+        nested = LazySeries(lazy, lambda c, room: {(): c})
+        assert repr(nested).endswith("pending=%r)" % lazy) and not nested._made
 
 
 class TestAdd:
