@@ -27,7 +27,6 @@ discrepancy between the two readings of a dual pair).
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -605,26 +604,11 @@ def cap_localized(x: LocalizedSeries, component: ComponentLabel) -> LocalizedSer
     a coefficient that is a deferred ch x s product is capped from its
     factors (see `homology.contract_poly`).  The call caps nothing: the
     numerator is a `series.LazySeries`, which caps a coefficient when it
-    is first read, so a sum or a comparison caps only its window's.  One
-    map of row plans lives with that series: a homology factor met by
-    several coefficients is grouped once, and its fitting rows are
-    collected once per set of target fields (see `homology.cap_with`).
-    A plan is made at the first read of a coefficient holding its factor
-    and dropped at the last, so the plans alive serve unread ones."""
-    uses = Counter(id(f) for p in x.num.terms.values() if p.factors for f in p.factors)
-    plans: dict = {}
-
-    def cap(p: Poly, room: int) -> dict:
-        out = contract_poly(p, component, plans)
-        for f in p.factors or ():
-            uses[id(f)] -= 1
-            if not uses[id(f)]:
-                plans.pop(id(f), None)
-        return {(): out}
-
+    is first read, so a sum or a comparison caps only its window's."""
     # capping keeps every exponent, so the result is in x's window
     r = LocalizedSeries.__new__(LocalizedSeries)
-    r.num, r.den = LazySeries(x.num, cap), x.den
+    r.num = LazySeries(x.num, lambda p, room: {(): contract_poly(p, component)})
+    r.den = x.den
     r.blocks, r.block_bounds = x.blocks, x.block_bounds
     return r
 
@@ -664,16 +648,16 @@ def kclass_from_obj(obj: Mapping) -> KClass:
     """Read the form of `kclass_to_obj`; summands of one weight add, as
     `Summand.add` adds them.  An integer field that is not an int, a flag
     that is not a bool, a convention or a variable name that is not a
-    string, a `vars` that is not a list and a missing key raise
-    ValueError."""
+    string, a `vars` or `summands` that is not a list, a summand that is
+    not an object and a missing key raise ValueError."""
     varset = VarSet(json_list(obj, "vars"), json_field(obj, "degrees"))
     summands: Dict[Weight, Summand] = {}
-    for entry in json_field(obj, "summands"):
+    for entry in json_list(obj, "summands"):
+        weight = tuple(exact_int(c, "weight") for c in json_field(entry, "weight"))
         ch = {exact_int(k, "character index"): poly_from_obj(p) for k, p in entry.get("ch", [])}
         lines = entry.get("lines")
         if lines is not None:
             lines = [(sg, poly_from_obj(sv)) for sg, sv in lines]
-        weight = tuple(exact_int(c, "weight") for c in json_field(entry, "weight"))
         s = Summand(json_field(entry, "rank"), ch, lines)
         summands[weight] = summands[weight].add(s) if weight in summands else s
     ori = obj.get("orientation")

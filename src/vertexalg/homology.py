@@ -62,7 +62,6 @@ from operator import mul, or_
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .poly import (
-    FIELD_BITS,
     FIELD_MASK,
     MAX_EXP,
     MonomialTable,
@@ -103,10 +102,6 @@ _LABELS: Dict[Tuple[str, tuple], "ComponentLabel"] = {}
 # the one plan of the K pairing.  A monomial entry plans one monomial of a
 # single factor, never a polynomial result, so the tables grow with the
 # distinct monomials of single factors, not with those of their products.
-# The fitting table of a row plan (`_row_plan`) is made per homology
-# polynomial and never kept for the process: a cap makes its own, and the
-# series of one `charclass.cap_localized` call shares them across its
-# coefficients.
 
 
 def s_name(k: int, factor: FactorKey = None) -> str:
@@ -631,34 +626,7 @@ def _cap_plan(component: ComponentLabel) -> Tuple[MonomialTable, MonomialTable]:
     return pairing_plan(partial(_act, component), True)
 
 
-def _fitting(groups: Dict[int, list], guards: int) -> list:
-    """The terms of the groups whose nonzero fields include every field of
-    ``guards``."""
-    return [row for nonzero, g in groups.items() if not guards & ~nonzero for row in g]
-
-
-def _row_plan(poly: Poly) -> Tuple[Poly, MonomialTable]:
-    """The row plan of a homology polynomial: ``poly`` itself and a table
-    from the guard bits of a lowering's target fields to the terms that
-    may hold them all.  The terms are grouped once by the guard bits of
-    their nonzero fields (a field plus MAX_EXP sets its guard bit exactly
-    when it is nonzero), and an entry collects the groups that fit."""
-    marks = 0
-    for shift, _ in key_fields(poly.support()):
-        marks |= (MAX_EXP + 1) << shift
-    fill = marks - (marks >> (FIELD_BITS - 1))
-    groups: Dict[int, list] = {}
-    for key, d in poly.terms.items():
-        groups.setdefault((key + fill) & marks, []).append((key, d))
-    return poly, MonomialTable(partial(_fitting, groups))
-
-
-def cap_with(
-    ch_poly: Poly,
-    poly: Poly,
-    lowerings: Mapping[int, Optional[Tuple]],
-    plans: Optional[Dict[int, Tuple]] = None,
-) -> Poly:
+def cap_with(ch_poly: Poly, poly: Poly, lowerings: Mapping[int, Optional[Tuple]]) -> Poly:
     """Cap every monomial of ``ch_poly``, acting as its entry in
     ``lowerings`` (the table of a `pairing_plan`) says, against every
     monomial of ``poly``: the kernel of `cap_poly`, `ktheory.k_cap` and a
@@ -667,33 +635,18 @@ def cap_with(
     (d/ds)^e s^n = n!/(n-e)! s^(n-e), zero when e > n.  Setting the guard
     bit of every target field and subtracting ``need`` lowers them all at
     once: a field that held fewer than e units borrows its guard bit, so
-    the monomial caps to zero exactly when a guard bit is gone.  The rows
-    come from the fitting table of the `_row_plan` of ``poly``, so a
-    lowering skips every group that lacks one of its target fields, and
-    the groups that fit are collected once per set of target fields.
-    Without ``plans`` the plan lives for this call only.  ``plans`` maps
-    the id of a homology polynomial to its plan while the series of one
-    `charclass.cap_localized` call has coefficients left to cap, so every
-    cap against that polynomial in the series shares it; an entry is used
-    only while it holds ``poly`` itself, so an id reused by another object
-    never reads a stale plan.
+    the monomial caps to zero exactly when a guard bit is gone.
     """
-    if plans is None:
-        plan = _row_plan(poly)
-    else:
-        plan = plans.get(id(poly))
-        if plan is None or plan[0] is not poly:
-            plan = plans[id(poly)] = _row_plan(poly)
-    fitting = plan[1]
     out: Dict[int, int] = {}
     get = out.get
+    terms = poly.terms.items()
     for cokey, c in ch_poly.terms.items():
         lowering = lowerings[cokey]
         if lowering is None:
             continue
         scalar, need, guards, falling = lowering
         c *= scalar
-        for key, d in fitting[guards]:
+        for key, d in terms:
             low = (key | guards) - need
             if low & guards != guards:
                 continue
@@ -705,12 +658,7 @@ def cap_with(
     return Poly.packed(out, ch_poly.den * poly.den)
 
 
-def contract_with(
-    p: Poly,
-    comask: int,
-    lowerings: Mapping[int, Optional[Tuple]],
-    plans: Optional[Dict[int, Tuple]] = None,
-) -> Poly:
+def contract_with(p: Poly, comask: int, lowerings: Mapping[int, Optional[Tuple]]) -> Poly:
     """Split every key of p by the mask of its acting fields and let the
     acting part, as its entry in ``lowerings`` says, lower the rest.
 
@@ -722,17 +670,15 @@ def contract_with(
     subtraction, and only the few keys that survive have their guard bits
     and acting part cleared.  A deferred product (see the `poly` module
     docstring) of a factor in acting generators only and one in none is
-    capped from its factors by `cap_with`, unbuilt, with the row plan of
-    its other factor taken from ``plans`` when given (the series of one
-    `cap_localized` call).
+    capped from its factors by `cap_with`, unbuilt.
     """
     if p.factors is not None:
         a, b = p.factors
         sa, sb = a.support(), b.support()
         if not sa & ~comask and not sb & comask:
-            return cap_with(a, b, lowerings, plans)
+            return cap_with(a, b, lowerings)
         if not sb & ~comask and not sa & comask:
-            return cap_with(b, a, lowerings, plans)
+            return cap_with(b, a, lowerings)
     out: Dict[int, int] = {}
     get = out.get
     for key, coef in p.terms.items():
@@ -767,9 +713,7 @@ def cap_poly(ch_poly: Poly, poly: Poly, component: ComponentLabel) -> Poly:
     return cap_with(ch_poly, poly, _cap_plan(component)[1])
 
 
-def contract_poly(
-    p: Poly, component: ComponentLabel, plans: Optional[Dict[int, Tuple]] = None
-) -> Poly:
+def contract_poly(p: Poly, component: ComponentLabel) -> Poly:
     """Pair the cohomology part of a mixed polynomial against its homology part.
 
     The component's `pairing_plan` classifies generators into character
@@ -782,10 +726,7 @@ def contract_poly(
     `cap_poly`.  Multiplying first and contracting afterwards is what
     makes capping a whole series against a whole series a plain series
     product.  A deferred ch x s product is capped from its factors, and
-    its terms are never built; the row plan of its homology factor comes
-    from ``plans`` when given, a map that the series of one
-    `charclass.cap_localized` call keeps and passes to every coefficient,
-    and is made for this call alone otherwise:
+    its terms are never built:
 
     >>> p = (Poly.variable("ch1") + 3 * Poly.variable("ch0")) * (Poly.variable("s1") ** 2 + 1)
     >>> p.factors
@@ -794,7 +735,7 @@ def contract_poly(
     3+2*s1+3*s1^2
     """
     comasks, lowerings = _cap_plan(component)
-    return contract_with(p, comasks[p.support()], lowerings, plans)
+    return contract_with(p, comasks[p.support()], lowerings)
 
 
 def translate_series(

@@ -588,7 +588,10 @@ def poly_from_obj(obj) -> Poly:
 
 
 def json_field(obj: Mapping, key: str):
-    """``obj[key]`` of a JSON object; a missing key raises ValueError."""
+    """``obj[key]`` of a JSON object; a missing key, or an ``obj`` that is
+    not an object, raises ValueError."""
+    if not isinstance(obj, Mapping):
+        raise ValueError("expected a JSON object holding %r, got %r" % (key, obj))
     try:
         return obj[key]
     except KeyError:

@@ -83,17 +83,31 @@ def _min_order(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
+def _sequence(x, what: str) -> tuple:
+    """``x`` as a tuple.  A string would read as a sequence of
+    one-character names, so it raises ValueError, as anything not
+    iterable does."""
+    if isinstance(x, str):
+        raise ValueError("%s must be a sequence, got the string %r" % (what, x))
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ValueError("%s must be a sequence, got %r" % (what, x)) from None
+
+
 class VarSet:
     """An ordered set of formal variables with integer cohomological degrees.
 
     The default degree is -2, the grading of the formal variables of a
-    vertex-algebra product.  A name that is not a string raises ValueError.
+    vertex-algebra product.  Names given as one string (which would read
+    as one-character names) or not as a sequence, and a name that is not
+    a string, raise ValueError.
     """
 
     __slots__ = ("names", "degrees", "_index")
 
     def __init__(self, names: Sequence[str], degrees: Sequence[int] = None):
-        names = tuple(map(_parse_name, names))
+        names = tuple(map(_parse_name, _sequence(names, "variable names")))
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
         if degrees is None:
@@ -139,16 +153,13 @@ Blocks = Tuple[Tuple[str, ...], ...]
 
 
 def normalize_blocks(varset: VarSet, blocks: Sequence[Sequence[str]]) -> Blocks:
-    """Validate an ordered partition of the variable set."""
-    seen: List[str] = []
-    out = []
-    for block in blocks:
-        block = tuple(block)
-        out.append(block)
-        seen.extend(block)
-    if sorted(seen) != sorted(varset.names):
+    """Validate an ordered partition of the variable set.  Blocks, or a
+    block, given as a string raise ValueError, as any non-partition does."""
+    out = tuple(_sequence(block, "a block") for block in _sequence(blocks, "blocks"))
+    seen = [n for block in out for n in block]
+    if len(seen) != len(varset.names) or set(seen) != set(varset.names):
         raise ValueError("blocks must partition the variable set")
-    return tuple(out)
+    return out
 
 
 def trivial_blocks(varset: VarSet) -> Blocks:
@@ -1580,22 +1591,23 @@ def series_to_dict(x: LocalizedSeries) -> dict:
 def series_from_dict(d: dict) -> LocalizedSeries:
     """Read the form of `series_to_dict`; repeated exponents add up.  A
     coefficient that is neither a string nor a list, an integer field that
-    is not an int, a `vars` that is not a list of strings and a missing
-    key raise ValueError."""
+    is not an int, a `vars` that is not a list of strings, a `terms`,
+    `den` or `blocks` that is not a list, an entry of `terms` or `den`
+    that is not an object and a missing key raise ValueError."""
     varset = VarSet(json_list(d, "vars"), d.get("degrees"))
     terms: Dict[Exponent, Poly] = {}
-    for t in json_field(d, "terms"):
+    for t in json_list(d, "terms"):
         e = tuple(exact_int(x, "exponent") for x in json_field(t, "exp"))
         terms[e] = terms.get(e, Poly()) + _coef_from_obj(json_field(t, "coef"))
     # the constructor reads an order of None as INF; the JSON form is finite
     num = TruncSeries(varset, exact_int(json_field(d, "order"), "order"), terms)
     den = [
         (LinearForm(varset, json_field(f, "form")), json_field(f, "mult"))
-        for f in d.get("den", [])
+        for f in (json_list(d, "den") if "den" in d else [])
     ]
     blocks = bounds = None
     if "blocks" in d:
-        blocks = tuple(tuple(b) for b in d["blocks"])
+        blocks = json_list(d, "blocks")
         bounds = d.get("block_bounds")
     return LocalizedSeries(num, den, blocks, bounds)
 

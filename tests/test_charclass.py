@@ -424,8 +424,8 @@ class TestSwapIdentity:
             inputs.append(x)
             return charclass.cap_localized(x, component)
 
-        def contract_spy(p, component, plans):
-            capped[id(p)] = out = contract_poly(p, component, plans)
+        def contract_spy(p, component):
+            capped[id(p)] = out = contract_poly(p, component)
             return out
 
         def translate_spy(el, zvars, t):
@@ -588,6 +588,10 @@ class TestSerialization:
             (("summands", 0), {"weight": [1], "rank": 2, "lines": [[2, [[[["u", 1]], "1/1"]]]]}),
             (("vars",), "z"),
             (("vars", 0), 1),
+            # a summand that is not an object, and summands that are not a list
+            (("summands", 1), [1, 1]),
+            (("summands", 1), 7),
+            (("summands",), {"weight": [1], "rank": 0}),
         ],
     )
     def test_malformed_field_raises(self, path, value):

@@ -477,44 +477,12 @@ class TestDeferredContract:
         )
         assert got.num.terms == built.num.terms and not got.num.is_zero()
 
-    def test_swap_left_side_plans_each_factor_once(self, monkeypatch):
-        """One `cap_localized` call groups each homology factor once,
-        however many coefficients it meets, and gives what contracting
-        every coefficient on its own gives."""
-        comp, product = self.swap_left_side()
-        deferred = [c for c in product.num.terms.values() if c.factors is not None]
-        homology_factors = {
-            id(f): f for c in deferred for f in c.factors if all(v[0] == "s" for v in f.variables())
-        }
-        assert len(homology_factors) < len(deferred)  # some factor meets several
-        planned, maps = [], []
-        row_plan = homology._row_plan
-        monkeypatch.setattr(homology, "_row_plan", lambda p: planned.append(p) or row_plan(p))
-
-        def spy(p, comp, plans):
-            maps.append(plans)
-            return contract_poly(p, comp, plans)
-
-        monkeypatch.setattr(charclass, "contract_poly", spy)
-        got = charclass.cap_localized(product, comp)
-        got.num.terms  # the cap is lazy: this read caps every coefficient
-        assert sorted(map(id, planned)) == sorted(homology_factors)
-        assert all(p is homology_factors[id(p)] for p in planned)
-        # one map for the call, every plan dropped after its last reader
-        assert len(maps) == len(product.num.terms) and all(m is maps[0] for m in maps)
-        assert maps[0] == {}
-        planned.clear()
-        alone = product.map_coefficients(lambda c: contract_poly(c, comp))
-        assert len(planned) == len(deferred)  # no map: one plan per coefficient
-        assert got.num.terms == alone.num.terms and not got.num.is_zero()
-
     def test_mixed_series_matches_per_coefficient(self):
-        """Shared plans across a series whose coefficients are deferred
-        products with the ch factor on either side, a built product, and a
-        product that caps to zero; one homology factor meets ch factors
-        with different target fields, so it is read through several sets
-        of fitting rows."""
-        s = sv(1) ** 2 * sv(2) + sv(2) ** 3 - sv(1) / 2  # groups {s1 s2}, {s2}, {s1}
+        """One `cap_localized` call over a series whose coefficients are
+        deferred products with the ch factor on either side, a built
+        product, and a product that caps to zero; one homology factor
+        meets ch factors with different target fields."""
+        s = sv(1) ** 2 * sv(2) + sv(2) ** 3 - sv(1) / 2  # terms in s1 and s2, s2 alone, s1 alone
         ch1 = chv(1) * 2 + chv(0)
         ch2 = chv(2) - chv(1) ** 2 / 3
         coefficients = [
@@ -538,25 +506,14 @@ class TestDeferredContract:
         assert got == want
         assert got == x.map_coefficients(lambda c: contract_poly(c, BU1)).num.terms
 
-    def test_stale_plan_is_not_read(self):
-        """A plan kept under a polynomial's id but made for another object
-        is replaced, not read."""
-        s, other = sv(1) ** 2 + sv(2), sv(1) * 7 + sv(2) ** 2 + 1
-        p = (chv(1) + chv(2)) * s
-        plans = {id(s): homology._row_plan(other)}
-        got = contract_poly(p, BU1, plans)
-        want = contract_by_derivatives(sum_of_products((p.factors,)), BU1)
-        assert got == contract_poly(p, BU1) == want
-        assert plans[id(s)][0] is s
-
 
 def counting_caps(monkeypatch):
     """The list of coefficients `charclass.cap_localized` caps from now on."""
     capped = []
 
-    def spy(p, comp, plans):
+    def spy(p, comp):
         capped.append(p)
-        return contract_poly(p, comp, plans)
+        return contract_poly(p, comp)
 
     monkeypatch.setattr(charclass, "contract_poly", spy)
     return capped

@@ -25,6 +25,7 @@ from vertexalg.series import (
     iota_expand,
     loads_series,
     nest,
+    normalize_blocks,
     residue,
     series_equal,
     series_exp,
@@ -136,6 +137,35 @@ class TestIntegerData:
             TruncSeries(ZW, 3, {(1, 0): 1}), [(form(ZW, z=1), 2)], (("z",), ("w",)), (INF, -1)
         )
         assert (x.den_degree(), x.valid_order(), x.block_bounds) == (2, 1, (INF, -1))
+
+
+class TestNameSequences:
+    """A string where a sequence of names is expected raises ValueError
+    instead of reading as one-character names: VarSet("z1") used to name
+    the variables z and 1, and blocks "zw" to read as (z,), (w,)."""
+
+    @pytest.mark.parametrize("bad", ["z1", "z", 5])
+    def test_varset_names(self, bad):
+        with pytest.raises(ValueError, match="variable names"):
+            VarSet(bad)
+
+    @pytest.mark.parametrize(
+        "bad", ["zw", ["zw"], (("z",), "w"), ("z", "w"), (("z",), 1), (("z",), ("w", 1))]
+    )
+    def test_blocks(self, bad):
+        num = TruncSeries(ZW, 3, {(1, 0): 1})
+        with pytest.raises(ValueError, match="block"):
+            normalize_blocks(ZW, bad)
+        with pytest.raises(ValueError, match="block"):
+            LocalizedSeries(num, (), bad)
+        with pytest.raises(ValueError, match="block"):
+            iota_expand(LocalizedSeries(num), bad, 2)
+
+    def test_sequences_pass(self):
+        assert VarSet(["z", "w"]) == VarSet(iter(("z", "w"))) == ZW
+        assert normalize_blocks(ZW, [["w"], ("z",)]) == (("w",), ("z",))
+        x = LocalizedSeries(TruncSeries(ZW, 3, {(1, 0): 1}), (), [["z"], ["w"]])
+        assert x.blocks == (("z",), ("w",))
 
 
 def lazy_and_eager(stepping):
@@ -762,6 +792,15 @@ class TestJSON:
             (("den", 0, "mult"), None),
             (("vars",), "zw"),
             (("vars", 0), 1),
+            # lists given as strings or scalars, entries that are not objects
+            (("den",), "x"),
+            (("den",), [1]),
+            (("terms",), [[1, 0]]),
+            (("terms",), "x"),
+            (("blocks",), "zw"),
+            (("blocks",), [["z"], "w"]),
+            (("blocks",), [["z"], 1]),
+            (("blocks", 1, 0), 1),
         ],
     )
     def test_malformed_field_raises(self, path, value):
