@@ -31,7 +31,8 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .homology import ComponentLabel, ch_name, contract_poly
-from .poly import Poly, exact_int, json_field, json_list, poly_from_obj, poly_to_obj
+from .poly import Poly, as_poly, exact_int, json_field, json_list, json_pairs, poly_from_obj
+from .poly import poly_to_obj
 from .series import (
     INF,
     LazySeries,
@@ -78,15 +79,14 @@ class Summand:
                 k = exact_int(k, "character index")
                 if k < 1:
                     raise ValueError("characters are indexed from 1")
-                if not isinstance(p, Poly):
-                    p = Poly.const(p)
+                p = as_poly(p)
                 if not p.is_zero():
                     clean[k] = p
         self.rank = exact_int(rank, "rank")
         self.ch = clean
         if lines is not None:
             lines = tuple(
-                (exact_int(sg, "line sign"), s if isinstance(s, Poly) else Poly.const(s))
+                (exact_int(sg, "line sign"), as_poly(s))
                 for sg, s in lines
             )
             if any(sg not in (1, -1) for sg, _ in lines):
@@ -298,14 +298,11 @@ def chern_from_characters(ch: Mapping[int, Poly], depth: int) -> List[Poly]:
 
 def characters_from_chern(c: Sequence[Poly], depth: int) -> Dict[int, Poly]:
     """Inverse conversion; c[0] must equal 1."""
-    if not c or Poly.const(1) != (c[0] if isinstance(c[0], Poly) else Poly.const(c[0])):
+    if not c or Poly.const(1) != as_poly(c[0]):
         raise ValueError("a total Chern class starts with 1")
     terms = {}
-    for i, p in enumerate(c[: depth + 1]):
-        if i == 0:
-            continue
-        if not isinstance(p, Poly):
-            p = Poly.const(p)
+    for i, p in enumerate(c[1 : depth + 1], 1):
+        p = as_poly(p)
         if not p.is_zero():
             terms[(i,)] = p
     u = TruncSeries(_T, depth, terms)  # total class minus one
@@ -648,16 +645,18 @@ def kclass_from_obj(obj: Mapping) -> KClass:
     """Read the form of `kclass_to_obj`; summands of one weight add, as
     `Summand.add` adds them.  An integer field that is not an int, a flag
     that is not a bool, a convention or a variable name that is not a
-    string, a `vars` or `summands` that is not a list, a summand that is
-    not an object and a missing key raise ValueError."""
+    string, a `vars`, `summands` or `weight` that is not a list, a `ch` or
+    `lines` that is not a list of pairs, a summand that is not an object and
+    a missing key raise ValueError."""
     varset = VarSet(json_list(obj, "vars"), json_field(obj, "degrees"))
     summands: Dict[Weight, Summand] = {}
     for entry in json_list(obj, "summands"):
-        weight = tuple(exact_int(c, "weight") for c in json_field(entry, "weight"))
-        ch = {exact_int(k, "character index"): poly_from_obj(p) for k, p in entry.get("ch", [])}
+        weight = tuple(exact_int(c, "weight") for c in json_list(entry, "weight"))
+        ch = json_pairs(entry.get("ch", []), "ch")
+        ch = {exact_int(k, "character index"): poly_from_obj(p) for k, p in ch}
         lines = entry.get("lines")
         if lines is not None:
-            lines = [(sg, poly_from_obj(sv)) for sg, sv in lines]
+            lines = [(sg, poly_from_obj(sv)) for sg, sv in json_pairs(lines, "lines")]
         s = Summand(json_field(entry, "rank"), ch, lines)
         summands[weight] = summands[weight].add(s) if weight in summands else s
     ori = obj.get("orientation")

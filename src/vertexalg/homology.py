@@ -68,13 +68,14 @@ from .poly import (
     Poly,
     _Deferred,
     _make,
+    as_poly,
     check_guards,
     exact_int,
     key_fields,
     shift_name,
     var_shift,
 )
-from .series import INF, LazySeries, TruncSeries, VarSet
+from .series import LazySeries, TruncSeries, VarSet, _series
 
 MODELS = ("BU_Z", "BO_Z", "BSp_2Z")
 
@@ -292,8 +293,7 @@ class HomologyElement:
     __slots__ = ("component", "poly")
 
     def __init__(self, component: ComponentLabel, poly: Union[Poly, int, Fraction]):
-        if not isinstance(poly, Poly):
-            poly = Poly.const(poly)
+        poly = as_poly(poly)
         _check(component, poly.support())
         self.component = component
         self.poly = poly
@@ -751,18 +751,13 @@ def translate_series(
     a window reads ``num`` through its own and translates each coefficient
     only to the degree the window leaves; a read of `terms` gives every
     coefficient translated at once."""
-    if num.order is INF:
-        raise ValueError("translating an exact series needs a finite order")
     _coordinates(component, wvars)
-    own = num.varset
-    fresh = tuple(n for n in wvars if n not in own.names)
-    combined = VarSet(fresh + own.names, (-2,) * len(fresh) + own.degrees)
     wvars = list(wvars)
 
     def make(p: Poly, room: int) -> dict:
         return translate(HomologyElement(component, p), wvars, room).terms
 
-    return LazySeries(num, make, combined, tuple(map(combined.index, wvars)))
+    return LazySeries(num, make, wvars)
 
 
 # -- translation ---------------------------------------------------------------
@@ -873,10 +868,7 @@ def translate(a: HomologyElement, zvars: Sequence[str], trunc: int) -> TruncSeri
                 grown.append((e + (k,), degree + k, terms, fact))
         level = grown
     den = a.poly.den
-    out = TruncSeries.__new__(TruncSeries)
-    out.varset, out.order = vs, trunc
-    out.terms = {e: _make(terms, den * fact) for e, _, terms, fact in level}
-    return out
+    return _series(vs, trunc, {e: _make(terms, den * fact) for e, _, terms, fact in level})
 
 
 # -- involution, pushforward, normal forms ----------------------------------------

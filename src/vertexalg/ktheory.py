@@ -42,14 +42,16 @@ The translation operator D(z) is the multiplicative convolution
     D(z)(l^k) = sum_a x^a sum_K  K! / ((K-k)! (K-a)! (k+a-K)!)  l^K,
 
 its group law D(z)D(w) = D(zw) living over x = z-1, y = w-1 with
-zw - 1 = x + y + xy.
+zw - 1 = x + y + xy.  `mult_translate_series` is a `series.LazySeries`,
+as the additive `homology.translate_series` is: a read through a window
+convolves each coefficient only to the step the window leaves.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache, lru_cache, reduce
-from math import comb, lcm
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charclass import KClass, Summand
@@ -57,6 +59,7 @@ from .homology import cap_with, contract_with, pairing_plan
 from .poly import FIELD_MASK, MAX_EXP, MonomialTable, Poly, exact_int, shift_name, var_shift
 from .series import (
     INF,
+    LazySeries,
     LocalizedSeries,
     TruncSeries,
     VarSet,
@@ -181,39 +184,37 @@ def _translate_row(k: int, a: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((K, comb(K, k) * comb(k, K - a)) for K in range(max(k, a), k + a + 1))
 
 
-def mult_translate_series(ts: TruncSeries, var: str, lvar: str, trunc: int) -> TruncSeries:
+def mult_translate_series(ts: TruncSeries, var: str, lvar: str, trunc: int) -> LazySeries:
     """Apply the translation convolution in one named coordinate to a series
     whose coefficients already carry K-homology generators: the powers of
     ``lvar`` convolve along ``var``, by the rows of `_translate_row`.  The
-    result claims ``trunc`` or the input's order, whichever is lower.
+    result claims ``trunc`` or the input's order, whichever is lower.  The
+    call translates nothing: it is a `series.LazySeries`, so a read through
+    a window convolves each coefficient only to the step the window leaves,
+    over that coefficient's own denominator.
 
     ``var`` must name a variable of the series, ``lvar`` must be l or l
     followed by a canonical decimal and ``trunc`` a nonnegative integer;
-    anything else raises ValueError.
+    anything else raises ValueError at the call.
     """
-    vs, trunc = ts.varset, _min_order(_nonnegative(trunc, "truncation order"), ts.order)
-    if var not in vs.names:
+    trunc = _nonnegative(trunc, "truncation order")
+    if var not in ts.varset.names:
         raise ValueError("%r is not a variable of the series" % (var,))
     _factor_index(lvar, "l")
-    pos = vs.index(var)
-    # every coefficient goes over one denominator, so that contributions to
-    # one output coefficient add as integers
-    den = lcm(*(p.den for p in ts.terms.values()))
     shift = var_shift(lvar)
-    out: Dict[Tuple[int, ...], Dict[int, int]] = {}
-    for e, p in ts.terms.items():
-        scale = den // p.den
-        row = range(trunc - sum(e) + 1)
-        accs = [out.setdefault(e[:pos] + (e[pos] + a,) + e[pos + 1 :], {}) for a in row]
+
+    def make(p: Poly, room: int) -> Dict[Tuple[int], Poly]:
+        rows: List[Dict[int, int]] = [{} for _ in range(room + 1)]
         for key, c in p.terms.items():
             k = (key >> shift) & FIELD_MASK
             rest = key - (k << shift)
-            c *= scale
-            for a, acc in enumerate(accs):
+            for a, acc in enumerate(rows):
                 for K, coef in _translate_row(k, a):
                     key2 = rest + (K << shift)
                     acc[key2] = acc.get(key2, 0) + c * coef
-    return TruncSeries(vs, trunc, {e: Poly.packed(acc, den) for e, acc in out.items()})
+        return {(a,): Poly.packed(acc, p.den) for a, acc in enumerate(rows)}
+
+    return LazySeries(ts.truncate(trunc), make, (var,))
 
 
 # -- lambda operations -------------------------------------------------------------

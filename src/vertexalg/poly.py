@@ -447,7 +447,7 @@ class Poly:
         >>> (a ** 2 * b).substitute({"a": b, "b": -a / 2})
         -1/2*a*b^2
         """
-        images = {v: p if isinstance(p, Poly) else Poly.const(p) for v, p in mapping.items()}
+        images = {v: as_poly(p) for v, p in mapping.items()}
         one = Poly.const(1)
         pairs = []
         for mono, c in self.items():
@@ -516,6 +516,12 @@ class _Deferred(Poly):
         return _make({m1 + m2: c1 * c2 for m1, c1 in a.terms.items() for m2, c2 in bt}, a.den * b.den)
 
 
+def as_poly(c) -> Poly:
+    """A coefficient as a `Poly`: an int or Fraction becomes a constant and
+    anything else, such as a float, raises TypeError."""
+    return c if isinstance(c, Poly) else Poly.const(c)
+
+
 def sum_of_products(pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     """The sum of a * b over the pairs, the one general term-product loop.
 
@@ -581,9 +587,10 @@ def poly_from_obj(obj) -> Poly:
     """Read the form of `poly_to_obj` back in canonical form: zero
     exponents are dropped and a repeated variable's exponents add up.  A
     variable name or a coefficient that is not a string, such as null or
-    a JSON number, raises ValueError."""
+    a JSON number, and a list that is not of pairs raise ValueError."""
     return _from_pairs(
-        ([(_parse_name(v), e) for v, e in m], _parse_coefficient(c)) for m, c in obj
+        ([(_parse_name(v), e) for v, e in json_pairs(m, "a monomial")], _parse_coefficient(c))
+        for m, c in json_pairs(obj, "a polynomial")
     )
 
 
@@ -605,6 +612,14 @@ def json_list(obj: Mapping, key: str) -> list:
     if not isinstance(value, list):
         raise ValueError("%r must be a list, got %r" % (key, value))
     return value
+
+
+def json_pairs(x, what: str) -> list:
+    """``x`` as a JSON list of pairs, each a list of two entries; anything
+    else, such as a number or a list of numbers, raises ValueError."""
+    if not isinstance(x, list) or not all(isinstance(p, list) and len(p) == 2 for p in x):
+        raise ValueError("%s must be a list of pairs, got %r" % (what, x))
+    return x
 
 
 def exact_int(x, what: str) -> int:

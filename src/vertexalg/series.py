@@ -31,9 +31,10 @@ per power, and sums each output coefficient once, as a product does.
 
 :func:`nest` is the one nesting of a series in a series-valued map, each
 coefficient at the order its monomial leaves; ``structures.nested_product``
-and the vertex-space checkers are built on it.  A `LazySeries` (a lazy cap
-or translation) makes each raw term's terms, at or above its exponent, on
-demand; a capped product reads it through its window.
+and the vertex-space checkers are built on it.  A `LazySeries` (a lazy cap,
+or a translation in either coordinate law) makes each raw term's terms, at
+or above its exponent, on demand; a capped product reads it through its
+window, and `_placed` is the one layout of a series stepped along names.
 
 A localized series holds only its window: its constructor drops every
 numerator term past a block's cap, the net bound plus the block's
@@ -59,7 +60,7 @@ from operator import add
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .poly import FIELD_BITS, FIELD_MASK, MAX_EXP, MonomialTable, Poly, _parse_name, exact_int
-from .poly import json_field, json_list, poly_from_obj, poly_to_obj, sum_of_products
+from .poly import as_poly, json_field, json_list, poly_from_obj, poly_to_obj, sum_of_products
 
 Exponent = Tuple[int, ...]
 # per capped block, its variable indices and the highest block degree kept
@@ -67,12 +68,6 @@ Caps = Tuple[Tuple[Tuple[int, ...], int], ...]
 
 INF = None  # an order of None means "exact to all degrees"
 _INT = {int}  # the type set of an exponent tuple that needs no conversion
-
-
-def _coerce(c) -> Poly:
-    """A coefficient as a `Poly`: an int or Fraction becomes a constant and
-    anything else, such as a float, raises TypeError."""
-    return c if isinstance(c, Poly) else Poly.const(c)
 
 
 def _min_order(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -113,7 +108,7 @@ class VarSet:
         if degrees is None:
             degrees = tuple(-2 for _ in names)
         else:
-            degrees = tuple(exact_int(d, "degree") for d in degrees)
+            degrees = tuple(exact_int(d, "degree") for d in _sequence(degrees, "degrees"))
             if len(degrees) != len(names):
                 raise ValueError("one degree per variable required")
         self.names = names
@@ -295,7 +290,7 @@ class TruncSeries:
                     raise ValueError("negative exponent in a power series")
                 if order is not INF and sum(e) > order:
                     continue
-                c = _coerce(c)
+                c = as_poly(c)
                 if c:
                     clean[e] = c
         self.varset = varset
@@ -361,33 +356,18 @@ class TruncSeries:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        r = TruncSeries.__new__(TruncSeries)
-        r.varset, r.order, r.terms = self.varset, order, out
-        return r
+        return _series(self.varset, order, out)
 
     def __neg__(self) -> "TruncSeries":
-        r = TruncSeries.__new__(TruncSeries)
-        r.varset, r.order = self.varset, self.order
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
+        return _series(self.varset, self.order, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self + (-other)
 
     def scale(self, c) -> "TruncSeries":
-        c = _coerce(c)
-        r = TruncSeries.__new__(TruncSeries)
-        r.varset, r.order = self.varset, self.order
-        if not c:
-            r.terms = {}
-            return r
-        out = {}
-        for e, cc in self.terms.items():
-            p = cc * c
-            if p:
-                out[e] = p
-        r.terms = out
-        return r
+        c = as_poly(c)
+        terms = {e: p for e, cc in self.terms.items() if (p := cc * c)} if c else {}
+        return _series(self.varset, self.order, terms)
 
     def __mul__(self, other: "TruncSeries", _caps: Caps = ()) -> "TruncSeries":
         """The product; with ``_caps``, from `LocalizedSeries`, a term pair
@@ -408,10 +388,7 @@ class TruncSeries:
         den = 0
         const_a, const_b = _all_constant(a), _all_constant(b)
         if const_a and const_b:
-            r = TruncSeries.__new__(TruncSeries)
-            r.varset, r.order = self.varset, order
-            r.terms = _constant_product(a, b, order, _caps)
-            return r
+            return _series(self.varset, order, _constant_product(a, b, order, _caps))
         # one side of constants: its integer numerators over den scale the
         # other side's coefficients (den stays 0 for the general loop)
         if const_a:
@@ -435,10 +412,8 @@ class TruncSeries:
                         pairs[e] = [(c1, c2)]
                     else:
                         at.append((c1, c2))
-        r = TruncSeries.__new__(TruncSeries)
-        r.varset, r.order = self.varset, order
-        r.terms = _scaled(pairs, den, int(const_a)) if den else _summed(pairs)
-        return r
+        terms = _scaled(pairs, den, int(const_a)) if den else _summed(pairs)
+        return _series(self.varset, order, terms)
 
     __rmul__ = __mul__
 
@@ -469,9 +444,7 @@ class TruncSeries:
         kept = {e: c for e, c in self.terms.items() if _within(e, caps, order)}
         if len(kept) == len(self.terms):
             return self
-        r = TruncSeries.__new__(TruncSeries)
-        r.varset, r.order, r.terms = self.varset, self.order, kept
-        return r
+        return _series(self.varset, self.order, kept)
 
     # -- queries ------------------------------------------------------------
 
@@ -498,12 +471,10 @@ class TruncSeries:
         out = {}
         for e, c in self.terms.items():
             v = fn(c)
-            v = _coerce(v)
+            v = as_poly(v)
             if v:
                 out[e] = v
-        r = TruncSeries.__new__(TruncSeries)
-        r.varset, r.order, r.terms = self.varset, self.order, out
-        return r
+        return _series(self.varset, self.order, out)
 
     def diff(self, name: str) -> "TruncSeries":
         """Formal derivative in one series variable; trust drops by one."""
@@ -570,9 +541,7 @@ class TruncSeries:
                     pairs[f] = [(cf, c)]
                 else:
                     at.append((cf, c))
-        r = TruncSeries.__new__(TruncSeries)
-        r.varset, r.order, r.terms = target, order, _summed(pairs)
-        return r
+        return _series(target, order, _summed(pairs))
 
     def __repr__(self):
         if not self.terms:
@@ -589,22 +558,42 @@ class TruncSeries:
         return " + ".join(bits)
 
 
+def _series(varset: VarSet, order: Optional[int], terms: Dict[Exponent, Poly]) -> TruncSeries:
+    """A series of terms that need no check: exponents over ``varset``
+    within ``order``, and nonzero `Poly` coefficients."""
+    r = TruncSeries.__new__(TruncSeries)
+    r.varset, r.order, r.terms = varset, order, terms
+    return r
+
+
+def _placed(own: VarSet, names: Sequence[str]) -> Tuple[VarSet, Tuple[int, ...]]:
+    """The variables of a series over ``own`` stepped along ``names``: the
+    names ``own`` lacks first, at degree -2, then ``own``'s (``own`` itself
+    when it lacks none); and the position of each of ``names`` there."""
+    fresh = tuple(n for n in names if n not in own.names)
+    combined = VarSet(fresh + own.names, (-2,) * len(fresh) + own.degrees) if fresh else own
+    return combined, tuple(map(combined.index, names))
+
+
 class LazySeries(TruncSeries):
     """A series at a raw series' order, each raw term c * x^e made when
     first read: ``make(c, room)`` maps each step f up to total degree room
-    to the `Poly` term at e + f, f on the output positions ``at`` (the
-    output variables are the raw ones after any fresh ones).  A cap is the
-    one-term case, with no ``at``; a translation makes D^k c / k! at step
-    k, and needs a finite raw order, which bounds the room.  A read of
-    `terms` makes all and sums them in raw exponent order, zeros dropped;
-    `_window` reads the raw series through its own and gives each raw term
-    only the room left by the order and by each cap holding all of ``at``."""
+    to the `Poly` term at e + f, f along ``names`` (the output variables
+    are those of `_placed`: the names the raw series lacks, then its own).
+    A cap is the one-term case, with no names; a translation, in either
+    coordinate law, makes the coefficient of D(z) c at step k, and needs a
+    finite raw order, which bounds the room, else ValueError.  A read of `terms` makes all
+    and sums them in raw exponent order, zeros dropped; `_window` reads the
+    raw series through its own and gives each raw term only the room left
+    by the order and by each cap holding all of the names."""
 
     __slots__ = ("_raw", "_make", "_at", "_made")
 
-    def __init__(self, raw: TruncSeries, make: Callable, varset: VarSet = None, at=()):
-        self.varset, self.order = raw.varset if varset is None else varset, raw.order
-        self._raw, self._make, self._at, self._made = raw, make, at, {}
+    def __init__(self, raw: TruncSeries, make: Callable, names: Sequence[str] = ()):
+        if names and raw.order is INF:
+            raise ValueError("translating an exact series needs a finite order")
+        self.varset, self._at = _placed(raw.varset, names)
+        self.order, self._raw, self._make, self._made = raw.order, raw, make, {}
 
     def __getattr__(self, name: str):
         # reached only while the `terms` slot is unset
@@ -626,7 +615,8 @@ class LazySeries(TruncSeries):
         ``order`` are dropped, and the terms already made are shared."""
         if order is not INF and exact_int(order, "truncation order") < 0:
             raise ValueError("truncation order must be nonnegative")
-        r = LazySeries(self._raw.truncate(order), self._make, self.varset, self._at)
+        names = [self.varset.names[i] for i in self._at]
+        r = LazySeries(self._raw.truncate(order), self._make, names)
         r.order = order
         r._made = {e: v for e, v in self._made.items() if order is INF or sum(e) <= order}
         return r
@@ -660,9 +650,7 @@ class LazySeries(TruncSeries):
                         continue
                     key = tuple(key)
                 out[key] = out[key] + v if key in out else v
-        r = TruncSeries.__new__(TruncSeries)
-        r.varset, r.order, r.terms = self.varset, self.order, {e: v for e, v in out.items() if v}
-        return r
+        return _series(self.varset, self.order, {e: v for e, v in out.items() if v})
 
 
 def _linear_images(
@@ -950,7 +938,8 @@ class LocalizedSeries:
             block_bounds = tuple(None for _ in blocks)
         else:
             block_bounds = tuple(
-                INF if b is INF else exact_int(b, "block bound") for b in block_bounds
+                INF if b is INF else exact_int(b, "block bound")
+                for b in _sequence(block_bounds, "block bounds")
             )
             if len(block_bounds) != len(blocks):
                 raise ValueError("one bound per block required")
@@ -1215,10 +1204,9 @@ def try_divide_by_form(num: TruncSeries, form: LinearForm) -> Optional[TruncSeri
             else:
                 remainder.pop(ee, None)
     order = num.order if num.order is INF else max(num.order - 1, 0)
-    out = TruncSeries.__new__(TruncSeries)
-    out.varset, out.order = num.varset, order
-    out.terms = {e: c for e, c in quotient.items() if order is INF or sum(e) <= order}
-    return out
+    return _series(
+        num.varset, order, {e: c for e, c in quotient.items() if order is INF or sum(e) <= order}
+    )
 
 
 def expand_poles(
@@ -1371,10 +1359,10 @@ def nest(
     if any(b is not None for b in inner.block_bounds):
         raise ValueError("block bounds do not carry over to another regime")
     own = inner.varset
-    fresh = tuple(n for n in names if n not in own.names)
-    combined = VarSet(fresh + own.names, (-2,) * len(fresh) + own.degrees)
-    blocks = tuple(b for b in (fresh, own.names) if b)
-    at, own_at = [combined.index(n) for n in names], range(len(fresh), len(combined))
+    combined, at = _placed(own, names)
+    lead = len(combined) - len(own)
+    blocks = tuple(b for b in (combined.names[:lead], own.names) if b)
+    own_at = range(lead, len(combined))
 
     def placed(vec, positions, base=None) -> List[int]:
         out = list(base or [0] * len(combined))
@@ -1592,17 +1580,18 @@ def series_from_dict(d: dict) -> LocalizedSeries:
     """Read the form of `series_to_dict`; repeated exponents add up.  A
     coefficient that is neither a string nor a list, an integer field that
     is not an int, a `vars` that is not a list of strings, a `terms`,
-    `den` or `blocks` that is not a list, an entry of `terms` or `den`
+    `den`, `blocks`, `exp` or `form` that is not a list, `degrees` or
+    `block_bounds` that is not a sequence, an entry of `terms` or `den`
     that is not an object and a missing key raise ValueError."""
     varset = VarSet(json_list(d, "vars"), d.get("degrees"))
     terms: Dict[Exponent, Poly] = {}
     for t in json_list(d, "terms"):
-        e = tuple(exact_int(x, "exponent") for x in json_field(t, "exp"))
+        e = tuple(exact_int(x, "exponent") for x in json_list(t, "exp"))
         terms[e] = terms.get(e, Poly()) + _coef_from_obj(json_field(t, "coef"))
     # the constructor reads an order of None as INF; the JSON form is finite
     num = TruncSeries(varset, exact_int(json_field(d, "order"), "order"), terms)
     den = [
-        (LinearForm(varset, json_field(f, "form")), json_field(f, "mult"))
+        (LinearForm(varset, json_list(f, "form")), json_field(f, "mult"))
         for f in (json_list(d, "den") if "den" in d else [])
     ]
     blocks = bounds = None

@@ -7,11 +7,12 @@ decomposition of its class (`kclass_to_obj`) and the JSON form
 sum-map file holds the component and `poly_to_obj` of
 `pushforward_substitute(tensor(...))` of one fixed case of
 `SUM_MAP_CASES`, a translation file the `series_to_dict` of one fixed
-`translate` or `translate_series` of `TRANSLATE_CASES`, and a nesting
-file the `series_to_dict` of the nested side that one checker run of
-`NESTING_CASES` builds with `structures.nested_product`.  A test that
-computes the case compares its text with the file, so any change of
-output -- a term, a coefficient, an order, a block bound -- shows.
+`translate`, `translate_series` or `ktheory.mult_translate_series` of
+`TRANSLATE_CASES`, and a nesting file the `series_to_dict` of the nested
+side that one checker run of `NESTING_CASES` builds with
+`structures.nested_product`.  A test that computes the case compares its
+text with the file, so any change of output -- a term, a coefficient, an
+order, a block bound -- shows.
 
 A file is only rewritten on purpose, by writing the text of the case to
 it, and the change that does so says why.  The sum-map, translation and
@@ -36,6 +37,7 @@ from vertexalg.homology import (
     translate,
     translate_series,
 )
+from vertexalg.ktheory import mult_translate_series
 from vertexalg.poly import Poly, poly_to_obj
 from vertexalg.series import LocalizedSeries, TruncSeries, VarSet, series_to_dict
 
@@ -109,6 +111,16 @@ SUM_MAP_CASES = {
     ),
 }
 
+
+def _k_virtual_right():
+    """The right side's translation along y in the multiplicative swap of
+    the virtual class of tests/test_ktheory.py, at a = l^2, order 3."""
+    import test_ktheory as tk
+
+    _, _, _, inum = tk.k_swap_input(tk.VIRTUAL, tk.L ** 2, 3, 5)
+    return mult_translate_series(inum, "y", "l", inum.order)
+
+
 TRANSLATE_CASES = {
     "translate_unitary": lambda: translate(
         _unitary(2, _s(1) * _s(2) - _s(3) / 2 + 1), ["z"], 4
@@ -116,6 +128,7 @@ TRANSLATE_CASES = {
     "translate_unitary_product": lambda: translate(
         tensor(_unitary(1, _p1()), _unitary(2, _s(2) - Fraction(1, 3))), ["z", "w"], 4
     ),
+    "translate_k_virtual_right": _k_virtual_right,
     "translate_series_shared": lambda: translate_series(
         TruncSeries(
             VarSet(("z", "w")),

@@ -592,6 +592,12 @@ class TestSerialization:
             (("summands", 1), [1, 1]),
             (("summands", 1), 7),
             (("summands",), {"weight": [1], "rank": 0}),
+            # nested lists given as scalars, or as lists that are not of pairs
+            (("summands", 0, "lines"), 5),
+            (("summands", 0, "lines"), [5]),
+            (("summands", 0, "ch"), 5),
+            (("summands", 0, "ch"), [5]),
+            (("summands", 0, "weight"), 5),
         ],
     )
     def test_malformed_field_raises(self, path, value):

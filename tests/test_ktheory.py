@@ -35,6 +35,7 @@ from vertexalg.ktheory import (
 from vertexalg.poly import FIELD_MASK, MAX_EXP, Poly, sum_of_products, var_shift
 from vertexalg.series import (
     INF,
+    LazySeries,
     LinearForm,
     LocalizedSeries,
     TruncSeries,
@@ -290,7 +291,62 @@ class TestMultTranslate:
         )
         for _ in range(2):
             with pytest.raises(OverflowError):
-                mult_translate_series(ts, "x", "l", 2)
+                mult_translate_series(ts, "x", "l", 2).terms
+
+    def test_call_translates_nothing(self, monkeypatch):
+        rows = []
+        row = ktheory._translate_row
+        monkeypatch.setattr(ktheory, "_translate_row", lambda k, a: rows.append(a) or row(k, a))
+        ts = TruncSeries(XY, 3, {(0, 0): L, (1, 0): L ** 2 / 3})
+        got = mult_translate_series(ts, "y", "l", 3)
+        assert type(got) is LazySeries and not got._made and not rows
+        assert (got.varset, got.order) == (XY, 3)
+        # bad arguments raise at the call, before any row is read
+        for var, lvar, trunc in [("z", "l", 3), ("y", "u", 3), ("y", "l", -1)]:
+            with pytest.raises(ValueError):
+                mult_translate_series(ts, var, lvar, trunc)
+        assert not rows
+        assert got.terms == translate_by_factorials(ts, "y", "l", 3).terms and rows
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.tuples(small_lpoly, st.integers(0, 2), st.fractions(-2, 2, max_denominator=4)),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from(["x", "y"]),
+        st.integers(0, 5),
+        st.one_of(st.none(), st.integers(0, 6)),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_prop_matches_factorials(self, raw, var, trunc, input_order, data):
+        """A window read makes no step past the window and equals the eager
+        translation cut to the window, a read of everything after it equals
+        the whole, in terms, order and variables, and a window read again,
+        over terms made for a wider room, is unchanged."""
+        l1 = Poly.variable("l1")
+        ts = TruncSeries(XY, input_order, {e: a * l1 ** j * q for e, (a, j, q) in raw.items()})
+        want = translate_by_factorials(ts, var, "l", _min_order(trunc, input_order))
+        cap = st.tuples(st.sampled_from([(0,), (1,), (0, 1)]), st.integers(-1, 5))
+        caps = tuple(data.draw(st.lists(cap, max_size=2)))
+        order = data.draw(st.one_of(st.none(), st.integers(0, 6)))
+        lazy = mult_translate_series(ts, var, "l", trunc)
+        window = lazy._window(caps, order)
+        assert window.order == want.order
+        # the read made no step past the window
+        pos, limit = XY.index(var), _min_order(order, want.order)
+        made = [
+            tuple(x + f[0] * (i == pos) for i, x in enumerate(e))
+            for e, (_, terms) in lazy._made.items()
+            for f in terms
+        ]
+        assert all(sum(m) <= limit for m in made)
+        assert all(sum(m[i] for i in idxs) <= cap for m in made for idxs, cap in caps)
+        assert window.terms == want._window(caps, order).terms
+        assert (lazy.varset, lazy.order, lazy.terms) == (want.varset, want.order, want.terms)
+        assert lazy._window(caps, order).terms == window.terms
 
     @pytest.mark.parametrize("lam", [1, 2, -1])
     def test_weight_property(self, lam):
@@ -932,24 +988,41 @@ def ban_past_cap_terms(monkeypatch):
     monkeypatch.setattr(LocalizedSeries, "__init__", guarded)
 
 
-def k_swap_sides(E, a, trunc, cutoff, wedge=wedge_minus_z):
-    """Both sides of the multiplicative swap identity over x = z-1, y = w-1,
-    with the wedge series of ``wedge``."""
+# the virtual class of `TestMultiplicativeSwap.test_virtual_weights`
+VIRTUAL = KClass(
+    X,
+    {(1,): Summand(1, None, [(1, U)]), (2,): Summand(-1, None, [(-1, U * 2 + U * U)])},
+    5,
+)
+
+
+def k_swap_input(E, a, trunc, cutoff, wedge=wedge_minus_z):
+    """The inputs of the multiplicative swap over x = z-1, y = w-1: the
+    left side's wedge series wz and the constant series a that it
+    translates along y, and the right side's wzw * a and its contracted
+    numerator, cut to its order, that it translates along y."""
     Ex = E.pullback_weights([[1], [0]], XY)
     Exy = E.pullback_weights([[1], [1]], XY)
     wz = wedge(Ex, trunc, cutoff, KBLOCKS, depth=trunc)
     den_e = wz.den_degree()
     base = TruncSeries(XY, trunc + den_e, {XY.zero_exponent(): a})
-    dya = mult_translate_series(base, "y", "l", trunc + den_e)
-    raw = LocalizedSeries(dya, (), KBLOCKS) * wz
-    lhs = LocalizedSeries(
-        raw.num.map_coefficients(k_contract), raw.den, KBLOCKS, raw.block_bounds
-    )
     wzw = wedge(Exy, 2 * trunc + den_e, cutoff, KBLOCKS, depth=trunc)
     rawi = wzw * a
     inum = rawi.num.map_coefficients(k_contract)
     tr = inum.order if inum.order is not INF else 2 * trunc + den_e
-    num = mult_translate_series(inum.with_order(tr), "y", "l", tr)
+    return wz, base, rawi, inum.with_order(tr)
+
+
+def k_swap_sides(E, a, trunc, cutoff, wedge=wedge_minus_z):
+    """Both sides of the multiplicative swap identity over x = z-1, y = w-1,
+    with the wedge series of ``wedge``."""
+    wz, base, rawi, inum = k_swap_input(E, a, trunc, cutoff, wedge)
+    dya = mult_translate_series(base, "y", "l", base.order)
+    raw = LocalizedSeries(dya, (), KBLOCKS) * wz
+    lhs = LocalizedSeries(
+        raw.num.map_coefficients(k_contract), raw.den, KBLOCKS, raw.block_bounds
+    )
+    num = mult_translate_series(inum, "y", "l", inum.order)
     rhs = iota_expand(
         LocalizedSeries(num, rawi.den, KBLOCKS, rawi.block_bounds), KBLOCKS, trunc
     )
@@ -994,6 +1067,19 @@ class TestMultiplicativeSwap:
         assert series_equal(lhs, rhs)
         assert_golden("swap_multiplicative_virtual", E, lhs, rhs)
         assert not series_equal(lhs, rhs + one_on(XY, KBLOCKS))
+
+    def test_right_side_translates_within_the_y_cap(self):
+        # wzw bounds the y block, so the right side's translation along y
+        # makes no step past the y cap, which `iota_expand` would drop
+        _, _, rawi, inum = k_swap_input(VIRTUAL, L ** 2, 3, 5)
+        assert rawi.block_bounds == (None, 3)
+        ((idxs, ycap),) = _block_caps(XY, KBLOCKS, rawi.block_bounds, rawi.den)
+        assert idxs == (1,)
+        num = mult_translate_series(inum, "y", "l", inum.order)
+        iota_expand(LocalizedSeries(num, rawi.den, KBLOCKS, rawi.block_bounds), KBLOCKS, 3)
+        made = [e[1] + f[0] for e, (_, terms) in num._made.items() for f in terms]
+        assert made and max(made) <= ycap
+        assert any(e[1] + num.order - sum(e) > ycap for e in num._made)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_routes_agree_exactly(self, sign):

@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 import poly_reference as ref
 from vertexalg import charclass, homology, series
-from vertexalg.poly import MAX_EXP, MonomialTable, Poly, poly_from_obj, poly_to_obj, sum_of_products
+from vertexalg.poly import (
+    MAX_EXP,
+    MonomialTable,
+    Poly,
+    as_poly,
+    poly_from_obj,
+    poly_to_obj,
+    sum_of_products,
+)
 from vertexalg.series import TruncSeries
 
 x, y = Poly.variable("x"), Poly.variable("y")
@@ -56,6 +64,20 @@ class TestCanonical:
     def test_float_coefficient_rejected(self):
         with pytest.raises(TypeError):
             Poly({(("x", 1),): 0.5})
+
+    def test_as_poly(self):
+        assert as_poly(x) is x
+        assert as_poly(3) == Poly.const(3) and as_poly(Fraction(1, 2)) == Poly.const(Fraction(1, 2))
+        with pytest.raises(TypeError):
+            as_poly(0.5)
+
+    @pytest.mark.parametrize(
+        "obj", [5, [5], [[5, "1"]], [[[5], "1"]], [[[["x", 1]]]], "x", [[[["x", 1, 2]], "1"]]]
+    )
+    def test_malformed_json_raises(self, obj):
+        # a polynomial, a monomial or a factor that is not a list of pairs
+        with pytest.raises(ValueError):
+            poly_from_obj(obj)
 
     def test_shared_denominator(self):
         p = x / 2 + y / 3

@@ -180,7 +180,7 @@ def lazy_and_eager(stepping):
         for k in range(raw.order - i - j + 1):
             terms[i, j + k] = terms.get((i, j + k), 0) + (k + 1) * c
     make = lambda c, room: {(k,): (k + 1) * c for k in range(room + 1)}
-    return LazySeries(raw, make, ZW, (1,)), TruncSeries(ZW, 3, terms)
+    return LazySeries(raw, make, ("w",)), TruncSeries(ZW, 3, terms)
 
 
 class TestLazySeries:
@@ -214,7 +214,7 @@ class TestLazySeries:
     def test_window_gives_each_raw_term_its_room(self):
         rooms = []
         raw = TruncSeries(ZW, 4, {(0, 0): 1, (1, 1): 1, (0, 3): 1, (1, 0): 1})
-        lazy = LazySeries(raw, lambda c, room: rooms.append(room) or {(0,): c}, ZW, (1,))
+        lazy = LazySeries(raw, lambda c, room: rooms.append(room) or {(0,): c}, ("w",))
         lazy._window((((1,), 2),), 3)
         # (0, 3) is past the w-cap and is not read; the rest get the least
         # of the order less |e| and the cap less their w-degree
@@ -801,6 +801,11 @@ class TestJSON:
             (("blocks",), [["z"], "w"]),
             (("blocks",), [["z"], 1]),
             (("blocks", 1, 0), 1),
+            # nested lists given as scalars
+            (("terms", 0, "exp"), 5),
+            (("den", 0, "form"), 5),
+            (("degrees",), 5),
+            (("block_bounds",), 5),
         ],
     )
     def test_malformed_field_raises(self, path, value):
