@@ -23,6 +23,25 @@ are normalized to the chamber where the lexicographically leading entry of
 the weight is positive, so different admissible chambers agree on the nose
 (each flipped pair contributes the sign (-1)^rank, which is exactly the
 discrepancy between the two readings of a dual pair).
+
+The normal classes of the sum maps are assembled from the summand
+operations, with V_i the tautological summand of factor i.  For the
+n-fold sum map of the unitary model,
+
+    N = - sum_{i != j} V_i^dual (x) V_j        at weight e_j - e_i.
+
+For the twisted sum map (x_1..x_n, y) -> y + sum_i (x_i + x_i^dual) of an
+orthogonal or symplectic model, with the parts P = V_i at e_i and
+P = V_i^dual at -e_i, and M the module factor's summand with its odd
+characters dropped,
+
+    N = - sum_{P, P'} P (x) P'    over unordered pairs of parts of different
+                                  factors, at the sum of their weights
+        - sum_P P (x) M           at the weight of P
+        - sum_P Sq P              at twice the weight of P,
+
+where Sq is the exterior square on orthogonal models and the symmetric
+square on symplectic ones.
 """
 
 from __future__ import annotations
@@ -40,6 +59,7 @@ from .series import (
     LocalizedSeries,
     TruncSeries,
     VarSet,
+    _sequence,
     series_exp,
 )
 
@@ -117,6 +137,13 @@ class Summand:
             lines,
         )
 
+    def __repr__(self):
+        """
+        >>> Summand(1, {1: Poly.variable("c")}, [(1, Poly.variable("c"))])
+        Summand(rank=1, ch={1: c}, lines=((1, c),))
+        """
+        return "Summand(rank=%r, ch=%r, lines=%r)" % (self.rank, self.ch, self.lines)
+
     def add(self, other: "Summand") -> "Summand":
         ch = dict(self.ch)
         for k, p in other.ch.items():
@@ -153,6 +180,13 @@ class OrientationData:
         self.sign = sign
         self.convention = convention
 
+    def __repr__(self):
+        """
+        >>> OrientationData(-1)
+        OrientationData(sign=-1, convention='lex-first-positive')
+        """
+        return "OrientationData(sign=%r, convention=%r)" % (self.sign, self.convention)
+
 
 class KClass:
     """A finite weight decomposition over a torus, with Chern-character data.
@@ -166,6 +200,12 @@ class KClass:
     expressible in plain generators.  The normal classes built below satisfy
     this by construction; hand-made data should be assembled from
     tautological_summand, dualize and tensor_summand to stay consistent.
+
+    ``zero_is_bundle`` is a bool and ``orientation`` None or an
+    `OrientationData`; anything else raises ValueError.
+
+        >>> normal_bundle(ComponentLabel("BU_Z", (1, 1)), VarSet(("z1", "z2")), 3)
+        KClass(('z1', 'z2'), depth=3, weights=[(-1, 1), (1, -1)])
     """
 
     __slots__ = ("varset", "summands", "depth", "zero_is_bundle", "orientation")
@@ -180,6 +220,10 @@ class KClass:
     ):
         if exact_int(depth, "depth") < 0:
             raise ValueError("negative character depth")
+        if type(zero_is_bundle) is not bool:
+            raise ValueError("zero_is_bundle must be a boolean, got %r" % (zero_is_bundle,))
+        if orientation is not None and not isinstance(orientation, OrientationData):
+            raise ValueError("an orientation is None or OrientationData, got %r" % (orientation,))
         clean: Dict[Weight, Summand] = {}
         for w, s in summands.items():
             w = tuple(exact_int(c, "weight") for c in w)
@@ -193,9 +237,8 @@ class KClass:
         self.zero_is_bundle = zero_is_bundle
         self.orientation = orientation
 
-    @staticmethod
-    def zero(varset: VarSet, depth: int) -> "KClass":
-        return KClass(varset, {}, depth)
+    def __repr__(self):
+        return "KClass(%r, depth=%r, weights=%r)" % (self.varset.names, self.depth, self.weights())
 
     def weights(self) -> List[Weight]:
         return sorted(self.summands)
@@ -213,24 +256,12 @@ class KClass:
             self.orientation,
         )
 
-    def dual(self) -> "KClass":
-        return KClass(
-            self.varset,
-            {
-                tuple(-c for c in w): s.dualize(self.depth)
-                for w, s in self.summands.items()
-            },
-            self.depth,
-            self.zero_is_bundle,
-            self.orientation,
-        )
-
     def add(self, other: "KClass") -> "KClass":
         if self.varset != other.varset:
             raise ValueError("torus mismatch in K-class addition")
         out = dict(self.summands)
         for w, s in other.summands.items():
-            out[w] = out[w].add(s) if w in out else s
+            _merge(out, w, s)
         return KClass(
             self.varset,
             out,
@@ -247,12 +278,8 @@ class KClass:
             mirror = self.summands.get(tuple(-c for c in w))
             if mirror is None or mirror.rank != s.rank:
                 return False
-            dual = s.dualize(self.depth)
-            if set(dual.ch) != set(mirror.ch):
+            if s.dualize(self.depth).ch != mirror.ch:
                 return False
-            for k, p in dual.ch.items():
-                if mirror.ch.get(k, Poly()) != p:
-                    return False
         return True
 
     def pullback_weights(self, matrix: Sequence[Sequence[int]], target: VarSet) -> "KClass":
@@ -260,16 +287,23 @@ class KClass:
 
         Row j of the matrix is the image of the j-th new coordinate in the
         old ones; a weight w maps to w . matrix^T evaluated per new
-        coordinate, i.e. new_weight[j] = sum_i matrix[j][i] * w[i].
+        coordinate, i.e. new_weight[j] = sum_i matrix[j][i] * w[i].  A matrix
+        that is not len(target) rows of one entry per old coordinate raises
+        ValueError.
         """
+        if len(matrix) != len(target) or any(len(row) != len(self.varset) for row in matrix):
+            raise ValueError(
+                "a weight map needs %d rows of %d entries" % (len(target), len(self.varset))
+            )
         out: Dict[Weight, Summand] = {}
         for w, s in self.summands.items():
-            nw = tuple(
-                sum(matrix[j][i] * w[i] for i in range(len(w)))
-                for j in range(len(target))
-            )
-            out[nw] = out[nw].add(s) if nw in out else s
+            _merge(out, tuple(sum(a * c for a, c in zip(row, w)) for row in matrix), s)
         return KClass(target, out, self.depth, self.zero_is_bundle, self.orientation)
+
+
+def _merge(summands: Dict[Weight, Summand], w: Weight, s: Summand) -> None:
+    """Add ``s`` into the summand of weight ``w``."""
+    summands[w] = summands[w].add(s) if w in summands else s
 
 
 # -- Chern class conversion ------------------------------------------------------
@@ -331,73 +365,41 @@ def characters_from_chern(c: Sequence[Poly], depth: int) -> Dict[int, Poly]:
 # -- normal bundles of the sum maps ----------------------------------------------
 
 
-def _character_product(
-    a: Mapping[int, Poly], ra: int, b: Mapping[int, Poly], rb: int, depth: int
-) -> Dict[int, Poly]:
-    """Characters of a tensor product from the factors' characters."""
-    out: Dict[int, Poly] = {}
-    for m in range(1, depth + 1):
-        total = Poly()
-        for k in range(m + 1):
-            left = Poly.const(ra) if k == 0 else a.get(k, Poly())
-            right = Poly.const(rb) if m == k else b.get(m - k, Poly())
-            if left.is_zero() or right.is_zero():
-                continue
-            total = total + left * right
-        if not total.is_zero():
-            out[m] = total
-    return out
-
-
-def _character_dual(ch: Mapping[int, Poly]) -> Dict[int, Poly]:
-    return {k: p * ((-1) ** k) for k, p in ch.items()}
-
-
-def _tautological(component: ComponentLabel, factor, depth: int) -> Tuple[int, Dict[int, Poly]]:
-    rank = component.rank(factor)
-    ch = {k: Poly.variable(ch_name(k, factor)) for k in range(1, depth + 1)}
-    return rank, ch
-
-
 def tautological_summand(component: ComponentLabel, factor, depth: int) -> Summand:
     """The universal class of one unitary factor, with generator characters.
 
     This is the basic weight-one building block; combine with dualize and
     tensor_summand for other weights.
     """
-    rank, ch = _tautological(component, factor, depth)
-    return Summand(rank, ch)
+    ch = {k: Poly.variable(ch_name(k, factor)) for k in range(1, depth + 1)}
+    return Summand(component.rank(factor), ch)
 
 
 def tensor_summand(a: Summand, b: Summand, depth: int) -> Summand:
-    """Tensor product of two summands at the character level."""
-    return Summand(a.rank * b.rank, _character_product(a.ch, a.rank, b.ch, b.rank, depth))
+    """Tensor product of two summands at the character level:
+    ch_m = sum_k ch_k(a) ch_(m-k)(b), with the rank as ch_0."""
+    ch = {}
+    for m in range(1, depth + 1):
+        total = Poly()
+        for k in range(m + 1):
+            left = Poly.const(a.rank) if k == 0 else a.ch.get(k, Poly())
+            right = Poly.const(b.rank) if m == k else b.ch.get(m - k, Poly())
+            if not (left.is_zero() or right.is_zero()):
+                total = total + left * right
+        ch[m] = total
+    return Summand(a.rank * b.rank, ch)
 
 
-def _wedge_or_sym_square(
-    rank: int, ch: Mapping[int, Poly], depth: int, symmetric: bool
-) -> Tuple[int, Dict[int, Poly]]:
-    """Characters of the exterior or symmetric square, via the squaring
-    operation: ch_k of the square-power operation is 2^k ch_k."""
-    sq = _character_product(ch, rank, ch, rank, depth)
+def _square(s: Summand, depth: int, symmetric: bool) -> Summand:
+    """The exterior or symmetric square, via the squaring operation:
+    ch_k of the square-power operation is 2^k ch_k."""
+    sq = tensor_summand(s, s, depth).ch
     eps = 1 if symmetric else -1
-    out: Dict[int, Poly] = {}
-    for k in range(1, depth + 1):
-        p = sq.get(k, Poly()) + ch.get(k, Poly()) * (eps * 2 ** k)
-        p = p * Fraction(1, 2)
-        if not p.is_zero():
-            out[k] = p
-    r2 = (rank * rank + eps * rank) // 2
-    return r2, out
-
-
-def _accumulate(
-    summands: Dict[Weight, Summand], weight: Weight, rank: int, ch: Mapping[int, Poly], sign: int
-):
-    s = Summand(sign * rank, {k: p * sign for k, p in ch.items()})
-    if s.is_zero():
-        return
-    summands[weight] = summands[weight].add(s) if weight in summands else s
+    ch = {
+        k: (sq.get(k, Poly()) + s.ch.get(k, Poly()) * (eps * 2 ** k)) * Fraction(1, 2)
+        for k in range(1, depth + 1)
+    }
+    return Summand((s.rank * s.rank + eps * s.rank) // 2, ch)
 
 
 def normal_bundle(component: ComponentLabel, varset: VarSet, depth: int) -> KClass:
@@ -412,21 +414,13 @@ def normal_bundle(component: ComponentLabel, varset: VarSet, depth: int) -> KCla
     n = len(component.index)
     if len(varset) != n:
         raise ValueError("need one torus coordinate per factor")
+    taut = [tautological_summand(component, f, depth) for f in component.unitary_factors()]
     summands: Dict[Weight, Summand] = {}
-    if n == 1:
-        return KClass(varset, summands, depth, zero_is_bundle=True)
-    for i in range(1, n + 1):
-        ri, chi = _tautological(component, i, depth)
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            rj, chj = _tautological(component, j, depth)
-            rank = ri * rj
-            ch = _character_product(_character_dual(chi), ri, chj, rj, depth)
-            weight = tuple(
-                (1 if k == j else 0) - (1 if k == i else 0) for k in range(1, n + 1)
-            )
-            _accumulate(summands, weight, rank, ch, -1)
+    for i, vi in enumerate(taut):
+        for j, vj in enumerate(taut):
+            if i != j:
+                w = tuple((k == j) - (k == i) for k in range(n))
+                _merge(summands, w, tensor_summand(vi.dualize(), vj, depth).negate())
     return KClass(varset, summands, depth, zero_is_bundle=True)
 
 
@@ -440,53 +434,28 @@ def normal_bundle_module(component: ComponentLabel, varset: VarSet, depth: int) 
     n = len(component.index) - 1
     if len(varset) != n:
         raise ValueError("need one torus coordinate per unitary factor")
+    module = tautological_summand(component, component.factor_keys()[-1], depth)
+    module = Summand(module.rank, {k: p for k, p in module.ch.items() if k % 2 == 0})
+    parts = []  # (factor, weight, summand): each factor at e_i and its dual at -e_i
+    for i, f in enumerate(component.unitary_factors()):
+        v = tautological_summand(component, f, depth)
+        for sign, part in ((1, v), (-1, v.dualize())):
+            parts.append((i, tuple(sign * (k == i) for k in range(n)), part))
     summands: Dict[Weight, Summand] = {}
-    if n == 0:
-        return KClass(varset, summands, depth, zero_is_bundle=True)
-
-    def unit_weight(i, c):
-        return tuple(c if k == i else 0 for k in range(1, n + 1))
-
-    taut = {i: _tautological(component, i, depth) for i in range(1, n + 1)}
-    r0, ch0 = _tautological(component, 0, depth)
-    ch0 = {k: p for k, p in ch0.items() if k % 2 == 0}  # odd characters vanish
-    for i in range(1, n + 1):
-        ri, chi = taut[i]
-        for j in range(i + 1, n + 1):
-            rj, chj = taut[j]
-            for si in (1, -1):
-                for sj in (1, -1):
-                    li = chi if si == 1 else _character_dual(chi)
-                    lj = chj if sj == 1 else _character_dual(chj)
-                    w = tuple(
-                        (si if k == i else 0) + (sj if k == j else 0)
-                        for k in range(1, n + 1)
-                    )
-                    _accumulate(
-                        summands, w, ri * rj, _character_product(li, ri, lj, rj, depth), -1
-                    )
-        for si in (1, -1):
-            li = chi if si == 1 else _character_dual(chi)
-            _accumulate(
-                summands,
-                unit_weight(i, si),
-                ri * r0,
-                _character_product(li, ri, ch0, r0, depth),
-                -1,
-            )
-            rsq, chsq = _wedge_or_sym_square(
-                ri, li, depth, symmetric
-            )
-            _accumulate(summands, unit_weight(i, 2 * si), rsq, chsq, -1)
+    for a, (i, w, part) in enumerate(parts):
+        for j, u, other in parts[a + 1 :]:
+            if i != j:
+                pair = tuple(x + y for x, y in zip(w, u))
+                _merge(summands, pair, tensor_summand(part, other, depth).negate())
+        _merge(summands, w, tensor_summand(part, module, depth).negate())
+        _merge(summands, tuple(2 * x for x in w), _square(part, depth, symmetric).negate())
     return KClass(varset, summands, depth, zero_is_bundle=True)
 
 
 # -- equivariant Euler classes ----------------------------------------------------
 
 
-def _euler_factor(
-    varset: VarSet, w: Weight, s: Summand, depth: int, blocks
-) -> LocalizedSeries:
+def _euler_factor(varset: VarSet, w: Weight, s: Summand, depth: int) -> LocalizedSeries:
     """sum_i lambda(z)^(rank - i) c_i as a localized series."""
     c = chern_from_characters(s.ch, depth)
     lam = TruncSeries.linear(varset, w)
@@ -504,27 +473,30 @@ def _euler_factor(
     if s.rank >= depth:
         for _ in range(s.rank - depth):
             num = num * lam
-        return LocalizedSeries(num, (), blocks)
+        return LocalizedSeries(num)
     form, sign, content = LinearForm.make_scaled(
         varset, {varset.names[i]: c for i, c in enumerate(w) if c}
     )
     mult = depth - s.rank
     scale = Fraction(1, (sign * content) ** mult)
-    return LocalizedSeries(num.scale(scale), [(form, mult)], blocks).cancel()
+    return LocalizedSeries(num.scale(scale), [(form, mult)]).cancel()
 
 
-def equivariant_euler(
-    E: KClass,
-    invert: bool = False,
-    depth: Optional[int] = None,
-    blocks=None,
-) -> LocalizedSeries:
-    """Equivariant Euler class (or its inverse) of a K-class.
+def _euler_product(E: KClass, const, weights: Sequence[Weight]) -> LocalizedSeries:
+    """``const`` times the Euler factors of E's summands at ``weights``."""
+    out = LocalizedSeries(TruncSeries.const(E.varset, const, INF))
+    for w in weights:
+        out = out * _euler_factor(E.varset, w, E.summands[w], E.depth)
+    return out
 
-    Inversion flips the class; it is only allowed when the weight-0 part
-    vanishes, which is also what makes the result well defined.  Without
-    inversion the weight-0 part must be an honest bundle, whose top Chern
-    class becomes the unlocalized factor.
+
+def equivariant_euler(E: KClass) -> LocalizedSeries:
+    """Equivariant Euler class of a K-class.
+
+    The weight-0 part must vanish or be an honest bundle, whose top Chern
+    class becomes the unlocalized factor.  The inverse of the Euler class
+    of E is the Euler class of ``E.negate()``, which is defined exactly
+    when E's weight-0 part vanishes.
 
     Coefficients are exact through cohomological degree 2*depth.  Chern
     classes above the depth are dropped, so capping the result against a
@@ -533,38 +505,22 @@ def equivariant_euler(
     power, which is why callers that translate pick
     depth >= (weighted degree) + (series order).
     """
-    if depth is None:
-        depth = E.depth
-    if invert:
-        if not E.weight_zero().is_zero():
-            raise ValueError("inversion needs a vanishing weight-0 part")
-        E = E.negate()
     zero_part = E.weight_zero()
+    top = 1
     if not zero_part.is_zero():
         if zero_part.rank < 0 or not E.zero_is_bundle:
             raise ValueError("weight-0 part must be an honest bundle class")
         top = chern_from_characters(zero_part.ch, zero_part.rank)[zero_part.rank]
-        out = LocalizedSeries(TruncSeries.const(E.varset, top, INF), (), blocks)
-    else:
-        out = LocalizedSeries(TruncSeries.const(E.varset, 1, INF), (), blocks)
-    for w in E.weights():
-        if not any(w):
-            continue
-        out = out * _euler_factor(E.varset, w, E.summands[w], depth, blocks)
-    return out
+    return _euler_product(E, top, [w for w in E.weights() if any(w)])
 
 
-def sqrt_equivariant_euler(
-    E: KClass,
-    chamber: Optional[Sequence[int]] = None,
-    depth: Optional[int] = None,
-    blocks=None,
-) -> LocalizedSeries:
+def sqrt_equivariant_euler(E: KClass, chamber: Optional[Sequence[int]] = None) -> LocalizedSeries:
     """Square-root Euler class of an oriented self-dual K-class.
 
     The result does not depend on the admissible chamber: the raw product
     over chamber-positive weights is corrected by (-1)^rank for every pair
-    read oppositely to the reference (lexicographic) chamber.
+    read oppositely to the reference (lexicographic) chamber.  A chamber
+    is one int per torus coordinate; anything else raises ValueError.
     """
     if E.orientation is None:
         raise ValueError("square-root Euler classes need orientation data")
@@ -574,10 +530,12 @@ def sqrt_equivariant_euler(
         )
     if not E.is_real():
         raise ValueError("square-root Euler classes need a self-dual class")
-    if depth is None:
-        depth = E.depth
+    if chamber is not None:
+        chamber = [exact_int(c, "a chamber entry") for c in _sequence(chamber, "a chamber")]
+        if len(chamber) != len(E.varset):
+            raise ValueError("a chamber needs one entry per torus coordinate")
     sign = E.orientation.sign
-    out = LocalizedSeries(TruncSeries.const(E.varset, 1, INF), (), blocks)
+    picked = []
     for w in E.weights():
         if chamber is None:
             positive = lex_positive(w)
@@ -592,8 +550,8 @@ def sqrt_equivariant_euler(
             # opposite reading of this dual pair relative to the reference
             if E.summands[w].rank % 2:
                 sign = -sign
-        out = out * _euler_factor(E.varset, w, E.summands[w], depth, blocks)
-    return out * Fraction(sign)
+        picked.append(w)
+    return _euler_product(E, sign, picked)
 
 
 def cap_localized(x: LocalizedSeries, component: ComponentLabel) -> LocalizedSeries:
@@ -657,12 +615,9 @@ def kclass_from_obj(obj: Mapping) -> KClass:
         lines = entry.get("lines")
         if lines is not None:
             lines = [(sg, poly_from_obj(sv)) for sg, sv in json_pairs(lines, "lines")]
-        s = Summand(json_field(entry, "rank"), ch, lines)
-        summands[weight] = summands[weight].add(s) if weight in summands else s
+        _merge(summands, weight, Summand(json_field(entry, "rank"), ch, lines))
     ori = obj.get("orientation")
     if ori is not None:
         ori = OrientationData(json_field(ori, "sign"), ori.get("convention", "lex-first-positive"))
     zero_is_bundle = obj.get("zero_is_bundle", False)
-    if type(zero_is_bundle) is not bool:
-        raise ValueError("zero_is_bundle must be a boolean, got %r" % (zero_is_bundle,))
     return KClass(varset, summands, json_field(obj, "depth"), zero_is_bundle, ori)

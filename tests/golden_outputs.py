@@ -8,15 +8,16 @@ sum-map file holds the component and `poly_to_obj` of
 `pushforward_substitute(tensor(...))` of one fixed case of
 `SUM_MAP_CASES`, a translation file the `series_to_dict` of one fixed
 `translate`, `translate_series` or `ktheory.mult_translate_series` of
-`TRANSLATE_CASES`, and a nesting file the `series_to_dict` of the nested
+`TRANSLATE_CASES`, a nesting file the `series_to_dict` of the nested
 side that one checker run of `NESTING_CASES` builds with
-`structures.nested_product`.  A test that computes the case compares its
-text with the file, so any change of output -- a term, a coefficient, an
-order, a block bound -- shows.
+`structures.nested_product`, and a normal-class file the `kclass_to_obj`
+of one `NORMAL_CASES` normal class at depth 3.  A test that computes the
+case compares its text with the file, so any change of output -- a term,
+a coefficient, an order, a block bound -- shows.
 
 A file is only rewritten on purpose, by writing the text of the case to
-it, and the change that does so says why.  The sum-map, translation and
-nesting files are written by naming them:
+it, and the change that does so says why.  The sum-map, translation,
+nesting and normal-class files are written by naming them:
 
     PYTHONPATH=src python tests/golden_outputs.py sum_map_unitary_2 ...
 """
@@ -27,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from vertexalg import structures
-from vertexalg.charclass import kclass_to_obj
+from vertexalg.charclass import kclass_to_obj, normal_bundle, normal_bundle_module
 from vertexalg.homology import (
     ComponentLabel,
     HomologyElement,
@@ -184,6 +185,22 @@ NESTING_CASES = {
 }
 
 
+def _normal(build, model, index):
+    n = len(index) if build is normal_bundle else len(index) - 1
+    varset = VarSet(tuple("z%d" % i for i in range(1, n + 1)))
+    return build(ComponentLabel(model, index), varset, 3)
+
+
+NORMAL_CASES = {
+    "normal_unitary_1_1": lambda: _normal(normal_bundle, "BU_Z", (1, 1)),
+    "normal_unitary_2_m1": lambda: _normal(normal_bundle, "BU_Z", (2, -1)),
+    "normal_unitary_1_1_1": lambda: _normal(normal_bundle, "BU_Z", (1, 1, 1)),
+    "normal_orthogonal_2_2_3": lambda: _normal(normal_bundle_module, "BO_Z", (2, 2, 3)),
+    "normal_symplectic_2_2_4": lambda: _normal(normal_bundle_module, "BSp_2Z", (2, 2, 4)),
+    "normal_orthogonal_1_0": lambda: _normal(normal_bundle_module, "BO_Z", (1, 0)),
+}
+
+
 def sum_map_text(name) -> str:
     out = pushforward_substitute(SUM_MAP_CASES[name]())
     comp = out.component
@@ -198,7 +215,13 @@ def nesting_text(name) -> str:
     return dump(series_to_dict(NESTING_CASES[name]()))
 
 
+def normal_text(name) -> str:
+    return dump(kclass_to_obj(NORMAL_CASES[name]()))
+
+
 def case_text(name) -> str:
+    if name in NORMAL_CASES:
+        return normal_text(name)
     if name in SUM_MAP_CASES:
         return sum_map_text(name)
     if name in NESTING_CASES:

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden_outputs import GOLDEN, assert_golden, dump
+from golden_outputs import (
+    GOLDEN,
+    NORMAL_CASES,
+    assert_golden,
+    assert_golden_text,
+    dump,
+    normal_text,
+)
 from test_homology import translate_series_by_nest
 from vertexalg import charclass, homology
 from vertexalg.charclass import (
@@ -189,7 +196,7 @@ class TestEulerClasses:
 
     def test_poles_only_on_weight_hyperplanes(self):
         nb = normal_bundle(ComponentLabel("BU_Z", (1, 1)), Z2, 3)
-        e = equivariant_euler(nb, invert=True)
+        e = equivariant_euler(nb.negate())
         assert {form.coeffs for form, _ in e.den} == {(1, -1)}
 
     def test_multiplicative_shared_weight(self):
@@ -228,13 +235,13 @@ class TestEulerClasses:
             {(1,): Summand(2, {1: chp(1), 2: chp(2)}), (2,): Summand(-1, {1: chp(1)})},
             depth,
         )
-        prod = equivariant_euler(E) * equivariant_euler(E, invert=True)
+        prod = equivariant_euler(E) * equivariant_euler(E.negate())
         assert series_equal(cropped(prod, depth), one_on(Z))
 
     def test_inversion_needs_vanishing_weight_zero(self):
         E = KClass(Z, {(0,): Summand(1, {1: chp(1)})}, 2, zero_is_bundle=True)
         with pytest.raises(ValueError):
-            equivariant_euler(E, invert=True)
+            equivariant_euler(E.negate())
 
     def test_weight_zero_must_be_bundle(self):
         E = KClass(Z, {(0,): Summand(1, {1: chp(1)})}, 2)
@@ -247,7 +254,7 @@ class TestEulerClasses:
     def test_inverse_euler_is_signed_square_of_sqrt(self):
         depth = 4
         nb = normal_bundle(ComponentLabel("BU_Z", (1, 1)), Z2, depth)
-        lhs = equivariant_euler(nb, invert=True)
+        lhs = equivariant_euler(nb.negate())
         sq = sqrt_equivariant_euler(oriented(nb.negate()))
         rhs = (sq * sq) * Fraction(-1)  # (-1)^(r1 r2) at ranks (1,1)
         assert series_equal(lhs, rhs)
@@ -303,6 +310,13 @@ class TestSqrtEuler:
         nb = oriented(normal_bundle(ComponentLabel("BU_Z", (1, 1)), Z2, 2).negate())
         with pytest.raises(ValueError):
             sqrt_equivariant_euler(nb, chamber=(1, 1))
+
+    def test_chamber_must_be_one_int_per_coordinate(self):
+        nb = oriented(normal_bundle(ComponentLabel("BU_Z", (1, 1)), Z2, 2).negate())
+        for bad in ((1,), (1, 0, 7), (1.5, 0), (True, 0), "ab", 5):
+            with pytest.raises(ValueError, match="chamber"):
+                sqrt_equivariant_euler(nb, chamber=bad)
+        assert series_equal(sqrt_equivariant_euler(nb, chamber=[2, 1]), sqrt_equivariant_euler(nb))
 
     def test_unoriented_rejected(self):
         nb = normal_bundle(ComponentLabel("BU_Z", (1, 1)), Z2, 2).negate()
@@ -503,6 +517,28 @@ class TestIntegerData:
         with pytest.raises(ValueError, match="depth"):
             KClass(Z2, {(1, 0): Summand(1, {})}, bad)
 
+    def test_kclass_flags(self):
+        """A `zero_is_bundle` that is not a bool and an orientation that is
+        not `OrientationData` raise at once, not in a later Euler class."""
+        for bad in ("no", 0, 1, None):
+            with pytest.raises(ValueError, match="zero_is_bundle"):
+                KClass(Z, {(0,): Summand(1, {1: chp(1)})}, 2, zero_is_bundle=bad)
+        for bad in ("yes", 1, (1, "lex-first-positive")):
+            with pytest.raises(ValueError, match="orientation"):
+                KClass(Z, {(1,): Summand(1, {1: chp(1)})}, 2, orientation=bad)
+
+    def test_pullback_matrix_shape(self):
+        """One row per target coordinate, one entry per source coordinate."""
+        XY = VarSet(("x", "y"))
+        E = KClass(Z, {(1,): Summand(1, {1: chp(1)}), (2,): Summand(-1, {})}, 2)
+        for bad in ([[1, 0, 0], [1]], [[1], [1], [1]], [[1], []], [[1]], []):
+            with pytest.raises(ValueError, match="rows"):
+                E.pullback_weights(bad, XY)
+        assert E.pullback_weights([[1], [0]], XY).weights() == [(1, 0), (2, 0)]
+        assert E.pullback_weights([[1], [1]], XY).weights() == [(1, 1), (2, 2)]
+        folded = E.pullback_weights([[0], [0]], XY)
+        assert folded.weights() == [(0, 0)] and folded.summands[(0, 0)].rank == 0
+
     def test_constructors_reject_what_readers_reject(self):
         """An orientation sign that is not the int +1 or -1, a convention
         that is not a string, a line sign other than +1 or -1 (even when
@@ -639,6 +675,11 @@ class TestSerialization:
         assert (got.rank, got.ch, got.lines) == (3, want.ch, want.lines)
         assert got.ch == {1: chp(1) * 4, 2: chp(2)}
 
+    @pytest.mark.parametrize("name", sorted(NORMAL_CASES))
+    def test_normal_class_golden(self, name):
+        # the normal classes at depth 3, pinned in tests/golden/
+        assert_golden_text(name, normal_text(name))
+
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
     def test_golden_files_read_back(self, path):
         # every golden file parses through the JSON readers and writes
@@ -649,6 +690,8 @@ class TestSerialization:
             back = {"kclass": kclass_to_obj(kclass_from_obj(obj["kclass"]))}
             for side in ("lhs", "rhs"):
                 back[side] = series_to_dict(series_from_dict(obj[side]))
+        elif "summands" in obj:  # a normal class
+            back = kclass_to_obj(kclass_from_obj(obj))
         elif "component" in obj:  # a sum map
             back = {"component": obj["component"], "poly": poly_to_obj(poly_from_obj(obj["poly"]))}
         else:  # a translation
