@@ -82,7 +82,8 @@ class Summand:
     value (its class minus one) cut off at the ambient filtration depth;
     the multiplicative operations require it.  A sign is +1 or -1, the
     signs sum to the rank, and an int or `Fraction` value becomes a
-    constant `Poly`; anything else raises.
+    constant `Poly`; anything else raises.  A ``ch`` that is not a mapping
+    and ``lines`` that are not a sequence of pairs raise ValueError.
     """
 
     __slots__ = ("rank", "ch", "lines")
@@ -93,6 +94,8 @@ class Summand:
         ch: Mapping[int, Poly] = None,
         lines: Optional[Sequence[Tuple[int, Poly]]] = None,
     ):
+        if ch is not None and not isinstance(ch, Mapping):
+            raise ValueError("ch must be a mapping of indices to polynomials, got %r" % (ch,))
         clean: Dict[int, Poly] = {}
         if ch:
             for k, p in ch.items():
@@ -105,10 +108,10 @@ class Summand:
         self.rank = exact_int(rank, "rank")
         self.ch = clean
         if lines is not None:
-            lines = tuple(
-                (exact_int(sg, "line sign"), as_poly(s))
-                for sg, s in lines
-            )
+            pairs = [_sequence(pair, "a line") for pair in _sequence(lines, "lines")]
+            if any(len(pair) != 2 for pair in pairs):
+                raise ValueError("lines must be (sign, value) pairs, got %r" % (lines,))
+            lines = tuple((exact_int(sg, "line sign"), as_poly(s)) for sg, s in pairs)
             if any(sg not in (1, -1) for sg, _ in lines):
                 raise ValueError("line signs are +1 or -1")
             if sum(sg for sg, _ in lines) != self.rank:
@@ -201,7 +204,8 @@ class KClass:
     this by construction; hand-made data should be assembled from
     tautological_summand, dualize and tensor_summand to stay consistent.
 
-    ``zero_is_bundle`` is a bool and ``orientation`` None or an
+    ``varset`` is a `VarSet`, ``summands`` a mapping of integer weights to
+    `Summand`s, ``zero_is_bundle`` a bool and ``orientation`` None or an
     `OrientationData`; anything else raises ValueError.
 
         >>> normal_bundle(ComponentLabel("BU_Z", (1, 1)), VarSet(("z1", "z2")), 3)
@@ -224,11 +228,17 @@ class KClass:
             raise ValueError("zero_is_bundle must be a boolean, got %r" % (zero_is_bundle,))
         if orientation is not None and not isinstance(orientation, OrientationData):
             raise ValueError("an orientation is None or OrientationData, got %r" % (orientation,))
+        if not isinstance(varset, VarSet):
+            raise ValueError("the torus must be a VarSet, got %r" % (varset,))
+        if not isinstance(summands, Mapping):
+            raise ValueError("summands must be a mapping of weights, got %r" % (summands,))
         clean: Dict[Weight, Summand] = {}
         for w, s in summands.items():
-            w = tuple(exact_int(c, "weight") for c in w)
+            w = tuple(exact_int(c, "weight") for c in _sequence(w, "a weight"))
             if len(w) != len(varset):
                 raise ValueError("weight length does not match the torus rank")
+            if not isinstance(s, Summand):
+                raise ValueError("a summand must be a Summand, got %r" % (s,))
             if not s.is_zero():
                 clean[w] = s
         self.varset = varset

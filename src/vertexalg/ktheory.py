@@ -31,8 +31,7 @@ block and the rest, and F into the pole form and a unit.  Every other power
 is in closed form: W^k A^j = sum_i (-1)^i C(j,i) W^(k+i) for W = (1+x)^w,
 read off binomials at the exponents inside its order and the block caps,
 so a kernel of the interpolation sum takes at most one product, with
-A^(-P)'s numerator or with a power of the pole form, which
-`TruncSeries.__mul__` takes as one integer convolution, and no numerator
+A^(-P)'s numerator or with a power of the pole form, and no numerator
 term past the block bounds is ever built.  Per call, only the
 interpolation classes v_k, polynomials in u, are made from the lines, and
 each multiplies its cached constant kernel.

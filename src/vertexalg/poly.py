@@ -41,13 +41,11 @@ homology models of the library are polynomial rings, and a vertex-algebra
 product is a Laurent-type series in formal variables whose coefficients are
 elements of such a ring, so every `TruncSeries` coefficient is a `Poly`
 and a rational coefficient is a constant one.  `sum_of_products` is the one
-general term-product loop: `Poly.__mul__` runs it on a single pair whose
-supports overlap and a series product on all the coefficient pairs that
-meet at one exponent, so a series coefficient is summed in one integer
-accumulator.  (A series product whose coefficients are all constants
-needs no `Poly` product at all; see `TruncSeries`.)  A product by the
-constant 1 returns the other operand itself, which immutability makes
-safe.
+term-product loop: `Poly.__mul__` runs it on a single pair whose supports
+overlap and a series product on all the coefficient pairs that meet at
+one exponent, so a series coefficient is summed in one integer
+accumulator.  A product by the constant 1 returns the other operand
+itself, which immutability makes safe.
 
 Two multi-term factors whose supports (the bitwise or of their keys)
 share no bit give a deferred product.  The ch x s products of a cap are
@@ -149,7 +147,7 @@ class MonomialTable(dict):
     """A plan per key: the entry ``plan(key)`` is worked out on first
     lookup.  A table lives as long as the map it plans (a move onto one
     factor, the translation generator on one factor, one side of a cap
-    pairing, the packing of series exponents), so each key is planned
+    pairing), so each key is planned
     once, not once per call; a lookup that raises keeps nothing, so a bad
     key raises every time."""
 
@@ -523,7 +521,7 @@ def as_poly(c) -> Poly:
 
 
 def sum_of_products(pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
-    """The sum of a * b over the pairs, the one general term-product loop.
+    """The sum of a * b over the pairs, the one term-product loop.
 
     Every term product adds into one dict of integer numerators over one
     common denominator, widened by lcm only when a pair's denominator does

@@ -54,12 +54,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import partial, reduce
-from math import gcd, lcm
+from functools import reduce
+from math import gcd
 from operator import add
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import FIELD_BITS, FIELD_MASK, MAX_EXP, MonomialTable, Poly, _parse_name, exact_int
+from .poly import Poly, _parse_name, exact_int
 from .poly import as_poly, json_field, json_list, poly_from_obj, poly_to_obj, sum_of_products
 
 Exponent = Tuple[int, ...]
@@ -256,16 +256,10 @@ class TruncSeries:
     an exponent entry that is not an int raises ValueError; a tuple of ints
     is taken as it is, anything else is read entry by entry.
 
-    A product sums each output coefficient with `sum_of_products`, except
-    when every coefficient of both factors is a constant: then it is one
-    integer convolution (`_constant_product`) on numerators over one
-    denominator per side and on exponents packed, through a module table,
-    into one 16-bit field per variable, with the same order and the same
-    canonical coefficients.  Forms, weight series and the exp or inverse of
-    such series all have constant coefficients; when only one factor is,
-    its integer numerators scale the other's coefficients (`_scaled`).  A
-    `LazySeries` makes its terms when they are read, its `_window` only
-    those inside a window, and every reader of `terms` sees no zero stored.
+    A product sums each output coefficient once, with `sum_of_products`
+    over the coefficient pairs that meet there.  A `LazySeries` makes its
+    terms when they are read, its `_window` only those inside a window,
+    and every reader of `terms` sees no zero stored.
     """
 
     __slots__ = ("varset", "order", "terms")
@@ -385,16 +379,6 @@ class TruncSeries:
             order = INF if not other.terms else self.order + min(map(sum, other.terms))
         a, b = (x._window(_caps).terms if _caps and type(x) is LazySeries else x.terms
                 for x in (self, other))
-        den = 0
-        const_a, const_b = _all_constant(a), _all_constant(b)
-        if const_a and const_b:
-            return _series(self.varset, order, _constant_product(a, b, order, _caps))
-        # one side of constants: its integer numerators over den scale the
-        # other side's coefficients (den stays 0 for the general loop)
-        if const_a:
-            den, a = _numerators(a)
-        elif const_b:
-            den, b = _numerators(b)
         # the coefficient pairs that meet at each output exponent; each sum
         # of products is then one pass of the term-product loop
         pairs: Dict[Exponent, list] = {}
@@ -412,8 +396,7 @@ class TruncSeries:
                         pairs[e] = [(c1, c2)]
                     else:
                         at.append((c1, c2))
-        terms = _scaled(pairs, den, int(const_a)) if den else _summed(pairs)
-        return _series(self.varset, order, terms)
+        return _series(self.varset, order, _summed(pairs))
 
     __rmul__ = __mul__
 
@@ -457,7 +440,11 @@ class TruncSeries:
         return max(sum(e) for e in self.terms)
 
     def coefficient_of(self, name: str, power: int) -> "TruncSeries":
-        """Coefficient of name**power, as a series in the remaining variables."""
+        """Coefficient of name**power, as a series in the remaining variables;
+        a negative power raises ValueError, as no term of a power series
+        has one."""
+        if exact_int(power, "power") < 0:
+            raise ValueError("a power series has no negative power of %r" % (name,))
         i = self.varset.index(name)
         sub = self.varset.without(name)
         out: Dict[Exponent, Poly] = {}
@@ -680,36 +667,6 @@ def _summed(pairs: Mapping[Exponent, list]) -> Dict[Exponent, Poly]:
     return out
 
 
-def _scaled(pairs: Mapping[Exponent, list], den: int, poly_at: int) -> Dict[Exponent, Poly]:
-    """Each exponent's sum of n * p / den over its pairs of a `Poly` p (at
-    index ``poly_at``) and an integer n, the zero sums dropped."""
-    out: Dict[Exponent, Poly] = {}
-    for e, at in pairs.items():
-        if len(at) == 1 and at[0][1 - poly_at] == den:
-            out[e] = at[0][poly_at]
-            continue
-        acc: Dict[int, int] = {}
-        get, d = acc.get, lcm(*(pair[poly_at].den for pair in at))
-        for pair in at:
-            n = pair[1 - poly_at] * (d // pair[poly_at].den)
-            for m, c in pair[poly_at].terms.items():
-                acc[m] = get(m, 0) + c * n
-        q = Poly.packed(acc, d * den)
-        if q:
-            out[e] = q
-    return out
-
-
-def _all_constant(terms: Mapping[Exponent, Poly]) -> bool:
-    return all(0 in c.terms and len(c.terms) == 1 for c in terms.values())
-
-
-def _numerators(terms: Mapping[Exponent, Poly]) -> Tuple[int, Dict[Exponent, int]]:
-    """Constant coefficients as integer numerators over one denominator."""
-    den = lcm(*(c.den for c in terms.values()))
-    return den, {e: c.terms[0] * (den // c.den) for e, c in terms.items()}
-
-
 def _within(e: Exponent, caps: Caps, order: Optional[int] = INF) -> bool:
     if order is not INF and sum(e) > order:
         return False
@@ -743,78 +700,6 @@ def _meeting(left: list, right: list, caps: Caps) -> list:
         for g2, rows2 in right
         if all(a + b <= cap for a, b, (_, cap) in zip(g1, g2, caps))
     ]
-
-
-# each exponent a constant product meets, packed once for the process:
-# exponent -> (degree, key with one 16-bit field per variable), and per
-# number of variables key -> exponent.  Either way a field past MAX_EXP
-# raises OverflowError, so no sum of two packed keys carries and no output
-# exponent exceeds it.
-
-
-def _pack(e: Exponent) -> Tuple[int, int]:
-    if max(e, default=0) > MAX_EXP:
-        raise OverflowError("an exponent would exceed %d" % MAX_EXP)
-    return sum(e), sum(x << (FIELD_BITS * i) for i, x in enumerate(e))
-
-
-def _unpack(n_vars: int, key: int) -> Exponent:
-    e = tuple((key >> (FIELD_BITS * i)) & FIELD_MASK for i in range(n_vars))
-    if max(e, default=0) > MAX_EXP:
-        raise OverflowError("an exponent would exceed %d" % MAX_EXP)
-    return e
-
-
-_PACKED = MonomialTable(_pack)
-_UNPACKED = MonomialTable(lambda n_vars: MonomialTable(partial(_unpack, n_vars)))
-
-
-def _constant_product(
-    a: Mapping[Exponent, Poly], b: Mapping[Exponent, Poly], order: Optional[int], caps: Caps
-) -> Dict[Exponent, Poly]:
-    """The terms of a product whose coefficients are all rational constants,
-    kept up to ``order`` and within ``caps``, as one integer convolution.
-
-    Exponents go through the module's packing tables, so that they add as
-    ints, and an output exponent past MAX_EXP raises OverflowError, as in a
-    `Poly` product; each side goes over one common denominator, so that
-    coefficients multiply and add as integer numerators; the right side is
-    sorted by degree, so that the first pair past the order ends a row; a
-    pair of `_grouped` groups past a cap is skipped whole.  Each output
-    constant is made once, canonical by one gcd with the denominator.
-    """
-    if not a or not b:
-        return {}
-    n_vars = len(next(iter(a)))
-
-    def rows(terms):
-        den, numerators = _numerators(terms)
-        return den, _grouped(numerators, caps, lambda e, n: (_PACKED[e], n))
-
-    (den_a, left), (den_b, right) = rows(a), rows(b)
-    for _, group in right:
-        group.sort()
-    # with no order, a limit past any sum of two packed degrees
-    limit = 2 * MAX_EXP * n_vars if order is INF else order
-    acc: Dict[int, int] = {}
-    get = acc.get
-    for rows1, rows2 in _meeting(left, right, caps):
-        for (d1, k1), n1 in rows1:
-            room = limit - d1
-            for (d2, k2), n2 in rows2:
-                if d2 > room:
-                    break
-                k = k1 + k2
-                acc[k] = get(k, 0) + n1 * n2
-    den, unpacked = den_a * den_b, _UNPACKED[n_vars]
-    out: Dict[Exponent, Poly] = {}
-    for k, n in acc.items():
-        if n:
-            g = gcd(n, den)
-            c = Poly.__new__(Poly)
-            c.terms, c.den = {0: n // g}, den // g
-            out[unpacked[k]] = c
-    return out
 
 
 class _Powers:
@@ -1236,7 +1121,8 @@ def expand_poles(
     term divided by such a form is still exact up to net degree trunc;
     the blocks after the leading one get that net bound.  Every product of
     the clearing sum skips the term pairs past the result's block caps, so
-    the expansion never holds a numerator term past its bounds.
+    the expansion never holds a numerator term past its bounds.  A trunc
+    or a multiplicity that is not a nonnegative int raises ValueError.
 
     A multiplicative pole, (1+z)^2 (1+w) - 1 = (2z + z^2) + (1+z)^2 w:
 
@@ -1253,13 +1139,15 @@ def expand_poles(
     """
     varset = num.varset
     blocks = normalize_blocks(varset, blocks)
+    if exact_int(trunc, "expansion depth") < 0:
+        raise ValueError("expansion depth must be nonnegative")
     work = num.order if num.order is not INF else trunc
     bidx = [[varset.index(n) for n in b] for b in blocks]
     one = {varset.zero_exponent(): Poly.const(1)}
     kept_later = 0
     poles = []  # (form, mult, q, B, lead block); B is None for a kept form
     for f, mult in dens:
-        if mult < 0:
+        if exact_int(mult, "pole multiplicity") < 0:
             raise ValueError("negative pole multiplicity")
         lin = [Fraction(0)] * len(varset)
         for e, c in f.terms.items():
@@ -1305,7 +1193,7 @@ def expand_poles(
     for form, mult, q, b, lead in poles:
         if b is None and q.terms == one:
             continue
-        if q.terms.keys() == one.keys() and _all_constant(q.terms):
+        if q.terms.keys() == one.keys() and q.constant_term().terms.keys() == {0}:
             qinv = TruncSeries.const(varset, 1 / q.constant_term().constant_term())
         else:
             qinv = series_invert_unit(q.truncate(work))
@@ -1424,8 +1312,6 @@ def iota_expand(
     need.
     """
     blocks = normalize_blocks(x.varset, blocks)
-    if trunc < 0:
-        raise ValueError("expansion depth must be nonnegative")
     if x.blocks == blocks:
         bounds = x.block_bounds
     elif any(b is not None for b in x.block_bounds):

@@ -527,6 +527,30 @@ class TestIntegerData:
             with pytest.raises(ValueError, match="orientation"):
                 KClass(Z, {(1,): Summand(1, {1: chp(1)})}, 2, orientation=bad)
 
+    def test_kclass_shape(self):
+        """A summand that is not a `Summand`, a weight that is not a
+        sequence, summands that are not a mapping and a torus that is not a
+        `VarSet` raise ValueError at once."""
+        s = Summand(1, {1: chp(1)})
+        for args, what in (
+            ((Z, {(1,): 5}), "Summand"),
+            ((Z, {1: s}), "weight"),
+            ((Z, [((1,), s)]), "mapping"),
+            ((("z",), {(1,): s}), "VarSet"),
+        ):
+            with pytest.raises(ValueError, match=what):
+                KClass(*args, 2)
+
+    def test_summand_shape(self):
+        """A `ch` that is not a mapping and `lines` that are not a sequence
+        of (sign, value) pairs raise ValueError naming the field."""
+        u = Poly.variable("u")
+        with pytest.raises(ValueError, match="ch"):
+            Summand(1, [(1, u)])
+        for bad in (5, "ab", [(1,)], [(1, u, u)], [5]):
+            with pytest.raises(ValueError, match="line"):
+                Summand(1, None, bad)
+
     def test_pullback_matrix_shape(self):
         """One row per target coordinate, one entry per source coordinate."""
         XY = VarSet(("x", "y"))

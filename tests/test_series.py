@@ -4,7 +4,6 @@ import json
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from vertexalg import series
 from vertexalg.ktheory import one_plus_pow
-from vertexalg.poly import MAX_EXP, Poly, poly_to_obj, sum_of_products
+from vertexalg.poly import Poly, poly_to_obj
 from vertexalg.series import (
     INF,
     LazySeries,
@@ -342,6 +341,18 @@ class TestIota:
         y = iota_expand(x, (("z",), ("w1", "w2")), trunc=3)
         assert y.den == ((form(vs, w1=1, w2=-1), 1),)
 
+    def test_depth_and_multiplicity_are_nonnegative_ints(self):
+        x = LocalizedSeries.one(ZW, 4).with_denominator(form(ZW, z=1, w=1))
+        f = form(ZW, z=1, w=1).as_series()
+        blocks = (("z",), ("w",))
+        for bad in (1.5, "2", True, -1):
+            with pytest.raises(ValueError, match="depth"):
+                iota_expand(x, blocks, bad)
+            with pytest.raises(ValueError, match="depth"):
+                series.expand_poles(x.num, [(f, 1)], blocks, bad)
+            with pytest.raises(ValueError, match="multiplicity"):
+                series.expand_poles(x.num, [(f, bad)], blocks, 2)
+
     def test_iota_respects_products(self):
         # expansion is a ring map: iota(xy) = iota(x) iota(y) on the exact region
         x = poly_of(ZW, 8, [((1, 0), 1), ((0, 1), 2)]).with_denominator(
@@ -387,6 +398,15 @@ class TestResidue:
         x = LocalizedSeries.one(Z, 6).with_denominator(form(Z, z=1))
         r = residue(x, "z", 0)
         assert r.num.constant_term() == Fraction(1)
+
+    def test_coefficient_of_a_negative_power_raises(self):
+        # a power series has no z^-1 term; the Laurent reading,
+        # coefficient_of_power, answers a zero series instead
+        x = TruncSeries(ZW, 3, {(1, 0): 2, (0, 2): 1})
+        assert x.coefficient_of("z", 1) == TruncSeries(VarSet(("w",)), 2, {(0,): 2})
+        with pytest.raises(ValueError, match="negative power"):
+            x.coefficient_of("z", -1)
+        assert coefficient_of_power(LocalizedSeries(x), "z", -1).num.is_zero()
 
     def test_regular_terms_have_no_residue(self):
         for n in range(4):
@@ -978,14 +998,14 @@ def prop_constant_path_matches_general(ab):
     a, b = ab
     for x, y in ((a, b), (a, -a), (a, a - b), (b, a + b)):
         got = x * y
-        with mock.patch.object(series, "_all_constant", lambda terms: False):
-            general = x * y
-        assert got == general
+        assert (got.terms, got.order) == mul_per_pair(x, y)
         assert all(type(c) is Poly and set(c.terms) == {0} for c in got.terms.values())
         assert all(c.den > 0 and gcd(c.den, c.terms[0]) == 1 for c in got.terms.values())
 
 
 def test_prop_constant_path_matches_general():
+    """A product of series of rational constants equals the per-pair
+    product, each coefficient a canonical constant `Poly`."""
     prop_constant_path_matches_general()
 
 
@@ -1019,17 +1039,16 @@ def one_constant_side(draw):
 def prop_scaled_path_matches_general(args):
     a, b, caps = args
     got = a.__mul__(b, caps)
-    with mock.patch.object(series, "_all_constant", lambda terms: False):
-        general = a.__mul__(b, caps)
-    assert got == general and list(got.terms) == list(general.terms)
+    full, order = mul_per_pair(a, b)
+    want = {e: c for e, c in full.items() if all(e[i] <= cap for (i,), cap in caps)}
+    assert (got.terms, got.order) == (want, order)
     assert all(c and c.den > 0 and gcd(c.den, *c.terms.values()) == 1 for c in got.terms.values())
 
 
 def test_prop_scaled_path_matches_general():
-    """A product with one side of rational constants scales the other
-    side's coefficients by integer numerators and sums them per exponent:
-    the same terms, in the same order, at the same order and with the
-    zero sums dropped, as the general loop."""
+    """A capped product with one side of rational constants equals the
+    per-pair product cut to the caps, at the same order and with the zero
+    sums dropped."""
     prop_scaled_path_matches_general()
 
 
@@ -1091,49 +1110,6 @@ def test_prop_bounded_product_is_the_filtered_product():
     uncapped products cut to those bounds, term for term and with the same
     order and denominator."""
     prop_bounded_product_is_the_filtered_product()
-
-
-def test_non_constant_coefficient_takes_the_general_loop(monkeypatch):
-    """Constant operands are one integer convolution, and a side of
-    constants scales the other side's coefficients; a non-constant
-    coefficient on each side sends the whole product through
-    `sum_of_products`."""
-    a = TruncSeries(ZW, INF, {(0, 0): 1, (1, 0): Fraction(1, 2)})
-    calls = []
-
-    def counting(pairs):
-        calls.append(1)
-        return sum_of_products(pairs)
-
-    monkeypatch.setattr(series, "sum_of_products", counting)
-    constant = a * TruncSeries(ZW, INF, {(0, 0): 3, (1, 0): 1})
-    assert not calls
-    assert constant.terms == {(0, 0): 3, (1, 0): Fraction(5, 2), (2, 0): Fraction(1, 2)}
-    mixed = a * TruncSeries(ZW, INF, {(0, 0): S, (1, 0): 1})
-    assert not calls
-    assert mixed.terms == {(0, 0): S, (1, 0): 1 + S / 2, (2, 0): Poly.const(Fraction(1, 2))}
-    b = TruncSeries(ZW, INF, {(0, 0): S, (1, 0): S - 1})
-    general = mixed * b
-    assert calls
-    assert general.terms == mul_per_pair(mixed, b)[0]
-
-
-def test_constant_product_guards_the_field_width():
-    """A constant product packs each exponent into a fixed 16-bit field per
-    variable: an output exponent past MAX_EXP raises OverflowError, as in a
-    `Poly` product, and never carries into the next variable's field."""
-    z = TruncSeries(Z, INF, {(20000,): 1})
-    with pytest.raises(OverflowError):
-        z * z
-    zw = TruncSeries(ZW, INF, {(20000, 0): 1, (0, 1): Fraction(1, 2)})
-    for _ in range(2):
-        with pytest.raises(OverflowError):
-            zw * zw
-    # up to MAX_EXP in each field, a product is exact
-    top = TruncSeries(ZW, INF, {(MAX_EXP - 20000, 3): 2})
-    assert (zw * top).terms == {(MAX_EXP, 3): 2, (MAX_EXP - 20000, 4): 1}
-    with pytest.raises(OverflowError):
-        TruncSeries(Z, INF, {(MAX_EXP + 1,): 1}) * TruncSeries(Z, INF, {(0,): 1})
 
 
 def test_mul_cancels_to_zero():
