@@ -47,6 +47,7 @@ square on symplectic ones.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .homology import ComponentLabel, ch_name, contract_poly
@@ -59,6 +60,8 @@ from .series import (
     LocalizedSeries,
     TruncSeries,
     VarSet,
+    _localized,
+    _power_sum,
     _sequence,
     series_exp,
 )
@@ -322,54 +325,26 @@ def _merge(summands: Dict[Weight, Summand], w: Weight, s: Summand) -> None:
 _T = VarSet(("t",), degrees=(1,))
 
 
+def _ch_scale(i: int) -> int:
+    """(-1)^(i-1) (i-1)!, the factor of t^i ch_i in the universal relation."""
+    return (-1) ** (i - 1) * factorial(i - 1)
+
+
 def chern_from_characters(ch: Mapping[int, Poly], depth: int) -> List[Poly]:
     """Chern classes c_0..c_depth from characters, by the universal relation."""
-    arg = {}
-    sign = 1
-    fact = 1
-    for i in range(1, depth + 1):
-        p = ch.get(i)
-        if p is not None and not p.is_zero():
-            arg[(i,)] = p * Fraction(sign * fact)
-        sign = -sign
-        fact *= i
+    arg = {(i,): ch[i] * _ch_scale(i) for i in range(1, depth + 1) if i in ch}
     total = series_exp(TruncSeries(_T, depth, arg))
-    out = []
-    for i in range(depth + 1):
-        out.append(total.terms.get((i,), Poly()))
-    return out
+    return [total.terms.get((i,), Poly()) for i in range(depth + 1)]
 
 
 def characters_from_chern(c: Sequence[Poly], depth: int) -> Dict[int, Poly]:
     """Inverse conversion; c[0] must equal 1."""
     if not c or Poly.const(1) != as_poly(c[0]):
         raise ValueError("a total Chern class starts with 1")
-    terms = {}
-    for i, p in enumerate(c[1 : depth + 1], 1):
-        p = as_poly(p)
-        if not p.is_zero():
-            terms[(i,)] = p
-    u = TruncSeries(_T, depth, terms)  # total class minus one
-    # log(1 + u) = sum (-1)^(k-1) u^k / k
-    log = TruncSeries.zero(_T, depth)
-    power = TruncSeries.const(_T, 1, depth)
-    for k in range(1, depth + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        log = log + power.scale(Fraction((-1) ** (k - 1), k))
-    out: Dict[int, Poly] = {}
-    sign = 1
-    fact = 1
-    for i in range(1, depth + 1):
-        p = log.terms.get((i,))
-        if p is not None:
-            q = p * Fraction(1, sign * fact)
-            if not q.is_zero():
-                out[i] = q
-        sign = -sign
-        fact *= i
-    return out
+    u = TruncSeries(_T, depth, {(i,): p for i, p in enumerate(c[1 : depth + 1], 1)})
+    # log(1 + u) = sum (-1)^(k-1) u^k / k, where u is the total class minus one
+    log = _power_sum(u, [0] + [Fraction((-1) ** (k - 1), k) for k in range(1, depth + 1)])
+    return {i: p * Fraction(1, _ch_scale(i)) for (i,), p in sorted(log.terms.items())}
 
 
 # -- normal bundles of the sum maps ----------------------------------------------
@@ -385,19 +360,17 @@ def tautological_summand(component: ComponentLabel, factor, depth: int) -> Summa
     return Summand(component.rank(factor), ch)
 
 
+def _character_series(s: Summand, depth: int) -> TruncSeries:
+    """rank + sum_k ch_k t^k over `_T`, to order ``depth``."""
+    return TruncSeries(_T, depth, {(0,): s.rank, **{(k,): p for k, p in s.ch.items()}})
+
+
 def tensor_summand(a: Summand, b: Summand, depth: int) -> Summand:
-    """Tensor product of two summands at the character level:
-    ch_m = sum_k ch_k(a) ch_(m-k)(b), with the rank as ch_0."""
-    ch = {}
-    for m in range(1, depth + 1):
-        total = Poly()
-        for k in range(m + 1):
-            left = Poly.const(a.rank) if k == 0 else a.ch.get(k, Poly())
-            right = Poly.const(b.rank) if m == k else b.ch.get(m - k, Poly())
-            if not (left.is_zero() or right.is_zero()):
-                total = total + left * right
-        ch[m] = total
-    return Summand(a.rank * b.rank, ch)
+    """Tensor product of two summands at the character level: the product
+    of their character series, ch_m = sum_k ch_k(a) ch_(m-k)(b) with the
+    rank as ch_0."""
+    ch = (_character_series(a, depth) * _character_series(b, depth)).terms
+    return Summand(a.rank * b.rank, {k: p for (k,), p in ch.items() if k})
 
 
 def _square(s: Summand, depth: int, symmetric: bool) -> Summand:
@@ -468,21 +441,9 @@ def normal_bundle_module(component: ComponentLabel, varset: VarSet, depth: int) 
 def _euler_factor(varset: VarSet, w: Weight, s: Summand, depth: int) -> LocalizedSeries:
     """sum_i lambda(z)^(rank - i) c_i as a localized series."""
     c = chern_from_characters(s.ch, depth)
-    lam = TruncSeries.linear(varset, w)
-    num = TruncSeries.zero(varset, INF)
-    power = TruncSeries.const(varset, 1, INF)
-    powers = [power]
-    for _ in range(depth):
-        power = power * lam
-        powers.append(power)
-    for i in range(depth + 1):
-        ci = c[i]
-        if ci.is_zero():
-            continue
-        num = num + powers[depth - i].scale(ci)
+    # lambda^(rank - i) c_i, over lambda^(depth - rank) when rank < depth
+    num = _power_sum(TruncSeries.linear(varset, w), [0] * (s.rank - depth) + c[::-1])
     if s.rank >= depth:
-        for _ in range(s.rank - depth):
-            num = num * lam
         return LocalizedSeries(num)
     form, sign, content = LinearForm.make_scaled(
         varset, {varset.names[i]: c for i, c in enumerate(w) if c}
@@ -571,11 +532,8 @@ def cap_localized(x: LocalizedSeries, component: ComponentLabel) -> LocalizedSer
     numerator is a `series.LazySeries`, which caps a coefficient when it
     is first read, so a sum or a comparison caps only its window's."""
     # capping keeps every exponent, so the result is in x's window
-    r = LocalizedSeries.__new__(LocalizedSeries)
-    r.num = LazySeries(x.num, lambda p, room: {(): contract_poly(p, component)})
-    r.den = x.den
-    r.blocks, r.block_bounds = x.blocks, x.block_bounds
-    return r
+    num = LazySeries(x.num, lambda p, room: {(): contract_poly(p, component)})
+    return _localized(num, x.den, x.blocks, x.block_bounds)
 
 
 # -- serialization -----------------------------------------------------------------

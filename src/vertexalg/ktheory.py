@@ -63,6 +63,7 @@ from .series import (
     TruncSeries,
     VarSet,
     _block_caps,
+    _localized,
     _min_order,
     _Powers,
     _summed,
@@ -278,7 +279,7 @@ def _wedge_range(s: Summand, cutoff: int) -> Tuple[int, int]:
 def _factor_plan(varset: VarSet, weight, rank: int, kmax: int, order: int, blocks, depth: int):
     """What one weight's factor of the wedge series takes from its weight
     signature alone, not from the class's lines: the denominator, block
-    bounds and caps, each k's claimed order, and a table of the terms of
+    bounds, each k's claimed order, and a table of the terms of
     the constant kernels W^k A^(rank-k) keyed by (k, num_order), each made
     on first use within the caps and only to num_order, with at most one
     product: with poles, a kernel with k <= rank is cleared by form^D, and
@@ -294,7 +295,7 @@ def _factor_plan(varset: VarSet, weight, rank: int, kmax: int, order: int, block
     else T + D, and a k > rank claims o0 + P + rank - k, else min(o0, T).
     """
     P, exact = max(0, kmax - rank), min(weight) >= 0
-    den, bounds, caps, T, D = (), None, (), INF if exact else order, 0
+    den, bounds, caps, T, D = (), (None,) * len(blocks), (), INF if exact else order, 0
     if P:
         inv, T = _weight_poles(varset, weight, P, order, blocks, depth)
         den, bounds, D, o0 = inv.den, inv.block_bounds, inv.den[0][1], inv.num.order
@@ -321,7 +322,7 @@ def _factor_plan(varset: VarSet, weight, rank: int, kmax: int, order: int, block
             return term.terms
         return {e: c for e, c in term.terms.items() if sum(e) <= num_order}
 
-    return den, bounds, caps, claims, MonomialTable(kernel)
+    return den, bounds, claims, MonomialTable(kernel)
 
 
 def _weight_factor(
@@ -336,7 +337,7 @@ def _weight_factor(
     coefficient is one sum of products of kernel terms and (-1)^k v_k.
     """
     kmax, _ = _wedge_range(s, cutoff)
-    den, bounds, caps, claims, kernels = _factor_plan(
+    den, bounds, claims, kernels = _factor_plan(
         varset, weight, s.rank, kmax, order, blocks, depth
     )
     vee = _vee_classes(s, kmax, cutoff)
@@ -346,8 +347,8 @@ def _weight_factor(
     for k, vk in terms:
         for e, c in kernels[k, num_order].items():
             pairs.setdefault(e, []).append((c, vk))
-    num = TruncSeries(varset, num_order, _summed(pairs))
-    return LocalizedSeries(num, den, blocks, bounds, caps)
+    # the kernels are built inside the caps, so the sum is in the window
+    return _localized(TruncSeries(varset, num_order, _summed(pairs)), den, blocks, bounds)
 
 
 def wedge_minus_z(

@@ -22,12 +22,16 @@ exact-rational polynomials, `Poly`; a rational coefficient is a constant
   a geometric series in B / F.  :func:`iota_expand` is that expansion of a
   localized series, bounded on each later block by its net degree.
 
-A change of coordinates has two steps: `TruncSeries.compose` maps every
-numerator and :func:`expand_poles` maps every pole.  The linear
-substitutions, ``structures.shifted_flat`` and :func:`residue` (a shift,
-an expansion, then `coefficient_of_power`) are built from those two.
-Compose takes the powers of each image from one table, built one product
-per power, and sums each output coefficient once, as a product does.
+A change of coordinates is `LocalizedSeries.compose`:
+`TruncSeries.compose` maps the numerator and :func:`expand_poles` maps
+every pole.  `LocalizedSeries.substitute_linear`,
+``structures.shifted_flat`` and :func:`residue` (a shift, an expansion,
+then `coefficient_of_power`) are built on it.  `_Powers` is the one power
+table, each power one product with the last: compose,
+`TruncSeries.__pow__`, the pole expansions and `_power_sum` (exp, the
+inverse of a unit, and in ``charclass`` the Chern logarithm and the Euler
+factors) take every power from one.  Compose sums each output coefficient
+once, as a product does.
 
 :func:`nest` is the one nesting of a series in a series-valued map, each
 coefficient at the order its monomial leaves; ``structures.nested_product``
@@ -38,7 +42,8 @@ window, and `_placed` is the one layout of a series stepped along names.
 
 A localized series holds only its window: its constructor drops every
 numerator term past a block's cap, the net bound plus the block's
-denominator degree, as a truncated series drops the terms past its order.
+denominator degree, as a truncated series drops the terms past its order;
+`_localized` builds one whose numerator is inside its window already.
 Equality is decided by the difference, whose numerator is zero exactly
 when both sides agree where both are exact.  Nothing here ever touches
 floating point.
@@ -55,7 +60,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import factorial, gcd
 from operator import add
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -403,15 +408,7 @@ class TruncSeries:
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
             raise ValueError("negative power of a power series")
-        result = TruncSeries.const(self.varset, 1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _Powers(self)[n]
 
     def truncate(self, order: Optional[int]) -> "TruncSeries":
         return self.with_order(_min_order(self.order, order))
@@ -442,16 +439,19 @@ class TruncSeries:
     def coefficient_of(self, name: str, power: int) -> "TruncSeries":
         """Coefficient of name**power, as a series in the remaining variables;
         a negative power raises ValueError, as no term of a power series
-        has one."""
+        has one, and so does a power past the order, where no coefficient
+        is known."""
         if exact_int(power, "power") < 0:
             raise ValueError("a power series has no negative power of %r" % (name,))
+        if self.order is not INF and power > self.order:
+            raise ValueError("%r^%d lies past the order %d" % (name, power, self.order))
         i = self.varset.index(name)
         sub = self.varset.without(name)
         out: Dict[Exponent, Poly] = {}
         for e, c in self.terms.items():
             if e[i] == power:
                 out[e[:i] + e[i + 1 :]] = c
-        order = self.order if self.order is INF else max(self.order - power, 0)
+        order = self.order if self.order is INF else self.order - power
         return TruncSeries(sub, order, out)
 
     def map_coefficients(self, fn) -> "TruncSeries":
@@ -464,14 +464,18 @@ class TruncSeries:
         return _series(self.varset, self.order, out)
 
     def diff(self, name: str) -> "TruncSeries":
-        """Formal derivative in one series variable; trust drops by one."""
+        """Formal derivative in one series variable; trust drops by one, and
+        a series exact only to order 0 raises ValueError, as its
+        derivative is known nowhere."""
+        if self.order == 0:
+            raise ValueError("the derivative of a series of order 0 is known nowhere")
         i = self.varset.index(name)
         out: Dict[Exponent, Poly] = {}
         for e, c in self.terms.items():
             if not e[i]:
                 continue
             out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
-        order = self.order if self.order is INF else max(self.order - 1, 0)
+        order = self.order if self.order is INF else self.order - 1
         return TruncSeries(self.varset, order, out)
 
     # -- substitution ---------------------------------------------------------
@@ -704,7 +708,9 @@ def _meeting(left: list, right: list, caps: Caps) -> list:
 
 class _Powers:
     """base ** n for n = 0, 1, 2, ..., each new power one product with the
-    last; entry 0 is 1 at the base's order, as `TruncSeries.__pow__` has it."""
+    last; entry 0 is 1 at the base's order.  It is the one power table:
+    `TruncSeries.__pow__`, `_power_sum`, `TruncSeries.compose` and the
+    pole expansions read their powers from it."""
 
     __slots__ = ("base", "table")
 
@@ -719,6 +725,18 @@ class _Powers:
         return table[n]
 
 
+def _power_sum(x: TruncSeries, coeffs: Sequence) -> TruncSeries:
+    """sum_k coeffs[k] * x^k at x's order, every power read from one
+    `_Powers` table; the sum stops at the first zero power."""
+    powers, out = _Powers(x), TruncSeries.zero(x.varset, x.order)
+    for k, c in enumerate(coeffs):
+        if powers[k].is_zero():
+            break
+        if c:
+            out = out + powers[k].scale(c)
+    return out
+
+
 def series_invert_unit(a: TruncSeries) -> TruncSeries:
     """Inverse of a series whose constant term is a nonzero rational."""
     if a.order is INF:
@@ -728,33 +746,16 @@ def series_invert_unit(a: TruncSeries) -> TruncSeries:
         raise ValueError("inversion needs a nonzero rational constant term")
     c0 = c0.constant_term()
     tail = (a.scale(1 / c0) - TruncSeries.const(a.varset, 1, a.order)).scale(-1)
-    out = TruncSeries.const(a.varset, 1, a.order)
-    power = TruncSeries.const(a.varset, 1, a.order)
-    for _ in range(a.order):
-        power = power * tail
-        if power.is_zero():
-            break
-        out = out + power
-    return out.scale(1 / c0)
+    return _power_sum(tail, [1] * (a.order + 1)).scale(1 / c0)
 
 
 def series_exp(a: TruncSeries) -> TruncSeries:
     """exp of a truncated series with zero constant term."""
     if a.order is INF:
         raise ValueError("exp needs a finite truncation order")
-    c0 = a.constant_term()
-    if c0:
+    if a.constant_term():
         raise ValueError("exp requires a vanishing constant term")
-    result = TruncSeries.const(a.varset, 1, a.order)
-    power = TruncSeries.const(a.varset, 1, a.order)
-    kfact = Fraction(1)
-    for k in range(1, a.order + 1):
-        power = power * a
-        if power.is_zero():
-            break
-        kfact *= k
-        result = result + power.scale(Fraction(1) / kfact)
-    return result
+    return _power_sum(a, [Fraction(1, factorial(k)) for k in range(a.order + 1)])
 
 
 Denominator = Tuple[Tuple[LinearForm, int], ...]
@@ -793,8 +794,10 @@ class LocalizedSeries:
     nothing; of a `LazySeries` numerator it makes the terms inside the
     caps, and none when no block is bounded.  A product, a sum and
     :func:`expand_poles` build no such term: they skip the term pairs past
-    the caps of their result, and a product or a sum hands those caps to
-    the constructor (``_caps``).
+    the caps of their result.  The constructor is the checked path; what
+    is built inside its window already (a product, a sum windowed once, a
+    negation, a scaling, a coefficient map, a lazy cap) goes through
+    `_localized`, as a trusted series goes through `_series`.
 
     >>> zw, blocks = VarSet(("z", "w")), (("z",), ("w",))
     >>> LocalizedSeries(TruncSeries(zw, 4, {(0, 1): 1, (0, 3): 1}), (), blocks, (None, 2)).num
@@ -809,7 +812,6 @@ class LocalizedSeries:
         den: Iterable[Tuple[LinearForm, int]] = (),
         blocks: Blocks = None,
         block_bounds: Tuple[Optional[int], ...] = None,
-        _caps: Caps = None,
     ):
         den = _sort_denominator(den)
         for form, _ in den:
@@ -828,10 +830,9 @@ class LocalizedSeries:
             )
             if len(block_bounds) != len(blocks):
                 raise ValueError("one bound per block required")
-            if _caps is None:
-                _caps = _block_caps(num.varset, blocks, block_bounds, den)
-            if _caps:
-                num = num._window(_caps)
+            caps = _block_caps(num.varset, blocks, block_bounds, den)
+            if caps:
+                num = num._window(caps)
         self.num = num
         self.den = den
         self.blocks = blocks
@@ -877,9 +878,9 @@ class LocalizedSeries:
 
     def __add__(self, other: "LocalizedSeries") -> "LocalizedSeries":
         """The sum over the least common denominator; each numerator is
-        cleared by products within the sum's block caps, which the
-        constructor reuses to drop the past-cap terms of an operand that
-        needed no clearing.  A `LazySeries` numerator is read through its
+        cleared by products within the sum's block caps, and the sum is
+        windowed once to drop the past-cap terms of an operand that needed
+        no clearing.  A `LazySeries` numerator is read through its
         `_window`, so a sum, a difference or `series_equal` makes only the
         coefficients it keeps."""
         self._check_compatible(other)
@@ -908,13 +909,13 @@ class LocalizedSeries:
                 if k:
                     num = num.__mul__(form.as_series() ** k, caps)
             nums.append(num)
-        return LocalizedSeries(nums[0] + nums[1], den, self.blocks, bounds, caps)
+        num = nums[0] + nums[1]
+        if caps:
+            num = num._window(caps)
+        return _localized(num, _sort_denominator(den), self.blocks, bounds)
 
     def __neg__(self) -> "LocalizedSeries":
-        # the negation of a series in its window is in that window
-        r = LocalizedSeries.__new__(LocalizedSeries)
-        r.num, r.den, r.blocks, r.block_bounds = -self.num, self.den, self.blocks, self.block_bounds
-        return r
+        return _localized(-self.num, self.den, self.blocks, self.block_bounds)
 
     def __sub__(self, other: "LocalizedSeries") -> "LocalizedSeries":
         return self + (-other)
@@ -930,11 +931,9 @@ class LocalizedSeries:
         (1) + (2)*w
         """
         if isinstance(other, (int, Fraction, Poly)):
-            return LocalizedSeries(
-                self.num.scale(other), self.den, self.blocks, self.block_bounds
-            )
+            return self.scale(other)
         self._check_compatible(other)
-        den = list(self.den) + list(other.den)
+        den = self.den + other.den
         # a term of net degree d mixes net degrees d1 + d2 = d with
         # d1 >= -den1_j and d2 >= -den2_j, so exactness holds up to
         # min(bound1 - den2_j, bound2 - den1_j)
@@ -946,17 +945,16 @@ class LocalizedSeries:
             bounds.append(_min_order(c1, c2))
         caps = _block_caps(self.varset, self.blocks, bounds, den)
         num = self.num.__mul__(other.num, caps)
-        return LocalizedSeries(num, den, self.blocks, tuple(bounds), caps)
+        return _localized(num, _sort_denominator(den), self.blocks, tuple(bounds))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "LocalizedSeries":
-        return LocalizedSeries(
-            self.num.scale(c), self.den, self.blocks, self.block_bounds
-        )
+        # scaling and mapping coefficients keep the series in its window
+        return _localized(self.num.scale(c), self.den, self.blocks, self.block_bounds)
 
     def map_coefficients(self, fn) -> "LocalizedSeries":
-        return LocalizedSeries(
+        return _localized(
             self.num.map_coefficients(fn), self.den, self.blocks, self.block_bounds
         )
 
@@ -1005,18 +1003,32 @@ class LocalizedSeries:
     ) -> "LocalizedSeries":
         """Linear change of variables; denominator forms must stay nonzero.
 
-        Each form, composed into a series, goes through :func:`expand_poles`
-        over one block, which keeps it as a primitive form and moves its
-        sign and content into the numerator.  The expansion regime does
-        not carry over (a substitution changes which reading makes sense);
-        re-expand afterwards if needed.  A series with a finite block bound
-        raises ValueError, as in :func:`iota_expand`: the bound is a net
-        degree in the old variables, which the new ones do not measure.
+        This is `compose` at the linear images over one block, which keeps
+        each form primitive and moves its sign and content into the
+        numerator.  The expansion regime does not carry over (a
+        substitution changes which reading makes sense); re-expand
+        afterwards if needed.  A series with a finite block bound raises
+        ValueError, as in :func:`iota_expand`: the bound is a net degree in
+        the old variables, which the new ones do not measure.
         """
         if any(b is not None for b in self.block_bounds):
             raise ValueError("block bounds do not carry over to another regime")
-        num = self.num.substitute_linear(target, mapping)
-        images = _linear_images(self.varset, target, mapping)
+        y = self.compose(target, _linear_images(self.varset, target, mapping))
+        return LocalizedSeries(y.num, y.den, blocks)
+
+    def compose(
+        self,
+        target: VarSet,
+        images: Mapping[str, TruncSeries],
+        blocks: Blocks = None,
+        trunc: int = 0,
+    ) -> "LocalizedSeries":
+        """The change of coordinates sending each variable to its image, a
+        series over ``target`` without constant term: the numerator goes
+        through `TruncSeries.compose`, and each pole, composed the same
+        way, through :func:`expand_poles` over ``blocks`` (one block by
+        default) at ``trunc``.  A pole that composes to zero raises
+        ValueError."""
         dens = []
         for form, mult in self.den:
             f = form.as_series().compose(target, images)
@@ -1025,8 +1037,8 @@ class LocalizedSeries:
                     "denominator form %r collapses to zero under substitution" % form
                 )
             dens.append((f, mult))
-        y = expand_poles(num, dens, trivial_blocks(target), 0)
-        return LocalizedSeries(y.num, y.den, blocks)
+        num = self.num.compose(target, images)
+        return expand_poles(num, dens, blocks or trivial_blocks(target), trunc)
 
     # -- terms access ------------------------------------------------------------
 
@@ -1053,12 +1065,26 @@ class LocalizedSeries:
         return "(%r)%s" % (self.num, den)
 
 
+def _localized(
+    num: TruncSeries, den: Denominator, blocks: Blocks, bounds: Tuple[Optional[int], ...]
+) -> LocalizedSeries:
+    """A localized series of parts that need no check: ``den`` sorted and
+    merged, ``blocks`` a partition of num's variables with one bound each,
+    and ``num`` inside the window of its caps."""
+    r = LocalizedSeries.__new__(LocalizedSeries)
+    r.num, r.den, r.blocks, r.block_bounds = num, den, blocks, bounds
+    return r
+
+
 def try_divide_by_form(num: TruncSeries, form: LinearForm) -> Optional[TruncSeries]:
     """Exact division of a series by a linear form, or None.
 
     Division is long division in the form's leading variable; it succeeds
-    exactly when every monomial layer of the numerator is divisible.
+    exactly when every monomial layer of the numerator is divisible.  A
+    numerator of order 0 gives None, as no quotient term is known.
     """
+    if num.order == 0:
+        return None
     lead = next(i for i, c in enumerate(form.coeffs) if c)
     lead_c = form.coeffs[lead]
     rest = [(i, c) for i, c in enumerate(form.coeffs) if c and i != lead]
@@ -1088,7 +1114,7 @@ def try_divide_by_form(num: TruncSeries, form: LinearForm) -> Optional[TruncSeri
                 remainder[ee] = s
             else:
                 remainder.pop(ee, None)
-    order = num.order if num.order is INF else max(num.order - 1, 0)
+    order = num.order if num.order is INF else num.order - 1
     return _series(
         num.varset, order, {e: c for e, c in quotient.items() if order is INF or sum(e) <= order}
     )

@@ -275,6 +275,45 @@ def self_dual_sample(depth):
     )
 
 
+U1, U2 = Poly.variable("u1"), Poly.variable("u2")
+LINE_VALUES = [U1, U1 + U2 * 3, U1 * U1 - U2 * Fraction(1, 2), U1 * U2 * U2 + U1]
+
+
+class TestDualLines:
+    """The dual of a line 1+s is (1+s)^-1, cut off at the filtration
+    depth, and `KClass.is_real` pairs each weight with its dual."""
+
+    @pytest.mark.parametrize("cutoff", [0, 1, 3])
+    @pytest.mark.parametrize("s", LINE_VALUES)
+    def test_dual_line_inverts_the_line(self, s, cutoff):
+        ((sign, dual),) = Summand(1, lines=[(1, s)]).dualize(cutoff).lines
+        assert sign == 1
+        assert ((1 + s) * (1 + dual)).truncate_degree(cutoff) == Poly.const(1)
+
+    @pytest.mark.parametrize("cutoff", [0, 2, 4])
+    def test_dualizing_twice_is_the_identity(self, cutoff):
+        x = Summand(0, {1: chp(1), 2: chp(2)}, [(1, LINE_VALUES[1]), (-1, LINE_VALUES[3])])
+        twice = x.dualize(cutoff).dualize(cutoff)
+        assert (twice.rank, twice.ch) == (x.rank, x.ch)
+        assert twice.lines == tuple((sg, s.truncate_degree(cutoff)) for sg, s in x.lines)
+
+    def test_dualizing_lines_needs_a_cutoff(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            Summand(1, lines=[(1, U1)]).dualize()
+
+    def test_is_real_pairs_mutually_dual_lines(self):
+        depth = 3
+        line = Summand(1, {1: chp(1), 2: chp(2)}, [(1, U1 + U1 * U2)])
+        dual = line.dualize(depth)
+        assert KClass(Z, {(1,): line, (-1,): dual}, depth).is_real()
+        for summands in (
+            {(1,): line},
+            {(1,): line, (-1,): Summand(2, dual.ch)},
+            {(1,): line, (-1,): line},
+        ):
+            assert not KClass(Z, summands, depth).is_real()
+
+
 class TestSqrtEuler:
     def test_square_law(self):
         E = self_dual_sample(3)

@@ -293,6 +293,31 @@ class TestExp:
             series_exp(TruncSeries.const(Z, 1, 4))
 
 
+class TestPowerSum:
+    def test_sum_keeps_the_order(self):
+        z = TruncSeries.variable(Z, "z", 3)
+        assert series._power_sum(z, [1] * 10) == TruncSeries(Z, 3, {(k,): 1 for k in range(4)})
+        exact = series._power_sum(TruncSeries.linear(Z, (1,)), [0, 2, 0, 1])
+        assert exact == TruncSeries(Z, INF, {(1,): 2, (3,): 1})
+
+    def test_sum_stops_at_the_first_zero_power(self, monkeypatch):
+        """z^4 is zero at order 3, so no power past it is made."""
+        made = []
+        real = series._Powers.__getitem__
+        monkeypatch.setattr(
+            series._Powers, "__getitem__", lambda self, n: made.append(n) or real(self, n)
+        )
+        series._power_sum(TruncSeries.variable(Z, "z", 3), [1] * 10)
+        assert max(made) == 4
+
+    def test_pow_is_the_repeated_product(self):
+        x = TruncSeries(ZW, 5, {(0, 0): 1, (1, 0): 2, (0, 1): S})
+        assert x ** 0 == TruncSeries.const(ZW, 1, 5)
+        assert x ** 3 == x * x * x
+        with pytest.raises(ValueError):
+            x ** -1
+
+
 class TestIota:
     def test_geometric_expansion_of_z_plus_w(self):
         x = LocalizedSeries.one(ZW, 8).with_denominator(form(ZW, z=1, w=1))
@@ -457,10 +482,62 @@ class TestResidue:
         )
         assert series_equal(global_res, local)
 
+    def test_exact_numerator_needs_no_trunc(self):
+        # res_{z=w} z^3/(z-w)^2 = 3w^2, read to the numerator's degree
+        x = LocalizedSeries(TruncSeries(ZW, INF, {(3, 0): 1})).with_denominator(
+            form(ZW, z=1, w=-1), mult=2
+        )
+        assert x.num.degree() == 3 and TruncSeries.zero(ZW).degree() == -1
+        r = residue(x, "z", "w")
+        assert r.num.terms == {(2,): Fraction(3)} and r.num.order is INF
+
     def test_unknown_center_rejected(self):
         x = LocalizedSeries.one(ZW, 4).with_denominator(form(ZW, z=1))
         with pytest.raises(ValueError):
             residue(x, "z", "q")
+
+
+class TestUnknownCoefficients:
+    """A coefficient, derivative or quotient past a series' order is known
+    nowhere, so it raises, or gives no quotient, instead of reading as an
+    exact zero."""
+
+    def test_coefficient_past_the_order_raises(self):
+        x = TruncSeries(Z, 2, {(0,): 1})
+        assert x.coefficient_of("z", 2) == TruncSeries(VarSet(()), 0)
+        with pytest.raises(ValueError, match="past the order"):
+            x.coefficient_of("z", 3)
+        # read as an exact zero, it would compare equal to any multiple
+        with pytest.raises(ValueError, match="past the order"):
+            coefficient_of_power(LocalizedSeries(x).scale(3), "z", 5)
+
+    def test_derivative_of_an_order_zero_series_raises(self):
+        with pytest.raises(ValueError, match="order 0"):
+            TruncSeries(Z, 0, {(0,): 1}).diff("z")
+        assert TruncSeries(Z, 1, {(1,): 3}).diff("z") == TruncSeries(Z, 0, {(0,): 3})
+        assert TruncSeries.variable(Z, "z").diff("z").order is INF
+
+    def test_division_of_an_order_zero_numerator_gives_none(self):
+        f = form(ZW, z=1, w=-1)
+        assert try_divide_by_form(TruncSeries.zero(ZW, 0), f) is None
+        q = try_divide_by_form(TruncSeries.zero(ZW, 1), f)
+        assert q is not None and q.is_zero() and q.order == 0
+
+
+class TestDiff:
+    def test_quotient_rule_on_a_pole(self):
+        # d/dz 1/(z - w) = -1/(z - w)^2 and d/dw 1/(z - w) = 1/(z - w)^2
+        f = form(ZW, z=1, w=-1)
+        x = LocalizedSeries(TruncSeries.const(ZW, 1)).with_denominator(f)
+        for name, sign in (("z", -1), ("w", 1)):
+            d = x.diff(name)
+            assert d.den == ((f, 2),)
+            assert d.num.terms == {(0, 0): Fraction(sign)}
+
+    def test_product_rule(self):
+        """d(xy) = dx y + x dy for fractions with poles, at exact or
+        truncated numerators with polynomial coefficients."""
+        prop_product_rule()
 
 
 class TestDivision:
@@ -668,6 +745,19 @@ class TestSubstitution:
         y = x.substitute_linear(uv, {"z": {"u": 1, "v": 1}, "w": {"u": 1, "v": -1}})
         assert y.den == ((form(uv, u=1), 1),)
         assert y.num == TruncSeries.const(uv, Fraction(1, 2), 6)
+
+    def test_compose_expands_each_pole(self):
+        # 1/z at z -> 2u + u^2 is 1/u times the inverse of the unit 2 + u
+        u = VarSet(("u",))
+        image = TruncSeries(u, INF, {(1,): 2, (2,): 1})
+        y = LocalizedSeries.one(Z, 4).with_denominator(form(Z, z=1)).compose(u, {"z": image})
+        assert y.den == ((form(u, u=1), 1),)
+        one = LocalizedSeries.one(u, INF)
+        assert series_equal(y * LocalizedSeries(image), one)
+        assert not series_equal(y * LocalizedSeries(image), one.scale(2))
+        x = LocalizedSeries.one(ZW, 4).with_denominator(form(ZW, z=1, w=-1))
+        with pytest.raises(ValueError, match="collapses"):
+            x.compose(u, {"z": image, "w": image})
 
     def test_image_outside_target_rejected(self):
         u = VarSet(("u",))
@@ -1110,6 +1200,25 @@ def test_prop_bounded_product_is_the_filtered_product():
     uncapped products cut to those bounds, term for term and with the same
     order and denominator."""
     prop_bounded_product_is_the_filtered_product()
+
+
+@st.composite
+def fractions_with_poles(draw):
+    """A fraction over z, w: an exact or truncated numerator with constant
+    or polynomial coefficients, over one or two forms.  A truncated order
+    of at least 4 leaves most products of two a nonempty window."""
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    order = draw(st.one_of(st.none(), st.integers(4, 9)))
+    num = TruncSeries(ZW, order, draw(st.dictionaries(exps, coefficients, max_size=5)))
+    vecs = st.tuples(st.integers(-1, 2), st.integers(-1, 2)).filter(any)
+    poles = draw(st.lists(st.tuples(vecs, st.integers(1, 2)), min_size=1, max_size=2))
+    return LocalizedSeries(num, [(LinearForm.make_scaled(ZW, v)[0], m) for v, m in poles])
+
+
+@settings(max_examples=80, deadline=None)
+@given(fractions_with_poles(), fractions_with_poles(), st.sampled_from(["z", "w"]))
+def prop_product_rule(x, y, name):
+    assert series_equal((x * y).diff(name), x.diff(name) * y + x * y.diff(name))
 
 
 def test_mul_cancels_to_zero():

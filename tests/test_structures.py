@@ -475,6 +475,16 @@ class TestUnitCheck:
         assert not rep.passed
         assert "constant coefficient" in rep.counterexample["reason"]
 
+    def test_module_scaled_constant_fails(self):
+        def bad(elements, names, trunc):
+            out = module_translation_product(elements, names, trunc)
+            return ElementSeries(out.component, out.series.scale(2))
+
+        bad_module = ProductFamily("bad", bad, MODULE_POLES, module=True)
+        rep = check_unit(bad_module, self.SAMPLES, 3)
+        assert not rep.passed
+        assert "constant coefficient" in rep.counterexample["reason"]
+
     def test_pole_fails(self):
         def bad(elements, names, trunc):
             out = translation_product(elements, names, trunc)
@@ -566,6 +576,52 @@ class TestCommutativityCheck:
         )
         assert not rep.passed
         assert rep.counterexample["witness"] is not None
+
+
+def vandermonde_family(degree=None):
+    """The translation product times prod_{i<j} (z_i - z_j), which a
+    permutation of the coordinates multiplies by its sign."""
+
+    def product(elements, names, trunc):
+        out = translation_product(elements, names, trunc)
+        vs, n = out.series.varset, len(names)
+        vander = TruncSeries.const(vs, 1)
+        for i, j in itertools.combinations(range(n), 2):
+            vander = vander * TruncSeries.linear(vs, [(k == i) - (k == j) for k in range(n)])
+        return ElementSeries(
+            out.component,
+            LocalizedSeries(out.series.num * vander, out.series.den, out.series.blocks),
+        )
+
+    return ProductFamily("vandermonde", product, VA_POLES, degree=degree)
+
+
+class TestKoszulFamilies:
+    """A family's degrees sign its commutativity: the translation product
+    times the Vandermonde product commutes with every element odd, and
+    neither it without degrees nor the plain product with odd ones does."""
+
+    SAMPLES = [
+        (elem(1, S1), elem(1, Poly.const(1))),
+        (elem(1, S1), elem(1, S1), elem(2, S2)),
+    ]
+
+    def test_odd_elements_of_an_antisymmetric_product_commute(self):
+        fam = vandermonde_family(lambda a: 1)
+        assert (fam.degree(elem(1, S1)), fam.parity(elem(1, S1))) == (1, 1)
+        rep = check_commutativity(fam, self.SAMPLES, 3)
+        assert rep.passed and rep.samples == 1 + 5 and rep.trivial == 0
+
+    def test_an_antisymmetric_product_without_degrees_fails(self):
+        fam = vandermonde_family()
+        assert (fam.degree(elem(1, S1)), fam.parity(elem(1, S1))) == (None, 0)
+        rep = check_commutativity(fam, self.SAMPLES, 3)
+        assert not rep.passed and rep.counterexample["witness"] is not None
+
+    def test_odd_elements_of_a_symmetric_product_fail(self):
+        fam = ProductFamily("odd", translation_product, VA_POLES, degree=lambda a: 1)
+        rep = check_commutativity(fam, self.SAMPLES, 3)
+        assert not rep.passed and rep.counterexample["witness"] is not None
 
 
 class TestAssociativityCheck:
@@ -1002,18 +1058,20 @@ class TestResidueWorkingOrders:
         ]
         assert any(not g.poly.is_zero() for g in got)
 
+    # below the pole degree minus one, the residue lies past the product's
+    # order, where no coefficient is known, so the read raises
     @pytest.mark.parametrize("power", [2, 3])
     def test_order_below_pole_degree_minus_one_changes_the_bracket(self, power):
         fam = diagonal_pole_family(power)
         a, b = PAIRS[0]
-        short = bracket_at(fam, a, b, 3, order=power - 2)
-        assert short.poly != lie_bracket(fam, a, b, 3).poly
+        with pytest.raises(ValueError, match="past the order"):
+            bracket_at(fam, a, b, 3, order=power - 2)
 
     def test_order_below_pole_degree_minus_one_changes_the_action(self):
         fam = origin_pole_family(2)
         a, m = PAIRS[0]
-        short = action_at(fam, a, m, 3, order=0)
-        assert short.poly != residue_action(fam, a, m, 3).poly
+        with pytest.raises(ValueError, match="past the order"):
+            action_at(fam, a, m, 3, order=0)
 
     def test_mixed_pole_keeps_a_pole(self):
         fam = diagonal_pole_family(2, sum_pole=True)
