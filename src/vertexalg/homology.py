@@ -23,13 +23,15 @@ directly from its one-parameter generators, one per unitary factor:
     D (unitary factor of rank r):  p |-> r*s1*p + sum_k s_{k+1} dp/ds_k
 
 the pushforward along addition of a rank-one class, written in the
-s-alphabet.  `translate` runs one integer recurrence: the D_i commute, so
-the coefficient of z^e is D^e a / e!, and D^e a is built factor by factor
-as integer numerators over the denominator of a, each made a `Poly` once,
-over den * e!.
-`translate_series` is a `series.LazySeries`: a read through a window reads
-its input through the input's own, and translates only the coefficients
-inside it, each only to the degree the window leaves.
+s-alphabet.  `_translated` runs one integer recurrence: the D_i commute,
+so the coefficient of z^e is D^e a / e!, and D^e a is built factor by
+factor as integer numerators over the denominator of a, each made a
+`Poly` once, over den * e!.  It is the make of two `series.LazySeries`:
+`translate_series`, whose read through a window reads its input through
+the input's own and translates only the coefficients inside it, each only
+to the degree the window leaves; and `translate`, the same of one class
+on no variables, whose read through a window makes only the levels inside
+it, and whose whole read is the recurrence to its order.
 
 The sum map of a product component is pushed forward by
 `pushforward_substitute`.  `tensor` leaves an external product unbuilt,
@@ -75,7 +77,7 @@ from .poly import (
     shift_name,
     var_shift,
 )
-from .series import LazySeries, TruncSeries, VarSet, _series
+from .series import LazySeries, TruncSeries, VarSet, _lazy, _series
 
 MODELS = ("BU_Z", "BO_Z", "BSp_2Z")
 
@@ -88,6 +90,9 @@ _CH_RE = re.compile(r"ch(\d+)(?:_(\d+))?\Z")
 # (model, index) -> the one label of that component (see `ComponentLabel`)
 _LABELS: Dict[Tuple[str, tuple], "ComponentLabel"] = {}
 
+# the variables of the raw series of `translate`: none, the class sits at the origin
+_POINT = VarSet(())
+
 # Every per-key plan is a `poly.MonomialTable`, whose entry is worked out
 # on first lookup and kept as long as the table; per-support plans are
 # `functools.cache` functions.  Both stay right for the life of the
@@ -96,7 +101,9 @@ _LABELS: Dict[Tuple[str, tuple], "ComponentLabel"] = {}
 # variables.  Kept for the process: `_field_table`, one table per target
 # factor and doubling of the image of each one-factor monomial, and
 # `_source_parts`, one per support and model kind; `_moves_table`, one
-# per factor of the moves of the translation generator; and `_cap_plan`,
+# per factor of the moves of the translation generator; `_coordinates_of`,
+# one per component and coordinate names, their `VarSet` and the unitary
+# factors with their ranks; and `_cap_plan`,
 # one `pairing_plan` per component (the act of each generator, the mask
 # of the acting fields of each support, the lowering of each cohomology
 # monomial) shared by `cap_poly` and `contract_poly`, as `ktheory` keeps
@@ -749,15 +756,10 @@ def translate_series(
     then ``num``'s (a shared name adds exponents), at ``num``'s finite
     order.  The call translates nothing: a `series.LazySeries` read through
     a window reads ``num`` through its own and translates each coefficient
-    only to the degree the window leaves; a read of `terms` gives every
-    coefficient translated at once."""
-    _coordinates(component, wvars)
-    wvars = list(wvars)
-
-    def make(p: Poly, room: int) -> dict:
-        return translate(HomologyElement(component, p), wvars, room).terms
-
-    return LazySeries(num, make, wvars)
+    by `_translated` only to the degree the window leaves; a read of
+    `terms` gives every coefficient translated at once."""
+    _, factors = _coordinates(component, wvars)
+    return LazySeries(num, partial(_translated, factors), wvars)
 
 
 # -- translation ---------------------------------------------------------------
@@ -820,28 +822,73 @@ def _raised(terms: Dict[int, int], factor: FactorKey, rank: int) -> Dict[int, in
     return {m: c for m, c in out.items() if c}
 
 
-def _coordinates(component: ComponentLabel, zvars: Sequence[str]) -> Tuple[VarSet, tuple]:
-    """A translation's coordinates and the unitary factors, one each, or ValueError."""
+def _coordinates(
+    component: ComponentLabel, zvars: Sequence[str]
+) -> Tuple[VarSet, Tuple[Tuple[FactorKey, int], ...]]:
+    """A translation's coordinates and its unitary factors with their
+    ranks, one each, or ValueError; made once per component and names."""
+    names = tuple(zvars) if type(zvars) is list else zvars
+    try:
+        return _coordinates_of(component, names)
+    except TypeError:  # an unhashable name, which `VarSet` rejects
+        return _coordinates_of.__wrapped__(component, names)
+
+
+@cache
+def _coordinates_of(
+    component: ComponentLabel, names: Sequence[str]
+) -> Tuple[VarSet, Tuple[Tuple[FactorKey, int], ...]]:
     factors = component.unitary_factors()
-    if len(zvars) != len(factors):
-        raise ValueError("expected %d coordinates, got %d" % (len(factors), len(zvars)))
-    return VarSet(zvars), factors
+    if len(names) != len(factors):
+        raise ValueError("expected %d coordinates, got %d" % (len(factors), len(names)))
+    return VarSet(names), tuple((f, component.rank(f)) for f in factors)
 
 
-def translate(a: HomologyElement, zvars: Sequence[str], trunc: int) -> TruncSeries:
+def _translated(
+    factors: Tuple[Tuple[FactorKey, int], ...], poly: Poly, room: int
+) -> Dict[Tuple[int, ...], Poly]:
+    """D^e poly / e! for every e of total degree up to ``room``, keyed by
+    e, one entry per unitary factor and its rank in ``factors``; the make
+    of `translate` and `translate_series`.
+
+    One integer recurrence builds it: factor by factor, each numerator
+    dict D^e poly (over the denominator of ``poly``) is raised by
+    `_raised` while the total degree stays within ``room`` and the result
+    is nonzero, so a series that ends early stops there, and each
+    coefficient is made a `Poly` once, over den * e!.
+    """
+    # (e so far, its total degree, the numerators of D^e poly, e!)
+    level = [((), 0, poly.terms, 1)] if poly.terms else []
+    for f, rank in factors:
+        grown = []
+        for e, degree, terms, fact in level:
+            grown.append((e + (0,), degree, terms, fact))
+            for k in range(1, room - degree + 1):
+                terms = _raised(terms, f, rank)
+                if not terms:
+                    break
+                fact *= k
+                grown.append((e + (k,), degree + k, terms, fact))
+        level = grown
+    # D^0 poly is poly itself, kept when it is a plain `Poly`
+    den, same = poly.den, poly.terms if type(poly) is Poly else None
+    return {e: poly if terms is same else _make(terms, den * fact) for e, _, terms, fact in level}
+
+
+def translate(a: HomologyElement, zvars: Sequence[str], trunc: int) -> LazySeries:
     """exp(sum z_i D_i) applied to a class, as a series with Poly coefficients.
 
     There must be one z per unitary factor, in factor order; the module
     factor of an orthosymplectic product is not moved.
 
-    The coefficient of z^e is D^e a / e!, the D_i
-    commuting.  One integer recurrence builds it: factor by factor, each
-    numerator dict D^e a (over the denominator of ``a``) is raised by
-    `_raised` while the total degree stays within ``trunc`` and the
-    result is nonzero, so a series that ends early stops there, and each
-    coefficient is made a `Poly` once, over den * e!.  The series is built
-    from exponents the recurrence made, so they are not re-validated.  A
-    ``trunc`` that is not an int raises ValueError.
+    The coefficient of z^e is D^e a / e!, the D_i commuting.  The call
+    checks its arguments and translates nothing: the result is a
+    `series.LazySeries` at order ``trunc`` over the one-term series ``a``
+    on no variables, stepped along ``zvars`` (`translate_series` of a
+    constant).  A read through a window makes only the levels inside it;
+    a full read of `terms` is the integer recurrence of `_translated` to
+    ``trunc``, as an eager call made it.  A ``trunc`` that is not an int
+    raises ValueError.
 
     EXAMPLES:
 
@@ -851,24 +898,9 @@ def translate(a: HomologyElement, zvars: Sequence[str], trunc: int) -> TruncSeri
     """
     if exact_int(trunc, "the truncation") < 0:
         raise ValueError("truncation must be nonnegative")
-    comp = a.component
-    vs, factors = _coordinates(comp, zvars)
-    # (e so far, its total degree, the numerators of D^e a, e!)
-    level = [((), 0, a.poly.terms, 1)] if a.poly.terms else []
-    for f in factors:
-        rank = comp.rank(f)
-        grown = []
-        for e, degree, terms, fact in level:
-            grown.append((e + (0,), degree, terms, fact))
-            for k in range(1, trunc - degree + 1):
-                terms = _raised(terms, f, rank)
-                if not terms:
-                    break
-                fact *= k
-                grown.append((e + (k,), degree + k, terms, fact))
-        level = grown
-    den = a.poly.den
-    return _series(vs, trunc, {e: _make(terms, den * fact) for e, _, terms, fact in level})
+    vs, factors = _coordinates(a.component, zvars)
+    raw = _series(_POINT, trunc, {(): a.poly} if a.poly.terms else {})
+    return _lazy(vs, trunc, raw, partial(_translated, factors), tuple(range(len(vs))))
 
 
 # -- involution, pushforward, normal forms ----------------------------------------

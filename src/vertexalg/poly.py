@@ -484,9 +484,10 @@ class Poly:
 
 class _Deferred(Poly):
     """A deferred product (see the module docstring), whose first read of
-    `terms` keeps those of `_built`.  Only it, `homology._Tensor` and
-    `series.LazySeries` have a `__getattr__`: a class with one loses the
-    interpreter's fast path for every attribute read of its instances."""
+    `terms` keeps those of `_built`.  Only it and `homology._Tensor` have
+    a `__getattr__` (`series.LazySeries` makes its terms in a property): a
+    class with one loses the interpreter's fast path for every attribute
+    read of its instances."""
 
     __slots__ = ("factors",)
 

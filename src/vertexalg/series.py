@@ -36,9 +36,12 @@ once, as a product does.
 :func:`nest` is the one nesting of a series in a series-valued map, each
 coefficient at the order its monomial leaves; ``structures.nested_product``
 and the vertex-space checkers are built on it.  A `LazySeries` (a lazy cap,
-or a translation in either coordinate law) makes each raw term's terms, at
-or above its exponent, on demand; a capped product reads it through its
-window, and `_placed` is the one layout of a series stepped along names.
+a translation in either coordinate law, an uncapped product of one with a
+plain series, or its embedding among fresh leading names) makes each raw
+term's terms, at or above its exponent, on demand; a capped product reads
+it through its window, so a chain of them builds only the window its last
+reader compares, and `_placed` is the one layout of a series stepped
+along names.
 
 A localized series holds only its window: its constructor drops every
 numerator term past a block's cap, the net bound plus the block's
@@ -371,7 +374,9 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries", _caps: Caps = ()) -> "TruncSeries":
         """The product; with ``_caps``, from `LocalizedSeries`, a term pair
         past a cap is skipped, a `LazySeries` factor is read through its
-        `_window` of the caps, and the order claimed is the same."""
+        `_window` of the caps, and the order claimed is the same.  Without
+        caps, the product of one `LazySeries` of finite order and a plain
+        series is a `LazySeries` over the lazy one (`_lazy_product`)."""
         if not isinstance(other, TruncSeries):
             return self.scale(other)
         if self.varset != other.varset:
@@ -382,6 +387,12 @@ class TruncSeries:
             order = INF if not self.terms else other.order + min(map(sum, self.terms))
         elif other.order is INF and self.order is not INF:
             order = INF if not other.terms else self.order + min(map(sum, other.terms))
+        lazy = type(self) is LazySeries
+        if not _caps and order is not INF and lazy != (type(other) is LazySeries):
+            if lazy and self.order is not INF:
+                return _lazy_product(self, other, order, True)
+            if not lazy and other.order is not INF:
+                return _lazy_product(other, self, order, False)
         a, b = (x._window(_caps).terms if _caps and type(x) is LazySeries else x.terms
                 for x in (self, other))
         # the coefficient pairs that meet at each output exponent; each sum
@@ -569,28 +580,50 @@ def _placed(own: VarSet, names: Sequence[str]) -> Tuple[VarSet, Tuple[int, ...]]
 class LazySeries(TruncSeries):
     """A series at a raw series' order, each raw term c * x^e made when
     first read: ``make(c, room)`` maps each step f up to total degree room
-    to the `Poly` term at e + f, f along ``names`` (the output variables
-    are those of `_placed`: the names the raw series lacks, then its own).
-    A cap is the one-term case, with no names; a translation, in either
-    coordinate law, makes the coefficient of D(z) c at step k, and needs a
-    finite raw order, which bounds the room, else ValueError.  A read of `terms` makes all
-    and sums them in raw exponent order, zeros dropped; `_window` reads the
-    raw series through its own and gives each raw term only the room left
-    by the order and by each cap holding all of the names."""
+    to the `Poly` term at e + f, f along ``names`` (the output
+    variables are those of `_placed`: the names the raw series lacks, then
+    its own).  A cap is the one-term case, with no names; a translation,
+    in either coordinate law, makes the coefficient of D(z) c at step k,
+    and needs a finite raw order, which bounds the room, else ValueError.
+    Two more are built by `_lazy`: an uncapped product with a plain series
+    (`_lazy_product`: steps along every name, over the lazy factor at the
+    eager product's order) and an embedding (`substitute_linear`: one
+    step of zeros along fresh leading names).  `terms` is made on the
+    first read, all raw terms summed in raw exponent order with zeros
+    dropped, or, over a raw series on no variables (a `translate`), the
+    one raw term's made terms, zeros dropped; `_window` reads the raw series
+    through its own and gives each raw term only the room left by the
+    order and by each cap holding all of the names.  It has no
+    `__getattr__`, so its other attributes read at full speed."""
 
-    __slots__ = ("_raw", "_make", "_at", "_made")
+    __slots__ = ("_raw", "_make", "_at", "_made", "_read")
 
     def __init__(self, raw: TruncSeries, make: Callable, names: Sequence[str] = ()):
         if names and raw.order is INF:
             raise ValueError("translating an exact series needs a finite order")
         self.varset, self._at = _placed(raw.varset, names)
-        self.order, self._raw, self._make, self._made = raw.order, raw, make, {}
+        self.order, self._raw, self._make, self._made, self._read = raw.order, raw, make, {}, None
 
-    def __getattr__(self, name: str):
-        # reached only while the `terms` slot is unset
-        if name != "terms":
-            raise AttributeError(name)
-        self.terms = terms = self._window(()).terms
+    @property
+    def terms(self) -> Dict[Exponent, Poly]:
+        """Every term, made on the first read and kept."""
+        terms = self._read
+        if terms is not None:
+            return terms
+        raw, made = self._raw, self._made
+        if raw.varset.names:
+            terms = self._window(()).terms
+        else:
+            # the one raw term sits at the origin: its steps are the exponents
+            terms, room = {}, raw.order if self._at else 0
+            for c in raw.terms.values():
+                got = made.get(())
+                if got is None or got[0] < room:
+                    got = made[()] = room, self._make(c, room)
+                terms = got[1]
+                if not all(terms.values()):
+                    terms = {f: v for f, v in terms.items() if v}
+        self._read = terms
         return terms
 
     def __repr__(self):
@@ -606,11 +639,28 @@ class LazySeries(TruncSeries):
         ``order`` are dropped, and the terms already made are shared."""
         if order is not INF and exact_int(order, "truncation order") < 0:
             raise ValueError("truncation order must be nonnegative")
-        names = [self.varset.names[i] for i in self._at]
-        r = LazySeries(self._raw.truncate(order), self._make, names)
-        r.order = order
+        r = _lazy(self.varset, order, self._raw.truncate(order), self._make, self._at)
         r._made = {e: v for e, v in self._made.items() if order is INF or sum(e) <= order}
         return r
+
+    def substitute_linear(
+        self, target: VarSet, mapping: Mapping[str, Mapping[str, int]]
+    ) -> TruncSeries:
+        """As `TruncSeries.substitute_linear`; an embedding, every variable
+        sent to itself in ``target``'s trailing names after fresh leading
+        ones, stays lazy at this series' finite order, each term made
+        when read."""
+        own = self.varset.names
+        lead = len(target) - len(own)
+        if (
+            lead > 0
+            and self.order is not INF
+            and target.names[lead:] == own
+            and all(mapping.get(n) == {n: 1} for n in own)
+        ):
+            zeros = (0,) * lead
+            return _lazy(target, self.order, self, lambda c, room: {zeros: c}, tuple(range(lead)))
+        return TruncSeries.substitute_linear(self, target, mapping)
 
     def _window(self, caps: Caps, order: Optional[int] = INF) -> TruncSeries:
         """As `TruncSeries._window`, as a plain series."""
@@ -642,6 +692,34 @@ class LazySeries(TruncSeries):
                     key = tuple(key)
                 out[key] = out[key] + v if key in out else v
         return _series(self.varset, self.order, {e: v for e, v in out.items() if v})
+
+
+def _lazy(
+    varset: VarSet, order: Optional[int], raw: TruncSeries, make: Callable, at: Tuple[int, ...]
+) -> LazySeries:
+    """A `LazySeries` of parts that need no check: ``varset`` holds raw's
+    variables last, ``at`` gives the positions of the steps, and a finite
+    ``order`` bounds the room when there are steps."""
+    r = LazySeries.__new__(LazySeries)
+    r.varset, r.order, r._raw, r._make, r._at, r._made, r._read = (
+        varset, order, raw, make, at, {}, None
+    )
+    return r
+
+
+def _lazy_product(lazy: LazySeries, plain: TruncSeries, order: int, left: bool) -> LazySeries:
+    """The product of ``lazy`` and ``plain`` at the eager product's
+    ``order``, lazy over ``lazy``: a term c steps by each exponent of
+    ``plain`` within its room, to c times that coefficient, factors in the
+    eager order (``lazy`` first when ``left``)."""
+    rows = [(f, sum(f), d) for f, d in plain.terms.items()]
+    # the raw series claims the product's order, so that reads stop there
+    raw = lazy if lazy.order == order else lazy.with_order(order)
+
+    def make(c: Poly, room: int) -> dict:
+        return {f: c * d if left else d * c for f, s, d in rows if s <= room}
+
+    return _lazy(lazy.varset, order, raw, make, tuple(range(len(lazy.varset))))
 
 
 def _linear_images(
@@ -959,15 +1037,22 @@ class LocalizedSeries:
         )
 
     def diff(self, name: str) -> "LocalizedSeries":
-        """Formal derivative in one variable, by the quotient rule."""
+        """Formal derivative in one variable, by the quotient rule.  Each
+        term keeps its numerator's caps: the derivative of the numerator
+        lowers the net bound of the variable's block by one, and a term
+        that raises a form's multiplicity lowers that of every block the
+        form touches by one."""
         i = self.varset.index(name)
-        bounds = []
-        for bi, block in enumerate(self.blocks):
-            b = self.block_bounds[bi]
-            if b is not None and name in block:
-                b = b - 1
-            bounds.append(b)
-        out = LocalizedSeries(self.num.diff(name), self.den, self.blocks, bounds)
+        blocks = [[self.varset.index(n) for n in block] for block in self.blocks]
+
+        def lowered(vec) -> list:
+            return [
+                b if b is None or not any(vec[j] for j in idxs) else b - 1
+                for b, idxs in zip(self.block_bounds, blocks)
+            ]
+
+        step = [int(j == i) for j in range(len(self.varset))]
+        out = LocalizedSeries(self.num.diff(name), self.den, self.blocks, lowered(step))
         for k, (form, mult) in enumerate(self.den):
             c = form.coeffs[i]
             if not c:
@@ -975,7 +1060,7 @@ class LocalizedSeries:
             den = list(self.den)
             den[k] = (form, mult + 1)
             out = out + LocalizedSeries(
-                self.num.scale(-c * mult), den, self.blocks, bounds
+                self.num.scale(-c * mult), den, self.blocks, lowered(form.coeffs)
             )
         return out
 

@@ -9,9 +9,9 @@ a finite truncation order, and report machine-readable outcomes with the
 first counterexample monomial when a check fails.
 
 Every equality test is guarded against vacuity: after a difference
-clears to zero the checker re-runs the comparison against a deliberately
-wrong right side, and an empty comparison window is reported as a
-failure rather than a pass.
+clears to zero the checker subtracts 1 from it, which vanishes only in an
+empty comparison window, and an empty window is reported as a failure
+rather than a pass.
 
 Every nested side is one `series.nest`, which `nested_product` wraps for
 products, and every product reworked at an order read from an order-0
@@ -41,7 +41,6 @@ from .series import (
     iota_expand,
     nest,
     residue,
-    series_equal,
 )
 
 ADDITIVE = "additive"
@@ -236,8 +235,10 @@ def compare_series(lhs: LocalizedSeries, rhs: LocalizedSeries):
 
     The sides are compared by ``lhs - rhs``, which holds only the window
     where both are exact.  A zero difference only counts when that window
-    is nonempty, which is probed by re-comparing against a deliberately
-    wrong right side; a nonzero one names its first term as the witness.
+    is nonempty, which is probed by subtracting 1 from the difference: it
+    has the difference's denominator, bounds and order, so 1 vanishes
+    there only when the window is empty.  A nonzero difference names its
+    first term as the witness.
     """
     cleared = lhs - rhs
     if not cleared.num.is_zero():
@@ -245,7 +246,7 @@ def compare_series(lhs: LocalizedSeries, rhs: LocalizedSeries):
     one = LocalizedSeries(
         TruncSeries.const(lhs.varset, 1, INF), (), lhs.blocks
     )
-    if series_equal(lhs, rhs + one):
+    if (cleared - one).num.is_zero():
         return True, False, None
     return True, True, None
 

@@ -471,7 +471,9 @@ class TestSwapIdentity:
         comp, trunc, depth = ComponentLabel("BU_Z", (1,)), 3, 6
         taut = tautological_summand(comp, None, depth)
         E = KClass(Z, {(1,): taut, (2,): tensor_summand(taut, taut, depth).negate()}, depth)
+        a = sp(1) * sp(2) + sp(3)
         inputs, capped, translated = [], {}, []
+        translated_by = homology._translated
 
         def cap_spy(x, component):
             inputs.append(x)
@@ -481,14 +483,16 @@ class TestSwapIdentity:
             capped[id(p)] = out = contract_poly(p, component)
             return out
 
-        def translate_spy(el, zvars, t):
-            translated.append((el.poly, t))
-            return translate(el, zvars, t)
+        def translate_spy(factors, poly, room):
+            # the left side translates ``a`` itself when it is read
+            if poly is not a:
+                translated.append((poly, room))
+            return translated_by(factors, poly, room)
 
         monkeypatch.setattr(sys.modules[__name__], "cap_localized", cap_spy)
         monkeypatch.setattr(charclass, "contract_poly", contract_spy)
-        monkeypatch.setattr(homology, "translate", translate_spy)
-        lhs, rhs = swap_sides(equivariant_euler, E, comp, sp(1) * sp(2) + sp(3), trunc)
+        monkeypatch.setattr(homology, "_translated", translate_spy)
+        lhs, rhs = swap_sides(equivariant_euler, E, comp, a, trunc)
         monkeypatch.undo()
         assert series_equal(lhs, rhs)
         # neither side's expanded denominator has a form in w
@@ -514,6 +518,33 @@ class TestSwapIdentity:
         )
         assert (rhs.num, rhs.den, rhs.block_bounds) == (want.num, want.den, want.block_bounds)
         assert list(rhs.num.terms) == list(want.num.terms)
+
+    def test_left_side_translates_only_its_window(self, monkeypatch):
+        """The left side of the deeper-input swap translates nothing when
+        built, and when compared translates its class only to w-degree
+        trunc, the w-cap of the comparison, though it is asked for trunc
+        plus the Euler class's pole degree; the sides still agree."""
+        comp, trunc, depth = ComponentLabel("BU_Z", (1,)), 3, 6
+        taut = tautological_summand(comp, None, depth)
+        E = KClass(Z, {(1,): taut, (2,): tensor_summand(taut, taut, depth).negate()}, depth)
+        a = sp(1) * sp(2) + sp(3)
+        made = []
+        translated_by = homology._translated
+
+        def translate_spy(factors, poly, room):
+            out = translated_by(factors, poly, room)
+            if poly is a:
+                made.append((room, out))
+            return out
+
+        monkeypatch.setattr(homology, "_translated", translate_spy)
+        lhs, rhs = swap_sides(equivariant_euler, E, comp, a, trunc)
+        assert not made
+        assert series_equal(lhs, rhs)
+        monkeypatch.undo()
+        assert equivariant_euler(E).den_degree() > 0 and made
+        assert all(room <= trunc for room, _ in made)
+        assert {e for _, out in made for e in out} == {(k,) for k in range(trunc + 1)}
 
     def test_weight_inconsistent_data_breaks_it(self):
         # generator characters carry weight one; declaring them at weight

@@ -775,6 +775,54 @@ class TestTranslate:
             _same_poly(got.terms[e], p)
 
 
+@st.composite
+def translatable_classes(draw):
+    """A class on any model: BU_Z with one or two factors, BO_Z or BSp_2Z
+    with none, one or two unitary factors beside the module; ranks -3..3
+    (a symplectic module's even), in the generators up to s_4 that the
+    component allows, with fractional coefficients."""
+    model = draw(st.sampled_from(homology.MODELS))
+    low = 1 if model == "BU_Z" else 0
+    ranks = draw(st.lists(st.integers(-3, 3), min_size=low, max_size=2))
+    if model != "BU_Z":
+        module = st.integers(-1, 1).map(lambda r: 2 * r) if model == "BSp_2Z" else st.integers(-3, 3)
+        ranks.append(draw(module))
+    comp = ComponentLabel(model, tuple(ranks))
+    gens = [s_name(k, f) for f in comp.factor_keys() for k in (1, 2, 3, 4)]
+    gens = [g for g in gens if comp.allows_variable(g)]
+    monos = st.lists(st.tuples(st.sampled_from(gens), st.integers(0, 2)), max_size=3)
+    coefs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    raw = draw(st.lists(st.tuples(monos, coefs), max_size=3))
+    return HomologyElement(comp, Poly({tuple(m): c for m, c in raw}))
+
+
+class TestLazyTranslate:
+    """`translate` returns a `LazySeries` over the class on no variables:
+    a whole read is the eager recurrence, and a window read its cut."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(translatable_classes(), st.integers(0, 5), st.data())
+    @example(HomologyElement(ComponentLabel("BU_Z", (-2, 1)), sv(1, 1) - 3), 4, None)
+    @example(HomologyElement(ComponentLabel("BO_Z", (-1, 3)), sv(2, 0) * sv(1, 1)), 3, None)
+    @example(HomologyElement(ComponentLabel("BSp_2Z", (2,)), sv(2) / 5), 2, None)
+    def test_prop_reads_match_steps(self, a, trunc, data):
+        names = ["z%d" % i for i in range(len(a.component.unitary_factors()))]
+        want = translate_by_steps(a, names, trunc)
+        got = translate(a, names, trunc)
+        assert type(got) is LazySeries and not got._made
+        assert (got.varset, got.order, got.terms) == (want.varset, want.order, want.terms)
+        if data is None or not names:
+            return
+        positions = st.sets(st.sampled_from(range(len(names))), min_size=1).map(sorted)
+        cap = st.tuples(positions.map(tuple), st.integers(-1, 5))
+        caps = tuple(data.draw(st.lists(cap, max_size=2)))
+        order = data.draw(st.one_of(st.none(), st.integers(0, 6)))
+        part = translate(a, names, trunc)._window(caps, order)
+        assert part.order == want.order
+        assert part.terms == want._window(caps, order).terms
+
+
+
 def translate_series_by_nest(num, component, wvars):
     """`translate_series` as it was first written, the reference of the
     lazy one: `series.nest` of `translate`, every coefficient translated at

@@ -539,6 +539,19 @@ class TestDiff:
         truncated numerators with polynomial coefficients."""
         prop_product_rule()
 
+    def test_quotient_term_keeps_the_caps_of_every_block_its_form_touches(self):
+        """(1 + w^4) / (z + w) and the same with w net-bounded by 2, its w^4
+        dropped, agree; so must their z-derivatives, whose quotient term
+        squares z + w and so lowers the w-bound too."""
+        blocks = (("z",), ("w",))
+        num = TruncSeries(ZW, 6, {(0, 0): 1, (0, 4): 1})
+        den = [(form(ZW, z=1, w=1), 1)]
+        t = LocalizedSeries(num, den, blocks)
+        b = LocalizedSeries(num, den, blocks, (None, 2))
+        assert series_equal(t, b)
+        assert b.diff("z").block_bounds == (None, 1)
+        assert series_equal(t.diff("z"), b.diff("z"))
+
 
 class TestDivision:
     def test_difference_of_squares(self):
@@ -1399,3 +1412,134 @@ def test_coordinate_changes_build_no_power_by_pow(monkeypatch):
 
     monkeypatch.setattr(TruncSeries, "__pow__", forbidden)
     assert run() == expected
+
+
+# -- lazy products and embeddings ---------------------------------------------------
+
+
+@st.composite
+def lazy_makers(draw, varset=ZW):
+    """A maker of fresh `LazySeries` over ``varset`` at a finite order, one
+    that doubles each raw term or one that steps along its last variable,
+    as in `lazy_and_eager`."""
+    exps = st.tuples(*[st.integers(0, 3)] * len(varset))
+    raw = TruncSeries(
+        varset, draw(st.integers(0, 5)), draw(st.dictionaries(exps, coefficients, max_size=5))
+    )
+    if draw(st.booleans()):
+        make, names = (lambda c, room: {(): 2 * c}), ()
+    else:
+        names = varset.names[-1:]
+
+        def make(c, room):
+            return {(k,): (k + 1) * c for k in range(room + 1)}
+
+    def lazy():
+        return LazySeries(raw, make, names)
+
+    return lazy
+
+
+def read_whole(lazy):
+    """The plain series of a whole read of ``lazy``."""
+    return TruncSeries(lazy.varset, lazy.order, lazy.terms)
+
+
+windows = st.tuples(
+    st.lists(
+        st.tuples(st.sampled_from([(0,), (1,), (0, 1)]), st.integers(-1, 5)), max_size=2
+    ).map(tuple),
+    st.one_of(st.none(), st.integers(0, 7)),
+)
+
+
+class TestLazyProduct:
+    """An uncapped product with one `LazySeries` factor of finite order is
+    a `LazySeries` that reads as the eager product of the plain series."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lazy_makers(), series_terms, orders, st.booleans(), windows)
+    def test_prop_matches_the_eager_product(self, lazy, terms, order, left, window):
+        plain = TruncSeries(ZW, order, terms)
+        eager = read_whole(lazy()) * plain if left else plain * read_whole(lazy())
+
+        def product():
+            return lazy() * plain if left else plain * lazy()
+
+        got = product()
+        # only an exact factor with no terms leaves the product exact
+        assert (type(got) is LazySeries) == (eager.order is not INF)
+        assert got.order == eager.order and got.terms == eager.terms
+        caps, cut = window
+        part = product()._window(caps, cut)
+        assert part.order == eager.order
+        assert part.terms == eager._window(caps, cut).terms
+        # the capped product still reads the lazy factor through its window
+        capped = product().__mul__(TruncSeries.const(ZW, 1), caps) if caps else None
+        if capped is not None:
+            assert type(capped) is TruncSeries
+            assert capped.terms == eager._window(caps).terms
+
+    def test_exact_factor_raises_the_order_past_the_raw_order(self):
+        """An exact factor of valuation 2 lifts the order of the product
+        past the lazy factor's, and the terms up to it are made."""
+        lazy, eager = lazy_and_eager(True)
+        w2 = TruncSeries(ZW, INF, {(0, 2): 1, (1, 1): S})
+        got = lazy * w2
+        want = eager * w2
+        assert type(got) is LazySeries and got.order == want.order == 5
+        assert got.terms == want.terms and max(map(sum, got.terms)) == 5
+
+    def test_finite_factor_lowers_the_order(self):
+        lazy, eager = lazy_and_eager(True)
+        low = TruncSeries(ZW, 1, {(0, 0): 1, (1, 0): T})
+        got = lazy * low
+        assert got.order == 1 and got.terms == (eager * low).terms
+        assert got._window((), 3).terms == (eager * low).terms
+
+    def test_two_plain_or_two_lazy_factors_stay_eager(self):
+        lazy, eager = lazy_and_eager(False)
+        assert type(eager * eager) is TruncSeries
+        other, _ = lazy_and_eager(True)
+        both = lazy * other
+        assert type(both) is TruncSeries and both.terms == (eager * read_whole(other)).terms
+
+
+class TestLazyEmbedding:
+    """`substitute_linear` of a `LazySeries` that sends every variable to
+    itself among fresh leading names stays lazy; any other substitution
+    reads the series whole."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lazy_makers(VarSet(("w",))), st.sampled_from([("z",), ("u", "z")]), windows)
+    def test_prop_matches_the_eager_embedding(self, lazy, fresh, window):
+        target = VarSet(fresh + ("w",))
+        mapping = {"w": {"w": 1}}
+        eager = read_whole(lazy()).substitute_linear(target, mapping)
+        got = lazy().substitute_linear(target, mapping)
+        assert type(got) is LazySeries and not got._raw._made
+        assert (got.varset, got.order, got.terms) == (eager.varset, eager.order, eager.terms)
+        caps, cut = window
+        caps = tuple((tuple(i + len(fresh) - 1 for i in idxs), c) for idxs, c in caps)
+        part = lazy().substitute_linear(target, mapping)._window(caps, cut)
+        assert part.order == eager.order
+        assert part.terms == eager._window(caps, cut).terms
+
+    def test_other_substitutions_read_whole(self):
+        lazy, eager = lazy_and_eager(True)
+        for target, mapping in [
+            (VarSet(("u", "z", "w")), {"z": {"z": 1}, "w": {"u": 1, "w": 1}}),
+            (VarSet(("w", "z")), {"z": {"z": 1}, "w": {"w": 1}}),
+            (ZW, {"z": {"z": 1}, "w": {"w": 1}}),
+        ]:
+            got = lazy.substitute_linear(target, mapping)
+            assert type(got) is TruncSeries
+            assert got == eager.substitute_linear(target, mapping)
+
+    def test_degrees_of_the_target_are_kept(self):
+        lazy, eager = lazy_and_eager(False)
+        target = VarSet(("u", "z", "w"), (4, -2, -2))
+        got = lazy.substitute_linear(target, {"z": {"z": 1}, "w": {"w": 1}})
+        assert type(got) is LazySeries and got.varset == target
+        assert got.terms == eager.substitute_linear(target, {"z": {"z": 1}, "w": {"w": 1}}).terms
+

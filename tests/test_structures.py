@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from golden_outputs import NESTING_CASES, assert_golden_text, nesting_text
@@ -234,6 +234,52 @@ class TestPolePolicy:
         assert MODULE_POLES.allows(form)
 
 
+ZW_BLOCKS = (("z",), ("w",))
+
+
+@st.composite
+def iota_pairs(draw):
+    """Two iota-expansions over (z, w) of fractions with poles on z, w,
+    z + w or z - w: one fraction, or it and a copy with one term changed,
+    each at its own numerator order and truncation; low orders under
+    poles leave many windows empty."""
+    zw = VarSet(("z", "w"))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(exps, st.integers(-2, 2), max_size=4))
+    vecs = st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1)])
+    poles = draw(st.lists(st.tuples(vecs, st.integers(1, 3)), max_size=2))
+    den = [(LinearForm.make_scaled(zw, v)[0], m) for v, m in poles]
+    other = dict(terms)
+    if draw(st.booleans()):
+        other[draw(exps)] = draw(st.integers(-2, 2))
+    return tuple(
+        iota_expand(
+            LocalizedSeries(TruncSeries(zw, draw(st.integers(0, 5)), t), den),
+            ZW_BLOCKS,
+            draw(st.integers(0, 3)),
+        )
+        for t in (terms, other)
+    )
+
+
+def empty_window_pair():
+    """One fraction, exact only to degree 1 under a pole of degree 3, on
+    both sides: nothing lies in the window."""
+    zw = VarSet(("z", "w"))
+    x = LocalizedSeries(TruncSeries.const(zw, 1, 1), [(LinearForm.make(zw, {"z": 1})[0], 3)])
+    return iota_expand(x, ZW_BLOCKS, 1), iota_expand(x, ZW_BLOCKS, 2)
+
+
+def compare_by_reprobe(lhs, rhs):
+    """`compare_series` as first written: a zero difference is conclusive
+    unless lhs also equals rhs + 1."""
+    cleared = lhs - rhs
+    if not cleared.num.is_zero():
+        return False, True, structures._first_term(cleared)
+    one = LocalizedSeries(TruncSeries.const(lhs.varset, 1, INF), (), lhs.blocks)
+    return True, not series_equal(lhs, rhs + one), None
+
+
 class TestCompareSeries:
     def test_equal_and_conclusive(self):
         zw = VarSet(("z", "w"))
@@ -259,6 +305,16 @@ class TestCompareSeries:
         equal, conclusive, _ = compare_series(x, y)
         assert equal and not conclusive
 
+    @settings(max_examples=150, deadline=None)
+    @given(iota_pairs())
+    @example(empty_window_pair())
+    def test_prop_probe_matches_the_reprobe(self, pair):
+        """The vacuity probe, 1 subtracted from the difference, decides as
+        comparing lhs with rhs + 1 did, windows empty or not."""
+        lhs, rhs = pair
+        one = LocalizedSeries(TruncSeries.const(lhs.varset, 1, INF), (), lhs.blocks)
+        assert ((lhs - rhs) - one).num.is_zero() == series_equal(lhs, rhs + one)
+        assert compare_series(lhs, rhs) == compare_by_reprobe(lhs, rhs)
 
     def test_checkers_compare_through_the_module(self, monkeypatch):
         # the benchmark counts comparison windows by replacing this name
