@@ -77,7 +77,7 @@ from .poly import (
     shift_name,
     var_shift,
 )
-from .series import LazySeries, TruncSeries, VarSet, _lazy, _series
+from .series import LazySeries, TruncSeries, VarSet, _lazy, _names, _series
 
 MODELS = ("BU_Z", "BO_Z", "BSp_2Z")
 
@@ -102,8 +102,8 @@ _POINT = VarSet(())
 # factor and doubling of the image of each one-factor monomial, and
 # `_source_parts`, one per support and model kind; `_moves_table`, one
 # per factor of the moves of the translation generator; `_coordinates_of`,
-# one per component and coordinate names, their `VarSet` and the unitary
-# factors with their ranks; and `_cap_plan`,
+# one per component and coordinate names, their `VarSet`, their positions
+# and the unitary factors with their ranks; and `_cap_plan`,
 # one `pairing_plan` per component (the act of each generator, the mask
 # of the acting fields of each support, the lowering of each cohomology
 # monomial) shared by `cap_poly` and `contract_poly`, as `ktheory` keeps
@@ -758,7 +758,7 @@ def translate_series(
     a window reads ``num`` through its own and translates each coefficient
     by `_translated` only to the degree the window leaves; a read of
     `terms` gives every coefficient translated at once."""
-    _, factors = _coordinates(component, wvars)
+    _, _, factors = _coordinates(component, wvars)
     return LazySeries(num, partial(_translated, factors), wvars)
 
 
@@ -824,24 +824,22 @@ def _raised(terms: Dict[int, int], factor: FactorKey, rank: int) -> Dict[int, in
 
 def _coordinates(
     component: ComponentLabel, zvars: Sequence[str]
-) -> Tuple[VarSet, Tuple[Tuple[FactorKey, int], ...]]:
-    """A translation's coordinates and its unitary factors with their
-    ranks, one each, or ValueError; made once per component and names."""
-    names = tuple(zvars) if type(zvars) is list else zvars
-    try:
-        return _coordinates_of(component, names)
-    except TypeError:  # an unhashable name, which `VarSet` rejects
-        return _coordinates_of.__wrapped__(component, names)
+) -> Tuple[VarSet, Tuple[int, ...], Tuple[Tuple[FactorKey, int], ...]]:
+    """A translation's coordinates, their positions, and its unitary
+    factors with their ranks, one each, or ValueError; made once per
+    component and names."""
+    return _coordinates_of(component, _names(zvars))
 
 
 @cache
 def _coordinates_of(
-    component: ComponentLabel, names: Sequence[str]
-) -> Tuple[VarSet, Tuple[Tuple[FactorKey, int], ...]]:
+    component: ComponentLabel, names: Tuple[str, ...]
+) -> Tuple[VarSet, Tuple[int, ...], Tuple[Tuple[FactorKey, int], ...]]:
     factors = component.unitary_factors()
     if len(names) != len(factors):
         raise ValueError("expected %d coordinates, got %d" % (len(factors), len(names)))
-    return VarSet(names), tuple((f, component.rank(f)) for f in factors)
+    ranked = tuple((f, component.rank(f)) for f in factors)
+    return VarSet(names), tuple(range(len(names))), ranked
 
 
 def _translated(
@@ -898,9 +896,9 @@ def translate(a: HomologyElement, zvars: Sequence[str], trunc: int) -> LazySerie
     """
     if exact_int(trunc, "the truncation") < 0:
         raise ValueError("truncation must be nonnegative")
-    vs, factors = _coordinates(a.component, zvars)
+    vs, at, factors = _coordinates(a.component, zvars)
     raw = _series(_POINT, trunc, {(): a.poly} if a.poly.terms else {})
-    return _lazy(vs, trunc, raw, partial(_translated, factors), tuple(range(len(vs))))
+    return _lazy(vs, trunc, raw, partial(_translated, factors), at)
 
 
 # -- involution, pushforward, normal forms ----------------------------------------

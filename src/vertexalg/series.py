@@ -98,6 +98,13 @@ def _sequence(x, what: str) -> tuple:
         raise ValueError("%s must be a sequence, got %r" % (what, x)) from None
 
 
+def _names(x) -> Tuple[str, ...]:
+    """``x`` as a tuple of variable names, as `VarSet` reads them: a
+    string, anything not iterable and a name that is not a string raise
+    ValueError."""
+    return tuple(map(_parse_name, _sequence(x, "variable names")))
+
+
 class VarSet:
     """An ordered set of formal variables with integer cohomological degrees.
 
@@ -110,7 +117,7 @@ class VarSet:
     __slots__ = ("names", "degrees", "_index")
 
     def __init__(self, names: Sequence[str], degrees: Sequence[int] = None):
-        names = tuple(map(_parse_name, _sequence(names, "variable names")))
+        names = _names(names)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
         if degrees is None:
@@ -591,7 +598,8 @@ class LazySeries(TruncSeries):
     step of zeros along fresh leading names).  `terms` is made on the
     first read, all raw terms summed in raw exponent order with zeros
     dropped, or, over a raw series on no variables (a `translate`), the
-    one raw term's made terms, zeros dropped; `_window` reads the raw series
+    one raw term's made terms, zeros and steps past the order (made
+    before a `with_order`) dropped; `_window` reads the raw series
     through its own and gives each raw term only the room left by the
     order and by each cap holding all of the names.  It has no
     `__getattr__`, so its other attributes read at full speed."""
@@ -621,7 +629,9 @@ class LazySeries(TruncSeries):
                 if got is None or got[0] < room:
                     got = made[()] = room, self._make(c, room)
                 terms = got[1]
-                if not all(terms.values()):
+                if got[0] > room:  # made for a higher order, shared by `with_order`
+                    terms = {f: v for f, v in terms.items() if v and sum(f) <= room}
+                elif not all(terms.values()):
                     terms = {f: v for f, v in terms.items() if v}
         self._read = terms
         return terms

@@ -821,6 +821,25 @@ class TestLazyTranslate:
         assert part.order == want.order
         assert part.terms == want._window(caps, order).terms
 
+    @settings(max_examples=60, deadline=None)
+    @given(translatable_classes(), st.integers(0, 5), st.integers(0, 5), st.booleans())
+    @example(HomologyElement(BU1, sv(1)), 5, 2, True)
+    def test_prop_lower_order_after_a_read(self, a, trunc, lower, whole):
+        """A translation read whole or through a window at ``trunc``, then
+        cut to a lower order, reads as the recurrence at that order: the
+        levels made for ``trunc`` are shared, but none past it is read."""
+        names = ["z%d" % i for i in range(len(a.component.unitary_factors()))]
+        lower = min(lower, trunc)
+        want = translate_by_steps(a, names, lower)
+        got = translate(a, names, trunc)
+        if whole:
+            got.terms
+        else:
+            got._window((), trunc)
+        for cut in (got.truncate(lower), got.with_order(lower)):
+            assert (cut.order, cut.terms) == (lower, want.terms)
+            assert cut._window((), trunc).terms == want.terms
+
 
 
 def translate_series_by_nest(num, component, wvars):
@@ -881,7 +900,7 @@ class TestTranslateSeries:
 
     def test_call_translates_nothing(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(homology, "translate", lambda *a: calls.append(a))
+        monkeypatch.setattr(homology, "_translated", lambda *a: calls.append(a))
         num = TruncSeries(ZW, 4, {(0, 0): sv(1), (1, 2): sv(2) - 1})
         got = translate_series(num, BU1, ["w"])
         assert type(got) is LazySeries and not got._made and not calls
