@@ -35,12 +35,12 @@ it, and whose whole read is the recurrence to its order.
 
 The sum map of a product component is pushed forward by
 `pushforward_substitute`.  `tensor` leaves an external product unbuilt,
-holding its factors, so its pushforward (`sum_map_product`) is a plain
-product of the factors' images and no suffixed term is ever built.  Both
-check their outputs from supports they already hold (each factor on its
-own space, then the factors' images on the target), and there is one
-label per component, so the route costs O(factors) beside the products
-of the factors themselves.  Moving a factor onto its suffix and both sum
+holding its factors, so its pushforward is a plain product of the
+factors' images and no suffixed term is ever built.  Both check their
+outputs from supports they already hold (each factor on its own space,
+then the factors' images on the target), and there is one label per
+component, so the route costs O(factors) beside the products of the
+factors themselves.  Moving a factor onto its suffix and both sum
 maps send each monomial of one factor to one monomial times a scalar, or
 to zero: s_k^e to s_k^e on the target alphabet, or on a unitary factor
 of an orthosymplectic product to (2*s_k)^e for even k and to zero for
@@ -946,6 +946,12 @@ def pushforward_substitute(a: HomologyElement) -> HomologyElement:
     generator add), or 0 when an image is zero, so the product's terms are
     never walked; the target's label is looked up, not validated again.
     A built product goes through `_sum_map`, term by term.
+
+        >>> s1, s2 = Poly.variable("s1"), Poly.variable("s2")
+        >>> a = HomologyElement(ComponentLabel("BU_Z", (1,)), s1 + s2)
+        >>> m = HomologyElement(ComponentLabel("BO_Z", (3,)), s2)
+        >>> pushforward_substitute(tensor(a, module=m))
+        HomologyElement(ComponentLabel('BO_Z', (5,)), 2*s2^2)
     """
     comp, poly = a.component, a.poly
     unitary = comp.model == "BU_Z"
@@ -967,23 +973,3 @@ def pushforward_substitute(a: HomologyElement) -> HomologyElement:
         _check(target, support)
         return _element(target, reduce(mul, images))
     return HomologyElement(target, _sum_map(poly, not unitary))
-
-
-def sum_map_product(*elements: HomologyElement, module: HomologyElement = None) -> HomologyElement:
-    """``pushforward_substitute(tensor(*elements, module=module))``, which
-    never builds the suffixed product.
-
-    On BU_Z the sum map sends every s_k^{(i)} to s_k, so this is the plain
-    product of the factor polynomials on the rank-sum component.  With a
-    BO or BSp module class it is the module polynomial times the unitary
-    factors, each with s_k sent to 2*s_k for even k and to 0 for odd k, on
-    the component of rank r_0 + 2 * sum r_i.
-
-        >>> s1, s2 = Poly.variable("s1"), Poly.variable("s2")
-        >>> a = HomologyElement(ComponentLabel("BU_Z", (1,)), s1 + s2)
-        >>> m = HomologyElement(ComponentLabel("BO_Z", (3,)), s2)
-        >>> sum_map_product(a, module=m)
-        HomologyElement(ComponentLabel('BO_Z', (5,)), 2*s2^2)
-    """
-    return pushforward_substitute(tensor(*elements, module=module))
-

@@ -977,10 +977,9 @@ class LocalizedSeries:
         den = [
             (form, max(mult.get(key, 0) for mult in mults)) for key, form in forms.items()
         ]
-        # net block bounds survive clearing unchanged; combine by min
-        bounds = tuple(
-            _min_order(x, y) for x, y in zip(self.block_bounds, other.block_bounds)
-        )
+        # each operand's net block bounds as cleared, combined by min
+        bounds = [_cleared_bounds(x, den, mult) for x, mult in zip((self, other), mults)]
+        bounds = tuple(_min_order(x, y) for x, y in zip(*bounds))
         caps = _block_caps(self.varset, self.blocks, bounds, den)
         # clearing by exact forms of total degree lift lifts the terms and
         # the order of a numerator by lift; the sum claims the lower order
@@ -1053,16 +1052,8 @@ class LocalizedSeries:
         that raises a form's multiplicity lowers that of every block the
         form touches by one."""
         i = self.varset.index(name)
-        blocks = [[self.varset.index(n) for n in block] for block in self.blocks]
-
-        def lowered(vec) -> list:
-            return [
-                b if b is None or not any(vec[j] for j in idxs) else b - 1
-                for b, idxs in zip(self.block_bounds, blocks)
-            ]
-
         step = [int(j == i) for j in range(len(self.varset))]
-        out = LocalizedSeries(self.num.diff(name), self.den, self.blocks, lowered(step))
+        out = LocalizedSeries(self.num.diff(name), self.den, self.blocks, _lowered(self, step))
         for k, (form, mult) in enumerate(self.den):
             c = form.coeffs[i]
             if not c:
@@ -1070,7 +1061,7 @@ class LocalizedSeries:
             den = list(self.den)
             den[k] = (form, mult + 1)
             out = out + LocalizedSeries(
-                self.num.scale(-c * mult), den, self.blocks, lowered(form.coeffs)
+                self.num.scale(-c * mult), den, self.blocks, _lowered(self, form.coeffs)
             )
         return out
 
@@ -1102,12 +1093,8 @@ class LocalizedSeries:
         each form primitive and moves its sign and content into the
         numerator.  The expansion regime does not carry over (a
         substitution changes which reading makes sense); re-expand
-        afterwards if needed.  A series with a finite block bound raises
-        ValueError, as in :func:`iota_expand`: the bound is a net degree in
-        the old variables, which the new ones do not measure.
+        afterwards if needed.
         """
-        if any(b is not None for b in self.block_bounds):
-            raise ValueError("block bounds do not carry over to another regime")
         y = self.compose(target, _linear_images(self.varset, target, mapping))
         return LocalizedSeries(y.num, y.den, blocks)
 
@@ -1123,7 +1110,11 @@ class LocalizedSeries:
         through `TruncSeries.compose`, and each pole, composed the same
         way, through :func:`expand_poles` over ``blocks`` (one block by
         default) at ``trunc``.  A pole that composes to zero raises
-        ValueError."""
+        ValueError, and so does a series with a finite block bound, as in
+        :func:`iota_expand`: the bound is a net degree in the old variables,
+        which the new ones do not measure."""
+        if any(b is not None for b in self.block_bounds):
+            raise ValueError("block bounds do not carry over to another regime")
         dens = []
         for form, mult in self.den:
             f = form.as_series().compose(target, images)
@@ -1405,6 +1396,31 @@ def nest(
 def _held(den, idxs) -> int:
     """The multiplicity in ``den`` of the forms on these variables."""
     return sum(m for form, m in den if any(form.coeffs[i] for i in idxs))
+
+
+def _lowered(x: LocalizedSeries, vec, k: int = 1, bounds=None) -> tuple:
+    """The net block bounds of ``x`` (or ``bounds``), lowered by k on each
+    block where the exponent or coefficient vector ``vec`` is nonzero."""
+    return tuple(
+        b if b is None or not any(vec[x.varset.index(n)] for n in block) else b - k
+        for b, block in zip(bounds or x.block_bounds, x.blocks)
+    )
+
+
+def _cleared_bounds(x: LocalizedSeries, den: Denominator, mult: Mapping) -> tuple:
+    """The net block bounds of ``x`` cleared to ``den`` (``mult`` maps its
+    forms' coefficients to their multiplicities).  Clearing by form^k keeps
+    them for a form in one block, and lowers each block a spanning form
+    touches by k, as in `LocalizedSeries.diff`: the unknown terms just past
+    one block's bound reach its known degrees through the other blocks."""
+    bounds = x.block_bounds
+    if all(b is None for b in bounds):
+        return bounds
+    for form, m in den:
+        k = m - mult.get(form.coeffs, 0)
+        if k and sum(any(form.coeffs[x.varset.index(n)] for n in b) for b in x.blocks) > 1:
+            bounds = _lowered(x, form.coeffs, k, bounds)
+    return bounds
 
 
 def _block_caps(varset: VarSet, blocks: Blocks, bounds, den) -> Caps:

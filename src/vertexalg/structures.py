@@ -14,8 +14,14 @@ empty comparison window, and an empty window is reported as a failure
 rather than a pass.
 
 Every nested side is one `series.nest`, which `nested_product` wraps for
-products, and every product reworked at an order read from an order-0
-probe must keep the probe's poles.
+products.
+
+Working orders are chosen in one place, `_worked`: a product is probed at
+order 0, worked at the order one of four rules reads from the probe's
+pole degree d, and must keep the probe's poles.  The rules are the nested
+side of a nesting identity, trunc + d_inner + d_outer; its flat side,
+trunc + d + trunc * (number of pole forms); the two-point operator,
+2 * trunc + 2 * d + 2; and a residue read, max(d - 1, 0).
 """
 
 from fractions import Fraction
@@ -318,22 +324,50 @@ def shifted_flat(
     return ElementSeries(flat.component, flat.series.compose(combined, images, blocks, trunc))
 
 
-# -- nesting one family inside another ----------------------------------------------
+# -- working orders --------------------------------------------------------------
+#
+# Each rule takes the order-0 probe x of a product, of pole degree d, to the
+# order `_worked` works the product at.
 
 
-def _reworked(
-    probe: ElementSeries, call: Callable[[int], ElementSeries], order: int
-) -> ElementSeries:
-    """``call(order)`` for a working order read from ``probe = call(0)``:
-    the probe itself at order 0, else a second call, which must keep the
-    probe's poles, since the order was read from them."""
+def _nested_order(trunc: int, outer_probe: Callable[[ElementSeries], ElementSeries]):
+    # the nested side divides by the inner and the outer poles
+    return lambda x: trunc + x.series.den_degree() + outer_probe(x).series.den_degree()
+
+
+def _flat_order(trunc: int):
+    # each pole form is re-expanded at depth trunc, raising its power by trunc
+    return lambda x: trunc + x.series.den_degree() + len(x.series.den) * trunc
+
+
+def _two_point_order(trunc: int):
+    # the expansion at depth trunc + d + 1 raises the power of the poles by
+    # that depth and must stay exact to trunc + 1
+    return lambda x: 2 * trunc + 2 * x.series.den_degree() + 2
+
+
+def _residue_order(x: ElementSeries) -> int:
+    # the pole forms are linear and homogeneous, so the constant coefficient
+    # of the residue, of total degree -1, reads numerator terms of degree d - 1
+    return max(x.series.den_degree() - 1, 0)
+
+
+def _worked(call: Callable[[int], ElementSeries], order_of) -> Tuple[ElementSeries, int]:
+    """(``call(order)``, order) for the order ``order_of`` reads from the
+    probe ``call(0)``: the probe itself at order 0, else a second call,
+    which must keep the probe's poles, since the order was read from them."""
+    probe = call(0)
+    order = order_of(probe)
     out = call(order) if order else probe
     if out.series.den != probe.series.den:
         raise ValueError(
             "poles change with the truncation order, %r at order 0 and %r at "
             "order %d" % (probe.series.den, out.series.den, order)
         )
-    return out
+    return out, order
+
+
+# -- nesting one family inside another ----------------------------------------------
 
 
 def nested_product(
@@ -362,36 +396,34 @@ def nested_product(
 
 def _nested_and_flat(
     inner: Callable[[int], ElementSeries],
-    outer: Callable[[HomologyElement, int], ElementSeries],
+    outer: Callable[[ElementSeries, Poly, int], ElementSeries],
     flat: Callable[[int], ElementSeries],
     znames: Sequence[str],
     trunc: int,
 ) -> Tuple[ElementSeries, ElementSeries, int, int]:
     """The two sides of a nesting identity and their working orders:
     (nested, flat, nested order, flat order).  ``inner(order)``,
-    ``outer(c, order)`` (the class c in the nested slot) and ``flat(order)``
-    are the inner product over the w coordinates, the outer one over the z
-    coordinates and the joint product.  Order-0 probes read the pole
-    degrees: the nested side is worked at trunc plus the inner and outer
-    pole degrees, the flat product at trunc plus its pole degree plus trunc
-    per denominator form.
+    ``outer(x, p, order)`` (the class p of the inner series x in the nested
+    slot) and ``flat(order)`` are the inner product over the w coordinates,
+    the outer one over the z coordinates and the joint product.
     """
-    probe_inner = inner(0)
-    probe_outer = outer(HomologyElement(probe_inner.component, 1), 0)
-    work = trunc + probe_inner.series.den_degree() + probe_outer.series.den_degree()
-    inner_out = _reworked(probe_inner, inner, work)
-    nested = nested_product(
-        lambda p, order: outer(HomologyElement(inner_out.component, p), order),
-        inner_out.series, znames,
-    )
-    probe_flat = flat(0)
-    flat_work = trunc + probe_flat.series.den_degree() + len(probe_flat.series.den) * trunc
-    return nested, _reworked(probe_flat, flat, flat_work), work, flat_work
+    inner_out, work = _worked(inner, _nested_order(trunc, lambda x: outer(x, Poly.const(1), 0)))
+    nested = nested_product(partial(outer, inner_out), inner_out.series, znames)
+    flat_out, flat_work = _worked(flat, _flat_order(trunc))
+    return nested, flat_out, work, flat_work
 
 
-def _note_sides(report: CheckReport, si: int, work: int, flat_work: int, lhs, rhs):
+def _nesting_compared(report: CheckReport, si: int, lhs, rhs, work, flat_work, sample) -> bool:
+    """The shared tail of a nesting check: note the working orders and the
+    term counts of the two sides, then compare their components and their
+    series.  Says whether the series were compared."""
     report.notes.append("sample %d: nested order=%d, flat order=%d, terms=%d/%d" % (
-        si, work, flat_work, len(lhs.num.terms), len(rhs.num.terms)))
+        si, work, flat_work, len(lhs.series.num.terms), len(rhs.series.num.terms)))
+    if lhs.component != rhs.component:
+        report.fail(si, "components differ", repr((lhs.component, rhs.component)))
+        return False
+    _compared(report, si, lhs.series, rhs.series, sample)
+    return True
 
 
 # -- axiom checks ------------------------------------------------------------------
@@ -492,7 +524,9 @@ def check_associativity(
         joint = tuple(bs) + tuple(rest)
         lhs, flat, work, flat_work = _nested_and_flat(
             lambda order: inner_family.product(bs, wnames, order),
-            lambda c, order: P.product((c,) + tuple(rest), znames, order),
+            lambda x, p, order: P.product(
+                (HomologyElement(x.component, p),) + tuple(rest), znames, order
+            ),
             lambda order: P.product(joint, unames, order),
             znames, trunc,
         )
@@ -500,16 +534,10 @@ def check_associativity(
         rows.update({u: {z: 1} for u, z in zip(unames[m:], znames[1:])})
         images = _shift_images(P.law, combined, rows, work)
         rhs = shifted_flat(flat, images, combined, blocks, trunc)
-        _note_sides(report, si, work, flat_work, lhs.series, rhs.series)
-
-        if lhs.component != rhs.component:
-            report.fail(si, "components differ", repr((lhs.component,
-                                                       rhs.component)))
-            continue
-        _compared(report, si, lhs.series, rhs.series, _describe_sample(joint))
-        pole = P.pole_policy.violation(rhs.series)
-        if pole:
-            report.fail(si, pole)
+        if _nesting_compared(report, si, lhs, rhs, work, flat_work, _describe_sample(joint)):
+            pole = P.pole_policy.violation(rhs.series)
+            if pole:
+                report.fail(si, pole)
     return report
 
 
@@ -532,16 +560,14 @@ def check_module_nesting(P: ProductFamily, samples, trunc: int) -> CheckReport:
         joint = tuple(as_) + tuple(bs) + (mm,)
         lhs, flat, work, flat_work = _nested_and_flat(
             lambda order: P.product(tuple(bs) + (mm,), wnames, order),
-            lambda c, order: P.product(tuple(as_) + (c,), znames, order),
+            lambda x, p, order: P.product(
+                tuple(as_) + (HomologyElement(x.component, p),), znames, order
+            ),
             lambda order: P.product(joint, znames + wnames, order),
             znames, trunc,
         )
-        rhs_series = iota_expand(flat.series, blocks, trunc)
-        _note_sides(report, si, work, flat_work, lhs.series, rhs_series)
-        if lhs.component != flat.component:
-            report.fail(si, "components differ")
-            continue
-        _compared(report, si, lhs.series, rhs_series, _describe_sample(joint))
+        rhs = ElementSeries(flat.component, iota_expand(flat.series, blocks, trunc))
+        _nesting_compared(report, si, lhs, rhs, work, flat_work, _describe_sample(joint))
     return report
 
 
@@ -563,13 +589,11 @@ def two_point_operator(
     """The two-point product with the second coordinate set to zero,
     read inside the expansion where the first coordinate dominates.
 
-    The working order, 2 * trunc + 2 * d + 2 for the pole degree d read
-    from an order-0 probe, also sets how far the compared series reach.
+    The product is worked at `_two_point_order`; the pole degree d also
+    sets how far the compared series reach.
     """
-    call = partial(P.product, (a, b), ("z", "w"))
-    probe = call(0)
-    d = probe.series.den_degree()
-    full = _reworked(probe, call, 2 * trunc + 2 * d + 2)
+    full, _ = _worked(partial(P.product, (a, b), ("z", "w")), _two_point_order(trunc))
+    d = full.series.den_degree()
     expanded = iota_expand(full.series, (("z",), ("w",)), trunc + d + 1)
     return ElementSeries(full.component, coefficient_of_power(expanded, "w", 0))
 
@@ -611,20 +635,13 @@ def _residue_read(
     """The constant coefficient of a residue read of the product of x and
     y, with the pole degree d and the working order of the product.
 
-    The pole forms are linear and homogeneous, so a numerator term of
-    total degree t only reaches total degree t - d, and the constant
-    coefficient of the residue, of total degree -1, only reads numerator
-    terms of degree d - 1.  The product is therefore worked at order
-    max(d - 1, 0); the order-0 probe that reads d is that product when
-    d <= 1 (see `_reworked`).  ``trunc`` sets only the residue's expansion
-    depth.
+    The product is worked at `_residue_order`, so the order-0 probe that
+    reads d is that product when d <= 1.  ``trunc`` sets only the
+    residue's expansion depth.
     """
     names, center = _RESIDUE_READS[kind]
-    call = partial(P.product, (x, y), names)
-    probe = call(0)
-    d = probe.series.den_degree()
-    order = max(d - 1, 0)
-    full = _reworked(probe, call, order)
+    full, order = _worked(partial(P.product, (x, y), names), _residue_order)
+    d = full.series.den_degree()
     res = residue(full.series, names[0], center, trunc=trunc + d + 1)
     if res.den:
         raise ValueError("%s: residue kept a pole" % kind)
@@ -967,59 +984,40 @@ class VertexSpaceMap:
 
 
 def check_vertex_space_map(f: VertexSpaceMap, samples, trunc: int) -> CheckReport:
-    """The two compatibilities of a map of vertex spaces: translating
-    before the map shifts its coordinates, and translating after the map
-    shifts them through the lattice matrix."""
+    """The two compatibilities of a map of vertex spaces, each a nesting
+    identity: translating before the map shifts its coordinates, and
+    translating after the map shifts them through the lattice matrix."""
     report = CheckReport("vertex-space-map")
-    law = f.source.law
     znames, wnames, unames = (
         tuple("%s%d" % (c, i + 1) for i in range(f.source.rank)) for c in "zwu"
     )
     pnames = tuple("p%d" % (i + 1) for i in range(f.target.rank))
-    combined = VarSet(znames + wnames)
-    rows = {u: {z: 1, w: 1} for u, z, w in zip(unames, znames, wnames)}
-    combined2 = VarSet(pnames + znames)
-    rows2 = {
-        u: {**dict(zip(pnames, row)), z: 1}
-        for u, z, row in zip(unames, znames, f.sharp)
-    }
+    before = {u: {z: 1, w: 1} for u, z, w in zip(unames, znames, wnames)}
+    after = {u: {**dict(zip(pnames, row)), z: 1} for u, z, row in zip(unames, znames, f.sharp)}
     for i, a in enumerate(samples):
         report.count()
-        action = partial(f.action, a, znames)
-        probe = action(0)
-        d = probe.series.den_degree()
-        work = 2 * trunc + 2 * d + len(probe.series.den) * trunc
-
-        # translating first shifts the map's own coordinates
-        tw = f.source.translate(a, list(wnames), work)
-        lhs = nested_product(
-            lambda p, order: f.action(f.source.rebuild(a, p), znames, order),
-            LocalizedSeries(tw),
-            znames,
+        flat = partial(f.action, a, unames)
+        laws = (
+            # the outer rebuilds from a: the inner translation needs no component
+            (lambda order: ElementSeries(
+                None, LocalizedSeries(f.source.translate(a, list(wnames), order))),
+             lambda x, p, order: f.action(f.source.rebuild(a, p), znames, order),
+             znames, wnames, before, "translation before the map fails to shift"),
+            # the map's series x carries its component, all that a rebuild
+            # adapter reads of a template
+            (partial(f.action, a, znames),
+             lambda x, p, order: ElementSeries(x.component, LocalizedSeries(
+                 f.target.translate(f.target.rebuild(x, p), list(pnames), order))),
+             pnames, znames, after, "translation after the map fails to shift"),
         )
-        full = f.action(a, unames, work)
-        images = _shift_images(law, combined, rows, work)
-        rhs = shifted_flat(full, images, combined, (znames, wnames), trunc)
-        if not _compared(report, i, lhs.series, rhs.series,
-                         "translation before the map fails to shift"):
-            continue
-        if lhs.component != rhs.component:
-            report.fail(i, "components differ")
-            continue
-
-        # translating after the map shifts through the lattice matrix; the
-        # ElementSeries carries the component, which is all the target
-        # carrier's rebuild adapter needs from a template
-        fz = _reworked(probe, action, work)
-        lhs2 = nest(
-            lambda p, room: LocalizedSeries(
-                f.target.translate(f.target.rebuild(fz, p), list(pnames), room)
-            ),
-            fz.series,
-            pnames,
-        )
-        images2 = _shift_images(law, combined2, rows2, work)
-        rhs2 = shifted_flat(full, images2, combined2, (pnames, znames), trunc)
-        _compared(report, i, lhs2, rhs2.series,
-                  "translation after the map fails to shift")
+        for inner, outer, lead, rest, rows, reason in laws:
+            lhs, full, work, _ = _nested_and_flat(inner, outer, flat, lead, trunc)
+            combined = VarSet(lead + rest)
+            images = _shift_images(f.source.law, combined, rows, work)
+            rhs = shifted_flat(full, images, combined, (lead, rest), trunc)
+            if not _compared(report, i, lhs.series, rhs.series, reason):
+                break
+            if lhs.component != rhs.component:
+                report.fail(i, "components differ")
+                break
     return report

@@ -34,7 +34,6 @@ from vertexalg.homology import (
     parse_s,
     pushforward_substitute,
     s_name,
-    sum_map_product,
     tensor,
     translate,
     translate_series,
@@ -1087,9 +1086,9 @@ class TestPushforwardAgainstMultiplyOut:
 
 
 class TestSumMapProduct:
-    """`sum_map_product` against the multiply-out reference: the suffixed
-    product built by `tensor_by_resuffix`, with the sum map substituted
-    into it term by term (`_unsuffixed`)."""
+    """`pushforward_substitute(tensor(...))` against the multiply-out
+    reference: the suffixed product built by `tensor_by_resuffix`, with
+    the sum map substituted into it term by term (`_unsuffixed`)."""
 
     def test_unitary_against_round_trip(self):
         for seed in range(200):
@@ -1101,7 +1100,7 @@ class TestSumMapProduct:
                 )
                 for _ in range(rng.randint(2, 3))
             ]
-            got = sum_map_product(*factors)
+            got = pushforward_substitute(tensor(*factors))
             rank = sum(f.component.index[0] for f in factors)
             assert got.component == ComponentLabel("BU_Z", (rank,))
             _same_poly(got.poly, _unsuffixed(tensor_by_resuffix(*factors).poly))
@@ -1118,7 +1117,7 @@ class TestSumMapProduct:
                 )
                 for _ in range(rng.randint(0, 2))
             ]
-            got = sum_map_product(*factors, module=module)
+            got = pushforward_substitute(tensor(*factors, module=module))
             rank = r0 + 2 * sum(f.component.index[0] for f in factors)
             assert got.component == ComponentLabel(model, (rank,))
             want = tensor_by_resuffix(*factors, module=module).poly
@@ -1127,11 +1126,11 @@ class TestSumMapProduct:
     def test_rejects_what_tensor_rejects(self):
         a = HomologyElement(BU1, sv(1))
         with pytest.raises(ValueError):
-            sum_map_product()
+            pushforward_substitute(tensor())
         with pytest.raises(ValueError):
-            sum_map_product(HomologyElement(ComponentLabel("BU_Z", (1, 2)), 1))
+            pushforward_substitute(tensor(HomologyElement(ComponentLabel("BU_Z", (1, 2)), 1)))
         with pytest.raises(ValueError):
-            sum_map_product(a, module=a)
+            pushforward_substitute(tensor(a, module=a))
 
 
 def _same_poly(got, want):
@@ -1412,7 +1411,7 @@ class TestUnbuiltTensor:
     @given(tensor_inputs())
     def test_prop_route_results_pass_the_public_check(self, drawn):
         """Every class that `tensor`, `pushforward_substitute` (of the
-        unbuilt and of the built product) and `sum_map_product` return is
+        unbuilt and of the built product) and their composition return is
         checked on supports the route already had; each one equals the
         class the public constructor makes of it, and the multiply-out
         reference.  The tensor stays unbuilt, and the den it reads before
@@ -1425,7 +1424,7 @@ class TestUnbuiltTensor:
         outs = [
             (got, want),
             (pushforward_substitute(got), pushed_want),
-            (sum_map_product(*fs, module=module), pushed_want),
+            (pushforward_substitute(tensor(*fs, module=module)), pushed_want),
         ]
         assert lazy == (not terms_built(got.poly))
         built = HomologyElement(*want)
@@ -1447,7 +1446,7 @@ class TestUnbuiltTensor:
         b.poly = Poly.variable(smuggled) + 3
         zero = HomologyElement(BU1, 0)
         for args in ((a, b), (b, a), (b,), (zero, b)):
-            for route in (tensor, sum_map_product):
+            for route in (tensor, lambda *fs: pushforward_substitute(tensor(*fs))):
                 with pytest.raises(ValueError, match=smuggled):
                     route(*args)
         m = HomologyElement(ComponentLabel("BO_Z", (1,)), sv(2))
@@ -1611,7 +1610,7 @@ class TestFieldMaps:
         module = None
         if model is not None:
             module = HomologyElement(ComponentLabel(model, (2,)), _random_s_poly(rng, (2, 4)))
-        want = sum_map_product(*factors, module=module)  # the warm-up call
+        want = pushforward_substitute(tensor(*factors, module=module))  # the warm-up call
         checks, walked, made, multiplying = [], [], [], []
         check, support, product = homology._check, Poly.support, Poly.__mul__
 

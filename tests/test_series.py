@@ -267,6 +267,26 @@ class TestAdd:
         s = a + b
         assert s.num.terms == (pa + pb).terms
 
+    def test_clearing_by_a_spanning_form_lowers_the_bounds_it_touches(self):
+        """4w^3/(z + w) and the same with w net-bounded by 1, its w^3
+        dropped, agree.  Over (z + w)^2 the numerators are cleared by
+        z + w, whose z carries the unknown w^3 term of the bounded one to
+        z*w^3, w-net degree 1, so its sum with 1/(z + w)^2 keeps only
+        w-net degree 0.  The derivative in w clears the same way."""
+        blocks = (("z",), ("w",))
+        den = [(form(ZW, z=1, w=1), 1)]
+        num = TruncSeries(ZW, INF, {(0, 3): 4})
+        t = LocalizedSeries(num, den, blocks)
+        b = LocalizedSeries(num, den, blocks, (None, 1))
+        c = LocalizedSeries(TruncSeries.const(ZW, 1), [(form(ZW, z=1, w=1), 2)], blocks)
+        assert series_equal(t, b)
+        assert (b + c).block_bounds == (None, 0)
+        assert series_equal(t + c, b + c)
+        assert series_equal(t.diff("w"), b.diff("w"))
+        # a form in one block keeps the bounds
+        one_z = LocalizedSeries(TruncSeries.const(ZW, 1), [(form(ZW, z=1), 1)], blocks)
+        assert (b + one_z).block_bounds == (None, 1)
+
 
 class TestExp:
     def test_exp_zero(self):
@@ -750,6 +770,18 @@ class TestSubstitution:
         half = LocalizedSeries(TruncSeries(w, 8, {(0,): Fraction(1, 2)}))
         assert series_equal(exact, half.with_denominator(form(w, w=1)))
         assert not series_equal(exact, LocalizedSeries.zero(w, 8))
+
+    def test_compose_rejects_block_bounds(self):
+        # y, the trunc-1 expansion of 1/(z + w), is exact only to w-degree
+        # 1; composed at the identity and expanded at trunc 5 it would
+        # claim the w^2..w^5 terms it dropped
+        x = LocalizedSeries.one(ZW, 12).with_denominator(form(ZW, z=1, w=1))
+        blocks = (("z",), ("w",))
+        y = iota_expand(x, blocks, trunc=1)
+        identity = {n: TruncSeries.variable(ZW, n) for n in ZW.names}
+        with pytest.raises(ValueError, match="block bounds"):
+            y.compose(ZW, identity, blocks, 5)
+        assert series_equal(x.compose(ZW, identity, blocks, 5), iota_expand(x, blocks, 5))
 
     def test_content_moves_into_numerator(self):
         # 1/(z + w) with z -> u + v, w -> u - v gives 1/(2u) = (1/2)/u

@@ -1163,6 +1163,8 @@ class TestResidueWorkingOrders:
             lie_bracket(fam, *PAIRS[0], 3)
         with pytest.raises(ValueError, match="truncation order"):
             check_translation_axiom(fam, [PAIRS[0]], 3)
+        with pytest.raises(ValueError, match="truncation order"):
+            check_associativity(fam, [(PAIRS[0], (elem(1, S1),))], 3)
 
         def drifting_action(elements, names, trunc):
             out = module_translation_product(elements, names, trunc)
@@ -1173,6 +1175,16 @@ class TestResidueWorkingOrders:
             residue_action(fam, *PAIRS[0], 3)
         with pytest.raises(ValueError, match="truncation order"):
             check_module_nesting(fam, MODULE_NESTING_SAMPLES[:1], 3)
+
+        # a map whose pole at the origin moves: its flat side is reworked
+        def drifting_map(a, names, trunc):
+            out = TestVertexSpaceMaps._translate_action(a, names, trunc)
+            return with_poles(out, [({names[0]: 1}, 2 if trunc == 0 else 3)])
+
+        space = TestVertexSpaceMaps.SPACE
+        f = VertexSpaceMap("drifting-map", [[1]], drifting_map, space, space)
+        with pytest.raises(ValueError, match="truncation order"):
+            check_vertex_space_map(f, [elem(1, S1)], 3)
 
     def test_lie_identity_notes_every_residue_read(self):
         rep = check_twisted_lie_identity(
@@ -1334,6 +1346,60 @@ class TestVertexSpaceMaps:
             rep.counterexample["reason"]
             == "translation before the map fails to shift"
         )
+
+    def test_multiplicative_carrier(self):
+        # a bare-polynomial carrier: the checker rebuilds its classes
+        # through the adapters and never reads a component
+        def k_translate(a, names, trunc):
+            raw = TruncSeries(VarSet(names), trunc, {(0,): a})
+            return mult_translate_series(raw, names[0], "l", trunc)
+
+        space = VertexSpace(
+            "k-translation", 1, k_translate, law=MULTIPLICATIVE,
+            payload=lambda a: a, rebuild=lambda a, p: p,
+        )
+
+        def tripled(a, names, trunc):
+            series = LocalizedSeries(k_translate(a, list(names), trunc))
+            return ElementSeries(None, series.scale(3))
+
+        samples = [L * L, Poly.const(1) + L]
+        assert check_vertex_space_map(
+            VertexSpaceMap("tripled", [[1]], tripled, space, space), samples, 3
+        ).passed
+        rep = check_vertex_space_map(
+            VertexSpaceMap("doubled", [[2]], tripled, space, space), samples, 3
+        )
+        assert rep.counterexample["reason"] == "translation after the map fails to shift"
+
+    def test_product_calls_follow_the_shared_rules(self):
+        """Both laws are nesting identities: the map is worked at trunc
+        plus the pole degrees on the nested side, and at trunc plus its
+        pole degree plus trunc per pole form on the flat side."""
+
+        def action(poles):
+            def product(elements, names, trunc):
+                out = self._translate_action(elements[0], names, trunc)
+                return with_poles(out, [({names[0]: 1}, poles)]) if poles else out
+
+            fam, orders = counted(ProductFamily("map", product, MODULE_POLES))
+            return (lambda a, names, trunc: fam.product((a,), names, trunc)), orders
+
+        act, orders = action(0)
+        f = VertexSpaceMap("identity", [[1]], act, self.SPACE, self.SPACE)
+        assert check_vertex_space_map(f, [elem(1, S1)], 3).passed
+        # before the map: the outer probe, the outer at the room of each
+        # term of the inner translation worked at 3, then the flat probe
+        # and the flat side at 3; after the map: the inner probe and the
+        # inner side at 3, then the flat side again
+        assert orders == [0, 3, 2, 1, 0] + [0, 3] + [0, 3] + [0, 3]
+        # a simple pole at the origin: the nested side at 3 + 0 + 1 and the
+        # flat side at 3 + 1 + 3; the first law fails, so the second is
+        # not read
+        act, orders = action(1)
+        f = VertexSpaceMap("pole", [[1]], act, self.SPACE, self.SPACE)
+        assert not check_vertex_space_map(f, [elem(1, S1)], 3).passed
+        assert orders == [0, 4, 3, 2, 1, 0] + [0, 7]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
