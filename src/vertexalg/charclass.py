@@ -331,7 +331,10 @@ def _ch_scale(i: int) -> int:
 
 
 def chern_from_characters(ch: Mapping[int, Poly], depth: int) -> List[Poly]:
-    """Chern classes c_0..c_depth from characters, by the universal relation."""
+    """Chern classes c_0..c_depth from characters, by the universal relation
+    c(t) = exp(sum_i (-1)^(i-1) (i-1)! ch_i t^i).  `series_exp` reads it
+    degree by degree, which is Newton's identities: k c_k = sum_i
+    (-1)^(i-1) i! ch_i c_(k-i), each class one short sum of products."""
     arg = {(i,): ch[i] * _ch_scale(i) for i in range(1, depth + 1) if i in ch}
     total = series_exp(TruncSeries(_T, depth, arg))
     return [total.terms.get((i,), Poly()) for i in range(depth + 1)]

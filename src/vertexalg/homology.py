@@ -363,9 +363,9 @@ def _module_model(module: HomologyElement) -> str:
 
 class _Tensor(_Deferred):
     """An unbuilt `tensor` product: ``parts`` holds each factor's factor
-    key, its own polynomial and that polynomial's support.  Its support
-    comes from the parts, its den on first read, and its terms on first
-    read too; `pushforward_substitute` reads the parts alone."""
+    key and its own polynomial.  Its support comes from the parts'
+    supports, its den on first read, and its terms on first read too;
+    `pushforward_substitute` reads the parts alone."""
 
     __slots__ = ("parts",)
     factors = None  # no pair to cap from: a contraction builds the terms
@@ -375,17 +375,17 @@ class _Tensor(_Deferred):
         if name != "den":
             return _Deferred.__getattr__(self, name)
         # the contents of the factors multiply (Gauss's lemma)
-        d = prod(p.den for _, p, _ in self.parts)
-        self.den = d = d // gcd(d, prod(gcd(*p.terms.values()) for _, p, _ in self.parts))
+        d = prod(p.den for _, p in self.parts)
+        self.den = d = d // gcd(d, prod(gcd(*p.terms.values()) for _, p in self.parts))
         return d
 
     def support(self) -> int:
         # a support moves as a monomial does: field by field
-        return reduce(or_, (_field_table(key, False)[s][0] for key, _, s in self.parts))
+        return reduce(or_, (_field_table(key, False)[p.support()][0] for key, p in self.parts))
 
     def _built(self) -> Poly:
         terms, den = {0: 1}, 1
-        for key, p, _ in self.parts:
+        for key, p in self.parts:
             image = _moved_terms(p, _field_table(key, False)).items()
             terms = {k + m: c * d for k, c in terms.items() for m, d in image}
             den *= p.den
@@ -441,10 +441,9 @@ def tensor(*factors: HomologyElement, module: HomologyElement = None) -> Homolog
         factors = (module,) + factors
     parts = []
     for key, f in zip(keys, factors):
-        support = f.poly.support()
-        _check(f.component, support)
-        parts.append((key, f.poly, support))
-    if len(parts) == 1 or not all(p for _, p, _ in parts):
+        _check(f.component, f.poly.support())
+        parts.append((key, f.poly))
+    if len(parts) == 1 or not all(p for _, p in parts):
         return _element(comp, parts[0][1] if len(parts) == 1 else Poly.zero())
     p = _Tensor.__new__(_Tensor)
     p.parts = parts
@@ -958,18 +957,14 @@ def pushforward_substitute(a: HomologyElement) -> HomologyElement:
     rank = sum(comp.index) if unitary else comp.index[-1] + 2 * sum(comp.index[:-1])
     target = _label(comp.model, (rank,))
     if type(poly) is _Tensor:
-        # the factors keep their own unsuffixed names, so on BO / BSp a
-        # unitary one doubles as a factor other than the module slot 0
-        if unitary:
-            images = [p for _, p, _ in poly.parts]
-            support = reduce(or_, [s for _, _, s in poly.parts])
-        else:
+        images = [p for _, p in poly.parts]
+        if not unitary:
+            # the factors keep their own unsuffixed names, so on BO / BSp a
+            # unitary one doubles as a factor other than the module slot 0
             double = _field_table(None, True)
-            images = [
-                p if k == 0 else _make(_moved_terms(p, double), p.den) for k, p, _ in poly.parts
-            ]
-            # over Q a product of nonzero factors has exactly their fields
-            support = reduce(or_, [q.support() for q in images]) if all(images) else 0
+            images = [p if k == 0 else _make(_moved_terms(p, double), p.den) for k, p in poly.parts]
+        # over Q a product of nonzero factors has exactly their fields
+        support = reduce(or_, [q.support() for q in images]) if all(images) else 0
         _check(target, support)
         return _element(target, reduce(mul, images))
     return HomologyElement(target, _sum_map(poly, not unitary))

@@ -45,7 +45,8 @@ term-product loop: `Poly.__mul__` runs it on a single pair whose supports
 overlap and a series product on all the coefficient pairs that meet at
 one exponent, so a series coefficient is summed in one integer
 accumulator.  A product by the constant 1 returns the other operand
-itself, which immutability makes safe.
+itself, which immutability makes safe.  Immutability also lets `support`
+walk a polynomial's keys once, on its first call, and keep the result.
 
 Two multi-term factors whose supports (the bitwise or of their keys)
 share no bit give a deferred product.  The ch x s products of a cap are
@@ -219,7 +220,7 @@ def _from_pairs(pairs: Iterable[Tuple[Iterable[Tuple[str, int]], Scalar]]) -> "P
 class Poly:
     """A sparse polynomial; immutable by convention."""
 
-    __slots__ = ("terms", "den")
+    __slots__ = ("terms", "den", "_support")
     factors = None  # the two factors of a deferred product (`_Deferred`)
 
     def __init__(self, terms: Mapping[Mono, Scalar] = None):
@@ -394,8 +395,13 @@ class Poly:
 
     def support(self) -> int:
         """The bitwise or of all keys: a field is nonzero exactly when its
-        variable occurs in some term."""
-        return reduce(or_, self.terms, 0)
+        variable occurs in some term.  The keys are walked on the first
+        call only; the result is kept in a slot, which immutability makes
+        safe."""
+        s = getattr(self, "_support", None)
+        if s is None:
+            self._support = s = reduce(or_, self.terms, 0)
+        return s
 
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get(0, 0), self.den)

@@ -28,10 +28,12 @@ every pole.  `LocalizedSeries.substitute_linear`,
 ``structures.shifted_flat`` and :func:`residue` (a shift, an expansion,
 then `coefficient_of_power`) are built on it.  `_Powers` is the one power
 table, each power one product with the last: compose,
-`TruncSeries.__pow__`, the pole expansions and `_power_sum` (exp, the
-inverse of a unit, and in ``charclass`` the Chern logarithm and the Euler
+`TruncSeries.__pow__`, the pole expansions and `_power_sum` (the inverse
+of a unit, and in ``charclass`` the Chern logarithm and the Euler
 factors) take every power from one.  Compose sums each output coefficient
-once, as a product does.
+once, as a product does.  :func:`series_exp` makes no power: it reads
+exp(a) degree by degree from a recurrence, each coefficient one sum of
+products.
 
 :func:`nest` is the one nesting of a series in a series-valued map, each
 coefficient at the order its monomial leaves; ``structures.nested_product``
@@ -63,11 +65,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import reduce
-from math import factorial, gcd
+from math import gcd
 from operator import add
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import Poly, _parse_name, exact_int
+from .poly import Poly, _make, _parse_name, exact_int
 from .poly import as_poly, json_field, json_list, poly_from_obj, poly_to_obj, sum_of_products
 
 Exponent = Tuple[int, ...]
@@ -837,13 +839,59 @@ def series_invert_unit(a: TruncSeries) -> TruncSeries:
     return _power_sum(tail, [1] * (a.order + 1)).scale(1 / c0)
 
 
+def _scaled(p: Poly, num: int, den: int) -> Poly:
+    """p * num / den, for positive ints, with no `Fraction` made."""
+    if num == 1 == den:
+        return p
+    terms = p.terms if num == 1 else {m: c * num for m, c in p.terms.items()}
+    return _make(terms, p.den * den)
+
+
 def series_exp(a: TruncSeries) -> TruncSeries:
-    """exp of a truncated series with zero constant term."""
+    """exp of a truncated series with zero constant term, at its order,
+    by one recurrence on total degrees; no power of ``a`` is made.
+
+    The total-degree operator E (x^e -> |e| x^e) is a derivation, so
+    f = exp(a) has E f = (E a) f.  Writing x_[m] for the part of total
+    degree m, f_[0] = 1 and, for m = 1..order,
+
+        f_[m] = (1/m) sum_{k=1..m} k a_[k] f_[m-k],
+
+    which reads only parts of degree below m, all exact at a's order.
+    Each exponent of f_[m] is one sum of products over the coefficient
+    pairs that meet there.  Over one variable t this is Newton's
+    identities between the Chern classes and the power sums.
+
+    >>> t = VarSet(("t",))
+    >>> e = series_exp(TruncSeries.variable(t, "t", 4))
+    >>> [e.terms[(k,)] for k in range(5)], e.order
+    ([1, 1, 1/2, 1/6, 1/24], 4)
+    """
     if a.order is INF:
         raise ValueError("exp needs a finite truncation order")
     if a.constant_term():
         raise ValueError("exp requires a vanishing constant term")
-    return _power_sum(a, [Fraction(1, factorial(k)) for k in range(a.order + 1)])
+    # the rows (e, k * c) of k a_[k], by total degree k >= 1
+    graded: Dict[int, list] = {}
+    for e, c in a.terms.items():
+        k = sum(e)
+        graded.setdefault(k, []).append((e, _scaled(c, k, 1)))
+    zero = a.varset.zero_exponent()
+    parts = [[(zero, Poly.const(1))]]  # the rows of f_[m], for m so far
+    for m in range(1, a.order + 1):
+        pairs: Dict[Exponent, list] = {}
+        for k, rows in graded.items():
+            if k <= m:
+                for e2, c2 in parts[m - k]:
+                    for e1, c1 in rows:
+                        e = tuple(map(add, e1, e2))
+                        at = pairs.get(e)
+                        if at is None:
+                            pairs[e] = [(c1, c2)]
+                        else:
+                            at.append((c1, c2))
+        parts.append([(e, _scaled(p, 1, m)) for e, p in _summed(pairs).items()])
+    return _series(a.varset, a.order, dict(row for part in parts for row in part))
 
 
 Denominator = Tuple[Tuple[LinearForm, int], ...]

@@ -123,6 +123,24 @@ class TestChernConversion:
         back = characters_from_chern(chern_from_characters(ch, 6), 6)
         assert back == ch
 
+    def test_depth_zero(self):
+        assert chern_from_characters({1: chp(1), 2: chp(2)}, 0) == [Poly.const(1)]
+        assert characters_from_chern(chern_from_characters({1: chp(1)}, 0), 0) == {}
+
+    def test_only_the_second_character(self):
+        # the argument is -ch_2 t^2, so c_2j = (-ch_2)^j / j! and odd classes vanish
+        c = chern_from_characters({2: chp(2)}, 6)
+        even = [(-chp(2)) ** j * Fraction(1, factorial(j)) for j in range(4)]
+        assert c == [even[k // 2] if k % 2 == 0 else Poly() for k in range(7)]
+
+    @pytest.mark.parametrize(
+        "ch", [{2: chp(2)}, {3: chp(3) * Fraction(-1, 2)}, {2: chp(2), 5: chp(1) * chp(4)}]
+    )
+    def test_round_trip_sparse(self, ch):
+        """Characters with gaps in their degrees come back through the
+        logarithm."""
+        assert characters_from_chern(chern_from_characters(ch, 6), 6) == ch
+
     def test_leading_one_required(self):
         with pytest.raises(ValueError):
             characters_from_chern([Poly.const(2)], 3)

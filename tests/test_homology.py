@@ -1454,6 +1454,28 @@ class TestUnbuiltTensor:
         with pytest.raises(ValueError, match="s2_1"):
             tensor(a, module=m)
 
+    def test_each_factor_walked_once(self):
+        """A factor's keys are walked for its support once, by the check
+        of `HomologyElement`: `tensor`, `pushforward_substitute` and the
+        `Poly.__mul__` it runs read the support that walk kept."""
+
+        class Keys(dict):
+            walks = 0
+
+            def __iter__(self):
+                self.walks += 1
+                return dict.__iter__(self)
+
+        polys = [sv(1) + sv(2) / 2, sv(1) - sv(2) * 3]
+        keys = [Keys(p.terms) for p in polys]
+        factors = [
+            HomologyElement(ComponentLabel("BU_Z", (r,)), _make(k, p.den))
+            for r, k, p in zip((1, 2), keys, polys)
+        ]
+        pushed = pushforward_substitute(tensor(*factors))
+        assert [k.walks for k in keys] == [1, 1]
+        assert pushed == HomologyElement(ComponentLabel("BU_Z", (3,)), polys[0] * polys[1])
+
 
 # -- the field maps of translation and of the sum map ---------------------------------
 

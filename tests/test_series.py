@@ -3,13 +3,13 @@
 import json
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vertexalg import series
+from vertexalg import charclass, series
 from vertexalg.ktheory import one_plus_pow
 from vertexalg.poly import Poly, poly_to_obj
 from vertexalg.series import (
@@ -288,6 +288,26 @@ class TestAdd:
         assert (b + one_z).block_bounds == (None, 1)
 
 
+def exp_by_powers(a):
+    """exp(a) as sum_k a^k / k!, every power from one `_Powers` table."""
+    return series._power_sum(a, [Fraction(1, factorial(k)) for k in range(a.order + 1)])
+
+
+@st.composite
+def exp_arguments(draw):
+    """A series with zero constant term at a finite order 0-6, over 1-3
+    variables or over the Chern variable t of `charclass`, with `Poly`
+    coefficients in s and t.  Its terms sit at a few drawn total degrees,
+    so some degrees are skipped."""
+    varset = draw(
+        st.sampled_from([VarSet(("z",)), ZW, VarSet(("z", "w", "v")), charclass._T])
+    )
+    n, order = len(varset), draw(st.integers(0, 6))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 0 < sum(e) <= max(order, 1))
+    terms = draw(st.dictionaries(exps, coefficients, max_size=5))
+    return TruncSeries(varset, order, terms)
+
+
 class TestExp:
     def test_exp_zero(self):
         z = TruncSeries.zero(Z, 5)
@@ -311,6 +331,33 @@ class TestExp:
     def test_exp_requires_zero_constant(self):
         with pytest.raises(ValueError):
             series_exp(TruncSeries.const(Z, 1, 4))
+
+    def test_exp_needs_a_finite_order(self):
+        with pytest.raises(ValueError, match="finite truncation order"):
+            series_exp(TruncSeries.linear(Z, (1,)))
+
+    def test_exp_makes_no_power(self, monkeypatch):
+        """The recurrence reads degree parts; it builds no `_Powers` table
+        and calls no series product."""
+
+        def forbidden(*args):
+            raise AssertionError("series_exp made a power or a series product")
+
+        a = TruncSeries(ZW, 5, {(1, 0): S, (0, 2): 1 + T, (2, 1): Fraction(1, 3)})
+        monkeypatch.setattr(series._Powers, "__getitem__", forbidden)
+        monkeypatch.setattr(TruncSeries, "__mul__", forbidden)
+        got = series_exp(a)
+        monkeypatch.undo()
+        assert got == exp_by_powers(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(exp_arguments())
+    def test_prop_matches_the_power_sum(self, a):
+        """The recurrence gives the terms and the order of sum_k a^k / k!,
+        summed from one power table."""
+        got, want = series_exp(a), exp_by_powers(a)
+        assert (got.terms, got.order) == (want.terms, want.order)
+        assert all(isinstance(c, Poly) for c in got.terms.values())
 
 
 class TestPowerSum:
